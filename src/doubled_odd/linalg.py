@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 
@@ -232,28 +233,15 @@ class SpanBasis:
 
     def reduce(self, vec: dict[int, object]) -> dict[int, object]:
         """Fully reduce a sparse vector against the basis (input not mutated)."""
-        out = dict(vec)
-        rows = self._rows
-        hits = [c for c in out if c in rows]
-        # rows are zero at every other pivot column, so one pass suffices and
-        # the reduction order does not matter; sort to keep runs reproducible
-        for col in sorted(hits):
-            coeff = out.get(col, 0)
-            if not coeff:
-                continue
-            for c, v in rows[col].items():
-                nv = _norm(out.get(c, 0) - coeff * v)
-                if nv:
-                    out[c] = nv
-                else:
-                    out.pop(c, None)
-        return out
+        return self.reduce_with_coefficients(vec)[0]
 
     def reduce_with_coefficients(self, vec):
         """Reduce and also report {pivot column: coefficient} of the rows used."""
         out = dict(vec)
         rows = self._rows
         coeffs: dict[int, object] = {}
+        # rows are zero at every other pivot column, so one pass suffices and
+        # the reduction order does not matter; sort to keep runs reproducible
         for col in sorted(c for c in out if c in rows):
             coeff = out.get(col, 0)
             if not coeff:
@@ -280,12 +268,17 @@ class SpanBasis:
 
     def insert(self, vec: dict[int, object]) -> bool:
         """Adjoin a vector; returns True iff the dimension grew."""
+        return self.inserted_row(vec) is not None
+
+    def inserted_row(self, vec: dict[int, object]):
+        """Adjoin a vector; returns the normalized stored row, or None if the
+        vector was already in the span."""
         for c in vec:
             if not 0 <= c < self.ambient_dim:
                 raise ValueError(f"coordinate {c} outside ambient dimension {self.ambient_dim}")
         red = self.reduce(vec)
         if not red:
-            return False
+            return None
         piv = min(red)
         lead = red[piv]
         if lead != 1:
@@ -301,15 +294,7 @@ class SpanBasis:
                     else:
                         row.pop(c, None)
         self._rows[piv] = red
-        return True
-
-    def inserted_row(self, vec: dict[int, object]):
-        """Like insert, but returns the normalized stored row (or None)."""
-        red = self.reduce(vec)
-        if not red:
-            return None
-        self.insert(red)
-        return dict(self._rows[min(red)])
+        return dict(red)
 
     def __repr__(self):
         return f"SpanBasis(dim={self.dimension}, ambient={self.ambient_dim})"
@@ -415,18 +400,27 @@ def algebra_closure(
     return ClosureResult(basis=basis, iterations=iterations, stabilized=True)
 
 
-def centralizer_within(basis: SpanBasis) -> SpanBasis:
-    """Elements of a multiplicatively closed span commuting with all of it.
+def centralizer_within(
+    basis: SpanBasis, generators: Iterable[SparseExactMatrix]
+) -> SpanBasis:
+    """The center of the algebra spanned by basis and generated by generators.
 
-    The span must consist of vectorized square matrices and be closed under
-    multiplication (a cheap spot check plus the coordinate solves enforce
-    this; NotClosedError otherwise).  Solves x B_k = B_k x over the basis
-    coordinates for every basis element B_k and returns the span of the
-    solutions, again as vectorized matrices.
+    The span must consist of vectorized square matrices, be closed under
+    multiplication and be generated, together with the identity, by the
+    given generators.  Closure is enforced by a cheap spot check plus the
+    coordinate solves (NotClosedError otherwise); the generating property is
+    the caller's to guarantee.  Solves x g = g x over the basis coordinates
+    for every generator g and returns the span of the solutions, again as
+    vectorized matrices.
+
+    Why the generators suffice: an x in the span that commutes with every
+    generator commutes with every word in them, and by linearity with every
+    combination of words, which is the whole algebra.
     """
+    gens = list(generators)
     d = basis.dimension
     ambient = basis.ambient_dim
-    n = int(round(ambient ** 0.5))
+    n = isqrt(ambient)
     if n * n != ambient:
         raise ValueError(f"ambient dimension {ambient} is not a perfect square")
     result = SpanBasis(ambient)
@@ -448,12 +442,11 @@ def centralizer_within(basis: SpanBasis) -> SpanBasis:
         return co
 
     # Candidate commutant coefficients start as all of Q^d and get filtered by
-    # one linear functional per (basis element, coordinate position) pair.
+    # one linear functional per (generator, coordinate position) pair.
     null_vecs: list[dict[int, object]] = [{a: 1} for a in range(d)]
-    for k in range(d):
+    for mk in gens:
         if not null_vecs:
             break
-        mk = mats[k]
         equations: dict[int, dict[int, object]] = {}
         for a in range(d):
             left = coords_of(mats[a] @ mk)

@@ -97,8 +97,13 @@ def default_dim_cap(m: int) -> int:
     return 4 * comb(m + 4, 4) + 1
 
 
+def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
+    """The generating set T is closed under: E*_0..E*_{2m+1}, then A_1."""
+    return dual_idempotents(g) + [distance_matrices(g)[1]]
+
+
 def build_terwilliger(g: GroundSet, dim_cap: int | None = None) -> TerwilligerAlgebra:
-    """T as the closure under A_1 and E*_0..E*_{2m+1}.
+    """T as the closure of closure_generators(g).
 
     T is generated by A_1 and the E*_i (Terwilliger 1992).  Rather than rely
     on distance-regularity for the remaining distance matrices, each of A_0
@@ -106,18 +111,16 @@ def build_terwilliger(g: GroundSet, dim_cap: int | None = None) -> TerwilligerAl
     missing one raises NotClosedError, since the closure would then not be
     all of T.  generator_list still holds every listed generator.
     """
-    gens = terwilliger_generators(g)
     if dim_cap is None:
         dim_cap = default_dim_cap(g.m)
-    dist, estars = gens[: g.diameter + 1], gens[g.diameter + 1 :]
-    closure = algebra_closure([dist[1], *estars], dim_cap=dim_cap)
-    for i, a_i in enumerate(dist):
+    closure = algebra_closure(closure_generators(g), dim_cap=dim_cap)
+    for i, a_i in enumerate(distance_matrices(g)):
         if i != 1 and not contains(closure.basis, a_i):
             raise NotClosedError(
                 f"A_{i} is not in the algebra generated by A_1 and the E*_i at m={g.m}"
             )
     return TerwilligerAlgebra(
-        m=g.m, basis=closure.basis, generator_list=gens, closure=closure
+        m=g.m, basis=closure.basis, generator_list=terwilliger_generators(g), closure=closure
     )
 
 
@@ -222,8 +225,9 @@ def verify_equality(t: TerwilligerAlgebra, cent: CentralizerBasis) -> EqualityRe
 
 
 def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
-    """Basis of the center Z(T), via the commutant solve inside T."""
-    return centralizer_within(t.basis)
+    """Basis of the center Z(T): the elements of T commuting with the
+    generators T is closed under."""
+    return centralizer_within(t.basis, closure_generators(GroundSet(t.m)))
 
 
 def center_dimension(t: TerwilligerAlgebra) -> int:

@@ -1,6 +1,7 @@
 """Report registry, run configuration, caching, export and the CLI."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -121,6 +122,19 @@ def test_basis_cache_round_trip(tmp_path):
     loaded = load_basis(tmp_path, "unit_test_basis")
     assert loaded is not None
     assert loaded == basis
+
+
+def test_basis_cache_write_is_atomic(tmp_path):
+    old = SpanBasis(3)
+    old.insert({0: 1})
+    path = cache_basis(tmp_path, "atomic_case", old)
+    new = SpanBasis(3)
+    new.insert({1: 1, 2: Fraction(-1, 2)})
+    new.insert({0: 4})
+    # rewriting replaces the entry whole and leaves no temporary file behind
+    assert cache_basis(tmp_path, "atomic_case", new) == path
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    assert load_basis(tmp_path, "atomic_case") == new
 
 
 def test_basis_cache_miss_and_stale(tmp_path):

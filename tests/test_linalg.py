@@ -147,22 +147,25 @@ def test_closure_dim_cap():
 
 
 def test_centralizer_of_full_matrix_algebra_is_scalars():
-    full = algebra_closure([_unit(2, 0, 1), _unit(2, 1, 0)]).basis
-    center = centralizer_within(full)
+    gens = [_unit(2, 0, 1), _unit(2, 1, 0)]
+    full = algebra_closure(gens).basis
+    center = centralizer_within(full, gens)
     assert center.dimension == 1
     assert center.contains_vector(vectorize(SparseExactMatrix.identity(2)))
 
 
 def test_centralizer_of_diagonal_algebra_is_itself():
-    diag = span([_unit(2, 0, 0), _unit(2, 1, 1)])
-    center = centralizer_within(diag)
+    gens = [_unit(2, 0, 0), _unit(2, 1, 1)]
+    diag = span(gens)
+    center = centralizer_within(diag, gens)
     assert center.dimension == 2
 
 
 def test_centralizer_rejects_non_closed_span():
-    bad = span([_unit(2, 0, 1), _unit(2, 1, 0)])  # E12 E21 = E11 is outside
+    gens = [_unit(2, 0, 1), _unit(2, 1, 0)]
+    bad = span(gens)  # E12 E21 = E11 is outside
     with pytest.raises(NotClosedError):
-        centralizer_within(bad)
+        centralizer_within(bad, gens)
 
 
 def test_coord_text_round_trip(tmp_path):

@@ -14,6 +14,7 @@ from doubled_odd.combinatorics import (
 from doubled_odd.linalg import (
     DimCapExceededError,
     NotClosedError,
+    SpanBasis,
     SparseExactMatrix,
     algebra_closure,
     centralizer_within,
@@ -146,6 +147,44 @@ def test_center_elements_commute(ctx_for):
         assert contains(t.basis, z)
 
 
+def _all_basis_commutant(basis, n):
+    # independent oracle: the elements of the span commuting with every basis
+    # element B_k, from one linear system in the basis coordinates
+    mats = [matrix_from_vector(row, n, n) for row in basis.rows]
+    d = len(mats)
+    system = SpanBasis(d)
+    for mk in mats:
+        for eq in zip(*(basis.coordinates(vectorize(a @ mk - mk @ a)) for a in mats)):
+            system.insert({a: v for a, v in enumerate(eq) if v})
+    # the solutions are the kernel: one per free (non-pivot) coordinate
+    pivots = system.pivots
+    rows = system.rows
+    result = SpanBasis(n * n)
+    for free in range(d):
+        if free in pivots:
+            continue
+        coeffs = {free: 1}
+        for p, i in pivots.items():
+            v = rows[i].get(free)
+            if v:
+                coeffs[p] = -v
+        combo = SparseExactMatrix.zero(n, n)
+        for a, c in coeffs.items():
+            combo = combo + mats[a].scale(c)
+        result.insert(vectorize(combo))
+    return result
+
+
+def test_center_matches_all_basis_commutant_oracle(ctx_for):
+    # commuting with the closure generators gives the same RREF as commuting
+    # with every basis element of T
+    for m in (1, 2, 3):
+        ctx = ctx_for(m)
+        oracle = _all_basis_commutant(ctx.terwilliger.basis, vertex_count(ctx.g))
+        assert oracle.dimension == upsilon_size_formula(m)
+        assert center_basis(ctx.terwilliger) == oracle
+
+
 def test_upsilon_m3_frozen_set():
     assert upsilon(3) == {(2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (0, 3)}
 
@@ -242,6 +281,7 @@ def test_center_of_diagonal_subalgebra_is_everything():
     # span{E*_i} is commutative, so it equals its own center
     for m in (1, 2):
         g = GroundSet(m)
-        diag = span(dual_idempotents(g))
+        idems = dual_idempotents(g)
+        diag = span(idems)
         assert diag.dimension == 2 * m + 2
-        assert centralizer_within(diag).dimension == 2 * m + 2
+        assert centralizer_within(diag, idems).dimension == 2 * m + 2
