@@ -201,6 +201,8 @@ def load_basis(cache_dir, key: str) -> SpanBasis | None:
         return None
     try:
         payload = json.loads(path.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("top level is not an object")
         if payload.get("format") != 1 or payload.get("package_version") != __version__:
             return None
         if payload.get("key") != key:
@@ -214,7 +216,7 @@ def load_basis(cache_dir, key: str) -> SpanBasis | None:
             if not basis.insert(vec):
                 raise ValueError("dependent cached row")
         return basis
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, OSError) as exc:
         warnings.warn(f"ignoring unreadable basis cache {path}: {exc}")
         return None
 

@@ -6,6 +6,11 @@ nested dicts {row: {col: value}} with no explicit zeros, which keeps products
 of the very sparse 0/1 matrices used elsewhere cheap.  Subspaces of vectorized
 matrices are kept in fully reduced row echelon form, so a subspace has exactly
 one representation and basis comparisons are plain equality.
+
+algebra_closure and centralizer_within work on stored vectors of any ambient
+space Q^D through a generator action: MatrixAction multiplies vectorized
+n x n matrices, and orbits.OrbitCoordinates applies certified action tables
+in the d-dimensional coordinates of the orbit matrices.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
+from typing import Protocol
 
 
 class ShapeMismatchError(ValueError):
@@ -205,6 +211,30 @@ class SpanBasis:
         self.ambient_dim = ambient_dim
         self._rows: dict[int, dict[int, object]] = {}
 
+    @classmethod
+    def from_reduced_rows(cls, ambient_dim: int, rows: Iterable[dict[int, object]]) -> "SpanBasis":
+        """The span of rows that are already in reduced row echelon form.
+
+        Each row's first nonzero coordinate must be 1 and every other row must
+        be zero there; ValueError otherwise.  Checking this costs one pass over
+        the rows and one lookup per pair of rows, with no elimination.
+        """
+        basis = cls(ambient_dim)
+        for row in rows:
+            if not row:
+                raise ValueError("a reduced row cannot be zero")
+            piv = min(row)
+            if piv < 0 or max(row) >= ambient_dim:
+                raise ValueError(f"row outside ambient dimension {ambient_dim}")
+            if row[piv] != 1 or piv in basis._rows:
+                raise ValueError(f"row with pivot {piv} is not in reduced form")
+            basis._rows[piv] = dict(row)
+        for piv in basis._rows:
+            for other, row in basis._rows.items():
+                if other != piv and piv in row:
+                    raise ValueError(f"pivot column {piv} is not cleared in row {other}")
+        return basis
+
     @property
     def dimension(self) -> int:
         return len(self._rows)
@@ -325,14 +355,63 @@ def contains(basis: SpanBasis, m: SparseExactMatrix) -> bool:
     return basis.contains_vector(vectorize(m))
 
 
+class GeneratorAction(Protocol):
+    """How generators act on the stored vectors of one ambient space Q^D.
+
+    identity() is the vector of the identity element; left(g, vec) and
+    right(g, vec) are the vectors of g x and x g for the element x stored as
+    vec.  An action may also define product(u, v), the vector of x y.
+    """
+
+    ambient_dim: int
+
+    def identity(self) -> dict[int, object]: ...
+
+    def left(self, g, vec: dict[int, object]) -> dict[int, object]: ...
+
+    def right(self, g, vec: dict[int, object]) -> dict[int, object]: ...
+
+
+class MatrixAction:
+    """n x n matrices acting on row-major vectorized n x n matrices by products."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ambient_dim = n * n
+
+    @classmethod
+    def of(cls, matrices: list[SparseExactMatrix]) -> "MatrixAction":
+        n = matrices[0].nrows
+        for mat in matrices:
+            if mat.nrows != n or mat.ncols != n:
+                raise ShapeMismatchError("generators must be square matrices of one size")
+        return cls(n)
+
+    def _matrix(self, vec: dict[int, object]) -> SparseExactMatrix:
+        return matrix_from_vector(vec, self.n, self.n)
+
+    def identity(self) -> dict[int, object]:
+        return vectorize(SparseExactMatrix.identity(self.n))
+
+    def left(self, g: SparseExactMatrix, vec: dict[int, object]) -> dict[int, object]:
+        return vectorize(g @ self._matrix(vec))
+
+    def right(self, g: SparseExactMatrix, vec: dict[int, object]) -> dict[int, object]:
+        return vectorize(self._matrix(vec) @ g)
+
+    def product(self, u: dict[int, object], v: dict[int, object]) -> dict[int, object]:
+        return vectorize(self._matrix(u) @ self._matrix(v))
+
+
 @dataclass
 class ClosureResult:
     """Outcome of algebra_closure.
 
-    iterations counts the products g r that were evaluated, one per generator
-    g and stored basis representative r, so it equals d |gens| for a closure
-    of dimension d; stabilized is True when the representative worklist was
-    exhausted below the dimension cap.
+    basis lies in the ambient space of the action the closure ran in.
+    iterations counts the generator actions g r that were evaluated, one per
+    generator g and stored basis representative r, so it equals d |gens| for
+    a closure of dimension d; stabilized is True when the representative
+    worklist was exhausted below the dimension cap.
     """
 
     basis: SpanBasis
@@ -341,14 +420,17 @@ class ClosureResult:
 
 
 def algebra_closure(
-    generators: Iterable[SparseExactMatrix],
+    generators: Iterable,
     dim_cap: int | None = None,
+    action: GeneratorAction | None = None,
 ) -> ClosureResult:
-    """The matrix algebra generated by the identity and the generators.
+    """The algebra generated by the identity and the generators.
 
+    action says how a generator acts on a stored vector; the default is
+    MatrixAction, for square SparseExactMatrix generators of one size.
     Starts from span{I} and keeps a worklist of basis representatives: each
     representative r that enters the span is queued once, and g r is adjoined
-    for every generator g.  Each adjoined product is stored in its reduced,
+    for every generator g.  Each adjoined vector is stored in its reduced,
     frozen form and never revised, which keeps later products sparse.
 
     Word argument: an exhausted worklist leaves a span W that contains I and,
@@ -357,7 +439,9 @@ def algebra_closure(
     generators, and these words span the generated algebra.  Conversely every
     adjoined product is a combination of such words.  Hence W is exactly the
     generated algebra, and the exhausted worklist certifies closure after
-    d |gens| products.
+    d |gens| generator actions.  The argument needs only that the action is
+    linear and represents left multiplication, so it holds verbatim in any
+    faithful coordinates.
 
     Raises DimCapExceededError as soon as the dimension passes dim_cap
     (default: the full ambient dimension, which can never be exceeded).
@@ -365,28 +449,25 @@ def algebra_closure(
     gens = list(generators)
     if not gens:
         raise ValueError("algebra_closure needs at least one generator")
-    n = gens[0].nrows
-    for gm in gens:
-        if gm.nrows != n or gm.ncols != n:
-            raise ShapeMismatchError("algebra closure needs square matrices of one size")
-    ambient = n * n
+    if action is None:
+        action = MatrixAction.of(gens)
     if dim_cap is None:
-        dim_cap = ambient
+        dim_cap = action.ambient_dim
 
-    basis = SpanBasis(ambient)
-    reps: list[SparseExactMatrix] = []
+    basis = SpanBasis(action.ambient_dim)
+    reps: list[dict[int, object]] = []
 
-    def adjoin(mat: SparseExactMatrix) -> None:
-        stored = basis.inserted_row(vectorize(mat))
+    def adjoin(vec: dict[int, object]) -> None:
+        stored = basis.inserted_row(vec)
         if stored is None:
             return
         if basis.dimension > dim_cap:
             raise DimCapExceededError(
                 f"closure dimension passed the cap {dim_cap}"
             )
-        reps.append(matrix_from_vector(stored, n, n))
+        reps.append(stored)
 
-    adjoin(SparseExactMatrix.identity(n))
+    adjoin(action.identity())
 
     iterations = 0
     head = 0
@@ -395,23 +476,29 @@ def algebra_closure(
         head += 1
         for gm in gens:
             iterations += 1
-            adjoin(gm @ rep)
+            adjoin(action.left(gm, rep))
 
     return ClosureResult(basis=basis, iterations=iterations, stabilized=True)
 
 
 def centralizer_within(
-    basis: SpanBasis, generators: Iterable[SparseExactMatrix]
+    basis: SpanBasis,
+    generators: Iterable,
+    action: GeneratorAction | None = None,
 ) -> SpanBasis:
     """The center of the algebra spanned by basis and generated by generators.
 
-    The span must consist of vectorized square matrices, be closed under
-    multiplication and be generated, together with the identity, by the
-    given generators.  Closure is enforced by a cheap spot check plus the
-    coordinate solves (NotClosedError otherwise); the generating property is
-    the caller's to guarantee.  Solves x g = g x over the basis coordinates
-    for every generator g and returns the span of the solutions, again as
-    vectorized matrices.
+    action says how a generator acts on a stored vector; the default is
+    MatrixAction on vectorized square matrices.  The span must be closed
+    under multiplication and be generated, together with the identity, by
+    the given generators.  The coordinate solves raise NotClosedError when
+    g x or x g leaves the span; when the action also has a product, a 3 x 3
+    spot check of products of basis elements catches a span that is not
+    closed under its own products.  (Spans in orbit coordinates come from
+    algebra_closure, closed by its word argument.)  The generating property
+    is the caller's to guarantee.  Solves (L_g - R_g) x = 0 over the basis
+    coordinates for every generator g and returns the span of the solutions,
+    in the ambient space of basis.
 
     Why the generators suffice: an x in the span that commutes with every
     generator commutes with every word in them, and by linearity with every
@@ -420,39 +507,48 @@ def centralizer_within(
     gens = list(generators)
     d = basis.dimension
     ambient = basis.ambient_dim
-    n = isqrt(ambient)
-    if n * n != ambient:
-        raise ValueError(f"ambient dimension {ambient} is not a perfect square")
+    if action is None:
+        n = isqrt(ambient)
+        if n * n != ambient:
+            raise ValueError(f"ambient dimension {ambient} is not a perfect square")
+        action = MatrixAction(n)
+    elif action.ambient_dim != ambient:
+        raise ShapeMismatchError(
+            f"action on dimension {action.ambient_dim} against ambient {ambient}"
+        )
     result = SpanBasis(ambient)
     if d == 0:
         return result
 
-    mats = [matrix_from_vector(row, n, n) for row in basis.rows]
+    rows = basis.rows
 
-    spot = min(d, 3)
-    for i in range(spot):
-        for j in range(spot):
-            if not basis.contains_vector(vectorize(mats[i] @ mats[j])):
-                raise NotClosedError("basis fails a multiplicative closure spot check")
+    product = getattr(action, "product", None)
+    if product is not None:
+        spot = min(d, 3)
+        for i in range(spot):
+            for j in range(spot):
+                if not basis.contains_vector(product(rows[i], rows[j])):
+                    raise NotClosedError("basis fails a multiplicative closure spot check")
 
-    def coords_of(mat: SparseExactMatrix) -> list:
-        co = basis.coordinates(vectorize(mat))
-        if co is None:
+    def coords_of(vec: dict[int, object]) -> dict[int, object]:
+        # {pivot column: coefficient}; pivot columns sort like basis rows
+        residue, coeffs = basis.reduce_with_coefficients(vec)
+        if residue:
             raise NotClosedError("product of basis elements left the span")
-        return co
+        return coeffs
 
     # Candidate commutant coefficients start as all of Q^d and get filtered by
     # one linear functional per (generator, coordinate position) pair.
     null_vecs: list[dict[int, object]] = [{a: 1} for a in range(d)]
-    for mk in gens:
+    for gm in gens:
         if not null_vecs:
             break
         equations: dict[int, dict[int, object]] = {}
-        for a in range(d):
-            left = coords_of(mats[a] @ mk)
-            right = coords_of(mk @ mats[a])
-            for e in range(d):
-                delta = _norm(left[e] - right[e])
+        for a, row in enumerate(rows):
+            xg = coords_of(action.right(gm, row))
+            gx = coords_of(action.left(gm, row))
+            for e in xg.keys() | gx.keys():
+                delta = _norm(xg.get(e, 0) - gx.get(e, 0))
                 if delta:
                     equations.setdefault(e, {})[a] = delta
         for e in sorted(equations):
@@ -493,7 +589,7 @@ def centralizer_within(
     for nv in null_vecs:
         combo: dict[int, object] = {}
         for a, coef in nv.items():
-            for idx, v in vectorize(mats[a]).items():
+            for idx, v in rows[a].items():
                 nv2 = _norm(combo.get(idx, 0) + coef * v)
                 if nv2:
                     combo[idx] = nv2

@@ -18,18 +18,34 @@ has dimension 4 C(m+4, 4).
 The closed forms are production code; an independent union-find oracle that
 grinds out the orbits from explicit group generators lives alongside for the
 verification harness to compare against.
+
+OrbitCoordinates identifies a matrix that is constant on every orbit with its
+vector of orbit values in Q^d, d = 4 C(m+4, 4).  Given some 0/1 generator
+matrices, it tabulates how each acts on the orbit matrices from the left and
+from the right, certifying every table entry exhaustively over all vertex
+pairs, so algebras generated by them can be computed in Q^d and lifted back.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
 from .combinatorics import GroundSet, _vertices, _vertex_index
-from .linalg import SparseExactMatrix, SpanBasis, span, contains
+from .linalg import (
+    NotClosedError,
+    ShapeMismatchError,
+    SparseExactMatrix,
+    SpanBasis,
+    _norm,
+    span,
+    contains,
+)
 
 
 class BlockTag(enum.Enum):
@@ -364,3 +380,170 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
         first_violation=first_violation,
         violation_block=violation_block,
     )
+
+
+class ActionTable(NamedTuple):
+    """The certified action of one matrix g on the orbit matrices.
+
+    left[a] and right[a] map orbit b to the coefficient of O_b in g O_a and in
+    O_a g respectively.
+    """
+
+    left: tuple[dict[int, int], ...]
+    right: tuple[dict[int, int], ...]
+
+
+class OrbitCoordinates:
+    """Orbit coordinates Q^d with certified actions of some 0/1 generators.
+
+    Orbits are numbered by the row-major position of their first vertex pair,
+    so an RREF basis in Q^d lifts entry for entry to the RREF basis of the
+    same span of n x n matrices.  Nothing assumes that the orbit matrices form
+    a coherent configuration: the orbits are checked to partition all n^2
+    pairs, the identity is checked to be a sum of orbit matrices, and every
+    action table entry is read off all pairs of its orbit and checked to be
+    the same on each of them (NotClosedError otherwise).  An instance is the
+    action algebra_closure and centralizer_within need, with the tables in
+    generators as its generators.
+    """
+
+    def __init__(self, g: GroundSet, generators: list[SparseExactMatrix]):
+        n = len(_vertices(g.m))
+        positions = sorted(
+            (array("I", (r * n + c for r, c, _ in mat.entries()))
+             for mat in _orbit_matrices(g.m).values()),
+            key=lambda pos: pos[0],
+        )
+        d = len(positions)
+        if d >= 0xFFFF:
+            raise ValueError(f"{d} orbits do not fit the pair index")
+        labels = array("H", [0xFFFF]) * (n * n)
+        for a, pos in enumerate(positions):
+            for idx in pos:
+                labels[idx] = a
+        if sum(map(len, positions)) != n * n or labels.count(0xFFFF):
+            raise NotClosedError("the orbits do not partition the vertex pairs")
+        diagonal = {labels[i * (n + 1)] for i in range(n)}
+        if sum(len(positions[a]) for a in diagonal) != n:
+            raise NotClosedError("the identity is not a sum of orbit matrices")
+        self.n = n
+        self.ambient_dim = d
+        self._labels = labels
+        self._positions = positions
+        self._identity = {a: 1 for a in sorted(diagonal)}
+        self.generators = self._action_tables(generators)
+
+    def _action_tables(self, generators: list[SparseExactMatrix]) -> list[ActionTable]:
+        n, labels = self.n, self._labels
+        label_rows = [labels[k * n:(k + 1) * n] for k in range(n)]
+        label_cols = [labels[k::n] for k in range(n)]
+        tables = []
+        for mat in generators:
+            if mat.nrows != n or mat.ncols != n:
+                raise ShapeMismatchError(f"an action table needs an {n} x {n} matrix")
+            rows: dict[int, list[int]] = {}
+            cols: dict[int, list[int]] = {}
+            for r, c, v in mat.entries():
+                if v != 1:
+                    raise ValueError("action tables are built for 0/1 matrices")
+                rows.setdefault(r, []).append(c)
+                cols.setdefault(c, []).append(r)
+            # (g O_a)[y, z] counts the w in row y of g with (w, z) in orbit a;
+            # (O_a g)[y, z] counts the w in column z of g with (y, w) in orbit a
+            tables.append(ActionTable(
+                left=self._table(rows, label_rows),
+                right=self._table(cols, label_cols),
+            ))
+        return tables
+
+    def _table(self, lines: dict[int, list[int]], label_lines: list) -> tuple[dict[int, int], ...]:
+        # one pass over all n^2 pairs: the orbits a met along a pair's line of
+        # g, counted, must be the same multiset for every pair of its orbit b
+        seen: list = [None] * self.ambient_dim
+        for k, orbits in enumerate(label_lines):
+            ws = lines.get(k, ())
+            met = zip(*(label_lines[w] for w in ws)) if ws else repeat(())
+            if len(ws) > 1:
+                met = map(tuple, map(sorted, met))
+            for b, profile in zip(orbits, met):
+                known = seen[b]
+                if known is None:
+                    seen[b] = profile
+                elif known != profile:
+                    raise NotClosedError(
+                        f"the action on the orbit matrices is not constant on orbit {b}"
+                    )
+        table: tuple[dict[int, int], ...] = tuple({} for _ in seen)
+        for b, profile in enumerate(seen):
+            for a in profile:
+                table[a][b] = table[a].get(b, 0) + 1
+        return table
+
+    def identity(self) -> dict[int, object]:
+        return dict(self._identity)
+
+    def left(self, table: ActionTable, vec: dict[int, object]) -> dict[int, object]:
+        return _apply(table.left, vec)
+
+    def right(self, table: ActionTable, vec: dict[int, object]) -> dict[int, object]:
+        return _apply(table.right, vec)
+
+    def coordinates(self, vec: dict[int, object]) -> dict[int, object] | None:
+        """Orbit values of a vectorized n x n matrix, or None when it is not
+        constant on every orbit."""
+        labels = self._labels
+        values: dict[int, object] = {}
+        counts: dict[int, int] = {}
+        for idx, v in vec.items():
+            a = labels[idx]
+            known = values.get(a)
+            if known is None:
+                values[a] = v
+                counts[a] = 1
+            elif known != v:
+                return None
+            else:
+                counts[a] += 1
+        positions = self._positions
+        if any(len(positions[a]) != k for a, k in counts.items()):
+            return None
+        return values
+
+    def lift(self, basis: SpanBasis) -> SpanBasis:
+        """The n^2-ambient RREF basis of the matrices a Q^d basis stands for."""
+        if basis.ambient_dim != self.ambient_dim:
+            raise ShapeMismatchError(
+                f"basis of ambient {basis.ambient_dim} is not in orbit coordinates"
+            )
+        positions = self._positions
+        rows = []
+        for row in basis.rows:
+            vec: dict[int, object] = {}
+            for a, v in row.items():
+                for idx in positions[a]:
+                    vec[idx] = v
+            rows.append(vec)
+        return SpanBasis.from_reduced_rows(self.n * self.n, rows)
+
+    def project(self, basis: SpanBasis) -> SpanBasis:
+        """A basis of vectorized n x n matrices in orbit coordinates
+        (NotClosedError when a basis row is not constant on every orbit)."""
+        if basis.ambient_dim != self.n * self.n:
+            raise ShapeMismatchError(
+                f"basis of ambient {basis.ambient_dim} is not of {self.n} x {self.n} matrices"
+            )
+        out = SpanBasis(self.ambient_dim)
+        for row in basis.rows:
+            values = self.coordinates(row)
+            if values is None:
+                raise NotClosedError("a basis row is not constant on every orbit")
+            out.insert(values)
+        return out
+
+
+def _apply(table: tuple[dict[int, int], ...], vec: dict[int, object]) -> dict[int, object]:
+    out: dict[int, object] = {}
+    for a, x in vec.items():
+        for b, c in table[a].items():
+            out[b] = out.get(b, 0) + c * x
+    return {b: _norm(v) for b, v in out.items() if v}

@@ -5,7 +5,10 @@ radius i around x0 = {1, ..., m}.  The Terwilliger algebra T is the matrix
 algebra generated by the distance matrices A_0, ..., A_{2m+1} together with
 E*_0, ..., E*_{2m+1}.  build_terwilliger closes under A_1 and the E*_i only
 and then certifies exactly that every other A_i lies in the result, so the
-smaller generating set is checked rather than assumed.  Everything T is
+smaller generating set is checked rather than assumed.  The closure and the
+centre solve run in orbit coordinates Q^d (orbits.OrbitCoordinates), where
+each generator acts through a certified action table, and their results are
+lifted back to RREF bases of vectorized n x n matrices.  Everything T is
 generated by lies inside the centralizer algebra of the stabilizer of x0:
 each E*_i is a single diagonal orbit matrix and each sandwich
 E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with explicit
@@ -38,10 +41,9 @@ from .linalg import (
     algebra_closure,
     centralizer_within,
     contains,
-    matrix_from_vector,
     vectorize,
 )
-from .orbits import BlockTag, CentralizerBasis, OrbitLabel, orbit_matrix
+from .orbits import BlockTag, CentralizerBasis, OrbitCoordinates, OrbitLabel, orbit_matrix
 
 
 class IdentityCheck(NamedTuple):
@@ -75,12 +77,18 @@ def dual_idempotents(g: GroundSet) -> list[SparseExactMatrix]:
 
 @dataclass
 class TerwilligerAlgebra:
-    """The Terwilliger algebra as a closed span plus its generator list."""
+    """The Terwilliger algebra as a closed span plus its generator list.
+
+    basis holds vectorized n x n matrices.  closure, when T was computed
+    rather than loaded, is the run in orbit coordinates, and coordinates
+    keeps the certified action tables of closure_generators for center_basis.
+    """
 
     m: int
     basis: SpanBasis
     generator_list: list[SparseExactMatrix]
     closure: ClosureResult | None
+    coordinates: OrbitCoordinates | None = None
 
     @property
     def dimension(self) -> int:
@@ -103,7 +111,7 @@ def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
 
 
 def build_terwilliger(g: GroundSet, dim_cap: int | None = None) -> TerwilligerAlgebra:
-    """T as the closure of closure_generators(g).
+    """T as the closure of closure_generators(g), computed in orbit coordinates.
 
     T is generated by A_1 and the E*_i (Terwilliger 1992).  Rather than rely
     on distance-regularity for the remaining distance matrices, each of A_0
@@ -113,14 +121,22 @@ def build_terwilliger(g: GroundSet, dim_cap: int | None = None) -> TerwilligerAl
     """
     if dim_cap is None:
         dim_cap = default_dim_cap(g.m)
-    closure = algebra_closure(closure_generators(g), dim_cap=dim_cap)
+    coords = OrbitCoordinates(g, closure_generators(g))
+    closure = algebra_closure(coords.generators, dim_cap=dim_cap, action=coords)
     for i, a_i in enumerate(distance_matrices(g)):
-        if i != 1 and not contains(closure.basis, a_i):
+        if i == 1:
+            continue
+        values = coords.coordinates(vectorize(a_i))
+        if values is None or not closure.basis.contains_vector(values):
             raise NotClosedError(
                 f"A_{i} is not in the algebra generated by A_1 and the E*_i at m={g.m}"
             )
     return TerwilligerAlgebra(
-        m=g.m, basis=closure.basis, generator_list=terwilliger_generators(g), closure=closure
+        m=g.m,
+        basis=coords.lift(closure.basis),
+        generator_list=terwilliger_generators(g),
+        closure=closure,
+        coordinates=coords,
     )
 
 
@@ -226,8 +242,13 @@ def verify_equality(t: TerwilligerAlgebra, cent: CentralizerBasis) -> EqualityRe
 
 def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     """Basis of the center Z(T): the elements of T commuting with the
-    generators T is closed under."""
-    return centralizer_within(t.basis, closure_generators(GroundSet(t.m)))
+    generators T is closed under, solved in orbit coordinates and lifted."""
+    coords = t.coordinates
+    if coords is None:  # t was loaded from a cache
+        g = GroundSet(t.m)
+        coords = OrbitCoordinates(g, closure_generators(g))
+    within = coords.project(t.basis)
+    return coords.lift(centralizer_within(within, coords.generators, action=coords))
 
 
 def center_dimension(t: TerwilligerAlgebra) -> int:

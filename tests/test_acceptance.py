@@ -3,12 +3,15 @@
 Each test prints exactly one "[criterion NN] name: PASS/FAIL" line and then
 asserts, so a verbose run shows one line per criterion.  Time limits are
 asserted where stated.  Heavy m = 4 objects are built once at module scope
-and shared by the later criteria.
+and shared by the later criteria; the criteria that build them carry the
+`slow` marker, so `pytest -m "not slow"` skips every m = 4 construction.
 """
 
 import json
 import time
 from math import comb
+
+import pytest
 
 from doubled_odd.checks import CheckContext, RunConfig, run
 from doubled_odd.checks import _RUNNERS
@@ -107,6 +110,7 @@ def test_criterion_05_orbit_oracle():
     _report(5, "orbit oracle", ok, "; ".join(detail))
 
 
+@pytest.mark.slow
 def test_criterion_06_centralizer_dimension():
     dims = []
     for m in (1, 2, 3):
@@ -119,6 +123,7 @@ def test_criterion_06_centralizer_dimension():
     _report(6, "centralizer dimension", ok, f"dims={dims} m=4 elapsed={elapsed:.3f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_centralizer_closure():
     ok = True
     detail = []
@@ -150,6 +155,7 @@ def test_criterion_08_subalgebra_checks():
     _report(8, "diagonal subalgebras closed, mixed block recorded", ok, "; ".join(detail))
 
 
+@pytest.mark.slow
 def test_criterion_09_direct_sum():
     ok = True
     for m in (1, 2, 3, 4):
@@ -158,6 +164,7 @@ def test_criterion_09_direct_sum():
     _report(9, "direct sum of block spans", ok)
 
 
+@pytest.mark.slow
 def test_criterion_10_sandwich_identities():
     ok = True
     for m in (1, 2, 3, 4):
@@ -166,6 +173,7 @@ def test_criterion_10_sandwich_identities():
     _report(10, "dual idempotent sandwich identities", ok)
 
 
+@pytest.mark.slow
 def test_criterion_11_terwilliger_dimension():
     t3 = _actx(3).terwilliger
     start = time.perf_counter()
@@ -188,6 +196,7 @@ def test_criterion_11_terwilliger_dimension():
     )
 
 
+@pytest.mark.slow
 def test_criterion_12_inclusion_and_equality():
     ok = True
     for m in (3, 4):
@@ -203,6 +212,7 @@ def test_criterion_12_inclusion_and_equality():
     _report(12, "inclusion and equality of the two algebras", ok)
 
 
+@pytest.mark.slow
 def test_criterion_13_center_dimension():
     z3 = _actx(3).center.dimension
     z4 = _actx(4).center.dimension
@@ -210,6 +220,7 @@ def test_criterion_13_center_dimension():
     _report(13, "center dimension", ok, f"dims=({z3}, {z4})")
 
 
+@pytest.mark.slow
 def test_criterion_14_block_profile():
     p3, p4 = block_profile(3), block_profile(4)
     ok = (

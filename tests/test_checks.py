@@ -157,6 +157,24 @@ def test_basis_cache_corrupt_file_warns(tmp_path):
         assert load_basis(tmp_path, "corrupt_case") is None
 
 
+def test_basis_cache_zero_denominator_warns(tmp_path):
+    basis = SpanBasis(2)
+    basis.insert({0: 1, 1: Fraction(1, 2)})
+    path = cache_basis(tmp_path, "zero_denominator_case", basis)
+    path.write_text(path.read_text().replace('"1/2"', '"1/0"'))
+    with pytest.warns(UserWarning):
+        assert load_basis(tmp_path, "zero_denominator_case") is None
+
+
+def test_basis_cache_non_object_top_level_warns(tmp_path):
+    basis = SpanBasis(2)
+    basis.insert({0: 1})
+    path = cache_basis(tmp_path, "list_case", basis)
+    path.write_text(json.dumps([1, 2, 3]))
+    with pytest.warns(UserWarning):
+        assert load_basis(tmp_path, "list_case") is None
+
+
 def test_context_uses_cache(tmp_path):
     first = CheckContext(1, cache_dir=str(tmp_path))
     dim = first.terwilliger.dimension

@@ -1,5 +1,6 @@
 """Exact sparse matrices, row-reduced spans and algebra closure."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,84 @@ def test_span_basis_insert_and_coordinates():
     for row in basis.rows:
         hits = [p for p in pivots if p in row]
         assert len(hits) == 1 and row[hits[0]] == 1
+
+
+def _random_vectors(rng, ambient, count):
+    # sparse rational vectors, with deliberate repeats and scaled copies so
+    # that some insertions are dependent
+    vecs = []
+    for _ in range(count):
+        if vecs and rng.random() < 0.3:
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) or 1
+            vecs.append({c: k * v for c, v in rng.choice(vecs).items()})
+            continue
+        support = rng.sample(range(ambient), rng.randint(1, min(4, ambient)))
+        vecs.append({c: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)) for c in support})
+    return vecs
+
+
+def _combination(rng, vecs):
+    out = {}
+    for vec in vecs:
+        k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for c, v in vec.items():
+            out[c] = out.get(c, 0) + k * v
+    return {c: v for c, v in out.items() if v}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_span_basis_rref_is_independent_of_insertion_order(seed):
+    rng = random.Random(seed)
+    ambient = rng.randint(3, 9)
+    vecs = _random_vectors(rng, ambient, rng.randint(1, 10))
+    first = SpanBasis(ambient)
+    for vec in vecs:
+        first.insert(vec)
+    for _ in range(5):
+        order = vecs[:]
+        rng.shuffle(order)
+        again = SpanBasis(ambient)
+        for vec in order:
+            again.insert(vec)
+        assert again == first
+    assert SpanBasis.from_reduced_rows(ambient, first.rows) == first
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_span_basis_members_reduce_to_zero_and_coordinates_round_trip(seed):
+    rng = random.Random(1000 + seed)
+    ambient = rng.randint(3, 9)
+    vecs = _random_vectors(rng, ambient, rng.randint(1, 8))
+    basis = SpanBasis(ambient)
+    for vec in vecs:
+        basis.insert(vec)
+    rows = basis.rows
+    for vec in vecs + [_combination(rng, vecs) for _ in range(5)]:
+        assert basis.reduce(vec) == {}
+        assert basis.contains_vector(vec)
+        coords = basis.coordinates(vec)
+        rebuilt = {}
+        for k, row in zip(coords, rows):
+            for c, v in row.items():
+                rebuilt[c] = rebuilt.get(c, 0) + k * v
+        assert {c: v for c, v in rebuilt.items() if v} == vec
+    if basis.dimension < ambient:
+        outside = next(
+            {c: 1} for c in range(ambient) if not basis.contains_vector({c: 1})
+        )
+        assert basis.coordinates(outside) is None
+        assert basis.reduce(outside)
+
+
+def test_from_reduced_rows_rejects_rows_not_in_reduced_form():
+    with pytest.raises(ValueError):
+        SpanBasis.from_reduced_rows(3, [{0: 1, 1: 2}, {1: 1}])  # pivot 1 not cleared
+    with pytest.raises(ValueError):
+        SpanBasis.from_reduced_rows(3, [{0: 2}])  # pivot entry not 1
+    with pytest.raises(ValueError):
+        SpanBasis.from_reduced_rows(3, [{0: 1}, {0: 1, 2: 1}])  # repeated pivot
+    with pytest.raises(ValueError):
+        SpanBasis.from_reduced_rows(3, [{3: 1}])  # outside the ambient space
 
 
 def test_span_of_matrices_is_idempotent():

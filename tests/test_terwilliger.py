@@ -23,13 +23,16 @@ from doubled_odd.linalg import (
     span,
     vectorize,
 )
+from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
+from doubled_odd.orbits import OrbitCoordinates
 from doubled_odd.terwilliger import (
     TerwilligerAlgebra,
     block_profile,
     build_terwilliger,
     center_basis,
     center_dimension,
+    closure_generators,
     default_dim_cap,
     dual_idempotent,
     dual_idempotents,
@@ -183,6 +186,76 @@ def test_center_matches_all_basis_commutant_oracle(ctx_for):
         oracle = _all_basis_commutant(ctx.terwilliger.basis, vertex_count(ctx.g))
         assert oracle.dimension == upsilon_size_formula(m)
         assert center_basis(ctx.terwilliger) == oracle
+
+
+def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
+    # the n^2-ambient closure and centre, run on the n x n generator matrices,
+    # give the same RREFs as the runs in orbit coordinates
+    for m in (1, 2, 3):
+        ctx = ctx_for(m)
+        t = ctx.terwilliger
+        gens = closure_generators(ctx.g)
+        ambient = algebra_closure(gens)
+        assert ambient.iterations == t.closure.iterations == t.dimension * len(gens)
+        assert ambient.basis == t.basis
+        assert centralizer_within(ambient.basis, gens) == ctx.center
+        coords = t.coordinates
+        assert coords.lift(coords.project(t.basis)) == t.basis
+
+
+def test_center_of_a_cached_terwilliger_basis():
+    # a basis loaded without its closure is projected to orbit coordinates
+    g = GroundSet(2)
+    t = build_terwilliger(g)
+    loaded = TerwilligerAlgebra(m=2, basis=t.basis, generator_list=[], closure=None)
+    assert center_basis(loaded) == center_basis(t)
+
+
+def test_action_tables_reject_a_generator_not_constant_on_orbits():
+    g = GroundSet(2)
+    n = vertex_count(g)
+    sphere1 = [r for r, _, _ in dual_idempotent(g, 1).entries()]
+    assert len(sphere1) == 3
+    # one diagonal unit of the sphere: the other two sphere vertices lie in
+    # the same orbits but see a zero row
+    unit = SparseExactMatrix.from_entries(n, n, [(sphere1[0], sphere1[0], 1)])
+    with pytest.raises(NotClosedError):
+        OrbitCoordinates(g, [unit])
+    # the whole sphere indicator is constant on orbits
+    assert len(OrbitCoordinates(g, [dual_idempotent(g, 1)]).generators) == 1
+
+
+def test_orbit_coordinates_require_a_partition_of_the_pairs(monkeypatch):
+    g = GroundSet(1)
+    mats = dict(orbits_module._orbit_matrices(1))
+    mats.popitem()
+    monkeypatch.setattr(orbits_module, "_orbit_matrices", lambda _m: mats)
+    with pytest.raises(NotClosedError, match="partition"):
+        OrbitCoordinates(g, [])
+
+
+def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits(monkeypatch):
+    g = GroundSet(1)
+    mats = dict(orbits_module._orbit_matrices(1))
+    # merge the orbit of (x0, x0) with an off-diagonal orbit
+    diagonal = next(lab for lab, mat in mats.items() if mat.get(0, 0))
+    other = next(lab for lab, mat in mats.items() if not any(r == c for r, c, _ in mat.entries()))
+    mats[diagonal] = mats[diagonal] + mats.pop(other)
+    monkeypatch.setattr(orbits_module, "_orbit_matrices", lambda _m: mats)
+    with pytest.raises(NotClosedError, match="identity"):
+        OrbitCoordinates(g, [])
+
+
+def test_orbit_coordinates_reject_a_matrix_not_constant_on_orbits():
+    g = GroundSet(1)
+    coords = OrbitCoordinates(g, [])
+    n = vertex_count(g)
+    assert coords.coordinates(vectorize(SparseExactMatrix.identity(n))) == coords.identity()
+    # ({2}, {3}) shares its orbit with ({3}, {2})
+    bogus = SparseExactMatrix.from_entries(n, n, [(1, 2, 1)])
+    assert coords.coordinates(vectorize(bogus)) is None
+    with pytest.raises(NotClosedError):
+        coords.project(span([SparseExactMatrix.identity(n), bogus]))
 
 
 def test_upsilon_m3_frozen_set():
