@@ -194,8 +194,12 @@ def cache_basis(cache_dir, key: str, basis: SpanBasis) -> Path:
     return path
 
 
-def load_basis(cache_dir, key: str) -> SpanBasis | None:
-    """Load a span basis stored by cache_basis; None on miss or any damage."""
+def load_basis(cache_dir, key: str, ambient_dim: int | None = None) -> SpanBasis | None:
+    """Load a span basis stored by cache_basis; None on miss or any damage.
+
+    A file whose ambient dimension is not ambient_dim (when given) counts as
+    damaged.
+    """
     path = _basis_path(cache_dir, key)
     if not path.exists():
         return None
@@ -207,6 +211,8 @@ def load_basis(cache_dir, key: str) -> SpanBasis | None:
             return None
         if payload.get("key") != key:
             return None
+        if ambient_dim is not None and payload["ambient_dim"] != ambient_dim:
+            raise ValueError(f"ambient dimension {payload['ambient_dim']} is not {ambient_dim}")
         basis = SpanBasis(payload["ambient_dim"])
         for row in payload["rows"]:
             vec = {}
@@ -231,6 +237,8 @@ class CheckContext:
     def __init__(self, m: int, cache_dir: str | None = None):
         self.g = GroundSet(m)
         self.cache_dir = cache_dir
+        # T and Z(T) are spans of vectorized n x n matrices
+        self.ambient_dim = vertex_count(self.g) ** 2
         self._memo: dict[str, object] = {}
 
     def _get(self, name: str, build: Callable[[], object]):
@@ -247,7 +255,7 @@ class CheckContext:
         def build():
             key = f"m{self.g.m}_terwilliger"
             if self.cache_dir is not None:
-                cached = load_basis(self.cache_dir, key)
+                cached = load_basis(self.cache_dir, key, self.ambient_dim)
                 if cached is not None:
                     return TerwilligerAlgebra(
                         m=self.g.m,
@@ -267,7 +275,7 @@ class CheckContext:
         def build():
             key = f"m{self.g.m}_center"
             if self.cache_dir is not None:
-                cached = load_basis(self.cache_dir, key)
+                cached = load_basis(self.cache_dir, key, self.ambient_dim)
                 if cached is not None:
                     return cached
             z = _center_basis(self.terwilliger)

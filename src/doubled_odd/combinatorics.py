@@ -14,10 +14,12 @@ formula lives in the test suite, not here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import add
 
 from .linalg import SparseExactMatrix
 
@@ -176,11 +178,39 @@ class IntersectionNumbers:
         return self.p(0, 1, 1)
 
 
+def class_profiles(rows, cols, classes, width: int):
+    """Certify that a multiset of encoded keys is the same on every pair of a class.
+
+    For each pair (y, z), in row-major order, the profile of (y, z) is the
+    sorted list of the keys rows[y][w] * width + cols[z][w] over all w; the
+    keys are ints, and every entry of cols must lie in [0, width) so that a
+    key determines its two parts.  Returns (profiles, None), where profiles
+    maps each class met in classes[y][z] to the profile of all its pairs, or,
+    as soon as a pair's profile differs from that of the first pair of its
+    class, (profiles met so far, (y, z)).
+
+    This one exhaustive pass over all triples (y, w, z) certifies both the
+    intersection numbers of a distance table and the structure constants of
+    the orbit matrices.
+    """
+    seen: dict[int, list[int]] = {}
+    for y, (row, class_row) in enumerate(zip(rows, classes)):
+        scaled = [a * width for a in row]
+        for z, (col, c) in enumerate(zip(cols, class_row)):
+            profile = sorted(map(add, scaled, col))
+            known = seen.setdefault(c, profile)
+            if known is not profile and known != profile:
+                return seen, (y, z)
+    return seen, None
+
+
 def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
     """Exhaustively recompute every p^h_{ij} over all ordered vertex pairs.
 
-    Raises DistanceRegularityError with the first offending witness if any
-    count depends on the chosen pair (it never should).
+    class_profiles counts, for every pair (x, y), the vertices z by the key
+    d(x, z) * (2m + 2) + d(z, y) and certifies that the counts depend only on
+    h = d(x, y).  Raises DistanceRegularityError with the first offending
+    witness if any count depends on the chosen pair (it never should).
     """
     verts = _vertices(g.m)
     n = len(verts)
@@ -189,26 +219,27 @@ def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
         [sizes[a] + sizes[b] - 2 * (verts[a] & verts[b]).bit_count() for b in range(n)]
         for a in range(n)
     ]
-    reference: dict[int, dict[tuple[int, int], int]] = {}
-    for xi in range(n):
-        dx = dist[xi]
-        for yi in range(n):
-            dy = dist[yi]
-            h = dx[yi]
-            profile: dict[tuple[int, int], int] = {}
-            for zi in range(n):
-                key = (dx[zi], dy[zi])
-                profile[key] = profile.get(key, 0) + 1
-            seen = reference.get(h)
-            if seen is None:
-                reference[h] = profile
-            elif seen != profile:
-                for (i, j) in sorted(set(seen) | set(profile)):
-                    if seen.get((i, j), 0) != profile.get((i, j), 0):
-                        raise DistanceRegularityError(verts[xi], verts[yi], i, j)
-    table = {
-        (h, i, j): count
-        for h in sorted(reference)
-        for (i, j), count in sorted(reference[h].items())
+    return IntersectionNumbers(m=g.m, table=_intersection_table(verts, dist))
+
+
+def _intersection_table(verts, dist: list[list[int]]) -> dict[tuple[int, int, int], int]:
+    """p^h_{ij} of a symmetric distance table whose vertices are verts.
+
+    On failure the witness is the first pair (x, y) in row-major order whose
+    counts differ from those of the first pair at the same distance, with the
+    least (i, j) whose count differs.
+    """
+    width = 1 + max(map(max, dist))
+    # dist is symmetric, so its rows are also its columns
+    profiles, offending = class_profiles(dist, dist, dist, width)
+    if offending is not None:
+        x, y = offending
+        seen = Counter(profiles[dist[x][y]])
+        here = Counter(i * width + j for i, j in zip(dist[x], dist[y]))
+        key = min(k for k in seen.keys() | here.keys() if seen[k] != here[k])
+        raise DistanceRegularityError(verts[x], verts[y], *divmod(key, width))
+    return {
+        (h, *divmod(key, width)): count
+        for h in sorted(profiles)
+        for key, count in sorted(Counter(profiles[h]).items())
     }
-    return IntersectionNumbers(m=g.m, table=table)

@@ -24,6 +24,14 @@ vector of orbit values in Q^d, d = 4 C(m+4, 4).  Given some 0/1 generator
 matrices, it tabulates how each acts on the orbit matrices from the left and
 from the right, certifying every table entry exhaustively over all vertex
 pairs, so algebras generated by them can be computed in Q^d and lifted back.
+It also computes the structure constants p^c_{ab}, with O_a O_b =
+sum_c p^c_{ab} O_c, and certifies them by one pass over all vertex triples:
+every pair (y, z) of orbit c must see the same count of middle vertices w
+for each (a, b), which is the coherent-configuration property, checked
+rather than assumed.  The orbit matrices have disjoint supports, so a
+product lies in the span of a set F of them exactly when its support
+{c : p^c_{ab} > 0} lies in F; check_subalgebra reads its scan off that
+table without forming an n x n product.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
-from .combinatorics import GroundSet, _vertices, _vertex_index
+from .combinatorics import GroundSet, _vertices, _vertex_index, class_profiles
 from .linalg import (
     NotClosedError,
     ShapeMismatchError,
@@ -44,7 +52,6 @@ from .linalg import (
     SpanBasis,
     _norm,
     span,
-    contains,
 )
 
 
@@ -355,31 +362,65 @@ class SubalgebraClosureReport:
 def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureReport:
     """Test whether the span of the given orbit matrices is closed under
     multiplication; on failure report the first offending product and the
-    block its support lands in."""
-    mats = _orbit_matrices(g.m)
+    block its support lands in.
+
+    Every ordered pair (a, b) of sub is checked, in order, against the
+    certified structure constants of StructureConstants: O_a O_b is the sum
+    of p^c_{ab} O_c over its support {c : p^c_{ab} > 0}, and the orbit
+    matrices have disjoint supports, so the product lies in span(sub) exactly
+    when its support lies in sub.  No n x n product is formed.  The block of
+    an offending product is that of its first entry in row-major order, which
+    lies in the least orbit of its support, since orbits are numbered by
+    their first pair.
+    """
+    consts = _structure_constants(g.m)
+    labels = consts.labels
+    d = len(labels)
+    ids = {lab: c for c, lab in enumerate(labels)}
     try:
-        sub_mats = [mats[lab] for lab in sub]
+        sub_ids = [ids[lab] for lab in sub]
     except KeyError as exc:
         raise ValueError(f"unknown orbit label {exc.args[0]}") from None
-    sub_span = span(sub_mats) if sub_mats else SpanBasis(0)
-    verts = _vertices(g.m)
-    checked = 0
+    inside = set(sub_ids)
+    # the supports of the products O_a O_b with a and b in sub
+    supports: dict[int, list[int]] = {}
+    for c, keys in enumerate(consts.keys):
+        for key in set(keys):
+            if key // d in inside and key % d in inside:
+                supports.setdefault(key, []).append(c)
     first_violation = None
     violation_block = None
-    for la, ma in zip(sub, sub_mats):
-        for lb, mb in zip(sub, sub_mats):
-            product = ma @ mb
-            checked += 1
-            if first_violation is None and not contains(sub_span, product):
+    for la, a in zip(sub, sub_ids):
+        for lb, b in zip(sub, sub_ids):
+            support = supports.get(a * d + b, ())
+            if first_violation is None and not inside.issuperset(support):
                 first_violation = (la, lb)
-                r, c, _ = next(product.entries())
-                violation_block = block_of_pair(g.m, verts[r], verts[c])
+                violation_block = labels[support[0]].block
     return SubalgebraClosureReport(
         closed=first_violation is None,
-        pairs_checked=checked,
+        pairs_checked=len(sub) ** 2,
         first_violation=first_violation,
         violation_block=violation_block,
     )
+
+
+class StructureConstants(NamedTuple):
+    """The certified structure constants p^c_{ab} of the orbit matrices.
+
+    Orbits are numbered as in OrbitCoordinates and labels[c] is the label of
+    orbit c.  keys[c] is the sorted multiset of a * d + b over the vertices w,
+    for any pair (y, z) of orbit c, with (y, w) in orbit a and (w, z) in
+    orbit b; so p^c_{ab}, the (y, z) entry of O_a O_b, is the multiplicity of
+    a * d + b in keys[c], and O_a O_b = sum_c p^c_{ab} O_c.
+    """
+
+    labels: tuple[OrbitLabel, ...]
+    keys: tuple[array, ...]
+
+
+@lru_cache(maxsize=8)
+def _structure_constants(m: int) -> StructureConstants:
+    return OrbitCoordinates(GroundSet(m), []).structure_constants()
 
 
 class ActionTable(NamedTuple):
@@ -404,16 +445,19 @@ class OrbitCoordinates:
     action table entry is read off all pairs of its orbit and checked to be
     the same on each of them (NotClosedError otherwise).  An instance is the
     action algebra_closure and centralizer_within need, with the tables in
-    generators as its generators.
+    generators as its generators.  orbit_labels[a] is the label of orbit a,
+    and structure_constants() certifies the products of orbit matrices the
+    same way, on every pair of every orbit.
     """
 
     def __init__(self, g: GroundSet, generators: list[SparseExactMatrix]):
         n = len(_vertices(g.m))
-        positions = sorted(
-            (array("I", (r * n + c for r, c, _ in mat.entries()))
-             for mat in _orbit_matrices(g.m).values()),
-            key=lambda pos: pos[0],
+        orbits = sorted(
+            ((array("I", (r * n + c for r, c, _ in mat.entries())), lab)
+             for lab, mat in _orbit_matrices(g.m).items()),
+            key=lambda orbit: orbit[0][0],
         )
+        positions = [pos for pos, _ in orbits]
         d = len(positions)
         if d >= 0xFFFF:
             raise ValueError(f"{d} orbits do not fit the pair index")
@@ -428,15 +472,20 @@ class OrbitCoordinates:
             raise NotClosedError("the identity is not a sum of orbit matrices")
         self.n = n
         self.ambient_dim = d
+        self.orbit_labels = tuple(lab for _, lab in orbits)
         self._labels = labels
         self._positions = positions
         self._identity = {a: 1 for a in sorted(diagonal)}
         self.generators = self._action_tables(generators)
 
-    def _action_tables(self, generators: list[SparseExactMatrix]) -> list[ActionTable]:
+    def _label_lines(self) -> tuple[list, list]:
+        """The orbit ids along each row and along each column of the pairs."""
         n, labels = self.n, self._labels
-        label_rows = [labels[k * n:(k + 1) * n] for k in range(n)]
-        label_cols = [labels[k::n] for k in range(n)]
+        return [labels[k * n:(k + 1) * n] for k in range(n)], [labels[k::n] for k in range(n)]
+
+    def _action_tables(self, generators: list[SparseExactMatrix]) -> list[ActionTable]:
+        n = self.n
+        label_rows, label_cols = self._label_lines()
         tables = []
         for mat in generators:
             if mat.nrows != n or mat.ncols != n:
@@ -478,6 +527,25 @@ class OrbitCoordinates:
             for a in profile:
                 table[a][b] = table[a].get(b, 0) + 1
         return table
+
+    def structure_constants(self) -> StructureConstants:
+        """The structure constants of the orbit matrices, certified on all
+        n^2 pairs by one pass over all n^3 triples (NotClosedError when some
+        p^c_{ab} differs between two pairs of orbit c, i.e. when the orbits
+        do not form a coherent configuration)."""
+        d = self.ambient_dim
+        label_rows, label_cols = self._label_lines()
+        # (O_a O_b)[y, z] counts the w with (y, w) in orbit a and (w, z) in orbit b
+        profiles, offending = class_profiles(label_rows, label_cols, label_rows, d)
+        if offending is not None:
+            y, z = offending
+            raise NotClosedError(
+                f"the products of orbit matrices are not constant on orbit "
+                f"{self.orbit_labels[label_rows[y][z]].text()}"
+            )
+        return StructureConstants(
+            self.orbit_labels, tuple(array("I", profiles[c]) for c in range(d))
+        )
 
     def identity(self) -> dict[int, object]:
         return dict(self._identity)

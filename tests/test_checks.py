@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +176,23 @@ def test_basis_cache_non_object_top_level_warns(tmp_path):
         assert load_basis(tmp_path, "list_case") is None
 
 
+def test_cache_file_of_the_wrong_ambient_dimension_is_recomputed(tmp_path):
+    checks = ("terwilliger-dim", "inclusion", "equality", "center-dim")
+    expected = _normalized(run(RunConfig(m=1, checks=checks)))
+    run(RunConfig(m=1, checks=checks, cache_dir=str(tmp_path)))
+    paths = [tmp_path / f"m1_{kind}_v{__version__}.json" for kind in ("terwilliger", "center")]
+    for path in paths:
+        payload = json.loads(path.read_text())
+        assert payload["ambient_dim"] == 36
+        # valid rows, but not of 6 x 6 matrices
+        payload["ambient_dim"] = 10 ** 6
+        path.write_text(json.dumps(payload))
+    with pytest.warns(UserWarning, match="ambient dimension"):
+        reports = run(RunConfig(m=1, checks=checks, cache_dir=str(tmp_path)))
+    assert _normalized(reports) == expected
+    assert all(json.loads(path.read_text())["ambient_dim"] == 36 for path in paths)
+
+
 def test_context_uses_cache(tmp_path):
     first = CheckContext(1, cache_dir=str(tmp_path))
     dim = first.terwilliger.dimension
@@ -275,3 +293,23 @@ def test_cli_export(tmp_path, capsys):
     code = main(["export", "--m", "1", "--export-dir", str(tmp_path / "exp")])
     assert code == 0
     assert "wrote 31 files" in capsys.readouterr().err
+
+
+_BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+_ORBITS_M4_CHECKS = (
+    "vertex-count", "index-sets", "bijections", "centralizer-dim",
+    "direct-sum", "lemma41", "upsilon", "psi-intertwining",
+)
+
+
+@pytest.mark.parametrize(
+    "reference, cfg",
+    [("m3", RunConfig(m=3)), ("orbits-m4", RunConfig(m=4, checks=_ORBITS_M4_CHECKS))],
+)
+def test_reports_match_the_benchmark_reference(reference, cfg):
+    # the benchmark's stored reports of `verify --m 3` and of its m = 4 orbit checks
+    expected = json.loads((_BENCHMARK_REFERENCE / f"{reference}.json").read_text())["reports"]
+    reports = json.loads(render_reports(run(cfg)))
+    for entry in reports:
+        del entry["elapsed_ms"]
+    assert reports == expected

@@ -6,8 +6,11 @@ from math import comb
 import pytest
 
 from doubled_odd.combinatorics import (
+    DistanceRegularityError,
     GroundSet,
+    _intersection_table,
     adjacency_matrix,
+    class_profiles,
     distance,
     distance_matrices,
     distance_matrix,
@@ -169,3 +172,58 @@ def test_intersection_numbers_match_direct_count_m1():
                         1 for z in verts if distance(x, z) == i and distance(z, y) == j
                     )
                     assert table.p(h, i, j) == direct
+
+
+def _dict_counting_scan(verts, dist):
+    """Oracle: the per-pair dict-counting loop that class_profiles replaced.
+
+    Returns the table, or the first offending pair and its witness.
+    """
+    n = len(verts)
+    reference = {}
+    for xi in range(n):
+        dx = dist[xi]
+        for yi in range(n):
+            dy = dist[yi]
+            h = dx[yi]
+            profile = {}
+            for zi in range(n):
+                key = (dx[zi], dy[zi])
+                profile[key] = profile.get(key, 0) + 1
+            seen = reference.get(h)
+            if seen is None:
+                reference[h] = profile
+            elif seen != profile:
+                for (i, j) in sorted(set(seen) | set(profile)):
+                    if seen.get((i, j), 0) != profile.get((i, j), 0):
+                        return None, (xi, yi), (verts[xi], verts[yi], i, j)
+    table = {
+        (h, i, j): count
+        for h in sorted(reference)
+        for (i, j), count in sorted(reference[h].items())
+    }
+    return table, None, None
+
+
+def test_intersection_numbers_match_the_dict_counting_oracle():
+    for m in (1, 2, 3):
+        g = GroundSet(m)
+        verts = enumerate_vertices(g)
+        dist = [[distance(y, z) for z in verts] for y in verts]
+        table, _, _ = _dict_counting_scan(verts, dist)
+        assert list(intersection_numbers(g).table.items()) == list(table.items())
+
+
+def test_profile_kernel_finds_the_pair_that_breaks_distance_regularity():
+    # a path on 4 vertices is not distance-regular: an end and an inner
+    # vertex at distance 1 have different numbers of common neighbours
+    dist = [[abs(a - b) for b in range(4)] for a in range(4)]
+    verts = [mask_of({a + 1}) for a in range(4)]
+    _, pair, witness = _dict_counting_scan(verts, dist)
+    assert pair == (1, 0)
+    _, offending = class_profiles(dist, dist, dist, 4)
+    assert offending == pair
+    with pytest.raises(DistanceRegularityError) as info:
+        _intersection_table(verts, dist)
+    exc = info.value
+    assert (exc.x, exc.y, exc.i, exc.j) == witness == (2, 1, 1, 2)

@@ -1,9 +1,12 @@
 """Orbit index sets, orbit matrices and the centralizer algebra."""
 
+import random
+from collections import Counter
 from math import comb
 
 import pytest
 
+from doubled_odd import orbits as orbits_module
 from doubled_odd.combinatorics import (
     GroundSet,
     adjacency_matrix,
@@ -11,10 +14,12 @@ from doubled_odd.combinatorics import (
     mask_of,
     vertex_count,
 )
-from doubled_odd.linalg import SparseExactMatrix, contains, span
+from doubled_odd.linalg import NotClosedError, SparseExactMatrix, contains, span
 from doubled_odd.orbits import (
     BlockTag,
+    OrbitCoordinates,
     OrbitLabel,
+    SubalgebraClosureReport,
     build_centralizer,
     block_of_pair,
     check_subalgebra,
@@ -186,6 +191,91 @@ def test_diagonal_subalgebras_closed_mixed_fails():
         la, lb = report.first_violation
         # a mixed product escapes into a diagonal block
         assert {la.block, lb.block} <= {BlockTag.II, BlockTag.III}
+
+
+def _pairwise_product_scan(sub, g):
+    """Oracle: multiply every ordered pair of orbit matrices of sub as n x n
+    matrices and test each product for membership in their span."""
+    mats = orbit_matrices(g)
+    sub_mats = [mats[lab] for lab in sub]
+    sub_span = span(sub_mats)
+    verts = enumerate_vertices(g)
+    checked = 0
+    first_violation = None
+    violation_block = None
+    for la, ma in zip(sub, sub_mats):
+        for lb, mb in zip(sub, sub_mats):
+            product = ma @ mb
+            checked += 1
+            if first_violation is None and not contains(sub_span, product):
+                first_violation = (la, lb)
+                r, c, _ = next(product.entries())
+                violation_block = block_of_pair(g.m, verts[r], verts[c])
+    return SubalgebraClosureReport(
+        closed=first_violation is None,
+        pairs_checked=checked,
+        first_violation=first_violation,
+        violation_block=violation_block,
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_subalgebra_scan_matches_the_pairwise_product_oracle(m):
+    g = GroundSet(m)
+    labels = orbit_labels(g)
+    mats = orbit_matrices(g)
+    families = [
+        [lab for lab in labels if lab.block in blocks]
+        for blocks in ({BlockTag.I}, {BlockTag.II, BlockTag.III}, {BlockTag.IV})
+    ]
+    # sets of diagonal orbit matrices are closed: their products are 0 or a square
+    diagonal = [lab for lab in labels if all(r == c for r, c, _ in mats[lab].entries())]
+    rng = random.Random(2026 + m)
+    subsets = list(families)
+    for _ in range(20):
+        pool = rng.choice(families + [diagonal, labels])
+        sub = rng.sample(pool, rng.randint(1, min(len(pool), 16)))
+        if rng.random() < 0.3:
+            sub.append(rng.choice(labels))
+        subsets.append(sub)
+    reports = [check_subalgebra(sub, g) for sub in subsets]
+    assert reports == [_pairwise_product_scan(sub, g) for sub in subsets]
+    assert {r.closed for r in reports} == {True, False}
+
+
+def test_structure_constants_match_the_products_of_orbit_matrices():
+    for m in (1, 2):
+        g = GroundSet(m)
+        n = vertex_count(g)
+        consts = OrbitCoordinates(g, []).structure_constants()
+        mats = [orbit_matrix(g, lab) for lab in consts.labels]
+        d = len(mats)
+        counts = [Counter(keys) for keys in consts.keys]
+        for a in range(d):
+            for b in range(d):
+                expected = SparseExactMatrix.zero(n, n)
+                for c in range(d):
+                    if counts[c][a * d + b]:
+                        expected = expected + mats[c].scale(counts[c][a * d + b])
+                assert mats[a] @ mats[b] == expected
+
+
+def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
+    g = GroundSet(1)
+    mats = dict(orbits_module._orbit_matrices(1))
+    # merge ({2}, {3}) and ({3}, {2}) with ({2}, {1}) and ({3}, {1}): the
+    # square of the merged matrix is 1 at ({2}, {3}) and 0 at ({2}, {1}), so
+    # it is not a combination of the coarser orbit matrices
+    a = OrbitLabel(BlockTag.I, (0, 0, 0, 0))
+    b = OrbitLabel(BlockTag.I, (0, 1, 0, 0))
+    merged = mats[a] + mats.pop(b)
+    mats[a] = merged
+    square = merged @ merged
+    assert {square.get(r, c) for r, c, _ in merged.entries()} == {0, 1}
+    monkeypatch.setattr(orbits_module, "_orbit_matrices", lambda _m: mats)
+    coords = OrbitCoordinates(g, [])  # still a partition with the identity in it
+    with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
+        coords.structure_constants()
 
 
 def test_orbit_labels_cover_both_directions():
