@@ -194,11 +194,10 @@ def cache_basis(cache_dir, key: str, basis: SpanBasis) -> Path:
     return path
 
 
-def load_basis(cache_dir, key: str, ambient_dim: int | None = None) -> SpanBasis | None:
+def load_basis(cache_dir, key: str, ambient_dim: int) -> SpanBasis | None:
     """Load a span basis stored by cache_basis; None on miss or any damage.
 
-    A file whose ambient dimension is not ambient_dim (when given) counts as
-    damaged.
+    A file whose ambient dimension is not ambient_dim counts as damaged.
     """
     path = _basis_path(cache_dir, key)
     if not path.exists():
@@ -211,7 +210,7 @@ def load_basis(cache_dir, key: str, ambient_dim: int | None = None) -> SpanBasis
             return None
         if payload.get("key") != key:
             return None
-        if ambient_dim is not None and payload["ambient_dim"] != ambient_dim:
+        if payload["ambient_dim"] != ambient_dim:
             raise ValueError(f"ambient dimension {payload['ambient_dim']} is not {ambient_dim}")
         basis = SpanBasis(payload["ambient_dim"])
         for row in payload["rows"]:

@@ -120,7 +120,7 @@ def test_basis_cache_round_trip(tmp_path):
     basis.insert({0: 1, 2: 3})
     basis.insert({1: 2, 3: -5})
     cache_basis(tmp_path, "unit_test_basis", basis)
-    loaded = load_basis(tmp_path, "unit_test_basis")
+    loaded = load_basis(tmp_path, "unit_test_basis", 4)
     assert loaded is not None
     assert loaded == basis
 
@@ -135,18 +135,18 @@ def test_basis_cache_write_is_atomic(tmp_path):
     # rewriting replaces the entry whole and leaves no temporary file behind
     assert cache_basis(tmp_path, "atomic_case", new) == path
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
-    assert load_basis(tmp_path, "atomic_case") == new
+    assert load_basis(tmp_path, "atomic_case", 3) == new
 
 
 def test_basis_cache_miss_and_stale(tmp_path):
-    assert load_basis(tmp_path, "never_written") is None
+    assert load_basis(tmp_path, "never_written", 2) is None
     basis = SpanBasis(2)
     basis.insert({0: 1})
     path = cache_basis(tmp_path, "stale_case", basis)
     payload = json.loads(path.read_text())
     payload["package_version"] = "0.0.0"
     path.write_text(json.dumps(payload))
-    assert load_basis(tmp_path, "stale_case") is None
+    assert load_basis(tmp_path, "stale_case", 2) is None
 
 
 def test_basis_cache_corrupt_file_warns(tmp_path):
@@ -155,7 +155,7 @@ def test_basis_cache_corrupt_file_warns(tmp_path):
     path = cache_basis(tmp_path, "corrupt_case", basis)
     path.write_text("{not json")
     with pytest.warns(UserWarning):
-        assert load_basis(tmp_path, "corrupt_case") is None
+        assert load_basis(tmp_path, "corrupt_case", 2) is None
 
 
 def test_basis_cache_zero_denominator_warns(tmp_path):
@@ -164,7 +164,7 @@ def test_basis_cache_zero_denominator_warns(tmp_path):
     path = cache_basis(tmp_path, "zero_denominator_case", basis)
     path.write_text(path.read_text().replace('"1/2"', '"1/0"'))
     with pytest.warns(UserWarning):
-        assert load_basis(tmp_path, "zero_denominator_case") is None
+        assert load_basis(tmp_path, "zero_denominator_case", 2) is None
 
 
 def test_basis_cache_non_object_top_level_warns(tmp_path):
@@ -173,7 +173,7 @@ def test_basis_cache_non_object_top_level_warns(tmp_path):
     path = cache_basis(tmp_path, "list_case", basis)
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.warns(UserWarning):
-        assert load_basis(tmp_path, "list_case") is None
+        assert load_basis(tmp_path, "list_case", 2) is None
 
 
 def test_cache_file_of_the_wrong_ambient_dimension_is_recomputed(tmp_path):
@@ -230,7 +230,7 @@ def test_export_matrices_m1(tmp_path):
 def test_cache_terwilliger_basis_m3(tmp_path, ctx_for):
     basis = ctx_for(3).terwilliger.basis
     cache_basis(tmp_path, "m3_terwilliger", basis)
-    loaded = load_basis(tmp_path, "m3_terwilliger")
+    loaded = load_basis(tmp_path, "m3_terwilliger", basis.ambient_dim)
     assert loaded is not None
     assert loaded.dimension == 140
     assert loaded.pivots == basis.pivots
@@ -296,20 +296,14 @@ def test_cli_export(tmp_path, capsys):
 
 
 _BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-_ORBITS_M4_CHECKS = (
-    "vertex-count", "index-sets", "bijections", "centralizer-dim",
-    "direct-sum", "lemma41", "upsilon", "psi-intertwining",
-)
 
 
-@pytest.mark.parametrize(
-    "reference, cfg",
-    [("m3", RunConfig(m=3)), ("orbits-m4", RunConfig(m=4, checks=_ORBITS_M4_CHECKS))],
-)
-def test_reports_match_the_benchmark_reference(reference, cfg):
+@pytest.mark.parametrize("reference, m, every_check", [("m3", 3, True), ("orbits-m4", 4, False)])
+def test_reports_match_the_benchmark_reference(reference, m, every_check):
     # the benchmark's stored reports of `verify --m 3` and of its m = 4 orbit checks
     expected = json.loads((_BENCHMARK_REFERENCE / f"{reference}.json").read_text())["reports"]
-    reports = json.loads(render_reports(run(cfg)))
+    checks = None if every_check else tuple(r["check"] for r in expected)
+    reports = json.loads(render_reports(run(RunConfig(m=m, checks=checks))))
     for entry in reports:
         del entry["elapsed_ms"]
     assert reports == expected
