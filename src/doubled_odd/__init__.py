@@ -84,68 +84,3 @@ from .checks import (
     cache_basis,
     load_basis,
 )
-
-__all__ = [
-    "__version__",
-    "GroundSet",
-    "enumerate_vertices",
-    "vertex_index",
-    "distance",
-    "adjacency_matrix",
-    "distance_matrix",
-    "intersection_numbers",
-    "DistanceRegularityError",
-    "SparseExactMatrix",
-    "SpanBasis",
-    "ClosureResult",
-    "ShapeMismatchError",
-    "DimCapExceededError",
-    "NotClosedError",
-    "vectorize",
-    "matrix_from_vector",
-    "span",
-    "contains",
-    "algebra_closure",
-    "centralizer_within",
-    "write_coord_text",
-    "read_coord_text",
-    "BlockTag",
-    "OrbitLabel",
-    "IndependenceError",
-    "rho",
-    "index_set",
-    "enumerate_index_set",
-    "tuple_bijection",
-    "orbit_labels",
-    "orbit_matrix",
-    "orbit_matrices",
-    "orbits_by_group_action",
-    "build_centralizer",
-    "check_subalgebra",
-    "CentralizerBasis",
-    "dual_idempotent",
-    "dual_idempotents",
-    "TerwilligerAlgebra",
-    "build_terwilliger",
-    "verify_sandwich_identities",
-    "verify_inclusion",
-    "verify_equality",
-    "center_basis",
-    "center_dimension",
-    "upsilon",
-    "block_profile",
-    "BlockProfile",
-    "odd_vertices",
-    "odd_adjacency",
-    "build_psi",
-    "verify_intertwining",
-    "CHECK_IDS",
-    "RunConfig",
-    "ConfigError",
-    "VerificationReport",
-    "run",
-    "render_reports",
-    "export_matrices",
-    "cache_basis",
-    "load_basis",
-]

@@ -12,6 +12,11 @@ m = 1, 2, where no claim is made.
 
 Reports are deterministic: rerunning a configuration reproduces the same
 JSON up to the elapsed_ms fields.
+
+T and Z(T) are kept in orbit coordinates Q^d, d = 4 C(m+4, 4), one
+coordinate per orbit matrix: the checks compare them there, the cache stores
+their RREF rows there (format 2), and export_matrices alone lifts T to
+vectorized n x n matrices.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .covering import build_psi, verify_intertwining
 from .linalg import SpanBasis, SparseExactMatrix, contains, write_coord_text
 from .orbits import (
     BlockTag,
+    OrbitCoordinates,
     build_centralizer,
     check_subalgebra,
     enumerate_index_set,
@@ -56,7 +62,6 @@ from .terwilliger import (
     center_basis as _center_basis,
     dual_idempotents,
     subalgebra_spans,
-    terwilliger_generators,
     TerwilligerAlgebra,
     upsilon,
     upsilon_size_formula,
@@ -169,7 +174,8 @@ def _basis_path(cache_dir, key: str) -> Path:
 
 
 def cache_basis(cache_dir, key: str, basis: SpanBasis) -> Path:
-    """Store a span basis on disk, keyed by (key, package version)."""
+    """Store a span basis (its RREF rows) on disk, keyed by (key, package
+    version)."""
     path = _basis_path(cache_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = [
@@ -177,7 +183,7 @@ def cache_basis(cache_dir, key: str, basis: SpanBasis) -> Path:
         for row in basis.rows
     ]
     payload = {
-        "format": 1,
+        "format": 2,
         "package_version": __version__,
         "key": key,
         "ambient_dim": basis.ambient_dim,
@@ -197,7 +203,10 @@ def cache_basis(cache_dir, key: str, basis: SpanBasis) -> Path:
 def load_basis(cache_dir, key: str, ambient_dim: int) -> SpanBasis | None:
     """Load a span basis stored by cache_basis; None on miss or any damage.
 
-    A file whose ambient dimension is not ambient_dim counts as damaged.
+    A file of another format or package version is a silent miss.  The
+    stored rows are an RREF and are taken as such, not eliminated again: a
+    row that is not reduced, and a file whose ambient dimension is not
+    ambient_dim, count as damaged (a warning, then None).
     """
     path = _basis_path(cache_dir, key)
     if not path.exists():
@@ -206,21 +215,22 @@ def load_basis(cache_dir, key: str, ambient_dim: int) -> SpanBasis | None:
         payload = json.loads(path.read_text())
         if not isinstance(payload, dict):
             raise ValueError("top level is not an object")
-        if payload.get("format") != 1 or payload.get("package_version") != __version__:
+        if payload.get("format") != 2 or payload.get("package_version") != __version__:
             return None
         if payload.get("key") != key:
             return None
         if payload["ambient_dim"] != ambient_dim:
             raise ValueError(f"ambient dimension {payload['ambient_dim']} is not {ambient_dim}")
-        basis = SpanBasis(payload["ambient_dim"])
+        rows = []
         for row in payload["rows"]:
             vec = {}
             for c, v in row:
+                if type(c) is not int:
+                    raise ValueError(f"column {c!r} is not an integer")
                 val = Fraction(v)
-                vec[int(c)] = val.numerator if val.denominator == 1 else val
-            if not basis.insert(vec):
-                raise ValueError("dependent cached row")
-        return basis
+                vec[c] = val.numerator if val.denominator == 1 else val
+            rows.append(vec)
+        return SpanBasis.from_reduced_rows(ambient_dim, rows)
     except (ValueError, KeyError, TypeError, ZeroDivisionError, OSError) as exc:
         warnings.warn(f"ignoring unreadable basis cache {path}: {exc}")
         return None
@@ -236,8 +246,8 @@ class CheckContext:
     def __init__(self, m: int, cache_dir: str | None = None):
         self.g = GroundSet(m)
         self.cache_dir = cache_dir
-        # T and Z(T) are spans of vectorized n x n matrices
-        self.ambient_dim = vertex_count(self.g) ** 2
+        # T and Z(T) are spans in Q^d, one coordinate per orbit matrix
+        self.ambient_dim = len(orbit_labels(self.g))
         self._memo: dict[str, object] = {}
 
     def _get(self, name: str, build: Callable[[], object]):
@@ -256,12 +266,7 @@ class CheckContext:
             if self.cache_dir is not None:
                 cached = load_basis(self.cache_dir, key, self.ambient_dim)
                 if cached is not None:
-                    return TerwilligerAlgebra(
-                        m=self.g.m,
-                        basis=cached,
-                        generator_list=terwilliger_generators(self.g),
-                        closure=None,
-                    )
+                    return TerwilligerAlgebra(m=self.g.m, basis=cached, closure=None)
             t = build_terwilliger(self.g)
             if self.cache_dir is not None:
                 cache_basis(self.cache_dir, key, t.basis)
@@ -597,7 +602,9 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
 
     Emits the distance matrices, the dual idempotents, all orbit matrices,
     the covering matrix psi, and the reduced bases of the centralizer and
-    Terwilliger algebras (one file each, basis rows as matrix rows).
+    Terwilliger algebras (one file each, basis rows as matrix rows).  T's
+    basis is lifted here from orbit coordinates to vectorized n x n matrices;
+    this is the only place its n x n form is made.
     """
     if ctx is None:
         ctx = CheckContext(m)
@@ -629,7 +636,8 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
         return SparseExactMatrix(basis.dimension, basis.ambient_dim, rows)
 
     emit(f"m{m}_basis_centralizer.mtx", basis_matrix(ctx.centralizer.span))
-    emit(f"m{m}_basis_terwilliger.mtx", basis_matrix(ctx.terwilliger.basis))
+    coords = ctx.terwilliger.coordinates or OrbitCoordinates(g, [])
+    emit(f"m{m}_basis_terwilliger.mtx", basis_matrix(coords.lift(ctx.terwilliger.basis)))
     return written
 
 

@@ -10,7 +10,10 @@ one representation and basis comparisons are plain equality.
 algebra_closure and centralizer_within work on stored vectors of any ambient
 space Q^D through a generator action: MatrixAction multiplies vectorized
 n x n matrices, and orbits.OrbitCoordinates applies certified action tables
-in the d-dimensional coordinates of the orbit matrices.
+in the d-dimensional coordinates of the orbit matrices.  SpanBasis is the
+one exact elimination routine: the closure grows a SpanBasis, and
+centralizer_within inserts its commutator equations into one and reads the
+centre off SpanBasis.null_space.
 """
 
 from __future__ import annotations
@@ -215,14 +218,17 @@ class SpanBasis:
     def from_reduced_rows(cls, ambient_dim: int, rows: Iterable[dict[int, object]]) -> "SpanBasis":
         """The span of rows that are already in reduced row echelon form.
 
-        Each row's first nonzero coordinate must be 1 and every other row must
-        be zero there; ValueError otherwise.  Checking this costs one pass over
-        the rows and one lookup per pair of rows, with no elimination.
+        Each row's first nonzero coordinate must be 1, every other row must
+        be zero there, and no entry may be stored as an explicit zero;
+        ValueError otherwise.  Checking this costs one pass over the rows and
+        one lookup per pair of rows, with no elimination.
         """
         basis = cls(ambient_dim)
         for row in rows:
             if not row:
                 raise ValueError("a reduced row cannot be zero")
+            if not all(row.values()):
+                raise ValueError("a reduced row stores an explicit zero")
             piv = min(row)
             if piv < 0 or max(row) >= ambient_dim:
                 raise ValueError(f"row outside ambient dimension {ambient_dim}")
@@ -325,6 +331,23 @@ class SpanBasis:
                         row.pop(c, None)
         self._rows[piv] = red
         return dict(red)
+
+    def null_space(self) -> list[dict[int, object]]:
+        """A basis of {x : row . x = 0 for every row}, one vector per free
+        (non-pivot) column f in increasing order: x_f = 1 and x_p = -row_p[f]
+        at each pivot column p, zero elsewhere."""
+        rows = self._rows
+        out = []
+        for free in range(self.ambient_dim):
+            if free in rows:
+                continue
+            vec: dict[int, object] = {free: 1}
+            for p, row in rows.items():
+                v = row.get(free)
+                if v:
+                    vec[p] = -v
+            out.append(vec)
+        return out
 
     def __repr__(self):
         return f"SpanBasis(dim={self.dimension}, ambient={self.ambient_dim})"
@@ -496,8 +519,9 @@ def centralizer_within(
     spot check of products of basis elements catches a span that is not
     closed under its own products.  (Spans in orbit coordinates come from
     algebra_closure, closed by its word argument.)  The generating property
-    is the caller's to guarantee.  Solves (L_g - R_g) x = 0 over the basis
-    coordinates for every generator g and returns the span of the solutions,
+    is the caller's to guarantee.  Every equation of (L_g - R_g) x = 0 over
+    the d basis coordinates, for every generator g, is inserted into one
+    SpanBasis of Q^d; its null_space is the solution set, returned as a span
     in the ambient space of basis.
 
     Why the generators suffice: an x in the span that commutes with every
@@ -516,10 +540,6 @@ def centralizer_within(
         raise ShapeMismatchError(
             f"action on dimension {action.ambient_dim} against ambient {ambient}"
         )
-    result = SpanBasis(ambient)
-    if d == 0:
-        return result
-
     rows = basis.rows
 
     product = getattr(action, "product", None)
@@ -537,12 +557,10 @@ def centralizer_within(
             raise NotClosedError("product of basis elements left the span")
         return coeffs
 
-    # Candidate commutant coefficients start as all of Q^d and get filtered by
-    # one linear functional per (generator, coordinate position) pair.
-    null_vecs: list[dict[int, object]] = [{a: 1} for a in range(d)]
+    # one linear equation in the basis coordinates per (generator, coordinate
+    # position) pair; the commutant coefficients are the null space
+    system = SpanBasis(d)
     for gm in gens:
-        if not null_vecs:
-            break
         equations: dict[int, dict[int, object]] = {}
         for a, row in enumerate(rows):
             xg = coords_of(action.right(gm, row))
@@ -552,41 +570,10 @@ def centralizer_within(
                 if delta:
                     equations.setdefault(e, {})[a] = delta
         for e in sorted(equations):
-            eq = equations[e]
-            if not null_vecs:
-                break
-            vals = []
-            for nv in null_vecs:
-                s = 0
-                for a, coef in eq.items():
-                    x = nv.get(a)
-                    if x:
-                        s += coef * x
-                vals.append(_norm(s))
-            if not any(vals):
-                continue
-            p = next(i for i, v in enumerate(vals) if v)
-            vp = vals[p]
-            pivot_vec = null_vecs[p]
-            survivors = []
-            for i, nv in enumerate(null_vecs):
-                if i == p:
-                    continue
-                if vals[i]:
-                    factor = _div(vals[i], vp)
-                    merged = dict(nv)
-                    for a, v in pivot_vec.items():
-                        nv2 = _norm(merged.get(a, 0) - factor * v)
-                        if nv2:
-                            merged[a] = nv2
-                        else:
-                            merged.pop(a, None)
-                    survivors.append(merged)
-                else:
-                    survivors.append(nv)
-            null_vecs = survivors
+            system.insert(equations[e])
 
-    for nv in null_vecs:
+    result = SpanBasis(ambient)
+    for nv in system.null_space():
         combo: dict[int, object] = {}
         for a, coef in nv.items():
             for idx, v in rows[a].items():

@@ -23,7 +23,8 @@ OrbitCoordinates identifies a matrix that is constant on every orbit with its
 vector of orbit values in Q^d, d = 4 C(m+4, 4).  Given some 0/1 generator
 matrices, it tabulates how each acts on the orbit matrices from the left and
 from the right, certifying every table entry exhaustively over all vertex
-pairs, so algebras generated by them can be computed in Q^d and lifted back.
+pairs, so algebras generated by them can be computed and kept in Q^d; lift
+gives the n x n form of such an algebra for export.
 It also computes the structure constants p^c_{ab}, with O_a O_b =
 sum_c p^c_{ab} O_c, and certifies them by one pass over all vertex triples:
 every pair (y, z) of orbit c must see the same count of middle vertices w
@@ -439,15 +440,17 @@ class OrbitCoordinates:
 
     Orbits are numbered by the row-major position of their first vertex pair,
     so an RREF basis in Q^d lifts entry for entry to the RREF basis of the
-    same span of n x n matrices.  Nothing assumes that the orbit matrices form
-    a coherent configuration: the orbits are checked to partition all n^2
-    pairs, the identity is checked to be a sum of orbit matrices, and every
-    action table entry is read off all pairs of its orbit and checked to be
-    the same on each of them (NotClosedError otherwise).  An instance is the
-    action algebra_closure and centralizer_within need, with the tables in
-    generators as its generators.  orbit_labels[a] is the label of orbit a,
-    and structure_constants() certifies the products of orbit matrices the
-    same way, on every pair of every orbit.
+    same span of n x n matrices; in particular the identity RREF of Q^d
+    lifts to the RREF of the span of all orbit matrices.  Nothing assumes
+    that the orbit matrices form a coherent configuration: the orbits are
+    checked to partition all n^2 pairs, the identity is checked to be a sum
+    of orbit matrices, and every action table entry is read off all pairs of
+    its orbit and checked to be the same on each of them (NotClosedError
+    otherwise).  An instance is the action algebra_closure and
+    centralizer_within need, with the tables in generators as its
+    generators.  orbit_labels[a] is the label of orbit a, and
+    structure_constants() certifies the products of orbit matrices the same
+    way, on every pair of every orbit.
     """
 
     def __init__(self, g: GroundSet, generators: list[SparseExactMatrix]):
@@ -592,21 +595,6 @@ class OrbitCoordinates:
                     vec[idx] = v
             rows.append(vec)
         return SpanBasis.from_reduced_rows(self.n * self.n, rows)
-
-    def project(self, basis: SpanBasis) -> SpanBasis:
-        """A basis of vectorized n x n matrices in orbit coordinates
-        (NotClosedError when a basis row is not constant on every orbit)."""
-        if basis.ambient_dim != self.n * self.n:
-            raise ShapeMismatchError(
-                f"basis of ambient {basis.ambient_dim} is not of {self.n} x {self.n} matrices"
-            )
-        out = SpanBasis(self.ambient_dim)
-        for row in basis.rows:
-            values = self.coordinates(row)
-            if values is None:
-                raise NotClosedError("a basis row is not constant on every orbit")
-            out.insert(values)
-        return out
 
 
 def _apply(table: tuple[dict[int, int], ...], vec: dict[int, object]) -> dict[int, object]:

@@ -5,15 +5,16 @@ radius i around x0 = {1, ..., m}.  The Terwilliger algebra T is the matrix
 algebra generated by the distance matrices A_0, ..., A_{2m+1} together with
 E*_0, ..., E*_{2m+1}.  build_terwilliger closes under A_1 and the E*_i only
 and then certifies exactly that every other A_i lies in the result, so the
-smaller generating set is checked rather than assumed.  The closure and the
-centre solve run in orbit coordinates Q^d (orbits.OrbitCoordinates), where
-each generator acts through a certified action table, and their results are
-lifted back to RREF bases of vectorized n x n matrices.  Everything T is
-generated by lies inside the centralizer algebra of the stabilizer of x0:
-each E*_i is a single diagonal orbit matrix and each sandwich
-E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with explicit
-four-tuple labels.  verify_sandwich_identities checks those identifications
-entry for entry.
+smaller generating set is checked rather than assumed.  T and its centre
+Z(T) live in orbit coordinates Q^d, d = 4 C(m+4, 4), end to end
+(orbits.OrbitCoordinates): the closure and the centre solve apply certified
+action tables of the generators to the orbit matrices, and their RREF bases
+stay in Q^d.  Only the matrix export lifts T to vectorized n x n matrices.
+Everything T is generated by lies inside the centralizer algebra of the
+stabilizer of x0: each E*_i is a single diagonal orbit matrix and each
+sandwich E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with
+explicit four-tuple labels.  verify_sandwich_identities checks those
+identifications entry for entry.
 
 For m >= 3 the two algebras are expected to coincide, with
 
@@ -40,7 +41,6 @@ from .linalg import (
     SpanBasis,
     algebra_closure,
     centralizer_within,
-    contains,
     vectorize,
 )
 from .orbits import BlockTag, CentralizerBasis, OrbitCoordinates, OrbitLabel, orbit_matrix
@@ -77,16 +77,16 @@ def dual_idempotents(g: GroundSet) -> list[SparseExactMatrix]:
 
 @dataclass
 class TerwilligerAlgebra:
-    """The Terwilliger algebra as a closed span plus its generator list.
+    """The Terwilliger algebra as a closed span in orbit coordinates.
 
-    basis holds vectorized n x n matrices.  closure, when T was computed
-    rather than loaded, is the run in orbit coordinates, and coordinates
-    keeps the certified action tables of closure_generators for center_basis.
+    basis is the RREF basis of T in Q^d, one coordinate per orbit matrix.
+    closure, when T was computed rather than loaded, is the run that produced
+    it, and coordinates keeps the certified action tables of
+    closure_generators for center_basis.
     """
 
     m: int
     basis: SpanBasis
-    generator_list: list[SparseExactMatrix]
     closure: ClosureResult | None
     coordinates: OrbitCoordinates | None = None
 
@@ -117,7 +117,7 @@ def build_terwilliger(g: GroundSet, dim_cap: int | None = None) -> TerwilligerAl
     on distance-regularity for the remaining distance matrices, each of A_0
     and A_2..A_{2m+1} is tested for exact membership in the closure; a
     missing one raises NotClosedError, since the closure would then not be
-    all of T.  generator_list still holds every listed generator.
+    all of T.  The basis is returned in Q^d, as the closure left it.
     """
     if dim_cap is None:
         dim_cap = default_dim_cap(g.m)
@@ -131,13 +131,7 @@ def build_terwilliger(g: GroundSet, dim_cap: int | None = None) -> TerwilligerAl
             raise NotClosedError(
                 f"A_{i} is not in the algebra generated by A_1 and the E*_i at m={g.m}"
             )
-    return TerwilligerAlgebra(
-        m=g.m,
-        basis=coords.lift(closure.basis),
-        generator_list=terwilliger_generators(g),
-        closure=closure,
-        coordinates=coords,
-    )
+    return TerwilligerAlgebra(m=g.m, basis=closure.basis, closure=closure, coordinates=coords)
 
 
 def _sandwich_label(m: int, i: int, transposed: bool) -> OrbitLabel:
@@ -212,10 +206,17 @@ class InclusionResult(NamedTuple):
 
 
 def verify_inclusion(t: TerwilligerAlgebra, cent: CentralizerBasis) -> InclusionResult:
-    """Membership of every T-basis row in the centralizer span."""
-    for idx, row in enumerate(t.basis.rows):
-        if not cent.span.contains_vector(row):
-            return InclusionResult(ok=False, failed_row=idx)
+    """T lies in the centralizer algebra: every T-basis row is a vector of
+    the centralizer's d orbit coordinates.
+
+    What certifies T inside the span of the orbit matrices is the action
+    tables: T is closed from the identity, a sum of orbit matrices, under
+    actions on the orbit matrices whose every entry was checked on every
+    vertex pair.  This check confirms that T's rows are expressed in those d
+    coordinates; a basis of any other ambient dimension fails at row 0.
+    """
+    if t.basis.ambient_dim != len(cent.labels):
+        return InclusionResult(ok=False, failed_row=0)
     return InclusionResult(ok=True, failed_row=None)
 
 
@@ -230,25 +231,33 @@ class EqualityResult(NamedTuple):
 
 
 def verify_equality(t: TerwilligerAlgebra, cent: CentralizerBasis) -> EqualityResult:
-    """Two-sided comparison of T with the centralizer algebra."""
-    dims_equal = t.dimension == cent.dimension
-    orbit_in_t = all(contains(t.basis, mat) for mat in cent.matrices)
+    """Two-sided comparison of T with the centralizer algebra, in Q^d.
+
+    The orbit matrices have disjoint supports and orbits are numbered by
+    their first vertex pair, so the centralizer's n x n RREF is the lift of
+    the unit vectors e_a, and lifting maps T's RREF entry for entry to its
+    n x n RREF.  Hence each orbit matrix lies in T exactly when e_a does, and
+    T's n x n RREF equals the centralizer's exactly when T's RREF in Q^d is
+    the identity RREF.
+    """
+    d = len(cent.labels)
+    units = [{a: 1} for a in range(d)]
+    in_coordinates = t.basis.ambient_dim == d
     return EqualityResult(
-        dims_equal=dims_equal,
-        orbit_matrices_in_t=orbit_in_t,
-        identical_rref=(t.basis == cent.span),
+        dims_equal=t.dimension == cent.dimension,
+        orbit_matrices_in_t=in_coordinates and all(map(t.basis.contains_vector, units)),
+        identical_rref=t.basis == SpanBasis.from_reduced_rows(d, units),
     )
 
 
 def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
-    """Basis of the center Z(T): the elements of T commuting with the
-    generators T is closed under, solved in orbit coordinates and lifted."""
+    """Basis of the center Z(T) in Q^d: the elements of T commuting with the
+    generators T is closed under, solved in orbit coordinates."""
     coords = t.coordinates
     if coords is None:  # t was loaded from a cache
         g = GroundSet(t.m)
         coords = OrbitCoordinates(g, closure_generators(g))
-    within = coords.project(t.basis)
-    return coords.lift(centralizer_within(within, coords.generators, action=coords))
+    return centralizer_within(t.basis, coords.generators, action=coords)
 
 
 def center_dimension(t: TerwilligerAlgebra) -> int:

@@ -1,6 +1,8 @@
 """Report registry, run configuration, caching, export and the CLI."""
 
+import hashlib
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from doubled_odd.checks import (
 )
 from doubled_odd.cli import main
 from doubled_odd.linalg import SpanBasis, read_coord_text, write_coord_text
-from doubled_odd.orbits import BlockTag, OrbitLabel, orbit_matrix
+from doubled_odd.orbits import BlockTag, OrbitCoordinates, OrbitLabel, orbit_matrix
 from doubled_odd.combinatorics import GroundSet
 
 _ALLOWED_PROVENANCE = {"paper-formula", "derived-oracle", "finding-only"}
@@ -176,6 +178,30 @@ def test_basis_cache_non_object_top_level_warns(tmp_path):
         assert load_basis(tmp_path, "list_case", 2) is None
 
 
+@pytest.mark.parametrize("damage, message", [
+    ("row replaced by a sum", "pivot column 1 is not cleared"),
+    ("explicit zero", "explicit zero"),
+    ("fractional column", "column 2.5 is not an integer"),
+])
+def test_basis_cache_damaged_row_warns(tmp_path, damage, message):
+    basis = SpanBasis(4)
+    basis.insert({0: 1, 2: 3})
+    basis.insert({1: 2, 3: -5})
+    path = cache_basis(tmp_path, "damaged_rows_case", basis)
+    payload = json.loads(path.read_text())
+    first, second = payload["rows"]
+    if damage == "explicit zero":
+        payload["rows"][0] = first + [[1, "0"]]
+    elif damage == "fractional column":
+        payload["rows"][0] = [[0, "1"], [2.5, "3"]]
+    else:
+        # spans the same space, but the pivot of the second row is not cleared
+        payload["rows"][0] = sorted(first + second)
+    path.write_text(json.dumps(payload))
+    with pytest.warns(UserWarning, match=message):
+        assert load_basis(tmp_path, "damaged_rows_case", 4) is None
+
+
 def test_cache_file_of_the_wrong_ambient_dimension_is_recomputed(tmp_path):
     checks = ("terwilliger-dim", "inclusion", "equality", "center-dim")
     expected = _normalized(run(RunConfig(m=1, checks=checks)))
@@ -183,14 +209,45 @@ def test_cache_file_of_the_wrong_ambient_dimension_is_recomputed(tmp_path):
     paths = [tmp_path / f"m1_{kind}_v{__version__}.json" for kind in ("terwilliger", "center")]
     for path in paths:
         payload = json.loads(path.read_text())
-        assert payload["ambient_dim"] == 36
-        # valid rows, but not of 6 x 6 matrices
+        assert payload["ambient_dim"] == 20
+        # valid rows, but not in the 20 orbit coordinates
         payload["ambient_dim"] = 10 ** 6
         path.write_text(json.dumps(payload))
     with pytest.warns(UserWarning, match="ambient dimension"):
         reports = run(RunConfig(m=1, checks=checks, cache_dir=str(tmp_path)))
     assert _normalized(reports) == expected
-    assert all(json.loads(path.read_text())["ambient_dim"] == 36 for path in paths)
+    assert all(json.loads(path.read_text())["ambient_dim"] == 20 for path in paths)
+
+
+def test_n2_cache_file_of_format_1_is_a_silent_miss(tmp_path):
+    checks = ("terwilliger-dim", "inclusion", "equality", "center-dim")
+    expected = _normalized(run(RunConfig(m=1, checks=checks)))
+    ctx = CheckContext(1)
+    coords = OrbitCoordinates(ctx.g, [])
+    paths = []
+    for kind, basis in (("terwilliger", ctx.terwilliger.basis), ("center", ctx.center)):
+        # the entry as format 1 stored it: the RREF of vectorized 6 x 6 matrices
+        lifted = coords.lift(basis)
+        payload = {
+            "format": 1,
+            "package_version": __version__,
+            "key": f"m1_{kind}",
+            "ambient_dim": lifted.ambient_dim,
+            "rows": [[[c, str(row[c])] for c in sorted(row)] for row in lifted.rows],
+        }
+        path = tmp_path / f"m1_{kind}_v{__version__}.json"
+        path.write_text(json.dumps(payload))
+        paths.append(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = run(RunConfig(m=1, checks=checks, cache_dir=str(tmp_path)))
+    assert _normalized(reports) == expected
+    for path in paths:
+        payload = json.loads(path.read_text())
+        assert (payload["format"], payload["ambient_dim"]) == (2, 20)
+    warm = CheckContext(1, cache_dir=str(tmp_path))
+    assert warm.terwilliger.closure is None
+    assert warm.terwilliger.basis == ctx.terwilliger.basis
 
 
 def test_context_uses_cache(tmp_path):
@@ -296,6 +353,28 @@ def test_cli_export(tmp_path, capsys):
 
 
 _BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def _tree_digest(directory: Path) -> str:
+    # sha256 over the sorted file names and contents, as the benchmark takes it
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_warm_export_matches_the_benchmark_reference(tmp_path):
+    # the export lifts T out of orbit coordinates; from a warm cache it has
+    # only the cached basis in Q^d to lift
+    reference = json.loads((_BENCHMARK_REFERENCE / "m3.json").read_text())
+    cache = str(tmp_path / "cache")
+    run(RunConfig(m=3, checks=("terwilliger-dim",), cache_dir=cache))
+    ctx = CheckContext(3, cache_dir=cache)
+    assert ctx.terwilliger.closure is None
+    export_matrices(3, tmp_path / "export", ctx=ctx)
+    assert _tree_digest(tmp_path / "export") == reference["export_sha256"]
 
 
 @pytest.mark.parametrize("reference, m, every_check", [("m3", 3, True), ("orbits-m4", 4, False)])

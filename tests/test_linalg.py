@@ -159,6 +159,23 @@ def test_span_basis_members_reduce_to_zero_and_coordinates_round_trip(seed):
         assert basis.reduce(outside)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_span_basis_null_space_is_a_basis_of_the_annihilator(seed):
+    rng = random.Random(2000 + seed)
+    ambient = rng.randint(1, 9)
+    vecs = _random_vectors(rng, ambient, rng.randint(0, 8))
+    basis = SpanBasis(ambient)
+    for vec in vecs:
+        basis.insert(vec)
+    kernel = basis.null_space()
+    assert len(kernel) == ambient - basis.dimension
+    for x in kernel:
+        for vec in vecs + basis.rows:
+            assert sum(v * x.get(c, 0) for c, v in vec.items()) == 0
+    independent = SpanBasis(ambient)
+    assert all(independent.insert(x) for x in kernel)
+
+
 def test_from_reduced_rows_rejects_rows_not_in_reduced_form():
     with pytest.raises(ValueError):
         SpanBasis.from_reduced_rows(3, [{0: 1, 1: 2}, {1: 1}])  # pivot 1 not cleared
@@ -168,6 +185,8 @@ def test_from_reduced_rows_rejects_rows_not_in_reduced_form():
         SpanBasis.from_reduced_rows(3, [{0: 1}, {0: 1, 2: 1}])  # repeated pivot
     with pytest.raises(ValueError):
         SpanBasis.from_reduced_rows(3, [{3: 1}])  # outside the ambient space
+    with pytest.raises(ValueError):
+        SpanBasis.from_reduced_rows(3, [{0: 1, 2: 0}])  # an explicit zero
 
 
 def test_span_of_matrices_is_idempotent():

@@ -46,6 +46,11 @@ from doubled_odd.terwilliger import (
 )
 
 
+def _lifted(g, basis):
+    # the n^2-ambient RREF of a basis kept in orbit coordinates
+    return OrbitCoordinates(g, []).lift(basis)
+
+
 def test_dual_idempotents_are_sphere_indicators():
     for m in (1, 2):
         g = GroundSet(m)
@@ -128,6 +133,53 @@ def test_inclusion_and_equality(ctx_for):
         assert res.dims_equal and res.orbit_matrices_in_t and res.identical_rref
 
 
+def _n2_inclusion(t_basis, cent):
+    # the n^2-ambient comparison: every T row in the span of the orbit matrices
+    return all(cent.span.contains_vector(row) for row in t_basis.rows)
+
+
+def _n2_equality(t_basis, cent):
+    # the n^2-ambient comparisons: (dims_equal, orbit_matrices_in_T, identical_rref)
+    return (
+        t_basis.dimension == cent.dimension,
+        all(contains(t_basis, mat) for mat in cent.matrices),
+        t_basis == cent.span,
+    )
+
+
+def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
+    for m in (1, 2, 3):
+        ctx = ctx_for(m)
+        t, cent = ctx.terwilliger, ctx.centralizer
+        t_basis = t.coordinates.lift(t.basis)
+        assert t_basis == cent.span
+        assert verify_inclusion(t, cent).ok == _n2_inclusion(t_basis, cent) is True
+        assert tuple(verify_equality(t, cent)) == _n2_equality(t_basis, cent) == (True,) * 3
+        # T without one of its rows is a proper subspace of the centralizer
+        rows = t.basis.rows
+        del rows[len(rows) // 2]
+        smaller = TerwilligerAlgebra(m, SpanBasis.from_reduced_rows(t.basis.ambient_dim, rows), None)
+        assert verify_inclusion(smaller, cent).ok == _n2_inclusion(_lifted(ctx.g, smaller.basis), cent)
+        assert tuple(verify_equality(smaller, cent)) == _n2_equality(_lifted(ctx.g, smaller.basis), cent)
+        assert tuple(verify_equality(smaller, cent)) == (False,) * 3
+
+
+def test_checks_in_orbit_coordinates_reject_a_basis_of_another_ambient(ctx_for):
+    ctx = ctx_for(1)
+    t, cent = ctx.terwilliger, ctx.centralizer
+    lifted = TerwilligerAlgebra(1, t.coordinates.lift(t.basis), None)
+    assert verify_inclusion(lifted, cent) == (False, 0)
+    res = verify_equality(lifted, cent)
+    assert not res.orbit_matrices_in_t and not res.identical_rref
+
+
+def test_terwilliger_and_center_live_in_orbit_coordinates(ctx_for):
+    for m in (1, 2, 3):
+        ctx = ctx_for(m)
+        d = 4 * comb(m + 4, 4)
+        assert ctx.ambient_dim == ctx.terwilliger.basis.ambient_dim == ctx.center.ambient_dim == d
+
+
 def test_center_dimension(ctx_for):
     for m, dim in [(1, 2), (2, 4), (3, 6)]:
         assert ctx_for(m).center.dimension == dim
@@ -138,8 +190,8 @@ def test_center_dimension(ctx_for):
 def test_center_elements_commute(ctx_for):
     ctx = ctx_for(2)
     n = vertex_count(ctx.g)
-    t = ctx.terwilliger
-    center = ctx.center
+    t_basis = _lifted(ctx.g, ctx.terwilliger.basis)
+    center = _lifted(ctx.g, ctx.center)
     ident_vec = vectorize(SparseExactMatrix.identity(n))
     assert center.contains_vector(ident_vec)
     gens = terwilliger_generators(ctx.g)
@@ -147,7 +199,7 @@ def test_center_elements_commute(ctx_for):
         z = matrix_from_vector(dict(row), n, n)
         for gen in gens:
             assert z @ gen == gen @ z
-        assert contains(t.basis, z)
+        assert contains(t_basis, z)
 
 
 def _all_basis_commutant(basis, n):
@@ -183,31 +235,29 @@ def test_center_matches_all_basis_commutant_oracle(ctx_for):
     # with every basis element of T
     for m in (1, 2, 3):
         ctx = ctx_for(m)
-        oracle = _all_basis_commutant(ctx.terwilliger.basis, vertex_count(ctx.g))
+        oracle = _all_basis_commutant(_lifted(ctx.g, ctx.terwilliger.basis), vertex_count(ctx.g))
         assert oracle.dimension == upsilon_size_formula(m)
-        assert center_basis(ctx.terwilliger) == oracle
+        assert _lifted(ctx.g, center_basis(ctx.terwilliger)) == oracle
 
 
 def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
     # the n^2-ambient closure and centre, run on the n x n generator matrices,
-    # give the same RREFs as the runs in orbit coordinates
+    # give the lifted RREFs of the runs in orbit coordinates
     for m in (1, 2, 3):
         ctx = ctx_for(m)
         t = ctx.terwilliger
         gens = closure_generators(ctx.g)
         ambient = algebra_closure(gens)
         assert ambient.iterations == t.closure.iterations == t.dimension * len(gens)
-        assert ambient.basis == t.basis
-        assert centralizer_within(ambient.basis, gens) == ctx.center
-        coords = t.coordinates
-        assert coords.lift(coords.project(t.basis)) == t.basis
+        assert ambient.basis == t.coordinates.lift(t.basis)
+        assert centralizer_within(ambient.basis, gens) == t.coordinates.lift(ctx.center)
 
 
 def test_center_of_a_cached_terwilliger_basis():
-    # a basis loaded without its closure is projected to orbit coordinates
+    # a basis loaded without its closure gets its action tables rebuilt
     g = GroundSet(2)
     t = build_terwilliger(g)
-    loaded = TerwilligerAlgebra(m=2, basis=t.basis, generator_list=[], closure=None)
+    loaded = TerwilligerAlgebra(m=2, basis=t.basis, closure=None)
     assert center_basis(loaded) == center_basis(t)
 
 
@@ -254,8 +304,6 @@ def test_orbit_coordinates_reject_a_matrix_not_constant_on_orbits():
     # ({2}, {3}) shares its orbit with ({3}, {2})
     bogus = SparseExactMatrix.from_entries(n, n, [(1, 2, 1)])
     assert coords.coordinates(vectorize(bogus)) is None
-    with pytest.raises(NotClosedError):
-        coords.project(span([SparseExactMatrix.identity(n), bogus]))
 
 
 def test_upsilon_m3_frozen_set():
@@ -296,12 +344,12 @@ def test_subalgebra_span_dimensions(ctx_for):
 def test_algebra_closure_idempotent(ctx_for):
     # regrowing the algebra from its own reduced basis does not enlarge it
     ctx = ctx_for(1)
-    t = ctx.terwilliger
+    t_basis = _lifted(ctx.g, ctx.terwilliger.basis)
     n = vertex_count(ctx.g)
-    mats = [matrix_from_vector(dict(row), n, n) for row in t.basis.rows]
+    mats = [matrix_from_vector(dict(row), n, n) for row in t_basis.rows]
     regrown = algebra_closure(mats)
-    assert regrown.basis == t.basis
-    assert regrown.iterations == t.dimension * len(mats)
+    assert regrown.basis == t_basis
+    assert regrown.iterations == t_basis.dimension * len(mats)
 
 
 def _pairwise_product_closure(gens):
@@ -325,7 +373,7 @@ def test_generator_closure_matches_pairwise_product_oracle():
     for m in (1, 2):
         g = GroundSet(m)
         oracle = _pairwise_product_closure(terwilliger_generators(g))
-        assert build_terwilliger(g).basis == oracle
+        assert _lifted(g, build_terwilliger(g).basis) == oracle
 
 
 def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeypatch):
@@ -335,7 +383,7 @@ def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeyp
     n = vertex_count(g)
     # one entry of a sphere-1 block is not stabilizer-invariant, so not in T
     bogus = SparseExactMatrix.from_entries(n, n, [(sphere1[0], sphere1[1], 1)])
-    assert not contains(t.basis, bogus)
+    assert not contains(_lifted(g, t.basis), bogus)
     dist = list(terwilliger_module.distance_matrices(g))
     dist[2] = bogus
     monkeypatch.setattr(terwilliger_module, "distance_matrices", lambda _g: dist)
