@@ -13,10 +13,10 @@ m = 1, 2, where no claim is made.
 Reports are deterministic: rerunning a configuration reproduces the same
 JSON up to the elapsed_ms fields.
 
-T and Z(T) are kept in orbit coordinates Q^d, d = 4 C(m+4, 4), one
-coordinate per orbit matrix: the checks compare them there, the cache stores
-their RREF rows there (format 2), and export_matrices alone lifts T to
-vectorized n x n matrices.
+The centralizer algebra, T and Z(T) are kept in orbit coordinates Q^d,
+d = 4 C(m+4, 4), one coordinate per orbit matrix: the checks compare them
+there, the cache stores their RREF rows there (format 2), and
+export_matrices alone lifts them to vectorized n x n matrices.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ from .combinatorics import (
     vertex_count,
 )
 from .covering import build_psi, verify_intertwining
-from .linalg import SpanBasis, SparseExactMatrix, contains, write_coord_text
+from .linalg import SpanBasis, SparseExactMatrix, vectorize, write_coord_text
 from .orbits import (
     BlockTag,
-    OrbitCoordinates,
     build_centralizer,
     check_subalgebra,
     enumerate_index_set,
@@ -388,7 +387,8 @@ def _check_centralizer_dim(ctx: CheckContext):
     else:
         rng = random.Random(20260 + g.m)
         pairs = [(rng.randrange(d), rng.randrange(d)) for _ in range(500)]
-    closure_ok = all(contains(cent.span, mats[a] @ mats[b]) for a, b in pairs)
+    orbit_values = cent.coordinates.coordinates  # None unless constant on every orbit
+    closure_ok = all(orbit_values(vectorize(mats[a] @ mats[b])) is not None for a, b in pairs)
     expected = {"dim": 4 * comb(g.m + 4, 4), "closure_ok": True}
     actual = {"dim": cent.dimension, "closure_ok": closure_ok, "pairs_checked": len(pairs)}
     ok = actual["dim"] == expected["dim"] and closure_ok
@@ -602,9 +602,9 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
 
     Emits the distance matrices, the dual idempotents, all orbit matrices,
     the covering matrix psi, and the reduced bases of the centralizer and
-    Terwilliger algebras (one file each, basis rows as matrix rows).  T's
-    basis is lifted here from orbit coordinates to vectorized n x n matrices;
-    this is the only place its n x n form is made.
+    Terwilliger algebras (one file each, basis rows as matrix rows).  Both
+    are lifted here from Q^d to vectorized n x n matrices, the centralizer's
+    from the identity RREF; this is the only place their n x n form is made.
     """
     if ctx is None:
         ctx = CheckContext(m)
@@ -635,8 +635,10 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
         rows = {idx: dict(row) for idx, row in enumerate(basis.rows)}
         return SparseExactMatrix(basis.dimension, basis.ambient_dim, rows)
 
-    emit(f"m{m}_basis_centralizer.mtx", basis_matrix(ctx.centralizer.span))
-    coords = ctx.terwilliger.coordinates or OrbitCoordinates(g, [])
+    coords = ctx.centralizer.coordinates
+    d = coords.ambient_dim
+    identity = SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))
+    emit(f"m{m}_basis_centralizer.mtx", basis_matrix(coords.lift(identity)))
     emit(f"m{m}_basis_terwilliger.mtx", basis_matrix(coords.lift(ctx.terwilliger.basis)))
     return written
 

@@ -5,7 +5,7 @@ dims    prints the headline dimensions at one m
 export  writes every constructed matrix to coordinate text files
 
 Exit codes: 0 when no check failed (findings are not failures), 1 when at
-least one check failed, 2 on a configuration error.
+least one check failed, 2 on a configuration error or an unwritable path.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
             written = export_matrices(args.m, args.export_dir, ctx=ctx)
             print(f"wrote {len(written)} files to {args.export_dir}", file=sys.stderr)
             return 0
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

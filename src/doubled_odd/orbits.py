@@ -11,20 +11,21 @@ block II is (m, m+1), block III is (m+1, m) and block IV is (m+1, m+1).
 Each block carries a closed-form description of its admissible four-tuples,
 and complementing one or both coordinates of a pair induces bijections from
 blocks II, III, IV onto block I, so all four index sets have the same
-cardinality C(m+4, 4).  The 0/1 indicator matrices of the orbits form a basis
-of the centralizer algebra of the stabilizer action; that algebra therefore
-has dimension 4 C(m+4, 4).
+cardinality C(m+4, 4).  The 0/1 indicator matrices of the orbits are nonzero
+with disjoint supports, hence independent, and form a basis of the
+centralizer algebra of the stabilizer action; that algebra therefore has
+dimension 4 C(m+4, 4).
 
 The closed forms are production code; an independent union-find oracle that
 grinds out the orbits from explicit group generators lives alongside for the
 verification harness to compare against.
 
 OrbitCoordinates identifies a matrix that is constant on every orbit with its
-vector of orbit values in Q^d, d = 4 C(m+4, 4).  Given some 0/1 generator
-matrices, it tabulates how each acts on the orbit matrices from the left and
-from the right, certifying every table entry exhaustively over all vertex
-pairs, so algebras generated by them can be computed and kept in Q^d; lift
-gives the n x n form of such an algebra for export.
+vector of orbit values in Q^d, d = 4 C(m+4, 4), which makes Q^d the
+centralizer algebra; one instance per m is shared.  Its action_tables certify
+how 0/1 generators act on the orbit matrices from either side, each entry
+over all vertex pairs, so algebras generated by them can be computed and
+kept in Q^d; lift gives the n x n form of such an algebra for export.
 It also computes the structure constants p^c_{ab}, with O_a O_b =
 sum_c p^c_{ab} O_c, and certifies them by one pass over all vertex triples:
 every pair (y, z) of orbit c must see the same count of middle vertices w
@@ -52,7 +53,6 @@ from .linalg import (
     SparseExactMatrix,
     SpanBasis,
     _norm,
-    span,
 )
 
 
@@ -325,29 +325,28 @@ def orbits_by_group_action(g: GroundSet) -> list[frozenset[tuple[int, int]]]:
 
 @dataclass(frozen=True)
 class CentralizerBasis:
-    """Orbit-matrix basis of the centralizer algebra of the stabilizer."""
+    """Orbit-matrix basis of the centralizer algebra of the stabilizer; the
+    algebra is Q^d in the shared orbit coordinates, coordinates."""
 
     m: int
     labels: tuple[OrbitLabel, ...]
     matrices: tuple[SparseExactMatrix, ...]
-    span: SpanBasis
+    coordinates: OrbitCoordinates
 
     @property
     def dimension(self) -> int:
-        return self.span.dimension
+        return len(self.matrices)
 
 
 def build_centralizer(g: GroundSet) -> CentralizerBasis:
-    """Assemble the orbit matrices and their span; verifies independence."""
+    """Assemble the orbit matrices and certify that they are a basis: every
+    closed-form label has a nonempty orbit (else IndependenceError), the
+    orbits partition the n^2 vertex pairs (else NotClosedError), and nonzero
+    matrices with disjoint supports are independent."""
     labels = _orbit_labels(g.m)
     mats = _orbit_matrices(g.m)
     matrices = tuple(mats[lab] for lab in labels)
-    basis = span(matrices)
-    if basis.dimension != len(labels):
-        raise IndependenceError(
-            f"{len(labels)} orbit matrices span only {basis.dimension} dimensions"
-        )
-    return CentralizerBasis(m=g.m, labels=labels, matrices=matrices, span=basis)
+    return CentralizerBasis(g.m, labels, matrices, _orbit_coordinates(g.m))
 
 
 @dataclass(frozen=True)
@@ -421,7 +420,7 @@ class StructureConstants(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _structure_constants(m: int) -> StructureConstants:
-    return OrbitCoordinates(GroundSet(m), []).structure_constants()
+    return _orbit_coordinates(m).structure_constants()
 
 
 class ActionTable(NamedTuple):
@@ -436,7 +435,7 @@ class ActionTable(NamedTuple):
 
 
 class OrbitCoordinates:
-    """Orbit coordinates Q^d with certified actions of some 0/1 generators.
+    """Orbit coordinates Q^d on a certified pair index.
 
     Orbits are numbered by the row-major position of their first vertex pair,
     so an RREF basis in Q^d lifts entry for entry to the RREF basis of the
@@ -444,16 +443,16 @@ class OrbitCoordinates:
     lifts to the RREF of the span of all orbit matrices.  Nothing assumes
     that the orbit matrices form a coherent configuration: the orbits are
     checked to partition all n^2 pairs, the identity is checked to be a sum
-    of orbit matrices, and every action table entry is read off all pairs of
-    its orbit and checked to be the same on each of them (NotClosedError
-    otherwise).  An instance is the action algebra_closure and
-    centralizer_within need, with the tables in generators as its
+    of orbit matrices, and every entry of action_tables is read off all
+    pairs of its orbit and checked to be the same on each of them
+    (NotClosedError otherwise).  An instance is the action algebra_closure
+    and centralizer_within need, with tables from action_tables as its
     generators.  orbit_labels[a] is the label of orbit a, and
     structure_constants() certifies the products of orbit matrices the same
     way, on every pair of every orbit.
     """
 
-    def __init__(self, g: GroundSet, generators: list[SparseExactMatrix]):
+    def __init__(self, g: GroundSet):
         n = len(_vertices(g.m))
         orbits = sorted(
             ((array("I", (r * n + c for r, c, _ in mat.entries())), lab)
@@ -479,14 +478,14 @@ class OrbitCoordinates:
         self._labels = labels
         self._positions = positions
         self._identity = {a: 1 for a in sorted(diagonal)}
-        self.generators = self._action_tables(generators)
 
     def _label_lines(self) -> tuple[list, list]:
         """The orbit ids along each row and along each column of the pairs."""
         n, labels = self.n, self._labels
         return [labels[k * n:(k + 1) * n] for k in range(n)], [labels[k::n] for k in range(n)]
 
-    def _action_tables(self, generators: list[SparseExactMatrix]) -> list[ActionTable]:
+    def action_tables(self, generators: list[SparseExactMatrix]) -> list[ActionTable]:
+        """The certified action of each 0/1 generator on the orbit matrices."""
         n = self.n
         label_rows, label_cols = self._label_lines()
         tables = []
@@ -595,6 +594,11 @@ class OrbitCoordinates:
                     vec[idx] = v
             rows.append(vec)
         return SpanBasis.from_reduced_rows(self.n * self.n, rows)
+
+
+@lru_cache(maxsize=8)
+def _orbit_coordinates(m: int) -> OrbitCoordinates:
+    return OrbitCoordinates(GroundSet(m))
 
 
 def _apply(table: tuple[dict[int, int], ...], vec: dict[int, object]) -> dict[int, object]:

@@ -6,10 +6,10 @@ algebra generated by the distance matrices A_0, ..., A_{2m+1} together with
 E*_0, ..., E*_{2m+1}.  build_terwilliger closes under A_1 and the E*_i only
 and then certifies exactly that every other A_i lies in the result, so the
 smaller generating set is checked rather than assumed.  T and its centre
-Z(T) live in orbit coordinates Q^d, d = 4 C(m+4, 4), end to end
-(orbits.OrbitCoordinates): the closure and the centre solve apply certified
-action tables of the generators to the orbit matrices, and their RREF bases
-stay in Q^d.  Only the matrix export lifts T to vectorized n x n matrices.
+Z(T) live in orbit coordinates Q^d, d = 4 C(m+4, 4), end to end, on the
+centralizer's orbits.OrbitCoordinates: the closure and the centre solve apply
+certified action tables of the generators to the orbit matrices, and their
+RREF bases stay in Q^d.  Only the matrix export lifts T to n x n matrices.
 Everything T is generated by lies inside the centralizer algebra of the
 stabilizer of x0: each E*_i is a single diagonal orbit matrix and each
 sandwich E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with
@@ -43,7 +43,8 @@ from .linalg import (
     centralizer_within,
     vectorize,
 )
-from .orbits import BlockTag, CentralizerBasis, OrbitCoordinates, OrbitLabel, orbit_matrix
+from .orbits import ActionTable, BlockTag, CentralizerBasis, OrbitLabel, orbit_matrix
+from .orbits import _orbit_coordinates
 
 
 class IdentityCheck(NamedTuple):
@@ -80,15 +81,12 @@ class TerwilligerAlgebra:
     """The Terwilliger algebra as a closed span in orbit coordinates.
 
     basis is the RREF basis of T in Q^d, one coordinate per orbit matrix.
-    closure, when T was computed rather than loaded, is the run that produced
-    it, and coordinates keeps the certified action tables of
-    closure_generators for center_basis.
+    closure, when T was computed rather than loaded, is the run that produced it.
     """
 
     m: int
     basis: SpanBasis
     closure: ClosureResult | None
-    coordinates: OrbitCoordinates | None = None
 
     @property
     def dimension(self) -> int:
@@ -110,6 +108,11 @@ def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
     return dual_idempotents(g) + [distance_matrices(g)[1]]
 
 
+@lru_cache(maxsize=8)
+def _closure_tables(m: int) -> tuple[ActionTable, ...]:
+    return tuple(_orbit_coordinates(m).action_tables(closure_generators(GroundSet(m))))
+
+
 def build_terwilliger(g: GroundSet, dim_cap: int | None = None) -> TerwilligerAlgebra:
     """T as the closure of closure_generators(g), computed in orbit coordinates.
 
@@ -121,8 +124,8 @@ def build_terwilliger(g: GroundSet, dim_cap: int | None = None) -> TerwilligerAl
     """
     if dim_cap is None:
         dim_cap = default_dim_cap(g.m)
-    coords = OrbitCoordinates(g, closure_generators(g))
-    closure = algebra_closure(coords.generators, dim_cap=dim_cap, action=coords)
+    coords = _orbit_coordinates(g.m)
+    closure = algebra_closure(_closure_tables(g.m), dim_cap=dim_cap, action=coords)
     for i, a_i in enumerate(distance_matrices(g)):
         if i == 1:
             continue
@@ -131,7 +134,7 @@ def build_terwilliger(g: GroundSet, dim_cap: int | None = None) -> TerwilligerAl
             raise NotClosedError(
                 f"A_{i} is not in the algebra generated by A_1 and the E*_i at m={g.m}"
             )
-    return TerwilligerAlgebra(m=g.m, basis=closure.basis, closure=closure, coordinates=coords)
+    return TerwilligerAlgebra(m=g.m, basis=closure.basis, closure=closure)
 
 
 def _sandwich_label(m: int, i: int, transposed: bool) -> OrbitLabel:
@@ -215,7 +218,7 @@ def verify_inclusion(t: TerwilligerAlgebra, cent: CentralizerBasis) -> Inclusion
     vertex pair.  This check confirms that T's rows are expressed in those d
     coordinates; a basis of any other ambient dimension fails at row 0.
     """
-    if t.basis.ambient_dim != len(cent.labels):
+    if t.basis.ambient_dim != cent.dimension:
         return InclusionResult(ok=False, failed_row=0)
     return InclusionResult(ok=True, failed_row=None)
 
@@ -240,7 +243,7 @@ def verify_equality(t: TerwilligerAlgebra, cent: CentralizerBasis) -> EqualityRe
     T's n x n RREF equals the centralizer's exactly when T's RREF in Q^d is
     the identity RREF.
     """
-    d = len(cent.labels)
+    d = cent.dimension
     units = [{a: 1} for a in range(d)]
     in_coordinates = t.basis.ambient_dim == d
     return EqualityResult(
@@ -253,11 +256,7 @@ def verify_equality(t: TerwilligerAlgebra, cent: CentralizerBasis) -> EqualityRe
 def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     """Basis of the center Z(T) in Q^d: the elements of T commuting with the
     generators T is closed under, solved in orbit coordinates."""
-    coords = t.coordinates
-    if coords is None:  # t was loaded from a cache
-        g = GroundSet(t.m)
-        coords = OrbitCoordinates(g, closure_generators(g))
-    return centralizer_within(t.basis, coords.generators, action=coords)
+    return centralizer_within(t.basis, _closure_tables(t.m), action=_orbit_coordinates(t.m))
 
 
 def center_dimension(t: TerwilligerAlgebra) -> int:
@@ -314,16 +313,10 @@ def block_profile(m: int) -> BlockProfile:
 
 
 def subalgebra_spans(cent: CentralizerBasis) -> dict[str, SpanBasis]:
-    """Spans of the three block families: diagonal-size blocks I and IV, and
-    the mixed pair II + III."""
-    groups: dict[str, list[SparseExactMatrix]] = {"I": [], "II+III": [], "IV": []}
-    for lab, mat in zip(cent.labels, cent.matrices):
-        if lab.block is BlockTag.I:
-            groups["I"].append(mat)
-        elif lab.block is BlockTag.IV:
-            groups["IV"].append(mat)
-        else:
-            groups["II+III"].append(mat)
-    from .linalg import span as _span
-
-    return {name: _span(mats) for name, mats in groups.items()}
+    """Spans in Q^d, where orbit a is the unit vector e_a, of the three block
+    families: diagonal-size blocks I and IV, and the mixed pair II + III."""
+    family = {BlockTag.I: "I", BlockTag.II: "II+III", BlockTag.III: "II+III", BlockTag.IV: "IV"}
+    spans = {name: SpanBasis(cent.dimension) for name in ("I", "II+III", "IV")}
+    for a, lab in enumerate(cent.coordinates.orbit_labels):
+        spans[family[lab.block]].insert({a: 1})
+    return spans

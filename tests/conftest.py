@@ -1,8 +1,17 @@
 import pytest
 
+from doubled_odd import orbits as orbits_module
+from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import CheckContext
 
 _contexts: dict[int, CheckContext] = {}
+
+# the per-m memos of the shared orbit coordinates and what is built on them
+_PER_M_MEMOS = (
+    orbits_module._orbit_coordinates,
+    orbits_module._structure_constants,
+    terwilliger_module._closure_tables,
+)
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +24,15 @@ def ctx_for():
         return _contexts[m]
 
     return get
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty the per-m memos before and after the test, so that a test that
+    counts constructions sees them and no entry built on monkeypatched orbit
+    data outlives it."""
+    for memo in _PER_M_MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in _PER_M_MEMOS:
+        memo.cache_clear()

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from doubled_odd import __version__
+from doubled_odd import checks as checks_module
 from doubled_odd.checks import (
     CHECK_IDS,
     CheckContext,
@@ -24,8 +25,15 @@ from doubled_odd.checks import (
 )
 from doubled_odd.cli import main
 from doubled_odd.linalg import SpanBasis, read_coord_text, write_coord_text
-from doubled_odd.orbits import BlockTag, OrbitCoordinates, OrbitLabel, orbit_matrix
+from doubled_odd.orbits import (
+    BlockTag,
+    CentralizerBasis,
+    OrbitCoordinates,
+    OrbitLabel,
+    orbit_matrix,
+)
 from doubled_odd.combinatorics import GroundSet
+from doubled_odd.terwilliger import TerwilligerAlgebra, center_basis
 
 _ALLOWED_PROVENANCE = {"paper-formula", "derived-oracle", "finding-only"}
 
@@ -223,7 +231,7 @@ def test_n2_cache_file_of_format_1_is_a_silent_miss(tmp_path):
     checks = ("terwilliger-dim", "inclusion", "equality", "center-dim")
     expected = _normalized(run(RunConfig(m=1, checks=checks)))
     ctx = CheckContext(1)
-    coords = OrbitCoordinates(ctx.g, [])
+    coords = ctx.centralizer.coordinates
     paths = []
     for kind, basis in (("terwilliger", ctx.terwilliger.basis), ("center", ctx.center)):
         # the entry as format 1 stored it: the RREF of vectorized 6 x 6 matrices
@@ -339,6 +347,21 @@ def test_cli_rejects_unknown_check(capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--out", "--export-dir", "--cache-dir"])
+def test_cli_unwritable_output_path_exits_2(tmp_path, capsys, option):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path, check = {
+        "--out": (tmp_path / "missing" / "report.json", "vertex-count"),
+        "--export-dir": (blocker / "export", "vertex-count"),
+        "--cache-dir": (blocker, "terwilliger-dim"),
+    }[option]
+    assert main(["verify", "--m", "1", "--checks", check, option, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: ")
+
+
 def test_cli_dims(capsys):
     assert main(["dims", "--m", "1"]) == 0
     out = capsys.readouterr().out
@@ -386,3 +409,50 @@ def test_reports_match_the_benchmark_reference(reference, m, every_check):
     for entry in reports:
         del entry["elapsed_ms"]
     assert reports == expected
+
+
+def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monkeypatch, fresh_memos):
+    # no n^2-ambient span outside export_matrices, and one OrbitCoordinates
+    # per m per process, for cold, warm and export runs and a cache-loaded T
+    n2 = 70 ** 2
+    in_export = [False]
+    n2_bases: list[bool] = []  # per n^2-ambient SpanBasis: made inside export_matrices?
+    coords_built: list[GroundSet] = []
+    span_init, coords_init = SpanBasis.__init__, OrbitCoordinates.__init__
+    export = checks_module.export_matrices
+
+    def traced_span_init(self, ambient_dim):
+        if ambient_dim == n2:
+            n2_bases.append(in_export[0])
+        span_init(self, ambient_dim)
+
+    def traced_coords_init(self, g):
+        coords_built.append(g)
+        coords_init(self, g)
+
+    def traced_export(*args, **kwargs):
+        in_export[0] = True
+        try:
+            return export(*args, **kwargs)
+        finally:
+            in_export[0] = False
+
+    monkeypatch.setattr(SpanBasis, "__init__", traced_span_init)
+    monkeypatch.setattr(OrbitCoordinates, "__init__", traced_coords_init)
+    monkeypatch.setattr(checks_module, "export_matrices", traced_export)
+
+    run(RunConfig(m=3))
+    assert (n2_bases, len(coords_built)) == ([], 1)
+    cache = str(tmp_path / "cache")
+    for _ in range(2):  # cold, then warm
+        run(RunConfig(m=3, cache_dir=cache, export_dir=str(tmp_path / "export")))
+    assert n2_bases and all(n2_bases)
+    # the centre of a cache-loaded T takes the path of a built one
+    n2_bases.clear()
+    ctx = CheckContext(3, cache_dir=cache)
+    assert ctx.terwilliger.closure is None
+    assert center_basis(ctx.terwilliger).dimension == 6
+    assert (n2_bases, len(coords_built)) == ([], 1)
+    assert "span" not in CentralizerBasis.__dataclass_fields__
+    assert "coordinates" not in TerwilligerAlgebra.__dataclass_fields__
+    assert not hasattr(ctx.centralizer.coordinates, "generators")

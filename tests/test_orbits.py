@@ -14,9 +14,17 @@ from doubled_odd.combinatorics import (
     mask_of,
     vertex_count,
 )
-from doubled_odd.linalg import NotClosedError, SparseExactMatrix, contains, span
+from doubled_odd.linalg import (
+    NotClosedError,
+    SpanBasis,
+    SparseExactMatrix,
+    contains,
+    span,
+    vectorize,
+)
 from doubled_odd.orbits import (
     BlockTag,
+    IndependenceError,
     OrbitCoordinates,
     OrbitLabel,
     SubalgebraClosureReport,
@@ -153,13 +161,14 @@ def test_centralizer_dimensions():
 def test_centralizer_contains_invariant_matrices():
     g = GroundSet(2)
     cent = build_centralizer(g)
+    cent_span = span(cent.matrices)  # the n^2-ambient oracle
     n = vertex_count(g)
     ones = SparseExactMatrix.from_entries(
         n, n, ((r, c, 1) for r in range(n) for c in range(n))
     )
-    assert contains(cent.span, ones)
-    assert contains(cent.span, adjacency_matrix(g))
-    assert contains(cent.span, SparseExactMatrix.identity(n))
+    assert contains(cent_span, ones)
+    assert contains(cent_span, adjacency_matrix(g))
+    assert contains(cent_span, SparseExactMatrix.identity(n))
     # the adjacency matrix lives in the mixed blocks, not in block I's span
     block_I = span(
         [orbit_matrix(g, lab) for lab in orbit_labels(g) if lab.block is BlockTag.I]
@@ -172,7 +181,66 @@ def test_centralizer_excludes_non_invariant_matrix():
     cent = build_centralizer(g)
     n = vertex_count(g)
     single = SparseExactMatrix.from_entries(n, n, [(0, 1, 1)])
-    assert not contains(cent.span, single)
+    assert not contains(span(cent.matrices), single)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_centralizer_in_orbit_coordinates_lifts_to_the_n2_span(m):
+    # the identity RREF of Q^d lifts to the RREF of the n^2-ambient span of
+    # the orbit matrices, and an elimination finds that span d-dimensional
+    cent = build_centralizer(GroundSet(m))
+    d = cent.dimension
+    cent_span = span(cent.matrices)
+    assert cent_span.dimension == d == 4 * comb(m + 4, 4)
+    identity = SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))
+    assert cent.coordinates.lift(identity) == cent_span
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_orbit_coordinate_membership_agrees_with_the_n2_span(m):
+    # centralizer-dim's test, "constant on every orbit", against membership in
+    # the n^2-ambient span, on products of orbit matrices (inside) and on
+    # single-entry perturbations of them (mostly outside)
+    g = GroundSet(m)
+    cent = build_centralizer(g)
+    cent_span = span(cent.matrices)
+    n, d = vertex_count(g), cent.dimension
+    rng = random.Random(7100 + m)
+    verdicts = []
+    for _ in range(30):
+        product = cent.matrices[rng.randrange(d)] @ cent.matrices[rng.randrange(d)]
+        entry = (rng.randrange(n), rng.randrange(n), rng.choice((1, -1, 2)))
+        bump = SparseExactMatrix.from_entries(n, n, [entry])
+        for mat in (product, product + bump):
+            inside = cent.coordinates.coordinates(vectorize(mat)) is not None
+            assert inside == contains(cent_span, mat)
+            verdicts.append(inside)
+    assert set(verdicts) == {True, False}
+
+
+def test_a_closed_form_label_without_a_pair_is_rejected(monkeypatch):
+    # dim = number of orbits needs every orbit matrix to be nonzero; I:1,1,1,0
+    # is no orbit at m = 1 (x0 = {1} lies in y and z, so |x0 n y n z| = 1)
+    labels = orbits_module._orbit_labels(1) + (OrbitLabel(BlockTag.I, (1, 1, 1, 0)),)
+    monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: labels)
+    monkeypatch.setattr(orbits_module, "_orbit_matrices", orbits_module._orbit_matrices.__wrapped__)
+    with pytest.raises(IndependenceError, match="I:1,1,1,0 has an empty orbit"):
+        build_centralizer(GroundSet(1))
+
+
+def test_build_centralizer_rejects_orbits_that_overlap(monkeypatch, fresh_memos):
+    # dim = number of orbits needs disjoint supports: add to one orbit matrix
+    # a pair of another, which leaves the matrices independent
+    g = GroundSet(1)
+    n = vertex_count(g)
+    mats = dict(orbits_module._orbit_matrices(1))
+    a, b = OrbitLabel(BlockTag.I, (0, 0, 0, 0)), OrbitLabel(BlockTag.I, (0, 1, 0, 0))
+    r, c, _ = next(mats[b].entries())
+    mats[a] = mats[a] + SparseExactMatrix.from_entries(n, n, [(r, c, 1)])
+    assert span(mats.values()).dimension == len(mats)
+    monkeypatch.setattr(orbits_module, "_orbit_matrices", lambda _m: mats)
+    with pytest.raises(NotClosedError, match="partition"):
+        build_centralizer(g)
 
 
 def test_diagonal_subalgebras_closed_mixed_fails():
@@ -247,7 +315,7 @@ def test_structure_constants_match_the_products_of_orbit_matrices():
     for m in (1, 2):
         g = GroundSet(m)
         n = vertex_count(g)
-        consts = OrbitCoordinates(g, []).structure_constants()
+        consts = OrbitCoordinates(g).structure_constants()
         mats = [orbit_matrix(g, lab) for lab in consts.labels]
         d = len(mats)
         counts = [Counter(keys) for keys in consts.keys]
@@ -273,7 +341,7 @@ def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
     square = merged @ merged
     assert {square.get(r, c) for r, c, _ in merged.entries()} == {0, 1}
     monkeypatch.setattr(orbits_module, "_orbit_matrices", lambda _m: mats)
-    coords = OrbitCoordinates(g, [])  # still a partition with the identity in it
+    coords = OrbitCoordinates(g)  # still a partition with the identity in it
     with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
         coords.structure_constants()
 

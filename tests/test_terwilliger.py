@@ -25,7 +25,7 @@ from doubled_odd.linalg import (
 )
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
-from doubled_odd.orbits import OrbitCoordinates
+from doubled_odd.orbits import BlockTag, OrbitCoordinates
 from doubled_odd.terwilliger import (
     TerwilligerAlgebra,
     block_profile,
@@ -48,7 +48,7 @@ from doubled_odd.terwilliger import (
 
 def _lifted(g, basis):
     # the n^2-ambient RREF of a basis kept in orbit coordinates
-    return OrbitCoordinates(g, []).lift(basis)
+    return orbits_module._orbit_coordinates(g.m).lift(basis)
 
 
 def test_dual_idempotents_are_sphere_indicators():
@@ -133,17 +133,17 @@ def test_inclusion_and_equality(ctx_for):
         assert res.dims_equal and res.orbit_matrices_in_t and res.identical_rref
 
 
-def _n2_inclusion(t_basis, cent):
+def _n2_inclusion(t_basis, cent_span):
     # the n^2-ambient comparison: every T row in the span of the orbit matrices
-    return all(cent.span.contains_vector(row) for row in t_basis.rows)
+    return all(cent_span.contains_vector(row) for row in t_basis.rows)
 
 
-def _n2_equality(t_basis, cent):
+def _n2_equality(t_basis, cent, cent_span):
     # the n^2-ambient comparisons: (dims_equal, orbit_matrices_in_T, identical_rref)
     return (
-        t_basis.dimension == cent.dimension,
+        t_basis.dimension == cent_span.dimension,
         all(contains(t_basis, mat) for mat in cent.matrices),
-        t_basis == cent.span,
+        t_basis == cent_span,
     )
 
 
@@ -151,23 +151,24 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
     for m in (1, 2, 3):
         ctx = ctx_for(m)
         t, cent = ctx.terwilliger, ctx.centralizer
-        t_basis = t.coordinates.lift(t.basis)
-        assert t_basis == cent.span
-        assert verify_inclusion(t, cent).ok == _n2_inclusion(t_basis, cent) is True
-        assert tuple(verify_equality(t, cent)) == _n2_equality(t_basis, cent) == (True,) * 3
+        cent_span = span(cent.matrices)  # the n^2-ambient oracle
+        t_basis = cent.coordinates.lift(t.basis)
+        assert t_basis == cent_span
+        assert verify_inclusion(t, cent).ok == _n2_inclusion(t_basis, cent_span) is True
+        assert tuple(verify_equality(t, cent)) == _n2_equality(t_basis, cent, cent_span) == (True,) * 3
         # T without one of its rows is a proper subspace of the centralizer
         rows = t.basis.rows
         del rows[len(rows) // 2]
         smaller = TerwilligerAlgebra(m, SpanBasis.from_reduced_rows(t.basis.ambient_dim, rows), None)
-        assert verify_inclusion(smaller, cent).ok == _n2_inclusion(_lifted(ctx.g, smaller.basis), cent)
-        assert tuple(verify_equality(smaller, cent)) == _n2_equality(_lifted(ctx.g, smaller.basis), cent)
+        assert verify_inclusion(smaller, cent).ok == _n2_inclusion(_lifted(ctx.g, smaller.basis), cent_span)
+        assert tuple(verify_equality(smaller, cent)) == _n2_equality(_lifted(ctx.g, smaller.basis), cent, cent_span)
         assert tuple(verify_equality(smaller, cent)) == (False,) * 3
 
 
 def test_checks_in_orbit_coordinates_reject_a_basis_of_another_ambient(ctx_for):
     ctx = ctx_for(1)
     t, cent = ctx.terwilliger, ctx.centralizer
-    lifted = TerwilligerAlgebra(1, t.coordinates.lift(t.basis), None)
+    lifted = TerwilligerAlgebra(1, cent.coordinates.lift(t.basis), None)
     assert verify_inclusion(lifted, cent) == (False, 0)
     res = verify_equality(lifted, cent)
     assert not res.orbit_matrices_in_t and not res.identical_rref
@@ -249,8 +250,9 @@ def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
         gens = closure_generators(ctx.g)
         ambient = algebra_closure(gens)
         assert ambient.iterations == t.closure.iterations == t.dimension * len(gens)
-        assert ambient.basis == t.coordinates.lift(t.basis)
-        assert centralizer_within(ambient.basis, gens) == t.coordinates.lift(ctx.center)
+        coords = ctx.centralizer.coordinates
+        assert ambient.basis == coords.lift(t.basis)
+        assert centralizer_within(ambient.basis, gens) == coords.lift(ctx.center)
 
 
 def test_center_of_a_cached_terwilliger_basis():
@@ -269,10 +271,11 @@ def test_action_tables_reject_a_generator_not_constant_on_orbits():
     # one diagonal unit of the sphere: the other two sphere vertices lie in
     # the same orbits but see a zero row
     unit = SparseExactMatrix.from_entries(n, n, [(sphere1[0], sphere1[0], 1)])
+    coords = OrbitCoordinates(g)
     with pytest.raises(NotClosedError):
-        OrbitCoordinates(g, [unit])
+        coords.action_tables([unit])
     # the whole sphere indicator is constant on orbits
-    assert len(OrbitCoordinates(g, [dual_idempotent(g, 1)]).generators) == 1
+    assert len(coords.action_tables([dual_idempotent(g, 1)])) == 1
 
 
 def test_orbit_coordinates_require_a_partition_of_the_pairs(monkeypatch):
@@ -281,7 +284,7 @@ def test_orbit_coordinates_require_a_partition_of_the_pairs(monkeypatch):
     mats.popitem()
     monkeypatch.setattr(orbits_module, "_orbit_matrices", lambda _m: mats)
     with pytest.raises(NotClosedError, match="partition"):
-        OrbitCoordinates(g, [])
+        OrbitCoordinates(g)
 
 
 def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits(monkeypatch):
@@ -293,12 +296,12 @@ def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits(monkeypatc
     mats[diagonal] = mats[diagonal] + mats.pop(other)
     monkeypatch.setattr(orbits_module, "_orbit_matrices", lambda _m: mats)
     with pytest.raises(NotClosedError, match="identity"):
-        OrbitCoordinates(g, [])
+        OrbitCoordinates(g)
 
 
 def test_orbit_coordinates_reject_a_matrix_not_constant_on_orbits():
     g = GroundSet(1)
-    coords = OrbitCoordinates(g, [])
+    coords = OrbitCoordinates(g)
     n = vertex_count(g)
     assert coords.coordinates(vectorize(SparseExactMatrix.identity(n))) == coords.identity()
     # ({2}, {3}) shares its orbit with ({3}, {2})
@@ -341,6 +344,19 @@ def test_subalgebra_span_dimensions(ctx_for):
         assert spans["II+III"].dimension == 2 * quarter
 
 
+def test_subalgebra_spans_lift_to_the_n2_family_spans(ctx_for):
+    # direct-sum's unit-vector spans in Q^d against the n^2-ambient spans of
+    # each family's orbit matrices
+    families = {"I": {BlockTag.I}, "II+III": {BlockTag.II, BlockTag.III}, "IV": {BlockTag.IV}}
+    for m in (1, 2, 3):
+        cent = ctx_for(m).centralizer
+        spans = subalgebra_spans(cent)
+        assert set(spans) == set(families)
+        for name, blocks in families.items():
+            oracle = span(mat for lab, mat in zip(cent.labels, cent.matrices) if lab.block in blocks)
+            assert cent.coordinates.lift(spans[name]) == oracle
+
+
 def test_algebra_closure_idempotent(ctx_for):
     # regrowing the algebra from its own reduced basis does not enlarge it
     ctx = ctx_for(1)
@@ -376,7 +392,7 @@ def test_generator_closure_matches_pairwise_product_oracle():
         assert _lifted(g, build_terwilliger(g).basis) == oracle
 
 
-def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeypatch):
+def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeypatch, fresh_memos):
     g = GroundSet(1)
     t = build_terwilliger(g)
     sphere1 = [r for r, _, _ in dual_idempotent(g, 1).entries()]
