@@ -26,7 +26,7 @@ import os
 import random
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -116,8 +116,9 @@ class ConfigError(ValueError):
 class RunConfig:
     """Configuration of one verification run.
 
-    checks=None means every check applicable at m.  m is limited to [1, 4]
-    unless allow_m5 opts into the (slow) m = 5 computations.
+    checks=None means every check applicable at m; an explicit check that
+    is unknown or not applicable at m raises ConfigError.  m is limited to
+    [1, 4] unless allow_m5 opts into the (slow) m = 5 computations.
     """
 
     m: int
@@ -133,10 +134,10 @@ class RunConfig:
         if not 1 <= self.m <= top:
             hint = " (pass allow_m5 to enable m = 5)" if self.m == 5 else ""
             raise ConfigError(f"m={self.m} outside the supported range [1, {top}]{hint}")
-        if self.checks is not None:
-            for name in self.checks:
-                if name not in CHECK_IDS:
-                    raise ConfigError(f"unknown check {name!r}")
+        for name in self.checks or ():
+            # applicable raises ConfigError for an unknown check
+            if not applicable(name, self.m):
+                raise ConfigError(f"check {name!r} is not applicable at m={self.m}")
 
 
 @dataclass
@@ -380,7 +381,8 @@ def _check_orbits_oracle(ctx: CheckContext):
 def _check_centralizer_dim(ctx: CheckContext):
     g = ctx.g
     cent = ctx.centralizer
-    mats = cent.matrices
+    by_label = orbit_matrices(g)
+    mats = [by_label[lab] for lab in orbit_labels(g)]
     d = len(mats)
     if g.m <= 2:
         pairs = [(a, b) for a in range(d) for b in range(d)]
@@ -557,13 +559,10 @@ def _check_psi(ctx: CheckContext):
 def run(cfg: RunConfig, progress: Callable[[str], None] | None = None) -> list[VerificationReport]:
     """Execute the configured checks in registry order and return reports.
 
-    Explicitly requested checks that are not applicable at cfg.m raise
-    ConfigError; under the default selection they are simply skipped.
+    Checks not applicable at cfg.m are skipped under the default selection;
+    RunConfig rejects them when they are requested explicitly.
     """
     if cfg.checks is not None:
-        for name in cfg.checks:
-            if not applicable(name, cfg.m):
-                raise ConfigError(f"check {name!r} is not applicable at m={cfg.m}")
         selected = set(cfg.checks)
     else:
         selected = {name for name in CHECK_IDS if applicable(name, cfg.m)}

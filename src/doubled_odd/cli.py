@@ -11,8 +11,8 @@ least one check failed, 2 on a configuration error or an unwritable path.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
 from .checks import (
     CHECK_IDS,
@@ -81,13 +81,26 @@ def main(argv: list[str] | None = None) -> int:
                 export_dir=args.export_dir,
                 allow_m5=args.allow_m5,
             )
-            reports = run(cfg, progress=lambda line: print(line, file=sys.stderr))
-            text = render_reports(reports)
-            if args.out is not None:
-                Path(args.out).write_text(text)
-                print(f"report written to {args.out}", file=sys.stderr)
-            else:
+            # open the report file before any check runs, so that an
+            # unwritable path fails at once; a run that fails removes it
+            out = None if args.out is None else open(args.out, "w")
+            try:
+                reports = run(cfg, progress=lambda line: print(line, file=sys.stderr))
+                text = render_reports(reports)
+                if out is not None:
+                    out.write(text)
+            except BaseException:
+                if out is not None:
+                    out.close()
+                    os.remove(args.out)
+                raise
+            finally:
+                if out is not None:
+                    out.close()
+            if out is None:
                 sys.stdout.write(text)
+            else:
+                print(f"report written to {args.out}", file=sys.stderr)
             return 1 if any(r.status == "fail" for r in reports) else 0
 
         if args.command == "dims":

@@ -21,7 +21,7 @@ from collections import deque
 from functools import lru_cache
 from math import comb
 
-from .combinatorics import GroundSet, _vertices, _vertex_index, distance_matrix
+from .combinatorics import GroundSet, _vertices, distance_matrix
 from .linalg import SparseExactMatrix
 from .terwilliger import IdentityCheck, dual_idempotent
 

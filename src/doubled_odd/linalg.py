@@ -8,10 +8,11 @@ matrices are kept in fully reduced row echelon form, so a subspace has exactly
 one representation and basis comparisons are plain equality.
 
 algebra_closure and centralizer_within work on stored vectors of any ambient
-space Q^D through a generator action: MatrixAction multiplies vectorized
-n x n matrices, and orbits.OrbitCoordinates applies certified action tables
-in the d-dimensional coordinates of the orbit matrices.  SpanBasis is the
-one exact elimination routine: the closure grows a SpanBasis, and
+space Q^D through a generator action, which the caller passes: the package
+passes orbits.OrbitCoordinates, which applies certified action tables in the
+d-dimensional coordinates of the orbit matrices, and the tests pass an
+action that multiplies vectorized n x n matrices, as an oracle.  SpanBasis
+is the one exact elimination routine: the closure grows a SpanBasis, and
 centralizer_within inserts its commutator equations into one and reads the
 centre off SpanBasis.null_space.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from pathlib import Path
 from typing import Protocol
 
@@ -383,7 +383,7 @@ class GeneratorAction(Protocol):
 
     identity() is the vector of the identity element; left(g, vec) and
     right(g, vec) are the vectors of g x and x g for the element x stored as
-    vec.  An action may also define product(u, v), the vector of x y.
+    vec.
     """
 
     ambient_dim: int
@@ -393,37 +393,6 @@ class GeneratorAction(Protocol):
     def left(self, g, vec: dict[int, object]) -> dict[int, object]: ...
 
     def right(self, g, vec: dict[int, object]) -> dict[int, object]: ...
-
-
-class MatrixAction:
-    """n x n matrices acting on row-major vectorized n x n matrices by products."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.ambient_dim = n * n
-
-    @classmethod
-    def of(cls, matrices: list[SparseExactMatrix]) -> "MatrixAction":
-        n = matrices[0].nrows
-        for mat in matrices:
-            if mat.nrows != n or mat.ncols != n:
-                raise ShapeMismatchError("generators must be square matrices of one size")
-        return cls(n)
-
-    def _matrix(self, vec: dict[int, object]) -> SparseExactMatrix:
-        return matrix_from_vector(vec, self.n, self.n)
-
-    def identity(self) -> dict[int, object]:
-        return vectorize(SparseExactMatrix.identity(self.n))
-
-    def left(self, g: SparseExactMatrix, vec: dict[int, object]) -> dict[int, object]:
-        return vectorize(g @ self._matrix(vec))
-
-    def right(self, g: SparseExactMatrix, vec: dict[int, object]) -> dict[int, object]:
-        return vectorize(self._matrix(vec) @ g)
-
-    def product(self, u: dict[int, object], v: dict[int, object]) -> dict[int, object]:
-        return vectorize(self._matrix(u) @ self._matrix(v))
 
 
 @dataclass
@@ -444,14 +413,13 @@ class ClosureResult:
 
 def algebra_closure(
     generators: Iterable,
+    action: GeneratorAction,
     dim_cap: int | None = None,
-    action: GeneratorAction | None = None,
 ) -> ClosureResult:
     """The algebra generated by the identity and the generators.
 
-    action says how a generator acts on a stored vector; the default is
-    MatrixAction, for square SparseExactMatrix generators of one size.
-    Starts from span{I} and keeps a worklist of basis representatives: each
+    action says how a generator acts on a stored vector.  Starts from
+    span{I} and keeps a worklist of basis representatives: each
     representative r that enters the span is queued once, and g r is adjoined
     for every generator g.  Each adjoined vector is stored in its reduced,
     frozen form and never revised, which keeps later products sparse.
@@ -472,8 +440,6 @@ def algebra_closure(
     gens = list(generators)
     if not gens:
         raise ValueError("algebra_closure needs at least one generator")
-    if action is None:
-        action = MatrixAction.of(gens)
     if dim_cap is None:
         dim_cap = action.ambient_dim
 
@@ -507,19 +473,16 @@ def algebra_closure(
 def centralizer_within(
     basis: SpanBasis,
     generators: Iterable,
-    action: GeneratorAction | None = None,
+    action: GeneratorAction,
 ) -> SpanBasis:
     """The center of the algebra spanned by basis and generated by generators.
 
-    action says how a generator acts on a stored vector; the default is
-    MatrixAction on vectorized square matrices.  The span must be closed
-    under multiplication and be generated, together with the identity, by
-    the given generators.  The coordinate solves raise NotClosedError when
-    g x or x g leaves the span; when the action also has a product, a 3 x 3
-    spot check of products of basis elements catches a span that is not
-    closed under its own products.  (Spans in orbit coordinates come from
-    algebra_closure, closed by its word argument.)  The generating property
-    is the caller's to guarantee.  Every equation of (L_g - R_g) x = 0 over
+    action says how a generator acts on a stored vector.  The span must be
+    closed under multiplication and be generated, together with the
+    identity, by the given generators; the coordinate solves raise
+    NotClosedError when g x or x g leaves the span.  (Spans in orbit
+    coordinates come from algebra_closure, closed by its word argument.)
+    The generating property is the caller's to guarantee.  Every equation of (L_g - R_g) x = 0 over
     the d basis coordinates, for every generator g, is inserted into one
     SpanBasis of Q^d; its null_space is the solution set, returned as a span
     in the ambient space of basis.
@@ -531,24 +494,11 @@ def centralizer_within(
     gens = list(generators)
     d = basis.dimension
     ambient = basis.ambient_dim
-    if action is None:
-        n = isqrt(ambient)
-        if n * n != ambient:
-            raise ValueError(f"ambient dimension {ambient} is not a perfect square")
-        action = MatrixAction(n)
-    elif action.ambient_dim != ambient:
+    if action.ambient_dim != ambient:
         raise ShapeMismatchError(
             f"action on dimension {action.ambient_dim} against ambient {ambient}"
         )
     rows = basis.rows
-
-    product = getattr(action, "product", None)
-    if product is not None:
-        spot = min(d, 3)
-        for i in range(spot):
-            for j in range(spot):
-                if not basis.contains_vector(product(rows[i], rows[j])):
-                    raise NotClosedError("basis fails a multiplicative closure spot check")
 
     def coords_of(vec: dict[int, object]) -> dict[int, object]:
         # {pivot column: coefficient}; pivot columns sort like basis rows

@@ -16,6 +16,11 @@ with disjoint supports, hence independent, and form a basis of the
 centralizer algebra of the stabilizer action; that algebra therefore has
 dimension 4 C(m+4, 4).
 
+The orbit of every pair is decided in one place, _pair_index: one labelled
+pass over the pairs, certified by "labels met = closed-form labels".
+OrbitCoordinates and the orbit matrices (built only where a check needs
+them) are views of it.
+
 The closed forms are production code; an independent union-find oracle that
 grinds out the orbits from explicit group generators lives alongside for the
 verification harness to compare against.
@@ -84,6 +89,9 @@ def parse_label(text: str) -> OrbitLabel:
     return OrbitLabel(block, parts)
 
 
+_BLOCKS = (BlockTag.I, BlockTag.II, BlockTag.III, BlockTag.IV)
+
+
 class IndependenceError(RuntimeError):
     """The orbit indicator matrices failed to be linearly independent."""
 
@@ -99,11 +107,7 @@ def rho(x0: int, y: int, z: int) -> tuple[int, int, int, int]:
 
 
 def block_of_pair(m: int, y: int, z: int) -> BlockTag:
-    ybig = y.bit_count() > m
-    zbig = z.bit_count() > m
-    if ybig:
-        return BlockTag.IV if zbig else BlockTag.III
-    return BlockTag.II if zbig else BlockTag.I
+    return _BLOCKS[2 * (y.bit_count() > m) + (z.bit_count() > m)]
 
 
 @lru_cache(maxsize=64)
@@ -190,7 +194,7 @@ def tuple_bijection(
 @lru_cache(maxsize=16)
 def _orbit_labels(m: int) -> tuple[OrbitLabel, ...]:
     labels = []
-    for block in (BlockTag.I, BlockTag.II, BlockTag.III, BlockTag.IV):
+    for block in _BLOCKS:
         for tup in sorted(_index_set(block, m)):
             labels.append(OrbitLabel(block, tup))
     return tuple(labels)
@@ -201,31 +205,77 @@ def orbit_labels(g: GroundSet) -> list[OrbitLabel]:
     return list(_orbit_labels(g.m))
 
 
+class PairIndex(NamedTuple):
+    """orbit_of[y * n + z] is the orbit of the vertex pair (y, z); orbit a
+    has label labels[a] and the ascending row-major pair positions
+    positions[a].  Orbits are numbered by their first pair."""
+
+    n: int
+    labels: tuple[OrbitLabel, ...]
+    orbit_of: array
+    positions: tuple[array, ...]
+
+
 @lru_cache(maxsize=8)
-def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
-    g = GroundSet(m)
+def _pair_index(m: int) -> PairIndex:
+    """The one place that decides which orbit a vertex pair is in.
+
+    One row-major pass encodes each pair's label (block, rho) as one int and
+    numbers the labels as they are first met.  The labels met must be the
+    closed-form labels: a pair labelled outside the closed form raises
+    NotClosedError (the closed-form orbits would not partition the pairs),
+    and a closed-form label that no pair carries raises IndependenceError.
+    """
     verts = _vertices(m)
     n = len(verts)
-    half = comb(g.n_points, m)
-    x0 = g.base_vertex
-    rows_by_label: dict[OrbitLabel, dict[int, dict[int, object]]] = {
-        lab: {} for lab in _orbit_labels(m)
-    }
-    blocks = (BlockTag.I, BlockTag.II, BlockTag.III, BlockTag.IV)
+    half = comb(2 * m + 1, m)
+    x0 = GroundSet(m).base_vertex
+    base = m + 2
+    # key = (((block * base + i) * base + j) * base + t) * base + p, where
+    # block = 2 [|y| = m + 1] + [|z| = m + 1]
+    z_keys = [(zi >= half) * base ** 4 + (x0 & z).bit_count() * base ** 2
+              for zi, z in enumerate(verts)]
+    ids: dict[int, int] = {}
+    first_seen = ids.setdefault
+    orbit_of = array("H")
     for yi, y in enumerate(verts):
-        ybig = 2 if yi >= half else 0
-        iy = (x0 & y).bit_count()
-        for zi, z in enumerate(verts):
-            block = blocks[ybig + (1 if zi >= half else 0)]
-            lab = OrbitLabel(
-                block,
-                (iy, (x0 & z).bit_count(), (y & z).bit_count(), (x0 & y & z).bit_count()),
+        y_key = (yi >= half) * 2 * base ** 4 + (x0 & y).bit_count() * base ** 3
+        x0y = x0 & y
+        orbit_of.extend([
+            first_seen(y_key + z_key + (y & z).bit_count() * base + (x0y & z).bit_count(), len(ids))
+            for z, z_key in zip(verts, z_keys)
+        ])
+    positions = tuple(array("I") for _ in ids)
+    append = [pos.append for pos in positions]
+    for idx, a in enumerate(orbit_of):
+        append[a](idx)
+    # all pairs of an orbit share its key, so its first pair gives its label
+    firsts = [(verts[pos[0] // n], verts[pos[0] % n]) for pos in positions]
+    labels = tuple(OrbitLabel(block_of_pair(m, y, z), rho(x0, y, z)) for y, z in firsts)
+    met, closed = set(labels), set(_orbit_labels(m))
+    for lab in labels:
+        if lab not in closed:
+            raise NotClosedError(
+                f"a vertex pair has label {lab.text()}, which is not closed-form: "
+                f"the closed-form orbits do not partition the vertex pairs"
             )
-            rows_by_label[lab].setdefault(yi, {})[zi] = 1
-    out = {}
-    for lab, rows in rows_by_label.items():
-        if not rows:
+    for lab in _orbit_labels(m):
+        if lab not in met:
             raise IndependenceError(f"closed-form label {lab.text()} has an empty orbit")
+    return PairIndex(n, labels, orbit_of, positions)
+
+
+@lru_cache(maxsize=8)
+def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
+    # a view of the pair index, keyed in its orbit order
+    index = _pair_index(m)
+    n = index.n
+    out = {}
+    for lab, positions in zip(index.labels, index.positions):
+        rows: dict[int, dict[int, object]] = {}
+        for idx in positions:
+            y, z = divmod(idx, n)
+            rows.setdefault(y, {})[z] = 1
         out[lab] = SparseExactMatrix(n, n, rows)
     return out
 
@@ -330,23 +380,20 @@ class CentralizerBasis:
 
     m: int
     labels: tuple[OrbitLabel, ...]
-    matrices: tuple[SparseExactMatrix, ...]
     coordinates: OrbitCoordinates
 
     @property
     def dimension(self) -> int:
-        return len(self.matrices)
+        return len(self.labels)
 
 
 def build_centralizer(g: GroundSet) -> CentralizerBasis:
-    """Assemble the orbit matrices and certify that they are a basis: every
-    closed-form label has a nonempty orbit (else IndependenceError), the
-    orbits partition the n^2 vertex pairs (else NotClosedError), and nonzero
-    matrices with disjoint supports are independent."""
-    labels = _orbit_labels(g.m)
-    mats = _orbit_matrices(g.m)
-    matrices = tuple(mats[lab] for lab in labels)
-    return CentralizerBasis(g.m, labels, matrices, _orbit_coordinates(g.m))
+    """The orbit-matrix basis in the closed-form label order, certified by
+    the pair index: every pair lies in exactly one orbit, the labels met are
+    the closed-form labels (else NotClosedError or IndependenceError), and
+    nonzero matrices with disjoint supports are independent.  No orbit
+    matrix is built."""
+    return CentralizerBasis(g.m, _orbit_labels(g.m), _orbit_coordinates(g.m))
 
 
 @dataclass(frozen=True)
@@ -435,46 +482,31 @@ class ActionTable(NamedTuple):
 
 
 class OrbitCoordinates:
-    """Orbit coordinates Q^d on a certified pair index.
+    """Orbit coordinates Q^d on the pair index.
 
     Orbits are numbered by the row-major position of their first vertex pair,
     so an RREF basis in Q^d lifts entry for entry to the RREF basis of the
     same span of n x n matrices; in particular the identity RREF of Q^d
     lifts to the RREF of the span of all orbit matrices.  Nothing assumes
-    that the orbit matrices form a coherent configuration: the orbits are
-    checked to partition all n^2 pairs, the identity is checked to be a sum
-    of orbit matrices, and every entry of action_tables is read off all
-    pairs of its orbit and checked to be the same on each of them
-    (NotClosedError otherwise).  An instance is the action algebra_closure
-    and centralizer_within need, with tables from action_tables as its
-    generators.  orbit_labels[a] is the label of orbit a, and
-    structure_constants() certifies the products of orbit matrices the same
-    way, on every pair of every orbit.
+    that the orbit matrices form a coherent configuration: the identity is
+    checked to be a sum of orbit matrices, and every entry of action_tables
+    is read off all pairs of its orbit and checked to be the same on each of
+    them (NotClosedError otherwise).  An instance is the action
+    algebra_closure and centralizer_within need, with tables from
+    action_tables as its generators.  orbit_labels[a] is the label of orbit
+    a, and structure_constants() certifies the products of orbit matrices
+    the same way, on every pair of every orbit.
     """
 
     def __init__(self, g: GroundSet):
-        n = len(_vertices(g.m))
-        orbits = sorted(
-            ((array("I", (r * n + c for r, c, _ in mat.entries())), lab)
-             for lab, mat in _orbit_matrices(g.m).items()),
-            key=lambda orbit: orbit[0][0],
-        )
-        positions = [pos for pos, _ in orbits]
-        d = len(positions)
-        if d >= 0xFFFF:
-            raise ValueError(f"{d} orbits do not fit the pair index")
-        labels = array("H", [0xFFFF]) * (n * n)
-        for a, pos in enumerate(positions):
-            for idx in pos:
-                labels[idx] = a
-        if sum(map(len, positions)) != n * n or labels.count(0xFFFF):
-            raise NotClosedError("the orbits do not partition the vertex pairs")
+        index = _pair_index(g.m)
+        n, labels, positions = index.n, index.orbit_of, index.positions
         diagonal = {labels[i * (n + 1)] for i in range(n)}
         if sum(len(positions[a]) for a in diagonal) != n:
             raise NotClosedError("the identity is not a sum of orbit matrices")
         self.n = n
-        self.ambient_dim = d
-        self.orbit_labels = tuple(lab for _, lab in orbits)
+        self.ambient_dim = len(positions)
+        self.orbit_labels = index.labels
         self._labels = labels
         self._positions = positions
         self._identity = {a: 1 for a in sorted(diagonal)}

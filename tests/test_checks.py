@@ -10,6 +10,7 @@ import pytest
 
 from doubled_odd import __version__
 from doubled_odd import checks as checks_module
+from doubled_odd import orbits as orbits_module
 from doubled_odd.checks import (
     CHECK_IDS,
     CheckContext,
@@ -337,9 +338,14 @@ def test_cli_rejects_bad_m(capsys):
     assert "outside the supported range" in err
 
 
-def test_cli_rejects_inapplicable_check(capsys):
+def test_cli_rejects_inapplicable_check(tmp_path, capsys):
     assert main(["verify", "--m", "4", "--checks", "distance-regular"]) == 2
     assert "not applicable" in capsys.readouterr().err
+    # a configuration error leaves no report file behind
+    out = tmp_path / "report.json"
+    assert main(["verify", "--m", "4", "--checks", "distance-regular", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_rejects_unknown_check(capsys):
@@ -356,10 +362,18 @@ def test_cli_unwritable_output_path_exits_2(tmp_path, capsys, option):
         "--export-dir": (blocker / "export", "vertex-count"),
         "--cache-dir": (blocker, "terwilliger-dim"),
     }[option]
-    assert main(["verify", "--m", "1", "--checks", check, option, str(path)]) == 2
+    args = ["verify", "--m", "1", "--checks", check, option, str(path)]
+    report = tmp_path / "report.json"
+    if option != "--out":
+        args += ["--out", str(report)]
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("error: ")
+    if option == "--out":  # the report path fails before any check runs
+        assert len(err.splitlines()) == 1
+    # a run that stops on an error leaves no report file behind
+    assert not report.exists()
 
 
 def test_cli_dims(capsys):
@@ -454,5 +468,24 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
     assert center_basis(ctx.terwilliger).dimension == 6
     assert (n2_bases, len(coords_built)) == ([], 1)
     assert "span" not in CentralizerBasis.__dataclass_fields__
+    assert "matrices" not in CentralizerBasis.__dataclass_fields__
     assert "coordinates" not in TerwilligerAlgebra.__dataclass_fields__
     assert not hasattr(ctx.centralizer.coordinates, "generators")
+
+
+def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
+    # the orbit matrices are a view of the pair index for the checks that
+    # multiply n x n matrices; T, Z(T) and their comparisons never make them
+    calls = []
+    view = orbits_module._orbit_matrices
+
+    def traced_view(m):
+        calls.append(m)
+        return view(m)
+
+    monkeypatch.setattr(orbits_module, "_orbit_matrices", traced_view)
+    reports = run(RunConfig(m=3, checks=("terwilliger-dim", "inclusion", "equality", "center-dim")))
+    assert [r.status for r in reports] == ["pass"] * 4
+    assert calls == []
+    run(RunConfig(m=3, checks=("centralizer-dim",)))
+    assert calls == [3]

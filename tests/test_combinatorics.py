@@ -1,7 +1,6 @@
 """Vertex enumeration, distances and intersection numbers at small m."""
 
 from collections import deque
-from math import comb
 
 import pytest
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import MatrixAction
 
 from doubled_odd.combinatorics import GroundSet
 from doubled_odd.terwilliger import dual_idempotents
@@ -206,7 +207,7 @@ def test_span_trivial_cases():
 
 
 def test_closure_of_identity_alone():
-    result = algebra_closure([SparseExactMatrix.identity(3)])
+    result = algebra_closure([SparseExactMatrix.identity(3)], MatrixAction(3))
     assert result.basis.dimension == 1
     assert result.stabilized
 
@@ -214,13 +215,13 @@ def test_closure_of_identity_alone():
 def test_closure_of_orthogonal_idempotents():
     for m in (1, 2):
         idems = dual_idempotents(GroundSet(m))
-        result = algebra_closure(idems)
+        result = algebra_closure(idems, MatrixAction.of(idems))
         assert result.basis.dimension == 2 * m + 2
 
 
 def test_closure_of_nilpotent_shift():
     shift = SparseExactMatrix.from_entries(3, 3, [(0, 1, 1), (1, 2, 1)])
-    result = algebra_closure([shift])
+    result = algebra_closure([shift], MatrixAction(3))
     # identity, N and N^2
     assert result.basis.dimension == 3
     assert result.stabilized
@@ -231,7 +232,7 @@ def test_closure_of_nilpotent_shift():
 
 def test_closure_generates_full_matrix_algebra():
     e12, e21 = _unit(2, 0, 1), _unit(2, 1, 0)
-    result = algebra_closure([e12, e21])
+    result = algebra_closure([e12, e21], MatrixAction(2))
     assert result.basis.dimension == 4
     assert result.stabilized
 
@@ -239,15 +240,15 @@ def test_closure_generates_full_matrix_algebra():
 def test_closure_dim_cap():
     e12, e21 = _unit(2, 0, 1), _unit(2, 1, 0)
     with pytest.raises(DimCapExceededError):
-        algebra_closure([e12, e21], dim_cap=3)
-    result = algebra_closure([e12, e21], dim_cap=4)
+        algebra_closure([e12, e21], MatrixAction(2), dim_cap=3)
+    result = algebra_closure([e12, e21], MatrixAction(2), dim_cap=4)
     assert result.basis.dimension == 4
 
 
 def test_centralizer_of_full_matrix_algebra_is_scalars():
     gens = [_unit(2, 0, 1), _unit(2, 1, 0)]
-    full = algebra_closure(gens).basis
-    center = centralizer_within(full, gens)
+    full = algebra_closure(gens, MatrixAction.of(gens)).basis
+    center = centralizer_within(full, gens, MatrixAction.on(full))
     assert center.dimension == 1
     assert center.contains_vector(vectorize(SparseExactMatrix.identity(2)))
 
@@ -255,15 +256,17 @@ def test_centralizer_of_full_matrix_algebra_is_scalars():
 def test_centralizer_of_diagonal_algebra_is_itself():
     gens = [_unit(2, 0, 0), _unit(2, 1, 1)]
     diag = span(gens)
-    center = centralizer_within(diag, gens)
+    center = centralizer_within(diag, gens, MatrixAction.on(diag))
     assert center.dimension == 2
 
 
 def test_centralizer_rejects_non_closed_span():
     gens = [_unit(2, 0, 1), _unit(2, 1, 0)]
     bad = span(gens)  # E12 E21 = E11 is outside
-    with pytest.raises(NotClosedError):
-        centralizer_within(bad, gens)
+    with pytest.raises(NotClosedError, match="left the span"):
+        centralizer_within(bad, gens, MatrixAction(2))
+    with pytest.raises(NotClosedError, match="spot check"):
+        MatrixAction.on(bad)
 
 
 def test_coord_text_round_trip(tmp_path):

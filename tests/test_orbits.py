@@ -5,6 +5,7 @@ from collections import Counter
 from math import comb
 
 import pytest
+from helpers import merged_pair_index
 
 from doubled_odd import orbits as orbits_module
 from doubled_odd.combinatorics import (
@@ -155,13 +156,12 @@ def test_centralizer_dimensions():
     for m, dim in [(1, 20), (2, 60)]:
         cent = build_centralizer(GroundSet(m))
         assert cent.dimension == dim
-        assert len(cent.matrices) == dim
+        assert len(orbit_matrices(GroundSet(m))) == dim
 
 
 def test_centralizer_contains_invariant_matrices():
     g = GroundSet(2)
-    cent = build_centralizer(g)
-    cent_span = span(cent.matrices)  # the n^2-ambient oracle
+    cent_span = span(orbit_matrices(g).values())  # the n^2-ambient oracle
     n = vertex_count(g)
     ones = SparseExactMatrix.from_entries(
         n, n, ((r, c, 1) for r in range(n) for c in range(n))
@@ -178,19 +178,19 @@ def test_centralizer_contains_invariant_matrices():
 
 def test_centralizer_excludes_non_invariant_matrix():
     g = GroundSet(1)
-    cent = build_centralizer(g)
     n = vertex_count(g)
     single = SparseExactMatrix.from_entries(n, n, [(0, 1, 1)])
-    assert not contains(span(cent.matrices), single)
+    assert not contains(span(orbit_matrices(g).values()), single)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_centralizer_in_orbit_coordinates_lifts_to_the_n2_span(m):
     # the identity RREF of Q^d lifts to the RREF of the n^2-ambient span of
     # the orbit matrices, and an elimination finds that span d-dimensional
-    cent = build_centralizer(GroundSet(m))
+    g = GroundSet(m)
+    cent = build_centralizer(g)
     d = cent.dimension
-    cent_span = span(cent.matrices)
+    cent_span = span(orbit_matrices(g).values())
     assert cent_span.dimension == d == 4 * comb(m + 4, 4)
     identity = SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))
     assert cent.coordinates.lift(identity) == cent_span
@@ -203,12 +203,13 @@ def test_orbit_coordinate_membership_agrees_with_the_n2_span(m):
     # single-entry perturbations of them (mostly outside)
     g = GroundSet(m)
     cent = build_centralizer(g)
-    cent_span = span(cent.matrices)
+    mats = [orbit_matrices(g)[lab] for lab in orbit_labels(g)]
+    cent_span = span(mats)
     n, d = vertex_count(g), cent.dimension
     rng = random.Random(7100 + m)
     verdicts = []
     for _ in range(30):
-        product = cent.matrices[rng.randrange(d)] @ cent.matrices[rng.randrange(d)]
+        product = mats[rng.randrange(d)] @ mats[rng.randrange(d)]
         entry = (rng.randrange(n), rng.randrange(n), rng.choice((1, -1, 2)))
         bump = SparseExactMatrix.from_entries(n, n, [entry])
         for mat in (product, product + bump):
@@ -218,29 +219,35 @@ def test_orbit_coordinate_membership_agrees_with_the_n2_span(m):
     assert set(verdicts) == {True, False}
 
 
-def test_a_closed_form_label_without_a_pair_is_rejected(monkeypatch):
+def test_a_closed_form_label_without_a_pair_is_rejected(monkeypatch, fresh_memos):
     # dim = number of orbits needs every orbit matrix to be nonzero; I:1,1,1,0
     # is no orbit at m = 1 (x0 = {1} lies in y and z, so |x0 n y n z| = 1)
     labels = orbits_module._orbit_labels(1) + (OrbitLabel(BlockTag.I, (1, 1, 1, 0)),)
     monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: labels)
-    monkeypatch.setattr(orbits_module, "_orbit_matrices", orbits_module._orbit_matrices.__wrapped__)
+    monkeypatch.setattr(orbits_module, "_pair_index", orbits_module._pair_index.__wrapped__)
     with pytest.raises(IndependenceError, match="I:1,1,1,0 has an empty orbit"):
         build_centralizer(GroundSet(1))
 
 
-def test_build_centralizer_rejects_orbits_that_overlap(monkeypatch, fresh_memos):
-    # dim = number of orbits needs disjoint supports: add to one orbit matrix
-    # a pair of another, which leaves the matrices independent
-    g = GroundSet(1)
-    n = vertex_count(g)
-    mats = dict(orbits_module._orbit_matrices(1))
-    a, b = OrbitLabel(BlockTag.I, (0, 0, 0, 0)), OrbitLabel(BlockTag.I, (0, 1, 0, 0))
-    r, c, _ = next(mats[b].entries())
-    mats[a] = mats[a] + SparseExactMatrix.from_entries(n, n, [(r, c, 1)])
-    assert span(mats.values()).dimension == len(mats)
-    monkeypatch.setattr(orbits_module, "_orbit_matrices", lambda _m: mats)
-    with pytest.raises(NotClosedError, match="partition"):
-        build_centralizer(g)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pair_index_labels_every_pair_by_block_and_rho(m):
+    # the one labelled pass against the definition of a pair's label, and its
+    # partition against the orbits of the stabilizer's generators
+    g = GroundSet(m)
+    index = orbits_module._pair_index(m)
+    verts = enumerate_vertices(g)
+    n = len(verts)
+    assert index.n == n and len(index.orbit_of) == n * n
+    for yi, y in enumerate(verts):
+        for zi, z in enumerate(verts):
+            label = OrbitLabel(block_of_pair(m, y, z), rho(g.base_vertex, y, z))
+            assert index.labels[index.orbit_of[yi * n + zi]] == label
+    assert len(index.labels) == len(set(index.labels)) and set(index.labels) == set(orbit_labels(g))
+    # numbered by first pair, positions ascending
+    assert [pos[0] for pos in index.positions] == sorted(pos[0] for pos in index.positions)
+    assert all(list(pos) == sorted(pos) for pos in index.positions)
+    partition = {frozenset(divmod(idx, n) for idx in pos) for pos in index.positions}
+    assert partition == {frozenset(part) for part in orbits_by_group_action(g)}
 
 
 def test_diagonal_subalgebras_closed_mixed_fails():
@@ -330,18 +337,19 @@ def test_structure_constants_match_the_products_of_orbit_matrices():
 
 def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
     g = GroundSet(1)
-    mats = dict(orbits_module._orbit_matrices(1))
+    mats = orbit_matrices(g)
     # merge ({2}, {3}) and ({3}, {2}) with ({2}, {1}) and ({3}, {1}): the
     # square of the merged matrix is 1 at ({2}, {3}) and 0 at ({2}, {1}), so
     # it is not a combination of the coarser orbit matrices
     a = OrbitLabel(BlockTag.I, (0, 0, 0, 0))
     b = OrbitLabel(BlockTag.I, (0, 1, 0, 0))
-    merged = mats[a] + mats.pop(b)
-    mats[a] = merged
+    merged = mats[a] + mats[b]
     square = merged @ merged
     assert {square.get(r, c) for r, c, _ in merged.entries()} == {0, 1}
-    monkeypatch.setattr(orbits_module, "_orbit_matrices", lambda _m: mats)
-    coords = OrbitCoordinates(g)  # still a partition with the identity in it
+    ids = orbits_module._pair_index(1).labels
+    doctored = merged_pair_index(1, ids.index(a), ids.index(b))
+    monkeypatch.setattr(orbits_module, "_pair_index", lambda _m: doctored)
+    coords = OrbitCoordinates(g)  # the identity is still a sum of orbits
     with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
         coords.structure_constants()
 

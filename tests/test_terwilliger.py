@@ -3,6 +3,7 @@
 from math import comb
 
 import pytest
+from helpers import MatrixAction, merged_pair_index
 
 from doubled_odd.combinatorics import (
     GroundSet,
@@ -25,7 +26,7 @@ from doubled_odd.linalg import (
 )
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
-from doubled_odd.orbits import BlockTag, OrbitCoordinates
+from doubled_odd.orbits import BlockTag, OrbitCoordinates, orbit_matrices
 from doubled_odd.terwilliger import (
     TerwilligerAlgebra,
     block_profile,
@@ -142,7 +143,7 @@ def _n2_equality(t_basis, cent, cent_span):
     # the n^2-ambient comparisons: (dims_equal, orbit_matrices_in_T, identical_rref)
     return (
         t_basis.dimension == cent_span.dimension,
-        all(contains(t_basis, mat) for mat in cent.matrices),
+        all(contains(t_basis, mat) for mat in orbit_matrices(GroundSet(cent.m)).values()),
         t_basis == cent_span,
     )
 
@@ -151,7 +152,7 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
     for m in (1, 2, 3):
         ctx = ctx_for(m)
         t, cent = ctx.terwilliger, ctx.centralizer
-        cent_span = span(cent.matrices)  # the n^2-ambient oracle
+        cent_span = span(orbit_matrices(ctx.g).values())  # the n^2-ambient oracle
         t_basis = cent.coordinates.lift(t.basis)
         assert t_basis == cent_span
         assert verify_inclusion(t, cent).ok == _n2_inclusion(t_basis, cent_span) is True
@@ -248,11 +249,12 @@ def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
         ctx = ctx_for(m)
         t = ctx.terwilliger
         gens = closure_generators(ctx.g)
-        ambient = algebra_closure(gens)
+        ambient = algebra_closure(gens, MatrixAction.of(gens))
         assert ambient.iterations == t.closure.iterations == t.dimension * len(gens)
         coords = ctx.centralizer.coordinates
         assert ambient.basis == coords.lift(t.basis)
-        assert centralizer_within(ambient.basis, gens) == coords.lift(ctx.center)
+        center = centralizer_within(ambient.basis, gens, MatrixAction.on(ambient.basis))
+        assert center == coords.lift(ctx.center)
 
 
 def test_center_of_a_cached_terwilliger_basis():
@@ -279,24 +281,25 @@ def test_action_tables_reject_a_generator_not_constant_on_orbits():
 
 
 def test_orbit_coordinates_require_a_partition_of_the_pairs(monkeypatch):
-    g = GroundSet(1)
-    mats = dict(orbits_module._orbit_matrices(1))
-    mats.popitem()
-    monkeypatch.setattr(orbits_module, "_orbit_matrices", lambda _m: mats)
-    with pytest.raises(NotClosedError, match="partition"):
-        OrbitCoordinates(g)
+    # drop a closed-form label: the pairs of its orbit then carry a label
+    # outside the closed form, which is a named error, not a KeyError
+    *labels, dropped = orbits_module._orbit_labels(1)
+    monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: tuple(labels))
+    monkeypatch.setattr(orbits_module, "_pair_index", orbits_module._pair_index.__wrapped__)
+    with pytest.raises(NotClosedError, match=f"{dropped.text()}, which is not closed-form.*partition"):
+        OrbitCoordinates(GroundSet(1))
 
 
 def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits(monkeypatch):
-    g = GroundSet(1)
-    mats = dict(orbits_module._orbit_matrices(1))
+    index = orbits_module._pair_index(1)
+    n = index.n
     # merge the orbit of (x0, x0) with an off-diagonal orbit
-    diagonal = next(lab for lab, mat in mats.items() if mat.get(0, 0))
-    other = next(lab for lab, mat in mats.items() if not any(r == c for r, c, _ in mat.entries()))
-    mats[diagonal] = mats[diagonal] + mats.pop(other)
-    monkeypatch.setattr(orbits_module, "_orbit_matrices", lambda _m: mats)
+    diagonal = index.orbit_of[0]
+    other = next(a for a, pos in enumerate(index.positions) if all(i // n != i % n for i in pos))
+    doctored = merged_pair_index(1, diagonal, other)
+    monkeypatch.setattr(orbits_module, "_pair_index", lambda _m: doctored)
     with pytest.raises(NotClosedError, match="identity"):
-        OrbitCoordinates(g)
+        OrbitCoordinates(GroundSet(1))
 
 
 def test_orbit_coordinates_reject_a_matrix_not_constant_on_orbits():
@@ -352,8 +355,9 @@ def test_subalgebra_spans_lift_to_the_n2_family_spans(ctx_for):
         cent = ctx_for(m).centralizer
         spans = subalgebra_spans(cent)
         assert set(spans) == set(families)
+        mats = orbit_matrices(ctx_for(m).g)
         for name, blocks in families.items():
-            oracle = span(mat for lab, mat in zip(cent.labels, cent.matrices) if lab.block in blocks)
+            oracle = span(mat for lab, mat in mats.items() if lab.block in blocks)
             assert cent.coordinates.lift(spans[name]) == oracle
 
 
@@ -363,7 +367,7 @@ def test_algebra_closure_idempotent(ctx_for):
     t_basis = _lifted(ctx.g, ctx.terwilliger.basis)
     n = vertex_count(ctx.g)
     mats = [matrix_from_vector(dict(row), n, n) for row in t_basis.rows]
-    regrown = algebra_closure(mats)
+    regrown = algebra_closure(mats, MatrixAction.of(mats))
     assert regrown.basis == t_basis
     assert regrown.iterations == t_basis.dimension * len(mats)
 
@@ -421,4 +425,4 @@ def test_center_of_diagonal_subalgebra_is_everything():
         idems = dual_idempotents(g)
         diag = span(idems)
         assert diag.dimension == 2 * m + 2
-        assert centralizer_within(diag, idems).dimension == 2 * m + 2
+        assert centralizer_within(diag, idems, MatrixAction.on(diag)).dimension == 2 * m + 2
