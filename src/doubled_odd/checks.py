@@ -43,12 +43,13 @@ from .combinatorics import (
     vertex_count,
 )
 from .covering import build_psi, verify_intertwining
-from .linalg import SpanBasis, SparseExactMatrix, vectorize, write_coord_text
+from .linalg import NotClosedError, SpanBasis, SparseExactMatrix, vectorize, write_coord_text
 from .orbits import (
     BlockTag,
+    IndependenceError,
+    _pair_index,
     build_centralizer,
     check_subalgebra,
-    enumerate_index_set,
     index_set,
     orbit_labels,
     orbit_matrices,
@@ -118,22 +119,20 @@ class RunConfig:
 
     checks=None means every check applicable at m; an explicit check that
     is unknown or not applicable at m raises ConfigError.  m is limited to
-    [1, 4] unless allow_m5 opts into the (slow) m = 5 computations.
+    [1, 5]: at m = 6 the n^2-sized objects that some checks still build
+    would take several GB.
     """
 
     m: int
     checks: tuple[str, ...] | None = None
     cache_dir: str | None = None
     export_dir: str | None = None
-    allow_m5: bool = False
 
     def __post_init__(self):
         if not isinstance(self.m, int):
             raise ConfigError(f"m must be an integer, got {self.m!r}")
-        top = 5 if self.allow_m5 else 4
-        if not 1 <= self.m <= top:
-            hint = " (pass allow_m5 to enable m = 5)" if self.m == 5 else ""
-            raise ConfigError(f"m={self.m} outside the supported range [1, {top}]{hint}")
+        if not 1 <= self.m <= 5:
+            raise ConfigError(f"m={self.m} outside the supported range [1, 5]")
         for name in self.checks or ():
             # applicable raises ConfigError for an unknown check
             if not applicable(name, self.m):
@@ -205,8 +204,10 @@ def load_basis(cache_dir, key: str, ambient_dim: int) -> SpanBasis | None:
 
     A file of another format or package version is a silent miss.  The
     stored rows are an RREF and are taken as such, not eliminated again: a
-    row that is not reduced, and a file whose ambient dimension is not
-    ambient_dim, count as damaged (a warning, then None).
+    row that is not reduced, a value that is not a string (cache_basis
+    writes each as str of an int or Fraction, so a JSON number is damage),
+    and a file whose ambient dimension is not ambient_dim, count as damaged
+    (a warning, then None).
     """
     path = _basis_path(cache_dir, key)
     if not path.exists():
@@ -227,6 +228,8 @@ def load_basis(cache_dir, key: str, ambient_dim: int) -> SpanBasis | None:
             for c, v in row:
                 if type(c) is not int:
                     raise ValueError(f"column {c!r} is not an integer")
+                if type(v) is not str:
+                    raise ValueError(f"value {v!r} in column {c} is not a string")
                 val = Fraction(v)
                 vec[c] = val.numerator if val.denominator == 1 else val
             rows.append(vec)
@@ -338,12 +341,17 @@ def _check_distance_regular(ctx: CheckContext):
 
 @_runner("index-sets")
 def _check_index_sets(ctx: CheckContext):
-    g = ctx.g
-    m = g.m
+    m = ctx.g.m
     card = comb(m + 4, 4)
     blocks = (BlockTag.I, BlockTag.II, BlockTag.III, BlockTag.IV)
     cards = [len(index_set(b, m)) for b in blocks]
-    matches = all(index_set(b, m) == enumerate_index_set(g, b) for b in blocks)
+    # the labels the one pass over all vertex pairs meets; the pass raises
+    # when they are not the closed-form labels
+    try:
+        met = _pair_index(m).labels
+    except (NotClosedError, IndependenceError):
+        met = ()
+    matches = all(index_set(b, m) == {lab.tup for lab in met if lab.block is b} for b in blocks)
     expected = {"cardinalities": [card] * 4, "matches_enumeration": True}
     actual = {"cardinalities": cards, "matches_enumeration": matches}
     return expected, "paper-formula", actual, _verdict(expected == actual)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from .checks import (
     CHECK_IDS,
@@ -27,8 +28,7 @@ from .checks import (
 
 
 def _add_m_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, required=True, help="half the ground set size; supported range 1..4, m=5 behind --allow-m5")
-    parser.add_argument("--allow-m5", action="store_true", help="opt into the slow m=5 computations")
+    parser.add_argument("--m", type=int, required=True, help="half the ground set size; supported range 1..5")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,24 +79,31 @@ def main(argv: list[str] | None = None) -> int:
                 checks=_parse_checks(args.checks),
                 cache_dir=args.cache_dir,
                 export_dir=args.export_dir,
-                allow_m5=args.allow_m5,
             )
-            # open the report file before any check runs, so that an
-            # unwritable path fails at once; a run that fails removes it
-            out = None if args.out is None else open(args.out, "w")
+            # write the report to a sibling temporary file, opened before any
+            # check runs so that an unwritable path fails at once, and rename
+            # it over --out only when complete: a run that stops on an error
+            # leaves an existing report as it was
+            out = tmp = None
+            if args.out is not None:
+                if os.path.isdir(args.out):
+                    raise IsADirectoryError(f"cannot write --out {args.out}: it is a directory")
+                tmp = Path(f"{args.out}.{os.getpid()}.tmp")
+                try:
+                    out = open(tmp, "w")
+                except OSError as exc:
+                    raise OSError(f"cannot write --out {args.out}: {exc.strerror}") from exc
             try:
                 reports = run(cfg, progress=lambda line: print(line, file=sys.stderr))
                 text = render_reports(reports)
                 if out is not None:
                     out.write(text)
-            except BaseException:
-                if out is not None:
                     out.close()
-                    os.remove(args.out)
-                raise
+                    os.replace(tmp, args.out)
             finally:
                 if out is not None:
                     out.close()
+                    tmp.unlink(missing_ok=True)
             if out is None:
                 sys.stdout.write(text)
             else:
@@ -104,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1 if any(r.status == "fail" for r in reports) else 0
 
         if args.command == "dims":
-            RunConfig(m=args.m, allow_m5=args.allow_m5)
+            RunConfig(m=args.m)
             dims = headline_dimensions(args.m, args.cache_dir)
             print(f"m = {args.m}")
             print(f"vertices          = {dims['vertices']}")
@@ -114,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "export":
-            RunConfig(m=args.m, allow_m5=args.allow_m5)
+            RunConfig(m=args.m)
             ctx = CheckContext(args.m, args.cache_dir)
             written = export_matrices(args.m, args.export_dir, ctx=ctx)
             print(f"wrote {len(written)} files to {args.export_dir}", file=sys.stderr)

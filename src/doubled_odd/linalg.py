@@ -30,10 +30,6 @@ class ShapeMismatchError(ValueError):
     """Matrix shapes are incompatible for the requested operation."""
 
 
-class DimCapExceededError(RuntimeError):
-    """An algebra closure grew past its dimension cap."""
-
-
 class NotClosedError(RuntimeError):
     """A span that was assumed multiplicatively closed is not."""
 
@@ -402,20 +398,14 @@ class ClosureResult:
     basis lies in the ambient space of the action the closure ran in.
     iterations counts the generator actions g r that were evaluated, one per
     generator g and stored basis representative r, so it equals d |gens| for
-    a closure of dimension d; stabilized is True when the representative
-    worklist was exhausted below the dimension cap.
+    a closure of dimension d.
     """
 
     basis: SpanBasis
     iterations: int
-    stabilized: bool
 
 
-def algebra_closure(
-    generators: Iterable,
-    action: GeneratorAction,
-    dim_cap: int | None = None,
-) -> ClosureResult:
+def algebra_closure(generators: Iterable, action: GeneratorAction) -> ClosureResult:
     """The algebra generated by the identity and the generators.
 
     action says how a generator acts on a stored vector.  Starts from
@@ -434,27 +424,21 @@ def algebra_closure(
     linear and represents left multiplication, so it holds verbatim in any
     faithful coordinates.
 
-    Raises DimCapExceededError as soon as the dimension passes dim_cap
-    (default: the full ambient dimension, which can never be exceeded).
+    The closure needs no dimension cap: its basis is a SpanBasis of the
+    action's ambient space, so its dimension, and with it the worklist and
+    the d |gens| actions, is bounded by action.ambient_dim by construction.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("algebra_closure needs at least one generator")
-    if dim_cap is None:
-        dim_cap = action.ambient_dim
 
     basis = SpanBasis(action.ambient_dim)
     reps: list[dict[int, object]] = []
 
     def adjoin(vec: dict[int, object]) -> None:
         stored = basis.inserted_row(vec)
-        if stored is None:
-            return
-        if basis.dimension > dim_cap:
-            raise DimCapExceededError(
-                f"closure dimension passed the cap {dim_cap}"
-            )
-        reps.append(stored)
+        if stored is not None:
+            reps.append(stored)
 
     adjoin(action.identity())
 
@@ -467,7 +451,7 @@ def algebra_closure(
             iterations += 1
             adjoin(action.left(gm, rep))
 
-    return ClosureResult(basis=basis, iterations=iterations, stabilized=True)
+    return ClosureResult(basis=basis, iterations=iterations)
 
 
 def centralizer_within(

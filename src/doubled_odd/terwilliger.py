@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import NamedTuple
 
 from .combinatorics import GroundSet, _vertices, distance_matrices
@@ -98,11 +97,6 @@ def terwilliger_generators(g: GroundSet) -> list[SparseExactMatrix]:
     return list(distance_matrices(g)) + dual_idempotents(g)
 
 
-def default_dim_cap(m: int) -> int:
-    # one above the predicted dimension, to fail fast on a contradiction
-    return 4 * comb(m + 4, 4) + 1
-
-
 def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
     """The generating set T is closed under: E*_0..E*_{2m+1}, then A_1."""
     return dual_idempotents(g) + [distance_matrices(g)[1]]
@@ -113,7 +107,7 @@ def _closure_tables(m: int) -> tuple[ActionTable, ...]:
     return tuple(_orbit_coordinates(m).action_tables(closure_generators(GroundSet(m))))
 
 
-def build_terwilliger(g: GroundSet, dim_cap: int | None = None) -> TerwilligerAlgebra:
+def build_terwilliger(g: GroundSet) -> TerwilligerAlgebra:
     """T as the closure of closure_generators(g), computed in orbit coordinates.
 
     T is generated by A_1 and the E*_i (Terwilliger 1992).  Rather than rely
@@ -122,10 +116,8 @@ def build_terwilliger(g: GroundSet, dim_cap: int | None = None) -> TerwilligerAl
     missing one raises NotClosedError, since the closure would then not be
     all of T.  The basis is returned in Q^d, as the closure left it.
     """
-    if dim_cap is None:
-        dim_cap = default_dim_cap(g.m)
     coords = _orbit_coordinates(g.m)
-    closure = algebra_closure(_closure_tables(g.m), dim_cap=dim_cap, action=coords)
+    closure = algebra_closure(_closure_tables(g.m), coords)
     for i, a_i in enumerate(distance_matrices(g)):
         if i == 1:
             continue

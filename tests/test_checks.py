@@ -64,11 +64,9 @@ def test_applicability_table():
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(m=0)
-    with pytest.raises(ConfigError):
-        RunConfig(m=6, allow_m5=True)
-    with pytest.raises(ConfigError):
-        RunConfig(m=5)
-    RunConfig(m=5, allow_m5=True)
+    with pytest.raises(ConfigError, match=r"m=6 outside the supported range \[1, 5\]"):
+        RunConfig(m=6)
+    RunConfig(m=5)
     with pytest.raises(ConfigError):
         RunConfig(m=2, checks=("vertex-count", "bogus"))
     with pytest.raises(ConfigError):
@@ -99,6 +97,17 @@ def test_report_schema_and_statuses():
         assert by_check[name]["expected"]["provenance"] == "finding-only"
     assert by_check["vertex-count"]["status"] == "pass"
     assert not any(entry["status"] == "fail" for entry in payload)
+
+
+def test_index_sets_fails_when_the_pair_pass_misses_a_closed_form_label(monkeypatch, fresh_memos):
+    # the check compares the closed forms with the labels the one pass over
+    # all vertex pairs meets; drop one closed-form label and the pass raises
+    labels = orbits_module._orbit_labels(1)
+    monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: labels[:-1])
+    monkeypatch.setattr(checks_module, "_pair_index", orbits_module._pair_index.__wrapped__)
+    (report,) = run(RunConfig(m=1, checks=("index-sets",)))
+    assert report.actual == {"cardinalities": [5] * 4, "matches_enumeration": False}
+    assert report.status == "fail"
 
 
 def test_small_m_findings_record_expected_values():
@@ -191,6 +200,9 @@ def test_basis_cache_non_object_top_level_warns(tmp_path):
     ("row replaced by a sum", "pivot column 1 is not cleared"),
     ("explicit zero", "explicit zero"),
     ("fractional column", "column 2.5 is not an integer"),
+    # cache_basis stores every value as a string; a JSON float would load as
+    # its binary expansion, 0.1 -> 3602879701896397/2^55
+    ("number value", "value 0.1 in column 2 is not a string"),
 ])
 def test_basis_cache_damaged_row_warns(tmp_path, damage, message):
     basis = SpanBasis(4)
@@ -203,6 +215,8 @@ def test_basis_cache_damaged_row_warns(tmp_path, damage, message):
         payload["rows"][0] = first + [[1, "0"]]
     elif damage == "fractional column":
         payload["rows"][0] = [[0, "1"], [2.5, "3"]]
+    elif damage == "number value":
+        payload["rows"][0] = [[0, "1"], [2, 0.1]]
     else:
         # spans the same space, but the pivot of the second row is not cleared
         payload["rows"][0] = sorted(first + second)
@@ -312,6 +326,21 @@ def test_headline_dimensions():
     }
 
 
+@pytest.mark.slow
+def test_m5_runs_every_applicable_check_by_default(tmp_path):
+    cache = str(tmp_path / "cache")
+    reports = run(RunConfig(m=5, cache_dir=cache))
+    assert [r.check for r in reports] == [c for c in CHECK_IDS if applicable(c, 4)]
+    assert len(reports) == 13
+    assert [r.status for r in reports] == ["pass"] * 13
+    assert headline_dimensions(5, cache) == {
+        "vertices": 924,
+        "centralizer_dim": 504,
+        "terwilliger_dim": 504,
+        "center_dim": 12,
+    }
+
+
 def test_cli_verify_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "--m", "1", "--checks", "vertex-count,upsilon", "--out", str(out)])
@@ -332,10 +361,14 @@ def test_cli_verify_stdout(capsys):
 
 def test_cli_rejects_bad_m(capsys):
     assert main(["verify", "--m", "6"]) == 2
-    assert main(["verify", "--m", "5"]) == 2
     assert main(["dims", "--m", "0"]) == 2
     err = capsys.readouterr().err
     assert "outside the supported range" in err
+    # m = 5 needs no opt-in, and the old opt-in flag is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--m", "5", "--allow-m5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-m5" in capsys.readouterr().err
 
 
 def test_cli_rejects_inapplicable_check(tmp_path, capsys):
@@ -374,6 +407,27 @@ def test_cli_unwritable_output_path_exits_2(tmp_path, capsys, option):
         assert len(err.splitlines()) == 1
     # a run that stops on an error leaves no report file behind
     assert not report.exists()
+
+
+def test_cli_error_run_keeps_an_existing_report(tmp_path, capsys):
+    # the report goes to a temporary file that replaces --out only when
+    # complete, so a run that stops on an error leaves --out as it was
+    report = tmp_path / "keep.json"
+    report.write_bytes(b"{}\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["verify", "--m", "1", "--checks", "terwilliger-dim", "--cache-dir", str(blocker / "sub")]
+    assert main(args + ["--out", str(report)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert report.read_bytes() == b"{}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "keep.json"]
+    # a directory is no report path, and that shows before any check runs
+    assert main(["verify", "--m", "1", "--checks", "vertex-count", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write --out {tmp_path}: it is a directory\n"
+    # a complete run replaces the report
+    assert main(["verify", "--m", "1", "--checks", "vertex-count", "--out", str(report)]) == 0
+    assert json.loads(report.read_text())[0]["check"] == "vertex-count"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "keep.json"]
 
 
 def test_cli_dims(capsys):

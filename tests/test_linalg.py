@@ -9,7 +9,6 @@ from helpers import MatrixAction
 from doubled_odd.combinatorics import GroundSet
 from doubled_odd.terwilliger import dual_idempotents
 from doubled_odd.linalg import (
-    DimCapExceededError,
     NotClosedError,
     ShapeMismatchError,
     SpanBasis,
@@ -209,7 +208,6 @@ def test_span_trivial_cases():
 def test_closure_of_identity_alone():
     result = algebra_closure([SparseExactMatrix.identity(3)], MatrixAction(3))
     assert result.basis.dimension == 1
-    assert result.stabilized
 
 
 def test_closure_of_orthogonal_idempotents():
@@ -224,7 +222,6 @@ def test_closure_of_nilpotent_shift():
     result = algebra_closure([shift], MatrixAction(3))
     # identity, N and N^2
     assert result.basis.dimension == 3
-    assert result.stabilized
     sq = shift @ shift
     assert contains(result.basis, sq)
     assert (sq @ shift).is_zero()
@@ -233,15 +230,6 @@ def test_closure_of_nilpotent_shift():
 def test_closure_generates_full_matrix_algebra():
     e12, e21 = _unit(2, 0, 1), _unit(2, 1, 0)
     result = algebra_closure([e12, e21], MatrixAction(2))
-    assert result.basis.dimension == 4
-    assert result.stabilized
-
-
-def test_closure_dim_cap():
-    e12, e21 = _unit(2, 0, 1), _unit(2, 1, 0)
-    with pytest.raises(DimCapExceededError):
-        algebra_closure([e12, e21], MatrixAction(2), dim_cap=3)
-    result = algebra_closure([e12, e21], MatrixAction(2), dim_cap=4)
     assert result.basis.dimension == 4
 
 

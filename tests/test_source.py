@@ -6,12 +6,10 @@ from pathlib import Path
 import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
-# a package __init__ imports names to re-export them, so it is left out
 _MODULES = [
     path
     for directory in (_ROOT / "src" / "doubled_odd", _ROOT / "tests")
     for path in sorted(directory.glob("*.py"))
-    if path.name != "__init__.py"
 ]
 
 

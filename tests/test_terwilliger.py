@@ -13,7 +13,6 @@ from doubled_odd.combinatorics import (
     vertex_count,
 )
 from doubled_odd.linalg import (
-    DimCapExceededError,
     NotClosedError,
     SpanBasis,
     SparseExactMatrix,
@@ -34,7 +33,6 @@ from doubled_odd.terwilliger import (
     center_basis,
     center_dimension,
     closure_generators,
-    default_dim_cap,
     dual_idempotent,
     dual_idempotents,
     subalgebra_spans,
@@ -115,15 +113,9 @@ def test_algebra_dimensions(ctx_for):
     assert ctx_for(3).terwilliger.dimension == 140
     for m in (1, 2, 3):
         t = ctx_for(m).terwilliger
-        assert t.closure is not None and t.closure.stabilized
+        assert t.closure is not None
         # one product per basis representative and generator (A_1, E*_0..E*_{2m+1})
         assert t.closure.iterations == t.dimension * (2 * m + 3)
-        assert t.dimension <= default_dim_cap(m)
-
-
-def test_dim_cap_enforced():
-    with pytest.raises(DimCapExceededError):
-        build_terwilliger(GroundSet(1), dim_cap=5)
 
 
 def test_inclusion_and_equality(ctx_for):
