@@ -9,7 +9,9 @@ by ascending mask value -- fixes every matrix row/column index in the package.
 
 The graph is bipartite with diameter 2m+1, and the distance between vertices
 y and z is |y| + |z| - 2|y n z|; a breadth-first search oracle for this
-formula lives in the test suite, not here.
+formula lives in the test suite, not here.  The intersection numbers are
+read off the structure constants of the orbits of the base-vertex stabilizer
+(orbits), which is built on this module and so imported where it is used.
 """
 
 from __future__ import annotations
@@ -189,9 +191,9 @@ def class_profiles(rows, cols, classes, width: int):
     as soon as a pair's profile differs from that of the first pair of its
     class, (profiles met so far, (y, z)).
 
-    This one exhaustive pass over all triples (y, w, z) certifies both the
-    intersection numbers of a distance table and the structure constants of
-    the orbit matrices.
+    This one exhaustive pass over all triples (y, w, z) certifies the
+    structure constants of the orbit matrices at small m, and is the oracle
+    of the intersection numbers of a distance table (_intersection_table).
     """
     seen: dict[int, list[int]] = {}
     for y, (row, class_row) in enumerate(zip(rows, classes)):
@@ -205,25 +207,52 @@ def class_profiles(rows, cols, classes, width: int):
 
 
 def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
-    """Exhaustively recompute every p^h_{ij} over all ordered vertex pairs.
+    """Every p^h_{ij}, read off the certified structure constants of the
+    stabilizer's orbit matrices.
 
-    class_profiles counts, for every pair (x, y), the vertices z by the key
-    d(x, z) * (2m + 2) + d(z, y) and certifies that the counts depend only on
-    h = d(x, y).  Raises DistanceRegularityError with the first offending
-    witness if any count depends on the chosen pair (it never should).
+    Each orbit of vertex pairs lies at one distance, and its structure
+    constants count, for its pairs (x, y), the vertices z by the orbits of
+    (x, z) and (z, y); mapping those to d(x, z) * (2m + 2) + d(z, y) gives
+    the counts of the exhaustive pass over all pairs.  Raises
+    DistanceRegularityError with the first offending witness if any count
+    depends on the chosen pair (it never should).
     """
+    # orbits is built on this module, so it is imported here, not at the top
+    from .orbits import _pair_index, _structure_constants
+
+    index = _pair_index(g.m)
     verts = _vertices(g.m)
-    n = len(verts)
-    sizes = [v.bit_count() for v in verts]
-    dist = [
-        [sizes[a] + sizes[b] - 2 * (verts[a] & verts[b]).bit_count() for b in range(n)]
-        for a in range(n)
-    ]
-    return IntersectionNumbers(m=g.m, table=_intersection_table(verts, dist))
+    dist = [distance(verts[pos[0] // index.n], verts[pos[0] % index.n]) for pos in index.positions]
+    table = _orbit_intersection_table(verts, index, _structure_constants(g.m).keys, dist)
+    return IntersectionNumbers(m=g.m, table=table)
+
+
+def _orbit_intersection_table(verts, index, keys, dist: list[int]) -> dict[tuple[int, int, int], int]:
+    """p^h_{ij} of the distance table that puts every pair of orbit c of the
+    pair index at distance dist[c], from the orbits' structure constants
+    keys (orbits.StructureConstants.keys).
+
+    The table and the witness are those of _intersection_table on the n x n
+    table: orbits are numbered by their first pair, so the first pair of the
+    least orbit whose counts differ from those of the least orbit at the same
+    distance is the first offending pair in row-major order.
+    """
+    width = 1 + max(dist)
+    # the key a * d + b of a middle vertex -> dist[a] * width + dist[b]
+    mapped = [da * width + db for da in dist for db in dist]
+    profiles: dict[int, list[int]] = {}
+    for c, (h, orbit_keys) in enumerate(zip(dist, keys)):
+        profile = sorted(map(mapped.__getitem__, orbit_keys))
+        known = profiles.setdefault(h, profile)
+        if known is not profile and known != profile:
+            x, y = divmod(index.positions[c][0], index.n)
+            raise _witness(verts[x], verts[y], known, profile, width)
+    return _table(profiles, width)
 
 
 def _intersection_table(verts, dist: list[list[int]]) -> dict[tuple[int, int, int], int]:
-    """p^h_{ij} of a symmetric distance table whose vertices are verts.
+    """Oracle: p^h_{ij} of a symmetric distance table whose vertices are
+    verts, by one exhaustive pass over all triples.
 
     On failure the witness is the first pair (x, y) in row-major order whose
     counts differ from those of the first pair at the same distance, with the
@@ -234,10 +263,19 @@ def _intersection_table(verts, dist: list[list[int]]) -> dict[tuple[int, int, in
     profiles, offending = class_profiles(dist, dist, dist, width)
     if offending is not None:
         x, y = offending
-        seen = Counter(profiles[dist[x][y]])
-        here = Counter(i * width + j for i, j in zip(dist[x], dist[y]))
-        key = min(k for k in seen.keys() | here.keys() if seen[k] != here[k])
-        raise DistanceRegularityError(verts[x], verts[y], *divmod(key, width))
+        here = [i * width + j for i, j in zip(dist[x], dist[y])]
+        raise _witness(verts[x], verts[y], profiles[dist[x][y]], here, width)
+    return _table(profiles, width)
+
+
+def _witness(x: int, y: int, known: list[int], here: list[int], width: int) -> DistanceRegularityError:
+    # the least key i * width + j whose count differs between the two profiles
+    seen, met = Counter(known), Counter(here)
+    key = min(k for k in seen.keys() | met.keys() if seen[k] != met[k])
+    return DistanceRegularityError(x, y, *divmod(key, width))
+
+
+def _table(profiles: dict[int, list[int]], width: int) -> dict[tuple[int, int, int], int]:
     return {
         (h, *divmod(key, width)): count
         for h in sorted(profiles)

@@ -32,23 +32,28 @@ how 0/1 generators act on the orbit matrices from either side, each entry
 over all vertex pairs, so algebras generated by them can be computed and
 kept in Q^d; lift gives the n x n form of such an algebra for export.
 It also computes the structure constants p^c_{ab}, with O_a O_b =
-sum_c p^c_{ab} O_c, and certifies them by one pass over all vertex triples:
-every pair (y, z) of orbit c must see the same count of middle vertices w
-for each (a, b), which is the coherent-configuration property, checked
-rather than assumed.  The orbit matrices have disjoint supports, so a
-product lies in the span of a set F of them exactly when its support
-{c : p^c_{ab} > 0} lies in F; check_subalgebra reads its scan off that
-table without forming an n x n product.
+sum_c p^c_{ab} O_c, from the first pair (y, z) of each orbit c: the count of
+middle vertices w with (y, w) in orbit a and (w, z) in orbit b.  That every
+pair of orbit c sees the same counts is the coherent-configuration
+property, and it is checked rather than assumed: on all vertex triples up
+to m = _EXHAUSTIVE_MAX_M, and above it on seeded extra pairs of every orbit
+and by Higman's identity |c| p^c_{ab} = |a| p^a_{c b^T}.  The orbit matrices
+have disjoint supports, so a product lies in the span of a set F of them
+exactly when its support {c : p^c_{ab} > 0} lies in F; check_subalgebra
+reads its scan off that table without forming an n x n product.
 """
 
 from __future__ import annotations
 
 import enum
+import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import comb
+from operator import add
 from typing import NamedTuple
 
 from .combinatorics import GroundSet, _vertices, _vertex_index, class_profiles
@@ -90,6 +95,12 @@ def parse_label(text: str) -> OrbitLabel:
 
 
 _BLOCKS = (BlockTag.I, BlockTag.II, BlockTag.III, BlockTag.IV)
+
+# the structure constants are certified on all n^3 vertex triples up to this
+# m (n = 70 at m = 3); above it, on _SAMPLED_PAIRS seeded extra pairs of every
+# orbit and by Higman's identity
+_EXHAUSTIVE_MAX_M = 3
+_SAMPLED_PAIRS = 2
 
 
 class IndependenceError(RuntimeError):
@@ -420,8 +431,8 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
     lies in the least orbit of its support, since orbits are numbered by
     their first pair.
     """
-    consts = _structure_constants(g.m)
-    labels = consts.labels
+    labels = _structure_constants(g.m).labels
+    supports = _product_supports(g.m)
     d = len(labels)
     ids = {lab: c for c, lab in enumerate(labels)}
     try:
@@ -429,12 +440,6 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
     except KeyError as exc:
         raise ValueError(f"unknown orbit label {exc.args[0]}") from None
     inside = set(sub_ids)
-    # the supports of the products O_a O_b with a and b in sub
-    supports: dict[int, list[int]] = {}
-    for c, keys in enumerate(consts.keys):
-        for key in set(keys):
-            if key // d in inside and key % d in inside:
-                supports.setdefault(key, []).append(c)
     first_violation = None
     violation_block = None
     for la, a in zip(sub, sub_ids):
@@ -470,6 +475,17 @@ def _structure_constants(m: int) -> StructureConstants:
     return _orbit_coordinates(m).structure_constants()
 
 
+@lru_cache(maxsize=8)
+def _product_supports(m: int) -> dict[int, list[int]]:
+    """a * d + b -> the support {c : p^c_{ab} > 0} of O_a O_b, ascending;
+    a product that is zero has no entry."""
+    supports: dict[int, list[int]] = {}
+    for c, keys in enumerate(_structure_constants(m).keys):
+        for key in set(keys):
+            supports.setdefault(key, []).append(c)
+    return supports
+
+
 class ActionTable(NamedTuple):
     """The certified action of one matrix g on the orbit matrices.
 
@@ -494,8 +510,8 @@ class OrbitCoordinates:
     them (NotClosedError otherwise).  An instance is the action
     algebra_closure and centralizer_within need, with tables from
     action_tables as its generators.  orbit_labels[a] is the label of orbit
-    a, and structure_constants() certifies the products of orbit matrices
-    the same way, on every pair of every orbit.
+    a, and structure_constants() reads the products of orbit matrices off
+    one pair per orbit and certifies them.
     """
 
     def __init__(self, g: GroundSet):
@@ -504,6 +520,7 @@ class OrbitCoordinates:
         diagonal = {labels[i * (n + 1)] for i in range(n)}
         if sum(len(positions[a]) for a in diagonal) != n:
             raise NotClosedError("the identity is not a sum of orbit matrices")
+        self.m = g.m
         self.n = n
         self.ambient_dim = len(positions)
         self.orbit_labels = index.labels
@@ -563,23 +580,73 @@ class OrbitCoordinates:
         return table
 
     def structure_constants(self) -> StructureConstants:
-        """The structure constants of the orbit matrices, certified on all
-        n^2 pairs by one pass over all n^3 triples (NotClosedError when some
+        """The structure constants of the orbit matrices, read off the first
+        pair of each orbit (d·n work) and certified (NotClosedError when some
         p^c_{ab} differs between two pairs of orbit c, i.e. when the orbits
-        do not form a coherent configuration)."""
-        d = self.ambient_dim
+        do not form a coherent configuration).
+
+        Up to m = _EXHAUSTIVE_MAX_M every pair of every orbit is checked, by
+        one pass over all n^3 triples.  Above it the n^3 pass is out of reach
+        (about 2.7 s at m = 4), and the table is checked on _SAMPLED_PAIRS
+        seeded extra pairs of every orbit and by Higman's identity."""
+        keys = [self._profile(pos[0]) for pos in self._positions]
+        if self.m <= _EXHAUSTIVE_MAX_M:
+            self._certify_exhaustively()
+        else:
+            self._certify_by_samples(keys)
+            self._certify_by_higman(keys)
+        return StructureConstants(self.orbit_labels, tuple(array("I", k) for k in keys))
+
+    def _profile(self, idx: int) -> list[int]:
+        # the sorted keys a * d + b over the middle vertices w of the pair at
+        # row-major position idx, with (y, w) in orbit a and (w, z) in orbit b
+        n, d, labels = self.n, self.ambient_dim, self._labels
+        y, z = divmod(idx, n)
+        return sorted(map(add, [a * d for a in labels[y * n:(y + 1) * n]], labels[z::n]))
+
+    def _certify_exhaustively(self) -> None:
+        """Every pair's keys against those of its orbit's first pair, the
+        pair the table was read off."""
         label_rows, label_cols = self._label_lines()
         # (O_a O_b)[y, z] counts the w with (y, w) in orbit a and (w, z) in orbit b
-        profiles, offending = class_profiles(label_rows, label_cols, label_rows, d)
+        _, offending = class_profiles(label_rows, label_cols, label_rows, self.ambient_dim)
         if offending is not None:
             y, z = offending
             raise NotClosedError(
                 f"the products of orbit matrices are not constant on orbit "
                 f"{self.orbit_labels[label_rows[y][z]].text()}"
             )
-        return StructureConstants(
-            self.orbit_labels, tuple(array("I", profiles[c]) for c in range(d))
-        )
+
+    def _certify_by_samples(self, keys: list[list[int]]) -> None:
+        """Every orbit's keys, checked on up to _SAMPLED_PAIRS seeded pairs
+        of the orbit other than its first."""
+        rng = random.Random(20260 + self.m)
+        for c, pos in enumerate(self._positions):
+            for k in rng.sample(range(1, len(pos)), min(_SAMPLED_PAIRS, len(pos) - 1)):
+                if self._profile(pos[k]) != keys[c]:
+                    raise NotClosedError(
+                        f"the products of orbit matrices are not constant on orbit "
+                        f"{self.orbit_labels[c].text()}"
+                    )
+
+    def _certify_by_higman(self, keys: list[list[int]]) -> None:
+        """|c| p^c_{ab} = |a| p^a_{c b^T} for every nonzero p^c_{ab}, where
+        |c| is the number of pairs of orbit c and b^T the orbit of the
+        transposed pairs of b: both sides count the triples (y, w, z) with
+        (y, z) in c, (y, w) in a and (w, z) in b."""
+        n, d, labels, positions = self.n, self.ambient_dim, self._labels, self._positions
+        sizes = [len(pos) for pos in positions]
+        transpose = [labels[pos[0] % n * n + pos[0] // n] for pos in positions]
+        counts = [Counter(k) for k in keys]
+        for c, table in enumerate(counts):
+            for key, p in table.items():
+                a, b = divmod(key, d)
+                if sizes[c] * p != sizes[a] * counts[a][c * d + transpose[b]]:
+                    raise NotClosedError(
+                        f"the structure constants fail Higman's identity at "
+                        f"c = {self.orbit_labels[c].text()}, a = {self.orbit_labels[a].text()}, "
+                        f"b = {self.orbit_labels[b].text()}"
+                    )
 
     def identity(self) -> dict[int, object]:
         return dict(self._identity)

@@ -8,8 +8,9 @@ and then certifies exactly that every other A_i lies in the result, so the
 smaller generating set is checked rather than assumed.  T and its centre
 Z(T) live in orbit coordinates Q^d, d = 4 C(m+4, 4), end to end, on the
 centralizer's orbits.OrbitCoordinates: the closure and the centre solve apply
-certified action tables of the generators to the orbit matrices, and their
-RREF bases stay in Q^d.  Only the matrix export lifts T to n x n matrices.
+action tables of the generators to the orbit matrices (A_1's certified on
+all vertex pairs, the E*_i's read off the orbit labels), and their RREF
+bases stay in Q^d.  Only the matrix export lifts T to n x n matrices.
 Everything T is generated by lies inside the centralizer algebra of the
 stabilizer of x0: each E*_i is a single diagonal orbit matrix and each
 sandwich E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with
@@ -104,7 +105,31 @@ def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
 
 @lru_cache(maxsize=8)
 def _closure_tables(m: int) -> tuple[ActionTable, ...]:
-    return tuple(_orbit_coordinates(m).action_tables(closure_generators(GroundSet(m))))
+    """The action tables of closure_generators: those of the E*_i from the
+    orbit labels, and A_1's certified on all vertex pairs."""
+    coords = _orbit_coordinates(m)
+    a1 = distance_matrices(GroundSet(m))[1]
+    return _dual_idempotent_tables(m) + tuple(coords.action_tables([a1]))
+
+
+def _dual_idempotent_tables(m: int) -> tuple[ActionTable, ...]:
+    """The action of E*_0..E*_{2m+1} on the orbit matrices, read off the
+    labels: E*_i O_a is O_a when the row vertices y of orbit a lie on sphere
+    i around x0, else 0, and O_a E*_i likewise by the column vertices z.  The
+    sphere of y is m + |y| - 2|x0 n y|, where the block of a gives |y| and
+    its first label entry |x0 n y|; the second gives |x0 n z|."""
+    rows, cols = [], []
+    for lab in _orbit_coordinates(m).orbit_labels:
+        i, j, _, _ = lab.tup
+        rows.append(2 * m + (lab.block in (BlockTag.III, BlockTag.IV)) - 2 * i)
+        cols.append(2 * m + (lab.block in (BlockTag.II, BlockTag.IV)) - 2 * j)
+    return tuple(
+        ActionTable(
+            left=tuple({a: 1} if s == k else {} for a, s in enumerate(rows)),
+            right=tuple({a: 1} if s == k else {} for a, s in enumerate(cols)),
+        )
+        for k in range(2 * m + 2)
+    )
 
 
 def build_terwilliger(g: GroundSet) -> TerwilligerAlgebra:

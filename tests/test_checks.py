@@ -10,6 +10,7 @@ import pytest
 
 from doubled_odd import __version__
 from doubled_odd import checks as checks_module
+from doubled_odd import combinatorics as combinatorics_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd.checks import (
     CHECK_IDS,
@@ -47,16 +48,17 @@ def test_registry_is_closed_and_ordered():
 
 
 def test_applicability_table():
-    assert not applicable("distance-regular", 4)
-    assert applicable("distance-regular", 3)
-    assert not applicable("orbits-oracle", 4)
-    assert not applicable("subalgebra-closure", 4)
+    assert applicable("distance-regular", 5)
+    assert applicable("subalgebra-closure", 5)
+    assert applicable("orbits-oracle", 4)
+    assert not applicable("orbits-oracle", 5)
     assert not applicable("block-profile", 2)
     assert applicable("block-profile", 3)
     assert applicable("vertex-count", 5)
     assert sum(applicable(c, 3) for c in CHECK_IDS) == 16
     assert sum(applicable(c, 1) for c in CHECK_IDS) == 15
-    assert sum(applicable(c, 4) for c in CHECK_IDS) == 13
+    assert sum(applicable(c, 4) for c in CHECK_IDS) == 16
+    assert sum(applicable(c, 5) for c in CHECK_IDS) == 15
     with pytest.raises(ConfigError):
         applicable("no-such-check", 3)
 
@@ -75,7 +77,7 @@ def test_run_config_validation():
 
 def test_run_rejects_explicit_inapplicable_check():
     with pytest.raises(ConfigError):
-        run(RunConfig(m=4, checks=("distance-regular",)))
+        run(RunConfig(m=5, checks=("orbits-oracle",)))
 
 
 def test_report_schema_and_statuses():
@@ -330,9 +332,11 @@ def test_headline_dimensions():
 def test_m5_runs_every_applicable_check_by_default(tmp_path):
     cache = str(tmp_path / "cache")
     reports = run(RunConfig(m=5, cache_dir=cache))
-    assert [r.check for r in reports] == [c for c in CHECK_IDS if applicable(c, 4)]
-    assert len(reports) == 13
-    assert [r.status for r in reports] == ["pass"] * 13
+    assert [r.check for r in reports] == [c for c in CHECK_IDS if c != "orbits-oracle"]
+    assert len(reports) == 15
+    statuses = {r.check: r.status for r in reports}
+    assert statuses.pop("subalgebra-closure") == "finding"
+    assert set(statuses.values()) == {"pass"}
     assert headline_dimensions(5, cache) == {
         "vertices": 924,
         "centralizer_dim": 504,
@@ -372,11 +376,11 @@ def test_cli_rejects_bad_m(capsys):
 
 
 def test_cli_rejects_inapplicable_check(tmp_path, capsys):
-    assert main(["verify", "--m", "4", "--checks", "distance-regular"]) == 2
+    assert main(["verify", "--m", "5", "--checks", "orbits-oracle"]) == 2
     assert "not applicable" in capsys.readouterr().err
     # a configuration error leaves no report file behind
     out = tmp_path / "report.json"
-    assert main(["verify", "--m", "4", "--checks", "distance-regular", "--out", str(out)]) == 2
+    assert main(["verify", "--m", "5", "--checks", "orbits-oracle", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
@@ -543,3 +547,20 @@ def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
     assert calls == []
     run(RunConfig(m=3, checks=("centralizer-dim",)))
     assert calls == [3]
+
+
+def test_a_cold_m3_run_makes_one_pass_over_all_vertex_triples(monkeypatch, fresh_memos):
+    # distance-regular and subalgebra-closure read one table of structure
+    # constants; at m = 3 its exhaustive certificate is the only n^3 pass
+    calls = []
+    kernel = combinatorics_module.class_profiles
+
+    def traced_kernel(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    for module in (combinatorics_module, orbits_module):
+        monkeypatch.setattr(module, "class_profiles", traced_kernel)
+    reports = run(RunConfig(m=3))
+    assert len(reports) == 16
+    assert calls == [70]

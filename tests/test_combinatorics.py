@@ -1,13 +1,16 @@
 """Vertex enumeration, distances and intersection numbers at small m."""
 
+import random
 from collections import deque
 
 import pytest
 
+from doubled_odd import orbits as orbits_module
 from doubled_odd.combinatorics import (
     DistanceRegularityError,
     GroundSet,
     _intersection_table,
+    _orbit_intersection_table,
     adjacency_matrix,
     class_profiles,
     distance,
@@ -205,12 +208,15 @@ def _dict_counting_scan(verts, dist):
 
 
 def test_intersection_numbers_match_the_dict_counting_oracle():
+    # read off the structure constants, against the dict-counting loop and
+    # the exhaustive pass over all n^3 triples
     for m in (1, 2, 3):
         g = GroundSet(m)
         verts = enumerate_vertices(g)
         dist = [[distance(y, z) for z in verts] for y in verts]
         table, _, _ = _dict_counting_scan(verts, dist)
         assert list(intersection_numbers(g).table.items()) == list(table.items())
+        assert list(_intersection_table(verts, dist).items()) == list(table.items())
 
 
 def test_profile_kernel_finds_the_pair_that_breaks_distance_regularity():
@@ -226,3 +232,33 @@ def test_profile_kernel_finds_the_pair_that_breaks_distance_regularity():
         _intersection_table(verts, dist)
     exc = info.value
     assert (exc.x, exc.y, exc.i, exc.j) == witness == (2, 1, 1, 2)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the witness of the DistanceRegularityError it raises."""
+    try:
+        return fn(*args)
+    except DistanceRegularityError as exc:
+        return (exc.x, exc.y, exc.i, exc.j)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
+    # move an orbit and its transpose to another distance: the table read off
+    # the structure constants and the n^3 pass over the matching n x n table
+    # raise the same witness
+    index = orbits_module._pair_index(m)
+    keys = orbits_module._structure_constants(m).keys
+    n, verts = index.n, enumerate_vertices(GroundSet(m))
+    true_dist = [distance(verts[pos[0] // n], verts[pos[0] % n]) for pos in index.positions]
+    rng = random.Random(2026 + m)
+    for c in rng.sample(range(len(true_dist)), 6):
+        transpose = index.orbit_of[index.positions[c][0] % n * n + index.positions[c][0] // n]
+        dist = list(true_dist)
+        dist[c] = dist[transpose] = (dist[c] + 2) % (2 * m + 2)
+        table = [[dist[index.orbit_of[y * n + z]] for z in range(n)] for y in range(n)]
+        witness = _outcome(_orbit_intersection_table, verts, index, keys, dist)
+        assert isinstance(witness, tuple)
+        assert witness == _outcome(_intersection_table, verts, table)
+    table = _outcome(_orbit_intersection_table, verts, index, keys, true_dist)
+    assert table == intersection_numbers(GroundSet(m)).table

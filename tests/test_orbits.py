@@ -10,6 +10,7 @@ from helpers import merged_pair_index
 from doubled_odd import orbits as orbits_module
 from doubled_odd.combinatorics import (
     GroundSet,
+    class_profiles,
     adjacency_matrix,
     enumerate_vertices,
     mask_of,
@@ -335,12 +336,14 @@ def test_structure_constants_match_the_products_of_orbit_matrices():
                 assert mats[a] @ mats[b] == expected
 
 
-def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
+def _merge_incoherent_orbits(monkeypatch) -> OrbitCoordinates:
+    """Orbit coordinates at m = 1 on a pair index with two orbits merged
+    into one whose matrix has a square that is not a combination of the
+    coarser orbit matrices."""
     g = GroundSet(1)
     mats = orbit_matrices(g)
     # merge ({2}, {3}) and ({3}, {2}) with ({2}, {1}) and ({3}, {1}): the
-    # square of the merged matrix is 1 at ({2}, {3}) and 0 at ({2}, {1}), so
-    # it is not a combination of the coarser orbit matrices
+    # square of the merged matrix is 1 at ({2}, {3}) and 0 at ({2}, {1})
     a = OrbitLabel(BlockTag.I, (0, 0, 0, 0))
     b = OrbitLabel(BlockTag.I, (0, 1, 0, 0))
     merged = mats[a] + mats[b]
@@ -349,7 +352,46 @@ def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
     ids = orbits_module._pair_index(1).labels
     doctored = merged_pair_index(1, ids.index(a), ids.index(b))
     monkeypatch.setattr(orbits_module, "_pair_index", lambda _m: doctored)
-    coords = OrbitCoordinates(g)  # the identity is still a sum of orbits
+    return OrbitCoordinates(g)  # the identity is still a sum of orbits
+
+
+def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
+    coords = _merge_incoherent_orbits(monkeypatch)
+    with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
+        coords.structure_constants()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_representative_structure_constants_match_the_exhaustive_pass(m):
+    # the table read off one pair per orbit, certified exhaustively up to
+    # m = 3 and by seeded pairs and Higman's identity at m = 4, against the
+    # pass over all n^3 vertex triples
+    coords = OrbitCoordinates(GroundSet(m))
+    rows, cols = coords._label_lines()
+    profiles, offending = class_profiles(rows, cols, rows, coords.ambient_dim)
+    assert offending is None
+    keys = coords.structure_constants().keys
+    assert [list(k) for k in keys] == [profiles[c] for c in range(coords.ambient_dim)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_certificates_above_the_exhaustive_range_accept_the_true_orbits(m):
+    coords = OrbitCoordinates(GroundSet(m))
+    keys = [coords._profile(pos[0]) for pos in coords._positions]
+    coords._certify_by_samples(keys)
+    coords._certify_by_higman(keys)
+
+
+def test_certificates_above_the_exhaustive_range_reject_orbits_that_are_not_coherent(monkeypatch):
+    # the m >= 4 certificates, called at m = 1 on the merged orbits
+    coords = _merge_incoherent_orbits(monkeypatch)
+    keys = [coords._profile(pos[0]) for pos in coords._positions]
+    with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
+        coords._certify_by_samples(keys)
+    with pytest.raises(NotClosedError, match="fail Higman's identity"):
+        coords._certify_by_higman(keys)
+    # structure_constants takes the seeded pairs above _EXHAUSTIVE_MAX_M
+    monkeypatch.setattr(orbits_module, "_EXHAUSTIVE_MAX_M", 0)
     with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
         coords.structure_constants()
 

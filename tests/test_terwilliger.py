@@ -272,6 +272,16 @@ def test_action_tables_reject_a_generator_not_constant_on_orbits():
     assert len(coords.action_tables([dual_idempotent(g, 1)])) == 1
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_dual_idempotent_tables_from_labels_match_the_certified_tables(m):
+    g = GroundSet(m)
+    coords = OrbitCoordinates(g)
+    certified = tuple(coords.action_tables(closure_generators(g)))
+    # closure_generators lists E*_0..E*_{2m+1}, then A_1
+    assert terwilliger_module._dual_idempotent_tables(m) == certified[:-1]
+    assert terwilliger_module._closure_tables(m) == certified
+
+
 def test_orbit_coordinates_require_a_partition_of_the_pairs(monkeypatch):
     # drop a closed-form label: the pairs of its orbit then carry a label
     # outside the closed form, which is a named error, not a KeyError
