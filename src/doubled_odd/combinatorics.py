@@ -65,15 +65,6 @@ class DistanceRegularityError(Exception):
         )
 
 
-def mask_of(elements) -> int:
-    mask = 0
-    for e in elements:
-        if e < 1:
-            raise ValueError(f"elements are 1-based, got {e}")
-        mask |= 1 << (e - 1)
-    return mask
-
-
 def elements_of(mask: int) -> tuple[int, ...]:
     out = []
     e = 1
@@ -105,14 +96,6 @@ def _vertex_index(m: int) -> dict[int, int]:
 def enumerate_vertices(g: GroundSet) -> list[int]:
     """All vertices as bitmasks in the canonical order."""
     return list(_vertices(g.m))
-
-
-def vertex_index(g: GroundSet, v: int) -> int:
-    """Ordinal of a vertex in the canonical order."""
-    try:
-        return _vertex_index(g.m)[v]
-    except KeyError:
-        raise ValueError(f"{v:#b} is not a vertex for m={g.m}") from None
 
 
 def distance(y: int, z: int) -> int:
@@ -154,13 +137,6 @@ def _distance_matrices(m: int) -> tuple[SparseExactMatrix, ...]:
     return tuple(SparseExactMatrix(n, n, rows) for rows in rows_by_i)
 
 
-def distance_matrix(g: GroundSet, i: int) -> SparseExactMatrix:
-    """0/1 matrix of pairs at distance exactly i; rejects i outside [0, 2m+1]."""
-    if not 0 <= i <= g.diameter:
-        raise ValueError(f"distance index {i} outside [0, {g.diameter}]")
-    return _distance_matrices(g.m)[i]
-
-
 def distance_matrices(g: GroundSet) -> list[SparseExactMatrix]:
     return list(_distance_matrices(g.m))
 
@@ -193,7 +169,7 @@ def class_profiles(rows, cols, classes, width: int):
 
     This one exhaustive pass over all triples (y, w, z) certifies the
     structure constants of the orbit matrices at small m, and is the oracle
-    of the intersection numbers of a distance table (_intersection_table).
+    of the intersection numbers of a distance table in the tests.
     """
     seen: dict[int, list[int]] = {}
     for y, (row, class_row) in enumerate(zip(rows, classes)):
@@ -210,20 +186,20 @@ def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
     """Every p^h_{ij}, read off the certified structure constants of the
     stabilizer's orbit matrices.
 
-    Each orbit of vertex pairs lies at one distance, and its structure
-    constants count, for its pairs (x, y), the vertices z by the orbits of
-    (x, z) and (z, y); mapping those to d(x, z) * (2m + 2) + d(z, y) gives
-    the counts of the exhaustive pass over all pairs.  Raises
-    DistanceRegularityError with the first offending witness if any count
-    depends on the chosen pair (it never should).
+    Each orbit of vertex pairs lies at one distance, read off its label
+    (orbits._orbit_distance), and its structure constants count, for its
+    pairs (x, y), the vertices z by the orbits of (x, z) and (z, y); mapping
+    those to d(x, z) * (2m + 2) + d(z, y) gives the counts of the exhaustive
+    pass over all pairs.  Raises DistanceRegularityError with the first
+    offending witness if any count depends on the chosen pair (it never
+    should).
     """
     # orbits is built on this module, so it is imported here, not at the top
-    from .orbits import _pair_index, _structure_constants
+    from .orbits import _orbit_distance, _pair_index, _structure_constants
 
     index = _pair_index(g.m)
-    verts = _vertices(g.m)
-    dist = [distance(verts[pos[0] // index.n], verts[pos[0] % index.n]) for pos in index.positions]
-    table = _orbit_intersection_table(verts, index, _structure_constants(g.m).keys, dist)
+    dist = [_orbit_distance(g.m, lab) for lab in index.labels]
+    table = _orbit_intersection_table(_vertices(g.m), index, _structure_constants(g.m).keys, dist)
     return IntersectionNumbers(m=g.m, table=table)
 
 
@@ -232,8 +208,8 @@ def _orbit_intersection_table(verts, index, keys, dist: list[int]) -> dict[tuple
     pair index at distance dist[c], from the orbits' structure constants
     keys (orbits.StructureConstants.keys).
 
-    The table and the witness are those of _intersection_table on the n x n
-    table: orbits are numbered by their first pair, so the first pair of the
+    The table and the witness are those of the exhaustive pass over the
+    n x n table (class_profiles): orbits are numbered by their first pair, so the first pair of the
     least orbit whose counts differ from those of the least orbit at the same
     distance is the first offending pair in row-major order.
     """
@@ -247,24 +223,6 @@ def _orbit_intersection_table(verts, index, keys, dist: list[int]) -> dict[tuple
         if known is not profile and known != profile:
             x, y = divmod(index.positions[c][0], index.n)
             raise _witness(verts[x], verts[y], known, profile, width)
-    return _table(profiles, width)
-
-
-def _intersection_table(verts, dist: list[list[int]]) -> dict[tuple[int, int, int], int]:
-    """Oracle: p^h_{ij} of a symmetric distance table whose vertices are
-    verts, by one exhaustive pass over all triples.
-
-    On failure the witness is the first pair (x, y) in row-major order whose
-    counts differ from those of the first pair at the same distance, with the
-    least (i, j) whose count differs.
-    """
-    width = 1 + max(map(max, dist))
-    # dist is symmetric, so its rows are also its columns
-    profiles, offending = class_profiles(dist, dist, dist, width)
-    if offending is not None:
-        x, y = offending
-        here = [i * width + j for i, j in zip(dist[x], dist[y])]
-        raise _witness(verts[x], verts[y], profiles[dist[x][y]], here, width)
     return _table(profiles, width)
 
 

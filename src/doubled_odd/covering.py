@@ -21,7 +21,7 @@ from collections import deque
 from functools import lru_cache
 from math import comb
 
-from .combinatorics import GroundSet, _vertices, distance_matrix
+from .combinatorics import GroundSet, _vertices, adjacency_matrix
 from .linalg import SparseExactMatrix
 from .terwilliger import IdentityCheck, dual_idempotent
 
@@ -119,7 +119,7 @@ def verify_intertwining(g: GroundSet) -> list[IdentityCheck]:
     two_identity = SparseExactMatrix.identity(half).scale(2)
     results.append(IdentityCheck("psi-psiT-twice-identity", psi @ psi.transpose() == two_identity))
 
-    a1_doubled = distance_matrix(g, 1)
+    a1_doubled = adjacency_matrix(g)
     a1_odd = odd_adjacency(g)
     results.append(
         IdentityCheck("adjacency-transport", psi @ a1_doubled == a1_odd @ psi)

@@ -185,14 +185,6 @@ def vectorize(m: SparseExactMatrix) -> dict[int, object]:
     return vec
 
 
-def matrix_from_vector(vec: dict[int, object], nrows: int, ncols: int) -> SparseExactMatrix:
-    rows: dict[int, dict[int, object]] = {}
-    for idx, v in vec.items():
-        if v:
-            rows.setdefault(idx // ncols, {})[idx % ncols] = v
-    return SparseExactMatrix(nrows, ncols, rows)
-
-
 class SpanBasis:
     """A rational subspace in canonical reduced row echelon form.
 
@@ -347,31 +339,6 @@ class SpanBasis:
 
     def __repr__(self):
         return f"SpanBasis(dim={self.dimension}, ambient={self.ambient_dim})"
-
-
-def span(matrices: Iterable[SparseExactMatrix]) -> SpanBasis:
-    """RREF basis of the span of the vectorized matrices."""
-    mats = list(matrices)
-    if not mats:
-        return SpanBasis(0)
-    nrows, ncols = mats[0].nrows, mats[0].ncols
-    basis = SpanBasis(nrows * ncols)
-    for m in mats:
-        if m.nrows != nrows or m.ncols != ncols:
-            raise ShapeMismatchError(
-                f"span over mixed shapes: {nrows} x {ncols} vs {m.nrows} x {m.ncols}"
-            )
-        basis.insert(vectorize(m))
-    return basis
-
-
-def contains(basis: SpanBasis, m: SparseExactMatrix) -> bool:
-    """Exact membership of a matrix in a span of vectorized matrices."""
-    if m.nrows * m.ncols != basis.ambient_dim:
-        raise ShapeMismatchError(
-            f"matrix of {m.nrows * m.ncols} entries against ambient {basis.ambient_dim}"
-        )
-    return basis.contains_vector(vectorize(m))
 
 
 class GeneratorAction(Protocol):

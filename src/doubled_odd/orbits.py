@@ -25,22 +25,23 @@ The closed forms are production code; an independent union-find oracle that
 grinds out the orbits from explicit group generators lives alongside for the
 verification harness to compare against.
 
-OrbitCoordinates identifies a matrix that is constant on every orbit with its
-vector of orbit values in Q^d, d = 4 C(m+4, 4), which makes Q^d the
-centralizer algebra; one instance per m is shared.  Its action_tables certify
-how 0/1 generators act on the orbit matrices from either side, each entry
-over all vertex pairs, so algebras generated by them can be computed and
-kept in Q^d; lift gives the n x n form of such an algebra for export.
-It also computes the structure constants p^c_{ab}, with O_a O_b =
-sum_c p^c_{ab} O_c, from the first pair (y, z) of each orbit c: the count of
-middle vertices w with (y, w) in orbit a and (w, z) in orbit b.  That every
-pair of orbit c sees the same counts is the coherent-configuration
-property, and it is checked rather than assumed: on all vertex triples up
-to m = _EXHAUSTIVE_MAX_M, and above it on seeded extra pairs of every orbit
-and by Higman's identity |c| p^c_{ab} = |a| p^a_{c b^T}.  The orbit matrices
-have disjoint supports, so a product lies in the span of a set F of them
-exactly when its support {c : p^c_{ab} > 0} lies in F; check_subalgebra
-reads its scan off that table without forming an n x n product.
+OrbitCoordinates identifies a matrix that is constant on every orbit with
+its vector of orbit values in Q^d, d = 4 C(m+4, 4), which makes Q^d the
+centralizer algebra; one instance per m is shared, and lift gives the n x n
+form of an algebra kept in Q^d for export.  The orbits of a group on vertex
+pairs form a coherent configuration (Higman 1975), so one table, the
+structure constants p^c_{ab} with O_a O_b = sum_c p^c_{ab} O_c, fixes every
+product in Q^d.  It is read off the first pair (y, z) of each orbit c, as
+the count of middle vertices w with (y, w) in orbit a and (w, z) in orbit b.
+That every pair of orbit c sees the same counts is checked rather than
+assumed: on all vertex triples up to m = _EXHAUSTIVE_MAX_M, and above it on
+seeded extra pairs of every orbit and by Higman's identity |c| p^c_{ab} =
+|a| p^a_{c b^T}.  StructureConstants.product, through the table's product
+index, is the one multiplication in Q^d: the action of T's generators on the
+orbit matrices is tabled from it, and check_subalgebra reads the support
+{c : p^c_{ab} > 0} of each product off the index, since the orbit matrices
+have disjoint supports and a product lies in the span of a set F of them
+exactly when its support lies in F.  No n x n product is formed.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import comb
 from operator import add
 from typing import NamedTuple
@@ -85,15 +85,6 @@ class OrbitLabel(NamedTuple):
         return f"{self.block.value}:{i},{j},{t},{p}"
 
 
-def parse_label(text: str) -> OrbitLabel:
-    block_txt, _, tup_txt = text.partition(":")
-    block = BlockTag(block_txt)
-    parts = tuple(int(x) for x in tup_txt.split(","))
-    if len(parts) != 4:
-        raise ValueError(f"malformed orbit label {text!r}")
-    return OrbitLabel(block, parts)
-
-
 _BLOCKS = (BlockTag.I, BlockTag.II, BlockTag.III, BlockTag.IV)
 
 # the structure constants are certified on all n^3 vertex triples up to this
@@ -119,6 +110,15 @@ def rho(x0: int, y: int, z: int) -> tuple[int, int, int, int]:
 
 def block_of_pair(m: int, y: int, z: int) -> BlockTag:
     return _BLOCKS[2 * (y.bit_count() > m) + (z.bit_count() > m)]
+
+
+def _orbit_distance(m: int, label: OrbitLabel) -> int:
+    """The distance |y| + |z| - 2|y n z| of every pair (y, z) of the orbit
+    with this label: the block gives |y| and |z|, the label's third entry
+    |y n z|."""
+    big_y = label.block in (BlockTag.III, BlockTag.IV)
+    big_z = label.block in (BlockTag.II, BlockTag.IV)
+    return 2 * m + big_y + big_z - 2 * label.tup[2]
 
 
 @lru_cache(maxsize=64)
@@ -161,23 +161,6 @@ def index_set(block: BlockTag, m: int) -> frozenset[tuple[int, int, int, int]]:
     if m < 1:
         raise ValueError("m must be at least 1")
     return _index_set(block, m)
-
-
-def enumerate_index_set(g: GroundSet, block: BlockTag) -> frozenset[tuple[int, int, int, int]]:
-    """Oracle: the set {rho(y, z)} scanned over all pairs of the block."""
-    m = g.m
-    verts = _vertices(m)
-    half = comb(g.n_points, m)
-    if block in (BlockTag.I, BlockTag.II):
-        ys = verts[:half]
-    else:
-        ys = verts[half:]
-    if block in (BlockTag.I, BlockTag.III):
-        zs = verts[:half]
-    else:
-        zs = verts[half:]
-    x0 = g.base_vertex
-    return frozenset(rho(x0, y, z) for y in ys for z in zs)
 
 
 def tuple_bijection(
@@ -345,11 +328,13 @@ def _apply_perm(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def orbits_by_group_action(g: GroundSet) -> list[frozenset[tuple[int, int]]]:
+def orbits_by_group_action(g: GroundSet) -> array:
     """Oracle: orbits of the stabilizer on ordered vertex pairs via union-find.
 
     Works straight from explicit group generators, with no reference to the
     four-tuple invariant, so it independently cross-checks the closed forms.
+    roots[y * n + z] is the union-find root of the vertex pair (y, z); two
+    pairs lie in one orbit exactly when their roots are equal.
     """
     verts = _vertices(g.m)
     index = _vertex_index(g.m)
@@ -378,10 +363,7 @@ def orbits_by_group_action(g: GroundSet) -> list[frozenset[tuple[int, int]]]:
             for zi in range(n):
                 union(base + zi, py + vp[zi])
 
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for code in range(n * n):
-        groups.setdefault(find(code), []).append((code // n, code % n))
-    return [frozenset(members) for members in groups.values()]
+    return array("I", map(find, range(n * n)))
 
 
 @dataclass(frozen=True)
@@ -423,7 +405,7 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
     block its support lands in.
 
     Every ordered pair (a, b) of sub is checked, in order, against the
-    certified structure constants of StructureConstants: O_a O_b is the sum
+    product index of the certified structure constants: O_a O_b is the sum
     of p^c_{ab} O_c over its support {c : p^c_{ab} > 0}, and the orbit
     matrices have disjoint supports, so the product lies in span(sub) exactly
     when its support lies in sub.  No n x n product is formed.  The block of
@@ -431,9 +413,8 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
     lies in the least orbit of its support, since orbits are numbered by
     their first pair.
     """
-    labels = _structure_constants(g.m).labels
-    supports = _product_supports(g.m)
-    d = len(labels)
+    consts = _structure_constants(g.m)
+    labels = consts.labels
     ids = {lab: c for c, lab in enumerate(labels)}
     try:
         sub_ids = [ids[lab] for lab in sub]
@@ -443,8 +424,9 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
     first_violation = None
     violation_block = None
     for la, a in zip(sub, sub_ids):
+        products = consts.index[a]
         for lb, b in zip(sub, sub_ids):
-            support = supports.get(a * d + b, ())
+            support = [c for c, _ in products.get(b, ())]
             if first_violation is None and not inside.issuperset(support):
                 first_violation = (la, lb)
                 violation_block = labels[support[0]].block
@@ -463,11 +445,24 @@ class StructureConstants(NamedTuple):
     orbit c.  keys[c] is the sorted multiset of a * d + b over the vertices w,
     for any pair (y, z) of orbit c, with (y, w) in orbit a and (w, z) in
     orbit b; so p^c_{ab}, the (y, z) entry of O_a O_b, is the multiplicity of
-    a * d + b in keys[c], and O_a O_b = sum_c p^c_{ab} O_c.
+    a * d + b in keys[c], and O_a O_b = sum_c p^c_{ab} O_c.  The product
+    index reads the same table by factors: index[a][b] lists the (c, p^c_{ab})
+    with p^c_{ab} > 0, c ascending, and has no entry b when O_a O_b = 0.
     """
 
     labels: tuple[OrbitLabel, ...]
     keys: tuple[array, ...]
+    index: tuple[dict[int, list[tuple[int, int]]], ...]
+
+    def product(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
+        """The orbit coordinates of X Y, where x and y are those of X and Y."""
+        out: dict[int, object] = {}
+        for a, u in x.items():
+            products = self.index[a]
+            for b, v in y.items():
+                for c, p in products.get(b, ()):
+                    out[c] = out.get(c, 0) + u * v * p
+        return {c: _norm(w) for c, w in out.items() if w}
 
 
 @lru_cache(maxsize=8)
@@ -475,19 +470,9 @@ def _structure_constants(m: int) -> StructureConstants:
     return _orbit_coordinates(m).structure_constants()
 
 
-@lru_cache(maxsize=8)
-def _product_supports(m: int) -> dict[int, list[int]]:
-    """a * d + b -> the support {c : p^c_{ab} > 0} of O_a O_b, ascending;
-    a product that is zero has no entry."""
-    supports: dict[int, list[int]] = {}
-    for c, keys in enumerate(_structure_constants(m).keys):
-        for key in set(keys):
-            supports.setdefault(key, []).append(c)
-    return supports
-
-
 class ActionTable(NamedTuple):
-    """The certified action of one matrix g on the orbit matrices.
+    """The action of one element g of Q^d on the orbit matrices, a memo of
+    its certified products.
 
     left[a] and right[a] map orbit b to the coefficient of O_b in g O_a and in
     O_a g respectively.
@@ -505,13 +490,12 @@ class OrbitCoordinates:
     same span of n x n matrices; in particular the identity RREF of Q^d
     lifts to the RREF of the span of all orbit matrices.  Nothing assumes
     that the orbit matrices form a coherent configuration: the identity is
-    checked to be a sum of orbit matrices, and every entry of action_tables
-    is read off all pairs of its orbit and checked to be the same on each of
+    checked to be a sum of orbit matrices, and structure_constants() reads
+    the products of orbit matrices off one pair per orbit and certifies
     them (NotClosedError otherwise).  An instance is the action
-    algebra_closure and centralizer_within need, with tables from
-    action_tables as its generators.  orbit_labels[a] is the label of orbit
-    a, and structure_constants() reads the products of orbit matrices off
-    one pair per orbit and certifies them.
+    algebra_closure and centralizer_within need, with ActionTables, memos
+    of certified products, as its generators.  orbit_labels[a] is the label
+    of orbit a.
     """
 
     def __init__(self, g: GroundSet):
@@ -533,57 +517,11 @@ class OrbitCoordinates:
         n, labels = self.n, self._labels
         return [labels[k * n:(k + 1) * n] for k in range(n)], [labels[k::n] for k in range(n)]
 
-    def action_tables(self, generators: list[SparseExactMatrix]) -> list[ActionTable]:
-        """The certified action of each 0/1 generator on the orbit matrices."""
-        n = self.n
-        label_rows, label_cols = self._label_lines()
-        tables = []
-        for mat in generators:
-            if mat.nrows != n or mat.ncols != n:
-                raise ShapeMismatchError(f"an action table needs an {n} x {n} matrix")
-            rows: dict[int, list[int]] = {}
-            cols: dict[int, list[int]] = {}
-            for r, c, v in mat.entries():
-                if v != 1:
-                    raise ValueError("action tables are built for 0/1 matrices")
-                rows.setdefault(r, []).append(c)
-                cols.setdefault(c, []).append(r)
-            # (g O_a)[y, z] counts the w in row y of g with (w, z) in orbit a;
-            # (O_a g)[y, z] counts the w in column z of g with (y, w) in orbit a
-            tables.append(ActionTable(
-                left=self._table(rows, label_rows),
-                right=self._table(cols, label_cols),
-            ))
-        return tables
-
-    def _table(self, lines: dict[int, list[int]], label_lines: list) -> tuple[dict[int, int], ...]:
-        # one pass over all n^2 pairs: the orbits a met along a pair's line of
-        # g, counted, must be the same multiset for every pair of its orbit b
-        seen: list = [None] * self.ambient_dim
-        for k, orbits in enumerate(label_lines):
-            ws = lines.get(k, ())
-            met = zip(*(label_lines[w] for w in ws)) if ws else repeat(())
-            if len(ws) > 1:
-                met = map(tuple, map(sorted, met))
-            for b, profile in zip(orbits, met):
-                known = seen[b]
-                if known is None:
-                    seen[b] = profile
-                elif known != profile:
-                    raise NotClosedError(
-                        f"the action on the orbit matrices is not constant on orbit {b}"
-                    )
-        table: tuple[dict[int, int], ...] = tuple({} for _ in seen)
-        for b, profile in enumerate(seen):
-            for a in profile:
-                table[a][b] = table[a].get(b, 0) + 1
-        return table
-
     def structure_constants(self) -> StructureConstants:
         """The structure constants of the orbit matrices, read off the first
         pair of each orbit (d·n work) and certified (NotClosedError when some
         p^c_{ab} differs between two pairs of orbit c, i.e. when the orbits
-        do not form a coherent configuration).
+        do not form a coherent configuration), with their product index.
 
         Up to m = _EXHAUSTIVE_MAX_M every pair of every orbit is checked, by
         one pass over all n^3 triples.  Above it the n^3 pass is out of reach
@@ -595,7 +533,13 @@ class OrbitCoordinates:
         else:
             self._certify_by_samples(keys)
             self._certify_by_higman(keys)
-        return StructureConstants(self.orbit_labels, tuple(array("I", k) for k in keys))
+        d = self.ambient_dim
+        index: tuple[dict[int, list[tuple[int, int]]], ...] = tuple({} for _ in keys)
+        for c, orbit_keys in enumerate(keys):
+            for key, p in Counter(orbit_keys).items():
+                a, b = divmod(key, d)
+                index[a].setdefault(b, []).append((c, p))
+        return StructureConstants(self.orbit_labels, tuple(array("I", k) for k in keys), index)
 
     def _profile(self, idx: int) -> list[int]:
         # the sorted keys a * d + b over the middle vertices w of the pair at

@@ -7,15 +7,24 @@ E*_0, ..., E*_{2m+1}.  build_terwilliger closes under A_1 and the E*_i only
 and then certifies exactly that every other A_i lies in the result, so the
 smaller generating set is checked rather than assumed.  T and its centre
 Z(T) live in orbit coordinates Q^d, d = 4 C(m+4, 4), end to end, on the
-centralizer's orbits.OrbitCoordinates: the closure and the centre solve apply
-action tables of the generators to the orbit matrices (A_1's certified on
-all vertex pairs, the E*_i's read off the orbit labels), and their RREF
-bases stay in Q^d.  Only the matrix export lifts T to n x n matrices.
-Everything T is generated by lies inside the centralizer algebra of the
-stabilizer of x0: each E*_i is a single diagonal orbit matrix and each
-sandwich E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with
-explicit four-tuple labels.  verify_sandwich_identities checks those
-identifications entry for entry.
+centralizer's orbits.OrbitCoordinates, and only the matrix export lifts T to
+n x n matrices.
+
+Every generator is an element of Q^d read off the orbit labels: E*_i is the
+unit vector of one diagonal orbit, and A_i the indicator of the orbits at
+distance i (orbits._orbit_distance).  The closure and the centre solve apply
+action tables of the generators to the orbit matrices, and every table entry
+is one product in Q^d through the certified structure constants
+(orbits.StructureConstants.product).  So the action of A_1 is exactly as
+certified as the structure constants: by the pass over all n^3 vertex
+triples at m <= 3, and by seeded pairs of every orbit and Higman's identity
+at m = 4, 5.  T needs no n x n matrix, and no pass over the n^2 vertex
+pairs beyond the pair index's.  Everything T is generated by lies inside the
+centralizer algebra of the stabilizer of x0: each E*_i is a single diagonal
+orbit matrix and each sandwich E*_i A_1 E*_{i+1} is a single off-diagonal
+orbit matrix, with explicit four-tuple labels.  verify_sandwich_identities
+checks those identifications entry for entry on the n x n matrices, with A_1
+the adjacency matrix.
 
 For m >= 3 the two algebras are expected to coincide, with
 
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .combinatorics import GroundSet, _vertices, distance_matrices
+from .combinatorics import GroundSet, _vertices, adjacency_matrix, distance
 from .linalg import (
     ClosureResult,
     NotClosedError,
@@ -41,10 +50,9 @@ from .linalg import (
     SpanBasis,
     algebra_closure,
     centralizer_within,
-    vectorize,
 )
 from .orbits import ActionTable, BlockTag, CentralizerBasis, OrbitLabel, orbit_matrix
-from .orbits import _orbit_coordinates
+from .orbits import _orbit_coordinates, _orbit_distance, _structure_constants
 
 
 class IdentityCheck(NamedTuple):
@@ -58,8 +66,7 @@ def _sphere_indices(m: int) -> tuple[tuple[int, ...], ...]:
     x0 = g.base_vertex
     spheres: list[list[int]] = [[] for _ in range(g.diameter + 1)]
     for vi, v in enumerate(_vertices(m)):
-        d = m + v.bit_count() - 2 * (x0 & v).bit_count()
-        spheres[d].append(vi)
+        spheres[distance(x0, v)].append(vi)
     return tuple(tuple(s) for s in spheres)
 
 
@@ -93,61 +100,45 @@ class TerwilligerAlgebra:
         return self.basis.dimension
 
 
-def terwilliger_generators(g: GroundSet) -> list[SparseExactMatrix]:
-    """All distance matrices followed by all dual idempotents."""
-    return list(distance_matrices(g)) + dual_idempotents(g)
-
-
-def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
-    """The generating set T is closed under: E*_0..E*_{2m+1}, then A_1."""
-    return dual_idempotents(g) + [distance_matrices(g)[1]]
+def _distance_vector(m: int, i: int) -> dict[int, object]:
+    """A_i in orbit coordinates: the indicator of the orbits at distance i."""
+    labels = _orbit_coordinates(m).orbit_labels
+    return {a: 1 for a, lab in enumerate(labels) if _orbit_distance(m, lab) == i}
 
 
 @lru_cache(maxsize=8)
 def _closure_tables(m: int) -> tuple[ActionTable, ...]:
-    """The action tables of closure_generators: those of the E*_i from the
-    orbit labels, and A_1's certified on all vertex pairs."""
-    coords = _orbit_coordinates(m)
-    a1 = distance_matrices(GroundSet(m))[1]
-    return _dual_idempotent_tables(m) + tuple(coords.action_tables([a1]))
-
-
-def _dual_idempotent_tables(m: int) -> tuple[ActionTable, ...]:
-    """The action of E*_0..E*_{2m+1} on the orbit matrices, read off the
-    labels: E*_i O_a is O_a when the row vertices y of orbit a lie on sphere
-    i around x0, else 0, and O_a E*_i likewise by the column vertices z.  The
-    sphere of y is m + |y| - 2|x0 n y|, where the block of a gives |y| and
-    its first label entry |x0 n y|; the second gives |x0 n z|."""
-    rows, cols = [], []
-    for lab in _orbit_coordinates(m).orbit_labels:
-        i, j, _, _ = lab.tup
-        rows.append(2 * m + (lab.block in (BlockTag.III, BlockTag.IV)) - 2 * i)
-        cols.append(2 * m + (lab.block in (BlockTag.II, BlockTag.IV)) - 2 * j)
+    """The action tables of the generators T is closed under, E*_0..E*_{2m+1}
+    and then A_1, each entry a product of certified structure constants:
+    left[a] = x e_a and right[a] = e_a x in Q^d for the generator x."""
+    consts = _structure_constants(m)
+    ids = {lab: a for a, lab in enumerate(consts.labels)}
+    gens = [{ids[_diagonal_label(m, i)]: 1} for i in range(2 * m + 2)]
+    gens.append(_distance_vector(m, 1))
+    units = [{a: 1} for a in range(len(ids))]
     return tuple(
         ActionTable(
-            left=tuple({a: 1} if s == k else {} for a, s in enumerate(rows)),
-            right=tuple({a: 1} if s == k else {} for a, s in enumerate(cols)),
+            left=tuple(consts.product(x, e) for e in units),
+            right=tuple(consts.product(e, x) for e in units),
         )
-        for k in range(2 * m + 2)
+        for x in gens
     )
 
 
 def build_terwilliger(g: GroundSet) -> TerwilligerAlgebra:
-    """T as the closure of closure_generators(g), computed in orbit coordinates.
+    """T as the closure under E*_0..E*_{2m+1} and A_1, computed in orbit
+    coordinates.
 
     T is generated by A_1 and the E*_i (Terwilliger 1992).  Rather than rely
     on distance-regularity for the remaining distance matrices, each of A_0
-    and A_2..A_{2m+1} is tested for exact membership in the closure; a
-    missing one raises NotClosedError, since the closure would then not be
-    all of T.  The basis is returned in Q^d, as the closure left it.
+    and A_2..A_{2m+1}, the indicator of the orbits at its distance, is tested
+    for exact membership in the closure; a missing one raises
+    NotClosedError, since the closure would then not be all of T.  The basis
+    is returned in Q^d, as the closure left it.
     """
-    coords = _orbit_coordinates(g.m)
-    closure = algebra_closure(_closure_tables(g.m), coords)
-    for i, a_i in enumerate(distance_matrices(g)):
-        if i == 1:
-            continue
-        values = coords.coordinates(vectorize(a_i))
-        if values is None or not closure.basis.contains_vector(values):
+    closure = algebra_closure(_closure_tables(g.m), _orbit_coordinates(g.m))
+    for i in range(g.diameter + 1):
+        if i != 1 and not closure.basis.contains_vector(_distance_vector(g.m, i)):
             raise NotClosedError(
                 f"A_{i} is not in the algebra generated by A_1 and the E*_i at m={g.m}"
             )
@@ -189,7 +180,7 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     """
     m = g.m
     diam = g.diameter
-    a1 = distance_matrices(g)[1]
+    a1 = adjacency_matrix(g)
     estars = dual_idempotents(g)
     results: list[IdentityCheck] = []
 
@@ -231,9 +222,10 @@ def verify_inclusion(t: TerwilligerAlgebra, cent: CentralizerBasis) -> Inclusion
 
     What certifies T inside the span of the orbit matrices is the action
     tables: T is closed from the identity, a sum of orbit matrices, under
-    actions on the orbit matrices whose every entry was checked on every
-    vertex pair.  This check confirms that T's rows are expressed in those d
-    coordinates; a basis of any other ambient dimension fails at row 0.
+    actions on the orbit matrices whose every entry is a product of the
+    certified structure constants.  This check confirms that T's rows are
+    expressed in those d coordinates; a basis of any other ambient dimension
+    fails at row 0.
     """
     if t.basis.ambient_dim != cent.dimension:
         return InclusionResult(ok=False, failed_row=0)
@@ -274,10 +266,6 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     """Basis of the center Z(T) in Q^d: the elements of T commuting with the
     generators T is closed under, solved in orbit coordinates."""
     return centralizer_within(t.basis, _closure_tables(t.m), action=_orbit_coordinates(t.m))
-
-
-def center_dimension(t: TerwilligerAlgebra) -> int:
-    return center_basis(t).dimension
 
 
 def upsilon(m: int) -> frozenset[tuple[int, int]]:

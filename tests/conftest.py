@@ -10,7 +10,6 @@ _contexts: dict[int, CheckContext] = {}
 _PER_M_MEMOS = (
     orbits_module._orbit_coordinates,
     orbits_module._structure_constants,
-    orbits_module._product_supports,
     terwilliger_module._closure_tables,
 )
 

@@ -1,19 +1,164 @@
-"""Helpers shared by the tests: the n^2-ambient matrix action, the oracle the
-orbit-coordinate runs of algebra_closure and centralizer_within are compared
-with, and doctored orbit data for the certificates of the pair index."""
+"""Helpers shared by the tests: the n^2-ambient matrix action and spans, the
+oracles the orbit-coordinate runs of algebra_closure and centralizer_within
+and the product-built action tables are compared with, the full generator
+lists of T, and doctored orbit data for the certificates of the pair index."""
 
 from array import array
-from math import isqrt
+from collections.abc import Iterable
+from itertools import repeat
+from math import comb, isqrt
 
+from doubled_odd.combinatorics import (
+    GroundSet,
+    _distance_matrices,
+    _table,
+    _vertex_index,
+    _vertices,
+    _witness,
+    adjacency_matrix,
+    class_profiles,
+    distance_matrices,
+)
 from doubled_odd.linalg import (
     NotClosedError,
     ShapeMismatchError,
     SparseExactMatrix,
     SpanBasis,
-    matrix_from_vector,
     vectorize,
 )
-from doubled_odd.orbits import PairIndex, _pair_index
+from doubled_odd.orbits import (
+    ActionTable,
+    BlockTag,
+    OrbitCoordinates,
+    OrbitLabel,
+    PairIndex,
+    _pair_index,
+    rho,
+)
+from doubled_odd.terwilliger import TerwilligerAlgebra, center_basis, dual_idempotents
+
+
+def mask_of(elements) -> int:
+    mask = 0
+    for e in elements:
+        if e < 1:
+            raise ValueError(f"elements are 1-based, got {e}")
+        mask |= 1 << (e - 1)
+    return mask
+
+
+def vertex_index(g: GroundSet, v: int) -> int:
+    """Ordinal of a vertex in the canonical order."""
+    try:
+        return _vertex_index(g.m)[v]
+    except KeyError:
+        raise ValueError(f"{v:#b} is not a vertex for m={g.m}") from None
+
+
+def distance_matrix(g: GroundSet, i: int) -> SparseExactMatrix:
+    """0/1 matrix of pairs at distance exactly i; rejects i outside [0, 2m+1]."""
+    if not 0 <= i <= g.diameter:
+        raise ValueError(f"distance index {i} outside [0, {g.diameter}]")
+    return _distance_matrices(g.m)[i]
+
+
+def intersection_table(verts, dist: list[list[int]]) -> dict[tuple[int, int, int], int]:
+    """Oracle: p^h_{ij} of a symmetric distance table whose vertices are
+    verts, by one exhaustive pass over all triples.
+
+    On failure the witness is the first pair (x, y) in row-major order whose
+    counts differ from those of the first pair at the same distance, with the
+    least (i, j) whose count differs.
+    """
+    width = 1 + max(map(max, dist))
+    # dist is symmetric, so its rows are also its columns
+    profiles, offending = class_profiles(dist, dist, dist, width)
+    if offending is not None:
+        x, y = offending
+        here = [i * width + j for i, j in zip(dist[x], dist[y])]
+        raise _witness(verts[x], verts[y], profiles[dist[x][y]], here, width)
+    return _table(profiles, width)
+
+
+def parse_label(text: str) -> OrbitLabel:
+    block_txt, _, tup_txt = text.partition(":")
+    block = BlockTag(block_txt)
+    parts = tuple(int(x) for x in tup_txt.split(","))
+    if len(parts) != 4:
+        raise ValueError(f"malformed orbit label {text!r}")
+    return OrbitLabel(block, parts)
+
+
+def enumerate_index_set(g: GroundSet, block: BlockTag) -> frozenset[tuple[int, int, int, int]]:
+    """Oracle: the set {rho(y, z)} scanned over all pairs of the block."""
+    m = g.m
+    verts = _vertices(m)
+    half = comb(g.n_points, m)
+    if block in (BlockTag.I, BlockTag.II):
+        ys = verts[:half]
+    else:
+        ys = verts[half:]
+    if block in (BlockTag.I, BlockTag.III):
+        zs = verts[:half]
+    else:
+        zs = verts[half:]
+    x0 = g.base_vertex
+    return frozenset(rho(x0, y, z) for y in ys for z in zs)
+
+
+def orbit_partition(roots, n: int) -> set[frozenset[tuple[int, int]]]:
+    """The orbits of orbits_by_group_action as sets of vertex pairs."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for code, root in enumerate(roots):
+        groups.setdefault(root, []).append(divmod(code, n))
+    return {frozenset(members) for members in groups.values()}
+
+
+def terwilliger_generators(g: GroundSet) -> list[SparseExactMatrix]:
+    """All distance matrices followed by all dual idempotents."""
+    return list(distance_matrices(g)) + dual_idempotents(g)
+
+
+def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
+    """The generating set T is closed under: E*_0..E*_{2m+1}, then A_1."""
+    return dual_idempotents(g) + [adjacency_matrix(g)]
+
+
+def center_dimension(t: TerwilligerAlgebra) -> int:
+    return center_basis(t).dimension
+
+
+def matrix_from_vector(vec: dict[int, object], nrows: int, ncols: int) -> SparseExactMatrix:
+    rows: dict[int, dict[int, object]] = {}
+    for idx, v in vec.items():
+        if v:
+            rows.setdefault(idx // ncols, {})[idx % ncols] = v
+    return SparseExactMatrix(nrows, ncols, rows)
+
+
+def span(matrices: Iterable[SparseExactMatrix]) -> SpanBasis:
+    """RREF basis of the span of the vectorized matrices."""
+    mats = list(matrices)
+    if not mats:
+        return SpanBasis(0)
+    nrows, ncols = mats[0].nrows, mats[0].ncols
+    basis = SpanBasis(nrows * ncols)
+    for m in mats:
+        if m.nrows != nrows or m.ncols != ncols:
+            raise ShapeMismatchError(
+                f"span over mixed shapes: {nrows} x {ncols} vs {m.nrows} x {m.ncols}"
+            )
+        basis.insert(vectorize(m))
+    return basis
+
+
+def contains(basis: SpanBasis, m: SparseExactMatrix) -> bool:
+    """Exact membership of a matrix in a span of vectorized matrices."""
+    if m.nrows * m.ncols != basis.ambient_dim:
+        raise ShapeMismatchError(
+            f"matrix of {m.nrows * m.ncols} entries against ambient {basis.ambient_dim}"
+        )
+    return basis.contains_vector(vectorize(m))
 
 
 class MatrixAction:
@@ -61,6 +206,56 @@ class MatrixAction:
 
     def product(self, u: dict[int, object], v: dict[int, object]) -> dict[int, object]:
         return vectorize(self._matrix(u) @ self._matrix(v))
+
+
+def action_tables(coords: OrbitCoordinates, generators: list[SparseExactMatrix]) -> list[ActionTable]:
+    """Oracle: the action of each 0/1 generator on the orbit matrices, every
+    entry read off all vertex pairs of its orbit (NotClosedError when it
+    differs between two of them)."""
+    n = coords.n
+    label_rows, label_cols = coords._label_lines()
+    tables = []
+    for mat in generators:
+        if mat.nrows != n or mat.ncols != n:
+            raise ShapeMismatchError(f"an action table needs an {n} x {n} matrix")
+        rows: dict[int, list[int]] = {}
+        cols: dict[int, list[int]] = {}
+        for r, c, v in mat.entries():
+            if v != 1:
+                raise ValueError("action tables are built for 0/1 matrices")
+            rows.setdefault(r, []).append(c)
+            cols.setdefault(c, []).append(r)
+        # (g O_a)[y, z] counts the w in row y of g with (w, z) in orbit a;
+        # (O_a g)[y, z] counts the w in column z of g with (y, w) in orbit a
+        tables.append(ActionTable(
+            left=_action_table(coords.ambient_dim, rows, label_rows),
+            right=_action_table(coords.ambient_dim, cols, label_cols),
+        ))
+    return tables
+
+
+def _action_table(d: int, lines: dict[int, list[int]], label_lines: list) -> tuple[dict[int, int], ...]:
+    # one pass over all n^2 pairs: the orbits a met along a pair's line of
+    # g, counted, must be the same multiset for every pair of its orbit b
+    seen: list = [None] * d
+    for k, orbits in enumerate(label_lines):
+        ws = lines.get(k, ())
+        met = zip(*(label_lines[w] for w in ws)) if ws else repeat(())
+        if len(ws) > 1:
+            met = map(tuple, map(sorted, met))
+        for b, profile in zip(orbits, met):
+            known = seen[b]
+            if known is None:
+                seen[b] = profile
+            elif known != profile:
+                raise NotClosedError(
+                    f"the action on the orbit matrices is not constant on orbit {b}"
+                )
+    table: tuple[dict[int, int], ...] = tuple({} for _ in seen)
+    for b, profile in enumerate(seen):
+        for a in profile:
+            table[a][b] = table[a].get(b, 0) + 1
+    return table
 
 
 def merged_pair_index(m: int, keep: int, drop: int) -> PairIndex:

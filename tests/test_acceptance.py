@@ -12,6 +12,7 @@ import time
 from math import comb
 
 import pytest
+from helpers import enumerate_index_set, orbit_partition
 
 from doubled_odd.checks import CheckContext, RunConfig, run
 from doubled_odd.checks import _RUNNERS
@@ -20,7 +21,6 @@ from doubled_odd.covering import verify_intertwining
 from doubled_odd.orbits import (
     BlockTag,
     build_centralizer,
-    enumerate_index_set,
     index_set,
     orbit_matrices,
     orbits_by_group_action,
@@ -100,7 +100,7 @@ def test_criterion_05_orbit_oracle():
     detail = []
     for m in (1, 2):
         g = GroundSet(m)
-        oracle = {frozenset(part) for part in orbits_by_group_action(g)}
+        oracle = orbit_partition(orbits_by_group_action(g), len(enumerate_vertices(g)))
         closed = {
             frozenset((r, c) for r, c, _ in mat.entries())
             for mat in orbit_matrices(g).values()

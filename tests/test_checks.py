@@ -531,6 +531,28 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
     assert not hasattr(ctx.centralizer.coordinates, "generators")
 
 
+def test_the_verify_path_builds_no_distance_matrix_and_no_n2_action_table(monkeypatch, fresh_memos):
+    # T's generators act through the certified structure constants and each
+    # A_i is the indicator of the orbits at distance i, so neither a cold
+    # verify --m 3 without export nor the benchmark's m = 4 orbit checks
+    # build the distance matrices
+    calls = []
+    build = combinatorics_module._distance_matrices
+
+    def traced_build(m):
+        calls.append(m)
+        return build(m)
+
+    monkeypatch.setattr(combinatorics_module, "_distance_matrices", traced_build)
+    assert len(run(RunConfig(m=3))) == 16
+    reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
+    run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
+    assert calls == []
+    # the pass over all vertex pairs that read off action tables is the
+    # tests' oracle (helpers.action_tables), not a method of the package
+    assert not hasattr(OrbitCoordinates, "action_tables")
+
+
 def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
     # the orbit matrices are a view of the pair index for the checks that
     # multiply n x n matrices; T, Z(T) and their comparisons never make them

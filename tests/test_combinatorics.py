@@ -4,24 +4,21 @@ import random
 from collections import deque
 
 import pytest
+from helpers import distance_matrix, intersection_table, mask_of, vertex_index
 
 from doubled_odd import orbits as orbits_module
 from doubled_odd.combinatorics import (
     DistanceRegularityError,
     GroundSet,
-    _intersection_table,
     _orbit_intersection_table,
     adjacency_matrix,
     class_profiles,
     distance,
     distance_matrices,
-    distance_matrix,
     elements_of,
     enumerate_vertices,
     intersection_numbers,
-    mask_of,
     vertex_count,
-    vertex_index,
 )
 from doubled_odd.linalg import SparseExactMatrix
 
@@ -216,7 +213,7 @@ def test_intersection_numbers_match_the_dict_counting_oracle():
         dist = [[distance(y, z) for z in verts] for y in verts]
         table, _, _ = _dict_counting_scan(verts, dist)
         assert list(intersection_numbers(g).table.items()) == list(table.items())
-        assert list(_intersection_table(verts, dist).items()) == list(table.items())
+        assert list(intersection_table(verts, dist).items()) == list(table.items())
 
 
 def test_profile_kernel_finds_the_pair_that_breaks_distance_regularity():
@@ -229,7 +226,7 @@ def test_profile_kernel_finds_the_pair_that_breaks_distance_regularity():
     _, offending = class_profiles(dist, dist, dist, 4)
     assert offending == pair
     with pytest.raises(DistanceRegularityError) as info:
-        _intersection_table(verts, dist)
+        intersection_table(verts, dist)
     exc = info.value
     assert (exc.x, exc.y, exc.i, exc.j) == witness == (2, 1, 1, 2)
 
@@ -259,6 +256,6 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
         table = [[dist[index.orbit_of[y * n + z]] for z in range(n)] for y in range(n)]
         witness = _outcome(_orbit_intersection_table, verts, index, keys, dist)
         assert isinstance(witness, tuple)
-        assert witness == _outcome(_intersection_table, verts, table)
+        assert witness == _outcome(intersection_table, verts, table)
     table = _outcome(_orbit_intersection_table, verts, index, keys, true_dist)
     assert table == intersection_numbers(GroundSet(m)).table

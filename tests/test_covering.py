@@ -2,12 +2,13 @@
 
 from math import comb
 
+from helpers import vertex_index
+
 from doubled_odd.combinatorics import (
     GroundSet,
     distance,
     distance_matrices,
     enumerate_vertices,
-    vertex_index,
 )
 from doubled_odd.covering import (
     build_psi,

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import MatrixAction
+from helpers import MatrixAction, contains, matrix_from_vector, span
 
 from doubled_odd.combinatorics import GroundSet
 from doubled_odd.terwilliger import dual_idempotents
@@ -15,10 +15,7 @@ from doubled_odd.linalg import (
     SparseExactMatrix,
     algebra_closure,
     centralizer_within,
-    contains,
-    matrix_from_vector,
     read_coord_text,
-    span,
     vectorize,
     write_coord_text,
 )

@@ -2,10 +2,20 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
-from helpers import merged_pair_index
+from helpers import (
+    MatrixAction,
+    contains,
+    enumerate_index_set,
+    mask_of,
+    merged_pair_index,
+    orbit_partition,
+    parse_label,
+    span,
+)
 
 from doubled_odd import orbits as orbits_module
 from doubled_odd.combinatorics import (
@@ -13,15 +23,12 @@ from doubled_odd.combinatorics import (
     class_profiles,
     adjacency_matrix,
     enumerate_vertices,
-    mask_of,
     vertex_count,
 )
 from doubled_odd.linalg import (
     NotClosedError,
     SpanBasis,
     SparseExactMatrix,
-    contains,
-    span,
     vectorize,
 )
 from doubled_odd.orbits import (
@@ -33,13 +40,11 @@ from doubled_odd.orbits import (
     build_centralizer,
     block_of_pair,
     check_subalgebra,
-    enumerate_index_set,
     index_set,
     orbit_labels,
     orbit_matrices,
     orbit_matrix,
     orbits_by_group_action,
-    parse_label,
     rho,
     stabilizer_generators,
     tuple_bijection,
@@ -145,7 +150,7 @@ def test_stabilizer_generators_fix_base_vertex():
 def test_group_orbits_match_level_sets():
     for m in (1, 2):
         g = GroundSet(m)
-        oracle = {frozenset(part) for part in orbits_by_group_action(g)}
+        oracle = orbit_partition(orbits_by_group_action(g), vertex_count(g))
         closed = {
             frozenset((r, c) for r, c, _ in mat.entries())
             for mat in orbit_matrices(g).values()
@@ -248,7 +253,7 @@ def test_pair_index_labels_every_pair_by_block_and_rho(m):
     assert [pos[0] for pos in index.positions] == sorted(pos[0] for pos in index.positions)
     assert all(list(pos) == sorted(pos) for pos in index.positions)
     partition = {frozenset(divmod(idx, n) for idx in pos) for pos in index.positions}
-    assert partition == {frozenset(part) for part in orbits_by_group_action(g)}
+    assert partition == orbit_partition(orbits_by_group_action(g), n)
 
 
 def test_diagonal_subalgebras_closed_mixed_fails():
@@ -334,6 +339,32 @@ def test_structure_constants_match_the_products_of_orbit_matrices():
                     if counts[c][a * d + b]:
                         expected = expected + mats[c].scale(counts[c][a * d + b])
                 assert mats[a] @ mats[b] == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
+    # on seeded rational combinations x, y of orbit matrices, the lift of
+    # product(x, y) is the n x n product of the lifts of x and y
+    coords = OrbitCoordinates(GroundSet(m))
+    consts = coords.structure_constants()
+    d = coords.ambient_dim
+    # orbits are numbered by first pair, so the identity RREF of Q^d lifts to
+    # the orbit matrices in orbit order
+    orbit_vectors = coords.lift(SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))).rows
+
+    def lift(x):
+        return {idx: v for a, v in x.items() for idx in orbit_vectors[a]}
+
+    action = MatrixAction(coords.n)
+    rng = random.Random(4100 + m)
+    nonzero = 0
+    coefficients = (1, -2, 3, Fraction(1, 2))
+    for _ in range(20):
+        x, y = ({a: rng.choice(coefficients) for a in rng.sample(range(d), 4)} for _ in range(2))
+        product = consts.product(x, y)
+        assert lift(product) == action.product(lift(x), lift(y))
+        nonzero += bool(product)
+    assert nonzero > 10
 
 
 def _merge_incoherent_orbits(monkeypatch) -> OrbitCoordinates:

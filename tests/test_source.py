@@ -1,11 +1,13 @@
 """Static checks of the source tree."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
+_PACKAGE = sorted((_ROOT / "src" / "doubled_odd").glob("*.py"))
 _MODULES = [
     path
     for directory in (_ROOT / "src" / "doubled_odd", _ROOT / "tests")
@@ -29,3 +31,41 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _unreferenced_definitions() -> list[str]:
+    """Top-level, undecorated functions and classes of the package that no
+    other top-level statement of the package refers to and that README.md
+    does not name in a code span."""
+    readme = (_ROOT / "README.md").read_text()
+    named = {word for code in re.findall(r"`([^`]*)`", readme) for word in re.findall(r"\w+", code)}
+    statements = [
+        (path.stem, node, _referenced_names(node))
+        for path in _PACKAGE
+        for node in ast.parse(path.read_text()).body
+    ]
+    return [
+        f"{module}.{node.name}"
+        for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.decorator_list
+        and node.name not in named
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    ]
+
+
+def test_every_package_definition_is_used_or_documented():
+    # code only the tests call belongs in tests/helpers.py
+    assert _unreferenced_definitions() == []

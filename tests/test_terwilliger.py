@@ -3,7 +3,17 @@
 from math import comb
 
 import pytest
-from helpers import MatrixAction, merged_pair_index
+from helpers import (
+    MatrixAction,
+    action_tables,
+    center_dimension,
+    closure_generators,
+    contains,
+    matrix_from_vector,
+    merged_pair_index,
+    span,
+    terwilliger_generators,
+)
 
 from doubled_odd.combinatorics import (
     GroundSet,
@@ -18,9 +28,6 @@ from doubled_odd.linalg import (
     SparseExactMatrix,
     algebra_closure,
     centralizer_within,
-    contains,
-    matrix_from_vector,
-    span,
     vectorize,
 )
 from doubled_odd import orbits as orbits_module
@@ -31,12 +38,9 @@ from doubled_odd.terwilliger import (
     block_profile,
     build_terwilliger,
     center_basis,
-    center_dimension,
-    closure_generators,
     dual_idempotent,
     dual_idempotents,
     subalgebra_spans,
-    terwilliger_generators,
     upsilon,
     upsilon_size_formula,
     verify_equality,
@@ -267,19 +271,19 @@ def test_action_tables_reject_a_generator_not_constant_on_orbits():
     unit = SparseExactMatrix.from_entries(n, n, [(sphere1[0], sphere1[0], 1)])
     coords = OrbitCoordinates(g)
     with pytest.raises(NotClosedError):
-        coords.action_tables([unit])
+        action_tables(coords, [unit])
     # the whole sphere indicator is constant on orbits
-    assert len(coords.action_tables([dual_idempotent(g, 1)])) == 1
+    assert len(action_tables(coords, [dual_idempotent(g, 1)])) == 1
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_dual_idempotent_tables_from_labels_match_the_certified_tables(m):
+@pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_product_built_closure_tables_match_the_action_tables_oracle(m):
+    # every entry of a closure table is one product of certified structure
+    # constants; the oracle reads it off every vertex pair of its orbit
     g = GroundSet(m)
-    coords = OrbitCoordinates(g)
-    certified = tuple(coords.action_tables(closure_generators(g)))
-    # closure_generators lists E*_0..E*_{2m+1}, then A_1
-    assert terwilliger_module._dual_idempotent_tables(m) == certified[:-1]
-    assert terwilliger_module._closure_tables(m) == certified
+    # closure_generators lists E*_0..E*_{2m+1}, then A_1, as _closure_tables does
+    oracle = tuple(action_tables(OrbitCoordinates(g), closure_generators(g)))
+    assert terwilliger_module._closure_tables(m) == oracle
 
 
 def test_orbit_coordinates_require_a_partition_of_the_pairs(monkeypatch):
@@ -399,18 +403,12 @@ def test_generator_closure_matches_pairwise_product_oracle():
 
 
 def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeypatch, fresh_memos):
-    g = GroundSet(1)
-    t = build_terwilliger(g)
-    sphere1 = [r for r, _, _ in dual_idempotent(g, 1).entries()]
-    n = vertex_count(g)
-    # one entry of a sphere-1 block is not stabilizer-invariant, so not in T
-    bogus = SparseExactMatrix.from_entries(n, n, [(sphere1[0], sphere1[1], 1)])
-    assert not contains(_lifted(g, t.basis), bogus)
-    dist = list(terwilliger_module.distance_matrices(g))
-    dist[2] = bogus
-    monkeypatch.setattr(terwilliger_module, "distance_matrices", lambda _g: dist)
-    with pytest.raises(NotClosedError, match="A_2"):
-        build_terwilliger(g)
+    # without A_1's table the closure is the span of the E*_i: it holds A_0,
+    # the sum of the E*_i, but not A_2
+    tables = terwilliger_module._closure_tables(1)
+    monkeypatch.setattr(terwilliger_module, "_closure_tables", lambda _m: tables[:-1])
+    with pytest.raises(NotClosedError, match="A_2 is not in the algebra"):
+        build_terwilliger(GroundSet(1))
 
 
 def test_second_sphere_idempotent_support_at_m3():
