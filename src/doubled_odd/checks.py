@@ -43,17 +43,19 @@ from .combinatorics import (
     vertex_count,
 )
 from .covering import build_psi, verify_intertwining
-from .linalg import NotClosedError, SpanBasis, SparseExactMatrix, vectorize, write_coord_text
+from .linalg import NotClosedError, SpanBasis, SparseExactMatrix, write_coord_text
 from .orbits import (
     BlockTag,
     IndependenceError,
     _pair_index,
+    _sphere_rows,
     build_centralizer,
     check_subalgebra,
     index_set,
     orbit_labels,
     orbit_matrices,
     orbits_by_group_action,
+    products_constant_on_orbits,
     tuple_bijection,
 )
 from .terwilliger import (
@@ -115,9 +117,9 @@ class RunConfig:
 
     checks=None means every check applicable at m; an explicit check that
     is unknown or not applicable at m raises ConfigError.  m is limited to
-    [1, 5]: what still grows with n^2 is the pair index and the orbit
-    matrices (11.8 M entries at m = 6, n = 3,432), which centralizer-dim,
-    lemma41 and the export build.
+    [1, 5]: what still grows with n^2 is the pair index (11.8 M pairs at
+    m = 6, n = 3,432), which the structure constants, orbits-oracle and the
+    export read, and the export's all-orbit matrices.
     """
 
     m: int
@@ -342,10 +344,10 @@ def _check_index_sets(ctx: CheckContext):
     card = comb(m + 4, 4)
     blocks = (BlockTag.I, BlockTag.II, BlockTag.III, BlockTag.IV)
     cards = [len(index_set(b, m)) for b in blocks]
-    # the labels the one pass over all vertex pairs meets; the pass raises
-    # when they are not the closed-form labels
+    # the labels met on the 2m+2 sphere rows; the index raises when they are
+    # not the closed-form labels
     try:
-        met = _pair_index(m).labels
+        met = _sphere_rows(m).labels
     except (NotClosedError, IndependenceError):
         met = ()
     matches = all(index_set(b, m) == {lab.tup for lab in met if lab.block is b} for b in blocks)
@@ -387,16 +389,14 @@ def _check_orbits_oracle(ctx: CheckContext):
 def _check_centralizer_dim(ctx: CheckContext):
     g = ctx.g
     cent = ctx.centralizer
-    by_label = orbit_matrices(g)
-    mats = [by_label[lab] for lab in orbit_labels(g)]
-    d = len(mats)
+    d = cent.coordinates.ambient_dim
     if g.m <= 2:
         pairs = [(a, b) for a in range(d) for b in range(d)]
     else:
         rng = random.Random(20260 + g.m)
         pairs = [(rng.randrange(d), rng.randrange(d)) for _ in range(500)]
-    orbit_values = cent.coordinates.coordinates  # None unless constant on every orbit
-    closure_ok = all(orbit_values(vectorize(mats[a] @ mats[b])) is not None for a, b in pairs)
+    # each product O_a O_b, tested on one row of its row sphere
+    closure_ok = all(products_constant_on_orbits(g.m, pairs))
     expected = {"dim": 4 * comb(g.m + 4, 4), "closure_ok": True}
     actual = {"dim": cent.dimension, "closure_ok": closure_ok, "pairs_checked": len(pairs)}
     ok = actual["dim"] == expected["dim"] and closure_ok

@@ -195,18 +195,20 @@ def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
     should).
     """
     # orbits is built on this module, so it is imported here, not at the top
-    from .orbits import _orbit_distance, _pair_index, _structure_constants
+    from .orbits import _orbit_distance, _sphere_rows, _structure_constants
 
-    index = _pair_index(g.m)
+    index = _sphere_rows(g.m)
     dist = [_orbit_distance(g.m, lab) for lab in index.labels]
-    table = _orbit_intersection_table(_vertices(g.m), index, _structure_constants(g.m).keys, dist)
+    firsts = list(map(index.first_pair, range(len(dist))))
+    table = _orbit_intersection_table(_vertices(g.m), firsts, _structure_constants(g.m).keys, dist)
     return IntersectionNumbers(m=g.m, table=table)
 
 
-def _orbit_intersection_table(verts, index, keys, dist: list[int]) -> dict[tuple[int, int, int], int]:
-    """p^h_{ij} of the distance table that puts every pair of orbit c of the
-    pair index at distance dist[c], from the orbits' structure constants
-    keys (orbits.StructureConstants.keys).
+def _orbit_intersection_table(verts, firsts, keys, dist: list[int]) -> dict[tuple[int, int, int], int]:
+    """p^h_{ij} of the distance table that puts every pair of orbit c at
+    distance dist[c], from the orbits' structure constants keys
+    (orbits.StructureConstants.keys); firsts[c] is the first pair (x, y) of
+    orbit c, as vertex indices.
 
     The table and the witness are those of the exhaustive pass over the
     n x n table (class_profiles): orbits are numbered by their first pair, so the first pair of the
@@ -221,7 +223,7 @@ def _orbit_intersection_table(verts, index, keys, dist: list[int]) -> dict[tuple
         profile = sorted(map(mapped.__getitem__, orbit_keys))
         known = profiles.setdefault(h, profile)
         if known is not profile and known != profile:
-            x, y = divmod(index.positions[c][0], index.n)
+            x, y = firsts[c]
             raise _witness(verts[x], verts[y], known, profile, width)
     return _table(profiles, width)
 

@@ -174,17 +174,6 @@ class SparseExactMatrix:
         return f"SparseExactMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
-def vectorize(m: SparseExactMatrix) -> dict[int, object]:
-    """Row-major flattening of a matrix to a sparse vector {index: value}."""
-    ncols = m.ncols
-    vec: dict[int, object] = {}
-    for r, row in m._rows.items():
-        base = r * ncols
-        for c, v in row.items():
-            vec[base + c] = v
-    return vec
-
-
 class SpanBasis:
     """A rational subspace in canonical reduced row echelon form.
 

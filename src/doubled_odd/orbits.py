@@ -16,10 +16,16 @@ with disjoint supports, hence independent, and form a basis of the
 centralizer algebra of the stabilizer action; that algebra therefore has
 dimension 4 C(m+4, 4).
 
-The orbit of every pair is decided in one place, _pair_index: one labelled
-pass over the pairs, certified by "labels met = closed-form labels".
-OrbitCoordinates and the orbit matrices (built only where a check needs
-them) are views of it.
+The stabilizer fixes every label and acts transitively on each sphere
+{y : |y|, |x0 n y| fixed} around x0, so the row of a sphere's first vertex
+carries every orbit whose pairs start in that sphere.  _sphere_rows labels
+those 2m+2 rows, numbers the orbits by first pair and sizes each orbit as
+|sphere| times its count in its row, certified by "labels met = closed-form
+labels"; OrbitCoordinates, index-sets, the single orbit matrices and the
+product test of centralizer-dim read it.  _pair_index, one labelled pass
+over all n^2 pairs under the same certificate, numbers the orbits alike; the
+structure constants, orbits-oracle, lift and the all-orbit matrix view read
+it.
 
 The closed forms are production code; an independent union-find oracle that
 grinds out the orbits from explicit group generators lives alongside for the
@@ -51,8 +57,7 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
+from functools import cached_property, lru_cache
 from operator import add
 from typing import NamedTuple
 
@@ -199,6 +204,141 @@ def orbit_labels(g: GroundSet) -> list[OrbitLabel]:
     return list(_orbit_labels(g.m))
 
 
+@lru_cache(maxsize=8)
+def _column_keys(m: int) -> tuple[int, ...]:
+    # the part of a pair's label key that depends on z alone, per vertex z
+    base = m + 2
+    x0 = GroundSet(m).base_vertex
+    return tuple(((z.bit_count() > m) * base ** 2 + (x0 & z).bit_count()) * base ** 2 for z in _vertices(m))
+
+
+def _label_keys(m: int, yi: int, zs) -> list[int]:
+    """The label keys of the pairs (y, z), y the vertex yi and z over the
+    vertex indices zs: the label (block, (i, j, t, p)) of a pair is encoded as
+    (((block * base + i) * base + j) * base + t) * base + p, base = m + 2,
+    where block = 2 [|y| = m + 1] + [|z| = m + 1]."""
+    verts, cols = _vertices(m), _column_keys(m)
+    base = m + 2
+    y = verts[yi]
+    x0y = GroundSet(m).base_vertex & y
+    y_key = (2 * (y.bit_count() > m) * base + x0y.bit_count()) * base ** 3
+    return [y_key + cols[z] + (y & verts[z]).bit_count() * base + (x0y & verts[z]).bit_count() for z in zs]
+
+
+def _check_labels_met(m: int, labels) -> None:
+    """The certificate of an orbit numbering: the labels met are the
+    closed-form labels.  A label outside the closed form raises
+    NotClosedError (the closed-form orbits would not partition the pairs),
+    and a closed-form label that no pair carries raises IndependenceError."""
+    met, closed = set(labels), set(_orbit_labels(m))
+    for lab in labels:
+        if lab not in closed:
+            raise NotClosedError(
+                f"a vertex pair has label {lab.text()}, which is not closed-form: "
+                f"the closed-form orbits do not partition the vertex pairs"
+            )
+    for lab in _orbit_labels(m):
+        if lab not in met:
+            raise IndependenceError(f"closed-form label {lab.text()} has an empty orbit")
+
+
+class SphereRows(NamedTuple):
+    """The orbits of the vertex pairs, read off one row per sphere around x0.
+
+    A sphere is a set {y : |y|, |x0 n y| fixed}.  spheres[s] lists the
+    vertices of sphere s ascending, the spheres in the order of their first
+    vertices, and sphere_of[y] is the sphere of vertex y.  rows[s][z] is the
+    orbit of the pair (spheres[s][0], z), and orbit_of maps the key of a
+    label (_label_keys) to its orbit.  Orbit a has label labels[a] and
+    sizes[a] pairs; its first pair is (spheres[row_of[a]][0], members[a][0]),
+    where members[a] lists ascending the z with (spheres[row_of[a]][0], z)
+    in a.  Orbits are numbered by first pair in row-major order.
+    """
+
+    n: int
+    spheres: tuple[tuple[int, ...], ...]
+    sphere_of: array
+    rows: tuple[array, ...]
+    orbit_of: dict[int, int]
+    labels: tuple[OrbitLabel, ...]
+    sizes: tuple[int, ...]
+    row_of: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+
+    def first_pair(self, a: int) -> tuple[int, int]:
+        return self.spheres[self.row_of[a]][0], self.members[a][0]
+
+    def ends(self, a: int) -> list[int]:
+        """The vertices, ascending, of the spheres the pairs of orbit a end in."""
+        spheres = {self.sphere_of[z] for z in self.members[a]}
+        return sorted(z for t in spheres for z in self.spheres[t])
+
+
+def _number_sphere_rows(m, spheres, rows, orbit_of) -> SphereRows:
+    """The sphere rows with the orbits renumbered by first pair: spheres are
+    met in the order of their first vertices, so an orbit is first met at
+    its first pair in row-major order."""
+    verts = _vertices(m)
+    x0 = GroundSet(m).base_vertex
+    ids: dict[int, int] = {}
+    for row in rows:
+        for a in row:
+            ids.setdefault(a, len(ids))
+    rows = tuple(array("H", map(ids.__getitem__, row)) for row in rows)
+    sphere_of = array("H", [0]) * len(verts)
+    row_of: list[int | None] = [None] * len(ids)
+    members: list[list[int]] = [[] for _ in ids]
+    sizes = [0] * len(ids)
+    for s, (sphere, row) in enumerate(zip(spheres, rows)):
+        for y in sphere:
+            sphere_of[y] = s
+        for z, a in enumerate(row):
+            if row_of[a] is None:
+                row_of[a] = s
+            if row_of[a] == s:
+                members[a].append(z)
+            # the stabilizer moves this row onto every row of its sphere
+            sizes[a] += len(sphere)
+    y_of = [verts[spheres[s][0]] for s in row_of]
+    labels = tuple(
+        OrbitLabel(block_of_pair(m, y, verts[zs[0]]), rho(x0, y, verts[zs[0]]))
+        for y, zs in zip(y_of, members)
+    )
+    return SphereRows(
+        len(verts), spheres, sphere_of, rows,
+        {key: ids[a] for key, a in orbit_of.items()}, labels, tuple(sizes),
+        tuple(row_of), tuple(map(tuple, members)),
+    )
+
+
+@lru_cache(maxsize=8)
+def _sphere_rows(m: int) -> SphereRows:
+    """Which orbit a vertex pair is in, decided on 2m+2 rows.
+
+    The stabilizer fixes every label and acts transitively on each sphere,
+    so the row of a sphere's first vertex meets every orbit whose pairs
+    start in the sphere, and the first pair of that orbit; the orbit has
+    |sphere| times as many pairs as it has in the row.  The labels met are
+    certified to be the closed-form labels (_check_labels_met).
+    """
+    verts = _vertices(m)
+    x0 = GroundSet(m).base_vertex
+    by_sphere: dict[tuple[int, int], list[int]] = {}
+    for yi, y in enumerate(verts):
+        by_sphere.setdefault((y.bit_count(), (x0 & y).bit_count()), []).append(yi)
+    spheres = tuple(map(tuple, by_sphere.values()))
+    orbit_of: dict[int, int] = {}
+    first_seen = orbit_of.setdefault
+    everyone = range(len(verts))
+    rows = [
+        [first_seen(key, len(orbit_of)) for key in _label_keys(m, sphere[0], everyone)]
+        for sphere in spheres
+    ]
+    index = _number_sphere_rows(m, spheres, rows, orbit_of)
+    _check_labels_met(m, index.labels)
+    return index
+
+
 class PairIndex(NamedTuple):
     """orbit_of[y * n + z] is the orbit of the vertex pair (y, z); orbit a
     has label labels[a] and the ascending row-major pair positions
@@ -212,33 +352,21 @@ class PairIndex(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _pair_index(m: int) -> PairIndex:
-    """The one place that decides which orbit a vertex pair is in.
+    """The orbit of every vertex pair, in one labelled row-major pass.
 
-    One row-major pass encodes each pair's label (block, rho) as one int and
-    numbers the labels as they are first met.  The labels met must be the
-    closed-form labels: a pair labelled outside the closed form raises
-    NotClosedError (the closed-form orbits would not partition the pairs),
-    and a closed-form label that no pair carries raises IndependenceError.
+    Each pair's label is encoded as one int (_label_keys), and the labels are
+    numbered as they are first met; the labels met are certified to be the
+    closed-form labels (_check_labels_met).
     """
     verts = _vertices(m)
     n = len(verts)
-    half = comb(2 * m + 1, m)
     x0 = GroundSet(m).base_vertex
-    base = m + 2
-    # key = (((block * base + i) * base + j) * base + t) * base + p, where
-    # block = 2 [|y| = m + 1] + [|z| = m + 1]
-    z_keys = [(zi >= half) * base ** 4 + (x0 & z).bit_count() * base ** 2
-              for zi, z in enumerate(verts)]
     ids: dict[int, int] = {}
     first_seen = ids.setdefault
     orbit_of = array("H")
-    for yi, y in enumerate(verts):
-        y_key = (yi >= half) * 2 * base ** 4 + (x0 & y).bit_count() * base ** 3
-        x0y = x0 & y
-        orbit_of.extend([
-            first_seen(y_key + z_key + (y & z).bit_count() * base + (x0y & z).bit_count(), len(ids))
-            for z, z_key in zip(verts, z_keys)
-        ])
+    everyone = range(n)
+    for yi in everyone:
+        orbit_of.extend([first_seen(key, len(ids)) for key in _label_keys(m, yi, everyone)])
     positions = tuple(array("I") for _ in ids)
     append = [pos.append for pos in positions]
     for idx, a in enumerate(orbit_of):
@@ -246,16 +374,7 @@ def _pair_index(m: int) -> PairIndex:
     # all pairs of an orbit share its key, so its first pair gives its label
     firsts = [(verts[pos[0] // n], verts[pos[0] % n]) for pos in positions]
     labels = tuple(OrbitLabel(block_of_pair(m, y, z), rho(x0, y, z)) for y, z in firsts)
-    met, closed = set(labels), set(_orbit_labels(m))
-    for lab in labels:
-        if lab not in closed:
-            raise NotClosedError(
-                f"a vertex pair has label {lab.text()}, which is not closed-form: "
-                f"the closed-form orbits do not partition the vertex pairs"
-            )
-    for lab in _orbit_labels(m):
-        if lab not in met:
-            raise IndependenceError(f"closed-form label {lab.text()} has an empty orbit")
+    _check_labels_met(m, labels)
     return PairIndex(n, labels, orbit_of, positions)
 
 
@@ -280,11 +399,64 @@ def orbit_matrices(g: GroundSet) -> dict[OrbitLabel, SparseExactMatrix]:
 
 
 def orbit_matrix(g: GroundSet, label: OrbitLabel) -> SparseExactMatrix:
-    mats = _orbit_matrices(g.m)
+    """Indicator matrix of one orbit, from the pairs of its row sphere and
+    column sphere: those spheres fix the block and |x0 n y|, |x0 n z| of a
+    pair's label, so the pair is in the orbit when its |y n z| and
+    |x0 n y n z| are the label's."""
+    index = _sphere_rows(g.m)
     try:
-        return mats[label]
-    except KeyError:
+        a = index.labels.index(label)
+    except ValueError:
         raise ValueError(f"{label.text()} is not an orbit label for m={g.m}") from None
+    verts = _vertices(g.m)
+    zs = index.ends(a)
+    z_masks = [verts[z] for z in zs]
+    _, _, t, p = label.tup
+    rows = {}
+    for y in index.spheres[index.row_of[a]]:
+        y_mask = verts[y]
+        x0y = g.base_vertex & y_mask
+        row = {
+            z: 1 for z, z_mask in zip(zs, z_masks)
+            if (y_mask & z_mask).bit_count() == t and (x0y & z_mask).bit_count() == p
+        }
+        if row:
+            rows[y] = row
+    return SparseExactMatrix(index.n, index.n, rows)
+
+
+def products_constant_on_orbits(m: int, pairs) -> list[bool]:
+    """For each pair (a, b) of orbits, whether O_a O_b is constant on every
+    orbit, i.e. lies in the span of the orbit matrices.
+
+    O_a O_b is nonzero only in the rows of a's row sphere, and the
+    stabilizer moves the first vertex y of that sphere onto each of them,
+    keeping every orbit; so it is constant on every orbit exactly when its
+    row y is constant on every orbit met along that row.  Entry (y, z) of
+    the row counts the w among a's members of row y with (w, z) in b,
+    decided from popcounts through the index's label map, for z over the
+    spheres b's pairs end in.  No structure constant is read.
+    """
+    index = _sphere_rows(m)
+    orbit_of = index.orbit_of.get
+    carried = [set(row) for row in index.rows]
+    verdicts = []
+    for a, b in pairs:
+        ws = [w for w in index.members[a] if b in carried[index.sphere_of[w]]]
+        if not ws:  # O_a O_b = 0
+            verdicts.append(True)
+            continue
+        zs = index.ends(b)
+        entries = [0] * index.n
+        for w in ws:
+            for z, key in zip(zs, _label_keys(m, w, zs)):
+                if orbit_of(key) == b:
+                    entries[z] += 1
+        s = index.row_of[a]
+        # each orbit met along the row has one value exactly when the
+        # distinct (orbit, value) pairs are as many as the distinct orbits
+        verdicts.append(len(set(zip(index.rows[s], entries))) == len(carried[s]))
+    return verdicts
 
 
 def stabilizer_generators(g: GroundSet) -> list[tuple[int, ...]]:
@@ -382,7 +554,7 @@ class CentralizerBasis:
 
 def build_centralizer(g: GroundSet) -> CentralizerBasis:
     """The orbit-matrix basis in the closed-form label order, certified by
-    the pair index: every pair lies in exactly one orbit, the labels met are
+    the sphere rows: every pair lies in exactly one orbit, the labels met are
     the closed-form labels (else NotClosedError or IndependenceError), and
     nonzero matrices with disjoint supports are independent.  No orbit
     matrix is built."""
@@ -483,7 +655,7 @@ class ActionTable(NamedTuple):
 
 
 class OrbitCoordinates:
-    """Orbit coordinates Q^d on the pair index.
+    """Orbit coordinates Q^d on the sphere rows.
 
     Orbits are numbered by the row-major position of their first vertex pair,
     so an RREF basis in Q^d lifts entry for entry to the RREF basis of the
@@ -495,26 +667,34 @@ class OrbitCoordinates:
     them (NotClosedError otherwise).  An instance is the action
     algebra_closure and centralizer_within need, with ActionTables, memos
     of certified products, as its generators.  orbit_labels[a] is the label
-    of orbit a.
+    of orbit a and sizes[a] its number of pairs.
     """
 
     def __init__(self, g: GroundSet):
-        index = _pair_index(g.m)
-        n, labels, positions = index.n, index.orbit_of, index.positions
-        diagonal = {labels[i * (n + 1)] for i in range(n)}
-        if sum(len(positions[a]) for a in diagonal) != n:
+        index = _sphere_rows(g.m)
+        # the orbit of (y, y) for the first vertex y of each sphere
+        diagonal = {row[sphere[0]] for sphere, row in zip(index.spheres, index.rows)}
+        if sum(index.sizes[a] for a in diagonal) != index.n:
             raise NotClosedError("the identity is not a sum of orbit matrices")
         self.m = g.m
-        self.n = n
-        self.ambient_dim = len(positions)
+        self.n = index.n
+        self.ambient_dim = len(index.labels)
         self.orbit_labels = index.labels
-        self._labels = labels
-        self._positions = positions
+        self.sizes = index.sizes
         self._identity = {a: 1 for a in sorted(diagonal)}
+
+    @cached_property
+    def _pairs(self) -> PairIndex:
+        """The pair index, for the passes over whole rows and columns of
+        pairs; it must number the orbits as the sphere rows do."""
+        index = _pair_index(self.m)
+        if index.labels != self.orbit_labels:
+            raise NotClosedError("the pair index and the sphere rows number the orbits differently")
+        return index
 
     def _label_lines(self) -> tuple[list, list]:
         """The orbit ids along each row and along each column of the pairs."""
-        n, labels = self.n, self._labels
+        n, labels = self.n, self._pairs.orbit_of
         return [labels[k * n:(k + 1) * n] for k in range(n)], [labels[k::n] for k in range(n)]
 
     def structure_constants(self) -> StructureConstants:
@@ -527,7 +707,7 @@ class OrbitCoordinates:
         one pass over all n^3 triples.  Above it the n^3 pass is out of reach
         (about 2.7 s at m = 4), and the table is checked on _SAMPLED_PAIRS
         seeded extra pairs of every orbit and by Higman's identity."""
-        keys = [self._profile(pos[0]) for pos in self._positions]
+        keys = [self._profile(pos[0]) for pos in self._pairs.positions]
         if self.m <= _EXHAUSTIVE_MAX_M:
             self._certify_exhaustively()
         else:
@@ -544,7 +724,7 @@ class OrbitCoordinates:
     def _profile(self, idx: int) -> list[int]:
         # the sorted keys a * d + b over the middle vertices w of the pair at
         # row-major position idx, with (y, w) in orbit a and (w, z) in orbit b
-        n, d, labels = self.n, self.ambient_dim, self._labels
+        n, d, labels = self.n, self.ambient_dim, self._pairs.orbit_of
         y, z = divmod(idx, n)
         return sorted(map(add, [a * d for a in labels[y * n:(y + 1) * n]], labels[z::n]))
 
@@ -565,7 +745,7 @@ class OrbitCoordinates:
         """Every orbit's keys, checked on up to _SAMPLED_PAIRS seeded pairs
         of the orbit other than its first."""
         rng = random.Random(20260 + self.m)
-        for c, pos in enumerate(self._positions):
+        for c, pos in enumerate(self._pairs.positions):
             for k in rng.sample(range(1, len(pos)), min(_SAMPLED_PAIRS, len(pos) - 1)):
                 if self._profile(pos[k]) != keys[c]:
                     raise NotClosedError(
@@ -578,8 +758,8 @@ class OrbitCoordinates:
         |c| is the number of pairs of orbit c and b^T the orbit of the
         transposed pairs of b: both sides count the triples (y, w, z) with
         (y, z) in c, (y, w) in a and (w, z) in b."""
-        n, d, labels, positions = self.n, self.ambient_dim, self._labels, self._positions
-        sizes = [len(pos) for pos in positions]
+        n, d, sizes = self.n, self.ambient_dim, self.sizes
+        labels, positions = self._pairs.orbit_of, self._pairs.positions
         transpose = [labels[pos[0] % n * n + pos[0] // n] for pos in positions]
         counts = [Counter(k) for k in keys]
         for c, table in enumerate(counts):
@@ -601,34 +781,13 @@ class OrbitCoordinates:
     def right(self, table: ActionTable, vec: dict[int, object]) -> dict[int, object]:
         return _apply(table.right, vec)
 
-    def coordinates(self, vec: dict[int, object]) -> dict[int, object] | None:
-        """Orbit values of a vectorized n x n matrix, or None when it is not
-        constant on every orbit."""
-        labels = self._labels
-        values: dict[int, object] = {}
-        counts: dict[int, int] = {}
-        for idx, v in vec.items():
-            a = labels[idx]
-            known = values.get(a)
-            if known is None:
-                values[a] = v
-                counts[a] = 1
-            elif known != v:
-                return None
-            else:
-                counts[a] += 1
-        positions = self._positions
-        if any(len(positions[a]) != k for a, k in counts.items()):
-            return None
-        return values
-
     def lift(self, basis: SpanBasis) -> SpanBasis:
         """The n^2-ambient RREF basis of the matrices a Q^d basis stands for."""
         if basis.ambient_dim != self.ambient_dim:
             raise ShapeMismatchError(
                 f"basis of ambient {basis.ambient_dim} is not in orbit coordinates"
             )
-        positions = self._positions
+        positions = self._pairs.positions
         rows = []
         for row in basis.rows:
             vec: dict[int, object] = {}

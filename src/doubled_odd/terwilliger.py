@@ -19,12 +19,14 @@ is one product in Q^d through the certified structure constants
 certified as the structure constants: by the pass over all n^3 vertex
 triples at m <= 3, and by seeded pairs of every orbit and Higman's identity
 at m = 4, 5.  T needs no n x n matrix, and no pass over the n^2 vertex
-pairs beyond the pair index's.  Everything T is generated by lies inside the
-centralizer algebra of the stabilizer of x0: each E*_i is a single diagonal
-orbit matrix and each sandwich E*_i A_1 E*_{i+1} is a single off-diagonal
-orbit matrix, with explicit four-tuple labels.  verify_sandwich_identities
-checks those identifications entry for entry on the n x n matrices, with A_1
-the adjacency matrix.
+pairs beyond the one the structure constants are read from.  Everything T
+is generated by lies inside the centralizer algebra of the stabilizer of
+x0: each E*_i is a single diagonal orbit matrix and each sandwich
+E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with explicit
+four-tuple labels.  verify_sandwich_identities checks those
+identifications entry for entry on the n x n matrices, with A_1 the
+adjacency matrix and each orbit matrix built alone from its row and column
+spheres (orbits.orbit_matrix).
 
 For m >= 3 the two algebras are expected to coincide, with
 
@@ -52,7 +54,7 @@ from .linalg import (
     centralizer_within,
 )
 from .orbits import ActionTable, BlockTag, CentralizerBasis, OrbitLabel, orbit_matrix
-from .orbits import _orbit_coordinates, _orbit_distance, _structure_constants
+from .orbits import _orbit_coordinates, _orbit_distance, _sphere_rows, _structure_constants
 
 
 class IdentityCheck(NamedTuple):
@@ -60,23 +62,18 @@ class IdentityCheck(NamedTuple):
     ok: bool
 
 
-@lru_cache(maxsize=8)
-def _sphere_indices(m: int) -> tuple[tuple[int, ...], ...]:
-    g = GroundSet(m)
-    x0 = g.base_vertex
-    spheres: list[list[int]] = [[] for _ in range(g.diameter + 1)]
-    for vi, v in enumerate(_vertices(m)):
-        spheres[distance(x0, v)].append(vi)
-    return tuple(tuple(s) for s in spheres)
-
-
 def dual_idempotent(g: GroundSet, i: int) -> SparseExactMatrix:
-    """Diagonal projection onto the sphere of radius i around the base vertex."""
+    """Diagonal projection onto the sphere of radius i around the base vertex.
+
+    Its vertices are one sphere of the orbit index, {y : |y|, |x0 n y|
+    fixed}, at distance |y| + m - 2|x0 n y| = 2m + [|y| = m + 1] - 2|x0 n y|.
+    """
     if not 0 <= i <= g.diameter:
         raise ValueError(f"sphere index {i} outside [0, {g.diameter}]")
-    n = len(_vertices(g.m))
-    rows = {vi: {vi: 1} for vi in _sphere_indices(g.m)[i]}
-    return SparseExactMatrix(n, n, rows)
+    index = _sphere_rows(g.m)
+    verts = _vertices(g.m)
+    sphere = next(s for s in index.spheres if distance(g.base_vertex, verts[s[0]]) == i)
+    return SparseExactMatrix(index.n, index.n, {y: {y: 1} for y in sphere})
 
 
 def dual_idempotents(g: GroundSet) -> list[SparseExactMatrix]:

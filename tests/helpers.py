@@ -1,7 +1,8 @@
 """Helpers shared by the tests: the n^2-ambient matrix action and spans, the
-oracles the orbit-coordinate runs of algebra_closure and centralizer_within
-and the product-built action tables are compared with, the full generator
-lists of T, and doctored orbit data for the certificates of the pair index."""
+oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
+the product-built action tables and the row test of centralizer-dim are
+compared with, the full generator lists of T, and doctored orbit data for
+the certificates of the pair index and the sphere rows."""
 
 from array import array
 from collections.abc import Iterable
@@ -24,7 +25,6 @@ from doubled_odd.linalg import (
     ShapeMismatchError,
     SparseExactMatrix,
     SpanBasis,
-    vectorize,
 )
 from doubled_odd.orbits import (
     ActionTable,
@@ -32,7 +32,10 @@ from doubled_odd.orbits import (
     OrbitCoordinates,
     OrbitLabel,
     PairIndex,
+    SphereRows,
+    _number_sphere_rows,
     _pair_index,
+    _sphere_rows,
     rho,
 )
 from doubled_odd.terwilliger import TerwilligerAlgebra, center_basis, dual_idempotents
@@ -126,6 +129,17 @@ def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
 
 def center_dimension(t: TerwilligerAlgebra) -> int:
     return center_basis(t).dimension
+
+
+def vectorize(m: SparseExactMatrix) -> dict[int, object]:
+    """Row-major flattening of a matrix to a sparse vector {index: value}."""
+    ncols = m.ncols
+    vec: dict[int, object] = {}
+    for r, row in m._rows.items():
+        base = r * ncols
+        for c, v in row.items():
+            vec[base + c] = v
+    return vec
 
 
 def matrix_from_vector(vec: dict[int, object], nrows: int, ncols: int) -> SparseExactMatrix:
@@ -270,3 +284,60 @@ def merged_pair_index(m: int, keep: int, drop: int) -> PairIndex:
         positions[a].append(idx)
     labels = [index.labels[a] for a in ids]
     return PairIndex(index.n, tuple(labels), orbit_of, tuple(positions))
+
+
+def merged_sphere_rows(m: int, keep: int, drop: int) -> SphereRows:
+    """The sphere rows at m with orbit drop merged into orbit keep, renumbered
+    by first pair as the real index is; the merged orbit keeps the label of
+    keep, as in merged_pair_index."""
+    index = _sphere_rows(m)
+
+    def merge(a):
+        return keep if a == drop else a
+
+    rows = [list(map(merge, row)) for row in index.rows]
+    orbit_of = {key: merge(a) for key, a in index.orbit_of.items()}
+    merged = _number_sphere_rows(m, index.spheres, rows, orbit_of)
+    old_ids = dict.fromkeys(a for row in rows for a in row)
+    return merged._replace(labels=tuple(index.labels[a] for a in old_ids))
+
+
+def orbit_values(index: PairIndex, vec: dict[int, object]) -> dict[int, object] | None:
+    """Oracle: the orbit values of a vectorized n x n matrix, or None when it
+    is not constant on every orbit of the pair index."""
+    values: dict[int, object] = {}
+    counts: dict[int, int] = {}
+    for idx, v in vec.items():
+        a = index.orbit_of[idx]
+        known = values.get(a)
+        if known is None:
+            values[a] = v
+            counts[a] = 1
+        elif known != v:
+            return None
+        else:
+            counts[a] += 1
+    if any(len(index.positions[a]) != k for a, k in counts.items()):
+        return None
+    return values
+
+
+def pair_orbit_matrices(index: PairIndex) -> list[SparseExactMatrix]:
+    """The n x n indicator matrix of every orbit of a pair index, in its
+    orbit order."""
+    n = index.n
+    mats = []
+    for positions in index.positions:
+        rows: dict[int, dict[int, object]] = {}
+        for idx in positions:
+            y, z = divmod(idx, n)
+            rows.setdefault(y, {})[z] = 1
+        mats.append(SparseExactMatrix(n, n, rows))
+    return mats
+
+
+def n2_product_verdicts(index: PairIndex, pairs) -> list[bool]:
+    """Oracle of centralizer-dim: for each (a, b), whether the n x n product
+    O_a O_b is constant on every orbit of the pair index."""
+    mats = pair_orbit_matrices(index)
+    return [orbit_values(index, vectorize(mats[a] @ mats[b])) is not None for a, b in pairs]

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import merged_sphere_rows
 
 from doubled_odd import __version__
 from doubled_odd import checks as checks_module
@@ -102,11 +103,11 @@ def test_report_schema_and_statuses():
 
 
 def test_index_sets_fails_when_the_pair_pass_misses_a_closed_form_label(monkeypatch, fresh_memos):
-    # the check compares the closed forms with the labels the one pass over
-    # all vertex pairs meets; drop one closed-form label and the pass raises
+    # the check compares the closed forms with the labels met on the 2m+2
+    # sphere rows; drop one closed-form label and the index raises
     labels = orbits_module._orbit_labels(1)
     monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: labels[:-1])
-    monkeypatch.setattr(checks_module, "_pair_index", orbits_module._pair_index.__wrapped__)
+    monkeypatch.setattr(checks_module, "_sphere_rows", orbits_module._sphere_rows.__wrapped__)
     (report,) = run(RunConfig(m=1, checks=("index-sets",)))
     assert report.actual == {"cardinalities": [5] * 4, "matches_enumeration": False}
     assert report.status == "fail"
@@ -337,6 +338,7 @@ def test_m5_runs_every_applicable_check_by_default(tmp_path):
     statuses = {r.check: r.status for r in reports}
     assert statuses.pop("subalgebra-closure") == "finding"
     assert set(statuses.values()) == {"pass"}
+    assert _normalized_reports(reports) == _pinned_reports(5)
     assert headline_dimensions(5, cache) == {
         "vertices": 924,
         "centralizer_dim": 504,
@@ -448,6 +450,19 @@ def test_cli_export(tmp_path, capsys):
 
 
 _BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+_PINNED = Path(__file__).resolve().parent / "data"
+
+
+def _normalized_reports(reports) -> list:
+    # the reports as JSON, without elapsed_ms
+    payload = json.loads(render_reports(reports))
+    for entry in payload:
+        del entry["elapsed_ms"]
+    return payload
+
+
+def _pinned_reports(m: int) -> list:
+    return json.loads((_PINNED / f"verify_m{m}.json").read_text())
 
 
 def _tree_digest(directory: Path) -> str:
@@ -477,10 +492,7 @@ def test_reports_match_the_benchmark_reference(reference, m, every_check):
     # the benchmark's stored reports of `verify --m 3` and of its m = 4 orbit checks
     expected = json.loads((_BENCHMARK_REFERENCE / f"{reference}.json").read_text())["reports"]
     checks = None if every_check else tuple(r["check"] for r in expected)
-    reports = json.loads(render_reports(run(RunConfig(m=m, checks=checks))))
-    for entry in reports:
-        del entry["elapsed_ms"]
-    assert reports == expected
+    assert _normalized_reports(run(RunConfig(m=m, checks=checks))) == expected
 
 
 def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monkeypatch, fresh_memos):
@@ -554,8 +566,9 @@ def test_the_verify_path_builds_no_distance_matrix_and_no_n2_action_table(monkey
 
 
 def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
-    # the orbit matrices are a view of the pair index for the checks that
-    # multiply n x n matrices; T, Z(T) and their comparisons never make them
+    # the all-orbit matrices are a view of the pair index for the export and
+    # the tests; T, Z(T), their comparisons and centralizer-dim's products,
+    # tested on the sphere rows, never make them
     calls = []
     view = orbits_module._orbit_matrices
 
@@ -568,7 +581,52 @@ def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
     assert [r.status for r in reports] == ["pass"] * 4
     assert calls == []
     run(RunConfig(m=3, checks=("centralizer-dim",)))
-    assert calls == [3]
+    assert calls == []
+
+
+def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fresh_memos):
+    # index-sets, centralizer-dim, direct-sum and lemma41 read the 2m+2
+    # sphere rows: the benchmark's m = 4 orbit checks build neither the pair
+    # index nor the all-orbit matrices
+    calls = []
+
+    def traced(name, build):
+        def wrapper(m):
+            calls.append((name, m))
+            return build(m)
+        return wrapper
+
+    pair_index = traced("_pair_index", orbits_module._pair_index)
+    for module in (orbits_module, checks_module):
+        monkeypatch.setattr(module, "_pair_index", pair_index)
+    monkeypatch.setattr(orbits_module, "_orbit_matrices", traced("_orbit_matrices", orbits_module._orbit_matrices))
+    reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
+    reports = run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
+    assert [r.status for r in reports] == ["pass"] * len(reference)
+    assert calls == []
+    # the trace sees a call where there is one
+    run(RunConfig(m=1, checks=("orbits-oracle",)))
+    assert calls == [("_pair_index", 1)]
+
+
+def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):
+    # merge ({2}, {3}) and ({3}, {2}) with ({2}, {1}) and ({3}, {1}) in the
+    # sphere rows at m = 1: the square of the merged orbit matrix is not
+    # constant on it
+    rows = orbits_module._sphere_rows(1)
+    keep = rows.labels.index(OrbitLabel(BlockTag.I, (0, 0, 0, 0)))
+    drop = rows.labels.index(OrbitLabel(BlockTag.I, (0, 1, 0, 0)))
+    doctored = merged_sphere_rows(1, keep, drop)
+    monkeypatch.setattr(orbits_module, "_sphere_rows", lambda _m: doctored)
+    (report,) = run(RunConfig(m=1, checks=("centralizer-dim",)))
+    assert report.actual == {"dim": 20, "closure_ok": False, "pairs_checked": 19 ** 2}
+    assert report.status == "fail"
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_reports_match_the_pinned_reports(m):
+    # verify --m 1 and --m 2 as the pinned files record them
+    assert _normalized_reports(run(RunConfig(m=m))) == _pinned_reports(m)
 
 
 def test_a_cold_m3_run_makes_one_pass_over_all_vertex_triples(monkeypatch, fresh_memos):

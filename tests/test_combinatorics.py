@@ -247,15 +247,16 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
     index = orbits_module._pair_index(m)
     keys = orbits_module._structure_constants(m).keys
     n, verts = index.n, enumerate_vertices(GroundSet(m))
-    true_dist = [distance(verts[pos[0] // n], verts[pos[0] % n]) for pos in index.positions]
+    firsts = [divmod(pos[0], n) for pos in index.positions]
+    true_dist = [distance(verts[y], verts[z]) for y, z in firsts]
     rng = random.Random(2026 + m)
     for c in rng.sample(range(len(true_dist)), 6):
         transpose = index.orbit_of[index.positions[c][0] % n * n + index.positions[c][0] // n]
         dist = list(true_dist)
         dist[c] = dist[transpose] = (dist[c] + 2) % (2 * m + 2)
         table = [[dist[index.orbit_of[y * n + z]] for z in range(n)] for y in range(n)]
-        witness = _outcome(_orbit_intersection_table, verts, index, keys, dist)
+        witness = _outcome(_orbit_intersection_table, verts, firsts, keys, dist)
         assert isinstance(witness, tuple)
         assert witness == _outcome(intersection_table, verts, table)
-    table = _outcome(_orbit_intersection_table, verts, index, keys, true_dist)
+    table = _outcome(_orbit_intersection_table, verts, firsts, keys, true_dist)
     assert table == intersection_numbers(GroundSet(m)).table

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import MatrixAction, contains, matrix_from_vector, span
+from helpers import MatrixAction, contains, matrix_from_vector, span, vectorize
 
 from doubled_odd.combinatorics import GroundSet
 from doubled_odd.terwilliger import dual_idempotents
@@ -16,7 +16,6 @@ from doubled_odd.linalg import (
     algebra_closure,
     centralizer_within,
     read_coord_text,
-    vectorize,
     write_coord_text,
 )
 

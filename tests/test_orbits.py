@@ -12,9 +12,13 @@ from helpers import (
     enumerate_index_set,
     mask_of,
     merged_pair_index,
+    merged_sphere_rows,
+    n2_product_verdicts,
     orbit_partition,
+    orbit_values,
     parse_label,
     span,
+    vectorize,
 )
 
 from doubled_odd import orbits as orbits_module
@@ -29,7 +33,6 @@ from doubled_odd.linalg import (
     NotClosedError,
     SpanBasis,
     SparseExactMatrix,
-    vectorize,
 )
 from doubled_odd.orbits import (
     BlockTag,
@@ -45,6 +48,7 @@ from doubled_odd.orbits import (
     orbit_matrices,
     orbit_matrix,
     orbits_by_group_action,
+    products_constant_on_orbits,
     rho,
     stabilizer_generators,
     tuple_bijection,
@@ -219,7 +223,7 @@ def test_orbit_coordinate_membership_agrees_with_the_n2_span(m):
         entry = (rng.randrange(n), rng.randrange(n), rng.choice((1, -1, 2)))
         bump = SparseExactMatrix.from_entries(n, n, [entry])
         for mat in (product, product + bump):
-            inside = cent.coordinates.coordinates(vectorize(mat)) is not None
+            inside = orbit_values(orbits_module._pair_index(m), vectorize(mat)) is not None
             assert inside == contains(cent_span, mat)
             verdicts.append(inside)
     assert set(verdicts) == {True, False}
@@ -230,7 +234,7 @@ def test_a_closed_form_label_without_a_pair_is_rejected(monkeypatch, fresh_memos
     # is no orbit at m = 1 (x0 = {1} lies in y and z, so |x0 n y n z| = 1)
     labels = orbits_module._orbit_labels(1) + (OrbitLabel(BlockTag.I, (1, 1, 1, 0)),)
     monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: labels)
-    monkeypatch.setattr(orbits_module, "_pair_index", orbits_module._pair_index.__wrapped__)
+    monkeypatch.setattr(orbits_module, "_sphere_rows", orbits_module._sphere_rows.__wrapped__)
     with pytest.raises(IndependenceError, match="I:1,1,1,0 has an empty orbit"):
         build_centralizer(GroundSet(1))
 
@@ -367,22 +371,27 @@ def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
     assert nonzero > 10
 
 
+# ({2}, {3}) and ({3}, {2}), and ({2}, {1}) and ({3}, {1}): two orbits at
+# m = 1 with one row sphere, whose union is not coherent
+_INCOHERENT = (OrbitLabel(BlockTag.I, (0, 0, 0, 0)), OrbitLabel(BlockTag.I, (0, 1, 0, 0)))
+
+
 def _merge_incoherent_orbits(monkeypatch) -> OrbitCoordinates:
-    """Orbit coordinates at m = 1 on a pair index with two orbits merged
-    into one whose matrix has a square that is not a combination of the
-    coarser orbit matrices."""
+    """Orbit coordinates at m = 1 on a pair index and sphere rows with two
+    orbits merged into one whose matrix has a square that is not a
+    combination of the coarser orbit matrices."""
     g = GroundSet(1)
     mats = orbit_matrices(g)
-    # merge ({2}, {3}) and ({3}, {2}) with ({2}, {1}) and ({3}, {1}): the
-    # square of the merged matrix is 1 at ({2}, {3}) and 0 at ({2}, {1})
-    a = OrbitLabel(BlockTag.I, (0, 0, 0, 0))
-    b = OrbitLabel(BlockTag.I, (0, 1, 0, 0))
+    # the square of the merged matrix is 1 at ({2}, {1}) and 0 at ({2}, {3})
+    a, b = _INCOHERENT
     merged = mats[a] + mats[b]
     square = merged @ merged
     assert {square.get(r, c) for r, c, _ in merged.entries()} == {0, 1}
     ids = orbits_module._pair_index(1).labels
     doctored = merged_pair_index(1, ids.index(a), ids.index(b))
+    rows = merged_sphere_rows(1, ids.index(a), ids.index(b))
     monkeypatch.setattr(orbits_module, "_pair_index", lambda _m: doctored)
+    monkeypatch.setattr(orbits_module, "_sphere_rows", lambda _m: rows)
     return OrbitCoordinates(g)  # the identity is still a sum of orbits
 
 
@@ -408,7 +417,7 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_certificates_above_the_exhaustive_range_accept_the_true_orbits(m):
     coords = OrbitCoordinates(GroundSet(m))
-    keys = [coords._profile(pos[0]) for pos in coords._positions]
+    keys = [coords._profile(pos[0]) for pos in coords._pairs.positions]
     coords._certify_by_samples(keys)
     coords._certify_by_higman(keys)
 
@@ -416,7 +425,7 @@ def test_certificates_above_the_exhaustive_range_accept_the_true_orbits(m):
 def test_certificates_above_the_exhaustive_range_reject_orbits_that_are_not_coherent(monkeypatch):
     # the m >= 4 certificates, called at m = 1 on the merged orbits
     coords = _merge_incoherent_orbits(monkeypatch)
-    keys = [coords._profile(pos[0]) for pos in coords._positions]
+    keys = [coords._profile(pos[0]) for pos in coords._pairs.positions]
     with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
         coords._certify_by_samples(keys)
     with pytest.raises(NotClosedError, match="fail Higman's identity"):
@@ -482,3 +491,60 @@ def test_diagonal_orbit_matrix_is_base_vertex_unit():
         mat = orbit_matrix(g, OrbitLabel(BlockTag.I, (m, m, m, m)))
         assert mat.nnz == 1
         assert mat.get(0, 0) == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_sphere_rows_number_and_size_the_orbits_as_the_pair_index(m):
+    # the 2m+2 sphere rows against the pass over all n^2 pairs: the same
+    # labels in the same first-pair numbering, and |orbit| = |sphere| times
+    # the orbit's count in its row
+    rows = orbits_module._sphere_rows(m)
+    index = orbits_module._pair_index(m)
+    assert rows.labels == index.labels
+    assert [rows.first_pair(a) for a in range(len(rows.labels))] == [
+        divmod(pos[0], index.n) for pos in index.positions
+    ]
+    assert list(rows.sizes) == [len(pos) for pos in index.positions]
+    assert len(rows.spheres) == 2 * m + 2
+    assert sorted(y for sphere in rows.spheres for y in sphere) == list(range(index.n))
+    for s, (sphere, row) in enumerate(zip(rows.spheres, rows.rows)):
+        y = sphere[0]
+        assert list(row) == list(index.orbit_of[y * index.n:(y + 1) * index.n])
+        assert all(rows.sphere_of[v] == s for v in sphere)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_single_orbit_matrices_from_the_sphere_rows_match_the_pair_index_view(m):
+    g = GroundSet(m)
+    mats = orbit_matrices(g)
+    assert all(orbit_matrix(g, lab) == mat for lab, mat in mats.items())
+
+
+def _centralizer_dim_pairs(m: int, d: int) -> list[tuple[int, int]]:
+    # the pairs centralizer-dim tests, in its order
+    if m <= 2:
+        return [(a, b) for a in range(d) for b in range(d)]
+    rng = random.Random(20260 + m)
+    return [(rng.randrange(d), rng.randrange(d)) for _ in range(500)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_row_products_match_the_n2_product_verdicts(m):
+    # centralizer-dim's test on one row per product against the n x n
+    # products, on all d^2 pairs at m <= 2 and on its 500 seeded pairs at m = 3
+    index = orbits_module._pair_index(m)
+    pairs = _centralizer_dim_pairs(m, len(index.labels))
+    verdicts = products_constant_on_orbits(m, pairs)
+    assert verdicts == n2_product_verdicts(index, pairs)
+    assert all(verdicts)
+
+
+def test_row_products_reject_orbits_that_are_not_coherent(monkeypatch):
+    # on the merged orbits the row test and the n x n test fail the same pairs
+    _merge_incoherent_orbits(monkeypatch)
+    index = orbits_module._pair_index(1)
+    pairs = _centralizer_dim_pairs(1, len(index.labels))
+    verdicts = products_constant_on_orbits(1, pairs)
+    assert verdicts == n2_product_verdicts(index, pairs)
+    merged = index.labels.index(_INCOHERENT[0])
+    assert not verdicts[pairs.index((merged, merged))]

@@ -10,9 +10,11 @@ from helpers import (
     closure_generators,
     contains,
     matrix_from_vector,
-    merged_pair_index,
+    merged_sphere_rows,
+    orbit_values,
     span,
     terwilliger_generators,
+    vectorize,
 )
 
 from doubled_odd.combinatorics import (
@@ -28,7 +30,6 @@ from doubled_odd.linalg import (
     SparseExactMatrix,
     algebra_closure,
     centralizer_within,
-    vectorize,
 )
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
@@ -55,7 +56,7 @@ def _lifted(g, basis):
 
 
 def test_dual_idempotents_are_sphere_indicators():
-    for m in (1, 2):
+    for m in (1, 2, 3):
         g = GroundSet(m)
         verts = enumerate_vertices(g)
         n = len(verts)
@@ -291,19 +292,18 @@ def test_orbit_coordinates_require_a_partition_of_the_pairs(monkeypatch):
     # outside the closed form, which is a named error, not a KeyError
     *labels, dropped = orbits_module._orbit_labels(1)
     monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: tuple(labels))
-    monkeypatch.setattr(orbits_module, "_pair_index", orbits_module._pair_index.__wrapped__)
+    monkeypatch.setattr(orbits_module, "_sphere_rows", orbits_module._sphere_rows.__wrapped__)
     with pytest.raises(NotClosedError, match=f"{dropped.text()}, which is not closed-form.*partition"):
         OrbitCoordinates(GroundSet(1))
 
 
 def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits(monkeypatch):
-    index = orbits_module._pair_index(1)
-    n = index.n
-    # merge the orbit of (x0, x0) with an off-diagonal orbit
-    diagonal = index.orbit_of[0]
-    other = next(a for a, pos in enumerate(index.positions) if all(i // n != i % n for i in pos))
-    doctored = merged_pair_index(1, diagonal, other)
-    monkeypatch.setattr(orbits_module, "_pair_index", lambda _m: doctored)
+    index = orbits_module._sphere_rows(1)
+    # merge the orbit of (x0, x0) with an off-diagonal orbit of the row of x0
+    diagonal, other = index.rows[0][0], index.rows[0][1]
+    assert index.spheres[0] == (0,) and index.labels[other].tup[2] == 0
+    doctored = merged_sphere_rows(1, diagonal, other)
+    monkeypatch.setattr(orbits_module, "_sphere_rows", lambda _m: doctored)
     with pytest.raises(NotClosedError, match="identity"):
         OrbitCoordinates(GroundSet(1))
 
@@ -311,11 +311,12 @@ def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits(monkeypatc
 def test_orbit_coordinates_reject_a_matrix_not_constant_on_orbits():
     g = GroundSet(1)
     coords = OrbitCoordinates(g)
+    index = orbits_module._pair_index(1)
     n = vertex_count(g)
-    assert coords.coordinates(vectorize(SparseExactMatrix.identity(n))) == coords.identity()
+    assert orbit_values(index, vectorize(SparseExactMatrix.identity(n))) == coords.identity()
     # ({2}, {3}) shares its orbit with ({3}, {2})
     bogus = SparseExactMatrix.from_entries(n, n, [(1, 2, 1)])
-    assert coords.coordinates(vectorize(bogus)) is None
+    assert orbit_values(index, vectorize(bogus)) is None
 
 
 def test_upsilon_m3_frozen_set():
