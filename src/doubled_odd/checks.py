@@ -28,6 +28,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from pathlib import Path
 from typing import Callable
@@ -45,9 +46,9 @@ from .combinatorics import (
 from .covering import build_psi, verify_intertwining
 from .linalg import NotClosedError, SpanBasis, SparseExactMatrix, write_coord_text
 from .orbits import (
+    BLOCK_FAMILIES,
     BlockTag,
     IndependenceError,
-    _pair_index,
     _sphere_rows,
     build_centralizer,
     check_subalgebra,
@@ -62,6 +63,8 @@ from .terwilliger import (
     block_profile,
     build_terwilliger,
     center_basis as _center_basis,
+    certify_center_span,
+    certify_terwilliger_span,
     dual_idempotents,
     subalgebra_spans,
     TerwilligerAlgebra,
@@ -111,15 +114,22 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+# the m a run accepts, which the command line's --m help reads too
+SUPPORTED_M = range(1, 6)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one verification run.
 
     checks=None means every check applicable at m; an explicit check that
     is unknown or not applicable at m raises ConfigError.  m is limited to
-    [1, 5]: what still grows with n^2 is the pair index (11.8 M pairs at
-    m = 6, n = 3,432), which the structure constants, orbits-oracle and the
-    export read, and the export's all-orbit matrices.
+    SUPPORTED_M, [1, 5]; m = 6 (n = 3,432, 11.8 M vertex pairs) is not yet
+    verified end to end.  What still grows with the n^2 vertex pairs is
+    the orbits-oracle union-find (capped at m <= 4), the export's n x n
+    matrices, and the exhaustive certificate of the structure constants at
+    m <= 3; every other orbit lookup reads single rows and columns of pairs
+    off the 2m+2 sphere rows.
     """
 
     m: int
@@ -130,8 +140,10 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.m, int):
             raise ConfigError(f"m must be an integer, got {self.m!r}")
-        if not 1 <= self.m <= 5:
-            raise ConfigError(f"m={self.m} outside the supported range [1, 5]")
+        if self.m not in SUPPORTED_M:
+            raise ConfigError(
+                f"m={self.m} outside the supported range [{SUPPORTED_M[0]}, {SUPPORTED_M[-1]}]"
+            )
         for name in self.checks or ():
             # applicable raises ConfigError for an unknown check
             if not applicable(name, self.m):
@@ -261,33 +273,49 @@ class CheckContext:
     def centralizer(self):
         return self._get("centralizer", lambda: build_centralizer(self.g))
 
+    def _cached_span(
+        self, name: str, build: Callable[[], SpanBasis], certify: Callable[[SpanBasis], None]
+    ) -> SpanBasis:
+        """The span stored in the cache under name at this m, when there is
+        one and certify accepts it; otherwise build(), stored in the cache.
+        A span that certify rejects (NotClosedError) is, like a damaged
+        file, a warning and then a rebuild."""
+        key = f"m{self.g.m}_{name}"
+        if self.cache_dir is not None:
+            cached = load_basis(self.cache_dir, key, self.ambient_dim)
+            if cached is not None:
+                try:
+                    certify(cached)
+                except NotClosedError as exc:
+                    warnings.warn(f"ignoring basis cache {_basis_path(self.cache_dir, key)}: {exc}")
+                else:
+                    return cached
+        basis = build()
+        if self.cache_dir is not None:
+            cache_basis(self.cache_dir, key, basis)
+        return basis
+
     @property
     def terwilliger(self) -> TerwilligerAlgebra:
         def build():
-            key = f"m{self.g.m}_terwilliger"
-            if self.cache_dir is not None:
-                cached = load_basis(self.cache_dir, key, self.ambient_dim)
-                if cached is not None:
-                    return TerwilligerAlgebra(m=self.g.m, basis=cached, closure=None)
-            t = build_terwilliger(self.g)
-            if self.cache_dir is not None:
-                cache_basis(self.cache_dir, key, t.basis)
-            return t
+            t = None
+
+            def close() -> SpanBasis:
+                nonlocal t
+                t = build_terwilliger(self.g)
+                return t.basis
+
+            basis = self._cached_span("terwilliger", close, partial(certify_terwilliger_span, self.g.m))
+            # a T read from the cache has no closure run
+            return t if t is not None else TerwilligerAlgebra(m=self.g.m, basis=basis, closure=None)
 
         return self._get("terwilliger", build)
 
     @property
     def center(self) -> SpanBasis:
         def build():
-            key = f"m{self.g.m}_center"
-            if self.cache_dir is not None:
-                cached = load_basis(self.cache_dir, key, self.ambient_dim)
-                if cached is not None:
-                    return cached
-            z = _center_basis(self.terwilliger)
-            if self.cache_dir is not None:
-                cache_basis(self.cache_dir, key, z)
-            return z
+            t = self.terwilliger
+            return self._cached_span("center", partial(_center_basis, t), partial(certify_center_span, t))
 
         return self._get("center", build)
 
@@ -375,11 +403,19 @@ def _check_bijections(ctx: CheckContext):
 def _check_orbits_oracle(ctx: CheckContext):
     g = ctx.g
     roots = orbits_by_group_action(g)
-    ids = _pair_index(g.m).orbit_of
+    index = _sphere_rows(g.m)
+    n = index.n
     # the two partitions of the pairs are equal exactly when the pairs
-    # (root, orbit id) met are as many as the roots and as the orbit ids
+    # (root, orbit id) met are as many as the roots and as the orbit ids;
+    # the orbit ids are read off label keys one row at a time
+    ids: set[int] = set()
+    met: set[tuple[int, int]] = set()
+    for y in range(n):
+        row = index.row(y)
+        ids.update(row)
+        met.update(zip(roots[y * n:(y + 1) * n], row))
     count = len(set(roots))
-    matches = count == len(set(ids)) == len(set(zip(roots, ids)))
+    matches = count == len(ids) == len(met)
     expected = {"orbit_count": 4 * comb(g.m + 4, 4), "partitions_match": True}
     actual = {"orbit_count": count, "partitions_match": matches}
     return expected, "paper-formula", actual, _verdict(expected == actual)
@@ -408,9 +444,8 @@ def _check_subalgebra_closure(ctx: CheckContext):
     g = ctx.g
     labels = orbit_labels(g)
     family = {
-        "I": [lab for lab in labels if lab.block is BlockTag.I],
-        "II+III": [lab for lab in labels if lab.block in (BlockTag.II, BlockTag.III)],
-        "IV": [lab for lab in labels if lab.block is BlockTag.IV],
+        name: [lab for lab in labels if lab.block in blocks]
+        for name, blocks in BLOCK_FAMILIES.items()
     }
     reports = {name: check_subalgebra(subset, g) for name, subset in family.items()}
     mixed = reports["II+III"]
@@ -439,7 +474,7 @@ def _check_subalgebra_closure(ctx: CheckContext):
 def _check_direct_sum(ctx: CheckContext):
     cent = ctx.centralizer
     spans = subalgebra_spans(cent)
-    names = ["I", "II+III", "IV"]
+    names = list(BLOCK_FAMILIES)
     dims = [spans[n].dimension for n in names]
     inter = []
     for a in range(3):

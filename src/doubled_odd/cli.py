@@ -19,6 +19,7 @@ from .checks import (
     CHECK_IDS,
     CheckContext,
     ConfigError,
+    SUPPORTED_M,
     RunConfig,
     export_matrices,
     headline_dimensions,
@@ -28,7 +29,12 @@ from .checks import (
 
 
 def _add_m_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, required=True, help="half the ground set size; supported range 1..5")
+    parser.add_argument(
+        "--m",
+        type=int,
+        required=True,
+        help=f"half the ground set size; supported range {SUPPORTED_M[0]}..{SUPPORTED_M[-1]}",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,11 +21,12 @@ The stabilizer fixes every label and acts transitively on each sphere
 carries every orbit whose pairs start in that sphere.  _sphere_rows labels
 those 2m+2 rows, numbers the orbits by first pair and sizes each orbit as
 |sphere| times its count in its row, certified by "labels met = closed-form
-labels"; OrbitCoordinates, index-sets, the single orbit matrices and the
-product test of centralizer-dim read it.  _pair_index, one labelled pass
-over all n^2 pairs under the same certificate, numbers the orbits alike; the
-structure constants, orbits-oracle, lift and the all-orbit matrix view read
-it.
+labels".  It is the package's one orbit index: the orbit of any other pair
+is read off its popcount label key through the index's label map
+(SphereRows.orbit_of), one row or column of pairs at a time.  Only the
+orbits-oracle union-find, the export's n x n matrices and the exhaustive
+certificate of the structure constants at m <= _EXHAUSTIVE_MAX_M still
+touch all n^2 pairs.
 
 The closed forms are production code; an independent union-find oracle that
 grinds out the orbits from explicit group generators lives alongside for the
@@ -57,7 +58,7 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
@@ -91,6 +92,14 @@ class OrbitLabel(NamedTuple):
 
 
 _BLOCKS = (BlockTag.I, BlockTag.II, BlockTag.III, BlockTag.IV)
+
+# the three families of the direct sum of the centralizer algebra: the
+# diagonal-size blocks I and IV, and the mixed pair II + III
+BLOCK_FAMILIES: dict[str, tuple[BlockTag, ...]] = {
+    "I": (BlockTag.I,),
+    "II+III": (BlockTag.II, BlockTag.III),
+    "IV": (BlockTag.IV,),
+}
 
 # the structure constants are certified on all n^3 vertex triples up to this
 # m (n = 70 at m = 3); above it, on _SAMPLED_PAIRS seeded extra pairs of every
@@ -205,6 +214,14 @@ def orbit_labels(g: GroundSet) -> list[OrbitLabel]:
 
 
 @lru_cache(maxsize=8)
+def _row_keys(m: int) -> tuple[int, ...]:
+    # the part of a pair's label key that depends on y alone, per vertex y
+    base = m + 2
+    x0 = GroundSet(m).base_vertex
+    return tuple((2 * (y.bit_count() > m) * base + (x0 & y).bit_count()) * base ** 3 for y in _vertices(m))
+
+
+@lru_cache(maxsize=8)
 def _column_keys(m: int) -> tuple[int, ...]:
     # the part of a pair's label key that depends on z alone, per vertex z
     base = m + 2
@@ -221,8 +238,18 @@ def _label_keys(m: int, yi: int, zs) -> list[int]:
     base = m + 2
     y = verts[yi]
     x0y = GroundSet(m).base_vertex & y
-    y_key = (2 * (y.bit_count() > m) * base + x0y.bit_count()) * base ** 3
+    y_key = _row_keys(m)[yi]
     return [y_key + cols[z] + (y & verts[z]).bit_count() * base + (x0y & verts[z]).bit_count() for z in zs]
+
+
+def _column_label_keys(m: int, zi: int) -> list[int]:
+    """The label keys (_label_keys) of the pairs (w, z), z the vertex zi and
+    w over all vertices."""
+    base = m + 2
+    z = _vertices(m)[zi]
+    x0z = GroundSet(m).base_vertex & z
+    z_key = _column_keys(m)[zi]
+    return [w_key + z_key + (w & z).bit_count() * base + (x0z & w).bit_count() for w_key, w in zip(_row_keys(m), _vertices(m))]
 
 
 def _check_labels_met(m: int, labels) -> None:
@@ -249,12 +276,14 @@ class SphereRows(NamedTuple):
     vertices of sphere s ascending, the spheres in the order of their first
     vertices, and sphere_of[y] is the sphere of vertex y.  rows[s][z] is the
     orbit of the pair (spheres[s][0], z), and orbit_of maps the key of a
-    label (_label_keys) to its orbit.  Orbit a has label labels[a] and
-    sizes[a] pairs; its first pair is (spheres[row_of[a]][0], members[a][0]),
-    where members[a] lists ascending the z with (spheres[row_of[a]][0], z)
-    in a.  Orbits are numbered by first pair in row-major order.
+    label (_label_keys) to its orbit, which decides the orbit of every pair
+    (row, column).  Orbit a has label labels[a] and sizes[a] pairs; its
+    first pair is (spheres[row_of[a]][0], members[a][0]), where members[a]
+    lists ascending the z with (spheres[row_of[a]][0], z) in a.  Orbits are
+    numbered by first pair in row-major order.
     """
 
+    m: int
     n: int
     spheres: tuple[tuple[int, ...], ...]
     sphere_of: array
@@ -272,6 +301,16 @@ class SphereRows(NamedTuple):
         """The vertices, ascending, of the spheres the pairs of orbit a end in."""
         spheres = {self.sphere_of[z] for z in self.members[a]}
         return sorted(z for t in spheres for z in self.spheres[t])
+
+    def row(self, y: int) -> list[int]:
+        """The orbits of the pairs (y, w), w over all vertices, read off
+        their label keys."""
+        return list(map(self.orbit_of.__getitem__, _label_keys(self.m, y, range(self.n))))
+
+    def column(self, z: int) -> list[int]:
+        """The orbits of the pairs (w, z), w over all vertices, read off
+        their label keys."""
+        return list(map(self.orbit_of.__getitem__, _column_label_keys(self.m, z)))
 
 
 def _number_sphere_rows(m, spheres, rows, orbit_of) -> SphereRows:
@@ -305,7 +344,7 @@ def _number_sphere_rows(m, spheres, rows, orbit_of) -> SphereRows:
         for y, zs in zip(y_of, members)
     )
     return SphereRows(
-        len(verts), spheres, sphere_of, rows,
+        m, len(verts), spheres, sphere_of, rows,
         {key: ids[a] for key, a in orbit_of.items()}, labels, tuple(sizes),
         tuple(row_of), tuple(map(tuple, members)),
     )
@@ -339,58 +378,11 @@ def _sphere_rows(m: int) -> SphereRows:
     return index
 
 
-class PairIndex(NamedTuple):
-    """orbit_of[y * n + z] is the orbit of the vertex pair (y, z); orbit a
-    has label labels[a] and the ascending row-major pair positions
-    positions[a].  Orbits are numbered by their first pair."""
-
-    n: int
-    labels: tuple[OrbitLabel, ...]
-    orbit_of: array
-    positions: tuple[array, ...]
-
-
-@lru_cache(maxsize=8)
-def _pair_index(m: int) -> PairIndex:
-    """The orbit of every vertex pair, in one labelled row-major pass.
-
-    Each pair's label is encoded as one int (_label_keys), and the labels are
-    numbered as they are first met; the labels met are certified to be the
-    closed-form labels (_check_labels_met).
-    """
-    verts = _vertices(m)
-    n = len(verts)
-    x0 = GroundSet(m).base_vertex
-    ids: dict[int, int] = {}
-    first_seen = ids.setdefault
-    orbit_of = array("H")
-    everyone = range(n)
-    for yi in everyone:
-        orbit_of.extend([first_seen(key, len(ids)) for key in _label_keys(m, yi, everyone)])
-    positions = tuple(array("I") for _ in ids)
-    append = [pos.append for pos in positions]
-    for idx, a in enumerate(orbit_of):
-        append[a](idx)
-    # all pairs of an orbit share its key, so its first pair gives its label
-    firsts = [(verts[pos[0] // n], verts[pos[0] % n]) for pos in positions]
-    labels = tuple(OrbitLabel(block_of_pair(m, y, z), rho(x0, y, z)) for y, z in firsts)
-    _check_labels_met(m, labels)
-    return PairIndex(n, labels, orbit_of, positions)
-
-
 @lru_cache(maxsize=8)
 def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
-    # a view of the pair index, keyed in its orbit order
-    index = _pair_index(m)
-    n = index.n
-    out = {}
-    for lab, positions in zip(index.labels, index.positions):
-        rows: dict[int, dict[int, object]] = {}
-        for idx in positions:
-            y, z = divmod(idx, n)
-            rows.setdefault(y, {})[z] = 1
-        out[lab] = SparseExactMatrix(n, n, rows)
-    return out
+    # every orbit matrix, keyed in orbit order
+    g = GroundSet(m)
+    return {lab: orbit_matrix(g, lab) for lab in _sphere_rows(m).labels}
 
 
 def orbit_matrices(g: GroundSet) -> dict[OrbitLabel, SparseExactMatrix]:
@@ -681,21 +673,8 @@ class OrbitCoordinates:
         self.ambient_dim = len(index.labels)
         self.orbit_labels = index.labels
         self.sizes = index.sizes
+        self._index = index
         self._identity = {a: 1 for a in sorted(diagonal)}
-
-    @cached_property
-    def _pairs(self) -> PairIndex:
-        """The pair index, for the passes over whole rows and columns of
-        pairs; it must number the orbits as the sphere rows do."""
-        index = _pair_index(self.m)
-        if index.labels != self.orbit_labels:
-            raise NotClosedError("the pair index and the sphere rows number the orbits differently")
-        return index
-
-    def _label_lines(self) -> tuple[list, list]:
-        """The orbit ids along each row and along each column of the pairs."""
-        n, labels = self.n, self._pairs.orbit_of
-        return [labels[k * n:(k + 1) * n] for k in range(n)], [labels[k::n] for k in range(n)]
 
     def structure_constants(self) -> StructureConstants:
         """The structure constants of the orbit matrices, read off the first
@@ -703,35 +682,47 @@ class OrbitCoordinates:
         p^c_{ab} differs between two pairs of orbit c, i.e. when the orbits
         do not form a coherent configuration), with their product index.
 
-        Up to m = _EXHAUSTIVE_MAX_M every pair of every orbit is checked, by
-        one pass over all n^3 triples.  Above it the n^3 pass is out of reach
+        The orbits along a row or column of pairs are read off popcount label
+        keys through the index's label map (SphereRows.row, .column): the row
+        of a first pair is its sphere row, and the columns of the first pairs
+        are kept for this call only.  Up to
+        m = _EXHAUSTIVE_MAX_M every pair of every orbit is checked, by one
+        pass over all n^3 triples.  Above it the n^3 pass is out of reach
         (about 2.7 s at m = 4), and the table is checked on _SAMPLED_PAIRS
         seeded extra pairs of every orbit and by Higman's identity."""
-        keys = [self._profile(pos[0]) for pos in self._pairs.positions]
+        index = self._index
+        cols: dict[int, list[int]] = {}  # the columns of the first pairs met
+        keys = []
+        for c in range(self.ambient_dim):
+            z = index.members[c][0]
+            if z not in cols:
+                cols[z] = index.column(z)
+            keys.append(self._profile(index.rows[index.row_of[c]], cols[z]))
         if self.m <= _EXHAUSTIVE_MAX_M:
             self._certify_exhaustively()
         else:
             self._certify_by_samples(keys)
             self._certify_by_higman(keys)
         d = self.ambient_dim
-        index: tuple[dict[int, list[tuple[int, int]]], ...] = tuple({} for _ in keys)
+        products: tuple[dict[int, list[tuple[int, int]]], ...] = tuple({} for _ in keys)
         for c, orbit_keys in enumerate(keys):
             for key, p in Counter(orbit_keys).items():
                 a, b = divmod(key, d)
-                index[a].setdefault(b, []).append((c, p))
-        return StructureConstants(self.orbit_labels, tuple(array("I", k) for k in keys), index)
+                products[a].setdefault(b, []).append((c, p))
+        return StructureConstants(self.orbit_labels, tuple(keys), products)
 
-    def _profile(self, idx: int) -> list[int]:
-        # the sorted keys a * d + b over the middle vertices w of the pair at
-        # row-major position idx, with (y, w) in orbit a and (w, z) in orbit b
-        n, d, labels = self.n, self.ambient_dim, self._pairs.orbit_of
-        y, z = divmod(idx, n)
-        return sorted(map(add, [a * d for a in labels[y * n:(y + 1) * n]], labels[z::n]))
+    def _profile(self, row, col) -> array:
+        # the sorted keys a * d + b over the middle vertices w of a pair
+        # (y, z), where row lists the orbits a of the pairs (y, w) and col the
+        # orbits b of the pairs (w, z)
+        return array("I", sorted(map(add, map(self.ambient_dim.__mul__, row), col)))
 
     def _certify_exhaustively(self) -> None:
         """Every pair's keys against those of its orbit's first pair, the
-        pair the table was read off."""
-        label_rows, label_cols = self._label_lines()
+        pair the table was read off, over all n rows and n columns."""
+        everyone = range(self.n)
+        label_rows = list(map(self._index.row, everyone))
+        label_cols = list(map(self._index.column, everyone))
         # (O_a O_b)[y, z] counts the w with (y, w) in orbit a and (w, z) in orbit b
         _, offending = class_profiles(label_rows, label_cols, label_rows, self.ambient_dim)
         if offending is not None:
@@ -741,26 +732,39 @@ class OrbitCoordinates:
                 f"{self.orbit_labels[label_rows[y][z]].text()}"
             )
 
-    def _certify_by_samples(self, keys: list[list[int]]) -> None:
+    def _certify_by_samples(self, keys: list[array]) -> None:
         """Every orbit's keys, checked on up to _SAMPLED_PAIRS seeded pairs
-        of the orbit other than its first."""
+        of the orbit other than its first: in each of _SAMPLED_PAIRS seeded
+        rows of its row sphere (every row of a smaller sphere), one seeded
+        pair of the orbit.  The stabilizer moves the row of the sphere's
+        first vertex onto each row of the sphere, so every such row meets
+        every orbit whose pairs start in the sphere."""
+        index = self._index
         rng = random.Random(20260 + self.m)
-        for c, pos in enumerate(self._pairs.positions):
-            for k in rng.sample(range(1, len(pos)), min(_SAMPLED_PAIRS, len(pos) - 1)):
-                if self._profile(pos[k]) != keys[c]:
-                    raise NotClosedError(
-                        f"the products of orbit matrices are not constant on orbit "
-                        f"{self.orbit_labels[c].text()}"
-                    )
+        for sphere in index.spheres:
+            for y in rng.sample(sphere, min(_SAMPLED_PAIRS, len(sphere))):
+                row = index.row(y)
+                # the pairs of each orbit met along the row, but its first pair
+                pairs: dict[int, list[int]] = {}
+                for z, c in enumerate(row):
+                    if (y, z) != index.first_pair(c):
+                        pairs.setdefault(c, []).append(z)
+                for c, zs in pairs.items():
+                    if self._profile(row, index.column(rng.choice(zs))) != keys[c]:
+                        raise NotClosedError(
+                            f"the products of orbit matrices are not constant on orbit "
+                            f"{self.orbit_labels[c].text()}"
+                        )
 
-    def _certify_by_higman(self, keys: list[list[int]]) -> None:
+    def _certify_by_higman(self, keys: list[array]) -> None:
         """|c| p^c_{ab} = |a| p^a_{c b^T} for every nonzero p^c_{ab}, where
         |c| is the number of pairs of orbit c and b^T the orbit of the
-        transposed pairs of b: both sides count the triples (y, w, z) with
-        (y, z) in c, (y, w) in a and (w, z) in b."""
-        n, d, sizes = self.n, self.ambient_dim, self.sizes
-        labels, positions = self._pairs.orbit_of, self._pairs.positions
-        transpose = [labels[pos[0] % n * n + pos[0] // n] for pos in positions]
+        transposed pairs of b, read off the label key of (z, y) for the first
+        pair (y, z) of b: both sides count the triples (y, w, z) with (y, z)
+        in c, (y, w) in a and (w, z) in b."""
+        index, d, sizes = self._index, self.ambient_dim, self.sizes
+        firsts = map(index.first_pair, range(d))
+        transpose = [index.orbit_of[_label_keys(self.m, z, (y,))[0]] for y, z in firsts]
         counts = [Counter(k) for k in keys]
         for c, table in enumerate(counts):
             for key, p in table.items():
@@ -782,12 +786,14 @@ class OrbitCoordinates:
         return _apply(table.right, vec)
 
     def lift(self, basis: SpanBasis) -> SpanBasis:
-        """The n^2-ambient RREF basis of the matrices a Q^d basis stands for."""
+        """The n^2-ambient RREF basis of the matrices a Q^d basis stands for,
+        with each orbit's pairs read off its orbit matrix."""
         if basis.ambient_dim != self.ambient_dim:
             raise ShapeMismatchError(
                 f"basis of ambient {basis.ambient_dim} is not in orbit coordinates"
             )
-        positions = self._pairs.positions
+        n, mats = self.n, _orbit_matrices(self.m)
+        positions = [[y * n + z for y, z, _ in mats[lab].entries()] for lab in self.orbit_labels]
         rows = []
         for row in basis.rows:
             vec: dict[int, object] = {}
@@ -795,7 +801,7 @@ class OrbitCoordinates:
                 for idx in positions[a]:
                     vec[idx] = v
             rows.append(vec)
-        return SpanBasis.from_reduced_rows(self.n * self.n, rows)
+        return SpanBasis.from_reduced_rows(n * n, rows)
 
 
 @lru_cache(maxsize=8)

@@ -18,8 +18,10 @@ is one product in Q^d through the certified structure constants
 (orbits.StructureConstants.product).  So the action of A_1 is exactly as
 certified as the structure constants: by the pass over all n^3 vertex
 triples at m <= 3, and by seeded pairs of every orbit and Higman's identity
-at m = 4, 5.  T needs no n x n matrix, and no pass over the n^2 vertex
-pairs beyond the one the structure constants are read from.  Everything T
+at m = 4, 5.  T needs no n x n matrix, and above m = 3 no pass over all
+n^2 vertex pairs.  A T or Z(T) read back from a cache is re-certified
+against the same action tables (certify_terwilliger_span,
+certify_center_span).  Everything T
 is generated by lies inside the centralizer algebra of the stabilizer of
 x0: each E*_i is a single diagonal orbit matrix and each sandwich
 E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with explicit
@@ -53,7 +55,7 @@ from .linalg import (
     algebra_closure,
     centralizer_within,
 )
-from .orbits import ActionTable, BlockTag, CentralizerBasis, OrbitLabel, orbit_matrix
+from .orbits import BLOCK_FAMILIES, ActionTable, BlockTag, CentralizerBasis, OrbitLabel, orbit_matrix
 from .orbits import _orbit_coordinates, _orbit_distance, _sphere_rows, _structure_constants
 
 
@@ -265,6 +267,38 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     return centralizer_within(t.basis, _closure_tables(t.m), action=_orbit_coordinates(t.m))
 
 
+def _generator_name(m: int, k: int) -> str:
+    # the name of _closure_tables(m)[k]
+    return f"E*_{k}" if k < 2 * m + 2 else "A_1"
+
+
+def certify_terwilliger_span(m: int, basis: SpanBasis) -> None:
+    """Check that a span of Q^d read back for T at m contains T: it holds the
+    identity and is closed under the left action of every generator T is
+    closed under, so it holds every word in them (NotClosedError otherwise).
+    A span larger than T passes."""
+    coords = _orbit_coordinates(m)
+    if not basis.contains_vector(coords.identity()):
+        raise NotClosedError("the span does not contain the identity")
+    for k, table in enumerate(_closure_tables(m)):
+        for row in basis.rows:
+            if not basis.contains_vector(coords.left(table, row)):
+                raise NotClosedError(f"the span is not closed under the action of {_generator_name(m, k)}")
+
+
+def certify_center_span(t: TerwilligerAlgebra, basis: SpanBasis) -> None:
+    """Check that a span of Q^d read back for Z(T) lies in Z(T): every row
+    lies in T and commutes with every generator T is closed under
+    (NotClosedError otherwise).  A proper subspace of Z(T) passes."""
+    coords = _orbit_coordinates(t.m)
+    for row in basis.rows:
+        if not t.basis.contains_vector(row):
+            raise NotClosedError("the span does not lie in T")
+        for k, table in enumerate(_closure_tables(t.m)):
+            if coords.left(table, row) != coords.right(table, row):
+                raise NotClosedError(f"the span does not commute with {_generator_name(t.m, k)}")
+
+
 def upsilon(m: int) -> frozenset[tuple[int, int]]:
     """The parameter set {(mu, d) : 0 <= d <= m, ceil((m-d)/2) <= mu <= m-d}.
 
@@ -316,9 +350,12 @@ def block_profile(m: int) -> BlockProfile:
 
 def subalgebra_spans(cent: CentralizerBasis) -> dict[str, SpanBasis]:
     """Spans in Q^d, where orbit a is the unit vector e_a, of the three block
-    families: diagonal-size blocks I and IV, and the mixed pair II + III."""
-    family = {BlockTag.I: "I", BlockTag.II: "II+III", BlockTag.III: "II+III", BlockTag.IV: "IV"}
-    spans = {name: SpanBasis(cent.dimension) for name in ("I", "II+III", "IV")}
-    for a, lab in enumerate(cent.coordinates.orbit_labels):
-        spans[family[lab.block]].insert({a: 1})
+    families (orbits.BLOCK_FAMILIES)."""
+    labels = cent.coordinates.orbit_labels
+    spans = {}
+    for name, blocks in BLOCK_FAMILIES.items():
+        spans[name] = SpanBasis(cent.dimension)
+        for a, lab in enumerate(labels):
+            if lab.block in blocks:
+                spans[name].insert({a: 1})
     return spans

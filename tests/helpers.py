@@ -1,13 +1,16 @@
 """Helpers shared by the tests: the n^2-ambient matrix action and spans, the
 oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
-the product-built action tables and the row test of centralizer-dim are
-compared with, the full generator lists of T, and doctored orbit data for
-the certificates of the pair index and the sphere rows."""
+the product-built action tables, the sphere rows and the row test of
+centralizer-dim are compared with (among them the pair index, the orbit of
+every vertex pair in one labelled pass), the full generator lists of T, and
+doctored orbit data for the certificates of the sphere rows."""
 
 from array import array
 from collections.abc import Iterable
+from functools import lru_cache
 from itertools import repeat
 from math import comb, isqrt
+from typing import NamedTuple
 
 from doubled_odd.combinatorics import (
     GroundSet,
@@ -31,11 +34,12 @@ from doubled_odd.orbits import (
     BlockTag,
     OrbitCoordinates,
     OrbitLabel,
-    PairIndex,
     SphereRows,
+    _check_labels_met,
+    _label_keys,
     _number_sphere_rows,
-    _pair_index,
     _sphere_rows,
+    block_of_pair,
     rho,
 )
 from doubled_odd.terwilliger import TerwilligerAlgebra, center_basis, dual_idempotents
@@ -222,12 +226,57 @@ class MatrixAction:
         return vectorize(self._matrix(u) @ self._matrix(v))
 
 
+class PairIndex(NamedTuple):
+    """orbit_of[y * n + z] is the orbit of the vertex pair (y, z); orbit a
+    has label labels[a] and the ascending row-major pair positions
+    positions[a].  Orbits are numbered by their first pair."""
+
+    n: int
+    labels: tuple[OrbitLabel, ...]
+    orbit_of: array
+    positions: tuple[array, ...]
+
+    def label_lines(self) -> tuple[list, list]:
+        """The orbit ids along each row and along each column of the pairs."""
+        n = self.n
+        return [self.orbit_of[k * n:(k + 1) * n] for k in range(n)], [self.orbit_of[k::n] for k in range(n)]
+
+
+@lru_cache(maxsize=8)
+def pair_index(m: int) -> PairIndex:
+    """Oracle of the sphere rows: the orbit of every vertex pair, in one
+    labelled row-major pass.
+
+    Each pair's label is encoded as one int (orbits._label_keys), and the
+    labels are numbered as they are first met; the labels met are certified
+    to be the closed-form labels (orbits._check_labels_met).
+    """
+    verts = _vertices(m)
+    n = len(verts)
+    x0 = GroundSet(m).base_vertex
+    ids: dict[int, int] = {}
+    first_seen = ids.setdefault
+    orbit_of = array("H")
+    everyone = range(n)
+    for yi in everyone:
+        orbit_of.extend([first_seen(key, len(ids)) for key in _label_keys(m, yi, everyone)])
+    positions = tuple(array("I") for _ in ids)
+    append = [pos.append for pos in positions]
+    for idx, a in enumerate(orbit_of):
+        append[a](idx)
+    # all pairs of an orbit share its key, so its first pair gives its label
+    firsts = [(verts[pos[0] // n], verts[pos[0] % n]) for pos in positions]
+    labels = tuple(OrbitLabel(block_of_pair(m, y, z), rho(x0, y, z)) for y, z in firsts)
+    _check_labels_met(m, labels)
+    return PairIndex(n, labels, orbit_of, positions)
+
+
 def action_tables(coords: OrbitCoordinates, generators: list[SparseExactMatrix]) -> list[ActionTable]:
     """Oracle: the action of each 0/1 generator on the orbit matrices, every
-    entry read off all vertex pairs of its orbit (NotClosedError when it
-    differs between two of them)."""
+    entry read off all vertex pairs of its orbit in the pair index
+    (NotClosedError when it differs between two of them)."""
     n = coords.n
-    label_rows, label_cols = coords._label_lines()
+    label_rows, label_cols = pair_index(coords.m).label_lines()
     tables = []
     for mat in generators:
         if mat.nrows != n or mat.ncols != n:
@@ -275,7 +324,7 @@ def _action_table(d: int, lines: dict[int, list[int]], label_lines: list) -> tup
 def merged_pair_index(m: int, keep: int, drop: int) -> PairIndex:
     """The pair index at m with orbit drop merged into orbit keep, renumbered
     by first pair as the real index is."""
-    index = _pair_index(m)
+    index = pair_index(m)
     merged = [keep if a == drop else a for a in index.orbit_of]
     ids: dict[int, int] = {}
     orbit_of = array("H", (ids.setdefault(a, len(ids)) for a in merged))

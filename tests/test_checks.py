@@ -245,6 +245,30 @@ def test_cache_file_of_the_wrong_ambient_dimension_is_recomputed(tmp_path):
     assert all(json.loads(path.read_text())["ambient_dim"] == 20 for path in paths)
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("terwilliger", r"not closed under the action of E\*_0"),
+    ("center", "does not commute with A_1"),
+])
+def test_a_cached_span_that_fails_recertification_is_recomputed(tmp_path, kind, message):
+    # well-formed cache files that hold no T and no Z(T): span{I} is not
+    # closed under E*_0, and span{E*_0} lies in T but does not commute with A_1
+    checks = ("terwilliger-dim", "inclusion", "equality", "center-dim")
+    expected = _normalized(run(RunConfig(m=3, checks=checks)))
+    coords = CheckContext(3).centralizer.coordinates
+    # orbit 0 is the orbit of (x0, x0), whose matrix is E*_0
+    row = coords.identity() if kind == "terwilliger" else {0: 1}
+    path = cache_basis(tmp_path, f"m3_{kind}", SpanBasis.from_reduced_rows(coords.ambient_dim, [row]))
+    with pytest.warns(UserWarning, match=message):
+        reports = run(RunConfig(m=3, checks=checks, cache_dir=str(tmp_path)))
+    assert _normalized(reports) == expected
+    assert len(json.loads(path.read_text())["rows"]) == {"terwilliger": 140, "center": 6}[kind]
+    # the spans stored in their place pass the re-certification
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = run(RunConfig(m=3, checks=checks, cache_dir=str(tmp_path)))
+    assert _normalized(reports) == expected
+
+
 def test_n2_cache_file_of_format_1_is_a_silent_miss(tmp_path):
     checks = ("terwilliger-dim", "inclusion", "equality", "center-dim")
     expected = _normalized(run(RunConfig(m=1, checks=checks)))
@@ -566,9 +590,9 @@ def test_the_verify_path_builds_no_distance_matrix_and_no_n2_action_table(monkey
 
 
 def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
-    # the all-orbit matrices are a view of the pair index for the export and
-    # the tests; T, Z(T), their comparisons and centralizer-dim's products,
-    # tested on the sphere rows, never make them
+    # the all-orbit matrices are built for the export and the tests; T,
+    # Z(T), their comparisons and centralizer-dim's products, tested on the
+    # sphere rows, never make them
     calls = []
     view = orbits_module._orbit_matrices
 
@@ -586,27 +610,29 @@ def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
 
 def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fresh_memos):
     # index-sets, centralizer-dim, direct-sum and lemma41 read the 2m+2
-    # sphere rows: the benchmark's m = 4 orbit checks build neither the pair
-    # index nor the all-orbit matrices
-    calls = []
+    # sphere rows and the label keys of single rows: the benchmark's m = 4
+    # orbit checks evaluate fewer label keys than there are vertex pairs
+    evaluated = []
 
-    def traced(name, build):
-        def wrapper(m):
-            calls.append((name, m))
-            return build(m)
+    def counted(label_keys):
+        def wrapper(*args):
+            keys = label_keys(*args)
+            evaluated.append(len(keys))
+            return keys
         return wrapper
 
-    pair_index = traced("_pair_index", orbits_module._pair_index)
-    for module in (orbits_module, checks_module):
-        monkeypatch.setattr(module, "_pair_index", pair_index)
-    monkeypatch.setattr(orbits_module, "_orbit_matrices", traced("_orbit_matrices", orbits_module._orbit_matrices))
+    for name in ("_label_keys", "_column_label_keys"):
+        monkeypatch.setattr(orbits_module, name, counted(getattr(orbits_module, name)))
     reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
     reports = run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
     assert [r.status for r in reports] == ["pass"] * len(reference)
-    assert calls == []
-    # the trace sees a call where there is one
+    assert 0 < sum(evaluated) < 252 ** 2
+    # the count sees a pass over all pairs where there is one: orbits-oracle
+    # reads the orbit ids of all n^2 pairs, row by row
+    orbits_module._sphere_rows(1)
+    evaluated.clear()
     run(RunConfig(m=1, checks=("orbits-oracle",)))
-    assert calls == [("_pair_index", 1)]
+    assert sum(evaluated) == 6 ** 2
 
 
 def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):

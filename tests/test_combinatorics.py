@@ -4,7 +4,7 @@ import random
 from collections import deque
 
 import pytest
-from helpers import distance_matrix, intersection_table, mask_of, vertex_index
+from helpers import distance_matrix, intersection_table, mask_of, pair_index, vertex_index
 
 from doubled_odd import orbits as orbits_module
 from doubled_odd.combinatorics import (
@@ -244,7 +244,7 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
     # move an orbit and its transpose to another distance: the table read off
     # the structure constants and the n^3 pass over the matching n x n table
     # raise the same witness
-    index = orbits_module._pair_index(m)
+    index = pair_index(m)
     keys = orbits_module._structure_constants(m).keys
     n, verts = index.n, enumerate_vertices(GroundSet(m))
     firsts = [divmod(pos[0], n) for pos in index.positions]

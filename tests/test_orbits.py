@@ -16,6 +16,8 @@ from helpers import (
     n2_product_verdicts,
     orbit_partition,
     orbit_values,
+    pair_index,
+    pair_orbit_matrices,
     parse_label,
     span,
     vectorize,
@@ -223,7 +225,7 @@ def test_orbit_coordinate_membership_agrees_with_the_n2_span(m):
         entry = (rng.randrange(n), rng.randrange(n), rng.choice((1, -1, 2)))
         bump = SparseExactMatrix.from_entries(n, n, [entry])
         for mat in (product, product + bump):
-            inside = orbit_values(orbits_module._pair_index(m), vectorize(mat)) is not None
+            inside = orbit_values(pair_index(m), vectorize(mat)) is not None
             assert inside == contains(cent_span, mat)
             verdicts.append(inside)
     assert set(verdicts) == {True, False}
@@ -241,10 +243,10 @@ def test_a_closed_form_label_without_a_pair_is_rejected(monkeypatch, fresh_memos
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_pair_index_labels_every_pair_by_block_and_rho(m):
-    # the one labelled pass against the definition of a pair's label, and its
-    # partition against the orbits of the stabilizer's generators
+    # the oracle's one labelled pass against the definition of a pair's
+    # label, and its partition against the orbits of the stabilizer's generators
     g = GroundSet(m)
-    index = orbits_module._pair_index(m)
+    index = pair_index(m)
     verts = enumerate_vertices(g)
     n = len(verts)
     assert index.n == n and len(index.orbit_of) == n * n
@@ -377,9 +379,9 @@ _INCOHERENT = (OrbitLabel(BlockTag.I, (0, 0, 0, 0)), OrbitLabel(BlockTag.I, (0, 
 
 
 def _merge_incoherent_orbits(monkeypatch) -> OrbitCoordinates:
-    """Orbit coordinates at m = 1 on a pair index and sphere rows with two
-    orbits merged into one whose matrix has a square that is not a
-    combination of the coarser orbit matrices."""
+    """Orbit coordinates at m = 1 on sphere rows with two orbits merged into
+    one whose matrix has a square that is not a combination of the coarser
+    orbit matrices."""
     g = GroundSet(1)
     mats = orbit_matrices(g)
     # the square of the merged matrix is 1 at ({2}, {1}) and 0 at ({2}, {3})
@@ -387,10 +389,8 @@ def _merge_incoherent_orbits(monkeypatch) -> OrbitCoordinates:
     merged = mats[a] + mats[b]
     square = merged @ merged
     assert {square.get(r, c) for r, c, _ in merged.entries()} == {0, 1}
-    ids = orbits_module._pair_index(1).labels
-    doctored = merged_pair_index(1, ids.index(a), ids.index(b))
+    ids = orbits_module._sphere_rows(1).labels
     rows = merged_sphere_rows(1, ids.index(a), ids.index(b))
-    monkeypatch.setattr(orbits_module, "_pair_index", lambda _m: doctored)
     monkeypatch.setattr(orbits_module, "_sphere_rows", lambda _m: rows)
     return OrbitCoordinates(g)  # the identity is still a sum of orbits
 
@@ -401,13 +401,22 @@ def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
         coords.structure_constants()
 
 
+def _first_pair_keys(coords: OrbitCoordinates) -> list:
+    # the keys structure_constants reads off the first pairs, uncertified
+    index = coords._index
+    return [
+        coords._profile(index.rows[index.row_of[c]], index.column(index.members[c][0]))
+        for c in range(coords.ambient_dim)
+    ]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_representative_structure_constants_match_the_exhaustive_pass(m):
     # the table read off one pair per orbit, certified exhaustively up to
     # m = 3 and by seeded pairs and Higman's identity at m = 4, against the
     # pass over all n^3 vertex triples
     coords = OrbitCoordinates(GroundSet(m))
-    rows, cols = coords._label_lines()
+    rows, cols = pair_index(m).label_lines()
     profiles, offending = class_profiles(rows, cols, rows, coords.ambient_dim)
     assert offending is None
     keys = coords.structure_constants().keys
@@ -417,7 +426,7 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_certificates_above_the_exhaustive_range_accept_the_true_orbits(m):
     coords = OrbitCoordinates(GroundSet(m))
-    keys = [coords._profile(pos[0]) for pos in coords._pairs.positions]
+    keys = _first_pair_keys(coords)
     coords._certify_by_samples(keys)
     coords._certify_by_higman(keys)
 
@@ -425,7 +434,7 @@ def test_certificates_above_the_exhaustive_range_accept_the_true_orbits(m):
 def test_certificates_above_the_exhaustive_range_reject_orbits_that_are_not_coherent(monkeypatch):
     # the m >= 4 certificates, called at m = 1 on the merged orbits
     coords = _merge_incoherent_orbits(monkeypatch)
-    keys = [coords._profile(pos[0]) for pos in coords._pairs.positions]
+    keys = _first_pair_keys(coords)
     with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
         coords._certify_by_samples(keys)
     with pytest.raises(NotClosedError, match="fail Higman's identity"):
@@ -495,11 +504,12 @@ def test_diagonal_orbit_matrix_is_base_vertex_unit():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_sphere_rows_number_and_size_the_orbits_as_the_pair_index(m):
-    # the 2m+2 sphere rows against the pass over all n^2 pairs: the same
-    # labels in the same first-pair numbering, and |orbit| = |sphere| times
-    # the orbit's count in its row
+    # the 2m+2 sphere rows against the oracle's pass over all n^2 pairs: the
+    # same labels in the same first-pair numbering, |orbit| = |sphere| times
+    # the orbit's count in its row, and the orbits of every row and column
+    # read off label keys through the index's label map
     rows = orbits_module._sphere_rows(m)
-    index = orbits_module._pair_index(m)
+    index = pair_index(m)
     assert rows.labels == index.labels
     assert [rows.first_pair(a) for a in range(len(rows.labels))] == [
         divmod(pos[0], index.n) for pos in index.positions
@@ -511,13 +521,18 @@ def test_sphere_rows_number_and_size_the_orbits_as_the_pair_index(m):
         y = sphere[0]
         assert list(row) == list(index.orbit_of[y * index.n:(y + 1) * index.n])
         assert all(rows.sphere_of[v] == s for v in sphere)
+    label_rows, label_cols = index.label_lines()
+    assert [rows.row(y) for y in range(index.n)] == list(map(list, label_rows))
+    assert [rows.column(z) for z in range(index.n)] == list(map(list, label_cols))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_single_orbit_matrices_from_the_sphere_rows_match_the_pair_index_view(m):
-    g = GroundSet(m)
-    mats = orbit_matrices(g)
-    assert all(orbit_matrix(g, lab) == mat for lab, mat in mats.items())
+    # every orbit matrix is built alone from its row and column spheres
+    mats = orbit_matrices(GroundSet(m))
+    index = pair_index(m)
+    assert list(mats) == list(index.labels)
+    assert list(mats.values()) == pair_orbit_matrices(index)
 
 
 def _centralizer_dim_pairs(m: int, d: int) -> list[tuple[int, int]]:
@@ -532,7 +547,7 @@ def _centralizer_dim_pairs(m: int, d: int) -> list[tuple[int, int]]:
 def test_row_products_match_the_n2_product_verdicts(m):
     # centralizer-dim's test on one row per product against the n x n
     # products, on all d^2 pairs at m <= 2 and on its 500 seeded pairs at m = 3
-    index = orbits_module._pair_index(m)
+    index = pair_index(m)
     pairs = _centralizer_dim_pairs(m, len(index.labels))
     verdicts = products_constant_on_orbits(m, pairs)
     assert verdicts == n2_product_verdicts(index, pairs)
@@ -541,8 +556,10 @@ def test_row_products_match_the_n2_product_verdicts(m):
 
 def test_row_products_reject_orbits_that_are_not_coherent(monkeypatch):
     # on the merged orbits the row test and the n x n test fail the same pairs
+    labels = pair_index(1).labels
+    keep, drop = map(labels.index, _INCOHERENT)
     _merge_incoherent_orbits(monkeypatch)
-    index = orbits_module._pair_index(1)
+    index = merged_pair_index(1, keep, drop)
     pairs = _centralizer_dim_pairs(1, len(index.labels))
     verdicts = products_constant_on_orbits(1, pairs)
     assert verdicts == n2_product_verdicts(index, pairs)

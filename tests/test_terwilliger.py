@@ -12,6 +12,7 @@ from helpers import (
     matrix_from_vector,
     merged_sphere_rows,
     orbit_values,
+    pair_index,
     span,
     terwilliger_generators,
     vectorize,
@@ -311,7 +312,7 @@ def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits(monkeypatc
 def test_orbit_coordinates_reject_a_matrix_not_constant_on_orbits():
     g = GroundSet(1)
     coords = OrbitCoordinates(g)
-    index = orbits_module._pair_index(1)
+    index = pair_index(1)
     n = vertex_count(g)
     assert orbit_values(index, vectorize(SparseExactMatrix.identity(n))) == coords.identity()
     # ({2}, {3}) shares its orbit with ({3}, {2})
