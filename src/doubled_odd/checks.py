@@ -273,41 +273,36 @@ class CheckContext:
     def centralizer(self):
         return self._get("centralizer", lambda: build_centralizer(self.g))
 
-    def _cached_span(
-        self, name: str, build: Callable[[], SpanBasis], certify: Callable[[SpanBasis], None]
-    ) -> SpanBasis:
+    def _load_span(self, name: str, certify: Callable[[SpanBasis], None]) -> SpanBasis | None:
         """The span stored in the cache under name at this m, when there is
-        one and certify accepts it; otherwise build(), stored in the cache.
-        A span that certify rejects (NotClosedError) is, like a damaged
-        file, a warning and then a rebuild."""
+        one and certify accepts it.  A span that certify rejects
+        (NotClosedError) is, like a damaged file, a warning and None."""
+        if self.cache_dir is None:
+            return None
         key = f"m{self.g.m}_{name}"
+        cached = load_basis(self.cache_dir, key, self.ambient_dim)
+        if cached is not None:
+            try:
+                certify(cached)
+            except NotClosedError as exc:
+                warnings.warn(f"ignoring basis cache {_basis_path(self.cache_dir, key)}: {exc}")
+                return None
+        return cached
+
+    def _store_span(self, name: str, basis: SpanBasis) -> None:
         if self.cache_dir is not None:
-            cached = load_basis(self.cache_dir, key, self.ambient_dim)
-            if cached is not None:
-                try:
-                    certify(cached)
-                except NotClosedError as exc:
-                    warnings.warn(f"ignoring basis cache {_basis_path(self.cache_dir, key)}: {exc}")
-                else:
-                    return cached
-        basis = build()
-        if self.cache_dir is not None:
-            cache_basis(self.cache_dir, key, basis)
-        return basis
+            cache_basis(self.cache_dir, f"m{self.g.m}_{name}", basis)
 
     @property
     def terwilliger(self) -> TerwilligerAlgebra:
         def build():
-            t = None
-
-            def close() -> SpanBasis:
-                nonlocal t
-                t = build_terwilliger(self.g)
-                return t.basis
-
-            basis = self._cached_span("terwilliger", close, partial(certify_terwilliger_span, self.g.m))
-            # a T read from the cache has no closure run
-            return t if t is not None else TerwilligerAlgebra(m=self.g.m, basis=basis, closure=None)
+            cached = self._load_span("terwilliger", partial(certify_terwilliger_span, self.g.m))
+            if cached is not None:
+                # a T read from the cache has no closure run
+                return TerwilligerAlgebra(m=self.g.m, basis=cached, closure=None)
+            t = build_terwilliger(self.g)
+            self._store_span("terwilliger", t.basis)
+            return t
 
         return self._get("terwilliger", build)
 
@@ -315,7 +310,11 @@ class CheckContext:
     def center(self) -> SpanBasis:
         def build():
             t = self.terwilliger
-            return self._cached_span("center", partial(_center_basis, t), partial(certify_center_span, t))
+            z = self._load_span("center", partial(certify_center_span, t))
+            if z is None:
+                z = _center_basis(t)
+                self._store_span("center", z)
+            return z
 
         return self._get("center", build)
 

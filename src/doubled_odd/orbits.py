@@ -380,9 +380,27 @@ def _sphere_rows(m: int) -> SphereRows:
 
 @lru_cache(maxsize=8)
 def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
-    # every orbit matrix, keyed in orbit order
-    g = GroundSet(m)
-    return {lab: orbit_matrix(g, lab) for lab in _sphere_rows(m).labels}
+    """Every orbit matrix, keyed in orbit order, in one pass over the pairs
+    of each block of row sphere x column spheres: as in orbit_matrix, a
+    pair's |y n z| and |x0 n y n z| decide which orbit of its block it is in."""
+    g, index, verts = GroundSet(m), _sphere_rows(m), _vertices(m)
+    blocks: dict[tuple[int, frozenset[int]], dict[tuple[int, int], int]] = {}
+    for a, zs in enumerate(index.members):
+        ends = frozenset(index.sphere_of[z] for z in zs)
+        blocks.setdefault((index.row_of[a], ends), {})[index.labels[a].tup[2:]] = a
+    rows: list[dict[int, dict[int, object]]] = [{} for _ in index.labels]
+    for orbit_of_tp in blocks.values():
+        first = next(iter(orbit_of_tp.values()))
+        zs = index.ends(first)
+        z_masks = [verts[z] for z in zs]
+        for y in index.spheres[index.row_of[first]]:
+            y_mask = verts[y]
+            x0y = g.base_vertex & y_mask
+            for z, z_mask in zip(zs, z_masks):
+                a = orbit_of_tp.get(((y_mask & z_mask).bit_count(), (x0y & z_mask).bit_count()))
+                if a is not None:
+                    rows[a].setdefault(y, {})[z] = 1
+    return {lab: SparseExactMatrix(index.n, index.n, r) for lab, r in zip(index.labels, rows)}
 
 
 def orbit_matrices(g: GroundSet) -> dict[OrbitLabel, SparseExactMatrix]:
@@ -684,24 +702,24 @@ class OrbitCoordinates:
 
         The orbits along a row or column of pairs are read off popcount label
         keys through the index's label map (SphereRows.row, .column): the row
-        of a first pair is its sphere row, and the columns of the first pairs
-        are kept for this call only.  Up to
+        of a first pair is its sphere row, and each column met is built once
+        and kept for this call only.  Up to
         m = _EXHAUSTIVE_MAX_M every pair of every orbit is checked, by one
         pass over all n^3 triples.  Above it the n^3 pass is out of reach
         (about 2.7 s at m = 4), and the table is checked on _SAMPLED_PAIRS
         seeded extra pairs of every orbit and by Higman's identity."""
         index = self._index
-        cols: dict[int, list[int]] = {}  # the columns of the first pairs met
+        cols: dict[int, array] = {}  # the columns met, built once each
         keys = []
         for c in range(self.ambient_dim):
             z = index.members[c][0]
             if z not in cols:
-                cols[z] = index.column(z)
+                cols[z] = array("H", index.column(z))
             keys.append(self._profile(index.rows[index.row_of[c]], cols[z]))
         if self.m <= _EXHAUSTIVE_MAX_M:
             self._certify_exhaustively()
         else:
-            self._certify_by_samples(keys)
+            self._certify_by_samples(keys, cols)
             self._certify_by_higman(keys)
         d = self.ambient_dim
         products: tuple[dict[int, list[tuple[int, int]]], ...] = tuple({} for _ in keys)
@@ -732,17 +750,19 @@ class OrbitCoordinates:
                 f"{self.orbit_labels[label_rows[y][z]].text()}"
             )
 
-    def _certify_by_samples(self, keys: list[array]) -> None:
+    def _certify_by_samples(self, keys: list[array], cols: dict[int, array]) -> None:
         """Every orbit's keys, checked on up to _SAMPLED_PAIRS seeded pairs
-        of the orbit other than its first: in each of _SAMPLED_PAIRS seeded
-        rows of its row sphere (every row of a smaller sphere), one seeded
-        pair of the orbit.  The stabilizer moves the row of the sphere's
-        first vertex onto each row of the sphere, so every such row meets
-        every orbit whose pairs start in the sphere."""
+        of the orbit other than its first, spread over up to _SAMPLED_PAIRS
+        seeded rows of its row sphere: the stabilizer moves the row of the
+        sphere's first vertex onto each row of the sphere, so every such row
+        meets every orbit whose pairs start in the sphere.  cols memoizes
+        the columns of this call."""
         index = self._index
         rng = random.Random(20260 + self.m)
         for sphere in index.spheres:
-            for y in rng.sample(sphere, min(_SAMPLED_PAIRS, len(sphere))):
+            ys = rng.sample(sphere, min(_SAMPLED_PAIRS, len(sphere)))
+            per_row = -(-_SAMPLED_PAIRS // len(ys))
+            for y in ys:
                 row = index.row(y)
                 # the pairs of each orbit met along the row, but its first pair
                 pairs: dict[int, list[int]] = {}
@@ -750,11 +770,14 @@ class OrbitCoordinates:
                     if (y, z) != index.first_pair(c):
                         pairs.setdefault(c, []).append(z)
                 for c, zs in pairs.items():
-                    if self._profile(row, index.column(rng.choice(zs))) != keys[c]:
-                        raise NotClosedError(
-                            f"the products of orbit matrices are not constant on orbit "
-                            f"{self.orbit_labels[c].text()}"
-                        )
+                    for z in rng.sample(zs, min(per_row, len(zs))):
+                        if z not in cols:
+                            cols[z] = array("H", index.column(z))
+                        if self._profile(row, cols[z]) != keys[c]:
+                            raise NotClosedError(
+                                f"the products of orbit matrices are not constant on orbit "
+                                f"{self.orbit_labels[c].text()}"
+                            )
 
     def _certify_by_higman(self, keys: list[array]) -> None:
         """|c| p^c_{ab} = |a| p^a_{c b^T} for every nonzero p^c_{ab}, where
@@ -793,7 +816,9 @@ class OrbitCoordinates:
                 f"basis of ambient {basis.ambient_dim} is not in orbit coordinates"
             )
         n, mats = self.n, _orbit_matrices(self.m)
-        positions = [[y * n + z for y, z, _ in mats[lab].entries()] for lab in self.orbit_labels]
+        positions = [
+            [y * n + z for y, row in mats[lab]._rows.items() for z in row] for lab in self.orbit_labels
+        ]
         rows = []
         for row in basis.rows:
             vec: dict[int, object] = {}

@@ -610,9 +610,11 @@ def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
 
 def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fresh_memos):
     # index-sets, centralizer-dim, direct-sum and lemma41 read the 2m+2
-    # sphere rows and the label keys of single rows: the benchmark's m = 4
-    # orbit checks evaluate fewer label keys than there are vertex pairs
+    # sphere rows and the label keys of single rows, and build no all-orbit
+    # view: the benchmark's m = 4 orbit checks evaluate fewer label keys
+    # than there are vertex pairs and never call _orbit_matrices
     evaluated = []
+    views = []
 
     def counted(label_keys):
         def wrapper(*args):
@@ -621,18 +623,29 @@ def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fr
             return keys
         return wrapper
 
+    view = orbits_module._orbit_matrices
+
+    def traced_view(m):
+        views.append(m)
+        return view(m)
+
     for name in ("_label_keys", "_column_label_keys"):
         monkeypatch.setattr(orbits_module, name, counted(getattr(orbits_module, name)))
+    monkeypatch.setattr(orbits_module, "_orbit_matrices", traced_view)
     reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
     reports = run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
     assert [r.status for r in reports] == ["pass"] * len(reference)
     assert 0 < sum(evaluated) < 252 ** 2
-    # the count sees a pass over all pairs where there is one: orbits-oracle
-    # reads the orbit ids of all n^2 pairs, row by row
+    assert views == []
+    # both traces see a pass over all pairs where there is one: orbits-oracle
+    # reads the orbit ids of all n^2 pairs, row by row, and orbit_matrices
+    # builds the all-orbit view
     orbits_module._sphere_rows(1)
     evaluated.clear()
     run(RunConfig(m=1, checks=("orbits-oracle",)))
     assert sum(evaluated) == 6 ** 2
+    orbits_module.orbit_matrices(GroundSet(1))
+    assert views == [1]
 
 
 def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):

@@ -427,7 +427,7 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
 def test_certificates_above_the_exhaustive_range_accept_the_true_orbits(m):
     coords = OrbitCoordinates(GroundSet(m))
     keys = _first_pair_keys(coords)
-    coords._certify_by_samples(keys)
+    coords._certify_by_samples(keys, {})
     coords._certify_by_higman(keys)
 
 
@@ -436,7 +436,7 @@ def test_certificates_above_the_exhaustive_range_reject_orbits_that_are_not_cohe
     coords = _merge_incoherent_orbits(monkeypatch)
     keys = _first_pair_keys(coords)
     with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
-        coords._certify_by_samples(keys)
+        coords._certify_by_samples(keys, {})
     with pytest.raises(NotClosedError, match="fail Higman's identity"):
         coords._certify_by_higman(keys)
     # structure_constants takes the seeded pairs above _EXHAUSTIVE_MAX_M
