@@ -49,13 +49,14 @@ from .orbits import (
     BLOCK_FAMILIES,
     BlockTag,
     IndependenceError,
+    _check_group_orbits,
+    _group_orbits,
     _sphere_rows,
     build_centralizer,
     check_subalgebra,
     index_set,
     orbit_labels,
     orbit_matrices,
-    orbits_by_group_action,
     products_constant_on_orbits,
     tuple_bijection,
 )
@@ -126,10 +127,11 @@ class RunConfig:
     is unknown or not applicable at m raises ConfigError.  m is limited to
     SUPPORTED_M, [1, 5]; m = 6 (n = 3,432, 11.8 M vertex pairs) is not yet
     verified end to end.  What still grows with the n^2 vertex pairs is
-    the orbits-oracle union-find (capped at m <= 4), the export's n x n
-    matrices, and the exhaustive certificate of the structure constants at
-    m <= 3; every other orbit lookup reads single rows and columns of pairs
-    off the 2m+2 sphere rows.
+    the union-find of the stabilizer generators, built once per m for
+    orbits-oracle (capped at m <= 4) and for the certificate of the
+    structure constants at m <= 3 (labels = stabilizer orbits, coherent by
+    Higman's theorem), and the export's n x n matrices; every other orbit
+    lookup reads single rows and columns of pairs off the 2m+2 sphere rows.
     """
 
     m: int
@@ -401,20 +403,14 @@ def _check_bijections(ctx: CheckContext):
 @_runner("orbits-oracle")
 def _check_orbits_oracle(ctx: CheckContext):
     g = ctx.g
-    roots = orbits_by_group_action(g)
-    index = _sphere_rows(g.m)
-    n = index.n
-    # the two partitions of the pairs are equal exactly when the pairs
-    # (root, orbit id) met are as many as the roots and as the orbit ids;
-    # the orbit ids are read off label keys one row at a time
-    ids: set[int] = set()
-    met: set[tuple[int, int]] = set()
-    for y in range(n):
-        row = index.row(y)
-        ids.update(row)
-        met.update(zip(roots[y * n:(y + 1) * n], row))
-    count = len(set(roots))
-    matches = count == len(ids) == len(met)
+    # the union-find of the stabilizer generators against the sphere rows,
+    # the comparison that certifies the structure constants at m <= 3
+    try:
+        _check_group_orbits(_sphere_rows(g.m))
+        matches = True
+    except NotClosedError:
+        matches = False
+    count = len(set(_group_orbits(g.m)))
     expected = {"orbit_count": 4 * comb(g.m + 4, 4), "partitions_match": True}
     actual = {"orbit_count": count, "partitions_match": matches}
     return expected, "paper-formula", actual, _verdict(expected == actual)

@@ -76,6 +76,19 @@ def _parse_checks(raw: str) -> tuple[str, ...] | None:
     return names
 
 
+def _make_dir(option: str, path: str | None) -> None:
+    """Create the directory an option names before any check runs, so that
+    a path under or at a regular file fails at once, not after the checks
+    that come before its first write."""
+    if path is not None:
+        try:
+            Path(path).mkdir(parents=True, exist_ok=True)
+        except FileExistsError:
+            raise OSError(f"cannot use {option} {path}: it is not a directory") from None
+        except OSError as exc:
+            raise OSError(f"cannot use {option} {path}: {exc.strerror}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -86,6 +99,8 @@ def main(argv: list[str] | None = None) -> int:
                 cache_dir=args.cache_dir,
                 export_dir=args.export_dir,
             )
+            _make_dir("--cache-dir", args.cache_dir)
+            _make_dir("--export-dir", args.export_dir)
             # write the report to a sibling temporary file, opened before any
             # check runs so that an unwritable path fails at once, and rename
             # it over --out only when complete: a run that stops on an error
@@ -118,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "dims":
             RunConfig(m=args.m)
+            _make_dir("--cache-dir", args.cache_dir)
             dims = headline_dimensions(args.m, args.cache_dir)
             print(f"m = {args.m}")
             print(f"vertices          = {dims['vertices']}")
@@ -128,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "export":
             RunConfig(m=args.m)
+            _make_dir("--cache-dir", args.cache_dir)
             ctx = CheckContext(args.m, args.cache_dir)
             written = export_matrices(args.m, args.export_dir, ctx=ctx)
             print(f"wrote {len(written)} files to {args.export_dir}", file=sys.stderr)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import add
 
 from .linalg import SparseExactMatrix
 
@@ -156,32 +155,6 @@ class IntersectionNumbers:
         return self.p(0, 1, 1)
 
 
-def class_profiles(rows, cols, classes, width: int):
-    """Certify that a multiset of encoded keys is the same on every pair of a class.
-
-    For each pair (y, z), in row-major order, the profile of (y, z) is the
-    sorted list of the keys rows[y][w] * width + cols[z][w] over all w; the
-    keys are ints, and every entry of cols must lie in [0, width) so that a
-    key determines its two parts.  Returns (profiles, None), where profiles
-    maps each class met in classes[y][z] to the profile of all its pairs, or,
-    as soon as a pair's profile differs from that of the first pair of its
-    class, (profiles met so far, (y, z)).
-
-    This one exhaustive pass over all triples (y, w, z) certifies the
-    structure constants of the orbit matrices at small m, and is the oracle
-    of the intersection numbers of a distance table in the tests.
-    """
-    seen: dict[int, list[int]] = {}
-    for y, (row, class_row) in enumerate(zip(rows, classes)):
-        scaled = [a * width for a in row]
-        for z, (col, c) in enumerate(zip(cols, class_row)):
-            profile = sorted(map(add, scaled, col))
-            known = seen.setdefault(c, profile)
-            if known is not profile and known != profile:
-                return seen, (y, z)
-    return seen, None
-
-
 def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
     """Every p^h_{ij}, read off the certified structure constants of the
     stabilizer's orbit matrices.
@@ -210,10 +183,11 @@ def _orbit_intersection_table(verts, firsts, keys, dist: list[int]) -> dict[tupl
     (orbits.StructureConstants.keys); firsts[c] is the first pair (x, y) of
     orbit c, as vertex indices.
 
-    The table and the witness are those of the exhaustive pass over the
-    n x n table (class_profiles): orbits are numbered by their first pair, so the first pair of the
-    least orbit whose counts differ from those of the least orbit at the same
-    distance is the first offending pair in row-major order.
+    The table and the witness are those an exhaustive pass over all vertex
+    triples of the n x n distance table would give: orbits are numbered by
+    their first pair, so the first pair of the least orbit whose counts
+    differ from those of the least orbit at the same distance is the first
+    offending pair in row-major order.
     """
     width = 1 + max(dist)
     # the key a * d + b of a middle vertex -> dist[a] * width + dist[b]

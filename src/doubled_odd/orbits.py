@@ -24,13 +24,14 @@ those 2m+2 rows, numbers the orbits by first pair and sizes each orbit as
 labels".  It is the package's one orbit index: the orbit of any other pair
 is read off its popcount label key through the index's label map
 (SphereRows.orbit_of), one row or column of pairs at a time.  Only the
-orbits-oracle union-find, the export's n x n matrices and the exhaustive
-certificate of the structure constants at m <= _EXHAUSTIVE_MAX_M still
-touch all n^2 pairs.
+union-find of the stabilizer generators (orbits_by_group_action, built once
+per m for orbits-oracle and the certificate of the structure constants at
+m <= _GROUP_ORBITS_MAX_M), its comparison with the index (_check_group_orbits)
+and the export's n x n matrices still touch all n^2 pairs.
 
-The closed forms are production code; an independent union-find oracle that
-grinds out the orbits from explicit group generators lives alongside for the
-verification harness to compare against.
+The closed forms are production code; the union-find grinds out the orbits
+from explicit group generators, with no reference to the labels, and is
+compared with them.
 
 OrbitCoordinates identifies a matrix that is constant on every orbit with
 its vector of orbit values in Q^d, d = 4 C(m+4, 4), which makes Q^d the
@@ -41,11 +42,13 @@ structure constants p^c_{ab} with O_a O_b = sum_c p^c_{ab} O_c, fixes every
 product in Q^d.  It is read off the first pair (y, z) of each orbit c, as
 the count of middle vertices w with (y, w) in orbit a and (w, z) in orbit b.
 That every pair of orbit c sees the same counts is checked rather than
-assumed: on all vertex triples up to m = _EXHAUSTIVE_MAX_M, and above it on
-seeded extra pairs of every orbit and by Higman's identity |c| p^c_{ab} =
-|a| p^a_{c b^T}.  StructureConstants.product, through the table's product
-index, is the one multiplication in Q^d: the action of T's generators on the
-orbit matrices is tabled from it, and check_subalgebra reads the support
+assumed: up to m = _GROUP_ORBITS_MAX_M by showing that the orbits are the
+orbits of the stabilizer generators on vertex pairs, which Higman's theorem
+makes coherent, and above it on seeded extra pairs of every orbit and by
+Higman's identity |c| p^c_{ab} = |a| p^a_{c b^T}.
+StructureConstants.product, through the table's product index, is the one
+multiplication in Q^d: the action of T's generators on the orbit matrices
+is tabled from it, and check_subalgebra reads the support
 {c : p^c_{ab} > 0} of each product off the index, since the orbit matrices
 have disjoint supports and a product lies in the span of a set F of them
 exactly when its support lies in F.  No n x n product is formed.
@@ -62,7 +65,7 @@ from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
-from .combinatorics import GroundSet, _vertices, _vertex_index, class_profiles
+from .combinatorics import GroundSet, _vertices, _vertex_index
 from .linalg import (
     NotClosedError,
     ShapeMismatchError,
@@ -101,10 +104,11 @@ BLOCK_FAMILIES: dict[str, tuple[BlockTag, ...]] = {
     "IV": (BlockTag.IV,),
 }
 
-# the structure constants are certified on all n^3 vertex triples up to this
-# m (n = 70 at m = 3); above it, on _SAMPLED_PAIRS seeded extra pairs of every
-# orbit and by Higman's identity
-_EXHAUSTIVE_MAX_M = 3
+# the structure constants are certified by the stabilizer generators' orbits
+# on vertex pairs up to this m (a union-find over n^2 = 4,900 pairs at m = 3);
+# above it, on _SAMPLED_PAIRS seeded extra pairs of every orbit and by
+# Higman's identity, which spares the union-find (about 0.2 s at m = 4)
+_GROUP_ORBITS_MAX_M = 3
 _SAMPLED_PAIRS = 2
 
 
@@ -510,21 +514,21 @@ def _apply_perm(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def _vertex_maps(g: GroundSet) -> list[tuple[int, ...]]:
+    """The map of vertex indices each stabilizer generator induces."""
+    verts, index = _vertices(g.m), _vertex_index(g.m)
+    return [tuple(index[_apply_perm(perm, v)] for v in verts) for perm in stabilizer_generators(g)]
+
+
 def orbits_by_group_action(g: GroundSet) -> array:
-    """Oracle: orbits of the stabilizer on ordered vertex pairs via union-find.
+    """Orbits of the stabilizer on ordered vertex pairs via union-find.
 
     Works straight from explicit group generators, with no reference to the
     four-tuple invariant, so it independently cross-checks the closed forms.
     roots[y * n + z] is the union-find root of the vertex pair (y, z); two
     pairs lie in one orbit exactly when their roots are equal.
     """
-    verts = _vertices(g.m)
-    index = _vertex_index(g.m)
-    n = len(verts)
-    vertex_perms = []
-    for perm in stabilizer_generators(g):
-        vertex_perms.append(tuple(index[_apply_perm(perm, v)] for v in verts))
-
+    n = len(_vertices(g.m))
     parent = list(range(n * n))
 
     def find(a: int) -> int:
@@ -538,7 +542,7 @@ def orbits_by_group_action(g: GroundSet) -> array:
         if ra != rb:
             parent[rb] = ra
 
-    for vp in vertex_perms:
+    for vp in _vertex_maps(g):
         for yi in range(n):
             base = yi * n
             py = vp[yi] * n
@@ -546,6 +550,50 @@ def orbits_by_group_action(g: GroundSet) -> array:
                 union(base + zi, py + vp[zi])
 
     return array("I", map(find, range(n * n)))
+
+
+@lru_cache(maxsize=8)
+def _group_orbits(m: int) -> array:
+    # the union-find at m, built once for orbits-oracle and the certificate
+    # of the structure constants; called through the module binding
+    return orbits_by_group_action(GroundSet(m))
+
+
+def _check_group_orbits(index: SphereRows) -> None:
+    """The certificate that the orbits of the index are the orbits of the
+    group the stabilizer generators generate on vertex pairs.
+
+    Every generator must permute the vertices (n lookups each), so that the
+    union-find classes of _group_orbits are the orbits of a permutation
+    group.  The two partitions of the pairs are then equal exactly when the
+    distinct roots, the distinct orbit ids and the distinct (root, orbit id)
+    pairs are equally many; the orbit ids are read off label keys one row
+    at a time (SphereRows.row).  Raises NotClosedError naming the first
+    generator that is no permutation, or the first orbit, in orbit
+    numbering, that is not a single group orbit.
+    """
+    n = index.n
+    for k, vertex_map in enumerate(_vertex_maps(GroundSet(index.m))):
+        if len(set(vertex_map)) != n:
+            raise NotClosedError(f"stabilizer generator {k} does not permute the vertices")
+    roots = _group_orbits(index.m)
+    ids: set[int] = set()
+    met: set[tuple[int, int]] = set()
+    for y in range(n):
+        row = index.row(y)
+        ids.update(row)
+        met.update(zip(roots[y * n:(y + 1) * n], row))
+    if len(set(roots)) == len(ids) == len(met):
+        return
+    roots_of: dict[int, set[int]] = {}
+    ids_of: dict[int, set[int]] = {}
+    for root, a in met:
+        roots_of.setdefault(a, set()).add(root)
+        ids_of.setdefault(root, set()).add(a)
+    a = min(a for a, rs in roots_of.items() if len(rs) > 1 or any(ids_of[r] != {a} for r in rs))
+    raise NotClosedError(
+        f"orbit {index.labels[a].text()} is not a single orbit of the stabilizer generators"
+    )
 
 
 @dataclass(frozen=True)
@@ -703,11 +751,14 @@ class OrbitCoordinates:
         The orbits along a row or column of pairs are read off popcount label
         keys through the index's label map (SphereRows.row, .column): the row
         of a first pair is its sphere row, and each column met is built once
-        and kept for this call only.  Up to
-        m = _EXHAUSTIVE_MAX_M every pair of every orbit is checked, by one
-        pass over all n^3 triples.  Above it the n^3 pass is out of reach
-        (about 2.7 s at m = 4), and the table is checked on _SAMPLED_PAIRS
-        seeded extra pairs of every orbit and by Higman's identity."""
+        and kept for this call only.  Up to m = _GROUP_ORBITS_MAX_M the
+        orbits are certified to be the orbits of the stabilizer generators
+        on vertex pairs (_check_group_orbits), and the orbits of a
+        permutation group on pairs form a coherent configuration (Higman
+        1975): a group element moves the first pair of orbit c onto any
+        other, and its middle vertices with it, keeping every orbit.  Above
+        it the table is checked on _SAMPLED_PAIRS seeded extra pairs of
+        every orbit and by Higman's identity."""
         index = self._index
         cols: dict[int, array] = {}  # the columns met, built once each
         keys = []
@@ -716,8 +767,8 @@ class OrbitCoordinates:
             if z not in cols:
                 cols[z] = array("H", index.column(z))
             keys.append(self._profile(index.rows[index.row_of[c]], cols[z]))
-        if self.m <= _EXHAUSTIVE_MAX_M:
-            self._certify_exhaustively()
+        if self.m <= _GROUP_ORBITS_MAX_M:
+            _check_group_orbits(index)
         else:
             self._certify_by_samples(keys, cols)
             self._certify_by_higman(keys)
@@ -734,21 +785,6 @@ class OrbitCoordinates:
         # (y, z), where row lists the orbits a of the pairs (y, w) and col the
         # orbits b of the pairs (w, z)
         return array("I", sorted(map(add, map(self.ambient_dim.__mul__, row), col)))
-
-    def _certify_exhaustively(self) -> None:
-        """Every pair's keys against those of its orbit's first pair, the
-        pair the table was read off, over all n rows and n columns."""
-        everyone = range(self.n)
-        label_rows = list(map(self._index.row, everyone))
-        label_cols = list(map(self._index.column, everyone))
-        # (O_a O_b)[y, z] counts the w with (y, w) in orbit a and (w, z) in orbit b
-        _, offending = class_profiles(label_rows, label_cols, label_rows, self.ambient_dim)
-        if offending is not None:
-            y, z = offending
-            raise NotClosedError(
-                f"the products of orbit matrices are not constant on orbit "
-                f"{self.orbit_labels[label_rows[y][z]].text()}"
-            )
 
     def _certify_by_samples(self, keys: list[array], cols: dict[int, array]) -> None:
         """Every orbit's keys, checked on up to _SAMPLED_PAIRS seeded pairs

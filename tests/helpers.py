@@ -10,6 +10,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 from itertools import repeat
 from math import comb, isqrt
+from operator import add
 from typing import NamedTuple
 
 from doubled_odd.combinatorics import (
@@ -20,7 +21,6 @@ from doubled_odd.combinatorics import (
     _vertices,
     _witness,
     adjacency_matrix,
-    class_profiles,
     distance_matrices,
 )
 from doubled_odd.linalg import (
@@ -67,6 +67,31 @@ def distance_matrix(g: GroundSet, i: int) -> SparseExactMatrix:
     if not 0 <= i <= g.diameter:
         raise ValueError(f"distance index {i} outside [0, {g.diameter}]")
     return _distance_matrices(g.m)[i]
+
+
+def class_profiles(rows, cols, classes, width: int):
+    """Oracle: certify that a multiset of encoded keys is the same on every
+    pair of a class, by one exhaustive pass over all triples (y, w, z).
+
+    For each pair (y, z), in row-major order, the profile of (y, z) is the
+    sorted list of the keys rows[y][w] * width + cols[z][w] over all w; the
+    keys are ints, and every entry of cols must lie in [0, width) so that a
+    key determines its two parts.  Returns (profiles, None), where profiles
+    maps each class met in classes[y][z] to the profile of all its pairs, or,
+    as soon as a pair's profile differs from that of the first pair of its
+    class, (profiles met so far, (y, z)).  It is the oracle of the structure
+    constants of the orbit matrices and of the intersection numbers of a
+    distance table.
+    """
+    seen: dict[int, list[int]] = {}
+    for y, (row, class_row) in enumerate(zip(rows, classes)):
+        scaled = [a * width for a in row]
+        for z, (col, c) in enumerate(zip(cols, class_row)):
+            profile = sorted(map(add, scaled, col))
+            known = seen.setdefault(c, profile)
+            if known is not profile and known != profile:
+                return seen, (y, z)
+    return seen, None
 
 
 def intersection_table(verts, dist: list[list[int]]) -> dict[tuple[int, int, int], int]:

@@ -432,32 +432,52 @@ def test_cli_unwritable_output_path_exits_2(tmp_path, capsys, option):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith("error: ")
-    if option == "--out":  # the report path fails before any check runs
-        assert len(err.splitlines()) == 1
+    # each path fails before any check runs, with one error line
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
     # a run that stops on an error leaves no report file behind
     assert not report.exists()
 
 
-def test_cli_error_run_keeps_an_existing_report(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["verify", "dims", "export"])
+@pytest.mark.parametrize("under", [False, True])
+def test_cli_cache_dir_at_or_under_a_file_fails_before_any_check(tmp_path, capsys, command, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache = blocker / "sub" if under else blocker
+    args = [command, "--m", "1", "--cache-dir", str(cache)]
+    if command == "export":
+        args += ["--export-dir", str(tmp_path / "export")]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    reason = "Not a directory" if under else "it is not a directory"
+    assert err == f"error: cannot use --cache-dir {cache}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_cli_error_run_keeps_an_existing_report(tmp_path, capsys, monkeypatch):
     # the report goes to a temporary file that replaces --out only when
     # complete, so a run that stops on an error leaves --out as it was
     report = tmp_path / "keep.json"
     report.write_bytes(b"{}\n")
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    args = ["verify", "--m", "1", "--checks", "terwilliger-dim", "--cache-dir", str(blocker / "sub")]
+
+    def failing_store(*_args):
+        raise OSError("cannot store the basis")
+
+    monkeypatch.setattr(checks_module, "cache_basis", failing_store)
+    cache = tmp_path / "cache"
+    args = ["verify", "--m", "1", "--checks", "terwilliger-dim", "--cache-dir", str(cache)]
     assert main(args + ["--out", str(report)]) == 2
-    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert capsys.readouterr().err == "error: cannot store the basis\n"
     assert report.read_bytes() == b"{}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "keep.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "keep.json"]
     # a directory is no report path, and that shows before any check runs
     assert main(["verify", "--m", "1", "--checks", "vertex-count", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: cannot write --out {tmp_path}: it is a directory\n"
     # a complete run replaces the report
     assert main(["verify", "--m", "1", "--checks", "vertex-count", "--out", str(report)]) == 0
     assert json.loads(report.read_text())[0]["check"] == "vertex-count"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "keep.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "keep.json"]
 
 
 def test_cli_dims(capsys):
@@ -668,18 +688,20 @@ def test_reports_match_the_pinned_reports(m):
     assert _normalized_reports(run(RunConfig(m=m))) == _pinned_reports(m)
 
 
-def test_a_cold_m3_run_makes_one_pass_over_all_vertex_triples(monkeypatch, fresh_memos):
+def test_a_cold_m3_run_makes_no_pass_over_all_vertex_triples(monkeypatch, fresh_memos):
     # distance-regular and subalgebra-closure read one table of structure
-    # constants; at m = 3 its exhaustive certificate is the only n^3 pass
-    calls = []
-    kernel = combinatorics_module.class_profiles
+    # constants, certified at m = 3 by the union-find of the stabilizer
+    # generators, which orbits-oracle shares: one union-find and no
+    # exhaustive pass, whose kernel lives with the tests' oracles
+    builds = []
+    union_find = orbits_module.orbits_by_group_action
 
-    def traced_kernel(*args):
-        calls.append(len(args[0]))
-        return kernel(*args)
+    def traced_union_find(g):
+        builds.append(g.m)
+        return union_find(g)
 
-    for module in (combinatorics_module, orbits_module):
-        monkeypatch.setattr(module, "class_profiles", traced_kernel)
+    monkeypatch.setattr(orbits_module, "orbits_by_group_action", traced_union_find)
     reports = run(RunConfig(m=3))
     assert len(reports) == 16
-    assert calls == [70]
+    assert builds == [3]
+    assert not any(hasattr(module, "class_profiles") for module in (combinatorics_module, orbits_module))

@@ -4,7 +4,14 @@ import random
 from collections import deque
 
 import pytest
-from helpers import distance_matrix, intersection_table, mask_of, pair_index, vertex_index
+from helpers import (
+    class_profiles,
+    distance_matrix,
+    intersection_table,
+    mask_of,
+    pair_index,
+    vertex_index,
+)
 
 from doubled_odd import orbits as orbits_module
 from doubled_odd.combinatorics import (
@@ -12,7 +19,6 @@ from doubled_odd.combinatorics import (
     GroundSet,
     _orbit_intersection_table,
     adjacency_matrix,
-    class_profiles,
     distance,
     distance_matrices,
     elements_of,

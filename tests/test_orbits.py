@@ -8,6 +8,7 @@ from math import comb
 import pytest
 from helpers import (
     MatrixAction,
+    class_profiles,
     contains,
     enumerate_index_set,
     mask_of,
@@ -24,9 +25,9 @@ from helpers import (
 )
 
 from doubled_odd import orbits as orbits_module
+from doubled_odd.checks import RunConfig, run
 from doubled_odd.combinatorics import (
     GroundSet,
-    class_profiles,
     adjacency_matrix,
     enumerate_vertices,
     vertex_count,
@@ -396,9 +397,46 @@ def _merge_incoherent_orbits(monkeypatch) -> OrbitCoordinates:
 
 
 def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
+    # the merged orbit is two orbits of the stabilizer generators
     coords = _merge_incoherent_orbits(monkeypatch)
-    with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
+    with pytest.raises(NotClosedError, match="orbit I:0,0,0,0 is not a single orbit"):
         coords.structure_constants()
+
+
+def _first_orbit_not_a_class(index, roots) -> OrbitLabel | None:
+    # oracle: the least orbit of a pair index whose pairs are not one
+    # union-find class of roots
+    classes = orbit_partition(roots, index.n)
+    for label, positions in zip(index.labels, index.positions):
+        if frozenset(divmod(pos, index.n) for pos in positions) not in classes:
+            return label
+    return None
+
+
+def test_the_group_orbit_certificate_rejects_a_missing_generator(monkeypatch, fresh_memos):
+    # without the cycle on S - x0 the generators' orbits on vertex pairs are
+    # finer than the labels' orbits; the certificate and orbits-oracle see it
+    generators = orbits_module.stabilizer_generators
+    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
+    g = GroundSet(2)
+    first = _first_orbit_not_a_class(pair_index(2), orbits_by_group_action(g))
+    assert first is not None
+    with pytest.raises(NotClosedError, match=f"orbit {first.text()} is not a single orbit"):
+        OrbitCoordinates(g).structure_constants()
+    (report,) = run(RunConfig(m=2, checks=("orbits-oracle",)))
+    assert report.actual["partitions_match"] is False
+    assert report.status == "fail"
+
+
+def test_the_group_orbit_certificate_rejects_a_generator_that_is_no_permutation(monkeypatch, fresh_memos):
+    # the point map 1, 2, 3 -> 1, 1, 3 sends {1} and {2} to {1}: its
+    # union-find classes need not be the orbits of a group
+    generators = orbits_module.stabilizer_generators
+    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: [(0, 0, 2)] + generators(g))
+    with pytest.raises(NotClosedError, match="stabilizer generator 0 does not permute the vertices"):
+        OrbitCoordinates(GroundSet(1)).structure_constants()
+    (report,) = run(RunConfig(m=1, checks=("orbits-oracle",)))
+    assert report.actual["partitions_match"] is False
 
 
 def _first_pair_keys(coords: OrbitCoordinates) -> list:
@@ -412,9 +450,9 @@ def _first_pair_keys(coords: OrbitCoordinates) -> list:
 
 @pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_representative_structure_constants_match_the_exhaustive_pass(m):
-    # the table read off one pair per orbit, certified exhaustively up to
-    # m = 3 and by seeded pairs and Higman's identity at m = 4, against the
-    # pass over all n^3 vertex triples
+    # the table read off one pair per orbit, certified by the stabilizer
+    # generators' orbits up to m = 3 and by seeded pairs and Higman's
+    # identity at m = 4, against the pass over all n^3 vertex triples
     coords = OrbitCoordinates(GroundSet(m))
     rows, cols = pair_index(m).label_lines()
     profiles, offending = class_profiles(rows, cols, rows, coords.ambient_dim)
@@ -423,12 +461,18 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
     assert [list(k) for k in keys] == [profiles[c] for c in range(coords.ambient_dim)]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_certificates_above_the_exhaustive_range_accept_the_true_orbits(m):
+@pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_certificates_above_the_exhaustive_range_accept_the_true_orbits(m, monkeypatch):
+    # the seeded pairs and Higman's identity, and where both can run, the
+    # comparison with the union-find: each accepts the true orbits, and the
+    # table the union-find certifies is the one the other two accept
     coords = OrbitCoordinates(GroundSet(m))
     keys = _first_pair_keys(coords)
     coords._certify_by_samples(keys, {})
     coords._certify_by_higman(keys)
+    orbits_module._check_group_orbits(coords._index)
+    monkeypatch.setattr(orbits_module, "_GROUP_ORBITS_MAX_M", m)
+    assert list(coords.structure_constants().keys) == keys
 
 
 def test_certificates_above_the_exhaustive_range_reject_orbits_that_are_not_coherent(monkeypatch):
@@ -439,8 +483,8 @@ def test_certificates_above_the_exhaustive_range_reject_orbits_that_are_not_cohe
         coords._certify_by_samples(keys, {})
     with pytest.raises(NotClosedError, match="fail Higman's identity"):
         coords._certify_by_higman(keys)
-    # structure_constants takes the seeded pairs above _EXHAUSTIVE_MAX_M
-    monkeypatch.setattr(orbits_module, "_EXHAUSTIVE_MAX_M", 0)
+    # structure_constants takes the seeded pairs above _GROUP_ORBITS_MAX_M
+    monkeypatch.setattr(orbits_module, "_GROUP_ORBITS_MAX_M", 0)
     with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
         coords.structure_constants()
 
