@@ -26,12 +26,11 @@ import os
 import random
 import time
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .combinatorics import (
@@ -119,7 +118,6 @@ class ConfigError(ValueError):
 SUPPORTED_M = range(1, 6)
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Configuration of one verification run.
 
@@ -132,28 +130,56 @@ class RunConfig:
     structure constants at m <= 3 (labels = stabilizer orbits, coherent by
     Higman's theorem), and the export's n x n matrices; every other orbit
     lookup reads single rows and columns of pairs off the 2m+2 sphere rows.
+
+    Immutable, with value equality and hashing over its four fields.
     """
 
-    m: int
-    checks: tuple[str, ...] | None = None
-    cache_dir: str | None = None
-    export_dir: str | None = None
+    __slots__ = ("m", "checks", "cache_dir", "export_dir")
 
-    def __post_init__(self):
-        if not isinstance(self.m, int):
-            raise ConfigError(f"m must be an integer, got {self.m!r}")
-        if self.m not in SUPPORTED_M:
+    def __init__(
+        self,
+        m: int,
+        checks: tuple[str, ...] | None = None,
+        cache_dir: str | None = None,
+        export_dir: str | None = None,
+    ):
+        # bool is an int subclass, but True is not a size
+        if type(m) is bool or not isinstance(m, int):
+            raise ConfigError(f"m must be an integer, got {m!r}")
+        if m not in SUPPORTED_M:
             raise ConfigError(
-                f"m={self.m} outside the supported range [{SUPPORTED_M[0]}, {SUPPORTED_M[-1]}]"
+                f"m={m} outside the supported range [{SUPPORTED_M[0]}, {SUPPORTED_M[-1]}]"
             )
-        for name in self.checks or ():
+        for name in checks or ():
             # applicable raises ConfigError for an unknown check
-            if not applicable(name, self.m):
-                raise ConfigError(f"check {name!r} is not applicable at m={self.m}")
+            if not applicable(name, m):
+                raise ConfigError(f"check {name!r} is not applicable at m={m}")
+        for name, value in zip(self.__slots__, (m, checks, cache_dir, export_dir)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.m, self.checks, self.cache_dir, self.export_dir
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"RunConfig({args})"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check: str
     m: int
     expected: object

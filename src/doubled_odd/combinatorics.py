@@ -17,23 +17,44 @@ read off the structure constants of the orbits of the base-vertex stabilizer
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .linalg import SparseExactMatrix
 
 
-@dataclass(frozen=True)
 class GroundSet:
-    """The point set S = {1, ..., 2m+1} of one doubled Odd graph."""
+    """The point set S = {1, ..., 2m+1} of one doubled Odd graph.
 
-    m: int
+    Immutable, and equal to (and hashed like) every GroundSet of the same m.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        # bool is an int subclass, but True is not a size
+        if type(m) is bool or not isinstance(m, int) or m < 1:
+            raise ValueError(f"m must be a positive integer, got {m!r}")
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m
+
+    def __hash__(self):
+        return hash((self.m,))
+
+    def __repr__(self):
+        return f"GroundSet(m={self.m!r})"
 
     @property
     def n_points(self) -> int:
@@ -140,8 +161,7 @@ def distance_matrices(g: GroundSet) -> list[SparseExactMatrix]:
     return list(_distance_matrices(g.m))
 
 
-@dataclass(frozen=True)
-class IntersectionNumbers:
+class IntersectionNumbers(NamedTuple):
     """The table p^h_{ij} = #{z : d(x,z) = i, d(z,y) = j} for d(x,y) = h."""
 
     m: int

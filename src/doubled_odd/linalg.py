@@ -20,10 +20,9 @@ centre off SpanBasis.null_space.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 
 class ShapeMismatchError(ValueError):
@@ -347,8 +346,7 @@ class GeneratorAction(Protocol):
     def right(self, g, vec: dict[int, object]) -> dict[int, object]: ...
 
 
-@dataclass
-class ClosureResult:
+class ClosureResult(NamedTuple):
     """Outcome of algebra_closure.
 
     basis lies in the ambient space of the action the closure ran in.

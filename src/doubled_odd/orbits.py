@@ -60,7 +60,6 @@ import enum
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 from typing import NamedTuple
@@ -596,8 +595,7 @@ def _check_group_orbits(index: SphereRows) -> None:
     )
 
 
-@dataclass(frozen=True)
-class CentralizerBasis:
+class CentralizerBasis(NamedTuple):
     """Orbit-matrix basis of the centralizer algebra of the stabilizer; the
     algebra is Q^d in the shared orbit coordinates, coordinates."""
 
@@ -619,8 +617,7 @@ def build_centralizer(g: GroundSet) -> CentralizerBasis:
     return CentralizerBasis(g.m, _orbit_labels(g.m), _orbit_coordinates(g.m))
 
 
-@dataclass(frozen=True)
-class SubalgebraClosureReport:
+class SubalgebraClosureReport(NamedTuple):
     """Outcome of a pairwise multiplicative closure scan of a sub-span."""
 
     closed: bool

@@ -1,9 +1,10 @@
 """Helpers shared by the tests: the n^2-ambient matrix action and spans, the
 oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
-the product-built action tables, the sphere rows and the row test of
-centralizer-dim are compared with (among them the pair index, the orbit of
-every vertex pair in one labelled pass), the full generator lists of T, and
-doctored orbit data for the certificates of the sphere rows."""
+the product-built action tables, the product-built sandwiches E*_i A_1 E*_j,
+the sphere rows and the row test of centralizer-dim are compared with (among
+them the pair index, the orbit of every vertex pair in one labelled pass),
+the full generator lists of T, and doctored orbit data for the certificates
+of the sphere rows."""
 
 from array import array
 from collections.abc import Iterable
@@ -154,6 +155,14 @@ def terwilliger_generators(g: GroundSet) -> list[SparseExactMatrix]:
 def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
     """The generating set T is closed under: E*_0..E*_{2m+1}, then A_1."""
     return dual_idempotents(g) + [adjacency_matrix(g)]
+
+
+def sandwich_products(g: GroundSet) -> dict[tuple[int, int], SparseExactMatrix]:
+    """Every E*_i A_1 E*_j, keyed by (i, j), as two sparse matrix products:
+    the oracle of the restrictions terwilliger._sandwiches reads off A_1."""
+    a1 = adjacency_matrix(g)
+    estars = dual_idempotents(g)
+    return {(i, j): ei @ a1 @ ej for i, ei in enumerate(estars) for j, ej in enumerate(estars)}
 
 
 def center_dimension(t: TerwilligerAlgebra) -> int:

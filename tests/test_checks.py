@@ -18,6 +18,7 @@ from doubled_odd.checks import (
     CheckContext,
     ConfigError,
     RunConfig,
+    VerificationReport,
     applicable,
     cache_basis,
     export_matrices,
@@ -30,13 +31,12 @@ from doubled_odd.cli import main
 from doubled_odd.linalg import SpanBasis, read_coord_text, write_coord_text
 from doubled_odd.orbits import (
     BlockTag,
-    CentralizerBasis,
     OrbitCoordinates,
     OrbitLabel,
     orbit_matrix,
 )
 from doubled_odd.combinatorics import GroundSet
-from doubled_odd.terwilliger import TerwilligerAlgebra, center_basis
+from doubled_odd.terwilliger import center_basis
 
 _ALLOWED_PROVENANCE = {"paper-formula", "derived-oracle", "finding-only"}
 
@@ -70,10 +70,46 @@ def test_run_config_validation():
     with pytest.raises(ConfigError, match=r"m=6 outside the supported range \[1, 5\]"):
         RunConfig(m=6)
     RunConfig(m=5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown check 'bogus'"):
         RunConfig(m=2, checks=("vertex-count", "bogus"))
-    with pytest.raises(ConfigError):
-        RunConfig(m="2")
+    with pytest.raises(ConfigError, match="check 'orbits-oracle' is not applicable at m=5"):
+        RunConfig(m=5, checks=("orbits-oracle",))
+    # bool is an int subclass, so True and False need their own test
+    for bad in ("2", 2.0, True, False):
+        with pytest.raises(ConfigError, match=f"m must be an integer, got {bad!r}"):
+            RunConfig(m=bad)
+
+
+def test_run_config_is_an_immutable_value():
+    cfg = RunConfig(3)
+    assert (cfg.m, cfg.checks, cfg.cache_dir, cfg.export_dir) == (3, None, None, None)
+    assert repr(cfg) == "RunConfig(m=3, checks=None, cache_dir=None, export_dir=None)"
+    cfg = RunConfig(export_dir="e", cache_dir="c", checks=("lemma41",), m=4)
+    assert (cfg.m, cfg.checks, cfg.cache_dir, cfg.export_dir) == (4, ("lemma41",), "c", "e")
+    assert cfg == RunConfig(4, ("lemma41",), "c", "e")
+    assert cfg != RunConfig(4, ("lemma41",), "c") and cfg != RunConfig(3)
+    assert hash(cfg) == hash(RunConfig(4, ("lemma41",), "c", "e"))
+    with pytest.raises(AttributeError):
+        cfg.m = 3
+    with pytest.raises(AttributeError):
+        del cfg.checks
+    with pytest.raises(TypeError):
+        RunConfig()
+
+
+def test_verification_report_to_dict():
+    report = VerificationReport("upsilon", 3, 6, "paper-formula", 6, "pass", 12)
+    assert report.to_dict() == {
+        "check": "upsilon",
+        "m": 3,
+        "expected": {"value": 6, "provenance": "paper-formula"},
+        "actual": 6,
+        "status": "pass",
+        "elapsed_ms": 12,
+    }
+    assert report == VerificationReport(
+        check="upsilon", m=3, expected=6, provenance="paper-formula", actual=6, status="pass", elapsed_ms=12
+    )
 
 
 def test_run_rejects_explicit_inapplicable_check():
@@ -581,9 +617,9 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
     assert ctx.terwilliger.closure is None
     assert center_basis(ctx.terwilliger).dimension == 6
     assert (n2_bases, len(coords_built)) == ([], 1)
-    assert "span" not in CentralizerBasis.__dataclass_fields__
-    assert "matrices" not in CentralizerBasis.__dataclass_fields__
-    assert "coordinates" not in TerwilligerAlgebra.__dataclass_fields__
+    assert not hasattr(ctx.centralizer, "span")
+    assert not hasattr(ctx.centralizer, "matrices")
+    assert not hasattr(ctx.terwilliger, "coordinates")
     assert not hasattr(ctx.centralizer.coordinates, "generators")
 
 

@@ -64,6 +64,25 @@ def test_vertex_index_round_trip():
 def test_ground_set_validation():
     with pytest.raises(ValueError):
         GroundSet(0)
+    for bad in (True, False, "2", 2.0):
+        with pytest.raises(ValueError, match=f"m must be a positive integer, got {bad!r}"):
+            GroundSet(bad)
+
+
+def test_ground_set_is_an_immutable_value():
+    g = GroundSet(3)
+    assert g == GroundSet(m=3) and g != GroundSet(2)
+    assert g != (3,) and g != 3
+    assert hash(g) == hash(GroundSet(3))
+    assert len({g, GroundSet(3), GroundSet(2)}) == 2
+    assert repr(g) == "GroundSet(m=3)"
+    with pytest.raises(AttributeError):
+        g.m = 4
+    with pytest.raises(AttributeError):
+        del g.m
+    with pytest.raises(AttributeError):
+        g.other = 1
+    assert g.m == 3
 
 
 def _bfs_distances(g: GroundSet) -> dict[tuple[int, int], int]:

@@ -1,7 +1,11 @@
 """Static checks of the source tree."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +73,42 @@ def _unreferenced_definitions() -> list[str]:
 def test_every_package_definition_is_used_or_documented():
     # code only the tests call belongs in tests/helpers.py
     assert _unreferenced_definitions() == []
+
+
+def _dataclasses_imports(tree: ast.Module) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_the_package_does_not_import_dataclasses(path):
+    # importing dataclasses loads inspect, ast, dis and tokenize, and every
+    # decoration execs generated methods: together about 17 ms of each
+    # command's start-up on a 2-vCPU machine, for records that a NamedTuple
+    # or a __slots__ class keeps as well
+    assert _dataclasses_imports(ast.parse(path.read_text())) == []
+
+
+def test_the_lint_finds_both_import_forms():
+    tree = ast.parse("import os, dataclasses\nfrom dataclasses import dataclass\nimport dataclasses_json\n")
+    assert _dataclasses_imports(tree) == [1, 2]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import doubled_odd.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    added = set(json.loads(out))
+    assert "doubled_odd.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect"})

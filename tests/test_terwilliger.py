@@ -13,6 +13,7 @@ from helpers import (
     merged_sphere_rows,
     orbit_values,
     pair_index,
+    sandwich_products,
     span,
     terwilliger_generators,
     vectorize,
@@ -85,17 +86,41 @@ def test_dual_idempotent_rejects_bad_index():
 
 
 def test_tridiagonal_sandwich_structure():
-    for m in (1, 2):
+    # the sandwiches read off A_1 as restrictions between spheres are the
+    # matrix products E*_i A_1 E*_j, and only |i - j| = 1 gives a nonzero one
+    for m in (1, 2, 3):
         g = GroundSet(m)
-        a1 = adjacency_matrix(g)
-        idems = dual_idempotents(g)
-        for i, ei in enumerate(idems):
-            for j, ej in enumerate(idems):
-                sandwich = ei @ a1 @ ej
-                if abs(i - j) == 1:
-                    assert not sandwich.is_zero()
-                else:
-                    assert sandwich.is_zero()
+        products = sandwich_products(g)
+        restricted = terwilliger_module._sandwiches(g, adjacency_matrix(g))
+        assert set(restricted) == {key for key, prod in products.items() if not prod.is_zero()}
+        for (i, j), sandwich in products.items():
+            assert restricted.get((i, j), SparseExactMatrix.zero(sandwich.nrows, sandwich.ncols)) == sandwich
+            assert sandwich.is_zero() == (abs(i - j) != 1)
+
+
+def test_sandwich_identities_form_no_matrix_product(monkeypatch):
+    calls = []
+    matmul = SparseExactMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseExactMatrix, "__matmul__", counted)
+    assert all(r.ok for r in verify_sandwich_identities(GroundSet(3)))
+    assert calls == []
+
+
+def test_sandwich_identities_catch_an_edge_inside_a_sphere(monkeypatch):
+    # an extra edge joining two vertices of one sphere is a nonzero
+    # E*_i A_1 E*_i, and A_1 is then no longer the sum of the sandwiches
+    g = GroundSet(2)
+    index = orbits_module._sphere_rows(2)
+    y, z = next(s for s in index.spheres if len(s) > 1)[:2]
+    doctored = adjacency_matrix(g) + SparseExactMatrix(index.n, index.n, {y: {z: 1}})
+    monkeypatch.setattr(terwilliger_module, "adjacency_matrix", lambda _: doctored)
+    failed = [r.name for r in verify_sandwich_identities(g) if not r.ok]
+    assert failed == ["bipartite-sandwich-vanishing", "adjacency-sandwich-decomposition"]
 
 
 def test_sandwich_identities_hold():
