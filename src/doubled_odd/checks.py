@@ -49,13 +49,13 @@ from .orbits import (
     BlockTag,
     IndependenceError,
     _check_group_orbits,
-    _group_orbits,
     _sphere_rows,
     build_centralizer,
     check_subalgebra,
     index_set,
     orbit_labels,
     orbit_matrices,
+    orbits_by_group_action,
     products_constant_on_orbits,
     tuple_bijection,
 )
@@ -125,11 +125,9 @@ class RunConfig:
     is unknown or not applicable at m raises ConfigError.  m is limited to
     SUPPORTED_M, [1, 5]; m = 6 (n = 3,432, 11.8 M vertex pairs) is not yet
     verified end to end.  What still grows with the n^2 vertex pairs is
-    the union-find of the stabilizer generators, built once per m for
-    orbits-oracle (capped at m <= 4) and for the certificate of the
-    structure constants at m <= 3 (labels = stabilizer orbits, coherent by
-    Higman's theorem), and the export's n x n matrices; every other orbit
-    lookup reads single rows and columns of pairs off the 2m+2 sphere rows.
+    the union-find of the stabilizer generators of orbits-oracle (capped at
+    m <= 4) and the export's n x n matrices; every other orbit lookup reads
+    single rows and columns of pairs off the 2m+2 sphere rows.
 
     Immutable, with value equality and hashing over its four fields.
     """
@@ -429,14 +427,16 @@ def _check_bijections(ctx: CheckContext):
 @_runner("orbits-oracle")
 def _check_orbits_oracle(ctx: CheckContext):
     g = ctx.g
-    # the union-find of the stabilizer generators against the sphere rows,
-    # the comparison that certifies the structure constants at m <= 3
+    # the union-find of the stabilizer generators on all n^2 vertex pairs
+    # against the sphere rows: a route to the orbits independent of the
+    # certificate the structure constants rest on
+    roots = orbits_by_group_action(g)
     try:
-        _check_group_orbits(_sphere_rows(g.m))
+        _check_group_orbits(_sphere_rows(g.m), roots)
         matches = True
     except NotClosedError:
         matches = False
-    count = len(set(_group_orbits(g.m)))
+    count = len(set(roots))
     expected = {"orbit_count": 4 * comb(g.m + 4, 4), "partitions_match": True}
     actual = {"orbit_count": count, "partitions_match": matches}
     return expected, "paper-formula", actual, _verdict(expected == actual)

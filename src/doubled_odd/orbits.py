@@ -24,10 +24,10 @@ those 2m+2 rows, numbers the orbits by first pair and sizes each orbit as
 labels".  It is the package's one orbit index: the orbit of any other pair
 is read off its popcount label key through the index's label map
 (SphereRows.orbit_of), one row or column of pairs at a time.  Only the
-union-find of the stabilizer generators (orbits_by_group_action, built once
-per m for orbits-oracle and the certificate of the structure constants at
-m <= _GROUP_ORBITS_MAX_M), its comparison with the index (_check_group_orbits)
-and the export's n x n matrices still touch all n^2 pairs.
+union-find of the stabilizer generators on vertex pairs
+(orbits_by_group_action, for orbits-oracle), its comparison with the index
+(_check_group_orbits) and the export's n x n matrices still touch all n^2
+pairs.
 
 The closed forms are production code; the union-find grinds out the orbits
 from explicit group generators, with no reference to the labels, and is
@@ -42,10 +42,10 @@ structure constants p^c_{ab} with O_a O_b = sum_c p^c_{ab} O_c, fixes every
 product in Q^d.  It is read off the first pair (y, z) of each orbit c, as
 the count of middle vertices w with (y, w) in orbit a and (w, z) in orbit b.
 That every pair of orbit c sees the same counts is checked rather than
-assumed: up to m = _GROUP_ORBITS_MAX_M by showing that the orbits are the
-orbits of the stabilizer generators on vertex pairs, which Higman's theorem
-makes coherent, and above it on seeded extra pairs of every orbit and by
-Higman's identity |c| p^c_{ab} = |a| p^a_{c b^T}.
+assumed, at every m and with no pass over the n^2 pairs
+(_certify_stabilizer_orbits): union-finds over the n vertices show that the
+orbits are the orbits of a permutation group on vertex pairs, which
+Higman's theorem makes coherent.
 StructureConstants.product, through the table's product index, is the one
 multiplication in Q^d: the action of T's generators on the orbit matrices
 is tabled from it, and check_subalgebra reads the support
@@ -57,10 +57,10 @@ exactly when its support lies in F.  No n x n product is formed.
 from __future__ import annotations
 
 import enum
-import random
 from array import array
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from operator import add
 from typing import NamedTuple
 
@@ -102,14 +102,6 @@ BLOCK_FAMILIES: dict[str, tuple[BlockTag, ...]] = {
     "II+III": (BlockTag.II, BlockTag.III),
     "IV": (BlockTag.IV,),
 }
-
-# the structure constants are certified by the stabilizer generators' orbits
-# on vertex pairs up to this m (a union-find over n^2 = 4,900 pairs at m = 3);
-# above it, on _SAMPLED_PAIRS seeded extra pairs of every orbit and by
-# Higman's identity, which spares the union-find (about 0.2 s at m = 4)
-_GROUP_ORBITS_MAX_M = 3
-_SAMPLED_PAIRS = 2
-
 
 class IndependenceError(RuntimeError):
     """The orbit indicator matrices failed to be linearly independent."""
@@ -472,36 +464,32 @@ def products_constant_on_orbits(m: int, pairs) -> list[bool]:
     return verdicts
 
 
+def _young_generators(n: int, parts) -> list[tuple[int, ...]]:
+    """Generators of the Young subgroup of sym(n) on the given parts, lists
+    of 0-based points, as point permutations: a transposition of the first
+    two points and a full cycle on each part, in the order of the parts.
+    Parts of size < 3 contribute no cycle and parts of size < 2 nothing."""
+    gens: list[tuple[int, ...]] = []
+    for pts in parts:
+        if len(pts) >= 2:
+            perm = list(range(n))
+            perm[pts[0]], perm[pts[1]] = pts[1], pts[0]
+            gens.append(tuple(perm))
+        if len(pts) >= 3:
+            perm = list(range(n))
+            for src, dst in zip(pts, pts[1:] + pts[:1]):
+                perm[src] = dst
+            gens.append(tuple(perm))
+    return gens
+
+
 def stabilizer_generators(g: GroundSet) -> list[tuple[int, ...]]:
     """Generators of sym(x0) x sym(S - x0) as 0-based point permutations.
 
     A transposition and a full cycle on each factor; degenerate factors of
     size < 2 contribute nothing (at m = 1 the x0 factor is trivial).
     """
-    m = g.m
-    n = g.n_points
-    gens: list[tuple[int, ...]] = []
-
-    def add_transposition(a: int, b: int) -> None:
-        perm = list(range(n))
-        perm[a], perm[b] = perm[b], perm[a]
-        gens.append(tuple(perm))
-
-    def add_cycle(points: range) -> None:
-        perm = list(range(n))
-        pts = list(points)
-        for src, dst in zip(pts, pts[1:] + pts[:1]):
-            perm[src] = dst
-        gens.append(tuple(perm))
-
-    if m >= 2:
-        add_transposition(0, 1)
-        if m >= 3:
-            add_cycle(range(0, m))
-    add_transposition(m, m + 1)
-    if m + 1 >= 3:
-        add_cycle(range(m, n))
-    return gens
+    return _young_generators(g.n_points, [list(range(g.m)), list(range(g.m, g.n_points))])
 
 
 def _apply_perm(perm: tuple[int, ...], mask: int) -> int:
@@ -513,10 +501,31 @@ def _apply_perm(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def _vertex_maps(g: GroundSet) -> list[tuple[int, ...]]:
-    """The map of vertex indices each stabilizer generator induces."""
-    verts, index = _vertices(g.m), _vertex_index(g.m)
-    return [tuple(index[_apply_perm(perm, v)] for v in verts) for perm in stabilizer_generators(g)]
+def _vertex_maps(m: int, perms) -> list[tuple[int, ...]]:
+    """The map of vertex indices each point permutation induces."""
+    verts, index = _vertices(m), _vertex_index(m)
+    return [tuple(index[_apply_perm(perm, v)] for v in verts) for perm in perms]
+
+
+def _union_find(size: int, images) -> list[int]:
+    """The union-find root of each point 0..size-1 when every point k is
+    joined with image[k], for each image in images: two points share a root
+    exactly when a chain of the maps joins them, so for permutations the
+    classes are the orbits of the group they generate."""
+    parent = list(range(size))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for image in images:
+        for a, b in enumerate(image):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
+    return [find(a) for a in range(size)]
 
 
 def orbits_by_group_action(g: GroundSet) -> array:
@@ -528,71 +537,107 @@ def orbits_by_group_action(g: GroundSet) -> array:
     pairs lie in one orbit exactly when their roots are equal.
     """
     n = len(_vertices(g.m))
-    parent = list(range(n * n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for vp in _vertex_maps(g):
-        for yi in range(n):
-            base = yi * n
-            py = vp[yi] * n
-            for zi in range(n):
-                union(base + zi, py + vp[zi])
-
-    return array("I", map(find, range(n * n)))
+    # the image of pair (y, z) = y * n + z under a vertex map vp
+    images = (
+        (py + vp[z] for py in [vp[y] * n for y in range(n)] for z in range(n))
+        for vp in _vertex_maps(g.m, stabilizer_generators(g))
+    )
+    return array("I", _union_find(n * n, images))
 
 
-@lru_cache(maxsize=8)
-def _group_orbits(m: int) -> array:
-    # the union-find at m, built once for orbits-oracle and the certificate
-    # of the structure constants; called through the module binding
-    return orbits_by_group_action(GroundSet(m))
-
-
-def _check_group_orbits(index: SphereRows) -> None:
-    """The certificate that the orbits of the index are the orbits of the
-    group the stabilizer generators generate on vertex pairs.
-
-    Every generator must permute the vertices (n lookups each), so that the
-    union-find classes of _group_orbits are the orbits of a permutation
-    group.  The two partitions of the pairs are then equal exactly when the
-    distinct roots, the distinct orbit ids and the distinct (root, orbit id)
-    pairs are equally many; the orbit ids are read off label keys one row
-    at a time (SphereRows.row).  Raises NotClosedError naming the first
-    generator that is no permutation, or the first orbit, in orbit
-    numbering, that is not a single group orbit.
-    """
-    n = index.n
-    for k, vertex_map in enumerate(_vertex_maps(GroundSet(index.m))):
-        if len(set(vertex_map)) != n:
-            raise NotClosedError(f"stabilizer generator {k} does not permute the vertices")
-    roots = _group_orbits(index.m)
-    ids: set[int] = set()
-    met: set[tuple[int, int]] = set()
-    for y in range(n):
-        row = index.row(y)
-        ids.update(row)
-        met.update(zip(roots[y * n:(y + 1) * n], row))
-    if len(set(roots)) == len(ids) == len(met):
-        return
+def _check_classes(roots, ids, name) -> None:
+    """The ids, read in step with roots, must partition like the union-find
+    classes of roots, which they do exactly when the distinct roots, the
+    distinct ids and the distinct (root, id) pairs are equally many.
+    Raises NotClosedError naming, by name(a), the least id a whose elements
+    are not exactly one class of roots."""
     roots_of: dict[int, set[int]] = {}
     ids_of: dict[int, set[int]] = {}
+    met = set(zip(roots, ids))
     for root, a in met:
         roots_of.setdefault(a, set()).add(root)
         ids_of.setdefault(root, set()).add(a)
+    if len(met) == len(roots_of) == len(ids_of):
+        return
     a = min(a for a, rs in roots_of.items() if len(rs) > 1 or any(ids_of[r] != {a} for r in rs))
-    raise NotClosedError(
-        f"orbit {index.labels[a].text()} is not a single orbit of the stabilizer generators"
-    )
+    raise NotClosedError(f"{name(a)} is not a single orbit of the stabilizer generators")
+
+
+def _check_permutations(vertex_maps, fixed: dict[str, int], what: str) -> None:
+    # every map must permute the vertices and fix each named vertex; what
+    # names map k as what.format(k)
+    for k, vertex_map in enumerate(vertex_maps):
+        if len(set(vertex_map)) != len(vertex_map):
+            raise NotClosedError(f"{what.format(k)} does not permute the vertices")
+        for name, y in fixed.items():
+            if vertex_map[y] != y:
+                raise NotClosedError(f"{what.format(k)} does not fix {name}")
+
+
+def _certify_stabilizer_orbits(index: SphereRows) -> None:
+    """The certificate that the orbits of the index are the orbits of a
+    permutation group on vertex pairs, by union-finds over the n vertices.
+
+    (a) The stabilizer generators must permute the vertices and fix x0, and
+    the classes of the group G they generate must be the spheres.  (b) Each
+    orbit must be met in one sphere row.  For each sphere s, with first
+    vertex y_s, the Young generators of the four atoms of x0 and y_s
+    (x0 n y_s, x0 - y_s, y_s - x0 and the rest) must fix x0 and y_s, and
+    the classes of the group H_s they generate must be those of the orbit
+    ids along row y_s.
+
+    Proof: a permutation of S that fixes x0 keeps labels, and so orbits, so
+    every orbit is a union of orbits of the group K that G and the H_s
+    generate.  Two pairs of one orbit start in its row's sphere s by (b), G
+    moves each into row y_s by (a), and H_s moves the one onto the other by
+    (b).  Raises NotClosedError naming the first generator that is no
+    permutation or moves x0 or y_s, the first sphere that is not one class
+    of G, or the first orbit, in orbit numbering, met in two sphere rows or
+    not one class of H_s.
+    """
+    m, n = index.m, index.n
+    g = GroundSet(m)
+    base, verts = g.base_vertex, _vertices(m)
+    x0 = _vertex_index(m)[base]
+    maps = _vertex_maps(m, stabilizer_generators(g))
+    _check_permutations(maps, {"x0": x0}, "stabilizer generator {}")
+
+    def sphere_name(s: int) -> str:
+        y = verts[index.spheres[s][0]]
+        return f"sphere {s} (|y| = {y.bit_count()}, |x0 n y| = {(base & y).bit_count()})"
+
+    _check_classes(_union_find(n, maps), index.sphere_of, sphere_name)
+    starts: dict[int, int] = {}
+    for s, (sphere, row) in enumerate(zip(index.spheres, index.rows)):
+        for a in set(row):
+            if starts.setdefault(a, s) != s:
+                raise NotClosedError(f"orbit {index.labels[a].text()} is met in two sphere rows")
+        y = verts[sphere[0]]
+        atoms = [
+            [k for k in range(g.n_points) if mask >> k & 1]
+            for mask in (base & y, base & ~y, y & ~base, g.full_mask & ~(base | y))
+        ]
+        maps = _vertex_maps(m, _young_generators(g.n_points, atoms))
+        _check_permutations(maps, {"x0": x0, "y_s": sphere[0]}, f"row generator {{}} of sphere {s}")
+        _check_classes(_union_find(n, maps), row, lambda a: f"orbit {index.labels[a].text()}")
+
+
+def _check_group_orbits(index: SphereRows, roots) -> None:
+    """The comparison of the orbits of the index with roots, the union-find
+    of the stabilizer generators on vertex pairs (orbits_by_group_action).
+
+    Every generator must permute the vertices (n lookups each), so that the
+    union-find classes of roots are the orbits of a permutation group.  The
+    two partitions of the pairs are then compared by _check_classes, the
+    orbit ids read off label keys one row at a time (SphereRows.row).
+    Raises NotClosedError naming the first generator that is no
+    permutation, or the first orbit, in orbit numbering, that is not a
+    single group orbit.
+    """
+    g = GroundSet(index.m)
+    _check_permutations(_vertex_maps(index.m, stabilizer_generators(g)), {}, "stabilizer generator {}")
+    ids = chain.from_iterable(map(index.row, range(index.n)))
+    _check_classes(roots, ids, lambda a: f"orbit {index.labels[a].text()}")
 
 
 class CentralizerBasis(NamedTuple):
@@ -740,23 +785,21 @@ class OrbitCoordinates:
         self._identity = {a: 1 for a in sorted(diagonal)}
 
     def structure_constants(self) -> StructureConstants:
-        """The structure constants of the orbit matrices, read off the first
-        pair of each orbit (d·n work) and certified (NotClosedError when some
-        p^c_{ab} differs between two pairs of orbit c, i.e. when the orbits
-        do not form a coherent configuration), with their product index.
+        """The structure constants of the orbit matrices, certified and read
+        off the first pair of each orbit (d·n work), with their product
+        index.
 
-        The orbits along a row or column of pairs are read off popcount label
-        keys through the index's label map (SphereRows.row, .column): the row
-        of a first pair is its sphere row, and each column met is built once
-        and kept for this call only.  Up to m = _GROUP_ORBITS_MAX_M the
-        orbits are certified to be the orbits of the stabilizer generators
-        on vertex pairs (_check_group_orbits), and the orbits of a
-        permutation group on pairs form a coherent configuration (Higman
+        The orbits are first certified to be the orbits of a permutation
+        group on vertex pairs (_certify_stabilizer_orbits, NotClosedError
+        otherwise), and such orbits form a coherent configuration (Higman
         1975): a group element moves the first pair of orbit c onto any
-        other, and its middle vertices with it, keeping every orbit.  Above
-        it the table is checked on _SAMPLED_PAIRS seeded extra pairs of
-        every orbit and by Higman's identity."""
+        other, and its middle vertices with it, keeping every orbit, so
+        every pair of c has the counts of its first pair.  The orbits along
+        a row or column of pairs are read off popcount label keys through
+        the index's label map (SphereRows.row, .column): the row of a first
+        pair is its sphere row, and each column met is built once."""
         index = self._index
+        _certify_stabilizer_orbits(index)
         cols: dict[int, array] = {}  # the columns met, built once each
         keys = []
         for c in range(self.ambient_dim):
@@ -764,11 +807,6 @@ class OrbitCoordinates:
             if z not in cols:
                 cols[z] = array("H", index.column(z))
             keys.append(self._profile(index.rows[index.row_of[c]], cols[z]))
-        if self.m <= _GROUP_ORBITS_MAX_M:
-            _check_group_orbits(index)
-        else:
-            self._certify_by_samples(keys, cols)
-            self._certify_by_higman(keys)
         d = self.ambient_dim
         products: tuple[dict[int, list[tuple[int, int]]], ...] = tuple({} for _ in keys)
         for c, orbit_keys in enumerate(keys):
@@ -782,55 +820,6 @@ class OrbitCoordinates:
         # (y, z), where row lists the orbits a of the pairs (y, w) and col the
         # orbits b of the pairs (w, z)
         return array("I", sorted(map(add, map(self.ambient_dim.__mul__, row), col)))
-
-    def _certify_by_samples(self, keys: list[array], cols: dict[int, array]) -> None:
-        """Every orbit's keys, checked on up to _SAMPLED_PAIRS seeded pairs
-        of the orbit other than its first, spread over up to _SAMPLED_PAIRS
-        seeded rows of its row sphere: the stabilizer moves the row of the
-        sphere's first vertex onto each row of the sphere, so every such row
-        meets every orbit whose pairs start in the sphere.  cols memoizes
-        the columns of this call."""
-        index = self._index
-        rng = random.Random(20260 + self.m)
-        for sphere in index.spheres:
-            ys = rng.sample(sphere, min(_SAMPLED_PAIRS, len(sphere)))
-            per_row = -(-_SAMPLED_PAIRS // len(ys))
-            for y in ys:
-                row = index.row(y)
-                # the pairs of each orbit met along the row, but its first pair
-                pairs: dict[int, list[int]] = {}
-                for z, c in enumerate(row):
-                    if (y, z) != index.first_pair(c):
-                        pairs.setdefault(c, []).append(z)
-                for c, zs in pairs.items():
-                    for z in rng.sample(zs, min(per_row, len(zs))):
-                        if z not in cols:
-                            cols[z] = array("H", index.column(z))
-                        if self._profile(row, cols[z]) != keys[c]:
-                            raise NotClosedError(
-                                f"the products of orbit matrices are not constant on orbit "
-                                f"{self.orbit_labels[c].text()}"
-                            )
-
-    def _certify_by_higman(self, keys: list[array]) -> None:
-        """|c| p^c_{ab} = |a| p^a_{c b^T} for every nonzero p^c_{ab}, where
-        |c| is the number of pairs of orbit c and b^T the orbit of the
-        transposed pairs of b, read off the label key of (z, y) for the first
-        pair (y, z) of b: both sides count the triples (y, w, z) with (y, z)
-        in c, (y, w) in a and (w, z) in b."""
-        index, d, sizes = self._index, self.ambient_dim, self.sizes
-        firsts = map(index.first_pair, range(d))
-        transpose = [index.orbit_of[_label_keys(self.m, z, (y,))[0]] for y, z in firsts]
-        counts = [Counter(k) for k in keys]
-        for c, table in enumerate(counts):
-            for key, p in table.items():
-                a, b = divmod(key, d)
-                if sizes[c] * p != sizes[a] * counts[a][c * d + transpose[b]]:
-                    raise NotClosedError(
-                        f"the structure constants fail Higman's identity at "
-                        f"c = {self.orbit_labels[c].text()}, a = {self.orbit_labels[a].text()}, "
-                        f"b = {self.orbit_labels[b].text()}"
-                    )
 
     def identity(self) -> dict[int, object]:
         return dict(self._identity)

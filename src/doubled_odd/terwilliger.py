@@ -16,10 +16,10 @@ distance i (orbits._orbit_distance).  The closure and the centre solve apply
 action tables of the generators to the orbit matrices, and every table entry
 is one product in Q^d through the certified structure constants
 (orbits.StructureConstants.product).  So the action of A_1 is exactly as
-certified as the structure constants: at m <= 3 by labels = stabilizer
-orbits (union-find) + Higman's theorem, and at m = 4, 5 by seeded pairs of
-every orbit and Higman's identity.  T needs no n x n matrix, and above
-m = 3 no pass over all n^2 vertex pairs.  A T or Z(T) read back from a cache is re-certified
+certified as the structure constants: at every m by labels = stabilizer
+orbits, shown by union-finds over the n vertices, + Higman's theorem.  T
+needs no n x n matrix and no pass over all n^2 vertex pairs.  A T or Z(T)
+read back from a cache is re-certified
 against the same action tables (certify_terwilliger_span,
 certify_center_span).  Everything T
 is generated by lies inside the centralizer algebra of the stabilizer of

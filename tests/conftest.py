@@ -6,11 +6,10 @@ from doubled_odd.checks import CheckContext
 
 _contexts: dict[int, CheckContext] = {}
 
-# the per-m memos of the orbit index, the union-find of the stabilizer
-# generators, the shared orbit coordinates and what is built on them
+# the per-m memos of the orbit index, the shared orbit coordinates and what
+# is built on them
 _PER_M_MEMOS = (
     orbits_module._sphere_rows,
-    orbits_module._group_orbits,
     orbits_module._orbit_coordinates,
     orbits_module._structure_constants,
     terwilliger_module._closure_tables,

@@ -3,10 +3,11 @@ oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
 the product-built action tables, the product-built sandwiches E*_i A_1 E*_j,
 the sphere rows and the row test of centralizer-dim are compared with (among
 them the pair index, the orbit of every vertex pair in one labelled pass),
-the full generator lists of T, and doctored orbit data for the certificates
-of the sphere rows."""
+the full generator lists of T, Higman's identity on the structure constants,
+and doctored orbit data for the certificates of the sphere rows."""
 
 from array import array
+from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import repeat
@@ -424,3 +425,28 @@ def n2_product_verdicts(index: PairIndex, pairs) -> list[bool]:
     O_a O_b is constant on every orbit of the pair index."""
     mats = pair_orbit_matrices(index)
     return [orbit_values(index, vectorize(mats[a] @ mats[b])) is not None for a, b in pairs]
+
+
+def higman_violation(coords: OrbitCoordinates, keys) -> tuple[int, int, int] | None:
+    """Oracle: the first (c, a, b), c ascending, at which a table of keys
+    (StructureConstants.keys) fails Higman's identity
+    |c| p^c_{ab} = |a| p^a_{c b^T}, or None when it holds at every nonzero
+    p^c_{ab}.
+
+    |c| is the number of pairs of orbit c and b^T the orbit of the
+    transposed pairs of b, read off the label key of (z, y) for the first
+    pair (y, z) of b: both sides count the triples (y, w, z) with (y, z) in
+    c, (y, w) in a and (w, z) in b.  A necessary condition, and the only
+    cross-check of the table at m = 5, where the pass over all n^3 vertex
+    triples (class_profiles) is too slow.
+    """
+    index, d, sizes = coords._index, coords.ambient_dim, coords.sizes
+    firsts = map(index.first_pair, range(d))
+    transpose = [index.orbit_of[_label_keys(coords.m, z, (y,))[0]] for y, z in firsts]
+    counts = [Counter(k) for k in keys]
+    for c, table in enumerate(counts):
+        for key, p in table.items():
+            a, b = divmod(key, d)
+            if sizes[c] * p != sizes[a] * counts[a][c * d + transpose[b]]:
+                return c, a, b
+    return None

@@ -724,20 +724,41 @@ def test_reports_match_the_pinned_reports(m):
     assert _normalized_reports(run(RunConfig(m=m))) == _pinned_reports(m)
 
 
+def _trace_pair_union_find(monkeypatch) -> list:
+    """Record every call of the union-find over all vertex pairs and of its
+    comparison with the sphere rows, on each binding a caller may use."""
+    calls = []
+
+    def traced(name, fn):
+        def wrapper(*args):
+            calls.append((name, args[0].m))
+            return fn(*args)
+        return wrapper
+
+    for name in ("orbits_by_group_action", "_check_group_orbits"):
+        fn = getattr(orbits_module, name)
+        for module in (orbits_module, checks_module):
+            monkeypatch.setattr(module, name, traced(name, fn), raising=False)
+    return calls
+
+
 def test_a_cold_m3_run_makes_no_pass_over_all_vertex_triples(monkeypatch, fresh_memos):
     # distance-regular and subalgebra-closure read one table of structure
-    # constants, certified at m = 3 by the union-find of the stabilizer
-    # generators, which orbits-oracle shares: one union-find and no
-    # exhaustive pass, whose kernel lives with the tests' oracles
-    builds = []
-    union_find = orbits_module.orbits_by_group_action
-
-    def traced_union_find(g):
-        builds.append(g.m)
-        return union_find(g)
-
-    monkeypatch.setattr(orbits_module, "orbits_by_group_action", traced_union_find)
+    # constants, certified on the n vertices: the one union-find over all
+    # vertex pairs is orbits-oracle's, and no exhaustive pass is made, whose
+    # kernel lives with the tests' oracles
+    calls = _trace_pair_union_find(monkeypatch)
     reports = run(RunConfig(m=3))
     assert len(reports) == 16
-    assert builds == [3]
+    assert calls == [("orbits_by_group_action", 3), ("_check_group_orbits", 3)]
     assert not any(hasattr(module, "class_profiles") for module in (combinatorics_module, orbits_module))
+
+
+def test_a_cold_m3_run_without_orbits_oracle_makes_no_pass_over_all_vertex_pairs(monkeypatch, fresh_memos):
+    # the certificate of the structure constants that distance-regular,
+    # subalgebra-closure and T rest on needs no union-find over the pairs
+    calls = _trace_pair_union_find(monkeypatch)
+    checks = tuple(c for c in CHECK_IDS if c != "orbits-oracle")
+    reports = run(RunConfig(m=3, checks=checks))
+    assert len(reports) == 15 and "fail" not in {r.status for r in reports}
+    assert calls == []

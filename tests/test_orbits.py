@@ -11,6 +11,7 @@ from helpers import (
     class_profiles,
     contains,
     enumerate_index_set,
+    higman_violation,
     mask_of,
     merged_pair_index,
     merged_sphere_rows,
@@ -413,15 +414,36 @@ def _first_orbit_not_a_class(index, roots) -> OrbitLabel | None:
     return None
 
 
+def _first_sphere_not_an_orbit(m: int, perms) -> int | None:
+    # oracle: the least sphere that is not the orbit of its first vertex
+    # under the point permutations, closed over as sets of points
+    index = orbits_module._sphere_rows(m)
+    verts = enumerate_vertices(GroundSet(m))
+    for s, sphere in enumerate(index.spheres):
+        orbit, todo = {verts[sphere[0]]}, [verts[sphere[0]]]
+        while todo:
+            y = todo.pop()
+            for perm in perms:
+                image = mask_of(perm[k] + 1 for k in range(len(perm)) if y >> k & 1)
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        if orbit != {verts[y] for y in sphere}:
+            return s
+    return None
+
+
 def test_the_group_orbit_certificate_rejects_a_missing_generator(monkeypatch, fresh_memos):
-    # without the cycle on S - x0 the generators' orbits on vertex pairs are
-    # finer than the labels' orbits; the certificate and orbits-oracle see it
+    # without the cycle on S - x0 the generators' orbits on the vertices are
+    # finer than the spheres, and their orbits on vertex pairs finer than
+    # the labels' orbits: the certificate and orbits-oracle see it
     generators = orbits_module.stabilizer_generators
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
     g = GroundSet(2)
-    first = _first_orbit_not_a_class(pair_index(2), orbits_by_group_action(g))
-    assert first is not None
-    with pytest.raises(NotClosedError, match=f"orbit {first.text()} is not a single orbit"):
+    assert _first_orbit_not_a_class(pair_index(2), orbits_by_group_action(g)) is not None
+    s = _first_sphere_not_an_orbit(2, orbits_module.stabilizer_generators(g))
+    assert s is not None
+    with pytest.raises(NotClosedError, match=rf"sphere {s} \(.*\) is not a single orbit"):
         OrbitCoordinates(g).structure_constants()
     (report,) = run(RunConfig(m=2, checks=("orbits-oracle",)))
     assert report.actual["partitions_match"] is False
@@ -451,8 +473,7 @@ def _first_pair_keys(coords: OrbitCoordinates) -> list:
 @pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_representative_structure_constants_match_the_exhaustive_pass(m):
     # the table read off one pair per orbit, certified by the stabilizer
-    # generators' orbits up to m = 3 and by seeded pairs and Higman's
-    # identity at m = 4, against the pass over all n^3 vertex triples
+    # orbit certificate, against the pass over all n^3 vertex triples
     coords = OrbitCoordinates(GroundSet(m))
     rows, cols = pair_index(m).label_lines()
     profiles, offending = class_profiles(rows, cols, rows, coords.ambient_dim)
@@ -461,32 +482,57 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
     assert [list(k) for k in keys] == [profiles[c] for c in range(coords.ambient_dim)]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
-def test_certificates_above_the_exhaustive_range_accept_the_true_orbits(m, monkeypatch):
-    # the seeded pairs and Higman's identity, and where both can run, the
-    # comparison with the union-find: each accepts the true orbits, and the
-    # table the union-find certifies is the one the other two accept
-    coords = OrbitCoordinates(GroundSet(m))
-    keys = _first_pair_keys(coords)
-    coords._certify_by_samples(keys, {})
-    coords._certify_by_higman(keys)
-    orbits_module._check_group_orbits(coords._index)
-    monkeypatch.setattr(orbits_module, "_GROUP_ORBITS_MAX_M", m)
-    assert list(coords.structure_constants().keys) == keys
+@pytest.mark.parametrize("m", [1, 2, 3, 4, *(pytest.param(m, marks=pytest.mark.slow) for m in (5, 6))])
+def test_the_stabilizer_orbit_certificate_accepts_the_true_orbits(m):
+    # it needs only the sphere rows, which m = 6, outside SUPPORTED_M, has too
+    orbits_module._certify_stabilizer_orbits(orbits_module._sphere_rows(m))
 
 
-def test_certificates_above_the_exhaustive_range_reject_orbits_that_are_not_coherent(monkeypatch):
-    # the m >= 4 certificates, called at m = 1 on the merged orbits
+def test_the_stabilizer_orbit_certificate_rejects_a_row_generator_that_moves_y_s(monkeypatch):
+    # a transposition of a point of x0 n y_s with a point of x0 - y_s fixes
+    # x0 but not y_s, so it need not keep the orbits of row y_s
+    young = orbits_module._young_generators
+
+    def with_swap(n, parts):
+        gens = young(n, parts)
+        if len(parts) == 4 and parts[0] and parts[1]:
+            perm = list(range(n))
+            p, q = parts[0][0], parts[1][0]
+            perm[p], perm[q] = q, p
+            gens.append(tuple(perm))
+        return gens
+
+    monkeypatch.setattr(orbits_module, "_young_generators", with_swap)
+    assert stabilizer_generators(GroundSet(2)) == young(5, [[0, 1], [2, 3, 4]])
+    with pytest.raises(NotClosedError, match=r"row generator \d+ of sphere \d+ does not fix y_s"):
+        orbits_module._certify_stabilizer_orbits(orbits_module._sphere_rows(2))
+
+
+def test_the_stabilizer_orbit_certificate_rejects_an_orbit_met_in_two_sphere_rows(monkeypatch):
+    # the orbit of (x0, y_1) merged with that of (y_1, x0), y_1 the first
+    # vertex of sphere 1: each row keeps its partition, but the merged
+    # orbit is no orbit of a group that fixes x0
+    index = orbits_module._sphere_rows(1)
+    keep, drop = index.rows[0][index.spheres[1][0]], index.rows[1][0]
+    assert (index.row_of[keep], index.row_of[drop]) == (0, 1)
+    rows = merged_sphere_rows(1, keep, drop)
+    monkeypatch.setattr(orbits_module, "_sphere_rows", lambda _m: rows)
+    with pytest.raises(NotClosedError, match=f"orbit {index.labels[keep].text()} is met in two sphere rows"):
+        OrbitCoordinates(GroundSet(1)).structure_constants()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_structure_constants_satisfy_higmans_identity(m):
+    # at m = 5, where the pass over all n^3 vertex triples is too slow, the
+    # one cross-check of the certified table
+    coords = orbits_module._orbit_coordinates(m)
+    assert higman_violation(coords, orbits_module._structure_constants(m).keys) is None
+
+
+def test_higmans_identity_rejects_orbits_that_are_not_coherent(monkeypatch):
+    # the table read off the first pairs of the merged orbits, uncertified
     coords = _merge_incoherent_orbits(monkeypatch)
-    keys = _first_pair_keys(coords)
-    with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
-        coords._certify_by_samples(keys, {})
-    with pytest.raises(NotClosedError, match="fail Higman's identity"):
-        coords._certify_by_higman(keys)
-    # structure_constants takes the seeded pairs above _GROUP_ORBITS_MAX_M
-    monkeypatch.setattr(orbits_module, "_GROUP_ORBITS_MAX_M", 0)
-    with pytest.raises(NotClosedError, match="not constant on orbit I:0,0,0,0"):
-        coords.structure_constants()
+    assert higman_violation(coords, _first_pair_keys(coords)) is not None
 
 
 def test_orbit_labels_cover_both_directions():
