@@ -445,8 +445,7 @@ def _check_orbits_oracle(ctx: CheckContext):
 @_runner("centralizer-dim")
 def _check_centralizer_dim(ctx: CheckContext):
     g = ctx.g
-    cent = ctx.centralizer
-    d = cent.coordinates.ambient_dim
+    d = ctx.centralizer.ambient_dim
     if g.m <= 2:
         pairs = [(a, b) for a in range(d) for b in range(d)]
     else:
@@ -455,7 +454,7 @@ def _check_centralizer_dim(ctx: CheckContext):
     # each product O_a O_b, tested on one row of its row sphere
     closure_ok = all(products_constant_on_orbits(g.m, pairs))
     expected = {"dim": 4 * comb(g.m + 4, 4), "closure_ok": True}
-    actual = {"dim": cent.dimension, "closure_ok": closure_ok, "pairs_checked": len(pairs)}
+    actual = {"dim": d, "closure_ok": closure_ok, "pairs_checked": len(pairs)}
     ok = actual["dim"] == expected["dim"] and closure_ok
     return expected, "paper-formula", actual, _verdict(ok)
 
@@ -508,12 +507,12 @@ def _check_direct_sum(ctx: CheckContext):
     actual = {
         "dims": dims,
         "total": sum(dims),
-        "centralizer_dim": cent.dimension,
+        "centralizer_dim": cent.ambient_dim,
         "pairwise_intersections": inter,
     }
     ok = (
         actual["total"] == expected["total"]
-        and actual["total"] == cent.dimension
+        and actual["total"] == cent.ambient_dim
         and inter == [0, 0, 0]
     )
     return expected, "paper-formula", actual, _verdict(ok)
@@ -696,7 +695,7 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
         rows = {idx: dict(row) for idx, row in enumerate(basis.rows)}
         return SparseExactMatrix(basis.dimension, basis.ambient_dim, rows)
 
-    coords = ctx.centralizer.coordinates
+    coords = ctx.centralizer
     d = coords.ambient_dim
     identity = SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))
     emit(f"m{m}_basis_centralizer.mtx", basis_matrix(coords.lift(identity)))
@@ -709,7 +708,7 @@ def headline_dimensions(m: int, cache_dir: str | None = None) -> dict[str, int]:
     ctx = CheckContext(m, cache_dir)
     return {
         "vertices": vertex_count(ctx.g),
-        "centralizer_dim": ctx.centralizer.dimension,
+        "centralizer_dim": ctx.centralizer.ambient_dim,
         "terwilliger_dim": ctx.terwilliger.dimension,
         "center_dim": ctx.center.dimension,
     }

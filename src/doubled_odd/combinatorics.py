@@ -16,7 +16,6 @@ read off the structure constants of the orbits of the base-vertex stabilizer
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -181,11 +180,10 @@ def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
 
     Each orbit of vertex pairs lies at one distance, read off its label
     (orbits._orbit_distance), and its structure constants count, for its
-    pairs (x, y), the vertices z by the orbits of (x, z) and (z, y); mapping
-    those to d(x, z) * (2m + 2) + d(z, y) gives the counts of the exhaustive
-    pass over all pairs.  Raises DistanceRegularityError with the first
-    offending witness if any count depends on the chosen pair (it never
-    should).
+    pairs (x, y), the vertices z by the orbits of (x, z) and (z, y); summed
+    by d(x, z) and d(z, y), they give the counts of the exhaustive pass over
+    all pairs.  Raises DistanceRegularityError with the first offending
+    witness if any count depends on the chosen pair (it never should).
     """
     # orbits is built on this module, so it is imported here, not at the top
     from .orbits import _orbit_distance, _sphere_rows, _structure_constants
@@ -193,45 +191,51 @@ def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
     index = _sphere_rows(g.m)
     dist = [_orbit_distance(g.m, lab) for lab in index.labels]
     firsts = list(map(index.first_pair, range(len(dist))))
-    table = _orbit_intersection_table(_vertices(g.m), firsts, _structure_constants(g.m).keys, dist)
+    table = _orbit_intersection_table(_vertices(g.m), firsts, _structure_constants(g.m).index, dist)
     return IntersectionNumbers(m=g.m, table=table)
 
 
-def _orbit_intersection_table(verts, firsts, keys, dist: list[int]) -> dict[tuple[int, int, int], int]:
+def _orbit_intersection_table(verts, firsts, index, dist: list[int]) -> dict[tuple[int, int, int], int]:
     """p^h_{ij} of the distance table that puts every pair of orbit c at
-    distance dist[c], from the orbits' structure constants keys
-    (orbits.StructureConstants.keys); firsts[c] is the first pair (x, y) of
-    orbit c, as vertex indices.
+    distance dist[c], from the product index of the orbits' structure
+    constants (orbits.StructureConstants.index); firsts[c] is the first
+    pair (x, y) of orbit c, as vertex indices.
 
-    The table and the witness are those an exhaustive pass over all vertex
-    triples of the n x n distance table would give: orbits are numbered by
-    their first pair, so the first pair of the least orbit whose counts
-    differ from those of the least orbit at the same distance is the first
-    offending pair in row-major order.
+    Every entry (c, p^c_{ab}) of index[a][b] adds p^c_{ab} to the count of
+    orbit c at dist[a] * width + dist[b].  The table and the witness are
+    those an exhaustive pass over all vertex triples of the n x n distance
+    table would give: orbits are numbered by their first pair, so the first
+    pair of the least orbit whose counts differ from those of the least
+    orbit at the same distance is the first offending pair in row-major
+    order.
     """
     width = 1 + max(dist)
-    # the key a * d + b of a middle vertex -> dist[a] * width + dist[b]
-    mapped = [da * width + db for da in dist for db in dist]
-    profiles: dict[int, list[int]] = {}
-    for c, (h, orbit_keys) in enumerate(zip(dist, keys)):
-        profile = sorted(map(mapped.__getitem__, orbit_keys))
-        known = profiles.setdefault(h, profile)
-        if known is not profile and known != profile:
+    counts: list[dict[int, int]] = [{} for _ in dist]
+    for a, products in enumerate(index):
+        row_key = dist[a] * width
+        for b, entries in products.items():
+            key = row_key + dist[b]
+            for c, p in entries:
+                count = counts[c]
+                count[key] = count.get(key, 0) + p
+    profiles: dict[int, dict[int, int]] = {}
+    for c, (h, count) in enumerate(zip(dist, counts)):
+        known = profiles.setdefault(h, count)
+        if known is not count and known != count:
             x, y = firsts[c]
-            raise _witness(verts[x], verts[y], known, profile, width)
+            raise _witness(verts[x], verts[y], known, count, width)
     return _table(profiles, width)
 
 
-def _witness(x: int, y: int, known: list[int], here: list[int], width: int) -> DistanceRegularityError:
+def _witness(x: int, y: int, known: dict[int, int], here: dict[int, int], width: int) -> DistanceRegularityError:
     # the least key i * width + j whose count differs between the two profiles
-    seen, met = Counter(known), Counter(here)
-    key = min(k for k in seen.keys() | met.keys() if seen[k] != met[k])
+    key = min(k for k in known.keys() | here.keys() if known.get(k, 0) != here.get(k, 0))
     return DistanceRegularityError(x, y, *divmod(key, width))
 
 
-def _table(profiles: dict[int, list[int]], width: int) -> dict[tuple[int, int, int], int]:
+def _table(profiles: dict[int, dict[int, int]], width: int) -> dict[tuple[int, int, int], int]:
     return {
         (h, *divmod(key, width)): count
         for h in sorted(profiles)
-        for key, count in sorted(Counter(profiles[h]).items())
+        for key, count in sorted(profiles[h].items())
     }

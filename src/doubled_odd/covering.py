@@ -11,8 +11,10 @@ every column holds a single 1, every row exactly two, and psi psi^T = 2I.
 verify_intertwining checks the two transport identities of the fold:
 adjacency satisfies psi A_1 = A_1(Odd) psi, and the spheres around the base
 vertex satisfy E*_i(Odd) psi = psi (E*_i + E*_{2m+1-i}) for 0 <= i <= m.
-Odd-graph distances come from breadth-first search; nothing here assumes a
-closed distance formula.
+The adjacency matrix is built from neighbours: the m-subsets disjoint from y
+are the m + 1 sets (S - y) - {k}, k in S - y, with no scan over pairs.
+Odd-graph distances come from breadth-first search over its rows; nothing
+here assumes a closed distance formula.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import deque
 from functools import lru_cache
 from math import comb
 
-from .combinatorics import GroundSet, _vertices, adjacency_matrix
+from .combinatorics import GroundSet, _vertex_index, _vertices, adjacency_matrix
 from .linalg import SparseExactMatrix
 from .terwilliger import IdentityCheck, dual_idempotent
 
@@ -33,33 +35,36 @@ def odd_vertices(g: GroundSet) -> list[int]:
 
 
 def odd_adjacency(g: GroundSet) -> SparseExactMatrix:
-    """Disjointness adjacency matrix of the Odd graph."""
+    """Disjointness adjacency matrix of the Odd graph (shared, do not mutate)."""
+    return _odd_adjacency(g.m)
+
+
+@lru_cache(maxsize=8)
+def _odd_adjacency(m: int) -> SparseExactMatrix:
+    # the m-subsets disjoint from y are the m + 1 sets (S - y) - {k}, k in S - y
+    g = GroundSet(m)
     verts = odd_vertices(g)
-    n = len(verts)
+    pos = _vertex_index(m)  # the m-subsets come first in the vertex order
     rows: dict[int, dict[int, object]] = {}
     for a, y in enumerate(verts):
-        for b, z in enumerate(verts):
-            if a != b and not (y & z):
-                rows.setdefault(a, {})[b] = 1
-    return SparseExactMatrix(n, n, rows)
+        rest = g.full_mask & ~y
+        neighbours = (pos[rest & ~(1 << k)] for k in range(g.n_points) if rest >> k & 1)
+        rows[a] = dict.fromkeys(sorted(neighbours), 1)
+    return SparseExactMatrix(len(verts), len(verts), rows)
 
 
 @lru_cache(maxsize=8)
 def _odd_distances_from_base(m: int) -> tuple[int, ...]:
+    # breadth-first search from x0 over the rows of the adjacency matrix
     g = GroundSet(m)
-    verts = odd_vertices(g)
-    pos = {v: i for i, v in enumerate(verts)}
-    neighbors = [
-        [pos[z] for z in verts if z != y and not (y & z)]
-        for y in verts
-    ]
-    dist = [-1] * len(verts)
-    start = pos[g.base_vertex]
+    neighbours = _odd_adjacency(m)._rows
+    dist = [-1] * len(neighbours)
+    start = _vertex_index(m)[g.base_vertex]
     dist[start] = 0
     queue = deque([start])
     while queue:
         a = queue.popleft()
-        for b in neighbors[a]:
+        for b in neighbours[a]:
             if dist[b] < 0:
                 dist[b] = dist[a] + 1
                 queue.append(b)

@@ -35,12 +35,14 @@ compared with them.
 
 OrbitCoordinates identifies a matrix that is constant on every orbit with
 its vector of orbit values in Q^d, d = 4 C(m+4, 4), which makes Q^d the
-centralizer algebra; one instance per m is shared, and lift gives the n x n
-form of an algebra kept in Q^d for export.  The orbits of a group on vertex
-pairs form a coherent configuration (Higman 1975), so one table, the
-structure constants p^c_{ab} with O_a O_b = sum_c p^c_{ab} O_c, fixes every
-product in Q^d.  It is read off the first pair (y, z) of each orbit c, as
-the count of middle vertices w with (y, w) in orbit a and (w, z) in orbit b.
+centralizer algebra; one instance per m is shared, build_centralizer returns
+it, and lift gives the n x n form of an algebra kept in Q^d for export.  The
+orbits of a group on vertex pairs form a coherent configuration (Higman
+1975), so one table, the structure constants p^c_{ab} with
+O_a O_b = sum_c p^c_{ab} O_c, fixes every product in Q^d.  It is read off
+the first pair (y, z) of each orbit c, as the count of middle vertices w
+with (y, w) in orbit a and (w, z) in orbit b, and held once, as the product
+index StructureConstants.index[a][b] = [(c, p^c_{ab}), ...].
 That every pair of orbit c sees the same counts is checked rather than
 assumed, at every m and with no pass over the n^2 pairs
 (_certify_stabilizer_orbits): union-finds over the n vertices show that the
@@ -640,26 +642,14 @@ def _check_group_orbits(index: SphereRows, roots) -> None:
     _check_classes(roots, ids, lambda a: f"orbit {index.labels[a].text()}")
 
 
-class CentralizerBasis(NamedTuple):
-    """Orbit-matrix basis of the centralizer algebra of the stabilizer; the
-    algebra is Q^d in the shared orbit coordinates, coordinates."""
-
-    m: int
-    labels: tuple[OrbitLabel, ...]
-    coordinates: OrbitCoordinates
-
-    @property
-    def dimension(self) -> int:
-        return len(self.labels)
-
-
-def build_centralizer(g: GroundSet) -> CentralizerBasis:
-    """The orbit-matrix basis in the closed-form label order, certified by
-    the sphere rows: every pair lies in exactly one orbit, the labels met are
+def build_centralizer(g: GroundSet) -> OrbitCoordinates:
+    """The centralizer algebra, Q^d in the shared orbit coordinates, with
+    one basis element per orbit matrix in orbit order, certified by the
+    sphere rows: every pair lies in exactly one orbit, the labels met are
     the closed-form labels (else NotClosedError or IndependenceError), and
     nonzero matrices with disjoint supports are independent.  No orbit
     matrix is built."""
-    return CentralizerBasis(g.m, _orbit_labels(g.m), _orbit_coordinates(g.m))
+    return _orbit_coordinates(g.m)
 
 
 class SubalgebraClosureReport(NamedTuple):
@@ -711,19 +701,17 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
 
 
 class StructureConstants(NamedTuple):
-    """The certified structure constants p^c_{ab} of the orbit matrices.
+    """The certified structure constants p^c_{ab} of the orbit matrices,
+    O_a O_b = sum_c p^c_{ab} O_c, held once, by factors.
 
     Orbits are numbered as in OrbitCoordinates and labels[c] is the label of
-    orbit c.  keys[c] is the sorted multiset of a * d + b over the vertices w,
-    for any pair (y, z) of orbit c, with (y, w) in orbit a and (w, z) in
-    orbit b; so p^c_{ab}, the (y, z) entry of O_a O_b, is the multiplicity of
-    a * d + b in keys[c], and O_a O_b = sum_c p^c_{ab} O_c.  The product
-    index reads the same table by factors: index[a][b] lists the (c, p^c_{ab})
-    with p^c_{ab} > 0, c ascending, and has no entry b when O_a O_b = 0.
+    orbit c.  p^c_{ab} is the (y, z) entry of O_a O_b for any pair (y, z) of
+    orbit c: the number of vertices w with (y, w) in orbit a and (w, z) in
+    orbit b.  index[a][b] lists the (c, p^c_{ab}) with p^c_{ab} > 0, c
+    ascending, and has no entry b when O_a O_b = 0.
     """
 
     labels: tuple[OrbitLabel, ...]
-    keys: tuple[array, ...]
     index: tuple[dict[int, list[tuple[int, int]]], ...]
 
     def product(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
@@ -786,8 +774,7 @@ class OrbitCoordinates:
 
     def structure_constants(self) -> StructureConstants:
         """The structure constants of the orbit matrices, certified and read
-        off the first pair of each orbit (d·n work), with their product
-        index.
+        off the first pair of each orbit (d·n work), as their product index.
 
         The orbits are first certified to be the orbits of a permutation
         group on vertex pairs (_certify_stabilizer_orbits, NotClosedError
@@ -797,29 +784,24 @@ class OrbitCoordinates:
         every pair of c has the counts of its first pair.  The orbits along
         a row or column of pairs are read off popcount label keys through
         the index's label map (SphereRows.row, .column): the row of a first
-        pair is its sphere row, and each column met is built once."""
+        pair is its sphere row, and each column met is built once.  One
+        Counter of the keys a * d + b over the middle vertices gives the
+        p^c_{ab} of orbit c, scattered straight into index[a][b]."""
         index = self._index
         _certify_stabilizer_orbits(index)
+        d = self.ambient_dim
+        # a * d for the orbit a of each pair (y, w) along each sphere row
+        scaled = [list(map(d.__mul__, row)) for row in index.rows]
         cols: dict[int, array] = {}  # the columns met, built once each
-        keys = []
-        for c in range(self.ambient_dim):
+        products: tuple[dict[int, list[tuple[int, int]]], ...] = tuple({} for _ in range(d))
+        for c in range(d):
             z = index.members[c][0]
             if z not in cols:
                 cols[z] = array("H", index.column(z))
-            keys.append(self._profile(index.rows[index.row_of[c]], cols[z]))
-        d = self.ambient_dim
-        products: tuple[dict[int, list[tuple[int, int]]], ...] = tuple({} for _ in keys)
-        for c, orbit_keys in enumerate(keys):
-            for key, p in Counter(orbit_keys).items():
+            for key, p in Counter(map(add, scaled[index.row_of[c]], cols[z])).items():
                 a, b = divmod(key, d)
                 products[a].setdefault(b, []).append((c, p))
-        return StructureConstants(self.orbit_labels, tuple(keys), products)
-
-    def _profile(self, row, col) -> array:
-        # the sorted keys a * d + b over the middle vertices w of a pair
-        # (y, z), where row lists the orbits a of the pairs (y, w) and col the
-        # orbits b of the pairs (w, z)
-        return array("I", sorted(map(add, map(self.ambient_dim.__mul__, row), col)))
+        return StructureConstants(self.orbit_labels, products)
 
     def identity(self) -> dict[int, object]:
         return dict(self._identity)

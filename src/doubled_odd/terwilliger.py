@@ -55,7 +55,7 @@ from .linalg import (
     algebra_closure,
     centralizer_within,
 )
-from .orbits import BLOCK_FAMILIES, ActionTable, BlockTag, CentralizerBasis, OrbitLabel, orbit_matrix
+from .orbits import BLOCK_FAMILIES, ActionTable, BlockTag, OrbitCoordinates, OrbitLabel, orbit_matrix
 from .orbits import _orbit_coordinates, _orbit_distance, _sphere_rows, _structure_constants
 
 
@@ -233,7 +233,7 @@ class InclusionResult(NamedTuple):
     failed_row: int | None
 
 
-def verify_inclusion(t: TerwilligerAlgebra, cent: CentralizerBasis) -> InclusionResult:
+def verify_inclusion(t: TerwilligerAlgebra, cent: OrbitCoordinates) -> InclusionResult:
     """T lies in the centralizer algebra: every T-basis row is a vector of
     the centralizer's d orbit coordinates.
 
@@ -244,7 +244,7 @@ def verify_inclusion(t: TerwilligerAlgebra, cent: CentralizerBasis) -> Inclusion
     expressed in those d coordinates; a basis of any other ambient dimension
     fails at row 0.
     """
-    if t.basis.ambient_dim != cent.dimension:
+    if t.basis.ambient_dim != cent.ambient_dim:
         return InclusionResult(ok=False, failed_row=0)
     return InclusionResult(ok=True, failed_row=None)
 
@@ -259,7 +259,7 @@ class EqualityResult(NamedTuple):
         return self.dims_equal and self.orbit_matrices_in_t and self.identical_rref
 
 
-def verify_equality(t: TerwilligerAlgebra, cent: CentralizerBasis) -> EqualityResult:
+def verify_equality(t: TerwilligerAlgebra, cent: OrbitCoordinates) -> EqualityResult:
     """Two-sided comparison of T with the centralizer algebra, in Q^d.
 
     The orbit matrices have disjoint supports and orbits are numbered by
@@ -269,11 +269,11 @@ def verify_equality(t: TerwilligerAlgebra, cent: CentralizerBasis) -> EqualityRe
     T's n x n RREF equals the centralizer's exactly when T's RREF in Q^d is
     the identity RREF.
     """
-    d = cent.dimension
+    d = cent.ambient_dim
     units = [{a: 1} for a in range(d)]
     in_coordinates = t.basis.ambient_dim == d
     return EqualityResult(
-        dims_equal=t.dimension == cent.dimension,
+        dims_equal=t.dimension == d,
         orbit_matrices_in_t=in_coordinates and all(map(t.basis.contains_vector, units)),
         identical_rref=t.basis == SpanBasis.from_reduced_rows(d, units),
     )
@@ -365,14 +365,13 @@ def block_profile(m: int) -> BlockProfile:
     return BlockProfile(m=m, counts=counts, sides=sides)
 
 
-def subalgebra_spans(cent: CentralizerBasis) -> dict[str, SpanBasis]:
+def subalgebra_spans(cent: OrbitCoordinates) -> dict[str, SpanBasis]:
     """Spans in Q^d, where orbit a is the unit vector e_a, of the three block
     families (orbits.BLOCK_FAMILIES)."""
-    labels = cent.coordinates.orbit_labels
     spans = {}
     for name, blocks in BLOCK_FAMILIES.items():
-        spans[name] = SpanBasis(cent.dimension)
-        for a, lab in enumerate(labels):
+        spans[name] = SpanBasis(cent.ambient_dim)
+        for a, lab in enumerate(cent.orbit_labels):
             if lab.block in blocks:
                 spans[name].insert({a: 1})
     return spans

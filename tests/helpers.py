@@ -3,7 +3,8 @@ oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
 the product-built action tables, the product-built sandwiches E*_i A_1 E*_j,
 the sphere rows and the row test of centralizer-dim are compared with (among
 them the pair index, the orbit of every vertex pair in one labelled pass),
-the full generator lists of T, Higman's identity on the structure constants,
+the full generator lists of T, Higman's identity on the structure constants
+and their counts by orbit, the Odd graph's adjacency by a disjointness scan,
 and doctored orbit data for the certificates of the sphere rows."""
 
 from array import array
@@ -110,8 +111,8 @@ def intersection_table(verts, dist: list[list[int]]) -> dict[tuple[int, int, int
     if offending is not None:
         x, y = offending
         here = [i * width + j for i, j in zip(dist[x], dist[y])]
-        raise _witness(verts[x], verts[y], profiles[dist[x][y]], here, width)
-    return _table(profiles, width)
+        raise _witness(verts[x], verts[y], Counter(profiles[dist[x][y]]), Counter(here), width)
+    return _table({h: Counter(profile) for h, profile in profiles.items()}, width)
 
 
 def parse_label(text: str) -> OrbitLabel:
@@ -427,11 +428,23 @@ def n2_product_verdicts(index: PairIndex, pairs) -> list[bool]:
     return [orbit_values(index, vectorize(mats[a] @ mats[b])) is not None for a, b in pairs]
 
 
-def higman_violation(coords: OrbitCoordinates, keys) -> tuple[int, int, int] | None:
-    """Oracle: the first (c, a, b), c ascending, at which a table of keys
-    (StructureConstants.keys) fails Higman's identity
-    |c| p^c_{ab} = |a| p^a_{c b^T}, or None when it holds at every nonzero
-    p^c_{ab}.
+def orbit_counts(index) -> list[dict[int, int]]:
+    """The p^c_{ab} of a product index (StructureConstants.index) by orbit:
+    counts[c] maps a * d + b to p^c_{ab}, for every p^c_{ab} > 0."""
+    d = len(index)
+    counts: list[dict[int, int]] = [{} for _ in range(d)]
+    for a, products in enumerate(index):
+        for b, entries in products.items():
+            for c, p in entries:
+                counts[c][a * d + b] = p
+    return counts
+
+
+def higman_violation(coords: OrbitCoordinates, counts) -> tuple[int, int, int] | None:
+    """Oracle: the first (c, a, b), c ascending, at which a table of counts
+    (counts[c] maps a * d + b to p^c_{ab}, as orbit_counts gives them) fails
+    Higman's identity |c| p^c_{ab} = |a| p^a_{c b^T}, or None when it holds
+    at every nonzero p^c_{ab}.
 
     |c| is the number of pairs of orbit c and b^T the orbit of the
     transposed pairs of b, read off the label key of (z, y) for the first
@@ -443,10 +456,22 @@ def higman_violation(coords: OrbitCoordinates, keys) -> tuple[int, int, int] | N
     index, d, sizes = coords._index, coords.ambient_dim, coords.sizes
     firsts = map(index.first_pair, range(d))
     transpose = [index.orbit_of[_label_keys(coords.m, z, (y,))[0]] for y, z in firsts]
-    counts = [Counter(k) for k in keys]
     for c, table in enumerate(counts):
         for key, p in table.items():
             a, b = divmod(key, d)
-            if sizes[c] * p != sizes[a] * counts[a][c * d + transpose[b]]:
+            if sizes[c] * p != sizes[a] * counts[a].get(c * d + transpose[b], 0):
                 return c, a, b
     return None
+
+
+def odd_adjacency_by_scan(g: GroundSet) -> SparseExactMatrix:
+    """Oracle: the Odd graph's adjacency matrix by a scan of all pairs of
+    m-subsets for disjointness."""
+    verts = _vertices(g.m)[: comb(g.n_points, g.m)]
+    n = len(verts)
+    rows: dict[int, dict[int, object]] = {}
+    for a, y in enumerate(verts):
+        for b, z in enumerate(verts):
+            if a != b and not (y & z):
+                rows.setdefault(a, {})[b] = 1
+    return SparseExactMatrix(n, n, rows)

@@ -114,11 +114,11 @@ def test_criterion_05_orbit_oracle():
 def test_criterion_06_centralizer_dimension():
     dims = []
     for m in (1, 2, 3):
-        dims.append(build_centralizer(GroundSet(m)).dimension)
+        dims.append(build_centralizer(GroundSet(m)).ambient_dim)
     start = time.perf_counter()
     cent4 = _actx(4).centralizer
     elapsed = time.perf_counter() - start
-    dims.append(cent4.dimension)
+    dims.append(cent4.ambient_dim)
     ok = dims == [20, 60, 140, 280] and elapsed < 60.0
     _report(6, "centralizer dimension", ok, f"dims={dims} m=4 elapsed={elapsed:.3f}s")
 

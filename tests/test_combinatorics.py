@@ -270,7 +270,7 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
     # the structure constants and the n^3 pass over the matching n x n table
     # raise the same witness
     index = pair_index(m)
-    keys = orbits_module._structure_constants(m).keys
+    products = orbits_module._structure_constants(m).index
     n, verts = index.n, enumerate_vertices(GroundSet(m))
     firsts = [divmod(pos[0], n) for pos in index.positions]
     true_dist = [distance(verts[y], verts[z]) for y, z in firsts]
@@ -280,8 +280,8 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
         dist = list(true_dist)
         dist[c] = dist[transpose] = (dist[c] + 2) % (2 * m + 2)
         table = [[dist[index.orbit_of[y * n + z]] for z in range(n)] for y in range(n)]
-        witness = _outcome(_orbit_intersection_table, verts, firsts, keys, dist)
+        witness = _outcome(_orbit_intersection_table, verts, firsts, products, dist)
         assert isinstance(witness, tuple)
         assert witness == _outcome(intersection_table, verts, table)
-    table = _outcome(_orbit_intersection_table, verts, firsts, keys, true_dist)
+    table = _outcome(_orbit_intersection_table, verts, firsts, products, true_dist)
     assert table == intersection_numbers(GroundSet(m)).table

@@ -2,7 +2,8 @@
 
 from math import comb
 
-from helpers import vertex_index
+import pytest
+from helpers import odd_adjacency_by_scan, vertex_index
 
 from doubled_odd.combinatorics import (
     GroundSet,
@@ -40,6 +41,15 @@ def test_odd_adjacency_is_disjointness():
             assert verts[r] & verts[c] == 0
         for r in range(len(verts)):
             assert len(adj._rows.get(r, {})) == m + 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_odd_adjacency_from_neighbours_matches_the_disjointness_scan(m):
+    # built once per m from the m + 1 neighbours of each vertex, and shared
+    # with the breadth-first search of the spheres
+    g = GroundSet(m)
+    assert odd_adjacency(g) is odd_adjacency(GroundSet(m))
+    assert odd_adjacency(g) == odd_adjacency_by_scan(g)
 
 
 def test_petersen_spheres():

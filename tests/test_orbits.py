@@ -16,6 +16,7 @@ from helpers import (
     merged_pair_index,
     merged_sphere_rows,
     n2_product_verdicts,
+    orbit_counts,
     orbit_partition,
     orbit_values,
     pair_index,
@@ -43,6 +44,7 @@ from doubled_odd.orbits import (
     IndependenceError,
     OrbitCoordinates,
     OrbitLabel,
+    StructureConstants,
     SubalgebraClosureReport,
     build_centralizer,
     block_of_pair,
@@ -169,8 +171,19 @@ def test_group_orbits_match_level_sets():
 def test_centralizer_dimensions():
     for m, dim in [(1, 20), (2, 60)]:
         cent = build_centralizer(GroundSet(m))
-        assert cent.dimension == dim
+        assert cent.ambient_dim == dim
         assert len(orbit_matrices(GroundSet(m))) == dim
+
+
+def test_the_centralizer_is_the_shared_orbit_coordinates():
+    # the algebra is held once: build_centralizer wraps nothing
+    for m in (1, 2, 3):
+        assert build_centralizer(GroundSet(m)) is orbits_module._orbit_coordinates(m)
+
+
+def test_the_structure_constants_are_held_once_as_the_product_index():
+    # no second copy of p^c_{ab}, such as sorted middle-vertex keys per orbit
+    assert StructureConstants._fields == ("labels", "index")
 
 
 def test_centralizer_contains_invariant_matrices():
@@ -203,11 +216,11 @@ def test_centralizer_in_orbit_coordinates_lifts_to_the_n2_span(m):
     # the orbit matrices, and an elimination finds that span d-dimensional
     g = GroundSet(m)
     cent = build_centralizer(g)
-    d = cent.dimension
+    d = cent.ambient_dim
     cent_span = span(orbit_matrices(g).values())
     assert cent_span.dimension == d == 4 * comb(m + 4, 4)
     identity = SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))
-    assert cent.coordinates.lift(identity) == cent_span
+    assert cent.lift(identity) == cent_span
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -219,7 +232,7 @@ def test_orbit_coordinate_membership_agrees_with_the_n2_span(m):
     cent = build_centralizer(g)
     mats = [orbit_matrices(g)[lab] for lab in orbit_labels(g)]
     cent_span = span(mats)
-    n, d = vertex_count(g), cent.dimension
+    n, d = vertex_count(g), cent.ambient_dim
     rng = random.Random(7100 + m)
     verdicts = []
     for _ in range(30):
@@ -339,12 +352,12 @@ def test_structure_constants_match_the_products_of_orbit_matrices():
         consts = OrbitCoordinates(g).structure_constants()
         mats = [orbit_matrix(g, lab) for lab in consts.labels]
         d = len(mats)
-        counts = [Counter(keys) for keys in consts.keys]
+        counts = orbit_counts(consts.index)
         for a in range(d):
             for b in range(d):
                 expected = SparseExactMatrix.zero(n, n)
                 for c in range(d):
-                    if counts[c][a * d + b]:
+                    if a * d + b in counts[c]:
                         expected = expected + mats[c].scale(counts[c][a * d + b])
                 assert mats[a] @ mats[b] == expected
 
@@ -461,12 +474,14 @@ def test_the_group_orbit_certificate_rejects_a_generator_that_is_no_permutation(
     assert report.actual["partitions_match"] is False
 
 
-def _first_pair_keys(coords: OrbitCoordinates) -> list:
-    # the keys structure_constants reads off the first pairs, uncertified
-    index = coords._index
+def _first_pair_counts(coords: OrbitCoordinates) -> list[Counter]:
+    # the counts structure_constants reads off the first pairs, uncertified:
+    # counts[c] maps a * d + b to the number of middle vertices w of the
+    # first pair (y, z) of orbit c with (y, w) in a and (w, z) in b
+    index, d = coords._index, coords.ambient_dim
     return [
-        coords._profile(index.rows[index.row_of[c]], index.column(index.members[c][0]))
-        for c in range(coords.ambient_dim)
+        Counter(a * d + b for a, b in zip(index.rows[index.row_of[c]], index.column(index.members[c][0])))
+        for c in range(d)
     ]
 
 
@@ -478,8 +493,8 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
     rows, cols = pair_index(m).label_lines()
     profiles, offending = class_profiles(rows, cols, rows, coords.ambient_dim)
     assert offending is None
-    keys = coords.structure_constants().keys
-    assert [list(k) for k in keys] == [profiles[c] for c in range(coords.ambient_dim)]
+    counts = orbit_counts(coords.structure_constants().index)
+    assert counts == [Counter(profiles[c]) for c in range(coords.ambient_dim)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, *(pytest.param(m, marks=pytest.mark.slow) for m in (5, 6))])
@@ -526,13 +541,13 @@ def test_structure_constants_satisfy_higmans_identity(m):
     # at m = 5, where the pass over all n^3 vertex triples is too slow, the
     # one cross-check of the certified table
     coords = orbits_module._orbit_coordinates(m)
-    assert higman_violation(coords, orbits_module._structure_constants(m).keys) is None
+    assert higman_violation(coords, orbit_counts(orbits_module._structure_constants(m).index)) is None
 
 
 def test_higmans_identity_rejects_orbits_that_are_not_coherent(monkeypatch):
     # the table read off the first pairs of the merged orbits, uncertified
     coords = _merge_incoherent_orbits(monkeypatch)
-    assert higman_violation(coords, _first_pair_keys(coords)) is not None
+    assert higman_violation(coords, _first_pair_counts(coords)) is not None
 
 
 def test_orbit_labels_cover_both_directions():

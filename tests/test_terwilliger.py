@@ -176,7 +176,7 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
         ctx = ctx_for(m)
         t, cent = ctx.terwilliger, ctx.centralizer
         cent_span = span(orbit_matrices(ctx.g).values())  # the n^2-ambient oracle
-        t_basis = cent.coordinates.lift(t.basis)
+        t_basis = cent.lift(t.basis)
         assert t_basis == cent_span
         assert verify_inclusion(t, cent).ok == _n2_inclusion(t_basis, cent_span) is True
         assert tuple(verify_equality(t, cent)) == _n2_equality(t_basis, cent, cent_span) == (True,) * 3
@@ -192,7 +192,7 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
 def test_checks_in_orbit_coordinates_reject_a_basis_of_another_ambient(ctx_for):
     ctx = ctx_for(1)
     t, cent = ctx.terwilliger, ctx.centralizer
-    lifted = TerwilligerAlgebra(1, cent.coordinates.lift(t.basis), None)
+    lifted = TerwilligerAlgebra(1, cent.lift(t.basis), None)
     assert verify_inclusion(lifted, cent) == (False, 0)
     res = verify_equality(lifted, cent)
     assert not res.orbit_matrices_in_t and not res.identical_rref
@@ -274,7 +274,7 @@ def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
         gens = closure_generators(ctx.g)
         ambient = algebra_closure(gens, MatrixAction.of(gens))
         assert ambient.iterations == t.closure.iterations == t.dimension * len(gens)
-        coords = ctx.centralizer.coordinates
+        coords = ctx.centralizer
         assert ambient.basis == coords.lift(t.basis)
         center = centralizer_within(ambient.basis, gens, MatrixAction.on(ambient.basis))
         assert center == coords.lift(ctx.center)
@@ -391,7 +391,7 @@ def test_subalgebra_spans_lift_to_the_n2_family_spans(ctx_for):
         mats = orbit_matrices(ctx_for(m).g)
         for name, blocks in families.items():
             oracle = span(mat for lab, mat in mats.items() if lab.block in blocks)
-            assert cent.coordinates.lift(spans[name]) == oracle
+            assert cent.lift(spans[name]) == oracle
 
 
 def test_algebra_closure_idempotent(ctx_for):
