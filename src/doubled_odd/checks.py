@@ -286,8 +286,6 @@ class CheckContext:
     def __init__(self, m: int, cache_dir: str | None = None):
         self.g = GroundSet(m)
         self.cache_dir = cache_dir
-        # T and Z(T) are spans in Q^d, one coordinate per orbit matrix
-        self.ambient_dim = len(orbit_labels(self.g))
         self._memo: dict[str, object] = {}
 
     def _get(self, name: str, build: Callable[[], object]):
@@ -306,7 +304,7 @@ class CheckContext:
         if self.cache_dir is None:
             return None
         key = f"m{self.g.m}_{name}"
-        cached = load_basis(self.cache_dir, key, self.ambient_dim)
+        cached = load_basis(self.cache_dir, key, self.centralizer.ambient_dim)
         if cached is not None:
             try:
                 certify(cached)

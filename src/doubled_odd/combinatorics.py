@@ -186,19 +186,19 @@ def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
     witness if any count depends on the chosen pair (it never should).
     """
     # orbits is built on this module, so it is imported here, not at the top
-    from .orbits import _orbit_distance, _sphere_rows, _structure_constants
+    from .orbits import _orbit_coordinates, _orbit_distance
 
-    index = _sphere_rows(g.m)
-    dist = [_orbit_distance(g.m, lab) for lab in index.labels]
-    firsts = list(map(index.first_pair, range(len(dist))))
-    table = _orbit_intersection_table(_vertices(g.m), firsts, _structure_constants(g.m).index, dist)
+    coords = _orbit_coordinates(g.m)
+    dist = [_orbit_distance(g.m, lab) for lab in coords.orbit_labels]
+    firsts = list(map(coords._index.first_pair, range(len(dist))))
+    table = _orbit_intersection_table(_vertices(g.m), firsts, coords.products, dist)
     return IntersectionNumbers(m=g.m, table=table)
 
 
 def _orbit_intersection_table(verts, firsts, index, dist: list[int]) -> dict[tuple[int, int, int], int]:
     """p^h_{ij} of the distance table that puts every pair of orbit c at
     distance dist[c], from the product index of the orbits' structure
-    constants (orbits.StructureConstants.index); firsts[c] is the first
+    constants (orbits.OrbitCoordinates.products); firsts[c] is the first
     pair (x, y) of orbit c, as vertex indices.
 
     Every entry (c, p^c_{ab}) of index[a][b] adds p^c_{ab} to the count of

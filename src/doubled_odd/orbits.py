@@ -41,16 +41,16 @@ orbits of a group on vertex pairs form a coherent configuration (Higman
 1975), so one table, the structure constants p^c_{ab} with
 O_a O_b = sum_c p^c_{ab} O_c, fixes every product in Q^d.  It is read off
 the first pair (y, z) of each orbit c, as the count of middle vertices w
-with (y, w) in orbit a and (w, z) in orbit b, and held once, as the product
-index StructureConstants.index[a][b] = [(c, p^c_{ab}), ...].
+with (y, w) in orbit a and (w, z) in orbit b, and held once, on first read,
+as the product index OrbitCoordinates.products[a][b] = [(c, p^c_{ab}), ...].
 That every pair of orbit c sees the same counts is checked rather than
 assumed, at every m and with no pass over the n^2 pairs
 (_certify_stabilizer_orbits): union-finds over the n vertices show that the
 orbits are the orbits of a permutation group on vertex pairs, which
 Higman's theorem makes coherent.
-StructureConstants.product, through the table's product index, is the one
-multiplication in Q^d: the action of T's generators on the orbit matrices
-is tabled from it, and check_subalgebra reads the support
+OrbitCoordinates.product, through the product index, is the one
+multiplication in Q^d: T's generators are vectors of Q^d and act on the
+orbit matrices through it, and check_subalgebra reads the support
 {c : p^c_{ab} > 0} of each product off the index, since the orbit matrices
 have disjoint supports and a product lies in the span of a set F of them
 exactly when its support lies in F.  No n x n product is formed.
@@ -61,7 +61,7 @@ from __future__ import annotations
 import enum
 from array import array
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import add
 from typing import NamedTuple
@@ -675,8 +675,8 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
     lies in the least orbit of its support, since orbits are numbered by
     their first pair.
     """
-    consts = _structure_constants(g.m)
-    labels = consts.labels
+    coords = _orbit_coordinates(g.m)
+    labels = coords.orbit_labels
     ids = {lab: c for c, lab in enumerate(labels)}
     try:
         sub_ids = [ids[lab] for lab in sub]
@@ -686,7 +686,7 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
     first_violation = None
     violation_block = None
     for la, a in zip(sub, sub_ids):
-        products = consts.index[a]
+        products = coords.products[a]
         for lb, b in zip(sub, sub_ids):
             support = [c for c, _ in products.get(b, ())]
             if first_violation is None and not inside.issuperset(support):
@@ -700,62 +700,21 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
     )
 
 
-class StructureConstants(NamedTuple):
-    """The certified structure constants p^c_{ab} of the orbit matrices,
-    O_a O_b = sum_c p^c_{ab} O_c, held once, by factors.
-
-    Orbits are numbered as in OrbitCoordinates and labels[c] is the label of
-    orbit c.  p^c_{ab} is the (y, z) entry of O_a O_b for any pair (y, z) of
-    orbit c: the number of vertices w with (y, w) in orbit a and (w, z) in
-    orbit b.  index[a][b] lists the (c, p^c_{ab}) with p^c_{ab} > 0, c
-    ascending, and has no entry b when O_a O_b = 0.
-    """
-
-    labels: tuple[OrbitLabel, ...]
-    index: tuple[dict[int, list[tuple[int, int]]], ...]
-
-    def product(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
-        """The orbit coordinates of X Y, where x and y are those of X and Y."""
-        out: dict[int, object] = {}
-        for a, u in x.items():
-            products = self.index[a]
-            for b, v in y.items():
-                for c, p in products.get(b, ()):
-                    out[c] = out.get(c, 0) + u * v * p
-        return {c: _norm(w) for c, w in out.items() if w}
-
-
-@lru_cache(maxsize=8)
-def _structure_constants(m: int) -> StructureConstants:
-    return _orbit_coordinates(m).structure_constants()
-
-
-class ActionTable(NamedTuple):
-    """The action of one element g of Q^d on the orbit matrices, a memo of
-    its certified products.
-
-    left[a] and right[a] map orbit b to the coefficient of O_b in g O_a and in
-    O_a g respectively.
-    """
-
-    left: tuple[dict[int, int], ...]
-    right: tuple[dict[int, int], ...]
-
-
 class OrbitCoordinates:
-    """Orbit coordinates Q^d on the sphere rows.
+    """Orbit coordinates Q^d on the sphere rows, with the one multiplication
+    in Q^d.
 
     Orbits are numbered by the row-major position of their first vertex pair,
     so an RREF basis in Q^d lifts entry for entry to the RREF basis of the
     same span of n x n matrices; in particular the identity RREF of Q^d
     lifts to the RREF of the span of all orbit matrices.  Nothing assumes
     that the orbit matrices form a coherent configuration: the identity is
-    checked to be a sum of orbit matrices, and structure_constants() reads
-    the products of orbit matrices off one pair per orbit and certifies
-    them (NotClosedError otherwise).  An instance is the action
-    algebra_closure and centralizer_within need, with ActionTables, memos
-    of certified products, as its generators.  orbit_labels[a] is the label
-    of orbit a and sizes[a] its number of pairs.
+    checked to be a sum of orbit matrices, and products reads the products
+    of orbit matrices off one pair per orbit and certifies them
+    (NotClosedError otherwise).  An instance is the action algebra_closure
+    and centralizer_within need, with elements of Q^d as its generators:
+    left(x, v) and right(x, v) are the products x v and v x.  orbit_labels[a]
+    is the label of orbit a and sizes[a] its number of pairs.
     """
 
     def __init__(self, g: GroundSet):
@@ -772,21 +731,26 @@ class OrbitCoordinates:
         self._index = index
         self._identity = {a: 1 for a in sorted(diagonal)}
 
-    def structure_constants(self) -> StructureConstants:
-        """The structure constants of the orbit matrices, certified and read
-        off the first pair of each orbit (d·n work), as their product index.
+    @cached_property
+    def products(self) -> tuple[dict[int, list[tuple[int, int]]], ...]:
+        """The certified structure constants p^c_{ab} of the orbit matrices,
+        O_a O_b = sum_c p^c_{ab} O_c, as their product index: products[a][b]
+        lists the (c, p^c_{ab}) with p^c_{ab} > 0, c ascending, and has no
+        entry b when O_a O_b = 0.  Built on first read (d·n work).
 
-        The orbits are first certified to be the orbits of a permutation
-        group on vertex pairs (_certify_stabilizer_orbits, NotClosedError
-        otherwise), and such orbits form a coherent configuration (Higman
-        1975): a group element moves the first pair of orbit c onto any
-        other, and its middle vertices with it, keeping every orbit, so
-        every pair of c has the counts of its first pair.  The orbits along
-        a row or column of pairs are read off popcount label keys through
-        the index's label map (SphereRows.row, .column): the row of a first
-        pair is its sphere row, and each column met is built once.  One
-        Counter of the keys a * d + b over the middle vertices gives the
-        p^c_{ab} of orbit c, scattered straight into index[a][b]."""
+        p^c_{ab} is the (y, z) entry of O_a O_b for any pair (y, z) of orbit
+        c: the number of vertices w with (y, w) in orbit a and (w, z) in
+        orbit b.  The orbits are first certified to be the orbits of a
+        permutation group on vertex pairs (_certify_stabilizer_orbits,
+        NotClosedError otherwise), and such orbits form a coherent
+        configuration (Higman 1975): a group element moves the first pair of
+        orbit c onto any other, and its middle vertices with it, keeping
+        every orbit, so every pair of c has the counts of its first pair.
+        The orbits along a row or column of pairs are read off popcount label
+        keys through the index's label map (SphereRows.row, .column): the row
+        of a first pair is its sphere row, and each column met is built once.
+        One Counter of the keys a * d + b over the middle vertices gives the
+        p^c_{ab} of orbit c, scattered straight into products[a][b]."""
         index = self._index
         _certify_stabilizer_orbits(index)
         d = self.ambient_dim
@@ -801,16 +765,27 @@ class OrbitCoordinates:
             for key, p in Counter(map(add, scaled[index.row_of[c]], cols[z])).items():
                 a, b = divmod(key, d)
                 products[a].setdefault(b, []).append((c, p))
-        return StructureConstants(self.orbit_labels, products)
+        return products
+
+    def product(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
+        """The orbit coordinates of X Y, where x and y are those of X and Y."""
+        products = self.products
+        out: dict[int, object] = {}
+        for a, u in x.items():
+            by_b = products[a]
+            for b, v in y.items():
+                for c, p in by_b.get(b, ()):
+                    out[c] = out.get(c, 0) + u * v * p
+        return {c: _norm(w) for c, w in out.items() if w}
 
     def identity(self) -> dict[int, object]:
         return dict(self._identity)
 
-    def left(self, table: ActionTable, vec: dict[int, object]) -> dict[int, object]:
-        return _apply(table.left, vec)
+    def left(self, x: dict[int, object], vec: dict[int, object]) -> dict[int, object]:
+        return self.product(x, vec)
 
-    def right(self, table: ActionTable, vec: dict[int, object]) -> dict[int, object]:
-        return _apply(table.right, vec)
+    def right(self, x: dict[int, object], vec: dict[int, object]) -> dict[int, object]:
+        return self.product(vec, x)
 
     def lift(self, basis: SpanBasis) -> SpanBasis:
         """The n^2-ambient RREF basis of the matrices a Q^d basis stands for,
@@ -836,11 +811,3 @@ class OrbitCoordinates:
 @lru_cache(maxsize=8)
 def _orbit_coordinates(m: int) -> OrbitCoordinates:
     return OrbitCoordinates(GroundSet(m))
-
-
-def _apply(table: tuple[dict[int, int], ...], vec: dict[int, object]) -> dict[int, object]:
-    out: dict[int, object] = {}
-    for a, x in vec.items():
-        for b, c in table[a].items():
-            out[b] = out.get(b, 0) + c * x
-    return {b: _norm(v) for b, v in out.items() if v}

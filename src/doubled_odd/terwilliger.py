@@ -12,16 +12,14 @@ n x n matrices.
 
 Every generator is an element of Q^d read off the orbit labels: E*_i is the
 unit vector of one diagonal orbit, and A_i the indicator of the orbits at
-distance i (orbits._orbit_distance).  The closure and the centre solve apply
-action tables of the generators to the orbit matrices, and every table entry
-is one product in Q^d through the certified structure constants
-(orbits.StructureConstants.product).  So the action of A_1 is exactly as
-certified as the structure constants: at every m by labels = stabilizer
-orbits, shown by union-finds over the n vertices, + Higman's theorem.  T
-needs no n x n matrix and no pass over all n^2 vertex pairs.  A T or Z(T)
-read back from a cache is re-certified
-against the same action tables (certify_terwilliger_span,
-certify_center_span).  Everything T
+distance i (orbits._orbit_distance).  The closure and the centre solve act
+with the generators on the orbit matrices by products in Q^d through the
+certified structure constants (orbits.OrbitCoordinates.product).  So the
+action of A_1 is exactly as certified as the structure constants: at every
+m by labels = stabilizer orbits, shown by union-finds over the n vertices,
++ Higman's theorem.  T needs no n x n matrix and no pass over all n^2
+vertex pairs.  A T or Z(T) read back from a cache is re-certified by the
+same products (certify_terwilliger_span, certify_center_span).  Everything T
 is generated by lies inside the centralizer algebra of the stabilizer of
 x0: each E*_i is a single diagonal orbit matrix and each sandwich
 E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with explicit
@@ -43,7 +41,6 @@ but their outcomes are reported as findings, not assertions.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .combinatorics import GroundSet, _vertices, adjacency_matrix, distance
@@ -55,8 +52,8 @@ from .linalg import (
     algebra_closure,
     centralizer_within,
 )
-from .orbits import BLOCK_FAMILIES, ActionTable, BlockTag, OrbitCoordinates, OrbitLabel, orbit_matrix
-from .orbits import _orbit_coordinates, _orbit_distance, _sphere_rows, _structure_constants
+from .orbits import BLOCK_FAMILIES, BlockTag, OrbitCoordinates, OrbitLabel, orbit_matrix
+from .orbits import _orbit_coordinates, _orbit_distance, _sphere_rows
 
 
 class IdentityCheck(NamedTuple):
@@ -104,23 +101,13 @@ def _distance_vector(m: int, i: int) -> dict[int, object]:
     return {a: 1 for a, lab in enumerate(labels) if _orbit_distance(m, lab) == i}
 
 
-@lru_cache(maxsize=8)
-def _closure_tables(m: int) -> tuple[ActionTable, ...]:
-    """The action tables of the generators T is closed under, E*_0..E*_{2m+1}
-    and then A_1, each entry a product of certified structure constants:
-    left[a] = x e_a and right[a] = e_a x in Q^d for the generator x."""
-    consts = _structure_constants(m)
-    ids = {lab: a for a, lab in enumerate(consts.labels)}
-    gens = [{ids[_diagonal_label(m, i)]: 1} for i in range(2 * m + 2)]
+def _generators(m: int) -> list[dict[int, object]]:
+    """The generators T is closed under, as vectors of Q^d: E*_0..E*_{2m+1},
+    each the unit vector of its diagonal orbit, and then A_1."""
+    labels = _orbit_coordinates(m).orbit_labels
+    gens: list[dict[int, object]] = [{labels.index(_diagonal_label(m, i)): 1} for i in range(2 * m + 2)]
     gens.append(_distance_vector(m, 1))
-    units = [{a: 1} for a in range(len(ids))]
-    return tuple(
-        ActionTable(
-            left=tuple(consts.product(x, e) for e in units),
-            right=tuple(consts.product(e, x) for e in units),
-        )
-        for x in gens
-    )
+    return gens
 
 
 def build_terwilliger(g: GroundSet) -> TerwilligerAlgebra:
@@ -134,7 +121,7 @@ def build_terwilliger(g: GroundSet) -> TerwilligerAlgebra:
     NotClosedError, since the closure would then not be all of T.  The basis
     is returned in Q^d, as the closure left it.
     """
-    closure = algebra_closure(_closure_tables(g.m), _orbit_coordinates(g.m))
+    closure = algebra_closure(_generators(g.m), _orbit_coordinates(g.m))
     for i in range(g.diameter + 1):
         if i != 1 and not closure.basis.contains_vector(_distance_vector(g.m, i)):
             raise NotClosedError(
@@ -237,10 +224,10 @@ def verify_inclusion(t: TerwilligerAlgebra, cent: OrbitCoordinates) -> Inclusion
     """T lies in the centralizer algebra: every T-basis row is a vector of
     the centralizer's d orbit coordinates.
 
-    What certifies T inside the span of the orbit matrices is the action
-    tables: T is closed from the identity, a sum of orbit matrices, under
-    actions on the orbit matrices whose every entry is a product of the
-    certified structure constants.  This check confirms that T's rows are
+    What certifies T inside the span of the orbit matrices is the closure:
+    T is closed from the identity, a sum of orbit matrices, under products
+    in Q^d by the certified structure constants, which stay in the span of
+    the orbit matrices.  This check confirms that T's rows are
     expressed in those d coordinates; a basis of any other ambient dimension
     fails at row 0.
     """
@@ -282,11 +269,11 @@ def verify_equality(t: TerwilligerAlgebra, cent: OrbitCoordinates) -> EqualityRe
 def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     """Basis of the center Z(T) in Q^d: the elements of T commuting with the
     generators T is closed under, solved in orbit coordinates."""
-    return centralizer_within(t.basis, _closure_tables(t.m), action=_orbit_coordinates(t.m))
+    return centralizer_within(t.basis, _generators(t.m), action=_orbit_coordinates(t.m))
 
 
 def _generator_name(m: int, k: int) -> str:
-    # the name of _closure_tables(m)[k]
+    # the name of _generators(m)[k]
     return f"E*_{k}" if k < 2 * m + 2 else "A_1"
 
 
@@ -298,9 +285,9 @@ def certify_terwilliger_span(m: int, basis: SpanBasis) -> None:
     coords = _orbit_coordinates(m)
     if not basis.contains_vector(coords.identity()):
         raise NotClosedError("the span does not contain the identity")
-    for k, table in enumerate(_closure_tables(m)):
+    for k, x in enumerate(_generators(m)):
         for row in basis.rows:
-            if not basis.contains_vector(coords.left(table, row)):
+            if not basis.contains_vector(coords.left(x, row)):
                 raise NotClosedError(f"the span is not closed under the action of {_generator_name(m, k)}")
 
 
@@ -308,12 +295,12 @@ def certify_center_span(t: TerwilligerAlgebra, basis: SpanBasis) -> None:
     """Check that a span of Q^d read back for Z(T) lies in Z(T): every row
     lies in T and commutes with every generator T is closed under
     (NotClosedError otherwise).  A proper subspace of Z(T) passes."""
-    coords = _orbit_coordinates(t.m)
+    coords, gens = _orbit_coordinates(t.m), _generators(t.m)
     for row in basis.rows:
         if not t.basis.contains_vector(row):
             raise NotClosedError("the span does not lie in T")
-        for k, table in enumerate(_closure_tables(t.m)):
-            if coords.left(table, row) != coords.right(table, row):
+        for k, x in enumerate(gens):
+            if coords.left(x, row) != coords.right(x, row):
                 raise NotClosedError(f"the span does not commute with {_generator_name(t.m, k)}")
 
 

@@ -1,18 +1,15 @@
 import pytest
 
 from doubled_odd import orbits as orbits_module
-from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import CheckContext
 
 _contexts: dict[int, CheckContext] = {}
 
-# the per-m memos of the orbit index, the shared orbit coordinates and what
-# is built on them
+# the per-m memos of the orbit index and of the shared orbit coordinates,
+# which hold the product index
 _PER_M_MEMOS = (
     orbits_module._sphere_rows,
     orbits_module._orbit_coordinates,
-    orbits_module._structure_constants,
-    terwilliger_module._closure_tables,
 )
 
 

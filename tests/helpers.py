@@ -1,11 +1,12 @@
 """Helpers shared by the tests: the n^2-ambient matrix action and spans, the
 oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
-the product-built action tables, the product-built sandwiches E*_i A_1 E*_j,
-the sphere rows and the row test of centralizer-dim are compared with (among
-them the pair index, the orbit of every vertex pair in one labelled pass),
-the full generator lists of T, Higman's identity on the structure constants
-and their counts by orbit, the Odd graph's adjacency by a disjointness scan,
-and doctored orbit data for the certificates of the sphere rows."""
+the products of T's generators in Q^d, the product-built sandwiches
+E*_i A_1 E*_j, the sphere rows and the row test of centralizer-dim are
+compared with (among them the pair index, the orbit of every vertex pair in
+one labelled pass), the full generator lists of T, Higman's identity on the
+structure constants and their counts by orbit, the Odd graph's adjacency by
+a disjointness scan, and doctored orbit data for the certificates of the
+sphere rows."""
 
 from array import array
 from collections import Counter
@@ -33,7 +34,6 @@ from doubled_odd.linalg import (
     SpanBasis,
 )
 from doubled_odd.orbits import (
-    ActionTable,
     BlockTag,
     OrbitCoordinates,
     OrbitLabel,
@@ -307,6 +307,14 @@ def pair_index(m: int) -> PairIndex:
     return PairIndex(n, labels, orbit_of, positions)
 
 
+class ActionTable(NamedTuple):
+    """The action of one generator g on the orbit matrices: left[a] and
+    right[a] map orbit b to the coefficient of O_b in g O_a and in O_a g."""
+
+    left: tuple[dict[int, int], ...]
+    right: tuple[dict[int, int], ...]
+
+
 def action_tables(coords: OrbitCoordinates, generators: list[SparseExactMatrix]) -> list[ActionTable]:
     """Oracle: the action of each 0/1 generator on the orbit matrices, every
     entry read off all vertex pairs of its orbit in the pair index
@@ -429,7 +437,7 @@ def n2_product_verdicts(index: PairIndex, pairs) -> list[bool]:
 
 
 def orbit_counts(index) -> list[dict[int, int]]:
-    """The p^c_{ab} of a product index (StructureConstants.index) by orbit:
+    """The p^c_{ab} of a product index (OrbitCoordinates.products) by orbit:
     counts[c] maps a * d + b to p^c_{ab}, for every p^c_{ab} > 0."""
     d = len(index)
     counts: list[dict[int, int]] = [{} for _ in range(d)]

@@ -28,7 +28,7 @@ from doubled_odd.checks import (
     run,
 )
 from doubled_odd.cli import main
-from doubled_odd.linalg import SpanBasis, read_coord_text, write_coord_text
+from doubled_odd.linalg import NotClosedError, SpanBasis, read_coord_text, write_coord_text
 from doubled_odd.orbits import (
     BlockTag,
     OrbitCoordinates,
@@ -645,6 +645,16 @@ def test_the_verify_path_builds_no_distance_matrix_and_no_n2_action_table(monkey
     assert not hasattr(OrbitCoordinates, "action_tables")
 
 
+def test_the_product_index_is_built_on_first_read(fresh_memos):
+    # the benchmark's m = 4 orbit checks multiply nothing in Q^d, and
+    # distance-regular reads its table off the product index
+    reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
+    run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
+    assert "products" not in vars(orbits_module._orbit_coordinates(4))
+    run(RunConfig(m=4, checks=("distance-regular",)))
+    assert "products" in vars(orbits_module._orbit_coordinates(4))
+
+
 def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
     # the all-orbit matrices are built for the export and the tests; T,
     # Z(T), their comparisons and centralizer-dim's products, tested on the
@@ -704,7 +714,7 @@ def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fr
     assert views == [1]
 
 
-def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):
+def _use_merged_m1_rows(monkeypatch) -> None:
     # merge ({2}, {3}) and ({3}, {2}) with ({2}, {1}) and ({3}, {1}) in the
     # sphere rows at m = 1: the square of the merged orbit matrix is not
     # constant on it
@@ -713,10 +723,29 @@ def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fres
     drop = rows.labels.index(OrbitLabel(BlockTag.I, (0, 1, 0, 0)))
     doctored = merged_sphere_rows(1, keep, drop)
     monkeypatch.setattr(orbits_module, "_sphere_rows", lambda _m: doctored)
+    orbits_module._orbit_coordinates.cache_clear()
+
+
+def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):
+    _use_merged_m1_rows(monkeypatch)
     (report,) = run(RunConfig(m=1, checks=("centralizer-dim",)))
     # dim is that of the algebra built on the doctored rows: its 19 orbits
     assert report.actual == {"dim": 19, "closure_ok": False, "pairs_checked": 19 ** 2}
     assert report.status == "fail"
+
+
+def test_a_cached_t_is_read_in_the_orbit_coordinates_of_the_run(tmp_path, monkeypatch, fresh_memos):
+    # a T stored by a healthy m = 1 run has the 20 coordinates of the true
+    # orbits; on the merged rows the centralizer has 19, so the file is
+    # refused for its ambient dimension before any re-certification, and
+    # the rebuild meets the orbit certificate
+    assert CheckContext(1, cache_dir=str(tmp_path)).terwilliger.dimension == 20
+    _use_merged_m1_rows(monkeypatch)
+    ctx = CheckContext(1, cache_dir=str(tmp_path))
+    with pytest.warns(UserWarning, match="ambient dimension 20 is not 19") as record:
+        with pytest.raises(NotClosedError, match="is not a single orbit"):
+            ctx.terwilliger
+    assert len(record) == 1
 
 
 @pytest.mark.parametrize("m", [1, 2])

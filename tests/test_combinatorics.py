@@ -270,7 +270,7 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
     # the structure constants and the n^3 pass over the matching n x n table
     # raise the same witness
     index = pair_index(m)
-    products = orbits_module._structure_constants(m).index
+    products = orbits_module._orbit_coordinates(m).products
     n, verts = index.n, enumerate_vertices(GroundSet(m))
     firsts = [divmod(pos[0], n) for pos in index.positions]
     true_dist = [distance(verts[y], verts[z]) for y, z in firsts]

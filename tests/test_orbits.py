@@ -27,6 +27,7 @@ from helpers import (
 )
 
 from doubled_odd import orbits as orbits_module
+from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import RunConfig, run
 from doubled_odd.combinatorics import (
     GroundSet,
@@ -44,7 +45,6 @@ from doubled_odd.orbits import (
     IndependenceError,
     OrbitCoordinates,
     OrbitLabel,
-    StructureConstants,
     SubalgebraClosureReport,
     build_centralizer,
     block_of_pair,
@@ -181,9 +181,17 @@ def test_the_centralizer_is_the_shared_orbit_coordinates():
         assert build_centralizer(GroundSet(m)) is orbits_module._orbit_coordinates(m)
 
 
-def test_the_structure_constants_are_held_once_as_the_product_index():
-    # no second copy of p^c_{ab}, such as sorted middle-vertex keys per orbit
-    assert StructureConstants._fields == ("labels", "index")
+def test_one_object_multiplies_in_orbit_coordinates():
+    # the orbit coordinates hold the product index; no table of structure
+    # constants or action tables of T's generators sits beside them
+    for name in ("StructureConstants", "ActionTable", "_structure_constants", "_apply"):
+        assert not hasattr(orbits_module, name)
+    assert not hasattr(terwilliger_module, "_closure_tables")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_product_index_is_built_once_per_m(m):
+    assert orbits_module._orbit_coordinates(m).products is orbits_module._orbit_coordinates(m).products
 
 
 def test_centralizer_contains_invariant_matrices():
@@ -349,10 +357,10 @@ def test_structure_constants_match_the_products_of_orbit_matrices():
     for m in (1, 2):
         g = GroundSet(m)
         n = vertex_count(g)
-        consts = OrbitCoordinates(g).structure_constants()
-        mats = [orbit_matrix(g, lab) for lab in consts.labels]
+        coords = OrbitCoordinates(g)
+        mats = [orbit_matrix(g, lab) for lab in coords.orbit_labels]
         d = len(mats)
-        counts = orbit_counts(consts.index)
+        counts = orbit_counts(coords.products)
         for a in range(d):
             for b in range(d):
                 expected = SparseExactMatrix.zero(n, n)
@@ -367,7 +375,6 @@ def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
     # on seeded rational combinations x, y of orbit matrices, the lift of
     # product(x, y) is the n x n product of the lifts of x and y
     coords = OrbitCoordinates(GroundSet(m))
-    consts = coords.structure_constants()
     d = coords.ambient_dim
     # orbits are numbered by first pair, so the identity RREF of Q^d lifts to
     # the orbit matrices in orbit order
@@ -382,7 +389,7 @@ def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
     coefficients = (1, -2, 3, Fraction(1, 2))
     for _ in range(20):
         x, y = ({a: rng.choice(coefficients) for a in rng.sample(range(d), 4)} for _ in range(2))
-        product = consts.product(x, y)
+        product = coords.product(x, y)
         assert lift(product) == action.product(lift(x), lift(y))
         nonzero += bool(product)
     assert nonzero > 10
@@ -414,7 +421,7 @@ def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
     # the merged orbit is two orbits of the stabilizer generators
     coords = _merge_incoherent_orbits(monkeypatch)
     with pytest.raises(NotClosedError, match="orbit I:0,0,0,0 is not a single orbit"):
-        coords.structure_constants()
+        coords.products
 
 
 def _first_orbit_not_a_class(index, roots) -> OrbitLabel | None:
@@ -457,7 +464,7 @@ def test_the_group_orbit_certificate_rejects_a_missing_generator(monkeypatch, fr
     s = _first_sphere_not_an_orbit(2, orbits_module.stabilizer_generators(g))
     assert s is not None
     with pytest.raises(NotClosedError, match=rf"sphere {s} \(.*\) is not a single orbit"):
-        OrbitCoordinates(g).structure_constants()
+        OrbitCoordinates(g).products
     (report,) = run(RunConfig(m=2, checks=("orbits-oracle",)))
     assert report.actual["partitions_match"] is False
     assert report.status == "fail"
@@ -469,13 +476,13 @@ def test_the_group_orbit_certificate_rejects_a_generator_that_is_no_permutation(
     generators = orbits_module.stabilizer_generators
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: [(0, 0, 2)] + generators(g))
     with pytest.raises(NotClosedError, match="stabilizer generator 0 does not permute the vertices"):
-        OrbitCoordinates(GroundSet(1)).structure_constants()
+        OrbitCoordinates(GroundSet(1)).products
     (report,) = run(RunConfig(m=1, checks=("orbits-oracle",)))
     assert report.actual["partitions_match"] is False
 
 
 def _first_pair_counts(coords: OrbitCoordinates) -> list[Counter]:
-    # the counts structure_constants reads off the first pairs, uncertified:
+    # the counts products reads off the first pairs, uncertified:
     # counts[c] maps a * d + b to the number of middle vertices w of the
     # first pair (y, z) of orbit c with (y, w) in a and (w, z) in b
     index, d = coords._index, coords.ambient_dim
@@ -493,7 +500,7 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
     rows, cols = pair_index(m).label_lines()
     profiles, offending = class_profiles(rows, cols, rows, coords.ambient_dim)
     assert offending is None
-    counts = orbit_counts(coords.structure_constants().index)
+    counts = orbit_counts(coords.products)
     assert counts == [Counter(profiles[c]) for c in range(coords.ambient_dim)]
 
 
@@ -533,7 +540,7 @@ def test_the_stabilizer_orbit_certificate_rejects_an_orbit_met_in_two_sphere_row
     rows = merged_sphere_rows(1, keep, drop)
     monkeypatch.setattr(orbits_module, "_sphere_rows", lambda _m: rows)
     with pytest.raises(NotClosedError, match=f"orbit {index.labels[keep].text()} is met in two sphere rows"):
-        OrbitCoordinates(GroundSet(1)).structure_constants()
+        OrbitCoordinates(GroundSet(1)).products
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
@@ -541,7 +548,7 @@ def test_structure_constants_satisfy_higmans_identity(m):
     # at m = 5, where the pass over all n^3 vertex triples is too slow, the
     # one cross-check of the certified table
     coords = orbits_module._orbit_coordinates(m)
-    assert higman_violation(coords, orbit_counts(orbits_module._structure_constants(m).index)) is None
+    assert higman_violation(coords, orbit_counts(coords.products)) is None
 
 
 def test_higmans_identity_rejects_orbits_that_are_not_coherent(monkeypatch):

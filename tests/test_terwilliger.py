@@ -202,7 +202,7 @@ def test_terwilliger_and_center_live_in_orbit_coordinates(ctx_for):
     for m in (1, 2, 3):
         ctx = ctx_for(m)
         d = 4 * comb(m + 4, 4)
-        assert ctx.ambient_dim == ctx.terwilliger.basis.ambient_dim == ctx.center.ambient_dim == d
+        assert ctx.centralizer.ambient_dim == ctx.terwilliger.basis.ambient_dim == ctx.center.ambient_dim == d
 
 
 def test_center_dimension(ctx_for):
@@ -281,7 +281,7 @@ def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
 
 
 def test_center_of_a_cached_terwilliger_basis():
-    # a basis loaded without its closure gets its action tables rebuilt
+    # a basis loaded without its closure acts by the same generators
     g = GroundSet(2)
     t = build_terwilliger(g)
     loaded = TerwilligerAlgebra(m=2, basis=t.basis, closure=None)
@@ -305,12 +305,19 @@ def test_action_tables_reject_a_generator_not_constant_on_orbits():
 
 @pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_product_built_closure_tables_match_the_action_tables_oracle(m):
-    # every entry of a closure table is one product of certified structure
-    # constants; the oracle reads it off every vertex pair of its orbit
+    # each generator acts on each orbit matrix by one product of certified
+    # structure constants; the oracle reads the action off every vertex pair
+    # of its orbit
     g = GroundSet(m)
-    # closure_generators lists E*_0..E*_{2m+1}, then A_1, as _closure_tables does
-    oracle = tuple(action_tables(OrbitCoordinates(g), closure_generators(g)))
-    assert terwilliger_module._closure_tables(m) == oracle
+    coords = OrbitCoordinates(g)
+    # closure_generators lists E*_0..E*_{2m+1}, then A_1, as _generators does
+    oracle = action_tables(coords, closure_generators(g))
+    generators = terwilliger_module._generators(m)
+    assert len(generators) == len(oracle)
+    for x, table in zip(generators, oracle):
+        for a in range(coords.ambient_dim):
+            assert coords.left(x, {a: 1}) == table.left[a]
+            assert coords.right(x, {a: 1}) == table.right[a]
 
 
 def test_orbit_coordinates_require_a_partition_of_the_pairs(monkeypatch):
@@ -430,10 +437,10 @@ def test_generator_closure_matches_pairwise_product_oracle():
 
 
 def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeypatch, fresh_memos):
-    # without A_1's table the closure is the span of the E*_i: it holds A_0,
-    # the sum of the E*_i, but not A_2
-    tables = terwilliger_module._closure_tables(1)
-    monkeypatch.setattr(terwilliger_module, "_closure_tables", lambda _m: tables[:-1])
+    # without A_1 the closure is the span of the E*_i: it holds A_0, the sum
+    # of the E*_i, but not A_2
+    generators = terwilliger_module._generators
+    monkeypatch.setattr(terwilliger_module, "_generators", lambda m: generators(m)[:-1])
     with pytest.raises(NotClosedError, match="A_2 is not in the algebra"):
         build_terwilliger(GroundSet(1))
 
