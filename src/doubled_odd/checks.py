@@ -16,7 +16,8 @@ JSON up to the elapsed_ms fields.
 The centralizer algebra, T and Z(T) are kept in orbit coordinates Q^d,
 d = 4 C(m+4, 4), one coordinate per orbit matrix: the checks compare them
 there, the cache stores their RREF rows there (format 2), and
-export_matrices alone lifts them to vectorized n x n matrices.
+export_matrices alone writes them out as vectorized n x n matrices, from the
+orbit of every vertex pair, read once through the sphere rows.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import time
 import warnings
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import comb
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -36,36 +38,35 @@ from . import __version__
 from .combinatorics import (
     DistanceRegularityError,
     GroundSet,
-    distance_matrices,
     elements_of,
     enumerate_vertices,
     intersection_numbers,
     vertex_count,
 )
 from .covering import build_psi, verify_intertwining
-from .linalg import NotClosedError, SpanBasis, SparseExactMatrix, write_coord_text
+from .linalg import NotClosedError, SpanBasis, write_coord_entries, write_coord_text
 from .orbits import (
     BLOCK_FAMILIES,
     BlockTag,
     IndependenceError,
     _check_group_orbits,
+    _orbit_distance,
     _sphere_rows,
     build_centralizer,
     check_subalgebra,
     index_set,
     orbit_labels,
-    orbit_matrices,
     orbits_by_group_action,
     products_constant_on_orbits,
     tuple_bijection,
 )
 from .terwilliger import (
+    _diagonal_label,
     block_profile,
     build_terwilliger,
     center_basis as _center_basis,
     certify_center_span,
     certify_terwilliger_span,
-    dual_idempotents,
     subalgebra_spans,
     TerwilligerAlgebra,
     upsilon,
@@ -126,8 +127,9 @@ class RunConfig:
     SUPPORTED_M, [1, 5]; m = 6 (n = 3,432, 11.8 M vertex pairs) is not yet
     verified end to end.  What still grows with the n^2 vertex pairs is
     the union-find of the stabilizer generators of orbits-oracle (capped at
-    m <= 4) and the export's n x n matrices; every other orbit lookup reads
-    single rows and columns of pairs off the 2m+2 sphere rows.
+    m <= 4) and the export, which reads the orbit of every pair once, row by
+    row, for its n x n files; every other orbit lookup reads single rows
+    and columns of pairs off the 2m+2 sphere rows.
 
     Immutable, with value equality and hashing over its four fields.
     """
@@ -660,9 +662,15 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
 
     Emits the distance matrices, the dual idempotents, all orbit matrices,
     the covering matrix psi, and the reduced bases of the centralizer and
-    Terwilliger algebras (one file each, basis rows as matrix rows).  Both
-    are lifted here from Q^d to vectorized n x n matrices, the centralizer's
-    from the identity RREF; this is the only place their n x n form is made.
+    Terwilliger algebras (one file each, basis rows as vectorized n x n
+    matrices).  One pass over the n rows of vertex pairs (SphereRows.row)
+    gives each orbit its pair positions y n + z, ascending, and every file
+    but psi is a 0/1 or rational combination of those positions: A_i is the
+    union of the orbits at distance i, E*_i one diagonal orbit, row a of the
+    centralizer's basis orbit a, and each row of T's basis its row in Q^d
+    spread over its orbits' positions.  Orbits are numbered by their first
+    pair, so both bases are written in reduced row echelon form.  This is
+    the only place the n x n form of the two algebras is made.
     """
     if ctx is None:
         ctx = CheckContext(m)
@@ -673,31 +681,45 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     except OSError as exc:
         raise OSError(f"cannot create export directory {out_dir}: {exc}") from exc
 
+    index = _sphere_rows(m)
+    n, labels = index.n, index.labels
+    positions: list[list[int]] = [[] for _ in labels]
+    append = [pos.append for pos in positions]
+    for y in range(n):
+        for idx, a in enumerate(index.row(y), y * n):
+            append[a](idx)
+
     written: list[Path] = []
 
-    def emit(name: str, matrix: SparseExactMatrix) -> None:
-        path = out_dir / name
-        write_coord_text(matrix, path)
+    def emit(name: str, nrows: int, ncols: int, entries) -> None:
+        path = out_dir / f"m{m}_{name}.mtx"
+        write_coord_entries(nrows, ncols, entries, path)
         written.append(path)
 
-    for i, mat in enumerate(distance_matrices(g)):
-        emit(f"m{m}_A{i}.mtx", mat)
-    for i, mat in enumerate(dual_idempotents(g)):
-        emit(f"m{m}_Estar{i}.mtx", mat)
-    for lab, mat in sorted(orbit_matrices(g).items(), key=lambda kv: kv[0].text()):
-        i, j, t, p = lab.tup
-        emit(f"m{m}_orbit_{lab.block.value}_{i},{j},{t},{p}.mtx", mat)
-    emit(f"m{m}_psi.mtx", build_psi(g))
+    def pairs(ascending):
+        # the entries of the 0/1 n x n matrix with these pair positions
+        return ((idx // n, idx % n, 1) for idx in ascending)
 
-    def basis_matrix(basis: SpanBasis) -> SparseExactMatrix:
-        rows = {idx: dict(row) for idx, row in enumerate(basis.rows)}
-        return SparseExactMatrix(basis.dimension, basis.ambient_dim, rows)
+    dist = [_orbit_distance(m, lab) for lab in labels]
+    for i in range(g.diameter + 1):
+        emit(f"A{i}", n, n, pairs(sorted(chain.from_iterable(p for p, h in zip(positions, dist) if h == i))))
+    for i in range(g.diameter + 1):
+        emit(f"Estar{i}", n, n, pairs(positions[labels.index(_diagonal_label(m, i))]))
+    for a in sorted(range(len(labels)), key=lambda a: labels[a].text()):
+        i, j, t, p = labels[a].tup
+        emit(f"orbit_{labels[a].block.value}_{i},{j},{t},{p}", n, n, pairs(positions[a]))
+    psi_path = out_dir / f"m{m}_psi.mtx"
+    write_coord_text(build_psi(g), psi_path)
+    written.append(psi_path)
 
-    coords = ctx.centralizer
-    d = coords.ambient_dim
-    identity = SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))
-    emit(f"m{m}_basis_centralizer.mtx", basis_matrix(coords.lift(identity)))
-    emit(f"m{m}_basis_terwilliger.mtx", basis_matrix(coords.lift(ctx.terwilliger.basis)))
+    emit("basis_centralizer", len(labels), n * n, ((a, idx, 1) for a, p in enumerate(positions) for idx in p))
+    t_basis = ctx.terwilliger.basis
+    spread = (
+        (r, idx, v)
+        for r, row in enumerate(t_basis.rows)
+        for idx, v in sorted((idx, v) for a, v in row.items() for idx in positions[a])
+    )
+    emit("basis_terwilliger", t_basis.dimension, n * n, spread)
     return written
 
 

@@ -142,24 +142,6 @@ def adjacency_matrix(g: GroundSet) -> SparseExactMatrix:
     return SparseExactMatrix(n, n, rows)
 
 
-@lru_cache(maxsize=8)
-def _distance_matrices(m: int) -> tuple[SparseExactMatrix, ...]:
-    verts = _vertices(m)
-    n = len(verts)
-    diam = 2 * m + 1
-    rows_by_i: list[dict[int, dict[int, object]]] = [{} for _ in range(diam + 1)]
-    for yi, y in enumerate(verts):
-        ysz = y.bit_count()
-        for zi, z in enumerate(verts):
-            d = ysz + z.bit_count() - 2 * (y & z).bit_count()
-            rows_by_i[d].setdefault(yi, {})[zi] = 1
-    return tuple(SparseExactMatrix(n, n, rows) for rows in rows_by_i)
-
-
-def distance_matrices(g: GroundSet) -> list[SparseExactMatrix]:
-    return list(_distance_matrices(g.m))
-
-
 class IntersectionNumbers(NamedTuple):
     """The table p^h_{ij} = #{z : d(x,z) = i, d(z,y) = j} for d(x,y) = h."""
 

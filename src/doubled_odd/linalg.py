@@ -481,10 +481,14 @@ def write_coord_text(m: SparseExactMatrix, path) -> None:
     Header line "nrows ncols nnz", then one "row col value" line per nonzero
     entry sorted by (row, col); values are exact integers or p/q rationals.
     """
-    lines = [f"{m.nrows} {m.ncols} {m.nnz}"]
-    for r, c, v in m.entries():
-        lines.append(f"{r} {c} {v}")
-    text = "\n".join(lines) + "\n"
+    write_coord_entries(m.nrows, m.ncols, m.entries(), path)
+
+
+def write_coord_entries(nrows: int, ncols: int, entries: Iterable[tuple[int, int, object]], path) -> None:
+    """Write an nrows x ncols matrix given by its entries (row, col, value),
+    nonzero and sorted by (row, col), in the format of write_coord_text."""
+    lines = [f"{r} {c} {v}" for r, c, v in entries]
+    text = "\n".join([f"{nrows} {ncols} {len(lines)}", *lines, ""])
     path = Path(path)
     try:
         path.write_text(text)

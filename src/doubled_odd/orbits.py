@@ -23,11 +23,11 @@ those 2m+2 rows, numbers the orbits by first pair and sizes each orbit as
 |sphere| times its count in its row, certified by "labels met = closed-form
 labels".  It is the package's one orbit index: the orbit of any other pair
 is read off its popcount label key through the index's label map
-(SphereRows.orbit_of), one row or column of pairs at a time.  Only the
-union-find of the stabilizer generators on vertex pairs
-(orbits_by_group_action, for orbits-oracle), its comparison with the index
-(_check_group_orbits) and the export's n x n matrices still touch all n^2
-pairs.
+(SphereRows.orbit_of), one row or column of pairs at a time, and nothing
+else in the package decides which orbit a pair is in.  Only the union-find
+of the stabilizer generators on vertex pairs (orbits_by_group_action, for
+orbits-oracle), its comparison with the index (_check_group_orbits) and the
+matrix export, which reads all n rows once, touch all n^2 pairs.
 
 The closed forms are production code; the union-find grinds out the orbits
 from explicit group generators, with no reference to the labels, and is
@@ -35,11 +35,10 @@ compared with them.
 
 OrbitCoordinates identifies a matrix that is constant on every orbit with
 its vector of orbit values in Q^d, d = 4 C(m+4, 4), which makes Q^d the
-centralizer algebra; one instance per m is shared, build_centralizer returns
-it, and lift gives the n x n form of an algebra kept in Q^d for export.  The
-orbits of a group on vertex pairs form a coherent configuration (Higman
-1975), so one table, the structure constants p^c_{ab} with
-O_a O_b = sum_c p^c_{ab} O_c, fixes every product in Q^d.  It is read off
+centralizer algebra; one instance per m is shared and build_centralizer
+returns it.  The orbits of a group on vertex pairs form a coherent
+configuration (Higman 1975), so one table, the structure constants p^c_{ab}
+with O_a O_b = sum_c p^c_{ab} O_c, fixes every product in Q^d.  It is read off
 the first pair (y, z) of each orbit c, as the count of middle vertices w
 with (y, w) in orbit a and (w, z) in orbit b, and held once, on first read,
 as the product index OrbitCoordinates.products[a][b] = [(c, p^c_{ab}), ...].
@@ -67,13 +66,7 @@ from operator import add
 from typing import NamedTuple
 
 from .combinatorics import GroundSet, _vertices, _vertex_index
-from .linalg import (
-    NotClosedError,
-    ShapeMismatchError,
-    SparseExactMatrix,
-    SpanBasis,
-    _norm,
-)
+from .linalg import NotClosedError, _norm
 
 
 class BlockTag(enum.Enum):
@@ -375,63 +368,6 @@ def _sphere_rows(m: int) -> SphereRows:
     return index
 
 
-@lru_cache(maxsize=8)
-def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
-    """Every orbit matrix, keyed in orbit order, in one pass over the pairs
-    of each block of row sphere x column spheres: as in orbit_matrix, a
-    pair's |y n z| and |x0 n y n z| decide which orbit of its block it is in."""
-    g, index, verts = GroundSet(m), _sphere_rows(m), _vertices(m)
-    blocks: dict[tuple[int, frozenset[int]], dict[tuple[int, int], int]] = {}
-    for a, zs in enumerate(index.members):
-        ends = frozenset(index.sphere_of[z] for z in zs)
-        blocks.setdefault((index.row_of[a], ends), {})[index.labels[a].tup[2:]] = a
-    rows: list[dict[int, dict[int, object]]] = [{} for _ in index.labels]
-    for orbit_of_tp in blocks.values():
-        first = next(iter(orbit_of_tp.values()))
-        zs = index.ends(first)
-        z_masks = [verts[z] for z in zs]
-        for y in index.spheres[index.row_of[first]]:
-            y_mask = verts[y]
-            x0y = g.base_vertex & y_mask
-            for z, z_mask in zip(zs, z_masks):
-                a = orbit_of_tp.get(((y_mask & z_mask).bit_count(), (x0y & z_mask).bit_count()))
-                if a is not None:
-                    rows[a].setdefault(y, {})[z] = 1
-    return {lab: SparseExactMatrix(index.n, index.n, r) for lab, r in zip(index.labels, rows)}
-
-
-def orbit_matrices(g: GroundSet) -> dict[OrbitLabel, SparseExactMatrix]:
-    """Indicator matrix of every orbit, keyed by label (shared, do not mutate)."""
-    return dict(_orbit_matrices(g.m))
-
-
-def orbit_matrix(g: GroundSet, label: OrbitLabel) -> SparseExactMatrix:
-    """Indicator matrix of one orbit, from the pairs of its row sphere and
-    column sphere: those spheres fix the block and |x0 n y|, |x0 n z| of a
-    pair's label, so the pair is in the orbit when its |y n z| and
-    |x0 n y n z| are the label's."""
-    index = _sphere_rows(g.m)
-    try:
-        a = index.labels.index(label)
-    except ValueError:
-        raise ValueError(f"{label.text()} is not an orbit label for m={g.m}") from None
-    verts = _vertices(g.m)
-    zs = index.ends(a)
-    z_masks = [verts[z] for z in zs]
-    _, _, t, p = label.tup
-    rows = {}
-    for y in index.spheres[index.row_of[a]]:
-        y_mask = verts[y]
-        x0y = g.base_vertex & y_mask
-        row = {
-            z: 1 for z, z_mask in zip(zs, z_masks)
-            if (y_mask & z_mask).bit_count() == t and (x0y & z_mask).bit_count() == p
-        }
-        if row:
-            rows[y] = row
-    return SparseExactMatrix(index.n, index.n, rows)
-
-
 def products_constant_on_orbits(m: int, pairs) -> list[bool]:
     """For each pair (a, b) of orbits, whether O_a O_b is constant on every
     orbit, i.e. lies in the span of the orbit matrices.
@@ -494,40 +430,45 @@ def stabilizer_generators(g: GroundSet) -> list[tuple[int, ...]]:
     return _young_generators(g.n_points, [list(range(g.m)), list(range(g.m, g.n_points))])
 
 
-def _apply_perm(perm: tuple[int, ...], mask: int) -> int:
-    out = 0
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out |= 1 << perm[bit.bit_length() - 1]
-    return out
-
-
 def _vertex_maps(m: int, perms) -> list[tuple[int, ...]]:
-    """The map of vertex indices each point permutation induces."""
+    """The map of vertex indices each point permutation induces: a mask is
+    moved a byte at a time, through one table per byte of the 2m+1 points
+    that holds the image of every value of that byte."""
     verts, index = _vertices(m), _vertex_index(m)
-    return [tuple(index[_apply_perm(perm, v)] for v in verts) for perm in perms]
+    maps = []
+    for perm in perms:
+        images = [0] * len(verts)
+        for lo in range(0, len(perm), 8):
+            table = [0] * (1 << min(8, len(perm) - lo))
+            for v in range(1, len(table)):
+                low = v & -v
+                table[v] = table[v ^ low] | 1 << perm[lo + low.bit_length() - 1]
+            images = [image | table[v >> lo & 255] for image, v in zip(images, verts)]
+        maps.append(tuple(map(index.__getitem__, images)))
+    return maps
 
 
 def _union_find(size: int, images) -> list[int]:
     """The union-find root of each point 0..size-1 when every point k is
     joined with image[k], for each image in images: two points share a root
     exactly when a chain of the maps joins them, so for permutations the
-    classes are the orbits of the group they generate."""
+    classes are the orbits of the group they generate.  Roots are found by
+    path halving, inlined: a and b walk up to their roots."""
     parent = list(range(size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for image in images:
         for a, b in enumerate(image):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    return [find(a) for a in range(size)]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[b] = a
+    roots = []
+    for a in range(size):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        roots.append(a)
+    return roots
 
 
 def orbits_by_group_action(g: GroundSet) -> array:
@@ -786,26 +727,6 @@ class OrbitCoordinates:
 
     def right(self, x: dict[int, object], vec: dict[int, object]) -> dict[int, object]:
         return self.product(vec, x)
-
-    def lift(self, basis: SpanBasis) -> SpanBasis:
-        """The n^2-ambient RREF basis of the matrices a Q^d basis stands for,
-        with each orbit's pairs read off its orbit matrix."""
-        if basis.ambient_dim != self.ambient_dim:
-            raise ShapeMismatchError(
-                f"basis of ambient {basis.ambient_dim} is not in orbit coordinates"
-            )
-        n, mats = self.n, _orbit_matrices(self.m)
-        positions = [
-            [y * n + z for y, row in mats[lab]._rows.items() for z in row] for lab in self.orbit_labels
-        ]
-        rows = []
-        for row in basis.rows:
-            vec: dict[int, object] = {}
-            for a, v in row.items():
-                for idx in positions[a]:
-                    vec[idx] = v
-            rows.append(vec)
-        return SpanBasis.from_reduced_rows(n * n, rows)
 
 
 @lru_cache(maxsize=8)

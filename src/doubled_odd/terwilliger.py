@@ -7,8 +7,8 @@ E*_0, ..., E*_{2m+1}.  build_terwilliger closes under A_1 and the E*_i only
 and then certifies exactly that every other A_i lies in the result, so the
 smaller generating set is checked rather than assumed.  T and its centre
 Z(T) live in orbit coordinates Q^d, d = 4 C(m+4, 4), end to end, on the
-centralizer's orbits.OrbitCoordinates, and only the matrix export lifts T to
-n x n matrices.
+centralizer's orbits.OrbitCoordinates, and only the matrix export writes T
+out as n x n matrices.
 
 Every generator is an element of Q^d read off the orbit labels: E*_i is the
 unit vector of one diagonal orbit, and A_i the indicator of the orbits at
@@ -24,10 +24,10 @@ is generated by lies inside the centralizer algebra of the stabilizer of
 x0: each E*_i is a single diagonal orbit matrix and each sandwich
 E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with explicit
 four-tuple labels.  verify_sandwich_identities checks those
-identifications entry for entry on the n x n matrices, with A_1 the
-adjacency matrix, each sandwich E*_i A_1 E*_j its restriction from sphere i
-to sphere j, and each orbit matrix built alone from its row and column
-spheres (orbits.orbit_matrix).
+identifications by orbit label and count: each entry of the adjacency
+matrix A_1 is sorted into its orbit through the sphere rows and tallied by
+the spheres it joins, since each sandwich E*_i A_1 E*_j is the restriction
+of A_1 from sphere i to sphere j, and no n x n orbit matrix is built.
 
 For m >= 3 the two algebras are expected to coincide, with
 
@@ -52,8 +52,8 @@ from .linalg import (
     algebra_closure,
     centralizer_within,
 )
-from .orbits import BLOCK_FAMILIES, BlockTag, OrbitCoordinates, OrbitLabel, orbit_matrix
-from .orbits import _orbit_coordinates, _orbit_distance, _sphere_rows
+from .orbits import BLOCK_FAMILIES, BlockTag, OrbitCoordinates, OrbitLabel
+from .orbits import _label_keys, _orbit_coordinates, _orbit_distance, _sphere_rows
 
 
 class IdentityCheck(NamedTuple):
@@ -73,10 +73,6 @@ def dual_idempotent(g: GroundSet, i: int) -> SparseExactMatrix:
     verts = _vertices(g.m)
     sphere = next(s for s in index.spheres if distance(g.base_vertex, verts[s[0]]) == i)
     return SparseExactMatrix(index.n, index.n, {y: {y: 1} for y in sphere})
-
-
-def dual_idempotents(g: GroundSet) -> list[SparseExactMatrix]:
-    return [dual_idempotent(g, i) for i in range(g.diameter + 1)]
 
 
 class TerwilligerAlgebra(NamedTuple):
@@ -152,24 +148,6 @@ def _diagonal_label(m: int, i: int) -> OrbitLabel:
     return OrbitLabel(BlockTag.IV, (c, c, m + 1, c))
 
 
-def _sandwiches(g: GroundSet, a1: SparseExactMatrix) -> dict[tuple[int, int], SparseExactMatrix]:
-    """Every nonzero E*_i A_1 E*_j, keyed by (i, j), for the adjacency
-    matrix a1 of g.
-
-    E*_i and E*_j are the 0/1 diagonal projections onto the spheres of
-    radius i and j around x0, so the sandwich is the restriction of A_1 to
-    rows in sphere i and columns in sphere j.  All of them are read off
-    A_1's n (m + 1) entries in one pass, with no matrix product.
-    """
-    verts = _vertices(g.m)
-    sphere = [distance(g.base_vertex, v) for v in verts]
-    blocks: dict[tuple[int, int], dict[int, dict[int, object]]] = {}
-    for y, z, v in a1.entries():
-        blocks.setdefault((sphere[y], sphere[z]), {}).setdefault(y, {})[z] = v
-    n = len(verts)
-    return {key: SparseExactMatrix(n, n, rows) for key, rows in blocks.items()}
-
-
 def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     """Exact matrix identities tying T's generators to single orbit matrices.
 
@@ -181,37 +159,58 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
       * E*_i A_1 E*_j = 0 whenever |i - j| != 1 (the graph is bipartite), and
       * A_1 is the sum of all the sandwich orbit matrices.
 
-    The sandwiches are restrictions of A_1 (_sandwiches), so the vanishing
-    identity holds exactly when every entry of A_1 joins spheres whose radii
-    differ by 1.
+    Each identity is checked by orbit label and count, with no n x n orbit
+    matrix.  E*_i and E*_j are the 0/1 diagonal projections onto the spheres
+    of radius i and j around x0, so E*_i A_1 E*_j is the restriction of A_1
+    from sphere i to sphere j.  A_1's n (m + 1) entries are read once: the
+    orbit of each, through its label key and the index's label map
+    (SphereRows.orbit_of), is tallied under the radii of its two ends; an
+    entry other than 1, or a key of no orbit, counts as no orbit.  A 0/1
+    matrix equals the orbit matrix O_a exactly when all its entries lie in
+    orbit a and there are sizes[a] of them, which decides each identity:
+    E*_i = O_a when every (y, y), y in sphere i, is in orbit a and
+    |sphere i| = sizes[a], and A_1 is the sum of the sandwich orbit matrices
+    when every entry lies in one of them and the entries number the sum of
+    their sizes.  sizes[a] = |sphere| times a's count in its row rests on the
+    stabilizer being transitive on each sphere, part (a) of the orbit
+    certificate (orbits._certify_stabilizer_orbits).
     """
-    m = g.m
-    diam = g.diameter
-    a1 = adjacency_matrix(g)
-    estars = dual_idempotents(g)
-    sandwiches = _sandwiches(g, a1)
-    zero = SparseExactMatrix.zero(a1.nrows, a1.ncols)
+    m, diam = g.m, g.diameter
+    index = _sphere_rows(m)
+    orbit_of, sizes = index.orbit_of.get, index.sizes
+    ids = {lab: a for a, lab in enumerate(index.labels)}
+    radius = [distance(g.base_vertex, v) for v in _vertices(m)]
+    tally: dict[tuple[int, int], dict[int | None, int]] = {}
+    for y, row in adjacency_matrix(g)._rows.items():
+        for (z, v), key in zip(row.items(), _label_keys(m, y, row)):
+            a = orbit_of(key) if v == 1 else None
+            count = tally.setdefault((radius[y], radius[z]), {})
+            count[a] = count.get(a, 0) + 1
+
+    def is_orbit(i: int, j: int, label: OrbitLabel) -> bool:
+        a = ids[label]
+        return tally.get((i, j)) == {a: sizes[a]}
+
     results: list[IdentityCheck] = []
-
     for i in range(diam + 1):
-        expected = orbit_matrix(g, _diagonal_label(m, i))
-        results.append(IdentityCheck(f"dual-idempotent-orbit-form[i={i}]", estars[i] == expected))
+        a = ids[_diagonal_label(m, i)]
+        sphere = [y for y, r in enumerate(radius) if r == i]
+        ok = len(sphere) == sizes[a] and all(orbit_of(_label_keys(m, y, (y,))[0]) == a for y in sphere)
+        results.append(IdentityCheck(f"dual-idempotent-orbit-form[i={i}]", ok))
 
-    running_sum = zero
+    sandwich_orbits = set()
     for i in range(diam):
-        forward = sandwiches.get((i, i + 1), zero)
-        fw_expected = orbit_matrix(g, _sandwich_label(m, i, transposed=False))
-        results.append(IdentityCheck(f"sandwich-orbit-form[i={i}]", forward == fw_expected))
-        backward = sandwiches.get((i + 1, i), zero)
-        bw_expected = orbit_matrix(g, _sandwich_label(m, i, transposed=True))
-        results.append(
-            IdentityCheck(f"sandwich-transpose-orbit-form[i={i}]", backward == bw_expected)
-        )
-        running_sum = running_sum + fw_expected + bw_expected
+        forward, backward = _sandwich_label(m, i, transposed=False), _sandwich_label(m, i, transposed=True)
+        results.append(IdentityCheck(f"sandwich-orbit-form[i={i}]", is_orbit(i, i + 1, forward)))
+        results.append(IdentityCheck(f"sandwich-transpose-orbit-form[i={i}]", is_orbit(i + 1, i, backward)))
+        sandwich_orbits.update((ids[forward], ids[backward]))
 
-    vanish_ok = all(abs(i - j) == 1 for i, j in sandwiches)
-    results.append(IdentityCheck("bipartite-sandwich-vanishing", vanish_ok))
-    results.append(IdentityCheck("adjacency-sandwich-decomposition", running_sum == a1))
+    results.append(IdentityCheck("bipartite-sandwich-vanishing", all(abs(i - j) == 1 for i, j in tally)))
+    entries = sum(sum(count.values()) for count in tally.values())
+    decomposed = entries == sum(sizes[a] for a in sandwich_orbits) and all(
+        sandwich_orbits.issuperset(count) for count in tally.values()
+    )
+    results.append(IdentityCheck("adjacency-sandwich-decomposition", decomposed))
     return results
 
 

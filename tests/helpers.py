@@ -1,12 +1,14 @@
 """Helpers shared by the tests: the n^2-ambient matrix action and spans, the
 oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
-the products of T's generators in Q^d, the product-built sandwiches
-E*_i A_1 E*_j, the sphere rows and the row test of centralizer-dim are
+the products of T's generators in Q^d, the sandwich identities of lemma41,
+the export, the sphere rows and the row test of centralizer-dim are
 compared with (among them the pair index, the orbit of every vertex pair in
-one labelled pass), the full generator lists of T, Higman's identity on the
-structure constants and their counts by orbit, the Odd graph's adjacency by
-a disjointness scan, and doctored orbit data for the certificates of the
-sphere rows."""
+one labelled pass, the n x n orbit, distance and dual idempotent matrices,
+and the lift of a basis in Q^d to n x n matrices), the full generator lists
+of T, Higman's identity on the structure constants and their counts by
+orbit, the Odd graph's adjacency by a disjointness scan, vertex maps moved a
+point at a time, and doctored orbit data for the certificates of the sphere
+rows."""
 
 from array import array
 from collections import Counter
@@ -19,13 +21,12 @@ from typing import NamedTuple
 
 from doubled_odd.combinatorics import (
     GroundSet,
-    _distance_matrices,
     _table,
     _vertex_index,
     _vertices,
     _witness,
     adjacency_matrix,
-    distance_matrices,
+    distance,
 )
 from doubled_odd.linalg import (
     NotClosedError,
@@ -45,7 +46,14 @@ from doubled_odd.orbits import (
     block_of_pair,
     rho,
 )
-from doubled_odd.terwilliger import TerwilligerAlgebra, center_basis, dual_idempotents
+from doubled_odd.terwilliger import (
+    IdentityCheck,
+    TerwilligerAlgebra,
+    _diagonal_label,
+    _sandwich_label,
+    center_basis,
+    dual_idempotent,
+)
 
 
 def mask_of(elements) -> int:
@@ -149,6 +157,150 @@ def orbit_partition(roots, n: int) -> set[frozenset[tuple[int, int]]]:
     return {frozenset(members) for members in groups.values()}
 
 
+@lru_cache(maxsize=8)
+def _distance_matrices(m: int) -> tuple[SparseExactMatrix, ...]:
+    verts = _vertices(m)
+    n = len(verts)
+    diam = 2 * m + 1
+    rows_by_i: list[dict[int, dict[int, object]]] = [{} for _ in range(diam + 1)]
+    for yi, y in enumerate(verts):
+        ysz = y.bit_count()
+        for zi, z in enumerate(verts):
+            d = ysz + z.bit_count() - 2 * (y & z).bit_count()
+            rows_by_i[d].setdefault(yi, {})[zi] = 1
+    return tuple(SparseExactMatrix(n, n, rows) for rows in rows_by_i)
+
+
+def distance_matrices(g: GroundSet) -> list[SparseExactMatrix]:
+    """Oracle: A_0..A_{2m+1}, each by the distance formula over all n^2 pairs."""
+    return list(_distance_matrices(g.m))
+
+
+def dual_idempotents(g: GroundSet) -> list[SparseExactMatrix]:
+    return [dual_idempotent(g, i) for i in range(g.diameter + 1)]
+
+
+@lru_cache(maxsize=8)
+def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
+    # every orbit matrix in one pass over the pairs of each block of row
+    # sphere x column spheres: as in orbit_matrix, a pair's |y n z| and
+    # |x0 n y n z| decide which orbit of its block it is in
+    g, index, verts = GroundSet(m), _sphere_rows(m), _vertices(m)
+    blocks: dict[tuple[int, frozenset[int]], dict[tuple[int, int], int]] = {}
+    for a, zs in enumerate(index.members):
+        ends = frozenset(index.sphere_of[z] for z in zs)
+        blocks.setdefault((index.row_of[a], ends), {})[index.labels[a].tup[2:]] = a
+    rows: list[dict[int, dict[int, object]]] = [{} for _ in index.labels]
+    for orbit_of_tp in blocks.values():
+        first = next(iter(orbit_of_tp.values()))
+        zs = index.ends(first)
+        z_masks = [verts[z] for z in zs]
+        for y in index.spheres[index.row_of[first]]:
+            y_mask = verts[y]
+            x0y = g.base_vertex & y_mask
+            for z, z_mask in zip(zs, z_masks):
+                a = orbit_of_tp.get(((y_mask & z_mask).bit_count(), (x0y & z_mask).bit_count()))
+                if a is not None:
+                    rows[a].setdefault(y, {})[z] = 1
+    return {lab: SparseExactMatrix(index.n, index.n, r) for lab, r in zip(index.labels, rows)}
+
+
+def orbit_matrices(g: GroundSet) -> dict[OrbitLabel, SparseExactMatrix]:
+    """Oracle: the n x n indicator matrix of every orbit, keyed by label in
+    orbit order (shared, do not mutate)."""
+    return dict(_orbit_matrices(g.m))
+
+
+def orbit_matrix(g: GroundSet, label: OrbitLabel) -> SparseExactMatrix:
+    """Oracle: the n x n indicator matrix of one orbit, from the pairs of its
+    row sphere and column spheres: those spheres fix the block and
+    |x0 n y|, |x0 n z| of a pair's label, so the pair is in the orbit when
+    its |y n z| and |x0 n y n z| are the label's."""
+    index = _sphere_rows(g.m)
+    try:
+        a = index.labels.index(label)
+    except ValueError:
+        raise ValueError(f"{label.text()} is not an orbit label for m={g.m}") from None
+    verts = _vertices(g.m)
+    zs = index.ends(a)
+    z_masks = [verts[z] for z in zs]
+    _, _, t, p = label.tup
+    rows = {}
+    for y in index.spheres[index.row_of[a]]:
+        y_mask = verts[y]
+        x0y = g.base_vertex & y_mask
+        row = {
+            z: 1 for z, z_mask in zip(zs, z_masks)
+            if (y_mask & z_mask).bit_count() == t and (x0y & z_mask).bit_count() == p
+        }
+        if row:
+            rows[y] = row
+    return SparseExactMatrix(index.n, index.n, rows)
+
+
+def lift(coords: OrbitCoordinates, basis: SpanBasis) -> SpanBasis:
+    """Oracle: the n^2-ambient RREF basis of the matrices a Q^d basis stands
+    for, each orbit's pairs read off its orbit matrix."""
+    if basis.ambient_dim != coords.ambient_dim:
+        raise ShapeMismatchError(f"basis of ambient {basis.ambient_dim} is not in orbit coordinates")
+    n, mats = coords.n, _orbit_matrices(coords.m)
+    positions = [[y * n + z for y, row in mats[lab]._rows.items() for z in row] for lab in coords.orbit_labels]
+    rows = [{idx: v for a, v in row.items() for idx in positions[a]} for row in basis.rows]
+    return SpanBasis.from_reduced_rows(n * n, rows)
+
+
+def sandwiches(g: GroundSet, a1: SparseExactMatrix) -> dict[tuple[int, int], SparseExactMatrix]:
+    """Every nonzero E*_i A_1 E*_j, keyed by (i, j), read off a1 as its
+    restriction from sphere i to sphere j, in one pass over its entries."""
+    sphere = [distance(g.base_vertex, v) for v in _vertices(g.m)]
+    blocks: dict[tuple[int, int], dict[int, dict[int, object]]] = {}
+    for y, z, v in a1.entries():
+        blocks.setdefault((sphere[y], sphere[z]), {}).setdefault(y, {})[z] = v
+    return {key: SparseExactMatrix(a1.nrows, a1.ncols, rows) for key, rows in blocks.items()}
+
+
+def n2_sandwich_identities(g: GroundSet, a1: SparseExactMatrix) -> list[IdentityCheck]:
+    """Oracle of lemma41 (terwilliger.verify_sandwich_identities) for the
+    adjacency matrix a1: the same identities, in the same order, each
+    compared entry for entry as n x n matrices, with every orbit matrix
+    built alone (orbit_matrix)."""
+    m, diam = g.m, g.diameter
+    estars = dual_idempotents(g)
+    restricted = sandwiches(g, a1)
+    zero = SparseExactMatrix.zero(a1.nrows, a1.ncols)
+    results = [
+        IdentityCheck(f"dual-idempotent-orbit-form[i={i}]", estars[i] == orbit_matrix(g, _diagonal_label(m, i)))
+        for i in range(diam + 1)
+    ]
+    running_sum = zero
+    for i in range(diam):
+        forward = orbit_matrix(g, _sandwich_label(m, i, transposed=False))
+        backward = orbit_matrix(g, _sandwich_label(m, i, transposed=True))
+        results.append(IdentityCheck(f"sandwich-orbit-form[i={i}]", restricted.get((i, i + 1), zero) == forward))
+        results.append(IdentityCheck(f"sandwich-transpose-orbit-form[i={i}]", restricted.get((i + 1, i), zero) == backward))
+        running_sum = running_sum + forward + backward
+    results.append(IdentityCheck("bipartite-sandwich-vanishing", all(abs(i - j) == 1 for i, j in restricted)))
+    results.append(IdentityCheck("adjacency-sandwich-decomposition", running_sum == a1))
+    return results
+
+
+def apply_perm(perm: tuple[int, ...], mask: int) -> int:
+    """Oracle: the image of a point mask under a point permutation, moved a
+    point at a time."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out |= 1 << perm[bit.bit_length() - 1]
+    return out
+
+
+def vertex_maps_by_points(m: int, perms) -> list[tuple[int, ...]]:
+    """Oracle of orbits._vertex_maps: each vertex mask moved by apply_perm."""
+    verts, index = _vertices(m), _vertex_index(m)
+    return [tuple(index[apply_perm(perm, v)] for v in verts) for perm in perms]
+
+
 def terwilliger_generators(g: GroundSet) -> list[SparseExactMatrix]:
     """All distance matrices followed by all dual idempotents."""
     return list(distance_matrices(g)) + dual_idempotents(g)
@@ -161,7 +313,7 @@ def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
 
 def sandwich_products(g: GroundSet) -> dict[tuple[int, int], SparseExactMatrix]:
     """Every E*_i A_1 E*_j, keyed by (i, j), as two sparse matrix products:
-    the oracle of the restrictions terwilliger._sandwiches reads off A_1."""
+    the oracle of the restrictions sandwiches reads off A_1."""
     a1 = adjacency_matrix(g)
     estars = dual_idempotents(g)
     return {(i, j): ei @ a1 @ ej for i, ei in enumerate(estars) for j, ej in enumerate(estars)}

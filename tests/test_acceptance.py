@@ -12,7 +12,7 @@ import time
 from math import comb
 
 import pytest
-from helpers import enumerate_index_set, orbit_partition
+from helpers import enumerate_index_set, orbit_matrices, orbit_partition
 
 from doubled_odd.checks import CheckContext, RunConfig, run
 from doubled_odd.checks import _RUNNERS
@@ -22,7 +22,6 @@ from doubled_odd.orbits import (
     BlockTag,
     build_centralizer,
     index_set,
-    orbit_matrices,
     orbits_by_group_action,
     tuple_bijection,
 )

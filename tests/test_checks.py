@@ -7,12 +7,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import merged_sphere_rows
+from helpers import lift, merged_sphere_rows, orbit_matrix
 
 from doubled_odd import __version__
 from doubled_odd import checks as checks_module
 from doubled_odd import combinatorics as combinatorics_module
 from doubled_odd import orbits as orbits_module
+from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import (
     CHECK_IDS,
     CheckContext,
@@ -29,12 +30,7 @@ from doubled_odd.checks import (
 )
 from doubled_odd.cli import main
 from doubled_odd.linalg import NotClosedError, SpanBasis, read_coord_text, write_coord_text
-from doubled_odd.orbits import (
-    BlockTag,
-    OrbitCoordinates,
-    OrbitLabel,
-    orbit_matrix,
-)
+from doubled_odd.orbits import BlockTag, OrbitCoordinates, OrbitLabel
 from doubled_odd.combinatorics import GroundSet
 from doubled_odd.terwilliger import center_basis
 
@@ -313,7 +309,7 @@ def test_n2_cache_file_of_format_1_is_a_silent_miss(tmp_path):
     paths = []
     for kind, basis in (("terwilliger", ctx.terwilliger.basis), ("center", ctx.center)):
         # the entry as format 1 stored it: the RREF of vectorized 6 x 6 matrices
-        lifted = coords.lift(basis)
+        lifted = lift(coords, basis)
         payload = {
             "format": 1,
             "package_version": __version__,
@@ -567,6 +563,18 @@ def test_warm_export_matches_the_benchmark_reference(tmp_path):
     assert _tree_digest(tmp_path / "export") == reference["export_sha256"]
 
 
+@pytest.mark.parametrize("m, digest", [
+    (1, "a57601be2aa770b78bba8556a49c319b20666834523e92fd0f414de1ed897635"),
+    (2, "bf54161fef270e50a5b1d5f40a32c778046d79e9a2408e633ee5d8100c089014"),
+    pytest.param(4, "e1ea7366d73c747c58352d792e2008fe41306265b6f6dfd2fcea1f3d1927f373", marks=pytest.mark.slow),
+])
+def test_export_matches_the_pinned_digest(tmp_path, m, digest):
+    # the digests of the export that built its files as n x n matrices: the
+    # orbit, distance and dual idempotent matrices and the lifted bases
+    export_matrices(m, tmp_path)
+    assert _tree_digest(tmp_path) == digest
+
+
 @pytest.mark.parametrize("reference, m, every_check", [("m3", 3, True), ("orbits-m4", 4, False)])
 def test_reports_match_the_benchmark_reference(reference, m, every_check):
     # the benchmark's stored reports of `verify --m 3` and of its m = 4 orbit checks
@@ -576,43 +584,34 @@ def test_reports_match_the_benchmark_reference(reference, m, every_check):
 
 
 def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monkeypatch, fresh_memos):
-    # no n^2-ambient span outside export_matrices, and one OrbitCoordinates
-    # per m per process, for cold, warm and export runs and a cache-loaded T
+    # no n^2-ambient span at all, the export's included, and one
+    # OrbitCoordinates per m per process, for cold, warm and export runs and
+    # a cache-loaded T: the export writes its bases from pair positions
     n2 = 70 ** 2
-    in_export = [False]
-    n2_bases: list[bool] = []  # per n^2-ambient SpanBasis: made inside export_matrices?
+    n2_bases: list[int] = []  # the ambient dimension of each n^2-ambient SpanBasis
     coords_built: list[GroundSet] = []
     span_init, coords_init = SpanBasis.__init__, OrbitCoordinates.__init__
-    export = checks_module.export_matrices
 
     def traced_span_init(self, ambient_dim):
         if ambient_dim == n2:
-            n2_bases.append(in_export[0])
+            n2_bases.append(ambient_dim)
         span_init(self, ambient_dim)
 
     def traced_coords_init(self, g):
         coords_built.append(g)
         coords_init(self, g)
 
-    def traced_export(*args, **kwargs):
-        in_export[0] = True
-        try:
-            return export(*args, **kwargs)
-        finally:
-            in_export[0] = False
-
     monkeypatch.setattr(SpanBasis, "__init__", traced_span_init)
     monkeypatch.setattr(OrbitCoordinates, "__init__", traced_coords_init)
-    monkeypatch.setattr(checks_module, "export_matrices", traced_export)
 
     run(RunConfig(m=3))
     assert (n2_bases, len(coords_built)) == ([], 1)
     cache = str(tmp_path / "cache")
     for _ in range(2):  # cold, then warm
         run(RunConfig(m=3, cache_dir=cache, export_dir=str(tmp_path / "export")))
-    assert n2_bases and all(n2_bases)
+    assert (tmp_path / "export" / "m3_basis_terwilliger.mtx").exists()
+    assert (n2_bases, len(coords_built)) == ([], 1)
     # the centre of a cache-loaded T takes the path of a built one
-    n2_bases.clear()
     ctx = CheckContext(3, cache_dir=cache)
     assert ctx.terwilliger.closure is None
     assert center_basis(ctx.terwilliger).dimension == 6
@@ -623,25 +622,21 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
     assert not hasattr(ctx.centralizer, "generators")
 
 
-def test_the_verify_path_builds_no_distance_matrix_and_no_n2_action_table(monkeypatch, fresh_memos):
-    # T's generators act through the certified structure constants and each
-    # A_i is the indicator of the orbits at distance i, so neither a cold
-    # verify --m 3 without export nor the benchmark's m = 4 orbit checks
-    # build the distance matrices
-    calls = []
-    build = combinatorics_module._distance_matrices
-
-    def traced_build(m):
-        calls.append(m)
-        return build(m)
-
-    monkeypatch.setattr(combinatorics_module, "_distance_matrices", traced_build)
-    assert len(run(RunConfig(m=3))) == 16
-    reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
-    run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
-    assert calls == []
-    # the pass over all vertex pairs that read off action tables is the
-    # tests' oracle (helpers.action_tables), not a method of the package
+def test_the_package_keeps_no_n_by_n_orbit_distance_or_sandwich_builder():
+    # the sphere rows alone decide which orbit a pair is in: lemma41 counts
+    # the orbits of A_1's entries by label, the export reads pair positions
+    # off SphereRows.row, T's generators are vectors of Q^d, and the n x n
+    # builders, the lift of a basis, the vertex maps moved a point at a time
+    # and the action tables read off every vertex pair are the tests'
+    # oracles (helpers)
+    deleted = {
+        orbits_module: ("_orbit_matrices", "orbit_matrices", "orbit_matrix", "_apply_perm"),
+        combinatorics_module: ("_distance_matrices", "distance_matrices"),
+        terwilliger_module: ("_sandwiches", "dual_idempotents"),
+    }
+    for module, names in deleted.items():
+        assert [name for name in names if hasattr(module, name)] == []
+    assert not hasattr(OrbitCoordinates, "lift")
     assert not hasattr(OrbitCoordinates, "action_tables")
 
 
@@ -655,32 +650,12 @@ def test_the_product_index_is_built_on_first_read(fresh_memos):
     assert "products" in vars(orbits_module._orbit_coordinates(4))
 
 
-def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
-    # the all-orbit matrices are built for the export and the tests; T,
-    # Z(T), their comparisons and centralizer-dim's products, tested on the
-    # sphere rows, never make them
-    calls = []
-    view = orbits_module._orbit_matrices
-
-    def traced_view(m):
-        calls.append(m)
-        return view(m)
-
-    monkeypatch.setattr(orbits_module, "_orbit_matrices", traced_view)
-    reports = run(RunConfig(m=3, checks=("terwilliger-dim", "inclusion", "equality", "center-dim")))
-    assert [r.status for r in reports] == ["pass"] * 4
-    assert calls == []
-    run(RunConfig(m=3, checks=("centralizer-dim",)))
-    assert calls == []
-
-
 def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fresh_memos):
     # index-sets, centralizer-dim, direct-sum and lemma41 read the 2m+2
-    # sphere rows and the label keys of single rows, and build no all-orbit
-    # view: the benchmark's m = 4 orbit checks evaluate fewer label keys
-    # than there are vertex pairs and never call _orbit_matrices
+    # sphere rows and the label keys of single rows, or of A_1's entries:
+    # the benchmark's m = 4 orbit checks evaluate fewer label keys than
+    # there are vertex pairs
     evaluated = []
-    views = []
 
     def counted(label_keys):
         def wrapper(*args):
@@ -689,29 +664,20 @@ def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fr
             return keys
         return wrapper
 
-    view = orbits_module._orbit_matrices
-
-    def traced_view(m):
-        views.append(m)
-        return view(m)
-
     for name in ("_label_keys", "_column_label_keys"):
-        monkeypatch.setattr(orbits_module, name, counted(getattr(orbits_module, name)))
-    monkeypatch.setattr(orbits_module, "_orbit_matrices", traced_view)
+        traced = counted(getattr(orbits_module, name))
+        for module in (orbits_module, terwilliger_module):
+            monkeypatch.setattr(module, name, traced, raising=False)
     reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
     reports = run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
     assert [r.status for r in reports] == ["pass"] * len(reference)
     assert 0 < sum(evaluated) < 252 ** 2
-    assert views == []
-    # both traces see a pass over all pairs where there is one: orbits-oracle
-    # reads the orbit ids of all n^2 pairs, row by row, and orbit_matrices
-    # builds the all-orbit view
+    # the trace sees a pass over all pairs where there is one: orbits-oracle
+    # reads the orbit ids of all n^2 pairs, row by row
     orbits_module._sphere_rows(1)
     evaluated.clear()
     run(RunConfig(m=1, checks=("orbits-oracle",)))
     assert sum(evaluated) == 6 ** 2
-    orbits_module.orbit_matrices(GroundSet(1))
-    assert views == [1]
 
 
 def _use_merged_m1_rows(monkeypatch) -> None:

@@ -6,6 +6,7 @@ from collections import deque
 import pytest
 from helpers import (
     class_profiles,
+    distance_matrices,
     distance_matrix,
     intersection_table,
     mask_of,
@@ -20,7 +21,6 @@ from doubled_odd.combinatorics import (
     _orbit_intersection_table,
     adjacency_matrix,
     distance,
-    distance_matrices,
     elements_of,
     enumerate_vertices,
     intersection_numbers,

@@ -3,12 +3,11 @@
 from math import comb
 
 import pytest
-from helpers import odd_adjacency_by_scan, vertex_index
+from helpers import distance_matrices, odd_adjacency_by_scan, vertex_index
 
 from doubled_odd.combinatorics import (
     GroundSet,
     distance,
-    distance_matrices,
     enumerate_vertices,
 )
 from doubled_odd.covering import (

@@ -4,10 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import MatrixAction, contains, matrix_from_vector, span, vectorize
+from helpers import MatrixAction, contains, dual_idempotents, matrix_from_vector, span, vectorize
 
 from doubled_odd.combinatorics import GroundSet
-from doubled_odd.terwilliger import dual_idempotents
 from doubled_odd.linalg import (
     NotClosedError,
     ShapeMismatchError,

@@ -12,11 +12,14 @@ from helpers import (
     contains,
     enumerate_index_set,
     higman_violation,
+    lift,
     mask_of,
     merged_pair_index,
     merged_sphere_rows,
     n2_product_verdicts,
     orbit_counts,
+    orbit_matrices,
+    orbit_matrix,
     orbit_partition,
     orbit_values,
     pair_index,
@@ -24,6 +27,7 @@ from helpers import (
     parse_label,
     span,
     vectorize,
+    vertex_maps_by_points,
 )
 
 from doubled_odd import orbits as orbits_module
@@ -51,8 +55,6 @@ from doubled_odd.orbits import (
     check_subalgebra,
     index_set,
     orbit_labels,
-    orbit_matrices,
-    orbit_matrix,
     orbits_by_group_action,
     products_constant_on_orbits,
     rho,
@@ -145,6 +147,28 @@ def test_orbit_matrix_rejects_unknown_label():
         orbit_matrix(g, OrbitLabel(BlockTag.I, (1, 1, 1, 0)))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_vertex_maps_by_byte_tables_match_the_maps_moved_a_point_at_a_time(m):
+    # the stabilizer's generators, the Young generators of every sphere's
+    # four atoms (as the orbit certificate builds them) and seeded random
+    # permutations of the points; from m = 4 on the 2m+1 points span two bytes
+    g = GroundSet(m)
+    verts = enumerate_vertices(g)
+    x0 = g.base_vertex
+    perm_sets = [stabilizer_generators(g)]
+    for sphere in orbits_module._sphere_rows(m).spheres:
+        y = verts[sphere[0]]
+        atoms = [
+            [k for k in range(g.n_points) if mask >> k & 1]
+            for mask in (x0 & y, x0 & ~y, y & ~x0, g.full_mask & ~(x0 | y))
+        ]
+        perm_sets.append(orbits_module._young_generators(g.n_points, atoms))
+    rng = random.Random(5100 + m)
+    perm_sets.append([tuple(rng.sample(range(g.n_points), g.n_points)) for _ in range(3)])
+    for perms in perm_sets:
+        assert orbits_module._vertex_maps(m, perms) == vertex_maps_by_points(m, perms)
+
+
 def test_stabilizer_generators_fix_base_vertex():
     for m in (1, 2, 3):
         g = GroundSet(m)
@@ -228,7 +252,7 @@ def test_centralizer_in_orbit_coordinates_lifts_to_the_n2_span(m):
     cent_span = span(orbit_matrices(g).values())
     assert cent_span.dimension == d == 4 * comb(m + 4, 4)
     identity = SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))
-    assert cent.lift(identity) == cent_span
+    assert lift(cent, identity) == cent_span
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -378,9 +402,9 @@ def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
     d = coords.ambient_dim
     # orbits are numbered by first pair, so the identity RREF of Q^d lifts to
     # the orbit matrices in orbit order
-    orbit_vectors = coords.lift(SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))).rows
+    orbit_vectors = lift(coords, SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))).rows
 
-    def lift(x):
+    def lifted(x):
         return {idx: v for a, v in x.items() for idx in orbit_vectors[a]}
 
     action = MatrixAction(coords.n)
@@ -390,7 +414,7 @@ def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
     for _ in range(20):
         x, y = ({a: rng.choice(coefficients) for a in rng.sample(range(d), 4)} for _ in range(2))
         product = coords.product(x, y)
-        assert lift(product) == action.product(lift(x), lift(y))
+        assert lifted(product) == action.product(lifted(x), lifted(y))
         nonzero += bool(product)
     assert nonzero > 10
 

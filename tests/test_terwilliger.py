@@ -9,11 +9,16 @@ from helpers import (
     center_dimension,
     closure_generators,
     contains,
+    dual_idempotents,
+    lift,
     matrix_from_vector,
     merged_sphere_rows,
+    n2_sandwich_identities,
+    orbit_matrices,
     orbit_values,
     pair_index,
     sandwich_products,
+    sandwiches,
     span,
     terwilliger_generators,
     vectorize,
@@ -35,14 +40,13 @@ from doubled_odd.linalg import (
 )
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
-from doubled_odd.orbits import BlockTag, OrbitCoordinates, orbit_matrices
+from doubled_odd.orbits import BlockTag, OrbitCoordinates
 from doubled_odd.terwilliger import (
     TerwilligerAlgebra,
     block_profile,
     build_terwilliger,
     center_basis,
     dual_idempotent,
-    dual_idempotents,
     subalgebra_spans,
     upsilon,
     upsilon_size_formula,
@@ -54,7 +58,7 @@ from doubled_odd.terwilliger import (
 
 def _lifted(g, basis):
     # the n^2-ambient RREF of a basis kept in orbit coordinates
-    return orbits_module._orbit_coordinates(g.m).lift(basis)
+    return lift(orbits_module._orbit_coordinates(g.m), basis)
 
 
 def test_dual_idempotents_are_sphere_indicators():
@@ -91,7 +95,7 @@ def test_tridiagonal_sandwich_structure():
     for m in (1, 2, 3):
         g = GroundSet(m)
         products = sandwich_products(g)
-        restricted = terwilliger_module._sandwiches(g, adjacency_matrix(g))
+        restricted = sandwiches(g, adjacency_matrix(g))
         assert set(restricted) == {key for key, prod in products.items() if not prod.is_zero()}
         for (i, j), sandwich in products.items():
             assert restricted.get((i, j), SparseExactMatrix.zero(sandwich.nrows, sandwich.ncols)) == sandwich
@@ -121,6 +125,49 @@ def test_sandwich_identities_catch_an_edge_inside_a_sphere(monkeypatch):
     monkeypatch.setattr(terwilliger_module, "adjacency_matrix", lambda _: doctored)
     failed = [r.name for r in verify_sandwich_identities(g) if not r.ok]
     assert failed == ["bipartite-sandwich-vanishing", "adjacency-sandwich-decomposition"]
+
+
+def _failed(results) -> list[str]:
+    return [r.name for r in results if not r.ok]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_sandwich_identities_by_label_and_count_match_the_n2_oracle(m):
+    # lemma41 by the orbits of A_1's entries, counted, against the n x n
+    # route: sandwiches restricted from A_1 and orbit matrices built alone
+    g = GroundSet(m)
+    results = verify_sandwich_identities(g)
+    assert results == n2_sandwich_identities(g, adjacency_matrix(g))
+    assert len(results) == 3 * g.diameter + 3 and _failed(results) == []
+
+
+def _without_one_sandwich_edge(g: GroundSet) -> SparseExactMatrix:
+    # A_1 less the entry (x0, z), z the first neighbour of x0: E*_0 A_1 E*_1
+    # loses a pair of its orbit
+    a1 = adjacency_matrix(g)
+    rows = {y: dict(row) for y, row in a1._rows.items()}
+    del rows[0][min(rows[0])]
+    return SparseExactMatrix(a1.nrows, a1.ncols, rows)
+
+
+def _with_an_edge_inside_a_sphere(g: GroundSet) -> SparseExactMatrix:
+    index = orbits_module._sphere_rows(g.m)
+    y, z = next(s for s in index.spheres if len(s) > 1)[:2]
+    return adjacency_matrix(g) + SparseExactMatrix(index.n, index.n, {y: {z: 1}})
+
+
+@pytest.mark.parametrize("doctor, failed", [
+    (_without_one_sandwich_edge, ["sandwich-orbit-form[i=0]", "adjacency-sandwich-decomposition"]),
+    (_with_an_edge_inside_a_sphere, ["bipartite-sandwich-vanishing", "adjacency-sandwich-decomposition"]),
+])
+@pytest.mark.parametrize("m", [2, 3])
+def test_sandwich_identities_on_a_doctored_adjacency_fail_as_the_n2_oracle(monkeypatch, m, doctor, failed):
+    g = GroundSet(m)
+    doctored = doctor(g)
+    monkeypatch.setattr(terwilliger_module, "adjacency_matrix", lambda _: doctored)
+    results = verify_sandwich_identities(g)
+    assert results == n2_sandwich_identities(g, doctored)
+    assert _failed(results) == failed
 
 
 def test_sandwich_identities_hold():
@@ -176,7 +223,7 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
         ctx = ctx_for(m)
         t, cent = ctx.terwilliger, ctx.centralizer
         cent_span = span(orbit_matrices(ctx.g).values())  # the n^2-ambient oracle
-        t_basis = cent.lift(t.basis)
+        t_basis = lift(cent, t.basis)
         assert t_basis == cent_span
         assert verify_inclusion(t, cent).ok == _n2_inclusion(t_basis, cent_span) is True
         assert tuple(verify_equality(t, cent)) == _n2_equality(t_basis, cent, cent_span) == (True,) * 3
@@ -192,7 +239,7 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
 def test_checks_in_orbit_coordinates_reject_a_basis_of_another_ambient(ctx_for):
     ctx = ctx_for(1)
     t, cent = ctx.terwilliger, ctx.centralizer
-    lifted = TerwilligerAlgebra(1, cent.lift(t.basis), None)
+    lifted = TerwilligerAlgebra(1, lift(cent, t.basis), None)
     assert verify_inclusion(lifted, cent) == (False, 0)
     res = verify_equality(lifted, cent)
     assert not res.orbit_matrices_in_t and not res.identical_rref
@@ -275,9 +322,9 @@ def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
         ambient = algebra_closure(gens, MatrixAction.of(gens))
         assert ambient.iterations == t.closure.iterations == t.dimension * len(gens)
         coords = ctx.centralizer
-        assert ambient.basis == coords.lift(t.basis)
+        assert ambient.basis == lift(coords, t.basis)
         center = centralizer_within(ambient.basis, gens, MatrixAction.on(ambient.basis))
-        assert center == coords.lift(ctx.center)
+        assert center == lift(coords, ctx.center)
 
 
 def test_center_of_a_cached_terwilliger_basis():
@@ -398,7 +445,7 @@ def test_subalgebra_spans_lift_to_the_n2_family_spans(ctx_for):
         mats = orbit_matrices(ctx_for(m).g)
         for name, blocks in families.items():
             oracle = span(mat for lab, mat in mats.items() if lab.block in blocks)
-            assert cent.lift(spans[name]) == oracle
+            assert lift(cent, spans[name]) == oracle
 
 
 def test_algebra_closure_idempotent(ctx_for):
