@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import lift, merged_sphere_rows, orbit_matrix
+from helpers import distance_matrices, lift, merged_sphere_rows, orbit_matrix
 
 from doubled_odd import __version__
 from doubled_odd import checks as checks_module
@@ -29,7 +29,13 @@ from doubled_odd.checks import (
     run,
 )
 from doubled_odd.cli import main
-from doubled_odd.linalg import NotClosedError, SpanBasis, read_coord_text, write_coord_text
+from doubled_odd.linalg import (
+    NotClosedError,
+    SpanBasis,
+    SparseExactMatrix,
+    read_coord_text,
+    write_coord_text,
+)
 from doubled_odd.orbits import BlockTag, OrbitCoordinates, OrbitLabel
 from doubled_odd.combinatorics import GroundSet
 from doubled_odd.terwilliger import center_basis
@@ -622,6 +628,45 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
     assert not hasattr(ctx.centralizer, "generators")
 
 
+def _trace_vertex_square_matrices(monkeypatch) -> list[SparseExactMatrix]:
+    # every SparseExactMatrix made with as many rows and columns as the
+    # doubled Odd graph of some m in 1..5 has vertices
+    squares = {6, 20, 70, 252, 924}
+    made: list[SparseExactMatrix] = []
+    init = SparseExactMatrix.__init__
+
+    def traced_init(self, nrows, ncols, rows=None):
+        init(self, nrows, ncols, rows)
+        if nrows == ncols and nrows in squares:
+            made.append(self)
+
+    monkeypatch.setattr(SparseExactMatrix, "__init__", traced_init)
+    return made
+
+
+def test_the_verify_path_builds_no_distance_matrix_and_no_n2_action_table(monkeypatch, fresh_memos):
+    # T's generators act through the certified structure constants and each
+    # A_i is the indicator of the orbits at distance i, so neither a cold
+    # verify --m 3 without export nor the benchmark's m = 4 orbit checks
+    # build a distance matrix A_i with i >= 2: the n x n matrices they make
+    # are A_1, the dual idempotents and the covering's matrices
+    assert not hasattr(combinatorics_module, "_distance_matrices")
+    made = _trace_vertex_square_matrices(monkeypatch)
+    assert len(run(RunConfig(m=3))) == 16
+    reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
+    run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
+    monkeypatch.undo()
+    assert made
+    for m in (3, 4):
+        g = GroundSet(m)
+        built = [a for a in made if a.nrows == combinatorics_module.vertex_count(g)]
+        higher = distance_matrices(g)[2:]
+        assert [a for a in built if any(a == ai for ai in higher)] == []
+    # the pass over all vertex pairs that read off action tables is the
+    # tests' oracle (helpers.action_tables), not a method of the package
+    assert not hasattr(OrbitCoordinates, "action_tables")
+
+
 def test_the_package_keeps_no_n_by_n_orbit_distance_or_sandwich_builder():
     # the sphere rows alone decide which orbit a pair is in: lemma41 counts
     # the orbits of A_1's entries by label, the export reads pair positions
@@ -648,6 +693,22 @@ def test_the_product_index_is_built_on_first_read(fresh_memos):
     assert "products" not in vars(orbits_module._orbit_coordinates(4))
     run(RunConfig(m=4, checks=("distance-regular",)))
     assert "products" in vars(orbits_module._orbit_coordinates(4))
+
+
+def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
+    # the all-orbit matrices are the tests' oracle (helpers.orbit_matrices);
+    # T, Z(T), their comparisons and centralizer-dim's products, tested on
+    # the sphere rows, make no n x n matrix at all
+    assert not hasattr(orbits_module, "_orbit_matrices")
+    made = _trace_vertex_square_matrices(monkeypatch)
+    reports = run(RunConfig(m=3, checks=("terwilliger-dim", "inclusion", "equality", "center-dim")))
+    assert [r.status for r in reports] == ["pass"] * 4
+    assert made == []
+    run(RunConfig(m=3, checks=("centralizer-dim",)))
+    assert made == []
+    # the trace sees an n x n matrix where one is made
+    combinatorics_module.adjacency_matrix(GroundSet(3))
+    assert [(a.nrows, a.ncols) for a in made] == [(70, 70)]
 
 
 def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fresh_memos):
