@@ -15,9 +15,11 @@ JSON up to the elapsed_ms fields.
 
 The centralizer algebra, T and Z(T) are kept in orbit coordinates Q^d,
 d = 4 C(m+4, 4), one coordinate per orbit matrix: the checks compare them
-there, the cache stores their RREF rows there (format 2), and
-export_matrices alone writes them out as vectorized n x n matrices, from the
-orbit of every vertex pair, read once through the sphere rows.
+there, the cache stores T's RREF rows there (format 2), Z(T) is solved
+anew on every run, as cheaply as a cached copy could be certified, and
+export_matrices alone writes the centralizer algebra and T out as
+vectorized n x n matrices, from the orbit of every vertex pair, read once
+through the sphere rows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import random
 import time
 import warnings
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from math import comb
 from pathlib import Path
@@ -65,7 +66,6 @@ from .terwilliger import (
     block_profile,
     build_terwilliger,
     center_basis as _center_basis,
-    certify_center_span,
     certify_terwilliger_span,
     subalgebra_spans,
     TerwilligerAlgebra,
@@ -299,50 +299,35 @@ class CheckContext:
     def centralizer(self):
         return self._get("centralizer", lambda: build_centralizer(self.g))
 
-    def _load_span(self, name: str, certify: Callable[[SpanBasis], None]) -> SpanBasis | None:
-        """The span stored in the cache under name at this m, when there is
-        one and certify accepts it.  A span that certify rejects
-        (NotClosedError) is, like a damaged file, a warning and None."""
-        if self.cache_dir is None:
-            return None
-        key = f"m{self.g.m}_{name}"
-        cached = load_basis(self.cache_dir, key, self.centralizer.ambient_dim)
-        if cached is not None:
-            try:
-                certify(cached)
-            except NotClosedError as exc:
-                warnings.warn(f"ignoring basis cache {_basis_path(self.cache_dir, key)}: {exc}")
-                return None
-        return cached
-
-    def _store_span(self, name: str, basis: SpanBasis) -> None:
-        if self.cache_dir is not None:
-            cache_basis(self.cache_dir, f"m{self.g.m}_{name}", basis)
-
     @property
     def terwilliger(self) -> TerwilligerAlgebra:
+        """T, read from the cache when a cache directory is set and it holds
+        a T that certify_terwilliger_span accepts, else closed and stored.  A
+        span it rejects (NotClosedError) is, like a damaged file, a warning
+        and a rebuild."""
+
         def build():
-            cached = self._load_span("terwilliger", partial(certify_terwilliger_span, self.g.m))
+            m, cache_dir = self.g.m, self.cache_dir
+            if cache_dir is None:
+                return build_terwilliger(self.g)
+            key = f"m{m}_terwilliger"
+            cached = load_basis(cache_dir, key, self.centralizer.ambient_dim)
             if cached is not None:
-                # a T read from the cache has no closure run
-                return TerwilligerAlgebra(m=self.g.m, basis=cached, closure=None)
+                try:
+                    certify_terwilliger_span(m, cached)
+                    # a T read from the cache has no closure run
+                    return TerwilligerAlgebra(m=m, basis=cached, closure=None)
+                except NotClosedError as exc:
+                    warnings.warn(f"ignoring basis cache {_basis_path(cache_dir, key)}: {exc}")
             t = build_terwilliger(self.g)
-            self._store_span("terwilliger", t.basis)
+            cache_basis(cache_dir, key, t.basis)
             return t
 
         return self._get("terwilliger", build)
 
     @property
     def center(self) -> SpanBasis:
-        def build():
-            t = self.terwilliger
-            z = self._load_span("center", partial(certify_center_span, t))
-            if z is None:
-                z = _center_basis(t)
-                self._store_span("center", z)
-            return z
-
-        return self._get("center", build)
+        return self._get("center", lambda: _center_basis(self.terwilliger))
 
 
 # ---------------------------------------------------------------------------

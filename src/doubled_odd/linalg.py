@@ -15,7 +15,7 @@ certified structure constants, and the tests pass an action that multiplies
 vectorized n x n matrices, as an oracle.  SpanBasis
 is the one exact elimination routine: the closure grows a SpanBasis, and
 centralizer_within inserts its commutator equations into one and reads the
-centre off SpanBasis.null_space.
+commutant off SpanBasis.null_space.
 """
 
 from __future__ import annotations
@@ -414,24 +414,17 @@ def centralizer_within(
     generators: Iterable,
     action: GeneratorAction,
 ) -> SpanBasis:
-    """The center of the algebra spanned by basis and generated by generators.
+    """The elements of span(basis) commuting with every generator.
 
-    action says how a generator acts on a stored vector.  The span must be
-    closed under multiplication and be generated, together with the
-    identity, by the given generators; the coordinate solves raise
-    NotClosedError when g x or x g leaves the span.  (Spans in orbit
-    coordinates come from algebra_closure, closed by its word argument.)
-    The generating property is the caller's to guarantee.  Every equation of (L_g - R_g) x = 0 over
-    the d basis coordinates, for every generator g, is inserted into one
-    SpanBasis of Q^d; its null_space is the solution set, returned as a span
-    in the ambient space of basis.
-
-    Why the generators suffice: an x in the span that commutes with every
-    generator commutes with every word in them, and by linearity with every
-    combination of words, which is the whole algebra.
+    action says how a generator acts on a stored vector.  An element
+    x = sum_a c_a r_a over the basis rows r_a commutes with g exactly when
+    every ambient coordinate of sum_a c_a (r_a g - g r_a) is zero.  Those
+    equations in the c_a, for every generator g, are inserted into one
+    SpanBasis; its null_space is the solution set, returned as a span in the
+    ambient space of basis.  Nothing is asked of the span: that the solution
+    is a centre is the caller's argument (terwilliger.center_basis).
     """
     gens = list(generators)
-    d = basis.dimension
     ambient = basis.ambient_dim
     if action.ambient_dim != ambient:
         raise ShapeMismatchError(
@@ -439,21 +432,14 @@ def centralizer_within(
         )
     rows = basis.rows
 
-    def coords_of(vec: dict[int, object]) -> dict[int, object]:
-        # {pivot column: coefficient}; pivot columns sort like basis rows
-        residue, coeffs = basis.reduce_with_coefficients(vec)
-        if residue:
-            raise NotClosedError("product of basis elements left the span")
-        return coeffs
-
-    # one linear equation in the basis coordinates per (generator, coordinate
-    # position) pair; the commutant coefficients are the null space
-    system = SpanBasis(d)
+    # one linear equation in the basis coordinates per (generator, ambient
+    # coordinate) pair; the commutant coefficients are the null space
+    system = SpanBasis(basis.dimension)
     for gm in gens:
         equations: dict[int, dict[int, object]] = {}
         for a, row in enumerate(rows):
-            xg = coords_of(action.right(gm, row))
-            gx = coords_of(action.left(gm, row))
+            xg = action.right(gm, row)
+            gx = action.left(gm, row)
             for e in xg.keys() | gx.keys():
                 delta = _norm(xg.get(e, 0) - gx.get(e, 0))
                 if delta:

@@ -12,14 +12,15 @@ out as n x n matrices.
 
 Every generator is an element of Q^d read off the orbit labels: E*_i is the
 unit vector of one diagonal orbit, and A_i the indicator of the orbits at
-distance i (orbits._orbit_distance).  The closure and the centre solve act
-with the generators on the orbit matrices by products in Q^d through the
-certified structure constants (orbits.OrbitCoordinates.product).  So the
-action of A_1 is exactly as certified as the structure constants: at every
-m by labels = stabilizer orbits, shown by union-finds over the n vertices,
+distance i (orbits._orbit_distance).  The closure acts with the generators
+on the orbit matrices by products in Q^d through the certified structure
+constants (orbits.OrbitCoordinates.product), and the centre solve with A_1
+alone on T's diagonal blocks E*_i T E*_i (center_basis).  So the action of
+A_1 is exactly as certified as the structure constants: at every m by
+labels = stabilizer orbits, shown by union-finds over the n vertices,
 + Higman's theorem.  T needs no n x n matrix and no pass over all n^2
-vertex pairs.  A T or Z(T) read back from a cache is re-certified by the
-same products (certify_terwilliger_span, certify_center_span).  Everything T
+vertex pairs.  A T read back from a cache is re-certified by the same
+products (certify_terwilliger_span); Z(T) is not cached.  Everything T
 is generated by lies inside the centralizer algebra of the stabilizer of
 x0: each E*_i is a single diagonal orbit matrix and each sandwich
 E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with explicit
@@ -266,9 +267,30 @@ def verify_equality(t: TerwilligerAlgebra, cent: OrbitCoordinates) -> EqualityRe
 
 
 def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
-    """Basis of the center Z(T) in Q^d: the elements of T commuting with the
-    generators T is closed under, solved in orbit coordinates."""
-    return centralizer_within(t.basis, _generators(t.m), action=_orbit_coordinates(t.m))
+    """Basis of the center Z(T) in Q^d: the commutant of A_1 within T's
+    diagonal blocks E*_i T E*_i, solved in orbit coordinates.
+
+    T contains every E*_i, so it is the direct sum of its blocks
+    E*_i T E*_j, and an element of T commutes with every E*_i exactly when
+    it lies in the diagonal blocks.  Since T is generated by A_1 and the
+    E*_i, Z(T) is the part of those blocks that commutes with A_1.  Orbit a
+    lies in the block of its row sphere and the sphere of its first pair's
+    column.  The blocks have disjoint coordinates, and the union of RREFs on
+    disjoint coordinates is an RREF, so every row of T's RREF lies in one
+    block; a row that joins two raises NotClosedError (a cached T is only
+    shown to contain T, see certify_terwilliger_span).
+    """
+    index = _sphere_rows(t.m)
+    block = [(s, index.sphere_of[zs[0]]) for s, zs in zip(index.row_of, index.members)]
+    diagonal = []
+    for row in t.basis.rows:
+        (i, j), *others = {block[a] for a in row}
+        if others:
+            raise NotClosedError("a row of the span joins two blocks E*_i T E*_j")
+        if i == j:
+            diagonal.append(row)
+    within = SpanBasis.from_reduced_rows(t.basis.ambient_dim, diagonal)
+    return centralizer_within(within, [_distance_vector(t.m, 1)], action=_orbit_coordinates(t.m))
 
 
 def _generator_name(m: int, k: int) -> str:
@@ -288,19 +310,6 @@ def certify_terwilliger_span(m: int, basis: SpanBasis) -> None:
         for row in basis.rows:
             if not basis.contains_vector(coords.left(x, row)):
                 raise NotClosedError(f"the span is not closed under the action of {_generator_name(m, k)}")
-
-
-def certify_center_span(t: TerwilligerAlgebra, basis: SpanBasis) -> None:
-    """Check that a span of Q^d read back for Z(T) lies in Z(T): every row
-    lies in T and commutes with every generator T is closed under
-    (NotClosedError otherwise).  A proper subspace of Z(T) passes."""
-    coords, gens = _orbit_coordinates(t.m), _generators(t.m)
-    for row in basis.rows:
-        if not t.basis.contains_vector(row):
-            raise NotClosedError("the span does not lie in T")
-        for k, x in enumerate(gens):
-            if coords.left(x, row) != coords.right(x, row):
-                raise NotClosedError(f"the span does not commute with {_generator_name(t.m, k)}")
 
 
 def upsilon(m: int) -> frozenset[tuple[int, int]]:

@@ -270,41 +270,57 @@ def test_cache_file_of_the_wrong_ambient_dimension_is_recomputed(tmp_path):
     checks = ("terwilliger-dim", "inclusion", "equality", "center-dim")
     expected = _normalized(run(RunConfig(m=1, checks=checks)))
     run(RunConfig(m=1, checks=checks, cache_dir=str(tmp_path)))
-    paths = [tmp_path / f"m1_{kind}_v{__version__}.json" for kind in ("terwilliger", "center")]
-    for path in paths:
-        payload = json.loads(path.read_text())
-        assert payload["ambient_dim"] == 20
-        # valid rows, but not in the 20 orbit coordinates
-        payload["ambient_dim"] = 10 ** 6
-        path.write_text(json.dumps(payload))
+    path = tmp_path / f"m1_terwilliger_v{__version__}.json"
+    payload = json.loads(path.read_text())
+    assert payload["ambient_dim"] == 20
+    # valid rows, but not in the 20 orbit coordinates
+    payload["ambient_dim"] = 10 ** 6
+    path.write_text(json.dumps(payload))
     with pytest.warns(UserWarning, match="ambient dimension"):
         reports = run(RunConfig(m=1, checks=checks, cache_dir=str(tmp_path)))
     assert _normalized(reports) == expected
-    assert all(json.loads(path.read_text())["ambient_dim"] == 20 for path in paths)
+    assert json.loads(path.read_text())["ambient_dim"] == 20
 
 
 @pytest.mark.parametrize("kind, message", [
     ("terwilliger", r"not closed under the action of E\*_0"),
-    ("center", "does not commute with A_1"),
 ])
 def test_a_cached_span_that_fails_recertification_is_recomputed(tmp_path, kind, message):
-    # well-formed cache files that hold no T and no Z(T): span{I} is not
-    # closed under E*_0, and span{E*_0} lies in T but does not commute with A_1
+    # a well-formed cache file that holds no T: span{I} is not closed under E*_0
     checks = ("terwilliger-dim", "inclusion", "equality", "center-dim")
     expected = _normalized(run(RunConfig(m=3, checks=checks)))
     coords = CheckContext(3).centralizer
-    # orbit 0 is the orbit of (x0, x0), whose matrix is E*_0
-    row = coords.identity() if kind == "terwilliger" else {0: 1}
-    path = cache_basis(tmp_path, f"m3_{kind}", SpanBasis.from_reduced_rows(coords.ambient_dim, [row]))
+    path = cache_basis(tmp_path, f"m3_{kind}", SpanBasis.from_reduced_rows(coords.ambient_dim, [coords.identity()]))
     with pytest.warns(UserWarning, match=message):
         reports = run(RunConfig(m=3, checks=checks, cache_dir=str(tmp_path)))
     assert _normalized(reports) == expected
-    assert len(json.loads(path.read_text())["rows"]) == {"terwilliger": 140, "center": 6}[kind]
-    # the spans stored in their place pass the re-certification
+    assert len(json.loads(path.read_text())["rows"]) == 140
+    # the span stored in its place passes the re-certification
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reports = run(RunConfig(m=3, checks=checks, cache_dir=str(tmp_path)))
     assert _normalized(reports) == expected
+
+
+@pytest.mark.parametrize("kind", ["identity", "E*_0"])
+def test_a_center_cache_file_is_never_read(tmp_path, kind):
+    # Z(T) is solved on every run, so a well-formed m3_center file changes
+    # nothing: span{I} lies in Z(T) but is not all of it, and span{E*_0}
+    # lies in T but does not commute with A_1
+    coords = CheckContext(3).centralizer
+    # orbit 0 is the orbit of (x0, x0), whose matrix is E*_0
+    row = coords.identity() if kind == "identity" else {0: 1}
+    cache_basis(tmp_path, "m3_center", SpanBasis.from_reduced_rows(coords.ambient_dim, [row]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (report,) = run(RunConfig(m=3, checks=("center-dim",), cache_dir=str(tmp_path)))
+    assert (report.actual, report.status) == ({"dim": 6, "upsilon_size": 6}, "pass")
+
+
+def test_a_cold_cached_run_stores_t_alone(tmp_path):
+    assert main(["verify", "--m", "3", "--cache-dir", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [f"m3_terwilliger_v{__version__}.json"]
+    assert not hasattr(terwilliger_module, "certify_center_span")
 
 
 def test_n2_cache_file_of_format_1_is_a_silent_miss(tmp_path):
@@ -312,27 +328,23 @@ def test_n2_cache_file_of_format_1_is_a_silent_miss(tmp_path):
     expected = _normalized(run(RunConfig(m=1, checks=checks)))
     ctx = CheckContext(1)
     coords = ctx.centralizer
-    paths = []
-    for kind, basis in (("terwilliger", ctx.terwilliger.basis), ("center", ctx.center)):
-        # the entry as format 1 stored it: the RREF of vectorized 6 x 6 matrices
-        lifted = lift(coords, basis)
-        payload = {
-            "format": 1,
-            "package_version": __version__,
-            "key": f"m1_{kind}",
-            "ambient_dim": lifted.ambient_dim,
-            "rows": [[[c, str(row[c])] for c in sorted(row)] for row in lifted.rows],
-        }
-        path = tmp_path / f"m1_{kind}_v{__version__}.json"
-        path.write_text(json.dumps(payload))
-        paths.append(path)
+    # the entry as format 1 stored it: the RREF of vectorized 6 x 6 matrices
+    lifted = lift(coords, ctx.terwilliger.basis)
+    payload = {
+        "format": 1,
+        "package_version": __version__,
+        "key": "m1_terwilliger",
+        "ambient_dim": lifted.ambient_dim,
+        "rows": [[[c, str(row[c])] for c in sorted(row)] for row in lifted.rows],
+    }
+    path = tmp_path / f"m1_terwilliger_v{__version__}.json"
+    path.write_text(json.dumps(payload))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reports = run(RunConfig(m=1, checks=checks, cache_dir=str(tmp_path)))
     assert _normalized(reports) == expected
-    for path in paths:
-        payload = json.loads(path.read_text())
-        assert (payload["format"], payload["ambient_dim"]) == (2, 20)
+    payload = json.loads(path.read_text())
+    assert (payload["format"], payload["ambient_dim"]) == (2, 20)
     warm = CheckContext(1, cache_dir=str(tmp_path))
     assert warm.terwilliger.closure is None
     assert warm.terwilliger.basis == ctx.terwilliger.basis

@@ -246,8 +246,6 @@ def test_centralizer_of_diagonal_algebra_is_itself():
 def test_centralizer_rejects_non_closed_span():
     gens = [_unit(2, 0, 1), _unit(2, 1, 0)]
     bad = span(gens)  # E12 E21 = E11 is outside
-    with pytest.raises(NotClosedError, match="left the span"):
-        centralizer_within(bad, gens, MatrixAction(2))
     with pytest.raises(NotClosedError, match="spot check"):
         MatrixAction.on(bad)
 

@@ -327,6 +327,29 @@ def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
         assert center == lift(coords, ctx.center)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow), pytest.param(5, marks=pytest.mark.slow)])
+def test_center_matches_the_all_generator_oracle(ctx_for, m):
+    # the solve over all of T against every generator T is closed under
+    # gives the RREF of the solve on the diagonal blocks against A_1
+    t = ctx_for(m).terwilliger
+    oracle = centralizer_within(t.basis, terwilliger_module._generators(m), orbits_module._orbit_coordinates(m))
+    assert oracle.dimension == upsilon_size_formula(m)
+    assert center_basis(t) == oracle
+
+
+def test_center_rejects_a_row_joining_two_blocks():
+    # T is all of Q^d at m = 3; joining the unit of orbit 0, whose matrix is
+    # E*_0, to that of an orbit between two spheres leaves an RREF whose row
+    # lies in no one block E*_i T E*_j
+    index = orbits_module._sphere_rows(3)
+    d = len(index.labels)
+    b = next(b for b, zs in enumerate(index.members) if index.sphere_of[zs[0]] != index.row_of[b])
+    rows = [{0: 1, b: 1}] + [{a: 1} for a in range(1, d) if a != b]
+    t = TerwilligerAlgebra(m=3, basis=SpanBasis.from_reduced_rows(d, rows), closure=None)
+    with pytest.raises(NotClosedError, match="joins two blocks"):
+        center_basis(t)
+
+
 def test_center_of_a_cached_terwilliger_basis():
     # a basis loaded without its closure acts by the same generators
     g = GroundSet(2)
