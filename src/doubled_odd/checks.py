@@ -1,4 +1,4 @@
-"""Check registry, verification reports, caching and matrix export.
+"""Check registry, verification reports and matrix export.
 
 Every headline fact the package can verify is wired to a named check from a
 closed registry.  A check produces one VerificationReport: the expected value
@@ -15,27 +15,23 @@ JSON up to the elapsed_ms fields.
 
 The centralizer algebra, T and Z(T) are kept in orbit coordinates Q^d,
 d = 4 C(m+4, 4), one coordinate per orbit matrix: the checks compare them
-there, the cache stores T's RREF rows there (format 2), Z(T) is solved
-anew on every run, as cheaply as a cached copy could be certified, and
-export_matrices alone writes the centralizer algebra and T out as
-vectorized n x n matrices, from the orbit of every vertex pair, read once
-through the sphere rows.
+there, T is closed and Z(T) solved anew on every run (nothing is read back
+from disk, since certifying a stored T would take the same generator
+products as closing it), and export_matrices alone writes the centralizer
+algebra and T out as vectorized n x n matrices, from the orbit of every
+vertex pair, read once through the sphere rows.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
-import warnings
-from fractions import Fraction
 from itertools import chain
 from math import comb
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import __version__
 from .combinatorics import (
     DistanceRegularityError,
     GroundSet,
@@ -66,7 +62,6 @@ from .terwilliger import (
     block_profile,
     build_terwilliger,
     center_basis as _center_basis,
-    certify_terwilliger_span,
     subalgebra_spans,
     TerwilligerAlgebra,
     upsilon,
@@ -123,24 +118,23 @@ class RunConfig:
     """Configuration of one verification run.
 
     checks=None means every check applicable at m; an explicit check that
-    is unknown or not applicable at m raises ConfigError.  m is limited to
-    SUPPORTED_M, [1, 5]; m = 6 (n = 3,432, 11.8 M vertex pairs) is not yet
-    verified end to end.  What still grows with the n^2 vertex pairs is
+    is unknown or not applicable at m, or an empty selection, raises
+    ConfigError.  m is limited to SUPPORTED_M, [1, 5]; m = 6 (n = 3,432,
+    11.8 M vertex pairs) is not yet verified end to end.  What still grows with the n^2 vertex pairs is
     the union-find of the stabilizer generators of orbits-oracle (capped at
     m <= 4) and the export, which reads the orbit of every pair once, row by
     row, for its n x n files; every other orbit lookup reads single rows
     and columns of pairs off the 2m+2 sphere rows.
 
-    Immutable, with value equality and hashing over its four fields.
+    Immutable, with value equality and hashing over its three fields.
     """
 
-    __slots__ = ("m", "checks", "cache_dir", "export_dir")
+    __slots__ = ("m", "checks", "export_dir")
 
     def __init__(
         self,
         m: int,
         checks: tuple[str, ...] | None = None,
-        cache_dir: str | None = None,
         export_dir: str | None = None,
     ):
         # bool is an int subclass, but True is not a size
@@ -150,15 +144,17 @@ class RunConfig:
             raise ConfigError(
                 f"m={m} outside the supported range [{SUPPORTED_M[0]}, {SUPPORTED_M[-1]}]"
             )
+        if checks is not None and not checks:
+            raise ConfigError("empty --checks list")
         for name in checks or ():
             # applicable raises ConfigError for an unknown check
             if not applicable(name, m):
                 raise ConfigError(f"check {name!r} is not applicable at m={m}")
-        for name, value in zip(self.__slots__, (m, checks, cache_dir, export_dir)):
+        for name, value in zip(self.__slots__, (m, checks, export_dir)):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        return self.m, self.checks, self.cache_dir, self.export_dir
+        return self.m, self.checks, self.export_dir
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -204,90 +200,14 @@ def render_reports(reports: list[VerificationReport]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# basis caching
-
-
-def _basis_path(cache_dir, key: str) -> Path:
-    return Path(cache_dir) / f"{key}_v{__version__}.json"
-
-
-def cache_basis(cache_dir, key: str, basis: SpanBasis) -> Path:
-    """Store a span basis (its RREF rows) on disk, keyed by (key, package
-    version)."""
-    path = _basis_path(cache_dir, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rows = [
-        [[c, str(row[c])] for c in sorted(row)]
-        for row in basis.rows
-    ]
-    payload = {
-        "format": 2,
-        "package_version": __version__,
-        "key": key,
-        "ambient_dim": basis.ambient_dim,
-        "rows": rows,
-    }
-    # write a sibling temporary file and rename it over the target, so a
-    # reader never sees a half-written entry
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
-
-
-def load_basis(cache_dir, key: str, ambient_dim: int) -> SpanBasis | None:
-    """Load a span basis stored by cache_basis; None on miss or any damage.
-
-    A file of another format or package version is a silent miss.  The
-    stored rows are an RREF and are taken as such, not eliminated again: a
-    row that is not reduced, a value that is not a string (cache_basis
-    writes each as str of an int or Fraction, so a JSON number is damage),
-    and a file whose ambient dimension is not ambient_dim, count as damaged
-    (a warning, then None).
-    """
-    path = _basis_path(cache_dir, key)
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-        if not isinstance(payload, dict):
-            raise ValueError("top level is not an object")
-        if payload.get("format") != 2 or payload.get("package_version") != __version__:
-            return None
-        if payload.get("key") != key:
-            return None
-        if payload["ambient_dim"] != ambient_dim:
-            raise ValueError(f"ambient dimension {payload['ambient_dim']} is not {ambient_dim}")
-        rows = []
-        for row in payload["rows"]:
-            vec = {}
-            for c, v in row:
-                if type(c) is not int:
-                    raise ValueError(f"column {c!r} is not an integer")
-                if type(v) is not str:
-                    raise ValueError(f"value {v!r} in column {c} is not a string")
-                val = Fraction(v)
-                vec[c] = val.numerator if val.denominator == 1 else val
-            rows.append(vec)
-        return SpanBasis.from_reduced_rows(ambient_dim, rows)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError, OSError) as exc:
-        warnings.warn(f"ignoring unreadable basis cache {path}: {exc}")
-        return None
-
-
-# ---------------------------------------------------------------------------
 # shared per-run construction state
 
 
 class CheckContext:
     """Lazily builds and memoizes the per-m objects the checks share."""
 
-    def __init__(self, m: int, cache_dir: str | None = None):
+    def __init__(self, m: int):
         self.g = GroundSet(m)
-        self.cache_dir = cache_dir
         self._memo: dict[str, object] = {}
 
     def _get(self, name: str, build: Callable[[], object]):
@@ -301,29 +221,7 @@ class CheckContext:
 
     @property
     def terwilliger(self) -> TerwilligerAlgebra:
-        """T, read from the cache when a cache directory is set and it holds
-        a T that certify_terwilliger_span accepts, else closed and stored.  A
-        span it rejects (NotClosedError) is, like a damaged file, a warning
-        and a rebuild."""
-
-        def build():
-            m, cache_dir = self.g.m, self.cache_dir
-            if cache_dir is None:
-                return build_terwilliger(self.g)
-            key = f"m{m}_terwilliger"
-            cached = load_basis(cache_dir, key, self.centralizer.ambient_dim)
-            if cached is not None:
-                try:
-                    certify_terwilliger_span(m, cached)
-                    # a T read from the cache has no closure run
-                    return TerwilligerAlgebra(m=m, basis=cached, closure=None)
-                except NotClosedError as exc:
-                    warnings.warn(f"ignoring basis cache {_basis_path(cache_dir, key)}: {exc}")
-            t = build_terwilliger(self.g)
-            cache_basis(cache_dir, key, t.basis)
-            return t
-
-        return self._get("terwilliger", build)
+        return self._get("terwilliger", lambda: build_terwilliger(self.g))
 
     @property
     def center(self) -> SpanBasis:
@@ -613,7 +511,7 @@ def run(cfg: RunConfig, progress: Callable[[str], None] | None = None) -> list[V
     else:
         selected = {name for name in CHECK_IDS if applicable(name, cfg.m)}
 
-    ctx = CheckContext(cfg.m, cfg.cache_dir)
+    ctx = CheckContext(cfg.m)
     reports: list[VerificationReport] = []
     for name in CHECK_IDS:
         if name not in selected:
@@ -708,9 +606,9 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     return written
 
 
-def headline_dimensions(m: int, cache_dir: str | None = None) -> dict[str, int]:
+def headline_dimensions(m: int) -> dict[str, int]:
     """|X|, dim of the centralizer algebra, dim T and dim Z(T) at one m."""
-    ctx = CheckContext(m, cache_dir)
+    ctx = CheckContext(m)
     return {
         "vertices": vertex_count(ctx.g),
         "centralizer_dim": ctx.centralizer.ambient_dim,

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .checks import (
     CHECK_IDS,
-    CheckContext,
     ConfigError,
     SUPPORTED_M,
     RunConfig,
@@ -52,41 +51,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma separated check ids, or 'all' (default) for every check applicable at m; known ids: " + ", ".join(CHECK_IDS),
     )
     verify.add_argument("--out", default=None, help="write the JSON report to this file instead of stdout")
-    verify.add_argument("--cache-dir", default=None, help="directory for cached algebra bases")
+    # ignored: perfbench's cold-m3 and warm-m3 pass it, until ROADMAP item 1 drops it
+    verify.add_argument("--cache-dir", help=argparse.SUPPRESS)
     verify.add_argument("--export-dir", default=None, help="also export all matrices to this directory")
 
     dims = sub.add_parser("dims", help="print vertex count and algebra dimensions")
     _add_m_argument(dims)
-    dims.add_argument("--cache-dir", default=None, help="directory for cached algebra bases")
 
     export = sub.add_parser("export", help="write all matrices to coordinate text files")
     _add_m_argument(export)
     export.add_argument("--export-dir", required=True, help="output directory")
-    export.add_argument("--cache-dir", default=None, help="directory for cached algebra bases")
 
     return parser
 
 
 def _parse_checks(raw: str) -> tuple[str, ...] | None:
+    # RunConfig rejects an empty selection
     names = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if not names:
-        raise ConfigError("empty --checks list")
-    if names == ("all",):
-        return None
-    return names
+    return None if names == ("all",) else names
 
 
-def _make_dir(option: str, path: str | None) -> None:
-    """Create the directory an option names before any check runs, so that
-    a path under or at a regular file fails at once, not after the checks
-    that come before its first write."""
+def _make_export_dir(path: str | None) -> None:
+    """Create --export-dir before any check runs, so that a path under or at
+    a regular file fails at once, not after the checks that come before the
+    export."""
     if path is not None:
         try:
             Path(path).mkdir(parents=True, exist_ok=True)
         except FileExistsError:
-            raise OSError(f"cannot use {option} {path}: it is not a directory") from None
+            raise OSError(f"cannot use --export-dir {path}: it is not a directory") from None
         except OSError as exc:
-            raise OSError(f"cannot use {option} {path}: {exc.strerror}") from exc
+            raise OSError(f"cannot use --export-dir {path}: {exc.strerror}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -96,11 +91,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg = RunConfig(
                 m=args.m,
                 checks=_parse_checks(args.checks),
-                cache_dir=args.cache_dir,
                 export_dir=args.export_dir,
             )
-            _make_dir("--cache-dir", args.cache_dir)
-            _make_dir("--export-dir", args.export_dir)
+            _make_export_dir(args.export_dir)
             # write the report to a sibling temporary file, opened before any
             # check runs so that an unwritable path fails at once, and rename
             # it over --out only when complete: a run that stops on an error
@@ -133,8 +126,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "dims":
             RunConfig(m=args.m)
-            _make_dir("--cache-dir", args.cache_dir)
-            dims = headline_dimensions(args.m, args.cache_dir)
+            dims = headline_dimensions(args.m)
             print(f"m = {args.m}")
             print(f"vertices          = {dims['vertices']}")
             print(f"centralizer dim   = {dims['centralizer_dim']}")
@@ -144,9 +136,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "export":
             RunConfig(m=args.m)
-            _make_dir("--cache-dir", args.cache_dir)
-            ctx = CheckContext(args.m, args.cache_dir)
-            written = export_matrices(args.m, args.export_dir, ctx=ctx)
+            written = export_matrices(args.m, args.export_dir)
             print(f"wrote {len(written)} files to {args.export_dir}", file=sys.stderr)
             return 0
     except (ConfigError, OSError) as exc:

@@ -19,16 +19,16 @@ alone on T's diagonal blocks E*_i T E*_i (center_basis).  So the action of
 A_1 is exactly as certified as the structure constants: at every m by
 labels = stabilizer orbits, shown by union-finds over the n vertices,
 + Higman's theorem.  T needs no n x n matrix and no pass over all n^2
-vertex pairs.  A T read back from a cache is re-certified by the same
-products (certify_terwilliger_span); Z(T) is not cached.  Everything T
-is generated by lies inside the centralizer algebra of the stabilizer of
-x0: each E*_i is a single diagonal orbit matrix and each sandwich
-E*_i A_1 E*_{i+1} is a single off-diagonal orbit matrix, with explicit
-four-tuple labels.  verify_sandwich_identities checks those
-identifications by orbit label and count: each entry of the adjacency
-matrix A_1 is sorted into its orbit through the sphere rows and tallied by
-the spheres it joins, since each sandwich E*_i A_1 E*_j is the restriction
-of A_1 from sphere i to sphere j, and no n x n orbit matrix is built.
+vertex pairs.  T is closed and Z(T) solved on every run; nothing is read
+back from disk.  Everything T is generated by lies inside the centralizer
+algebra of the stabilizer of x0: each E*_i is a single diagonal orbit
+matrix and each sandwich E*_i A_1 E*_{i+1} is a single off-diagonal orbit
+matrix, with explicit four-tuple labels.  verify_sandwich_identities
+checks those identifications by orbit label and count: each entry of the
+adjacency matrix A_1 is sorted into its orbit through the sphere rows and
+tallied by the spheres it joins, since each sandwich E*_i A_1 E*_j is the
+restriction of A_1 from sphere i to sphere j, and no n x n orbit matrix is
+built.
 
 For m >= 3 the two algebras are expected to coincide, with
 
@@ -80,7 +80,7 @@ class TerwilligerAlgebra(NamedTuple):
     """The Terwilliger algebra as a closed span in orbit coordinates.
 
     basis is the RREF basis of T in Q^d, one coordinate per orbit matrix.
-    closure, when T was computed rather than loaded, is the run that produced it.
+    closure is the run that produced it, None for a span built otherwise.
     """
 
     m: int
@@ -277,8 +277,8 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     lies in the block of its row sphere and the sphere of its first pair's
     column.  The blocks have disjoint coordinates, and the union of RREFs on
     disjoint coordinates is an RREF, so every row of T's RREF lies in one
-    block; a row that joins two raises NotClosedError (a cached T is only
-    shown to contain T, see certify_terwilliger_span).
+    block; a row that joins two raises NotClosedError, since this accepts
+    any span a caller builds, not only a closure.
     """
     index = _sphere_rows(t.m)
     block = [(s, index.sphere_of[zs[0]]) for s, zs in zip(index.row_of, index.members)]
@@ -291,25 +291,6 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
             diagonal.append(row)
     within = SpanBasis.from_reduced_rows(t.basis.ambient_dim, diagonal)
     return centralizer_within(within, [_distance_vector(t.m, 1)], action=_orbit_coordinates(t.m))
-
-
-def _generator_name(m: int, k: int) -> str:
-    # the name of _generators(m)[k]
-    return f"E*_{k}" if k < 2 * m + 2 else "A_1"
-
-
-def certify_terwilliger_span(m: int, basis: SpanBasis) -> None:
-    """Check that a span of Q^d read back for T at m contains T: it holds the
-    identity and is closed under the left action of every generator T is
-    closed under, so it holds every word in them (NotClosedError otherwise).
-    A span larger than T passes."""
-    coords = _orbit_coordinates(m)
-    if not basis.contains_vector(coords.identity()):
-        raise NotClosedError("the span does not contain the identity")
-    for k, x in enumerate(_generators(m)):
-        for row in basis.rows:
-            if not basis.contains_vector(coords.left(x, row)):
-                raise NotClosedError(f"the span is not closed under the action of {_generator_name(m, k)}")
 
 
 def upsilon(m: int) -> frozenset[tuple[int, int]]:

@@ -1,15 +1,12 @@
-"""Report registry, run configuration, caching, export and the CLI."""
+"""Report registry, run configuration, export and the CLI."""
 
 import hashlib
 import json
-import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import distance_matrices, lift, merged_sphere_rows, orbit_matrix
+from helpers import distance_matrices, merged_sphere_rows, orbit_matrix
 
-from doubled_odd import __version__
 from doubled_odd import checks as checks_module
 from doubled_odd import combinatorics as combinatorics_module
 from doubled_odd import orbits as orbits_module
@@ -21,10 +18,8 @@ from doubled_odd.checks import (
     RunConfig,
     VerificationReport,
     applicable,
-    cache_basis,
     export_matrices,
     headline_dimensions,
-    load_basis,
     render_reports,
     run,
 )
@@ -84,13 +79,13 @@ def test_run_config_validation():
 
 def test_run_config_is_an_immutable_value():
     cfg = RunConfig(3)
-    assert (cfg.m, cfg.checks, cfg.cache_dir, cfg.export_dir) == (3, None, None, None)
-    assert repr(cfg) == "RunConfig(m=3, checks=None, cache_dir=None, export_dir=None)"
-    cfg = RunConfig(export_dir="e", cache_dir="c", checks=("lemma41",), m=4)
-    assert (cfg.m, cfg.checks, cfg.cache_dir, cfg.export_dir) == (4, ("lemma41",), "c", "e")
-    assert cfg == RunConfig(4, ("lemma41",), "c", "e")
-    assert cfg != RunConfig(4, ("lemma41",), "c") and cfg != RunConfig(3)
-    assert hash(cfg) == hash(RunConfig(4, ("lemma41",), "c", "e"))
+    assert (cfg.m, cfg.checks, cfg.export_dir) == (3, None, None)
+    assert repr(cfg) == "RunConfig(m=3, checks=None, export_dir=None)"
+    cfg = RunConfig(export_dir="e", checks=("lemma41",), m=4)
+    assert (cfg.m, cfg.checks, cfg.export_dir) == (4, ("lemma41",), "e")
+    assert cfg == RunConfig(4, ("lemma41",), "e")
+    assert cfg != RunConfig(4, ("lemma41",)) and cfg != RunConfig(3)
+    assert hash(cfg) == hash(RunConfig(4, ("lemma41",), "e"))
     with pytest.raises(AttributeError):
         cfg.m = 3
     with pytest.raises(AttributeError):
@@ -117,6 +112,14 @@ def test_verification_report_to_dict():
 def test_run_rejects_explicit_inapplicable_check():
     with pytest.raises(ConfigError):
         run(RunConfig(m=5, checks=("orbits-oracle",)))
+
+
+def test_run_config_rejects_an_empty_check_selection(capsys):
+    # an empty selection would run no check; the command line says the same
+    with pytest.raises(ConfigError, match="^empty --checks list$"):
+        RunConfig(m=1, checks=())
+    assert main(["verify", "--m", "1", "--checks", ","]) == 2
+    assert capsys.readouterr().err == "error: empty --checks list\n"
 
 
 def test_report_schema_and_statuses():
@@ -176,190 +179,6 @@ def test_progress_callback_sees_every_check():
     assert lines[0].startswith("vertex-count (m=1): pass")
 
 
-def test_basis_cache_round_trip(tmp_path):
-    basis = SpanBasis(4)
-    basis.insert({0: 1, 2: 3})
-    basis.insert({1: 2, 3: -5})
-    cache_basis(tmp_path, "unit_test_basis", basis)
-    loaded = load_basis(tmp_path, "unit_test_basis", 4)
-    assert loaded is not None
-    assert loaded == basis
-
-
-def test_basis_cache_write_is_atomic(tmp_path):
-    old = SpanBasis(3)
-    old.insert({0: 1})
-    path = cache_basis(tmp_path, "atomic_case", old)
-    new = SpanBasis(3)
-    new.insert({1: 1, 2: Fraction(-1, 2)})
-    new.insert({0: 4})
-    # rewriting replaces the entry whole and leaves no temporary file behind
-    assert cache_basis(tmp_path, "atomic_case", new) == path
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
-    assert load_basis(tmp_path, "atomic_case", 3) == new
-
-
-def test_basis_cache_miss_and_stale(tmp_path):
-    assert load_basis(tmp_path, "never_written", 2) is None
-    basis = SpanBasis(2)
-    basis.insert({0: 1})
-    path = cache_basis(tmp_path, "stale_case", basis)
-    payload = json.loads(path.read_text())
-    payload["package_version"] = "0.0.0"
-    path.write_text(json.dumps(payload))
-    assert load_basis(tmp_path, "stale_case", 2) is None
-
-
-def test_basis_cache_corrupt_file_warns(tmp_path):
-    basis = SpanBasis(2)
-    basis.insert({0: 1})
-    path = cache_basis(tmp_path, "corrupt_case", basis)
-    path.write_text("{not json")
-    with pytest.warns(UserWarning):
-        assert load_basis(tmp_path, "corrupt_case", 2) is None
-
-
-def test_basis_cache_zero_denominator_warns(tmp_path):
-    basis = SpanBasis(2)
-    basis.insert({0: 1, 1: Fraction(1, 2)})
-    path = cache_basis(tmp_path, "zero_denominator_case", basis)
-    path.write_text(path.read_text().replace('"1/2"', '"1/0"'))
-    with pytest.warns(UserWarning):
-        assert load_basis(tmp_path, "zero_denominator_case", 2) is None
-
-
-def test_basis_cache_non_object_top_level_warns(tmp_path):
-    basis = SpanBasis(2)
-    basis.insert({0: 1})
-    path = cache_basis(tmp_path, "list_case", basis)
-    path.write_text(json.dumps([1, 2, 3]))
-    with pytest.warns(UserWarning):
-        assert load_basis(tmp_path, "list_case", 2) is None
-
-
-@pytest.mark.parametrize("damage, message", [
-    ("row replaced by a sum", "pivot column 1 is not cleared"),
-    ("explicit zero", "explicit zero"),
-    ("fractional column", "column 2.5 is not an integer"),
-    # cache_basis stores every value as a string; a JSON float would load as
-    # its binary expansion, 0.1 -> 3602879701896397/2^55
-    ("number value", "value 0.1 in column 2 is not a string"),
-])
-def test_basis_cache_damaged_row_warns(tmp_path, damage, message):
-    basis = SpanBasis(4)
-    basis.insert({0: 1, 2: 3})
-    basis.insert({1: 2, 3: -5})
-    path = cache_basis(tmp_path, "damaged_rows_case", basis)
-    payload = json.loads(path.read_text())
-    first, second = payload["rows"]
-    if damage == "explicit zero":
-        payload["rows"][0] = first + [[1, "0"]]
-    elif damage == "fractional column":
-        payload["rows"][0] = [[0, "1"], [2.5, "3"]]
-    elif damage == "number value":
-        payload["rows"][0] = [[0, "1"], [2, 0.1]]
-    else:
-        # spans the same space, but the pivot of the second row is not cleared
-        payload["rows"][0] = sorted(first + second)
-    path.write_text(json.dumps(payload))
-    with pytest.warns(UserWarning, match=message):
-        assert load_basis(tmp_path, "damaged_rows_case", 4) is None
-
-
-def test_cache_file_of_the_wrong_ambient_dimension_is_recomputed(tmp_path):
-    checks = ("terwilliger-dim", "inclusion", "equality", "center-dim")
-    expected = _normalized(run(RunConfig(m=1, checks=checks)))
-    run(RunConfig(m=1, checks=checks, cache_dir=str(tmp_path)))
-    path = tmp_path / f"m1_terwilliger_v{__version__}.json"
-    payload = json.loads(path.read_text())
-    assert payload["ambient_dim"] == 20
-    # valid rows, but not in the 20 orbit coordinates
-    payload["ambient_dim"] = 10 ** 6
-    path.write_text(json.dumps(payload))
-    with pytest.warns(UserWarning, match="ambient dimension"):
-        reports = run(RunConfig(m=1, checks=checks, cache_dir=str(tmp_path)))
-    assert _normalized(reports) == expected
-    assert json.loads(path.read_text())["ambient_dim"] == 20
-
-
-@pytest.mark.parametrize("kind, message", [
-    ("terwilliger", r"not closed under the action of E\*_0"),
-])
-def test_a_cached_span_that_fails_recertification_is_recomputed(tmp_path, kind, message):
-    # a well-formed cache file that holds no T: span{I} is not closed under E*_0
-    checks = ("terwilliger-dim", "inclusion", "equality", "center-dim")
-    expected = _normalized(run(RunConfig(m=3, checks=checks)))
-    coords = CheckContext(3).centralizer
-    path = cache_basis(tmp_path, f"m3_{kind}", SpanBasis.from_reduced_rows(coords.ambient_dim, [coords.identity()]))
-    with pytest.warns(UserWarning, match=message):
-        reports = run(RunConfig(m=3, checks=checks, cache_dir=str(tmp_path)))
-    assert _normalized(reports) == expected
-    assert len(json.loads(path.read_text())["rows"]) == 140
-    # the span stored in its place passes the re-certification
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reports = run(RunConfig(m=3, checks=checks, cache_dir=str(tmp_path)))
-    assert _normalized(reports) == expected
-
-
-@pytest.mark.parametrize("kind", ["identity", "E*_0"])
-def test_a_center_cache_file_is_never_read(tmp_path, kind):
-    # Z(T) is solved on every run, so a well-formed m3_center file changes
-    # nothing: span{I} lies in Z(T) but is not all of it, and span{E*_0}
-    # lies in T but does not commute with A_1
-    coords = CheckContext(3).centralizer
-    # orbit 0 is the orbit of (x0, x0), whose matrix is E*_0
-    row = coords.identity() if kind == "identity" else {0: 1}
-    cache_basis(tmp_path, "m3_center", SpanBasis.from_reduced_rows(coords.ambient_dim, [row]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        (report,) = run(RunConfig(m=3, checks=("center-dim",), cache_dir=str(tmp_path)))
-    assert (report.actual, report.status) == ({"dim": 6, "upsilon_size": 6}, "pass")
-
-
-def test_a_cold_cached_run_stores_t_alone(tmp_path):
-    assert main(["verify", "--m", "3", "--cache-dir", str(tmp_path)]) == 0
-    assert [p.name for p in tmp_path.iterdir()] == [f"m3_terwilliger_v{__version__}.json"]
-    assert not hasattr(terwilliger_module, "certify_center_span")
-
-
-def test_n2_cache_file_of_format_1_is_a_silent_miss(tmp_path):
-    checks = ("terwilliger-dim", "inclusion", "equality", "center-dim")
-    expected = _normalized(run(RunConfig(m=1, checks=checks)))
-    ctx = CheckContext(1)
-    coords = ctx.centralizer
-    # the entry as format 1 stored it: the RREF of vectorized 6 x 6 matrices
-    lifted = lift(coords, ctx.terwilliger.basis)
-    payload = {
-        "format": 1,
-        "package_version": __version__,
-        "key": "m1_terwilliger",
-        "ambient_dim": lifted.ambient_dim,
-        "rows": [[[c, str(row[c])] for c in sorted(row)] for row in lifted.rows],
-    }
-    path = tmp_path / f"m1_terwilliger_v{__version__}.json"
-    path.write_text(json.dumps(payload))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reports = run(RunConfig(m=1, checks=checks, cache_dir=str(tmp_path)))
-    assert _normalized(reports) == expected
-    payload = json.loads(path.read_text())
-    assert (payload["format"], payload["ambient_dim"]) == (2, 20)
-    warm = CheckContext(1, cache_dir=str(tmp_path))
-    assert warm.terwilliger.closure is None
-    assert warm.terwilliger.basis == ctx.terwilliger.basis
-
-
-def test_context_uses_cache(tmp_path):
-    first = CheckContext(1, cache_dir=str(tmp_path))
-    dim = first.terwilliger.dimension
-    assert (tmp_path / f"m1_terwilliger_v{__version__}.json").exists()
-    second = CheckContext(1, cache_dir=str(tmp_path))
-    assert second.terwilliger.closure is None  # loaded, not rebuilt
-    assert second.terwilliger.dimension == dim
-    assert second.terwilliger.basis == first.terwilliger.basis
-
-
 def test_export_matrices_m1(tmp_path):
     written = export_matrices(1, tmp_path)
     names = sorted(p.name for p in written)
@@ -384,16 +203,6 @@ def test_export_matrices_m1(tmp_path):
         assert copy.read_text() == path.read_text()
 
 
-def test_cache_terwilliger_basis_m3(tmp_path, ctx_for):
-    basis = ctx_for(3).terwilliger.basis
-    cache_basis(tmp_path, "m3_terwilliger", basis)
-    loaded = load_basis(tmp_path, "m3_terwilliger", basis.ambient_dim)
-    assert loaded is not None
-    assert loaded.dimension == 140
-    assert loaded.pivots == basis.pivots
-    assert loaded == basis
-
-
 def test_headline_dimensions():
     assert headline_dimensions(1) == {
         "vertices": 6,
@@ -404,16 +213,15 @@ def test_headline_dimensions():
 
 
 @pytest.mark.slow
-def test_m5_runs_every_applicable_check_by_default(tmp_path):
-    cache = str(tmp_path / "cache")
-    reports = run(RunConfig(m=5, cache_dir=cache))
+def test_m5_runs_every_applicable_check_by_default():
+    reports = run(RunConfig(m=5))
     assert [r.check for r in reports] == [c for c in CHECK_IDS if c != "orbits-oracle"]
     assert len(reports) == 15
     statuses = {r.check: r.status for r in reports}
     assert statuses.pop("subalgebra-closure") == "finding"
     assert set(statuses.values()) == {"pass"}
     assert _normalized_reports(reports) == _pinned_reports(5)
-    assert headline_dimensions(5, cache) == {
+    assert headline_dimensions(5) == {
         "vertices": 924,
         "centralizer_dim": 504,
         "terwilliger_dim": 504,
@@ -466,16 +274,15 @@ def test_cli_rejects_unknown_check(capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", ["--out", "--export-dir", "--cache-dir"])
+@pytest.mark.parametrize("option", ["--out", "--export-dir"])
 def test_cli_unwritable_output_path_exits_2(tmp_path, capsys, option):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    path, check = {
-        "--out": (tmp_path / "missing" / "report.json", "vertex-count"),
-        "--export-dir": (blocker / "export", "vertex-count"),
-        "--cache-dir": (blocker, "terwilliger-dim"),
+    path = {
+        "--out": tmp_path / "missing" / "report.json",
+        "--export-dir": blocker / "export",
     }[option]
-    args = ["verify", "--m", "1", "--checks", check, option, str(path)]
+    args = ["verify", "--m", "1", "--checks", "vertex-count", option, str(path)]
     report = tmp_path / "report.json"
     if option != "--out":
         args += ["--out", str(report)]
@@ -488,21 +295,65 @@ def test_cli_unwritable_output_path_exits_2(tmp_path, capsys, option):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("command", ["verify", "dims", "export"])
 @pytest.mark.parametrize("under", [False, True])
-def test_cli_cache_dir_at_or_under_a_file_fails_before_any_check(tmp_path, capsys, command, under):
+def test_cli_export_dir_at_or_under_a_file_fails_before_any_check(tmp_path, capsys, under):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    cache = blocker / "sub" if under else blocker
-    args = [command, "--m", "1", "--cache-dir", str(cache)]
-    if command == "export":
-        args += ["--export-dir", str(tmp_path / "export")]
-    assert main(args) == 2
+    export = blocker / "sub" if under else blocker
+    assert main(["verify", "--m", "1", "--export-dir", str(export)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     reason = "Not a directory" if under else "it is not a directory"
-    assert err == f"error: cannot use --cache-dir {cache}: {reason}\n"
+    assert err == f"error: cannot use --export-dir {export}: {reason}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("command", ["dims", "export"])
+def test_cli_dims_and_export_reject_cache_dir(tmp_path, capsys, command):
+    args = [command, "--m", "1", "--cache-dir", str(tmp_path / "cache")]
+    if command == "export":
+        args += ["--export-dir", str(tmp_path / "export")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_cli_verify_ignores_a_cache_dir_at_or_under_a_regular_file(tmp_path, capsys, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    cache = blocker / "sub" if under else blocker
+    assert main(["verify", "--m", "1", "--checks", "terwilliger-dim", "--cache-dir", str(cache)]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["status"] == "finding"
+    assert blocker.read_text() == "kept"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_verify_closes_t_and_leaves_the_cache_dir_empty(tmp_path, capsys):
+    # --cache-dir is accepted and ignored: the reports are the benchmark's
+    # m = 3 reference, and T comes from its closure, one product per basis
+    # row and generator (E*_0..E*_7 and A_1)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    assert main(["verify", "--m", "3", "--cache-dir", str(cache)]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    for entry in reports:
+        del entry["elapsed_ms"]
+    assert reports == json.loads((_BENCHMARK_REFERENCE / "m3.json").read_text())["reports"]
+    assert list(cache.iterdir()) == []
+    assert CheckContext(3).terwilliger.closure.iterations == 140 * 9
+
+
+def test_the_package_keeps_no_basis_cache():
+    # T is closed and Z(T) solved on every run: no basis is written to or
+    # read from disk, and no stored span is certified
+    assert [name for name in ("cache_basis", "load_basis", "_basis_path") if hasattr(checks_module, name)] == []
+    deleted = ("certify_terwilliger_span", "certify_center_span", "_generator_name")
+    assert [name for name in deleted if hasattr(terwilliger_module, name)] == []
+    assert RunConfig.__slots__ == ("m", "checks", "export_dir")
+    assert not hasattr(CheckContext(1), "cache_dir")
 
 
 def test_cli_error_run_keeps_an_existing_report(tmp_path, capsys, monkeypatch):
@@ -511,23 +362,24 @@ def test_cli_error_run_keeps_an_existing_report(tmp_path, capsys, monkeypatch):
     report = tmp_path / "keep.json"
     report.write_bytes(b"{}\n")
 
-    def failing_store(*_args):
-        raise OSError("cannot store the basis")
+    def failing_writer(*_args):
+        raise OSError("cannot write the matrix")
 
-    monkeypatch.setattr(checks_module, "cache_basis", failing_store)
-    cache = tmp_path / "cache"
-    args = ["verify", "--m", "1", "--checks", "terwilliger-dim", "--cache-dir", str(cache)]
+    monkeypatch.setattr(checks_module, "write_coord_entries", failing_writer)
+    export = tmp_path / "export"
+    args = ["verify", "--m", "1", "--checks", "vertex-count", "--export-dir", str(export)]
     assert main(args + ["--out", str(report)]) == 2
-    assert capsys.readouterr().err == "error: cannot store the basis\n"
+    # the export follows the checks, so the error comes after their progress
+    assert capsys.readouterr().err.splitlines()[-1] == "error: cannot write the matrix"
     assert report.read_bytes() == b"{}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "keep.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["export", "keep.json"]
     # a directory is no report path, and that shows before any check runs
     assert main(["verify", "--m", "1", "--checks", "vertex-count", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: cannot write --out {tmp_path}: it is a directory\n"
     # a complete run replaces the report
     assert main(["verify", "--m", "1", "--checks", "vertex-count", "--out", str(report)]) == 0
     assert json.loads(report.read_text())[0]["check"] == "vertex-count"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "keep.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["export", "keep.json"]
 
 
 def test_cli_dims(capsys):
@@ -570,14 +422,10 @@ def _tree_digest(directory: Path) -> str:
 
 
 def test_warm_export_matches_the_benchmark_reference(tmp_path):
-    # the export lifts T out of orbit coordinates; from a warm cache it has
-    # only the cached basis in Q^d to lift
+    # the export of the benchmark's warm-m3 workload, which spreads T's
+    # basis in Q^d over the pair positions of its orbits
     reference = json.loads((_BENCHMARK_REFERENCE / "m3.json").read_text())
-    cache = str(tmp_path / "cache")
-    run(RunConfig(m=3, checks=("terwilliger-dim",), cache_dir=cache))
-    ctx = CheckContext(3, cache_dir=cache)
-    assert ctx.terwilliger.closure is None
-    export_matrices(3, tmp_path / "export", ctx=ctx)
+    run(RunConfig(m=3, checks=("terwilliger-dim",), export_dir=str(tmp_path / "export")))
     assert _tree_digest(tmp_path / "export") == reference["export_sha256"]
 
 
@@ -603,8 +451,9 @@ def test_reports_match_the_benchmark_reference(reference, m, every_check):
 
 def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monkeypatch, fresh_memos):
     # no n^2-ambient span at all, the export's included, and one
-    # OrbitCoordinates per m per process, for cold, warm and export runs and
-    # a cache-loaded T: the export writes its bases from pair positions
+    # OrbitCoordinates per m per process, for runs with and without the
+    # export and a second centre solve: the export writes its bases from
+    # pair positions
     n2 = 70 ** 2
     n2_bases: list[int] = []  # the ambient dimension of each n^2-ambient SpanBasis
     coords_built: list[GroundSet] = []
@@ -624,14 +473,10 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
 
     run(RunConfig(m=3))
     assert (n2_bases, len(coords_built)) == ([], 1)
-    cache = str(tmp_path / "cache")
-    for _ in range(2):  # cold, then warm
-        run(RunConfig(m=3, cache_dir=cache, export_dir=str(tmp_path / "export")))
+    run(RunConfig(m=3, export_dir=str(tmp_path / "export")))
     assert (tmp_path / "export" / "m3_basis_terwilliger.mtx").exists()
     assert (n2_bases, len(coords_built)) == ([], 1)
-    # the centre of a cache-loaded T takes the path of a built one
-    ctx = CheckContext(3, cache_dir=cache)
-    assert ctx.terwilliger.closure is None
+    ctx = CheckContext(3)
     assert center_basis(ctx.terwilliger).dimension == 6
     assert (n2_bases, len(coords_built)) == ([], 1)
     assert not hasattr(ctx.centralizer, "span")
@@ -773,18 +618,12 @@ def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fres
     assert report.status == "fail"
 
 
-def test_a_cached_t_is_read_in_the_orbit_coordinates_of_the_run(tmp_path, monkeypatch, fresh_memos):
-    # a T stored by a healthy m = 1 run has the 20 coordinates of the true
-    # orbits; on the merged rows the centralizer has 19, so the file is
-    # refused for its ambient dimension before any re-certification, and
-    # the rebuild meets the orbit certificate
-    assert CheckContext(1, cache_dir=str(tmp_path)).terwilliger.dimension == 20
+def test_t_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):
+    # the closure multiplies by the structure constants, so on the merged
+    # rows it meets the orbit certificate
     _use_merged_m1_rows(monkeypatch)
-    ctx = CheckContext(1, cache_dir=str(tmp_path))
-    with pytest.warns(UserWarning, match="ambient dimension 20 is not 19") as record:
-        with pytest.raises(NotClosedError, match="is not a single orbit"):
-            ctx.terwilliger
-    assert len(record) == 1
+    with pytest.raises(NotClosedError, match="is not a single orbit"):
+        CheckContext(1).terwilliger
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -350,14 +350,6 @@ def test_center_rejects_a_row_joining_two_blocks():
         center_basis(t)
 
 
-def test_center_of_a_cached_terwilliger_basis():
-    # a basis loaded without its closure acts by the same generators
-    g = GroundSet(2)
-    t = build_terwilliger(g)
-    loaded = TerwilligerAlgebra(m=2, basis=t.basis, closure=None)
-    assert center_basis(loaded) == center_basis(t)
-
-
 def test_action_tables_reject_a_generator_not_constant_on_orbits():
     g = GroundSet(2)
     n = vertex_count(g)
