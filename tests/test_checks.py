@@ -309,15 +309,24 @@ def test_cli_export_dir_at_or_under_a_file_fails_before_any_check(tmp_path, caps
 
 
 @pytest.mark.parametrize("command", ["dims", "export"])
-def test_cli_dims_and_export_reject_cache_dir(tmp_path, capsys, command):
-    args = [command, "--m", "1", "--cache-dir", str(tmp_path / "cache")]
+@pytest.mark.parametrize("under", [False, True])
+def test_cli_dims_and_export_reject_cache_dir(tmp_path, capsys, command, under):
+    # dims and export have no --cache-dir: argparse refuses it whatever the
+    # path names, before any check runs and without touching the path
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    cache = blocker / "sub" if under else blocker
+    args = [command, "--m", "1", "--cache-dir", str(cache)]
     if command == "export":
         args += ["--export-dir", str(tmp_path / "export")]
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
-    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --cache-dir" in err
+    assert blocker.read_text() == "kept"
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 @pytest.mark.parametrize("under", [False, True])
