@@ -19,7 +19,7 @@ there, T is closed and Z(T) solved anew on every run (nothing is read back
 from disk, since certifying a stored T would take the same generator
 products as closing it), and export_matrices alone writes the centralizer
 algebra and T out as vectorized n x n matrices, from the orbit of every
-vertex pair, read once through the sphere rows.
+vertex pair, read once through the orbit index (orbits.OrbitCoordinates).
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .orbits import (
     BlockTag,
     IndependenceError,
     _check_group_orbits,
+    _orbit_coordinates,
     _orbit_distance,
-    _sphere_rows,
     build_centralizer,
     check_subalgebra,
     index_set,
@@ -62,7 +62,6 @@ from .terwilliger import (
     block_profile,
     build_terwilliger,
     center_basis as _center_basis,
-    subalgebra_spans,
     TerwilligerAlgebra,
     upsilon,
     upsilon_size_formula,
@@ -119,12 +118,14 @@ class RunConfig:
 
     checks=None means every check applicable at m; an explicit check that
     is unknown or not applicable at m, or an empty selection, raises
-    ConfigError.  m is limited to SUPPORTED_M, [1, 5]; m = 6 (n = 3,432,
-    11.8 M vertex pairs) is not yet verified end to end.  What still grows with the n^2 vertex pairs is
-    the union-find of the stabilizer generators of orbits-oracle (capped at
-    m <= 4) and the export, which reads the orbit of every pair once, row by
-    row, for its n x n files; every other orbit lookup reads single rows
-    and columns of pairs off the 2m+2 sphere rows.
+    ConfigError, and an explicit selection is held as a tuple.  m is limited
+    to SUPPORTED_M, [1, 5]; every applicable check also passes at m = 6, 7
+    and 8 (n = 3,432 to 48,620), so that range is the only limit there.
+    What still grows with the n^2 vertex pairs is the union-find of the
+    stabilizer generators of orbits-oracle (capped at m <= 4) and the
+    export, which reads the orbit of every pair once, row by row, for its
+    n x n files; every other orbit lookup reads single rows and columns of
+    pairs off the 2m+2 sphere rows of the orbit index.
 
     Immutable, with value equality and hashing over its three fields.
     """
@@ -144,8 +145,10 @@ class RunConfig:
             raise ConfigError(
                 f"m={m} outside the supported range [{SUPPORTED_M[0]}, {SUPPORTED_M[-1]}]"
             )
-        if checks is not None and not checks:
-            raise ConfigError("empty --checks list")
+        if checks is not None:
+            checks = tuple(checks)
+            if not checks:
+                raise ConfigError("empty --checks list")
         for name in checks or ():
             # applicable raises ConfigError for an unknown check
             if not applicable(name, m):
@@ -280,10 +283,10 @@ def _check_index_sets(ctx: CheckContext):
     card = comb(m + 4, 4)
     blocks = (BlockTag.I, BlockTag.II, BlockTag.III, BlockTag.IV)
     cards = [len(index_set(b, m)) for b in blocks]
-    # the labels met on the 2m+2 sphere rows; the index raises when they are
-    # not the closed-form labels
+    # the labels met on the 2m+2 sphere rows of the orbit index, which
+    # raises when they are not the closed-form labels
     try:
-        met = _sphere_rows(m).labels
+        met = _orbit_coordinates(m).labels
     except (NotClosedError, IndependenceError):
         met = ()
     matches = all(index_set(b, m) == {lab.tup for lab in met if lab.block is b} for b in blocks)
@@ -311,11 +314,11 @@ def _check_bijections(ctx: CheckContext):
 def _check_orbits_oracle(ctx: CheckContext):
     g = ctx.g
     # the union-find of the stabilizer generators on all n^2 vertex pairs
-    # against the sphere rows: a route to the orbits independent of the
+    # against the orbit index: a route to the orbits independent of the
     # certificate the structure constants rest on
     roots = orbits_by_group_action(g)
     try:
-        _check_group_orbits(_sphere_rows(g.m), roots)
+        _check_group_orbits(_orbit_coordinates(g.m), roots)
         matches = True
     except NotClosedError:
         matches = False
@@ -373,19 +376,24 @@ def _check_subalgebra_closure(ctx: CheckContext):
     return expected, "paper-formula", actual, "finding"
 
 
+def _family_ids(labels) -> dict[str, set[int]]:
+    """The ids of the orbits of each block family (BLOCK_FAMILIES), orbit a
+    having label labels[a]."""
+    return {
+        name: {a for a, lab in enumerate(labels) if lab.block in blocks}
+        for name, blocks in BLOCK_FAMILIES.items()
+    }
+
+
 @_runner("direct-sum")
 def _check_direct_sum(ctx: CheckContext):
+    # in Q^d each family's span is the coordinate subspace of its orbit ids,
+    # so its dimension is their number and two spans meet in their common ids
     cent = ctx.centralizer
-    spans = subalgebra_spans(cent)
+    ids = _family_ids(cent.labels)
     names = list(BLOCK_FAMILIES)
-    dims = [spans[n].dimension for n in names]
-    inter = []
-    for a in range(3):
-        for b in range(a + 1, 3):
-            joined = spans[names[a]].copy()
-            for row in spans[names[b]].rows:
-                joined.insert(row)
-            inter.append(dims[a] + dims[b] - joined.dimension)
+    dims = [len(ids[n]) for n in names]
+    inter = [len(ids[names[a]] & ids[names[b]]) for a in range(3) for b in range(a + 1, 3)]
     expected = {"total": 4 * comb(ctx.g.m + 4, 4), "pairwise_intersections": [0, 0, 0]}
     actual = {
         "dims": dims,
@@ -546,12 +554,12 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     Emits the distance matrices, the dual idempotents, all orbit matrices,
     the covering matrix psi, and the reduced bases of the centralizer and
     Terwilliger algebras (one file each, basis rows as vectorized n x n
-    matrices).  One pass over the n rows of vertex pairs (SphereRows.row)
-    gives each orbit its pair positions y n + z, ascending, and every file
-    but psi is a 0/1 or rational combination of those positions: A_i is the
-    union of the orbits at distance i, E*_i one diagonal orbit, row a of the
-    centralizer's basis orbit a, and each row of T's basis its row in Q^d
-    spread over its orbits' positions.  Orbits are numbered by their first
+    matrices).  One pass over the n rows of vertex pairs
+    (OrbitCoordinates.row) gives each orbit its pair positions y n + z,
+    ascending, and every file but psi is a 0/1 or rational combination of
+    those positions: A_i is the union of the orbits at distance i, E*_i one
+    diagonal orbit, row a of the centralizer's basis orbit a, and each row
+    of T's basis its row in Q^d spread over its orbits' positions.  Orbits are numbered by their first
     pair, so both bases are written in reduced row echelon form.  This is
     the only place the n x n form of the two algebras is made.
     """
@@ -564,7 +572,7 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     except OSError as exc:
         raise OSError(f"cannot create export directory {out_dir}: {exc}") from exc
 
-    index = _sphere_rows(m)
+    index = _orbit_coordinates(m)
     n, labels = index.n, index.labels
     positions: list[list[int]] = [[] for _ in labels]
     append = [pos.append for pos in positions]

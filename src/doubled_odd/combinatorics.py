@@ -158,7 +158,8 @@ class IntersectionNumbers(NamedTuple):
 
 def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
     """Every p^h_{ij}, read off the certified structure constants of the
-    stabilizer's orbit matrices.
+    stabilizer's orbit matrices, held by the one orbit index per m
+    (orbits.OrbitCoordinates), with the first pair of each orbit.
 
     Each orbit of vertex pairs lies at one distance, read off its label
     (orbits._orbit_distance), and its structure constants count, for its
@@ -171,8 +172,8 @@ def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
     from .orbits import _orbit_coordinates, _orbit_distance
 
     coords = _orbit_coordinates(g.m)
-    dist = [_orbit_distance(g.m, lab) for lab in coords.orbit_labels]
-    firsts = list(map(coords._index.first_pair, range(len(dist))))
+    dist = [_orbit_distance(g.m, lab) for lab in coords.labels]
+    firsts = list(map(coords.first_pair, range(len(dist))))
     table = _orbit_intersection_table(_vertices(g.m), firsts, coords.products, dist)
     return IntersectionNumbers(m=g.m, table=table)
 

@@ -232,11 +232,6 @@ class SpanBasis:
         """Basis rows as sparse dicts, ordered by pivot column."""
         return [dict(self._rows[p]) for p in sorted(self._rows)]
 
-    def copy(self) -> "SpanBasis":
-        b = SpanBasis(self.ambient_dim)
-        b._rows = {p: dict(row) for p, row in self._rows.items()}
-        return b
-
     def __eq__(self, other):
         if not isinstance(other, SpanBasis):
             return NotImplemented

@@ -18,27 +18,28 @@ dimension 4 C(m+4, 4).
 
 The stabilizer fixes every label and acts transitively on each sphere
 {y : |y|, |x0 n y| fixed} around x0, so the row of a sphere's first vertex
-carries every orbit whose pairs start in that sphere.  _sphere_rows labels
-those 2m+2 rows, numbers the orbits by first pair and sizes each orbit as
-|sphere| times its count in its row, certified by "labels met = closed-form
-labels".  It is the package's one orbit index: the orbit of any other pair
-is read off its popcount label key through the index's label map
-(SphereRows.orbit_of), one row or column of pairs at a time, and nothing
-else in the package decides which orbit a pair is in.  Only the union-find
-of the stabilizer generators on vertex pairs (orbits_by_group_action, for
-orbits-oracle), its comparison with the index (_check_group_orbits) and the
-matrix export, which reads all n rows once, touch all n^2 pairs.
+carries every orbit whose pairs start in that sphere.  OrbitCoordinates is
+the package's one orbit index, built once per m by _orbit_coordinates: it
+labels those 2m+2 rows, numbers the orbits by first pair and sizes each
+orbit as |sphere| times its count in its row, certified by "labels met =
+closed-form labels".  The orbit of any other pair is read off its popcount
+label key through the index's label map (OrbitCoordinates.orbit_of), one
+row or column of pairs at a time, and nothing else in the package decides
+which orbit a pair is in.  Only the union-find of the stabilizer generators
+on vertex pairs (orbits_by_group_action, for orbits-oracle), its comparison
+with the index (_check_group_orbits) and the matrix export, which reads all
+n rows once, touch all n^2 pairs.
 
 The closed forms are production code; the union-find grinds out the orbits
 from explicit group generators, with no reference to the labels, and is
 compared with them.
 
-OrbitCoordinates identifies a matrix that is constant on every orbit with
+The same object identifies a matrix that is constant on every orbit with
 its vector of orbit values in Q^d, d = 4 C(m+4, 4), which makes Q^d the
-centralizer algebra; one instance per m is shared and build_centralizer
-returns it.  The orbits of a group on vertex pairs form a coherent
-configuration (Higman 1975), so one table, the structure constants p^c_{ab}
-with O_a O_b = sum_c p^c_{ab} O_c, fixes every product in Q^d.  It is read off
+centralizer algebra; build_centralizer returns the shared instance.  The
+orbits of a group on vertex pairs form a coherent configuration (Higman
+1975), so one table, the structure constants p^c_{ab} with
+O_a O_b = sum_c p^c_{ab} O_c, fixes every product in Q^d.  It is read off
 the first pair (y, z) of each orbit c, as the count of middle vertices w
 with (y, w) in orbit a and (w, z) in orbit b, and held once, on first read,
 as the product index OrbitCoordinates.products[a][b] = [(c, p^c_{ab}), ...].
@@ -259,8 +260,10 @@ def _check_labels_met(m: int, labels) -> None:
             raise IndependenceError(f"closed-form label {lab.text()} has an empty orbit")
 
 
-class SphereRows(NamedTuple):
-    """The orbits of the vertex pairs, read off one row per sphere around x0.
+class OrbitCoordinates:
+    """The orbit index of the vertex pairs, read off one row per sphere
+    around x0, and the orbit coordinates Q^d on it with the one
+    multiplication in Q^d.
 
     A sphere is a set {y : |y|, |x0 n y| fixed}.  spheres[s] lists the
     vertices of sphere s ascending, the spheres in the order of their first
@@ -269,20 +272,59 @@ class SphereRows(NamedTuple):
     label (_label_keys) to its orbit, which decides the orbit of every pair
     (row, column).  Orbit a has label labels[a] and sizes[a] pairs; its
     first pair is (spheres[row_of[a]][0], members[a][0]), where members[a]
-    lists ascending the z with (spheres[row_of[a]][0], z) in a.  Orbits are
-    numbered by first pair in row-major order.
+    lists ascending the z with (spheres[row_of[a]][0], z) in a.
+
+    Orbits are numbered by the row-major position of their first vertex
+    pair, so an RREF basis in Q^d lifts entry for entry to the RREF basis of
+    the same span of n x n matrices; in particular the identity RREF of Q^d
+    lifts to the RREF of the span of all orbit matrices.  Nothing assumes
+    that the orbit matrices form a coherent configuration: the identity is
+    checked to be a sum of orbit matrices, and products reads the products
+    of orbit matrices off one pair per orbit and certifies them
+    (NotClosedError otherwise).  An instance is the action algebra_closure
+    and centralizer_within need, with elements of Q^d as its generators:
+    left(x, v) and right(x, v) are the products x v and v x.
     """
 
-    m: int
-    n: int
-    spheres: tuple[tuple[int, ...], ...]
-    sphere_of: array
-    rows: tuple[array, ...]
-    orbit_of: dict[int, int]
-    labels: tuple[OrbitLabel, ...]
-    sizes: tuple[int, ...]
-    row_of: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
+    def __init__(self, m: int, spheres, rows, orbit_of: dict[int, int]):
+        """The index of the orbits met on the sphere rows, which rows and
+        orbit_of number as first met along the rows, in sphere order: that
+        is by first pair.  Each orbit is labelled by its first pair and
+        sized as |sphere| times its count in its row.  Certified: the labels
+        met are the closed-form labels (_check_labels_met), and the identity
+        is a sum of orbit matrices (NotClosedError otherwise)."""
+        verts = _vertices(m)
+        x0 = GroundSet(m).base_vertex
+        self.m, self.n, self.spheres, self.orbit_of = m, len(verts), spheres, orbit_of
+        self.rows = tuple(array("H", row) for row in rows)
+        self.sphere_of = array("H", [0]) * len(verts)
+        row_of: list[int] = []
+        members: list[list[int]] = []
+        sizes: list[int] = []
+        for s, (sphere, row) in enumerate(zip(spheres, self.rows)):
+            for y in sphere:
+                self.sphere_of[y] = s
+            for z, a in enumerate(row):
+                if a == len(row_of):  # first met
+                    row_of.append(s)
+                    members.append([])
+                    sizes.append(0)
+                if row_of[a] == s:
+                    members[a].append(z)
+                # the stabilizer moves this row onto every row of its sphere
+                sizes[a] += len(sphere)
+        self.row_of, self.members, self.sizes = tuple(row_of), tuple(map(tuple, members)), tuple(sizes)
+        self.labels = tuple(
+            OrbitLabel(block_of_pair(m, y, verts[zs[0]]), rho(x0, y, verts[zs[0]]))
+            for y, zs in zip((verts[spheres[s][0]] for s in row_of), members)
+        )
+        self.ambient_dim = len(self.labels)
+        _check_labels_met(m, self.labels)
+        # the orbit of (y, y) for the first vertex y of each sphere
+        diagonal = {row[sphere[0]] for sphere, row in zip(spheres, self.rows)}
+        if sum(sizes[a] for a in diagonal) != self.n:
+            raise NotClosedError("the identity is not a sum of orbit matrices")
+        self._identity = {a: 1 for a in sorted(diagonal)}
 
     def first_pair(self, a: int) -> tuple[int, int]:
         return self.spheres[self.row_of[a]][0], self.members[a][0]
@@ -302,54 +344,67 @@ class SphereRows(NamedTuple):
         their label keys."""
         return list(map(self.orbit_of.__getitem__, _column_label_keys(self.m, z)))
 
+    @cached_property
+    def products(self) -> tuple[dict[int, list[tuple[int, int]]], ...]:
+        """The certified structure constants p^c_{ab} of the orbit matrices,
+        O_a O_b = sum_c p^c_{ab} O_c, as their product index: products[a][b]
+        lists the (c, p^c_{ab}) with p^c_{ab} > 0, c ascending, and has no
+        entry b when O_a O_b = 0.  Built on first read (d·n work).
 
-def _number_sphere_rows(m, spheres, rows, orbit_of) -> SphereRows:
-    """The sphere rows with the orbits renumbered by first pair: spheres are
-    met in the order of their first vertices, so an orbit is first met at
-    its first pair in row-major order."""
-    verts = _vertices(m)
-    x0 = GroundSet(m).base_vertex
-    ids: dict[int, int] = {}
-    for row in rows:
-        for a in row:
-            ids.setdefault(a, len(ids))
-    rows = tuple(array("H", map(ids.__getitem__, row)) for row in rows)
-    sphere_of = array("H", [0]) * len(verts)
-    row_of: list[int | None] = [None] * len(ids)
-    members: list[list[int]] = [[] for _ in ids]
-    sizes = [0] * len(ids)
-    for s, (sphere, row) in enumerate(zip(spheres, rows)):
-        for y in sphere:
-            sphere_of[y] = s
-        for z, a in enumerate(row):
-            if row_of[a] is None:
-                row_of[a] = s
-            if row_of[a] == s:
-                members[a].append(z)
-            # the stabilizer moves this row onto every row of its sphere
-            sizes[a] += len(sphere)
-    y_of = [verts[spheres[s][0]] for s in row_of]
-    labels = tuple(
-        OrbitLabel(block_of_pair(m, y, verts[zs[0]]), rho(x0, y, verts[zs[0]]))
-        for y, zs in zip(y_of, members)
-    )
-    return SphereRows(
-        m, len(verts), spheres, sphere_of, rows,
-        {key: ids[a] for key, a in orbit_of.items()}, labels, tuple(sizes),
-        tuple(row_of), tuple(map(tuple, members)),
-    )
+        p^c_{ab} is the (y, z) entry of O_a O_b for any pair (y, z) of orbit
+        c: the number of vertices w with (y, w) in orbit a and (w, z) in
+        orbit b.  The orbits are first certified to be the orbits of a
+        permutation group on vertex pairs (_certify_stabilizer_orbits,
+        NotClosedError otherwise), and such orbits form a coherent
+        configuration (Higman 1975): a group element moves the first pair of
+        orbit c onto any other, and its middle vertices with it, keeping
+        every orbit, so every pair of c has the counts of its first pair.
+        The orbits along a row or column of pairs are read off popcount label
+        keys through the label map (row, column): the row of a first pair is
+        its sphere row, and each column met is built once.  One Counter of
+        the keys a * d + b over the middle vertices gives the p^c_{ab} of
+        orbit c, scattered straight into products[a][b]."""
+        _certify_stabilizer_orbits(self)
+        d = self.ambient_dim
+        # a * d for the orbit a of each pair (y, w) along each sphere row
+        scaled = [list(map(d.__mul__, row)) for row in self.rows]
+        cols: dict[int, array] = {}  # the columns met, built once each
+        products: tuple[dict[int, list[tuple[int, int]]], ...] = tuple({} for _ in range(d))
+        for c in range(d):
+            z = self.members[c][0]
+            if z not in cols:
+                cols[z] = array("H", self.column(z))
+            for key, p in Counter(map(add, scaled[self.row_of[c]], cols[z])).items():
+                a, b = divmod(key, d)
+                products[a].setdefault(b, []).append((c, p))
+        return products
+
+    def product(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
+        """The orbit coordinates of X Y, where x and y are those of X and Y."""
+        products = self.products
+        out: dict[int, object] = {}
+        for a, u in x.items():
+            by_b = products[a]
+            for b, v in y.items():
+                for c, p in by_b.get(b, ()):
+                    out[c] = out.get(c, 0) + u * v * p
+        return {c: _norm(w) for c, w in out.items() if w}
+
+    def identity(self) -> dict[int, object]:
+        return dict(self._identity)
+
+    def left(self, x: dict[int, object], vec: dict[int, object]) -> dict[int, object]:
+        return self.product(x, vec)
+
+    def right(self, x: dict[int, object], vec: dict[int, object]) -> dict[int, object]:
+        return self.product(vec, x)
 
 
 @lru_cache(maxsize=8)
-def _sphere_rows(m: int) -> SphereRows:
-    """Which orbit a vertex pair is in, decided on 2m+2 rows.
-
-    The stabilizer fixes every label and acts transitively on each sphere,
-    so the row of a sphere's first vertex meets every orbit whose pairs
-    start in the sphere, and the first pair of that orbit; the orbit has
-    |sphere| times as many pairs as it has in the row.  The labels met are
-    certified to be the closed-form labels (_check_labels_met).
-    """
+def _orbit_coordinates(m: int) -> OrbitCoordinates:
+    """The orbit index at m, one instance per m: the rows of the spheres'
+    first vertices, the spheres in the order of their first vertices, each
+    pair's orbit numbered as first met, which is by first pair."""
     verts = _vertices(m)
     x0 = GroundSet(m).base_vertex
     by_sphere: dict[tuple[int, int], list[int]] = {}
@@ -363,9 +418,7 @@ def _sphere_rows(m: int) -> SphereRows:
         [first_seen(key, len(orbit_of)) for key in _label_keys(m, sphere[0], everyone)]
         for sphere in spheres
     ]
-    index = _number_sphere_rows(m, spheres, rows, orbit_of)
-    _check_labels_met(m, index.labels)
-    return index
+    return OrbitCoordinates(m, spheres, rows, orbit_of)
 
 
 def products_constant_on_orbits(m: int, pairs) -> list[bool]:
@@ -380,7 +433,7 @@ def products_constant_on_orbits(m: int, pairs) -> list[bool]:
     decided from popcounts through the index's label map, for z over the
     spheres b's pairs end in.  No structure constant is read.
     """
-    index = _sphere_rows(m)
+    index = _orbit_coordinates(m)
     orbit_of = index.orbit_of.get
     carried = [set(row) for row in index.rows]
     verdicts = []
@@ -517,7 +570,7 @@ def _check_permutations(vertex_maps, fixed: dict[str, int], what: str) -> None:
                 raise NotClosedError(f"{what.format(k)} does not fix {name}")
 
 
-def _certify_stabilizer_orbits(index: SphereRows) -> None:
+def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
     """The certificate that the orbits of the index are the orbits of a
     permutation group on vertex pairs, by union-finds over the n vertices.
 
@@ -565,14 +618,14 @@ def _certify_stabilizer_orbits(index: SphereRows) -> None:
         _check_classes(_union_find(n, maps), row, lambda a: f"orbit {index.labels[a].text()}")
 
 
-def _check_group_orbits(index: SphereRows, roots) -> None:
+def _check_group_orbits(index: OrbitCoordinates, roots) -> None:
     """The comparison of the orbits of the index with roots, the union-find
     of the stabilizer generators on vertex pairs (orbits_by_group_action).
 
     Every generator must permute the vertices (n lookups each), so that the
     union-find classes of roots are the orbits of a permutation group.  The
     two partitions of the pairs are then compared by _check_classes, the
-    orbit ids read off label keys one row at a time (SphereRows.row).
+    orbit ids read off label keys one row at a time (OrbitCoordinates.row).
     Raises NotClosedError naming the first generator that is no
     permutation, or the first orbit, in orbit numbering, that is not a
     single group orbit.
@@ -584,9 +637,9 @@ def _check_group_orbits(index: SphereRows, roots) -> None:
 
 
 def build_centralizer(g: GroundSet) -> OrbitCoordinates:
-    """The centralizer algebra, Q^d in the shared orbit coordinates, with
-    one basis element per orbit matrix in orbit order, certified by the
-    sphere rows: every pair lies in exactly one orbit, the labels met are
+    """The centralizer algebra, Q^d on the shared orbit index, with one
+    basis element per orbit matrix in orbit order, certified by the index's
+    construction: every pair lies in exactly one orbit, the labels met are
     the closed-form labels (else NotClosedError or IndependenceError), and
     nonzero matrices with disjoint supports are independent.  No orbit
     matrix is built."""
@@ -617,7 +670,7 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
     their first pair.
     """
     coords = _orbit_coordinates(g.m)
-    labels = coords.orbit_labels
+    labels = coords.labels
     ids = {lab: c for c, lab in enumerate(labels)}
     try:
         sub_ids = [ids[lab] for lab in sub]
@@ -639,96 +692,3 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
         first_violation=first_violation,
         violation_block=violation_block,
     )
-
-
-class OrbitCoordinates:
-    """Orbit coordinates Q^d on the sphere rows, with the one multiplication
-    in Q^d.
-
-    Orbits are numbered by the row-major position of their first vertex pair,
-    so an RREF basis in Q^d lifts entry for entry to the RREF basis of the
-    same span of n x n matrices; in particular the identity RREF of Q^d
-    lifts to the RREF of the span of all orbit matrices.  Nothing assumes
-    that the orbit matrices form a coherent configuration: the identity is
-    checked to be a sum of orbit matrices, and products reads the products
-    of orbit matrices off one pair per orbit and certifies them
-    (NotClosedError otherwise).  An instance is the action algebra_closure
-    and centralizer_within need, with elements of Q^d as its generators:
-    left(x, v) and right(x, v) are the products x v and v x.  orbit_labels[a]
-    is the label of orbit a and sizes[a] its number of pairs.
-    """
-
-    def __init__(self, g: GroundSet):
-        index = _sphere_rows(g.m)
-        # the orbit of (y, y) for the first vertex y of each sphere
-        diagonal = {row[sphere[0]] for sphere, row in zip(index.spheres, index.rows)}
-        if sum(index.sizes[a] for a in diagonal) != index.n:
-            raise NotClosedError("the identity is not a sum of orbit matrices")
-        self.m = g.m
-        self.n = index.n
-        self.ambient_dim = len(index.labels)
-        self.orbit_labels = index.labels
-        self.sizes = index.sizes
-        self._index = index
-        self._identity = {a: 1 for a in sorted(diagonal)}
-
-    @cached_property
-    def products(self) -> tuple[dict[int, list[tuple[int, int]]], ...]:
-        """The certified structure constants p^c_{ab} of the orbit matrices,
-        O_a O_b = sum_c p^c_{ab} O_c, as their product index: products[a][b]
-        lists the (c, p^c_{ab}) with p^c_{ab} > 0, c ascending, and has no
-        entry b when O_a O_b = 0.  Built on first read (d·n work).
-
-        p^c_{ab} is the (y, z) entry of O_a O_b for any pair (y, z) of orbit
-        c: the number of vertices w with (y, w) in orbit a and (w, z) in
-        orbit b.  The orbits are first certified to be the orbits of a
-        permutation group on vertex pairs (_certify_stabilizer_orbits,
-        NotClosedError otherwise), and such orbits form a coherent
-        configuration (Higman 1975): a group element moves the first pair of
-        orbit c onto any other, and its middle vertices with it, keeping
-        every orbit, so every pair of c has the counts of its first pair.
-        The orbits along a row or column of pairs are read off popcount label
-        keys through the index's label map (SphereRows.row, .column): the row
-        of a first pair is its sphere row, and each column met is built once.
-        One Counter of the keys a * d + b over the middle vertices gives the
-        p^c_{ab} of orbit c, scattered straight into products[a][b]."""
-        index = self._index
-        _certify_stabilizer_orbits(index)
-        d = self.ambient_dim
-        # a * d for the orbit a of each pair (y, w) along each sphere row
-        scaled = [list(map(d.__mul__, row)) for row in index.rows]
-        cols: dict[int, array] = {}  # the columns met, built once each
-        products: tuple[dict[int, list[tuple[int, int]]], ...] = tuple({} for _ in range(d))
-        for c in range(d):
-            z = index.members[c][0]
-            if z not in cols:
-                cols[z] = array("H", index.column(z))
-            for key, p in Counter(map(add, scaled[index.row_of[c]], cols[z])).items():
-                a, b = divmod(key, d)
-                products[a].setdefault(b, []).append((c, p))
-        return products
-
-    def product(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
-        """The orbit coordinates of X Y, where x and y are those of X and Y."""
-        products = self.products
-        out: dict[int, object] = {}
-        for a, u in x.items():
-            by_b = products[a]
-            for b, v in y.items():
-                for c, p in by_b.get(b, ()):
-                    out[c] = out.get(c, 0) + u * v * p
-        return {c: _norm(w) for c, w in out.items() if w}
-
-    def identity(self) -> dict[int, object]:
-        return dict(self._identity)
-
-    def left(self, x: dict[int, object], vec: dict[int, object]) -> dict[int, object]:
-        return self.product(x, vec)
-
-    def right(self, x: dict[int, object], vec: dict[int, object]) -> dict[int, object]:
-        return self.product(vec, x)
-
-
-@lru_cache(maxsize=8)
-def _orbit_coordinates(m: int) -> OrbitCoordinates:
-    return OrbitCoordinates(GroundSet(m))

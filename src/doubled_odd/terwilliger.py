@@ -7,8 +7,9 @@ E*_0, ..., E*_{2m+1}.  build_terwilliger closes under A_1 and the E*_i only
 and then certifies exactly that every other A_i lies in the result, so the
 smaller generating set is checked rather than assumed.  T and its centre
 Z(T) live in orbit coordinates Q^d, d = 4 C(m+4, 4), end to end, on the
-centralizer's orbits.OrbitCoordinates, and only the matrix export writes T
-out as n x n matrices.
+one orbit index per m, orbits.OrbitCoordinates, which is also the
+centralizer algebra, and only the matrix export writes T out as n x n
+matrices.
 
 Every generator is an element of Q^d read off the orbit labels: E*_i is the
 unit vector of one diagonal orbit, and A_i the indicator of the orbits at
@@ -25,7 +26,7 @@ algebra of the stabilizer of x0: each E*_i is a single diagonal orbit
 matrix and each sandwich E*_i A_1 E*_{i+1} is a single off-diagonal orbit
 matrix, with explicit four-tuple labels.  verify_sandwich_identities
 checks those identifications by orbit label and count: each entry of the
-adjacency matrix A_1 is sorted into its orbit through the sphere rows and
+adjacency matrix A_1 is sorted into its orbit through the orbit index and
 tallied by the spheres it joins, since each sandwich E*_i A_1 E*_j is the
 restriction of A_1 from sphere i to sphere j, and no n x n orbit matrix is
 built.
@@ -53,8 +54,8 @@ from .linalg import (
     algebra_closure,
     centralizer_within,
 )
-from .orbits import BLOCK_FAMILIES, BlockTag, OrbitCoordinates, OrbitLabel
-from .orbits import _label_keys, _orbit_coordinates, _orbit_distance, _sphere_rows
+from .orbits import BlockTag, OrbitCoordinates, OrbitLabel
+from .orbits import _label_keys, _orbit_coordinates, _orbit_distance
 
 
 class IdentityCheck(NamedTuple):
@@ -70,7 +71,7 @@ def dual_idempotent(g: GroundSet, i: int) -> SparseExactMatrix:
     """
     if not 0 <= i <= g.diameter:
         raise ValueError(f"sphere index {i} outside [0, {g.diameter}]")
-    index = _sphere_rows(g.m)
+    index = _orbit_coordinates(g.m)
     verts = _vertices(g.m)
     sphere = next(s for s in index.spheres if distance(g.base_vertex, verts[s[0]]) == i)
     return SparseExactMatrix(index.n, index.n, {y: {y: 1} for y in sphere})
@@ -94,14 +95,14 @@ class TerwilligerAlgebra(NamedTuple):
 
 def _distance_vector(m: int, i: int) -> dict[int, object]:
     """A_i in orbit coordinates: the indicator of the orbits at distance i."""
-    labels = _orbit_coordinates(m).orbit_labels
+    labels = _orbit_coordinates(m).labels
     return {a: 1 for a, lab in enumerate(labels) if _orbit_distance(m, lab) == i}
 
 
 def _generators(m: int) -> list[dict[int, object]]:
     """The generators T is closed under, as vectors of Q^d: E*_0..E*_{2m+1},
     each the unit vector of its diagonal orbit, and then A_1."""
-    labels = _orbit_coordinates(m).orbit_labels
+    labels = _orbit_coordinates(m).labels
     gens: list[dict[int, object]] = [{labels.index(_diagonal_label(m, i)): 1} for i in range(2 * m + 2)]
     gens.append(_distance_vector(m, 1))
     return gens
@@ -165,8 +166,8 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     of radius i and j around x0, so E*_i A_1 E*_j is the restriction of A_1
     from sphere i to sphere j.  A_1's n (m + 1) entries are read once: the
     orbit of each, through its label key and the index's label map
-    (SphereRows.orbit_of), is tallied under the radii of its two ends; an
-    entry other than 1, or a key of no orbit, counts as no orbit.  A 0/1
+    (OrbitCoordinates.orbit_of), is tallied under the radii of its two
+    ends; an entry other than 1, or a key of no orbit, counts as no orbit.  A 0/1
     matrix equals the orbit matrix O_a exactly when all its entries lie in
     orbit a and there are sizes[a] of them, which decides each identity:
     E*_i = O_a when every (y, y), y in sphere i, is in orbit a and
@@ -177,7 +178,7 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     certificate (orbits._certify_stabilizer_orbits).
     """
     m, diam = g.m, g.diameter
-    index = _sphere_rows(m)
+    index = _orbit_coordinates(m)
     orbit_of, sizes = index.orbit_of.get, index.sizes
     ids = {lab: a for a, lab in enumerate(index.labels)}
     radius = [distance(g.base_vertex, v) for v in _vertices(m)]
@@ -280,7 +281,7 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     block; a row that joins two raises NotClosedError, since this accepts
     any span a caller builds, not only a closure.
     """
-    index = _sphere_rows(t.m)
+    index = _orbit_coordinates(t.m)
     block = [(s, index.sphere_of[zs[0]]) for s, zs in zip(index.row_of, index.members)]
     diagonal = []
     for row in t.basis.rows:
@@ -290,7 +291,7 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
         if i == j:
             diagonal.append(row)
     within = SpanBasis.from_reduced_rows(t.basis.ambient_dim, diagonal)
-    return centralizer_within(within, [_distance_vector(t.m, 1)], action=_orbit_coordinates(t.m))
+    return centralizer_within(within, [_distance_vector(t.m, 1)], action=index)
 
 
 def upsilon(m: int) -> frozenset[tuple[int, int]]:
@@ -340,14 +341,3 @@ def block_profile(m: int) -> BlockProfile:
     sides = tuple(2 * d + 2 for d in range(m + 1))
     return BlockProfile(m=m, counts=counts, sides=sides)
 
-
-def subalgebra_spans(cent: OrbitCoordinates) -> dict[str, SpanBasis]:
-    """Spans in Q^d, where orbit a is the unit vector e_a, of the three block
-    families (orbits.BLOCK_FAMILIES)."""
-    spans = {}
-    for name, blocks in BLOCK_FAMILIES.items():
-        spans[name] = SpanBasis(cent.ambient_dim)
-        for a, lab in enumerate(cent.orbit_labels):
-            if lab.block in blocks:
-                spans[name].insert({a: 1})
-    return spans

@@ -5,12 +5,8 @@ from doubled_odd.checks import CheckContext
 
 _contexts: dict[int, CheckContext] = {}
 
-# the per-m memos of the orbit index and of the shared orbit coordinates,
-# which hold the product index
-_PER_M_MEMOS = (
-    orbits_module._sphere_rows,
-    orbits_module._orbit_coordinates,
-)
+# the per-m memos: the one orbit index, which holds the product index
+_PER_M_MEMOS = (orbits_module._orbit_coordinates,)
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,13 @@
 """Helpers shared by the tests: the n^2-ambient matrix action and spans, the
 oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
 the products of T's generators in Q^d, the sandwich identities of lemma41,
-the export, the sphere rows and the row test of centralizer-dim are
+the export, the orbit index and the row test of centralizer-dim are
 compared with (among them the pair index, the orbit of every vertex pair in
 one labelled pass, the n x n orbit, distance and dual idempotent matrices,
 and the lift of a basis in Q^d to n x n matrices), the full generator lists
 of T, Higman's identity on the structure constants and their counts by
 orbit, the Odd graph's adjacency by a disjointness scan, vertex maps moved a
-point at a time, and doctored orbit data for the certificates of the sphere
-rows."""
+point at a time, and a doctored orbit index for its certificates."""
 
 from array import array
 from collections import Counter
@@ -18,6 +17,7 @@ from itertools import repeat
 from math import comb, isqrt
 from operator import add
 from typing import NamedTuple
+from unittest.mock import patch
 
 from doubled_odd.combinatorics import (
     GroundSet,
@@ -34,15 +34,14 @@ from doubled_odd.linalg import (
     SparseExactMatrix,
     SpanBasis,
 )
+from doubled_odd import orbits as orbits_module
 from doubled_odd.orbits import (
     BlockTag,
     OrbitCoordinates,
     OrbitLabel,
-    SphereRows,
     _check_labels_met,
     _label_keys,
-    _number_sphere_rows,
-    _sphere_rows,
+    _orbit_coordinates,
     block_of_pair,
     rho,
 )
@@ -185,7 +184,7 @@ def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
     # every orbit matrix in one pass over the pairs of each block of row
     # sphere x column spheres: as in orbit_matrix, a pair's |y n z| and
     # |x0 n y n z| decide which orbit of its block it is in
-    g, index, verts = GroundSet(m), _sphere_rows(m), _vertices(m)
+    g, index, verts = GroundSet(m), _orbit_coordinates(m), _vertices(m)
     blocks: dict[tuple[int, frozenset[int]], dict[tuple[int, int], int]] = {}
     for a, zs in enumerate(index.members):
         ends = frozenset(index.sphere_of[z] for z in zs)
@@ -216,7 +215,7 @@ def orbit_matrix(g: GroundSet, label: OrbitLabel) -> SparseExactMatrix:
     row sphere and column spheres: those spheres fix the block and
     |x0 n y|, |x0 n z| of a pair's label, so the pair is in the orbit when
     its |y n z| and |x0 n y n z| are the label's."""
-    index = _sphere_rows(g.m)
+    index = _orbit_coordinates(g.m)
     try:
         a = index.labels.index(label)
     except ValueError:
@@ -244,7 +243,7 @@ def lift(coords: OrbitCoordinates, basis: SpanBasis) -> SpanBasis:
     if basis.ambient_dim != coords.ambient_dim:
         raise ShapeMismatchError(f"basis of ambient {basis.ambient_dim} is not in orbit coordinates")
     n, mats = coords.n, _orbit_matrices(coords.m)
-    positions = [[y * n + z for y, row in mats[lab]._rows.items() for z in row] for lab in coords.orbit_labels]
+    positions = [[y * n + z for y, row in mats[lab]._rows.items() for z in row] for lab in coords.labels]
     rows = [{idx: v for a, v in row.items() for idx in positions[a]} for row in basis.rows]
     return SpanBasis.from_reduced_rows(n * n, rows)
 
@@ -432,7 +431,7 @@ class PairIndex(NamedTuple):
 
 @lru_cache(maxsize=8)
 def pair_index(m: int) -> PairIndex:
-    """Oracle of the sphere rows: the orbit of every vertex pair, in one
+    """Oracle of the orbit index: the orbit of every vertex pair, in one
     labelled row-major pass.
 
     Each pair's label is encoded as one int (orbits._label_keys), and the
@@ -531,20 +530,25 @@ def merged_pair_index(m: int, keep: int, drop: int) -> PairIndex:
     return PairIndex(index.n, tuple(labels), orbit_of, tuple(positions))
 
 
-def merged_sphere_rows(m: int, keep: int, drop: int) -> SphereRows:
-    """The sphere rows at m with orbit drop merged into orbit keep, renumbered
-    by first pair as the real index is; the merged orbit keeps the label of
-    keep, as in merged_pair_index."""
-    index = _sphere_rows(m)
+def merged_orbit_coordinates(m: int, a: int, b: int) -> OrbitCoordinates:
+    """The orbit index at m with orbits a and b merged into one, built and
+    certified as the real index is: the merged orbit is numbered by its
+    first pair and labelled by it, so it takes the label of the lesser of a
+    and b, and the closed form the labels met are certified against lacks
+    the label of the greater."""
+    index = _orbit_coordinates(m)
+    lost = index.labels[max(a, b)]
+    ids: dict[int, int] = {}
 
-    def merge(a):
-        return keep if a == drop else a
+    def merge(c):
+        # renumbered as first met along the rows, as the scan numbers them
+        return ids.setdefault(min(a, b) if c == max(a, b) else c, len(ids))
 
     rows = [list(map(merge, row)) for row in index.rows]
-    orbit_of = {key: merge(a) for key, a in index.orbit_of.items()}
-    merged = _number_sphere_rows(m, index.spheres, rows, orbit_of)
-    old_ids = dict.fromkeys(a for row in rows for a in row)
-    return merged._replace(labels=tuple(index.labels[a] for a in old_ids))
+    orbit_of = {key: merge(c) for key, c in index.orbit_of.items()}
+    closed = tuple(lab for lab in orbits_module._orbit_labels(m) if lab != lost)
+    with patch.object(orbits_module, "_orbit_labels", lambda _m: closed):
+        return OrbitCoordinates(m, index.spheres, rows, orbit_of)
 
 
 def orbit_values(index: PairIndex, vec: dict[int, object]) -> dict[int, object] | None:
@@ -613,9 +617,9 @@ def higman_violation(coords: OrbitCoordinates, counts) -> tuple[int, int, int] |
     cross-check of the table at m = 5, where the pass over all n^3 vertex
     triples (class_profiles) is too slow.
     """
-    index, d, sizes = coords._index, coords.ambient_dim, coords.sizes
-    firsts = map(index.first_pair, range(d))
-    transpose = [index.orbit_of[_label_keys(coords.m, z, (y,))[0]] for y, z in firsts]
+    d, sizes = coords.ambient_dim, coords.sizes
+    firsts = map(coords.first_pair, range(d))
+    transpose = [coords.orbit_of[_label_keys(coords.m, z, (y,))[0]] for y, z in firsts]
     for c, table in enumerate(counts):
         for key, p in table.items():
             a, b = divmod(key, d)

@@ -4,8 +4,9 @@ import hashlib
 import json
 from pathlib import Path
 
+import conftest
 import pytest
-from helpers import distance_matrices, merged_sphere_rows, orbit_matrix
+from helpers import distance_matrices, merged_orbit_coordinates, orbit_matrix
 
 from doubled_odd import checks as checks_module
 from doubled_odd import combinatorics as combinatorics_module
@@ -94,6 +95,18 @@ def test_run_config_is_an_immutable_value():
         RunConfig()
 
 
+def test_run_config_holds_a_list_selection_as_a_tuple():
+    # a list selection is frozen on validation: the config hashes, and the
+    # checks validated against their caps cannot be widened afterwards
+    cfg = RunConfig(5, checks=["vertex-count"])
+    assert cfg.checks == ("vertex-count",)
+    assert cfg == RunConfig(5, ("vertex-count",))
+    assert hash(cfg) == hash(RunConfig(5, ("vertex-count",)))
+    with pytest.raises(AttributeError):
+        cfg.checks.append("orbits-oracle")
+    assert [r.check for r in run(cfg)] == ["vertex-count"]
+
+
 def test_verification_report_to_dict():
     report = VerificationReport("upsilon", 3, 6, "paper-formula", 6, "pass", 12)
     assert report.to_dict() == {
@@ -148,7 +161,6 @@ def test_index_sets_fails_when_the_pair_pass_misses_a_closed_form_label(monkeypa
     # sphere rows; drop one closed-form label and the index raises
     labels = orbits_module._orbit_labels(1)
     monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: labels[:-1])
-    monkeypatch.setattr(checks_module, "_sphere_rows", orbits_module._sphere_rows.__wrapped__)
     (report,) = run(RunConfig(m=1, checks=("index-sets",)))
     assert report.actual == {"cardinalities": [5] * 4, "matches_enumeration": False}
     assert report.status == "fail"
@@ -462,10 +474,14 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
     # no n^2-ambient span at all, the export's included, and one
     # OrbitCoordinates per m per process, for runs with and without the
     # export and a second centre solve: the export writes its bases from
-    # pair positions
+    # pair positions.  OrbitCoordinates is the one orbit index, with one
+    # per-m memo: no second index class or memo sits beside it
+    for name in ("SphereRows", "_sphere_rows", "_number_sphere_rows"):
+        assert not hasattr(orbits_module, name)
+    assert conftest._PER_M_MEMOS == (orbits_module._orbit_coordinates,)
     n2 = 70 ** 2
     n2_bases: list[int] = []  # the ambient dimension of each n^2-ambient SpanBasis
-    coords_built: list[GroundSet] = []
+    coords_built: list[int] = []
     span_init, coords_init = SpanBasis.__init__, OrbitCoordinates.__init__
 
     def traced_span_init(self, ambient_dim):
@@ -473,9 +489,9 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
             n2_bases.append(ambient_dim)
         span_init(self, ambient_dim)
 
-    def traced_coords_init(self, g):
-        coords_built.append(g)
-        coords_init(self, g)
+    def traced_coords_init(self, m, *scan):
+        coords_built.append(m)
+        coords_init(self, m, *scan)
 
     monkeypatch.setattr(SpanBasis, "__init__", traced_span_init)
     monkeypatch.setattr(OrbitCoordinates, "__init__", traced_coords_init)
@@ -536,7 +552,7 @@ def test_the_verify_path_builds_no_distance_matrix_and_no_n2_action_table(monkey
 def test_the_package_keeps_no_n_by_n_orbit_distance_or_sandwich_builder():
     # the sphere rows alone decide which orbit a pair is in: lemma41 counts
     # the orbits of A_1's entries by label, the export reads pair positions
-    # off SphereRows.row, T's generators are vectors of Q^d, and the n x n
+    # off OrbitCoordinates.row, T's generators are vectors of Q^d, and the n x n
     # builders, the lift of a basis, the vertex maps moved a point at a time
     # and the action tables read off every vertex pair are the tests'
     # oracles (helpers)
@@ -601,7 +617,7 @@ def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fr
     assert 0 < sum(evaluated) < 252 ** 2
     # the trace sees a pass over all pairs where there is one: orbits-oracle
     # reads the orbit ids of all n^2 pairs, row by row
-    orbits_module._sphere_rows(1)
+    orbits_module._orbit_coordinates(1)
     evaluated.clear()
     run(RunConfig(m=1, checks=("orbits-oracle",)))
     assert sum(evaluated) == 6 ** 2
@@ -609,14 +625,14 @@ def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fr
 
 def _use_merged_m1_rows(monkeypatch) -> None:
     # merge ({2}, {3}) and ({3}, {2}) with ({2}, {1}) and ({3}, {1}) in the
-    # sphere rows at m = 1: the square of the merged orbit matrix is not
-    # constant on it
-    rows = orbits_module._sphere_rows(1)
-    keep = rows.labels.index(OrbitLabel(BlockTag.I, (0, 0, 0, 0)))
-    drop = rows.labels.index(OrbitLabel(BlockTag.I, (0, 1, 0, 0)))
-    doctored = merged_sphere_rows(1, keep, drop)
-    monkeypatch.setattr(orbits_module, "_sphere_rows", lambda _m: doctored)
-    orbits_module._orbit_coordinates.cache_clear()
+    # orbit index at m = 1, on every binding of its memo: the square of the
+    # merged orbit matrix is not constant on it
+    labels = orbits_module._orbit_coordinates(1).labels
+    a = labels.index(OrbitLabel(BlockTag.I, (0, 0, 0, 0)))
+    b = labels.index(OrbitLabel(BlockTag.I, (0, 1, 0, 0)))
+    doctored = merged_orbit_coordinates(1, a, b)
+    for module in (orbits_module, terwilliger_module, checks_module):
+        monkeypatch.setattr(module, "_orbit_coordinates", lambda _m: doctored)
 
 
 def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):

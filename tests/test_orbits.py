@@ -14,8 +14,8 @@ from helpers import (
     higman_violation,
     lift,
     mask_of,
+    merged_orbit_coordinates,
     merged_pair_index,
-    merged_sphere_rows,
     n2_product_verdicts,
     orbit_counts,
     orbit_matrices,
@@ -156,7 +156,7 @@ def test_vertex_maps_by_byte_tables_match_the_maps_moved_a_point_at_a_time(m):
     verts = enumerate_vertices(g)
     x0 = g.base_vertex
     perm_sets = [stabilizer_generators(g)]
-    for sphere in orbits_module._sphere_rows(m).spheres:
+    for sphere in orbits_module._orbit_coordinates(m).spheres:
         y = verts[sphere[0]]
         atoms = [
             [k for k in range(g.n_points) if mask >> k & 1]
@@ -283,7 +283,6 @@ def test_a_closed_form_label_without_a_pair_is_rejected(monkeypatch, fresh_memos
     # is no orbit at m = 1 (x0 = {1} lies in y and z, so |x0 n y n z| = 1)
     labels = orbits_module._orbit_labels(1) + (OrbitLabel(BlockTag.I, (1, 1, 1, 0)),)
     monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: labels)
-    monkeypatch.setattr(orbits_module, "_sphere_rows", orbits_module._sphere_rows.__wrapped__)
     with pytest.raises(IndependenceError, match="I:1,1,1,0 has an empty orbit"):
         build_centralizer(GroundSet(1))
 
@@ -381,8 +380,8 @@ def test_structure_constants_match_the_products_of_orbit_matrices():
     for m in (1, 2):
         g = GroundSet(m)
         n = vertex_count(g)
-        coords = OrbitCoordinates(g)
-        mats = [orbit_matrix(g, lab) for lab in coords.orbit_labels]
+        coords = orbits_module._orbit_coordinates(m)
+        mats = [orbit_matrix(g, lab) for lab in coords.labels]
         d = len(mats)
         counts = orbit_counts(coords.products)
         for a in range(d):
@@ -398,7 +397,7 @@ def test_structure_constants_match_the_products_of_orbit_matrices():
 def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
     # on seeded rational combinations x, y of orbit matrices, the lift of
     # product(x, y) is the n x n product of the lifts of x and y
-    coords = OrbitCoordinates(GroundSet(m))
+    coords = orbits_module._orbit_coordinates(m)
     d = coords.ambient_dim
     # orbits are numbered by first pair, so the identity RREF of Q^d lifts to
     # the orbit matrices in orbit order
@@ -425,9 +424,9 @@ _INCOHERENT = (OrbitLabel(BlockTag.I, (0, 0, 0, 0)), OrbitLabel(BlockTag.I, (0, 
 
 
 def _merge_incoherent_orbits(monkeypatch) -> OrbitCoordinates:
-    """Orbit coordinates at m = 1 on sphere rows with two orbits merged into
-    one whose matrix has a square that is not a combination of the coarser
-    orbit matrices."""
+    """The orbit index at m = 1 with two orbits merged into one whose matrix
+    has a square that is not a combination of the coarser orbit matrices,
+    made the memo's index at m = 1."""
     g = GroundSet(1)
     mats = orbit_matrices(g)
     # the square of the merged matrix is 1 at ({2}, {1}) and 0 at ({2}, {3})
@@ -435,16 +434,18 @@ def _merge_incoherent_orbits(monkeypatch) -> OrbitCoordinates:
     merged = mats[a] + mats[b]
     square = merged @ merged
     assert {square.get(r, c) for r, c, _ in merged.entries()} == {0, 1}
-    ids = orbits_module._sphere_rows(1).labels
-    rows = merged_sphere_rows(1, ids.index(a), ids.index(b))
-    monkeypatch.setattr(orbits_module, "_sphere_rows", lambda _m: rows)
-    return OrbitCoordinates(g)  # the identity is still a sum of orbits
+    ids = orbits_module._orbit_coordinates(1).labels
+    # the identity is still a sum of orbits
+    coords = merged_orbit_coordinates(1, ids.index(a), ids.index(b))
+    monkeypatch.setattr(orbits_module, "_orbit_coordinates", lambda _m: coords)
+    return coords
 
 
 def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
-    # the merged orbit is two orbits of the stabilizer generators
+    # the merged orbit is two orbits of the stabilizer generators; its first
+    # pair ({2}, {1}) gives it the label I:0,1,0,0
     coords = _merge_incoherent_orbits(monkeypatch)
-    with pytest.raises(NotClosedError, match="orbit I:0,0,0,0 is not a single orbit"):
+    with pytest.raises(NotClosedError, match="orbit I:0,1,0,0 is not a single orbit"):
         coords.products
 
 
@@ -461,7 +462,7 @@ def _first_orbit_not_a_class(index, roots) -> OrbitLabel | None:
 def _first_sphere_not_an_orbit(m: int, perms) -> int | None:
     # oracle: the least sphere that is not the orbit of its first vertex
     # under the point permutations, closed over as sets of points
-    index = orbits_module._sphere_rows(m)
+    index = orbits_module._orbit_coordinates(m)
     verts = enumerate_vertices(GroundSet(m))
     for s, sphere in enumerate(index.spheres):
         orbit, todo = {verts[sphere[0]]}, [verts[sphere[0]]]
@@ -488,7 +489,7 @@ def test_the_group_orbit_certificate_rejects_a_missing_generator(monkeypatch, fr
     s = _first_sphere_not_an_orbit(2, orbits_module.stabilizer_generators(g))
     assert s is not None
     with pytest.raises(NotClosedError, match=rf"sphere {s} \(.*\) is not a single orbit"):
-        OrbitCoordinates(g).products
+        orbits_module._orbit_coordinates(2).products
     (report,) = run(RunConfig(m=2, checks=("orbits-oracle",)))
     assert report.actual["partitions_match"] is False
     assert report.status == "fail"
@@ -500,7 +501,7 @@ def test_the_group_orbit_certificate_rejects_a_generator_that_is_no_permutation(
     generators = orbits_module.stabilizer_generators
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: [(0, 0, 2)] + generators(g))
     with pytest.raises(NotClosedError, match="stabilizer generator 0 does not permute the vertices"):
-        OrbitCoordinates(GroundSet(1)).products
+        orbits_module._orbit_coordinates(1).products
     (report,) = run(RunConfig(m=1, checks=("orbits-oracle",)))
     assert report.actual["partitions_match"] is False
 
@@ -509,9 +510,9 @@ def _first_pair_counts(coords: OrbitCoordinates) -> list[Counter]:
     # the counts products reads off the first pairs, uncertified:
     # counts[c] maps a * d + b to the number of middle vertices w of the
     # first pair (y, z) of orbit c with (y, w) in a and (w, z) in b
-    index, d = coords._index, coords.ambient_dim
+    d = coords.ambient_dim
     return [
-        Counter(a * d + b for a, b in zip(index.rows[index.row_of[c]], index.column(index.members[c][0])))
+        Counter(a * d + b for a, b in zip(coords.rows[coords.row_of[c]], coords.column(coords.members[c][0])))
         for c in range(d)
     ]
 
@@ -520,7 +521,7 @@ def _first_pair_counts(coords: OrbitCoordinates) -> list[Counter]:
 def test_representative_structure_constants_match_the_exhaustive_pass(m):
     # the table read off one pair per orbit, certified by the stabilizer
     # orbit certificate, against the pass over all n^3 vertex triples
-    coords = OrbitCoordinates(GroundSet(m))
+    coords = orbits_module._orbit_coordinates(m)
     rows, cols = pair_index(m).label_lines()
     profiles, offending = class_profiles(rows, cols, rows, coords.ambient_dim)
     assert offending is None
@@ -530,8 +531,8 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, *(pytest.param(m, marks=pytest.mark.slow) for m in (5, 6))])
 def test_the_stabilizer_orbit_certificate_accepts_the_true_orbits(m):
-    # it needs only the sphere rows, which m = 6, outside SUPPORTED_M, has too
-    orbits_module._certify_stabilizer_orbits(orbits_module._sphere_rows(m))
+    # it needs only the orbit index, which m = 6, outside SUPPORTED_M, has too
+    orbits_module._certify_stabilizer_orbits(orbits_module._orbit_coordinates(m))
 
 
 def test_the_stabilizer_orbit_certificate_rejects_a_row_generator_that_moves_y_s(monkeypatch):
@@ -551,20 +552,19 @@ def test_the_stabilizer_orbit_certificate_rejects_a_row_generator_that_moves_y_s
     monkeypatch.setattr(orbits_module, "_young_generators", with_swap)
     assert stabilizer_generators(GroundSet(2)) == young(5, [[0, 1], [2, 3, 4]])
     with pytest.raises(NotClosedError, match=r"row generator \d+ of sphere \d+ does not fix y_s"):
-        orbits_module._certify_stabilizer_orbits(orbits_module._sphere_rows(2))
+        orbits_module._certify_stabilizer_orbits(orbits_module._orbit_coordinates(2))
 
 
-def test_the_stabilizer_orbit_certificate_rejects_an_orbit_met_in_two_sphere_rows(monkeypatch):
+def test_the_stabilizer_orbit_certificate_rejects_an_orbit_met_in_two_sphere_rows():
     # the orbit of (x0, y_1) merged with that of (y_1, x0), y_1 the first
     # vertex of sphere 1: each row keeps its partition, but the merged
     # orbit is no orbit of a group that fixes x0
-    index = orbits_module._sphere_rows(1)
+    index = orbits_module._orbit_coordinates(1)
     keep, drop = index.rows[0][index.spheres[1][0]], index.rows[1][0]
     assert (index.row_of[keep], index.row_of[drop]) == (0, 1)
-    rows = merged_sphere_rows(1, keep, drop)
-    monkeypatch.setattr(orbits_module, "_sphere_rows", lambda _m: rows)
+    merged = merged_orbit_coordinates(1, keep, drop)
     with pytest.raises(NotClosedError, match=f"orbit {index.labels[keep].text()} is met in two sphere rows"):
-        OrbitCoordinates(GroundSet(1)).products
+        merged.products
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
@@ -644,7 +644,7 @@ def test_sphere_rows_number_and_size_the_orbits_as_the_pair_index(m):
     # same labels in the same first-pair numbering, |orbit| = |sphere| times
     # the orbit's count in its row, and the orbits of every row and column
     # read off label keys through the index's label map
-    rows = orbits_module._sphere_rows(m)
+    rows = orbits_module._orbit_coordinates(m)
     index = pair_index(m)
     assert rows.labels == index.labels
     assert [rows.first_pair(a) for a in range(len(rows.labels))] == [

@@ -1,6 +1,8 @@
 """Static checks of the source tree."""
 
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -112,3 +114,24 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = set(json.loads(out))
     assert "doubled_odd.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect"})
+
+
+def _benchmark_tracer():
+    # perfbench/tracer.py, loaded from its file: it imports only the stdlib
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # the benchmark's trace mode (perfbench/run.py --trace 1) replaces each
+    # (class, method) of METHOD_SPANS on its linalg class and wraps the
+    # public functions of TRACED_MODULES: a method or module it names that
+    # is gone breaks it, so neither may go while the tracer names it
+    tracer = _benchmark_tracer()
+    linalg = importlib.import_module("doubled_odd.linalg")
+    for cls_name, method in tracer.METHOD_SPANS:
+        assert method in vars(getattr(linalg, cls_name)), (cls_name, method)
+    for name in tracer.TRACED_MODULES:
+        importlib.import_module(f"doubled_odd.{name}")

@@ -12,7 +12,7 @@ from helpers import (
     dual_idempotents,
     lift,
     matrix_from_vector,
-    merged_sphere_rows,
+    merged_orbit_coordinates,
     n2_sandwich_identities,
     orbit_matrices,
     orbit_values,
@@ -40,14 +40,14 @@ from doubled_odd.linalg import (
 )
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
-from doubled_odd.orbits import BlockTag, OrbitCoordinates
+from doubled_odd.checks import _family_ids
+from doubled_odd.orbits import BlockTag
 from doubled_odd.terwilliger import (
     TerwilligerAlgebra,
     block_profile,
     build_terwilliger,
     center_basis,
     dual_idempotent,
-    subalgebra_spans,
     upsilon,
     upsilon_size_formula,
     verify_equality,
@@ -119,7 +119,7 @@ def test_sandwich_identities_catch_an_edge_inside_a_sphere(monkeypatch):
     # an extra edge joining two vertices of one sphere is a nonzero
     # E*_i A_1 E*_i, and A_1 is then no longer the sum of the sandwiches
     g = GroundSet(2)
-    index = orbits_module._sphere_rows(2)
+    index = orbits_module._orbit_coordinates(2)
     y, z = next(s for s in index.spheres if len(s) > 1)[:2]
     doctored = adjacency_matrix(g) + SparseExactMatrix(index.n, index.n, {y: {z: 1}})
     monkeypatch.setattr(terwilliger_module, "adjacency_matrix", lambda _: doctored)
@@ -151,7 +151,7 @@ def _without_one_sandwich_edge(g: GroundSet) -> SparseExactMatrix:
 
 
 def _with_an_edge_inside_a_sphere(g: GroundSet) -> SparseExactMatrix:
-    index = orbits_module._sphere_rows(g.m)
+    index = orbits_module._orbit_coordinates(g.m)
     y, z = next(s for s in index.spheres if len(s) > 1)[:2]
     return adjacency_matrix(g) + SparseExactMatrix(index.n, index.n, {y: {z: 1}})
 
@@ -341,7 +341,7 @@ def test_center_rejects_a_row_joining_two_blocks():
     # T is all of Q^d at m = 3; joining the unit of orbit 0, whose matrix is
     # E*_0, to that of an orbit between two spheres leaves an RREF whose row
     # lies in no one block E*_i T E*_j
-    index = orbits_module._sphere_rows(3)
+    index = orbits_module._orbit_coordinates(3)
     d = len(index.labels)
     b = next(b for b, zs in enumerate(index.members) if index.sphere_of[zs[0]] != index.row_of[b])
     rows = [{0: 1, b: 1}] + [{a: 1} for a in range(1, d) if a != b]
@@ -358,7 +358,7 @@ def test_action_tables_reject_a_generator_not_constant_on_orbits():
     # one diagonal unit of the sphere: the other two sphere vertices lie in
     # the same orbits but see a zero row
     unit = SparseExactMatrix.from_entries(n, n, [(sphere1[0], sphere1[0], 1)])
-    coords = OrbitCoordinates(g)
+    coords = orbits_module._orbit_coordinates(2)
     with pytest.raises(NotClosedError):
         action_tables(coords, [unit])
     # the whole sphere indicator is constant on orbits
@@ -371,7 +371,7 @@ def test_product_built_closure_tables_match_the_action_tables_oracle(m):
     # structure constants; the oracle reads the action off every vertex pair
     # of its orbit
     g = GroundSet(m)
-    coords = OrbitCoordinates(g)
+    coords = orbits_module._orbit_coordinates(m)
     # closure_generators lists E*_0..E*_{2m+1}, then A_1, as _generators does
     oracle = action_tables(coords, closure_generators(g))
     generators = terwilliger_module._generators(m)
@@ -387,25 +387,24 @@ def test_orbit_coordinates_require_a_partition_of_the_pairs(monkeypatch):
     # outside the closed form, which is a named error, not a KeyError
     *labels, dropped = orbits_module._orbit_labels(1)
     monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: tuple(labels))
-    monkeypatch.setattr(orbits_module, "_sphere_rows", orbits_module._sphere_rows.__wrapped__)
     with pytest.raises(NotClosedError, match=f"{dropped.text()}, which is not closed-form.*partition"):
-        OrbitCoordinates(GroundSet(1))
+        orbits_module._orbit_coordinates.__wrapped__(1)
 
 
-def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits(monkeypatch):
-    index = orbits_module._sphere_rows(1)
-    # merge the orbit of (x0, x0) with an off-diagonal orbit of the row of x0
+def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits():
+    index = orbits_module._orbit_coordinates(1)
+    # merge the orbit of (x0, x0) with an off-diagonal orbit of the row of x0:
+    # the merged index passes the label certificate against a closed form
+    # without the off-diagonal label, and then fails the identity's
     diagonal, other = index.rows[0][0], index.rows[0][1]
     assert index.spheres[0] == (0,) and index.labels[other].tup[2] == 0
-    doctored = merged_sphere_rows(1, diagonal, other)
-    monkeypatch.setattr(orbits_module, "_sphere_rows", lambda _m: doctored)
     with pytest.raises(NotClosedError, match="identity"):
-        OrbitCoordinates(GroundSet(1))
+        merged_orbit_coordinates(1, diagonal, other)
 
 
 def test_orbit_coordinates_reject_a_matrix_not_constant_on_orbits():
     g = GroundSet(1)
-    coords = OrbitCoordinates(g)
+    coords = orbits_module._orbit_coordinates(1)
     index = pair_index(1)
     n = vertex_count(g)
     assert orbit_values(index, vectorize(SparseExactMatrix.identity(n))) == coords.identity()
@@ -441,26 +440,35 @@ def test_block_profile_values():
 
 
 def test_subalgebra_span_dimensions(ctx_for):
+    # direct-sum's families: each family's span in Q^d is the coordinate
+    # subspace of its orbit ids
     for m in (1, 2):
-        spans = subalgebra_spans(ctx_for(m).centralizer)
+        ids = _family_ids(ctx_for(m).centralizer.labels)
         quarter = comb(m + 4, 4)
-        assert spans["I"].dimension == quarter
-        assert spans["IV"].dimension == quarter
-        assert spans["II+III"].dimension == 2 * quarter
+        assert len(ids["I"]) == quarter
+        assert len(ids["IV"]) == quarter
+        assert len(ids["II+III"]) == 2 * quarter
 
 
 def test_subalgebra_spans_lift_to_the_n2_family_spans(ctx_for):
-    # direct-sum's unit-vector spans in Q^d against the n^2-ambient spans of
-    # each family's orbit matrices
+    # direct-sum's orbit id sets, lifted as coordinate subspaces of Q^d,
+    # against the n^2-ambient spans of each family's orbit matrices, and
+    # the sizes of their pairwise intersections against the dimensions of
+    # the n^2-ambient spans of each two families
     families = {"I": {BlockTag.I}, "II+III": {BlockTag.II, BlockTag.III}, "IV": {BlockTag.IV}}
     for m in (1, 2, 3):
         cent = ctx_for(m).centralizer
-        spans = subalgebra_spans(cent)
-        assert set(spans) == set(families)
+        ids = _family_ids(cent.labels)
+        assert set(ids) == set(families)
         mats = orbit_matrices(ctx_for(m).g)
         for name, blocks in families.items():
             oracle = span(mat for lab, mat in mats.items() if lab.block in blocks)
-            assert lift(cent, spans[name]) == oracle
+            units = SpanBasis.from_reduced_rows(cent.ambient_dim, ({a: 1} for a in sorted(ids[name])))
+            assert lift(cent, units) == oracle
+            assert len(ids[name]) == oracle.dimension
+        for a, b in (("I", "II+III"), ("I", "IV"), ("II+III", "IV")):
+            joined = span(mat for lab, mat in mats.items() if lab.block in families[a] | families[b])
+            assert len(ids[a] & ids[b]) == len(ids[a]) + len(ids[b]) - joined.dimension
 
 
 def test_algebra_closure_idempotent(ctx_for):
