@@ -54,7 +54,7 @@ from .orbits import (
     index_set,
     orbit_labels,
     orbits_by_group_action,
-    products_constant_on_orbits,
+    constant_on_orbits,
     tuple_bijection,
 )
 from .terwilliger import (
@@ -124,8 +124,9 @@ class RunConfig:
     What still grows with the n^2 vertex pairs is the union-find of the
     stabilizer generators of orbits-oracle (capped at m <= 4) and the
     export, which reads the orbit of every pair once, row by row, for its
-    n x n files; every other orbit lookup reads single rows and columns of
-    pairs off the 2m+2 sphere rows of the orbit index.
+    n x n files; every other orbit lookup reads the 2m+2 sphere rows of the
+    orbit index, single rows of pairs, or the m+1 neighbours of one pair
+    per orbit.
 
     Immutable, with value equality and hashing over its three fields.
     """
@@ -315,7 +316,7 @@ def _check_orbits_oracle(ctx: CheckContext):
     g = ctx.g
     # the union-find of the stabilizer generators on all n^2 vertex pairs
     # against the orbit index: a route to the orbits independent of the
-    # certificate the structure constants rest on
+    # certificate A_1's push tables rest on
     roots = orbits_by_group_action(g)
     try:
         _check_group_orbits(_orbit_coordinates(g.m), roots)
@@ -338,7 +339,7 @@ def _check_centralizer_dim(ctx: CheckContext):
         rng = random.Random(20260 + g.m)
         pairs = [(rng.randrange(d), rng.randrange(d)) for _ in range(500)]
     # each product O_a O_b, tested on one row of its row sphere
-    closure_ok = all(products_constant_on_orbits(g.m, pairs))
+    closure_ok = all(constant_on_orbits(g.m, pairs))
     expected = {"dim": 4 * comb(g.m + 4, 4), "closure_ok": True}
     actual = {"dim": d, "closure_ok": closure_ok, "pairs_checked": len(pairs)}
     ok = actual["dim"] == expected["dim"] and closure_ok

@@ -10,8 +10,10 @@ by ascending mask value -- fixes every matrix row/column index in the package.
 The graph is bipartite with diameter 2m+1, and the distance between vertices
 y and z is |y| + |z| - 2|y n z|; a breadth-first search oracle for this
 formula lives in the test suite, not here.  The intersection numbers are
-read off the structure constants of the orbits of the base-vertex stabilizer
-(orbits), which is built on this module and so imported where it is used.
+read off A_1 A_i in the orbit coordinates of the base-vertex stabilizer
+(orbits), which is built on this module and so imported where it is used,
+and the rest follow from the three-term recurrence of a distance-regular
+graph (Brouwer, Cohen and Neumaier, Distance-Regular Graphs, 1989).
 """
 
 from __future__ import annotations
@@ -157,68 +159,50 @@ class IntersectionNumbers(NamedTuple):
 
 
 def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
-    """Every p^h_{ij}, read off the certified structure constants of the
-    stabilizer's orbit matrices, held by the one orbit index per m
-    (orbits.OrbitCoordinates), with the first pair of each orbit.
-
-    Each orbit of vertex pairs lies at one distance, read off its label
-    (orbits._orbit_distance), and its structure constants count, for its
-    pairs (x, y), the vertices z by the orbits of (x, z) and (z, y); summed
-    by d(x, z) and d(z, y), they give the counts of the exhaustive pass over
-    all pairs.  Raises DistanceRegularityError with the first offending
-    witness if any count depends on the chosen pair (it never should).
-    """
+    """Every p^h_{ij}, from A_1 A_i in the orbit coordinates (orbits), each
+    orbit at the distance its label gives.  Raises DistanceRegularityError
+    with the first offending witness if any count depends on the chosen
+    pair (it never should)."""
     # orbits is built on this module, so it is imported here, not at the top
     from .orbits import _orbit_coordinates, _orbit_distance
 
     coords = _orbit_coordinates(g.m)
     dist = [_orbit_distance(g.m, lab) for lab in coords.labels]
-    firsts = list(map(coords.first_pair, range(len(dist))))
-    table = _orbit_intersection_table(_vertices(g.m), firsts, coords.products, dist)
-    return IntersectionNumbers(m=g.m, table=table)
+    return IntersectionNumbers(m=g.m, table=_recurrence_table(coords, dist))
 
 
-def _orbit_intersection_table(verts, firsts, index, dist: list[int]) -> dict[tuple[int, int, int], int]:
+def _recurrence_table(coords, dist: list[int]) -> dict[tuple[int, int, int], int]:
     """p^h_{ij} of the distance table that puts every pair of orbit c at
-    distance dist[c], from the product index of the orbits' structure
-    constants (orbits.OrbitCoordinates.products); firsts[c] is the first
-    pair (x, y) of orbit c, as vertex indices.
+    distance dist[c], keyed (h, i, j) ascending, nonzero entries only.
 
-    Every entry (c, p^c_{ab}) of index[a][b] adds p^c_{ab} to the count of
-    orbit c at dist[a] * width + dist[b].  The table and the witness are
-    those an exhaustive pass over all vertex triples of the n x n distance
-    table would give: orbits are numbered by their first pair, so the first
-    pair of the least orbit whose counts differ from those of the least
-    orbit at the same distance is the first offending pair in row-major
-    order.
+    The coefficient of O_c in A_1 A_i, A_i the indicator of the orbits at
+    distance i, counts for a pair (x, y) of c the neighbours z of x with
+    d(z, y) = i.  The graph is distance-regular exactly when that count
+    depends on h = d(x, y) alone and vanishes unless |h - i| <= 1; else the
+    witness is the first pair of the least orbit that breaks it, the first
+    such pair in row-major order, with (1, i) for the least such i.  Then
+    every p^h_{ij} follows from A_0 = I and the recurrence
+    c_{i+1} A_{i+1} A_j = A_1 A_i A_j - a_i A_i A_j - b_{i-1} A_{i-1} A_j,
+    where A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}, c_{i+1} >= 1.
     """
     width = 1 + max(dist)
-    counts: list[dict[int, int]] = [{} for _ in dist]
-    for a, products in enumerate(index):
-        row_key = dist[a] * width
-        for b, entries in products.items():
-            key = row_key + dist[b]
-            for c, p in entries:
-                count = counts[c]
-                count[key] = count.get(key, 0) + p
-    profiles: dict[int, dict[int, int]] = {}
-    for c, (h, count) in enumerate(zip(dist, counts)):
-        known = profiles.setdefault(h, count)
-        if known is not count and known != count:
-            x, y = firsts[c]
-            raise _witness(verts[x], verts[y], known, count, width)
-    return _table(profiles, width)
-
-
-def _witness(x: int, y: int, known: dict[int, int], here: dict[int, int], width: int) -> DistanceRegularityError:
-    # the least key i * width + j whose count differs between the two profiles
-    key = min(k for k in known.keys() | here.keys() if known.get(k, 0) != here.get(k, 0))
-    return DistanceRegularityError(x, y, *divmod(key, width))
-
-
-def _table(profiles: dict[int, dict[int, int]], width: int) -> dict[tuple[int, int, int], int]:
-    return {
-        (h, *divmod(key, width)): count
-        for h in sorted(profiles)
-        for key, count in sorted(profiles[h].items())
-    }
+    pushed = [coords.left(coords.adjacency, {c: 1 for c, h in enumerate(dist) if h == i}) for i in range(width)]
+    # one[h][i] = p^h_{1i}, read off the first orbit at distance h
+    one: dict[int, list[int]] = {}
+    for c, h in enumerate(dist):
+        here = [v.get(c, 0) for v in pushed]
+        known = one.setdefault(h, here)
+        bad = [i for i, k in enumerate(here) if k != known[i] or (k and abs(h - i) > 1)]
+        if bad:
+            x, y = map(_vertices(coords.m).__getitem__, coords.first_pair(c))
+            raise DistanceRegularityError(x, y, 1, bad[0])
+    # p[i][j][h] = p^h_{ij}
+    span = range(width)
+    p = [[[int(h == j) for h in span] for j in span], [[one[h][j] for h in span] for j in span]]
+    for i in range(1, width - 1):
+        a, b, c = one[i][i], one[i - 1][i], one[i + 1][i]
+        p.append([
+            [(sum(pj[k] * one[h][k] for k in span) - a * pj[h] - b * qj[h]) // c for h in span]
+            for pj, qj in zip(p[i], p[i - 1])
+        ])
+    return {(h, i, j): p[i][j][h] for h in span for i in span for j in span if p[i][j][h]}

@@ -9,10 +9,10 @@ one representation and basis comparisons are plain equality.
 
 algebra_closure and centralizer_within work on stored vectors of any ambient
 space Q^D through a generator action, which the caller passes: the package
-passes orbits.OrbitCoordinates, whose generators are vectors in the
-d-dimensional coordinates of the orbit matrices, multiplied through the
-certified structure constants, and the tests pass an action that multiplies
-vectorized n x n matrices, as an oracle.  SpanBasis
+passes orbits.OrbitCoordinates, which acts on the d-dimensional coordinates
+of the orbit matrices with each generator's push tables, the lists of
+g O_a and O_a g as combinations of orbit matrices, and the tests pass an
+action that multiplies vectorized n x n matrices, as an oracle.  SpanBasis
 is the one exact elimination routine: the closure grows a SpanBasis, and
 centralizer_within inserts its commutator equations into one and reads the
 commutant off SpanBasis.null_space.

@@ -23,12 +23,12 @@ the package's one orbit index, built once per m by _orbit_coordinates: it
 labels those 2m+2 rows, numbers the orbits by first pair and sizes each
 orbit as |sphere| times its count in its row, certified by "labels met =
 closed-form labels".  The orbit of any other pair is read off its popcount
-label key through the index's label map (OrbitCoordinates.orbit_of), one
-row or column of pairs at a time, and nothing else in the package decides
-which orbit a pair is in.  Only the union-find of the stabilizer generators
-on vertex pairs (orbits_by_group_action, for orbits-oracle), its comparison
-with the index (_check_group_orbits) and the matrix export, which reads all
-n rows once, touch all n^2 pairs.
+label key through the index's label map (OrbitCoordinates.orbit_of), and
+nothing else in the package decides which orbit a pair is in.  Only the
+union-find of the stabilizer generators on vertex pairs
+(orbits_by_group_action, for orbits-oracle), its comparison with the index
+(_check_group_orbits) and the matrix export, which reads all n rows once,
+touch all n^2 pairs.
 
 The closed forms are production code; the union-find grinds out the orbits
 from explicit group generators, with no reference to the labels, and is
@@ -36,24 +36,13 @@ compared with them.
 
 The same object identifies a matrix that is constant on every orbit with
 its vector of orbit values in Q^d, d = 4 C(m+4, 4), which makes Q^d the
-centralizer algebra; build_centralizer returns the shared instance.  The
-orbits of a group on vertex pairs form a coherent configuration (Higman
-1975), so one table, the structure constants p^c_{ab} with
-O_a O_b = sum_c p^c_{ab} O_c, fixes every product in Q^d.  It is read off
-the first pair (y, z) of each orbit c, as the count of middle vertices w
-with (y, w) in orbit a and (w, z) in orbit b, and held once, on first read,
-as the product index OrbitCoordinates.products[a][b] = [(c, p^c_{ab}), ...].
-That every pair of orbit c sees the same counts is checked rather than
-assumed, at every m and with no pass over the n^2 pairs
-(_certify_stabilizer_orbits): union-finds over the n vertices show that the
-orbits are the orbits of a permutation group on vertex pairs, which
-Higman's theorem makes coherent.
-OrbitCoordinates.product, through the product index, is the one
-multiplication in Q^d: T's generators are vectors of Q^d and act on the
-orbit matrices through it, and check_subalgebra reads the support
-{c : p^c_{ab} > 0} of each product off the index, since the orbit matrices
-have disjoint supports and a product lies in the span of a set F of them
-exactly when its support lies in F.  No n x n product is formed.
+centralizer algebra; build_centralizer returns the shared instance.  T's
+generators act on it by push tables (PushTable): E*_s keeps the orbits
+that start or end in sphere s, and A_1 moves one Venn atom of a pair
+(OrbitCoordinates.adjacency).  The moves are read on one pair per orbit,
+which the orbit certificate makes sound: union-finds over the n vertices
+show that the orbits are those of a permutation group on vertex pairs
+(_certify_stabilizer_orbits).  No n x n product is formed.
 """
 
 from __future__ import annotations
@@ -63,7 +52,6 @@ from array import array
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add
 from typing import NamedTuple
 
 from .combinatorics import GroundSet, _vertices, _vertex_index
@@ -205,19 +193,15 @@ def orbit_labels(g: GroundSet) -> list[OrbitLabel]:
 
 
 @lru_cache(maxsize=8)
-def _row_keys(m: int) -> tuple[int, ...]:
-    # the part of a pair's label key that depends on y alone, per vertex y
+def _key_parts(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # the parts of a pair's label key that depend on y alone and on z alone,
+    # per vertex
     base = m + 2
     x0 = GroundSet(m).base_vertex
-    return tuple((2 * (y.bit_count() > m) * base + (x0 & y).bit_count()) * base ** 3 for y in _vertices(m))
-
-
-@lru_cache(maxsize=8)
-def _column_keys(m: int) -> tuple[int, ...]:
-    # the part of a pair's label key that depends on z alone, per vertex z
-    base = m + 2
-    x0 = GroundSet(m).base_vertex
-    return tuple(((z.bit_count() > m) * base ** 2 + (x0 & z).bit_count()) * base ** 2 for z in _vertices(m))
+    verts = _vertices(m)
+    rows = tuple((2 * (y.bit_count() > m) * base + (x0 & y).bit_count()) * base ** 3 for y in verts)
+    cols = tuple(((z.bit_count() > m) * base ** 2 + (x0 & z).bit_count()) * base ** 2 for z in verts)
+    return rows, cols
 
 
 def _label_keys(m: int, yi: int, zs) -> list[int]:
@@ -225,22 +209,32 @@ def _label_keys(m: int, yi: int, zs) -> list[int]:
     vertex indices zs: the label (block, (i, j, t, p)) of a pair is encoded as
     (((block * base + i) * base + j) * base + t) * base + p, base = m + 2,
     where block = 2 [|y| = m + 1] + [|z| = m + 1]."""
-    verts, cols = _vertices(m), _column_keys(m)
+    verts = _vertices(m)
+    rows, cols = _key_parts(m)
     base = m + 2
     y = verts[yi]
     x0y = GroundSet(m).base_vertex & y
-    y_key = _row_keys(m)[yi]
+    y_key = rows[yi]
     return [y_key + cols[z] + (y & verts[z]).bit_count() * base + (x0y & verts[z]).bit_count() for z in zs]
 
 
-def _column_label_keys(m: int, zi: int) -> list[int]:
-    """The label keys (_label_keys) of the pairs (w, z), z the vertex zi and
-    w over all vertices."""
-    base = m + 2
-    z = _vertices(m)[zi]
-    x0z = GroundSet(m).base_vertex & z
-    z_key = _column_keys(m)[zi]
-    return [w_key + z_key + (w & z).bit_count() * base + (x0z & w).bit_count() for w_key, w in zip(_row_keys(m), _vertices(m))]
+def _neighbour_labels(m: int, label: OrbitLabel) -> list[tuple[OrbitLabel, int]]:
+    """The Venn-atom moves of A_1 on a pair (y, z) with this label: the
+    labels of the pairs (w, z), w over the neighbours of y, each with the
+    size of the atom of x0, y and z that moves to it.  w adds to y a point
+    q outside y when |y| = m and removes a point q of y when |y| = m+1, and
+    |x0 n w|, |w n z|, |x0 n w n z| move by [q in x0], [q in z], [q in both]."""
+    big_y = label.block in (BlockTag.III, BlockTag.IV)
+    big_z = label.block in (BlockTag.II, BlockTag.IV)
+    i, j, t, p = label.tup
+    # the atoms q is taken from, keyed by ([q in x0], [q in z])
+    if big_y:
+        step, atoms = -1, {(1, 1): p, (1, 0): i - p, (0, 1): t - p, (0, 0): m + 1 - i - t + p}
+    else:
+        z_out = m + big_z - j - t + p  # the points of z outside x0 and y
+        step, atoms = 1, {(1, 1): j - p, (1, 0): m - i - j + p, (0, 1): z_out, (0, 0): 1 + i - z_out}
+    block = _BLOCKS[2 * (not big_y) + big_z]
+    return [(OrbitLabel(block, (i + step * x, j, t + step * z, p + step * x * z)), k) for (x, z), k in atoms.items() if k]
 
 
 def _check_labels_met(m: int, labels) -> None:
@@ -260,30 +254,45 @@ def _check_labels_met(m: int, labels) -> None:
             raise IndependenceError(f"closed-form label {lab.text()} has an empty orbit")
 
 
+class PushTable(NamedTuple):
+    """A generator g of T as its action on the orbit matrices: left[a] lists
+    the (c, k), c ascending, with g O_a = sum k O_c, and right[a] those with
+    O_a g = sum k O_c."""
+
+    left: tuple[tuple[tuple[int, int], ...], ...]
+    right: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _push(table, vec: dict[int, object]) -> dict[int, object]:
+    """The orbit coordinates of sum_a vec[a] table[a], table[a] the (c, k) of sum k O_c."""
+    out: dict[int, object] = {}
+    for a, u in vec.items():
+        for c, k in table[a]:
+            out[c] = out.get(c, 0) + u * k
+    return {c: _norm(w) for c, w in out.items() if w}
+
+
 class OrbitCoordinates:
     """The orbit index of the vertex pairs, read off one row per sphere
-    around x0, and the orbit coordinates Q^d on it with the one
-    multiplication in Q^d.
+    around x0, and the orbit coordinates Q^d on it, on which T's generators
+    act by their push tables.
 
     A sphere is a set {y : |y|, |x0 n y| fixed}.  spheres[s] lists the
     vertices of sphere s ascending, the spheres in the order of their first
     vertices, and sphere_of[y] is the sphere of vertex y.  rows[s][z] is the
     orbit of the pair (spheres[s][0], z), and orbit_of maps the key of a
     label (_label_keys) to its orbit, which decides the orbit of every pair
-    (row, column).  Orbit a has label labels[a] and sizes[a] pairs; its
-    first pair is (spheres[row_of[a]][0], members[a][0]), where members[a]
-    lists ascending the z with (spheres[row_of[a]][0], z) in a.
+    (row).  Orbit a has label labels[a] and sizes[a] pairs; its first pair
+    is (spheres[row_of[a]][0], members[a][0]), where members[a] lists
+    ascending the z with (spheres[row_of[a]][0], z) in a, and end_of[a] is
+    the sphere of members[a][0].
 
     Orbits are numbered by the row-major position of their first vertex
     pair, so an RREF basis in Q^d lifts entry for entry to the RREF basis of
     the same span of n x n matrices; in particular the identity RREF of Q^d
-    lifts to the RREF of the span of all orbit matrices.  Nothing assumes
-    that the orbit matrices form a coherent configuration: the identity is
-    checked to be a sum of orbit matrices, and products reads the products
-    of orbit matrices off one pair per orbit and certifies them
-    (NotClosedError otherwise).  An instance is the action algebra_closure
-    and centralizer_within need, with elements of Q^d as its generators:
-    left(x, v) and right(x, v) are the products x v and v x.
+    lifts to the RREF of the span of all orbit matrices.  An instance is the
+    action algebra_closure and centralizer_within need, with push tables as
+    its generators: left(g, v) and right(g, v) are the products g v and v g.
     """
 
     def __init__(self, m: int, spheres, rows, orbit_of: dict[int, int]):
@@ -314,6 +323,7 @@ class OrbitCoordinates:
                 # the stabilizer moves this row onto every row of its sphere
                 sizes[a] += len(sphere)
         self.row_of, self.members, self.sizes = tuple(row_of), tuple(map(tuple, members)), tuple(sizes)
+        self.end_of = tuple(self.sphere_of[zs[0]] for zs in self.members)
         self.labels = tuple(
             OrbitLabel(block_of_pair(m, y, verts[zs[0]]), rho(x0, y, verts[zs[0]]))
             for y, zs in zip((verts[spheres[s][0]] for s in row_of), members)
@@ -339,65 +349,53 @@ class OrbitCoordinates:
         their label keys."""
         return list(map(self.orbit_of.__getitem__, _label_keys(self.m, y, range(self.n))))
 
-    def column(self, z: int) -> list[int]:
-        """The orbits of the pairs (w, z), w over all vertices, read off
-        their label keys."""
-        return list(map(self.orbit_of.__getitem__, _column_label_keys(self.m, z)))
+    def projection(self, s: int) -> PushTable:
+        """E* of sphere s: E* O_a is O_a when a's pairs start in sphere s,
+        O_a E* is O_a when they end in it, and each is 0 otherwise."""
+        def keep(spheres):
+            return tuple(((a, 1),) if t == s else () for a, t in enumerate(spheres))
+        return PushTable(keep(self.row_of), keep(self.end_of))
 
     @cached_property
-    def products(self) -> tuple[dict[int, list[tuple[int, int]]], ...]:
-        """The certified structure constants p^c_{ab} of the orbit matrices,
-        O_a O_b = sum_c p^c_{ab} O_c, as their product index: products[a][b]
-        lists the (c, p^c_{ab}) with p^c_{ab} > 0, c ascending, and has no
-        entry b when O_a O_b = 0.  Built on first read (d·n work).
-
-        p^c_{ab} is the (y, z) entry of O_a O_b for any pair (y, z) of orbit
-        c: the number of vertices w with (y, w) in orbit a and (w, z) in
-        orbit b.  The orbits are first certified to be the orbits of a
-        permutation group on vertex pairs (_certify_stabilizer_orbits,
-        NotClosedError otherwise), and such orbits form a coherent
-        configuration (Higman 1975): a group element moves the first pair of
-        orbit c onto any other, and its middle vertices with it, keeping
-        every orbit, so every pair of c has the counts of its first pair.
-        The orbits along a row or column of pairs are read off popcount label
-        keys through the label map (row, column): the row of a first pair is
-        its sphere row, and each column met is built once.  One Counter of
-        the keys a * d + b over the middle vertices gives the p^c_{ab} of
-        orbit c, scattered straight into products[a][b]."""
+    def adjacency(self) -> PushTable:
+        """A_1 as push tables, built on first read: the coefficient of O_c
+        in A_1 O_b is the number of neighbours w of y with (w, z) in b, for
+        a pair (y, z) of c, which the Venn-atom moves give
+        (_neighbour_labels), and O_b A_1 is the transpose of A_1 O_{b^T}.
+        The orbits are first certified to be those of a permutation group
+        (_certify_stabilizer_orbits), so every pair of c counts alike; then
+        the orbits of (w, z), read off label keys for the neighbours w of y
+        and the first pair (y, z) of each orbit c, must be the moves'
+        (NotClosedError naming c otherwise)."""
         _certify_stabilizer_orbits(self)
-        d = self.ambient_dim
-        # a * d for the orbit a of each pair (y, w) along each sphere row
-        scaled = [list(map(d.__mul__, row)) for row in self.rows]
-        cols: dict[int, array] = {}  # the columns met, built once each
-        products: tuple[dict[int, list[tuple[int, int]]], ...] = tuple({} for _ in range(d))
-        for c in range(d):
+        m, verts, index = self.m, _vertices(self.m), _vertex_index(self.m)
+        ids = {lab: a for a, lab in enumerate(self.labels)}
+        # the neighbours of the first vertex y of each sphere: y with one point more or less
+        ys = [verts[sphere[0]] for sphere in self.spheres]
+        neighbours = [[index[y ^ 1 << k] for k in range(2 * m + 1) if y ^ 1 << k in index] for y in ys]
+        left: list[list[tuple[int, int]]] = [[] for _ in self.labels]
+        for c, label in enumerate(self.labels):
+            moves = [(ids.get(lab), size) for lab, size in _neighbour_labels(m, label)]
             z = self.members[c][0]
-            if z not in cols:
-                cols[z] = array("H", self.column(z))
-            for key, p in Counter(map(add, scaled[self.row_of[c]], cols[z])).items():
-                a, b = divmod(key, d)
-                products[a].setdefault(b, []).append((c, p))
-        return products
-
-    def product(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
-        """The orbit coordinates of X Y, where x and y are those of X and Y."""
-        products = self.products
-        out: dict[int, object] = {}
-        for a, u in x.items():
-            by_b = products[a]
-            for b, v in y.items():
-                for c, p in by_b.get(b, ()):
-                    out[c] = out.get(c, 0) + u * v * p
-        return {c: _norm(w) for c, w in out.items() if w}
+            met = Counter(self.orbit_of.get(_label_keys(m, w, (z,))[0]) for w in neighbours[self.row_of[c]])
+            if met != dict(moves):
+                raise NotClosedError(f"the neighbours of the first pair of orbit {label.text()} do not move it by its Venn atoms")
+            for b, size in moves:
+                left[b].append((c, size))
+        # the orbit of the pairs (z, y) for the pairs (y, z) of each orbit
+        swap = {BlockTag.II: BlockTag.III, BlockTag.III: BlockTag.II}
+        transposed = [ids[OrbitLabel(swap.get(b, b), (j, i, t, p))] for b, (i, j, t, p) in self.labels]
+        right = (sorted((transposed[c], k) for c, k in left[b_t]) for b_t in transposed)
+        return PushTable(tuple(map(tuple, left)), tuple(map(tuple, right)))
 
     def identity(self) -> dict[int, object]:
         return dict(self._identity)
 
-    def left(self, x: dict[int, object], vec: dict[int, object]) -> dict[int, object]:
-        return self.product(x, vec)
+    def left(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
+        return _push(g.left, vec)
 
-    def right(self, x: dict[int, object], vec: dict[int, object]) -> dict[int, object]:
-        return self.product(vec, x)
+    def right(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
+        return _push(g.right, vec)
 
 
 @lru_cache(maxsize=8)
@@ -421,7 +419,7 @@ def _orbit_coordinates(m: int) -> OrbitCoordinates:
     return OrbitCoordinates(m, spheres, rows, orbit_of)
 
 
-def products_constant_on_orbits(m: int, pairs) -> list[bool]:
+def constant_on_orbits(m: int, pairs) -> list[bool]:
     """For each pair (a, b) of orbits, whether O_a O_b is constant on every
     orbit, i.e. lies in the span of the orbit matrices.
 
@@ -434,7 +432,6 @@ def products_constant_on_orbits(m: int, pairs) -> list[bool]:
     spheres b's pairs end in.  No structure constant is read.
     """
     index = _orbit_coordinates(m)
-    orbit_of = index.orbit_of.get
     carried = [set(row) for row in index.rows]
     verdicts = []
     for a, b in pairs:
@@ -442,17 +439,25 @@ def products_constant_on_orbits(m: int, pairs) -> list[bool]:
         if not ws:  # O_a O_b = 0
             verdicts.append(True)
             continue
-        zs = index.ends(b)
-        entries = [0] * index.n
-        for w in ws:
-            for z, key in zip(zs, _label_keys(m, w, zs)):
-                if orbit_of(key) == b:
-                    entries[z] += 1
         s = index.row_of[a]
         # each orbit met along the row has one value exactly when the
         # distinct (orbit, value) pairs are as many as the distinct orbits
-        verdicts.append(len(set(zip(index.rows[s], entries))) == len(carried[s]))
+        verdicts.append(len(set(zip(index.rows[s], _product_row(index, ws, b)))) == len(carried[s]))
     return verdicts
+
+
+def _product_row(index: OrbitCoordinates, ws, b: int) -> list[int]:
+    """Entry z counts the w in ws with (w, z) in orbit b, read off label
+    keys, for z over the spheres b's pairs end in: for ws the members of
+    orbit a in row y, it is row y of O_a O_b."""
+    orbit_of = index.orbit_of.get
+    zs = index.ends(b)
+    entries = [0] * index.n
+    for w in ws:
+        for z, key in zip(zs, _label_keys(index.m, w, zs)):
+            if orbit_of(key) == b:
+                entries[z] += 1
+    return entries
 
 
 def _young_generators(n: int, parts) -> list[tuple[int, ...]]:
@@ -657,35 +662,48 @@ class SubalgebraClosureReport(NamedTuple):
 
 def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureReport:
     """Test whether the span of the given orbit matrices is closed under
-    multiplication; on failure report the first offending product and the
-    block its support lands in.
+    multiplication; on failure report the first offending product (a, b)
+    in sub's order and the block of its pairs (y, z), by |y| from a's label
+    and |z| from b's.
 
-    Every ordered pair (a, b) of sub is checked, in order, against the
-    product index of the certified structure constants: O_a O_b is the sum
-    of p^c_{ab} O_c over its support {c : p^c_{ab} > 0}, and the orbit
-    matrices have disjoint supports, so the product lies in span(sub) exactly
-    when its support lies in sub.  No n x n product is formed.  The block of
-    an offending product is that of its first entry in row-major order, which
-    lies in the least orbit of its support, since orbits are numbered by
-    their first pair.
+    The orbit matrices have disjoint supports, so O_a O_b lies in span(sub)
+    exactly when its support does.  O_a O_b != 0 exactly when a's pairs end
+    in the sphere b's start in, as the stabilizer is transitive on each
+    sphere (the orbit certificate, reached through adjacency), and then its
+    support lies in the cell of orbits that start where a's start and end
+    where b's end.  A sub that holds all or none of the cell decides the
+    product, so the block families need no more; otherwise the support is
+    read off one row of the product (_product_row).
     """
     coords = _orbit_coordinates(g.m)
-    labels = coords.labels
-    ids = {lab: c for c, lab in enumerate(labels)}
+    ids = {lab: c for c, lab in enumerate(coords.labels)}
     try:
         sub_ids = [ids[lab] for lab in sub]
     except KeyError as exc:
         raise ValueError(f"unknown orbit label {exc.args[0]}") from None
+    coords.adjacency  # the orbit certificate the argument rests on
     inside = set(sub_ids)
-    first_violation = None
+    cells: dict[tuple[int, int], set[int]] = {}
+    for c, ends in enumerate(zip(coords.row_of, coords.end_of)):
+        cells.setdefault(ends, set()).add(c)
+
+    def escapes(a: int, b: int) -> bool:
+        if coords.end_of[a] != coords.row_of[b]:  # O_a O_b = 0
+            return False
+        cell = cells[coords.row_of[a], coords.end_of[b]]
+        if inside.isdisjoint(cell):
+            return True
+        if inside.issuperset(cell):
+            return False
+        entries = _product_row(coords, coords.members[a], b)
+        return not inside.issuperset(c for c, k in zip(coords.rows[coords.row_of[a]], entries) if k)
+
+    pairs = ((la, lb) for la, a in zip(sub, sub_ids) for lb, b in zip(sub, sub_ids) if escapes(a, b))
+    first_violation = next(pairs, None)
     violation_block = None
-    for la, a in zip(sub, sub_ids):
-        products = coords.products[a]
-        for lb, b in zip(sub, sub_ids):
-            support = [c for c, _ in products.get(b, ())]
-            if first_violation is None and not inside.issuperset(support):
-                first_violation = (la, lb)
-                violation_block = labels[support[0]].block
+    if first_violation is not None:
+        la, lb = first_violation
+        violation_block = _BLOCKS[2 * (la.block in (BlockTag.III, BlockTag.IV)) + (lb.block in (BlockTag.II, BlockTag.IV))]
     return SubalgebraClosureReport(
         closed=first_violation is None,
         pairs_checked=len(sub) ** 2,

@@ -11,16 +11,12 @@ one orbit index per m, orbits.OrbitCoordinates, which is also the
 centralizer algebra, and only the matrix export writes T out as n x n
 matrices.
 
-Every generator is an element of Q^d read off the orbit labels: E*_i is the
-unit vector of one diagonal orbit, and A_i the indicator of the orbits at
-distance i (orbits._orbit_distance).  The closure acts with the generators
-on the orbit matrices by products in Q^d through the certified structure
-constants (orbits.OrbitCoordinates.product), and the centre solve with A_1
-alone on T's diagonal blocks E*_i T E*_i (center_basis).  So the action of
-A_1 is exactly as certified as the structure constants: at every m by
-labels = stabilizer orbits, shown by union-finds over the n vertices,
-+ Higman's theorem.  T needs no n x n matrix and no pass over all n^2
-vertex pairs.  T is closed and Z(T) solved on every run; nothing is read
+Each A_i is the indicator in Q^d of the orbits at distance i
+(orbits._orbit_distance).  The closure acts on the orbit matrices with the
+generators' push tables: E*_i keeps the orbits of its sphere, and A_1 moves
+one Venn atom (orbits.OrbitCoordinates.adjacency); the centre solve acts
+with A_1 alone on T's diagonal blocks (center_basis).  T needs no n x n
+matrix and no pass over all n^2 vertex pairs.  T is closed and Z(T) solved on every run; nothing is read
 back from disk.  Everything T is generated by lies inside the centralizer
 algebra of the stabilizer of x0: each E*_i is a single diagonal orbit
 matrix and each sandwich E*_i A_1 E*_{i+1} is a single off-diagonal orbit
@@ -54,7 +50,7 @@ from .linalg import (
     algebra_closure,
     centralizer_within,
 )
-from .orbits import BlockTag, OrbitCoordinates, OrbitLabel
+from .orbits import BlockTag, OrbitCoordinates, OrbitLabel, PushTable
 from .orbits import _label_keys, _orbit_coordinates, _orbit_distance
 
 
@@ -99,12 +95,13 @@ def _distance_vector(m: int, i: int) -> dict[int, object]:
     return {a: 1 for a, lab in enumerate(labels) if _orbit_distance(m, lab) == i}
 
 
-def _generators(m: int) -> list[dict[int, object]]:
-    """The generators T is closed under, as vectors of Q^d: E*_0..E*_{2m+1},
-    each the unit vector of its diagonal orbit, and then A_1."""
-    labels = _orbit_coordinates(m).labels
-    gens: list[dict[int, object]] = [{labels.index(_diagonal_label(m, i)): 1} for i in range(2 * m + 2)]
-    gens.append(_distance_vector(m, 1))
+def _generators(m: int) -> list[PushTable]:
+    """The generators T is closed under, as push tables: E*_0..E*_{2m+1},
+    each the projection onto the sphere of its diagonal orbit, and then
+    A_1."""
+    index = _orbit_coordinates(m)
+    gens = [index.projection(index.row_of[index.labels.index(_diagonal_label(m, i))]) for i in range(2 * m + 2)]
+    gens.append(index.adjacency)
     return gens
 
 
@@ -226,9 +223,9 @@ def verify_inclusion(t: TerwilligerAlgebra, cent: OrbitCoordinates) -> Inclusion
     the centralizer's d orbit coordinates.
 
     What certifies T inside the span of the orbit matrices is the closure:
-    T is closed from the identity, a sum of orbit matrices, under products
-    in Q^d by the certified structure constants, which stay in the span of
-    the orbit matrices.  This check confirms that T's rows are
+    T is closed from the identity, a sum of orbit matrices, under the push
+    tables of its generators, which map each orbit matrix to a combination
+    of orbit matrices.  This check confirms that T's rows are
     expressed in those d coordinates; a basis of any other ambient dimension
     fails at row 0.
     """
@@ -275,14 +272,13 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     E*_i T E*_j, and an element of T commutes with every E*_i exactly when
     it lies in the diagonal blocks.  Since T is generated by A_1 and the
     E*_i, Z(T) is the part of those blocks that commutes with A_1.  Orbit a
-    lies in the block of its row sphere and the sphere of its first pair's
-    column.  The blocks have disjoint coordinates, and the union of RREFs on
+    lies in the block of the spheres its pairs start and end in.  The blocks have disjoint coordinates, and the union of RREFs on
     disjoint coordinates is an RREF, so every row of T's RREF lies in one
     block; a row that joins two raises NotClosedError, since this accepts
     any span a caller builds, not only a closure.
     """
     index = _orbit_coordinates(t.m)
-    block = [(s, index.sphere_of[zs[0]]) for s, zs in zip(index.row_of, index.members)]
+    block = list(zip(index.row_of, index.end_of))
     diagonal = []
     for row in t.basis.rows:
         (i, j), *others = {block[a] for a in row}
@@ -291,7 +287,7 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
         if i == j:
             diagonal.append(row)
     within = SpanBasis.from_reduced_rows(t.basis.ambient_dim, diagonal)
-    return centralizer_within(within, [_distance_vector(t.m, 1)], action=index)
+    return centralizer_within(within, [index.adjacency], action=index)
 
 
 def upsilon(m: int) -> frozenset[tuple[int, int]]:

@@ -5,7 +5,7 @@ from doubled_odd.checks import CheckContext
 
 _contexts: dict[int, CheckContext] = {}
 
-# the per-m memos: the one orbit index, which holds the product index
+# the per-m memos: the one orbit index, which holds A_1's push tables
 _PER_M_MEMOS = (orbits_module._orbit_coordinates,)
 
 

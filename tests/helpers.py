@@ -1,13 +1,15 @@
 """Helpers shared by the tests: the n^2-ambient matrix action and spans, the
 oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
-the products of T's generators in Q^d, the sandwich identities of lemma41,
-the export, the orbit index and the row test of centralizer-dim are
-compared with (among them the pair index, the orbit of every vertex pair in
-one labelled pass, the n x n orbit, distance and dual idempotent matrices,
-and the lift of a basis in Q^d to n x n matrices), the full generator lists
-of T, Higman's identity on the structure constants and their counts by
-orbit, the Odd graph's adjacency by a disjointness scan, vertex maps moved a
-point at a time, and a doctored orbit index for its certificates."""
+the push tables of T's generators, the sandwich identities of lemma41, the
+export, the orbit index and the row test of centralizer-dim are compared
+with (among them the pair index, the orbit of every vertex pair in one
+labelled pass, the n x n orbit, distance and dual idempotent matrices, and
+the lift of a basis in Q^d to n x n matrices), the full generator lists of
+T, the first-pair product index of the structure constants with the
+products, intersection numbers and subalgebra test read off it, Higman's
+identity on it and its counts by orbit, the Odd graph's adjacency by a
+disjointness scan, vertex maps moved a point at a time, and a doctored
+orbit index for its certificates."""
 
 from array import array
 from collections import Counter
@@ -20,11 +22,10 @@ from typing import NamedTuple
 from unittest.mock import patch
 
 from doubled_odd.combinatorics import (
+    DistanceRegularityError,
     GroundSet,
-    _table,
     _vertex_index,
     _vertices,
-    _witness,
     adjacency_matrix,
     distance,
 )
@@ -33,13 +34,17 @@ from doubled_odd.linalg import (
     ShapeMismatchError,
     SparseExactMatrix,
     SpanBasis,
+    _norm,
 )
 from doubled_odd import orbits as orbits_module
 from doubled_odd.orbits import (
     BlockTag,
     OrbitCoordinates,
     OrbitLabel,
+    SubalgebraClosureReport,
+    _certify_stabilizer_orbits,
     _check_labels_met,
+    _key_parts,
     _label_keys,
     _orbit_coordinates,
     block_of_pair,
@@ -102,6 +107,20 @@ def class_profiles(rows, cols, classes, width: int):
             if known is not profile and known != profile:
                 return seen, (y, z)
     return seen, None
+
+
+def _witness(x: int, y: int, known: dict[int, int], here: dict[int, int], width: int) -> DistanceRegularityError:
+    # the least key i * width + j whose count differs between the two profiles
+    key = min(k for k in known.keys() | here.keys() if known.get(k, 0) != here.get(k, 0))
+    return DistanceRegularityError(x, y, *divmod(key, width))
+
+
+def _table(profiles: dict[int, dict[int, int]], width: int) -> dict[tuple[int, int, int], int]:
+    return {
+        (h, *divmod(key, width)): count
+        for h in sorted(profiles)
+        for key, count in sorted(profiles[h].items())
+    }
 
 
 def intersection_table(verts, dist: list[list[int]]) -> dict[tuple[int, int, int], int]:
@@ -592,8 +611,120 @@ def n2_product_verdicts(index: PairIndex, pairs) -> list[bool]:
     return [orbit_values(index, vectorize(mats[a] @ mats[b])) is not None for a, b in pairs]
 
 
+def _column_label_keys(m: int, zi: int) -> list[int]:
+    """The label keys (orbits._label_keys) of the pairs (w, z), z the vertex
+    zi and w over all vertices."""
+    base = m + 2
+    verts = _vertices(m)
+    z = verts[zi]
+    x0z = GroundSet(m).base_vertex & z
+    rows, cols = _key_parts(m)
+    z_key = cols[zi]
+    return [w_key + z_key + (w & z).bit_count() * base + (x0z & w).bit_count() for w_key, w in zip(rows, verts)]
+
+
+def column(coords: OrbitCoordinates, z: int) -> list[int]:
+    """The orbits of the pairs (w, z), w over all vertices, read off their
+    label keys."""
+    return list(map(coords.orbit_of.__getitem__, _column_label_keys(coords.m, z)))
+
+
+@lru_cache(maxsize=8)
+def product_index(coords: OrbitCoordinates) -> tuple[dict[int, list[tuple[int, int]]], ...]:
+    """Oracle: the structure constants p^c_{ab} of the orbit matrices,
+    O_a O_b = sum_c p^c_{ab} O_c, as their product index: products[a][b]
+    lists the (c, p^c_{ab}) with p^c_{ab} > 0, c ascending, and has no entry
+    b when O_a O_b = 0 (d·n work, held per index).
+
+    p^c_{ab} is the (y, z) entry of O_a O_b for any pair (y, z) of orbit c:
+    the number of vertices w with (y, w) in orbit a and (w, z) in orbit b.
+    The orbits are first certified to be the orbits of a permutation group
+    on vertex pairs (orbits._certify_stabilizer_orbits, NotClosedError
+    otherwise), and such orbits form a coherent configuration (Higman 1975),
+    so every pair of c has the counts of its first pair.  The row of a first
+    pair is its sphere row, and each column met is built once; one Counter
+    of the keys a * d + b over the middle vertices gives the p^c_{ab} of
+    orbit c."""
+    _certify_stabilizer_orbits(coords)
+    d = coords.ambient_dim
+    # a * d for the orbit a of each pair (y, w) along each sphere row
+    scaled = [list(map(d.__mul__, row)) for row in coords.rows]
+    cols: dict[int, array] = {}  # the columns met, built once each
+    products: tuple[dict[int, list[tuple[int, int]]], ...] = tuple({} for _ in range(d))
+    for c in range(d):
+        z = coords.members[c][0]
+        if z not in cols:
+            cols[z] = array("H", column(coords, z))
+        for key, p in Counter(map(add, scaled[coords.row_of[c]], cols[z])).items():
+            a, b = divmod(key, d)
+            products[a].setdefault(b, []).append((c, p))
+    return products
+
+
+def orbit_product(coords: OrbitCoordinates, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
+    """Oracle: the orbit coordinates of X Y, where x and y are those of X and
+    Y, through the product index."""
+    products = product_index(coords)
+    out: dict[int, object] = {}
+    for a, u in x.items():
+        by_b = products[a]
+        for b, v in y.items():
+            for c, p in by_b.get(b, ()):
+                out[c] = out.get(c, 0) + u * v * p
+    return {c: _norm(w) for c, w in out.items() if w}
+
+
+def product_intersection_table(coords: OrbitCoordinates, dist: list[int]) -> dict[tuple[int, int, int], int]:
+    """Oracle of combinatorics.intersection_numbers: p^h_{ij} of the
+    distance table that puts every pair of orbit c at distance dist[c],
+    from the product index.
+
+    Every entry (c, p^c_{ab}) of the index adds p^c_{ab} to the count of
+    orbit c at dist[a] * width + dist[b].  The table and the witness are
+    those an exhaustive pass over all vertex triples of the n x n distance
+    table would give: orbits are numbered by their first pair, so the first
+    pair of the least orbit whose counts differ from those of the least
+    orbit at the same distance is the first offending pair in row-major
+    order.
+    """
+    verts = _vertices(coords.m)
+    width = 1 + max(dist)
+    counts: list[dict[int, int]] = [{} for _ in dist]
+    for a, products in enumerate(product_index(coords)):
+        row_key = dist[a] * width
+        for b, entries in products.items():
+            key = row_key + dist[b]
+            for c, p in entries:
+                count = counts[c]
+                count[key] = count.get(key, 0) + p
+    profiles: dict[int, dict[int, int]] = {}
+    for c, (h, count) in enumerate(zip(dist, counts)):
+        known = profiles.setdefault(h, count)
+        if known is not count and known != count:
+            x, y = coords.first_pair(c)
+            raise _witness(verts[x], verts[y], known, count, width)
+    return _table(profiles, width)
+
+
+def product_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureReport:
+    """Oracle of orbits.check_subalgebra: every ordered pair (a, b) of sub,
+    in order, against the support {c : p^c_{ab} > 0} of its product in the
+    product index; the block of an offending product is that of the least
+    orbit of its support."""
+    coords = _orbit_coordinates(g.m)
+    ids = {lab: c for c, lab in enumerate(coords.labels)}
+    inside = {ids[lab] for lab in sub}
+    for la in sub:
+        products = product_index(coords)[ids[la]]
+        for lb in sub:
+            support = [c for c, _ in products.get(ids[lb], ())]
+            if not inside.issuperset(support):
+                return SubalgebraClosureReport(False, len(sub) ** 2, (la, lb), coords.labels[support[0]].block)
+    return SubalgebraClosureReport(True, len(sub) ** 2, None, None)
+
+
 def orbit_counts(index) -> list[dict[int, int]]:
-    """The p^c_{ab} of a product index (OrbitCoordinates.products) by orbit:
+    """The p^c_{ab} of a product index (product_index) by orbit:
     counts[c] maps a * d + b to p^c_{ab}, for every p^c_{ab} > 0."""
     d = len(index)
     counts: list[dict[int, int]] = [{} for _ in range(d)]

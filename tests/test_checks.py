@@ -527,7 +527,7 @@ def _trace_vertex_square_matrices(monkeypatch) -> list[SparseExactMatrix]:
 
 
 def test_the_verify_path_builds_no_distance_matrix_and_no_n2_action_table(monkeypatch, fresh_memos):
-    # T's generators act through the certified structure constants and each
+    # T's generators act through their push tables and each
     # A_i is the indicator of the orbits at distance i, so neither a cold
     # verify --m 3 without export nor the benchmark's m = 4 orbit checks
     # build a distance matrix A_i with i >= 2: the n x n matrices they make
@@ -567,14 +567,20 @@ def test_the_package_keeps_no_n_by_n_orbit_distance_or_sandwich_builder():
     assert not hasattr(OrbitCoordinates, "action_tables")
 
 
-def test_the_product_index_is_built_on_first_read(fresh_memos):
-    # the benchmark's m = 4 orbit checks multiply nothing in Q^d, and
-    # distance-regular reads its table off the product index
+def test_the_a1_push_tables_and_the_orbit_certificate_are_built_on_first_read(monkeypatch, fresh_memos):
+    # the benchmark's m = 4 orbit checks act with A_1 on nothing in Q^d and
+    # need no certificate; distance-regular pushes A_i through A_1's tables,
+    # and subalgebra-closure reaches the certificate through them
+    certified = []
+    certify = orbits_module._certify_stabilizer_orbits
+    monkeypatch.setattr(orbits_module, "_certify_stabilizer_orbits", lambda index: certified.append(index.m) or certify(index))
     reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
     run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
-    assert "products" not in vars(orbits_module._orbit_coordinates(4))
+    assert "adjacency" not in vars(orbits_module._orbit_coordinates(4)) and certified == []
     run(RunConfig(m=4, checks=("distance-regular",)))
-    assert "products" in vars(orbits_module._orbit_coordinates(4))
+    assert "adjacency" in vars(orbits_module._orbit_coordinates(4)) and certified == [4]
+    run(RunConfig(m=3, checks=("subalgebra-closure",)))
+    assert "adjacency" in vars(orbits_module._orbit_coordinates(3)) and certified == [4, 3]
 
 
 def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
@@ -593,12 +599,10 @@ def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
     assert [(a.nrows, a.ncols) for a in made] == [(70, 70)]
 
 
-def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fresh_memos):
-    # index-sets, centralizer-dim, direct-sum and lemma41 read the 2m+2
-    # sphere rows and the label keys of single rows, or of A_1's entries:
-    # the benchmark's m = 4 orbit checks evaluate fewer label keys than
-    # there are vertex pairs
-    evaluated = []
+def _count_label_keys(monkeypatch) -> list[int]:
+    """Record the number of label keys of every call of a function of
+    orbits that evaluates them, on each binding a caller may use."""
+    evaluated: list[int] = []
 
     def counted(label_keys):
         def wrapper(*args):
@@ -607,10 +611,19 @@ def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fr
             return keys
         return wrapper
 
-    for name in ("_label_keys", "_column_label_keys"):
+    for name in [name for name in vars(orbits_module) if name.endswith("label_keys")]:
         traced = counted(getattr(orbits_module, name))
         for module in (orbits_module, terwilliger_module):
             monkeypatch.setattr(module, name, traced, raising=False)
+    return evaluated
+
+
+def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fresh_memos):
+    # index-sets, centralizer-dim, direct-sum and lemma41 read the 2m+2
+    # sphere rows and the label keys of single rows, or of A_1's entries:
+    # the benchmark's m = 4 orbit checks evaluate fewer label keys than
+    # there are vertex pairs
+    evaluated = _count_label_keys(monkeypatch)
     reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
     reports = run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
     assert [r.status for r in reports] == ["pass"] * len(reference)
@@ -621,6 +634,19 @@ def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fr
     evaluated.clear()
     run(RunConfig(m=1, checks=("orbits-oracle",)))
     assert sum(evaluated) == 6 ** 2
+
+
+def test_the_m4_checks_that_act_with_a1_read_one_pair_per_orbit(monkeypatch, fresh_memos):
+    # distance-regular, subalgebra-closure, terwilliger-dim and center-dim
+    # read the 2m+2 sphere rows and, for the cross-check of A_1's atom
+    # moves, the first pair's m+1 neighbours of every orbit: at most
+    # (2m+2) n + d (m+1) = 3,920 label keys at m = 4, where a product index
+    # read off the first pairs' columns evaluates 35,280
+    evaluated = _count_label_keys(monkeypatch)
+    checks = ("distance-regular", "subalgebra-closure", "terwilliger-dim", "center-dim")
+    reports = run(RunConfig(m=4, checks=checks))
+    assert [r.status for r in reports] == ["pass", "finding", "pass", "pass"]
+    assert 0 < sum(evaluated) <= 10 * 252 + 280 * 5
 
 
 def _use_merged_m1_rows(monkeypatch) -> None:
@@ -644,8 +670,8 @@ def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fres
 
 
 def test_t_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):
-    # the closure multiplies by the structure constants, so on the merged
-    # rows it meets the orbit certificate
+    # the closure acts with A_1's push tables, which are built after the
+    # orbit certificate, so on the merged rows it meets the certificate
     _use_merged_m1_rows(monkeypatch)
     with pytest.raises(NotClosedError, match="is not a single orbit"):
         CheckContext(1).terwilliger
@@ -676,8 +702,8 @@ def _trace_pair_union_find(monkeypatch) -> list:
 
 
 def test_a_cold_m3_run_makes_no_pass_over_all_vertex_triples(monkeypatch, fresh_memos):
-    # distance-regular and subalgebra-closure read one table of structure
-    # constants, certified on the n vertices: the one union-find over all
+    # distance-regular and subalgebra-closure rest on A_1's push tables,
+    # certified on the n vertices: the one union-find over all
     # vertex pairs is orbits-oracle's, and no exhaustive pass is made, whose
     # kernel lives with the tests' oracles
     calls = _trace_pair_union_find(monkeypatch)
@@ -688,8 +714,8 @@ def test_a_cold_m3_run_makes_no_pass_over_all_vertex_triples(monkeypatch, fresh_
 
 
 def test_a_cold_m3_run_without_orbits_oracle_makes_no_pass_over_all_vertex_pairs(monkeypatch, fresh_memos):
-    # the certificate of the structure constants that distance-regular,
-    # subalgebra-closure and T rest on needs no union-find over the pairs
+    # the orbit certificate that distance-regular, subalgebra-closure and T
+    # rest on needs no union-find over the pairs
     calls = _trace_pair_union_find(monkeypatch)
     checks = tuple(c for c in CHECK_IDS if c != "orbits-oracle")
     reports = run(RunConfig(m=3, checks=checks))

@@ -11,6 +11,7 @@ from helpers import (
     intersection_table,
     mask_of,
     pair_index,
+    product_intersection_table,
     vertex_index,
 )
 
@@ -18,7 +19,7 @@ from doubled_odd import orbits as orbits_module
 from doubled_odd.combinatorics import (
     DistanceRegularityError,
     GroundSet,
-    _orbit_intersection_table,
+    _recurrence_table,
     adjacency_matrix,
     distance,
     elements_of,
@@ -230,8 +231,8 @@ def _dict_counting_scan(verts, dist):
 
 
 def test_intersection_numbers_match_the_dict_counting_oracle():
-    # read off the structure constants, against the dict-counting loop and
-    # the exhaustive pass over all n^3 triples
+    # from A_1 A_i and the three-term recurrence, against the dict-counting
+    # loop and the exhaustive pass over all n^3 triples
     for m in (1, 2, 3):
         g = GroundSet(m)
         verts = enumerate_vertices(g)
@@ -264,13 +265,38 @@ def _outcome(fn, *args):
         return (exc.x, exc.y, exc.i, exc.j)
 
 
+def _a1_profile_pass(verts, dist):
+    """Oracle of the A_1 A_i test of intersection_numbers, by one pass over
+    all vertex pairs (x, y) in row-major order: the neighbours z of x,
+    counted by d(z, y) = i under the table dist, must give the same counts
+    as the first pair at the same distance h, and none unless |h - i| <= 1.
+    Returns the witness (x, y, 1, i) of the first pair that breaks this,
+    with the least such i, or None."""
+    n = len(verts)
+    width = 1 + max(map(max, dist))
+    neighbours = [[z for z in range(n) if distance(verts[x], verts[z]) == 1] for x in range(n)]
+    known: dict[int, list[int]] = {}
+    for x in range(n):
+        for y in range(n):
+            h = dist[x][y]
+            here = [0] * width
+            for z in neighbours[x]:
+                here[dist[z][y]] += 1
+            first = known.setdefault(h, here)
+            bad = [i for i, k in enumerate(here) if k != first[i] or (k and abs(h - i) > 1)]
+            if bad:
+                return verts[x], verts[y], 1, bad[0]
+    return None
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
-    # move an orbit and its transpose to another distance: the table read off
-    # the structure constants and the n^3 pass over the matching n x n table
-    # raise the same witness
+    # move an orbit and its transpose to another distance: A_1 A_i in orbit
+    # coordinates and the pass over all vertex pairs of the matching n x n
+    # table raise the same witness, the first pair of the first offending
+    # orbit
     index = pair_index(m)
-    products = orbits_module._orbit_coordinates(m).products
+    coords = orbits_module._orbit_coordinates(m)
     n, verts = index.n, enumerate_vertices(GroundSet(m))
     firsts = [divmod(pos[0], n) for pos in index.positions]
     true_dist = [distance(verts[y], verts[z]) for y, z in firsts]
@@ -280,8 +306,22 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
         dist = list(true_dist)
         dist[c] = dist[transpose] = (dist[c] + 2) % (2 * m + 2)
         table = [[dist[index.orbit_of[y * n + z]] for z in range(n)] for y in range(n)]
-        witness = _outcome(_orbit_intersection_table, verts, firsts, products, dist)
+        witness = _outcome(_recurrence_table, coords, dist)
         assert isinstance(witness, tuple)
-        assert witness == _outcome(intersection_table, verts, table)
-    table = _outcome(_orbit_intersection_table, verts, firsts, products, true_dist)
+        assert witness == _a1_profile_pass(verts, table)
+        assert witness[:2] in {(verts[y], verts[z]) for y, z in firsts}
+    assert _a1_profile_pass(verts, [[distance(y, z) for z in verts] for y in verts]) is None
+    table = _outcome(_recurrence_table, coords, true_dist)
     assert table == intersection_numbers(GroundSet(m)).table
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_the_recurrence_matches_the_first_pair_product_index(m):
+    # the table from A_1 A_i and the three-term recurrence against the one
+    # read off every structure constant of the first-pair product index, in
+    # the same key order
+    coords = orbits_module._orbit_coordinates(m)
+    dist = [orbits_module._orbit_distance(m, lab) for lab in coords.labels]
+    table = intersection_numbers(GroundSet(m)).table
+    assert list(table.items()) == list(product_intersection_table(coords, dist).items())
+    assert table[(0, 1, 1)] == m + 1

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     MatrixAction,
     class_profiles,
+    column,
     contains,
     enumerate_index_set,
     higman_violation,
@@ -21,10 +22,13 @@ from helpers import (
     orbit_matrices,
     orbit_matrix,
     orbit_partition,
+    orbit_product,
     orbit_values,
     pair_index,
     pair_orbit_matrices,
     parse_label,
+    product_index,
+    product_subalgebra,
     span,
     vectorize,
     vertex_maps_by_points,
@@ -45,6 +49,7 @@ from doubled_odd.linalg import (
     SparseExactMatrix,
 )
 from doubled_odd.orbits import (
+    BLOCK_FAMILIES,
     BlockTag,
     IndependenceError,
     OrbitCoordinates,
@@ -56,7 +61,7 @@ from doubled_odd.orbits import (
     index_set,
     orbit_labels,
     orbits_by_group_action,
-    products_constant_on_orbits,
+    constant_on_orbits,
     rho,
     stabilizer_generators,
     tuple_bijection,
@@ -206,16 +211,68 @@ def test_the_centralizer_is_the_shared_orbit_coordinates():
 
 
 def test_one_object_multiplies_in_orbit_coordinates():
-    # the orbit coordinates hold the product index; no table of structure
-    # constants or action tables of T's generators sits beside them
-    for name in ("StructureConstants", "ActionTable", "_structure_constants", "_apply"):
+    # the orbit coordinates push orbit matrices through the generators'
+    # tables; no table of structure constants sits beside them, and the
+    # first-pair product index is the tests' oracle (helpers.product_index)
+    for name in ("StructureConstants", "ActionTable", "_structure_constants", "_apply", "_column_label_keys"):
         assert not hasattr(orbits_module, name)
+    for name in ("products", "product", "column"):
+        assert not hasattr(OrbitCoordinates, name)
     assert not hasattr(terwilliger_module, "_closure_tables")
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_the_product_index_is_built_once_per_m(m):
-    assert orbits_module._orbit_coordinates(m).products is orbits_module._orbit_coordinates(m).products
+def test_the_a1_push_tables_are_built_once_per_m(m):
+    assert orbits_module._orbit_coordinates(m).adjacency is orbits_module._orbit_coordinates(m).adjacency
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_the_a1_push_tables_match_the_first_pair_product_index(m):
+    # A_1 O_b and O_b A_1 from the Venn-atom moves against the products
+    # read off the first pairs of every orbit, for every b; m = 6 lies
+    # outside SUPPORTED_M, but the index and its certificate need only m
+    coords = orbits_module._orbit_coordinates(m)
+    a1 = terwilliger_module._distance_vector(m, 1)
+    for b in range(coords.ambient_dim):
+        assert coords.left(coords.adjacency, {b: 1}) == orbit_product(coords, a1, {b: 1})
+        assert coords.right(coords.adjacency, {b: 1}) == orbit_product(coords, {b: 1}, a1)
+    # at most four atoms move each orbit
+    assert sum(map(len, coords.adjacency.left)) <= 4 * coords.ambient_dim
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_venn_atom_moves_match_the_neighbours_of_every_pair(m):
+    # the moves of a pair's label against the labels of (w, z) for every
+    # neighbour w of y, over all n^2 pairs (y, z)
+    g = GroundSet(m)
+    verts = enumerate_vertices(g)
+    x0 = g.base_vertex
+    for y in verts:
+        neighbours = [w for w in verts if (w & y) in (w, y) and abs(w.bit_count() - y.bit_count()) == 1]
+        for z in verts:
+            label = OrbitLabel(block_of_pair(m, y, z), rho(x0, y, z))
+            met = Counter(OrbitLabel(block_of_pair(m, w, z), rho(x0, w, z)) for w in neighbours)
+            assert met == dict(orbits_module._neighbour_labels(m, label))
+
+
+def test_a_corrupted_atom_move_fails_the_cross_check(monkeypatch, fresh_memos):
+    # at m = 1 the first pair ({2}, {3}) of I:0,0,0,0 has the neighbour
+    # {1, 2} of {2}, which adds the point of x0 - z; move that atom to a
+    # label with |w n z| one larger
+    moves = orbits_module._neighbour_labels
+    bad = OrbitLabel(BlockTag.I, (0, 0, 0, 0))
+
+    def corrupted(m, label):
+        out = moves(m, label)
+        if label == bad:
+            (target, size), *rest = out
+            i, j, t, p = target.tup
+            out = [(OrbitLabel(target.block, (i, j, t + 1, p)), size), *rest]
+        return out
+
+    monkeypatch.setattr(orbits_module, "_neighbour_labels", corrupted)
+    with pytest.raises(NotClosedError, match="first pair of orbit I:0,0,0,0 do not move it by its Venn atoms"):
+        orbits_module._orbit_coordinates(1).adjacency
 
 
 def test_centralizer_contains_invariant_matrices():
@@ -376,6 +433,30 @@ def test_subalgebra_scan_matches_the_pairwise_product_oracle(m):
     assert {r.closed for r in reports} == {True, False}
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_subalgebra_scan_matches_the_product_index_supports(m):
+    # the sphere rule against the supports read off the first-pair product
+    # index, on the three block families and on seeded subsets, some of
+    # which need a row of a product
+    g = GroundSet(m)
+    labels = orbit_labels(g)
+    subsets = [[lab for lab in labels if lab.block in blocks] for blocks in BLOCK_FAMILIES.values()]
+    rng = random.Random(3100 + m)
+    subsets += [rng.sample(labels, rng.randint(1, 12)) for _ in range(10)]
+    # the largest cell of orbits that start and end in one sphere, closed
+    # since it holds every product of two of its orbits, and that cell
+    # without its first orbit
+    coords = orbits_module._orbit_coordinates(m)
+    cells: dict[tuple[int, int], list[OrbitLabel]] = {}
+    for a, lab in enumerate(labels):
+        cells.setdefault((coords.row_of[a], coords.end_of[a]), []).append(lab)
+    cell = max((c for (s, e), c in cells.items() if s == e), key=len)
+    subsets += [cell, cell[1:]]
+    reports = [check_subalgebra(sub, g) for sub in subsets]
+    assert reports == [product_subalgebra(sub, g) for sub in subsets]
+    assert {r.closed for r in reports} == {True, False}
+
+
 def test_structure_constants_match_the_products_of_orbit_matrices():
     for m in (1, 2):
         g = GroundSet(m)
@@ -383,7 +464,7 @@ def test_structure_constants_match_the_products_of_orbit_matrices():
         coords = orbits_module._orbit_coordinates(m)
         mats = [orbit_matrix(g, lab) for lab in coords.labels]
         d = len(mats)
-        counts = orbit_counts(coords.products)
+        counts = orbit_counts(product_index(coords))
         for a in range(d):
             for b in range(d):
                 expected = SparseExactMatrix.zero(n, n)
@@ -412,7 +493,7 @@ def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
     coefficients = (1, -2, 3, Fraction(1, 2))
     for _ in range(20):
         x, y = ({a: rng.choice(coefficients) for a in rng.sample(range(d), 4)} for _ in range(2))
-        product = coords.product(x, y)
+        product = orbit_product(coords, x, y)
         assert lifted(product) == action.product(lifted(x), lifted(y))
         nonzero += bool(product)
     assert nonzero > 10
@@ -446,7 +527,7 @@ def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
     # pair ({2}, {1}) gives it the label I:0,1,0,0
     coords = _merge_incoherent_orbits(monkeypatch)
     with pytest.raises(NotClosedError, match="orbit I:0,1,0,0 is not a single orbit"):
-        coords.products
+        coords.adjacency
 
 
 def _first_orbit_not_a_class(index, roots) -> OrbitLabel | None:
@@ -489,7 +570,7 @@ def test_the_group_orbit_certificate_rejects_a_missing_generator(monkeypatch, fr
     s = _first_sphere_not_an_orbit(2, orbits_module.stabilizer_generators(g))
     assert s is not None
     with pytest.raises(NotClosedError, match=rf"sphere {s} \(.*\) is not a single orbit"):
-        orbits_module._orbit_coordinates(2).products
+        orbits_module._orbit_coordinates(2).adjacency
     (report,) = run(RunConfig(m=2, checks=("orbits-oracle",)))
     assert report.actual["partitions_match"] is False
     assert report.status == "fail"
@@ -501,18 +582,18 @@ def test_the_group_orbit_certificate_rejects_a_generator_that_is_no_permutation(
     generators = orbits_module.stabilizer_generators
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: [(0, 0, 2)] + generators(g))
     with pytest.raises(NotClosedError, match="stabilizer generator 0 does not permute the vertices"):
-        orbits_module._orbit_coordinates(1).products
+        orbits_module._orbit_coordinates(1).adjacency
     (report,) = run(RunConfig(m=1, checks=("orbits-oracle",)))
     assert report.actual["partitions_match"] is False
 
 
 def _first_pair_counts(coords: OrbitCoordinates) -> list[Counter]:
-    # the counts products reads off the first pairs, uncertified:
+    # the counts product_index reads off the first pairs, uncertified:
     # counts[c] maps a * d + b to the number of middle vertices w of the
     # first pair (y, z) of orbit c with (y, w) in a and (w, z) in b
     d = coords.ambient_dim
     return [
-        Counter(a * d + b for a, b in zip(coords.rows[coords.row_of[c]], coords.column(coords.members[c][0])))
+        Counter(a * d + b for a, b in zip(coords.rows[coords.row_of[c]], column(coords, coords.members[c][0])))
         for c in range(d)
     ]
 
@@ -525,7 +606,7 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
     rows, cols = pair_index(m).label_lines()
     profiles, offending = class_profiles(rows, cols, rows, coords.ambient_dim)
     assert offending is None
-    counts = orbit_counts(coords.products)
+    counts = orbit_counts(product_index(coords))
     assert counts == [Counter(profiles[c]) for c in range(coords.ambient_dim)]
 
 
@@ -564,7 +645,7 @@ def test_the_stabilizer_orbit_certificate_rejects_an_orbit_met_in_two_sphere_row
     assert (index.row_of[keep], index.row_of[drop]) == (0, 1)
     merged = merged_orbit_coordinates(1, keep, drop)
     with pytest.raises(NotClosedError, match=f"orbit {index.labels[keep].text()} is met in two sphere rows"):
-        merged.products
+        merged.adjacency
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
@@ -572,7 +653,7 @@ def test_structure_constants_satisfy_higmans_identity(m):
     # at m = 5, where the pass over all n^3 vertex triples is too slow, the
     # one cross-check of the certified table
     coords = orbits_module._orbit_coordinates(m)
-    assert higman_violation(coords, orbit_counts(coords.products)) is None
+    assert higman_violation(coords, orbit_counts(product_index(coords))) is None
 
 
 def test_higmans_identity_rejects_orbits_that_are_not_coherent(monkeypatch):
@@ -659,7 +740,7 @@ def test_sphere_rows_number_and_size_the_orbits_as_the_pair_index(m):
         assert all(rows.sphere_of[v] == s for v in sphere)
     label_rows, label_cols = index.label_lines()
     assert [rows.row(y) for y in range(index.n)] == list(map(list, label_rows))
-    assert [rows.column(z) for z in range(index.n)] == list(map(list, label_cols))
+    assert [column(rows, z) for z in range(index.n)] == list(map(list, label_cols))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -685,7 +766,7 @@ def test_row_products_match_the_n2_product_verdicts(m):
     # products, on all d^2 pairs at m <= 2 and on its 500 seeded pairs at m = 3
     index = pair_index(m)
     pairs = _centralizer_dim_pairs(m, len(index.labels))
-    verdicts = products_constant_on_orbits(m, pairs)
+    verdicts = constant_on_orbits(m, pairs)
     assert verdicts == n2_product_verdicts(index, pairs)
     assert all(verdicts)
 
@@ -697,7 +778,7 @@ def test_row_products_reject_orbits_that_are_not_coherent(monkeypatch):
     _merge_incoherent_orbits(monkeypatch)
     index = merged_pair_index(1, keep, drop)
     pairs = _centralizer_dim_pairs(1, len(index.labels))
-    verdicts = products_constant_on_orbits(1, pairs)
+    verdicts = constant_on_orbits(1, pairs)
     assert verdicts == n2_product_verdicts(index, pairs)
     merged = index.labels.index(_INCOHERENT[0])
     assert not verdicts[pairs.index((merged, merged))]

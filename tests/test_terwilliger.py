@@ -367,9 +367,9 @@ def test_action_tables_reject_a_generator_not_constant_on_orbits():
 
 @pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_product_built_closure_tables_match_the_action_tables_oracle(m):
-    # each generator acts on each orbit matrix by one product of certified
-    # structure constants; the oracle reads the action off every vertex pair
-    # of its orbit
+    # each generator acts on each orbit matrix through its push tables:
+    # E*_i's keep the orbits of a sphere, A_1's move one Venn atom; the
+    # oracle reads the action off every vertex pair of its orbit
     g = GroundSet(m)
     coords = orbits_module._orbit_coordinates(m)
     # closure_generators lists E*_0..E*_{2m+1}, then A_1, as _generators does
