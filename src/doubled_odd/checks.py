@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from functools import cached_property
 from itertools import chain
 from math import comb
 from pathlib import Path
@@ -70,39 +71,12 @@ from .terwilliger import (
     verify_sandwich_identities,
 )
 
-CHECK_IDS: tuple[str, ...] = (
-    "vertex-count",
-    "distance-regular",
-    "index-sets",
-    "bijections",
-    "orbits-oracle",
-    "centralizer-dim",
-    "subalgebra-closure",
-    "direct-sum",
-    "lemma41",
-    "terwilliger-dim",
-    "inclusion",
-    "equality",
-    "center-dim",
-    "upsilon",
-    "block-profile",
-    "psi-intertwining",
-)
-
-# the union-find over all n^2 vertex pairs of orbits-oracle is capped at
-# m <= 4; the summand profile is only claimed for m >= 3
-_MAX_M: dict[str, int] = {"orbits-oracle": 4}
-_MIN_M: dict[str, int] = {"block-profile": 3}
-
-# checks whose outcome is a finding, not an assertion, below m = 3: run()
-# records them with provenance "finding-only" and status "finding"
-_FINDING_BELOW_3 = {"terwilliger-dim", "inclusion", "equality", "center-dim"}
-
-
 def applicable(check: str, m: int) -> bool:
-    if check not in CHECK_IDS:
+    """Whether check runs at m: its @_runner declares min_m <= m <= max_m."""
+    if check not in _RUNNERS:
         raise ConfigError(f"unknown check {check!r}")
-    return _MIN_M.get(check, 1) <= m <= _MAX_M.get(check, 10 ** 9)
+    fn = _RUNNERS[check]
+    return fn.min_m <= m and (fn.max_m is None or m <= fn.max_m)
 
 
 class ConfigError(ValueError):
@@ -212,34 +186,35 @@ class CheckContext:
 
     def __init__(self, m: int):
         self.g = GroundSet(m)
-        self._memo: dict[str, object] = {}
 
-    def _get(self, name: str, build: Callable[[], object]):
-        if name not in self._memo:
-            self._memo[name] = build()
-        return self._memo[name]
-
-    @property
+    @cached_property
     def centralizer(self):
-        return self._get("centralizer", lambda: build_centralizer(self.g))
+        return build_centralizer(self.g)
 
-    @property
+    @cached_property
     def terwilliger(self) -> TerwilligerAlgebra:
-        return self._get("terwilliger", lambda: build_terwilliger(self.g))
+        return build_terwilliger(self.g)
 
-    @property
+    @cached_property
     def center(self) -> SpanBasis:
-        return self._get("center", lambda: _center_basis(self.terwilliger))
+        return _center_basis(self.terwilliger)
 
 
 # ---------------------------------------------------------------------------
 # the individual checks; each returns (expected, provenance, actual, status)
+# and is registered in run order by its @_runner line, the one declaration
+# of the check
 
 _RUNNERS: dict[str, Callable[[CheckContext], tuple[object, str, object, str]]] = {}
 
 
-def _runner(name: str):
+def _runner(name: str, *, min_m: int = 1, max_m: int | None = None, finding_below_3: bool = False):
+    """Register check name, applicable at min_m <= m <= max_m (None: no
+    cap).  A finding_below_3 check is recorded by run() with provenance
+    "finding-only" and status "finding" at m = 1, 2, where no claim is made."""
+
     def register(fn):
+        fn.min_m, fn.max_m, fn.finding_below_3 = min_m, max_m, finding_below_3
         _RUNNERS[name] = fn
         return fn
 
@@ -311,7 +286,8 @@ def _check_bijections(ctx: CheckContext):
     return expected, "paper-formula", actual, _verdict(expected == actual)
 
 
-@_runner("orbits-oracle")
+# capped because its union-find runs over all n^2 vertex pairs
+@_runner("orbits-oracle", max_m=4)
 def _check_orbits_oracle(ctx: CheckContext):
     g = ctx.g
     # the union-find of the stabilizer generators on all n^2 vertex pairs
@@ -410,16 +386,20 @@ def _check_direct_sum(ctx: CheckContext):
     return expected, "paper-formula", actual, _verdict(ok)
 
 
-@_runner("lemma41")
-def _check_lemma41(ctx: CheckContext):
-    results = verify_sandwich_identities(ctx.g)
+def _all_hold(results, provenance: str):
+    """The report of a list of named identity checks (IdentityCheck)."""
     failed = [r.name for r in results if not r.ok]
     expected = {"all_hold": True}
     actual = {"checked": len(results), "all_hold": not failed, "failed": failed}
-    return expected, "paper-formula", actual, _verdict(not failed)
+    return expected, provenance, actual, _verdict(not failed)
 
 
-@_runner("terwilliger-dim")
+@_runner("lemma41")
+def _check_lemma41(ctx: CheckContext):
+    return _all_hold(verify_sandwich_identities(ctx.g), "paper-formula")
+
+
+@_runner("terwilliger-dim", finding_below_3=True)
 def _check_terwilliger_dim(ctx: CheckContext):
     t = ctx.terwilliger
     expected = {"dim": 4 * comb(ctx.g.m + 4, 4)}
@@ -427,7 +407,7 @@ def _check_terwilliger_dim(ctx: CheckContext):
     return expected, "paper-formula", actual, _verdict(expected == actual)
 
 
-@_runner("inclusion")
+@_runner("inclusion", finding_below_3=True)
 def _check_inclusion(ctx: CheckContext):
     res = verify_inclusion(ctx.terwilliger, ctx.centralizer)
     expected = {"all_rows_in_centralizer": True}
@@ -437,7 +417,7 @@ def _check_inclusion(ctx: CheckContext):
     return expected, "paper-formula", actual, _verdict(res.ok)
 
 
-@_runner("equality")
+@_runner("equality", finding_below_3=True)
 def _check_equality(ctx: CheckContext):
     res = verify_equality(ctx.terwilliger, ctx.centralizer)
     expected = {"dims_equal": True, "orbit_matrices_in_T": True, "identical_rref": True}
@@ -449,7 +429,7 @@ def _check_equality(ctx: CheckContext):
     return expected, "paper-formula", actual, _verdict(res.ok)
 
 
-@_runner("center-dim")
+@_runner("center-dim", finding_below_3=True)
 def _check_center_dim(ctx: CheckContext):
     m = ctx.g.m
     z = ctx.center.dimension
@@ -469,7 +449,8 @@ def _check_upsilon(ctx: CheckContext):
     return expected, "paper-formula", actual, _verdict(expected == actual)
 
 
-@_runner("block-profile")
+# the summand profile is only claimed for m >= 3
+@_runner("block-profile", min_m=3)
 def _check_block_profile(ctx: CheckContext):
     m = ctx.g.m
     profile = block_profile(m)
@@ -498,11 +479,10 @@ def _check_block_profile(ctx: CheckContext):
 
 @_runner("psi-intertwining")
 def _check_psi(ctx: CheckContext):
-    results = verify_intertwining(ctx.g)
-    failed = [r.name for r in results if not r.ok]
-    expected = {"all_hold": True}
-    actual = {"checked": len(results), "all_hold": not failed, "failed": failed}
-    return expected, "derived-oracle", actual, _verdict(not failed)
+    return _all_hold(verify_intertwining(ctx.g), "derived-oracle")
+
+
+CHECK_IDS: tuple[str, ...] = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +502,12 @@ def run(cfg: RunConfig, progress: Callable[[str], None] | None = None) -> list[V
 
     ctx = CheckContext(cfg.m)
     reports: list[VerificationReport] = []
-    for name in CHECK_IDS:
+    for name, fn in _RUNNERS.items():
         if name not in selected:
             continue
         start = time.perf_counter()
-        expected, provenance, actual, status = _RUNNERS[name](ctx)
-        if cfg.m < 3 and name in _FINDING_BELOW_3:
+        expected, provenance, actual, status = fn(ctx)
+        if cfg.m < 3 and fn.finding_below_3:
             provenance, status = "finding-only", "finding"
         elapsed_ms = int((time.perf_counter() - start) * 1000)
         reports.append(

@@ -72,9 +72,12 @@ def _parse_checks(raw: str) -> tuple[str, ...] | None:
 
 
 def _make_export_dir(path: str | None) -> None:
-    """Create --export-dir before any check runs, so that a path under or at
-    a regular file fails at once, not after the checks that come before the
-    export."""
+    """Create --export-dir before any check runs, so that an empty path or a
+    path under or at a regular file fails at once, not after the checks that
+    come before the export."""
+    if path == "":
+        # Path("") is the working directory
+        raise ConfigError("empty --export-dir path")
     if path is not None:
         try:
             Path(path).mkdir(parents=True, exist_ok=True)
@@ -100,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
             # leaves an existing report as it was
             out = tmp = None
             if args.out is not None:
+                if args.out == "":
+                    raise ConfigError("empty --out path")
                 if os.path.isdir(args.out):
                     raise IsADirectoryError(f"cannot write --out {args.out}: it is a directory")
                 tmp = Path(f"{args.out}.{os.getpid()}.tmp")
@@ -136,6 +141,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "export":
             RunConfig(m=args.m)
+            _make_export_dir(args.export_dir)
             written = export_matrices(args.m, args.export_dir)
             print(f"wrote {len(written)} files to {args.export_dir}", file=sys.stderr)
             return 0

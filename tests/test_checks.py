@@ -312,12 +312,32 @@ def test_cli_export_dir_at_or_under_a_file_fails_before_any_check(tmp_path, caps
     blocker = tmp_path / "file"
     blocker.write_text("")
     export = blocker / "sub" if under else blocker
-    assert main(["verify", "--m", "1", "--export-dir", str(export)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
     reason = "Not a directory" if under else "it is not a directory"
-    assert err == f"error: cannot use --export-dir {export}: {reason}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    # verify and export report the path alike
+    for command in ("verify", "export"):
+        assert main([command, "--m", "1", "--export-dir", str(export)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot use --export-dir {export}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_cli_rejects_an_empty_export_dir_before_any_check(tmp_path, capsys, monkeypatch, command):
+    # Path("") is the working directory, which the export would fill
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--m", "1", "--export-dir", ""]) == 2
+    assert capsys.readouterr() == ("", "error: empty --export-dir path\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_rejects_an_empty_out_before_any_check(tmp_path, capsys, monkeypatch):
+    # the temporary report would go to the working directory, and the
+    # rename onto "" would fail only after every check
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--m", "1", "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: empty --out path\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["dims", "export"])

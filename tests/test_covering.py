@@ -1,12 +1,16 @@
 """The two-to-one folding onto the Odd graph and its transport identities."""
 
+import json
 from math import comb
 
 import pytest
 from helpers import distance_matrices, odd_adjacency_by_scan, vertex_index
 
+from doubled_odd import covering as covering_module
+from doubled_odd.cli import main
 from doubled_odd.combinatorics import (
     GroundSet,
+    adjacency_matrix,
     distance,
     enumerate_vertices,
 )
@@ -142,3 +146,44 @@ def test_intertwining_identities():
         failed = [r.name for r in results if not r.ok]
         assert failed == []
         assert len(results) == 3 + 1 + 1  # invariants + two transport families
+
+
+def _failed_psi_identities(capsys) -> list[str]:
+    # verify --checks psi-intertwining at m = 2 (the Petersen graph) fails
+    assert main(["verify", "--m", "2", "--checks", "psi-intertwining"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail" and report["actual"]["checked"] == 5
+    return report["actual"]["failed"]
+
+
+def test_an_extra_adjacency_entry_fails_the_adjacency_transport(monkeypatch, capsys):
+    # A_1 plus a loop at vertex 0: psi A_1 gains an entry A_1(Odd) psi lacks
+    a1 = adjacency_matrix(GroundSet(2))
+    doctored = a1 + SparseExactMatrix(a1.nrows, a1.ncols, {0: {0: 1}})
+    monkeypatch.setattr(covering_module, "adjacency_matrix", lambda _g: doctored)
+    assert _failed_psi_identities(capsys) == ["adjacency-transport"]
+
+
+def test_a_wrong_fold_fails_the_row_sums(monkeypatch, capsys):
+    # the antipode of x0 folds onto the second m-subset instead of x0: the
+    # row of x0 holds one 1 and that of the second m-subset three
+    g = GroundSet(2)
+    fold_of = covering_module.fold
+    antipode, other = g.full_mask & ~g.base_vertex, odd_vertices(g)[1]
+    monkeypatch.setattr(
+        covering_module, "fold", lambda g, z: other if z == antipode else fold_of(g, z)
+    )
+    # every column still holds one 1; all that rests on the fibers fails
+    assert _failed_psi_identities(capsys) == [
+        "psi-row-sums-two", "psi-psiT-twice-identity", "adjacency-transport", "sphere-transport",
+    ]
+
+
+def test_wrong_odd_graph_distances_fail_the_sphere_transport(monkeypatch, capsys):
+    # x0 and one of its neighbours trade their distances from x0, so the
+    # spheres of the Odd graph no longer fold from those of the doubled graph
+    dist = list(covering_module._odd_distances_from_base(2))
+    base, near = dist.index(0), dist.index(1)
+    dist[base], dist[near] = 1, 0
+    monkeypatch.setattr(covering_module, "_odd_distances_from_base", lambda _m: tuple(dist))
+    assert _failed_psi_identities(capsys) == ["sphere-transport"]

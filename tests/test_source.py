@@ -135,3 +135,17 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
         assert method in vars(getattr(linalg, cls_name)), (cls_name, method)
     for name in tracer.TRACED_MODULES:
         importlib.import_module(f"doubled_odd.{name}")
+
+
+def test_the_benchmark_names_every_check_in_registry_order():
+    # perfbench/run.py keeps its own copy of CHECK_IDS for its per-check
+    # metrics, read here from its source without running it: a check added
+    # to or dropped from the registry needs the benchmark changed with it
+    tree = ast.parse((_ROOT / "perfbench" / "run.py").read_text())
+    (copy,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "CHECK_IDS" for t in node.targets)
+    ]
+    checks = importlib.import_module("doubled_odd.checks")
+    assert ast.literal_eval(copy) == checks.CHECK_IDS
