@@ -49,7 +49,6 @@ from .orbits import (
     IndependenceError,
     _check_group_orbits,
     _orbit_coordinates,
-    _orbit_distance,
     build_centralizer,
     check_subalgebra,
     index_set,
@@ -59,7 +58,6 @@ from .orbits import (
     tuple_bijection,
 )
 from .terwilliger import (
-    _diagonal_label,
     block_profile,
     build_terwilliger,
     center_basis as _center_basis,
@@ -537,11 +535,12 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     Terwilliger algebras (one file each, basis rows as vectorized n x n
     matrices).  One pass over the n rows of vertex pairs
     (OrbitCoordinates.row) gives each orbit its pair positions y n + z,
-    ascending, and every file but psi is a 0/1 or rational combination of
-    those positions: A_i is the union of the orbits at distance i, E*_i one
-    diagonal orbit, row a of the centralizer's basis orbit a, and each row
-    of T's basis its row in Q^d spread over its orbits' positions.  Orbits are numbered by their first
-    pair, so both bases are written in reduced row echelon form.  This is
+    ascending, and every file but psi and the E*_i, each the diagonal of
+    its sphere, is a 0/1 or rational combination of those positions: A_i is
+    the union of the orbits at distance i, row a of the centralizer's basis
+    orbit a, and each row of T's basis its row in Q^d spread over its
+    orbits' positions.  Orbits are numbered by their first pair, so both
+    bases are written in reduced row echelon form.  This is
     the only place the n x n form of the two algebras is made.
     """
     if ctx is None:
@@ -572,11 +571,10 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
         # the entries of the 0/1 n x n matrix with these pair positions
         return ((idx // n, idx % n, 1) for idx in ascending)
 
-    dist = [_orbit_distance(m, lab) for lab in labels]
     for i in range(g.diameter + 1):
-        emit(f"A{i}", n, n, pairs(sorted(chain.from_iterable(p for p, h in zip(positions, dist) if h == i))))
-    for i in range(g.diameter + 1):
-        emit(f"Estar{i}", n, n, pairs(positions[labels.index(_diagonal_label(m, i))]))
+        emit(f"A{i}", n, n, pairs(sorted(chain.from_iterable(p for p, h in zip(positions, index.distance_of) if h == i))))
+    for i, s in enumerate(index.sphere_at):
+        emit(f"Estar{i}", n, n, ((y, y, 1) for y in index.spheres[s]))
     for a in sorted(range(len(labels)), key=lambda a: labels[a].text()):
         i, j, t, p = labels[a].tup
         emit(f"orbit_{labels[a].block.value}_{i},{j},{t},{p}", n, n, pairs(positions[a]))

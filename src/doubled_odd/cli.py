@@ -96,11 +96,11 @@ def main(argv: list[str] | None = None) -> int:
                 checks=_parse_checks(args.checks),
                 export_dir=args.export_dir,
             )
-            _make_export_dir(args.export_dir)
             # write the report to a sibling temporary file, opened before any
-            # check runs so that an unwritable path fails at once, and rename
-            # it over --out only when complete: a run that stops on an error
-            # leaves an existing report as it was
+            # check runs or --export-dir is made, so that an unwritable path
+            # fails at once and leaves nothing behind, and rename it over
+            # --out only when complete: a run that stops on an error leaves
+            # an existing report as it was
             out = tmp = None
             if args.out is not None:
                 if args.out == "":
@@ -113,6 +113,7 @@ def main(argv: list[str] | None = None) -> int:
                 except OSError as exc:
                     raise OSError(f"cannot write --out {args.out}: {exc.strerror}") from exc
             try:
+                _make_export_dir(args.export_dir)
                 reports = run(cfg, progress=lambda line: print(line, file=sys.stderr))
                 text = render_reports(reports)
                 if out is not None:

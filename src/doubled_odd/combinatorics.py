@@ -8,8 +8,9 @@ canonical vertex order -- all m-subsets before all (m+1)-subsets, each group
 by ascending mask value -- fixes every matrix row/column index in the package.
 
 The graph is bipartite with diameter 2m+1, and the distance between vertices
-y and z is |y| + |z| - 2|y n z|; a breadth-first search oracle for this
-formula lives in the test suite, not here.  The intersection numbers are
+y and z is |y| + |z| - 2|y n z|, which the orbit index reads off each
+orbit's label; the formula and a breadth-first search oracle for it live in
+the test suite, not here.  The intersection numbers are
 read off A_1 A_i in the orbit coordinates of the base-vertex stabilizer
 (orbits), which is built on this module and so imported where it is used,
 and the rest follow from the three-term recurrence of a distance-regular
@@ -119,11 +120,6 @@ def enumerate_vertices(g: GroundSet) -> list[int]:
     return list(_vertices(g.m))
 
 
-def distance(y: int, z: int) -> int:
-    """Graph distance |y| + |z| - 2|y n z| between two vertex bitmasks."""
-    return y.bit_count() + z.bit_count() - 2 * (y & z).bit_count()
-
-
 def adjacency_matrix(g: GroundSet) -> SparseExactMatrix:
     """0/1 adjacency matrix in the canonical vertex order."""
     verts = _vertices(g.m)
@@ -164,14 +160,13 @@ def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
     with the first offending witness if any count depends on the chosen
     pair (it never should)."""
     # orbits is built on this module, so it is imported here, not at the top
-    from .orbits import _orbit_coordinates, _orbit_distance
+    from .orbits import _orbit_coordinates
 
     coords = _orbit_coordinates(g.m)
-    dist = [_orbit_distance(g.m, lab) for lab in coords.labels]
-    return IntersectionNumbers(m=g.m, table=_recurrence_table(coords, dist))
+    return IntersectionNumbers(m=g.m, table=_recurrence_table(coords, coords.distance_of))
 
 
-def _recurrence_table(coords, dist: list[int]) -> dict[tuple[int, int, int], int]:
+def _recurrence_table(coords, dist) -> dict[tuple[int, int, int], int]:
     """p^h_{ij} of the distance table that puts every pair of orbit c at
     distance dist[c], keyed (h, i, j) ascending, nonzero entries only.
 

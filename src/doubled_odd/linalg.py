@@ -478,26 +478,33 @@ def write_coord_entries(nrows: int, ncols: int, entries: Iterable[tuple[int, int
 
 
 def read_coord_text(path) -> SparseExactMatrix:
-    """Read a matrix written by write_coord_text."""
+    """Read a matrix written by write_coord_text.  An entry line the writer
+    never writes raises ValueError naming the file and line."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"cannot read matrix from {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     try:
-        nrows, ncols, nnz = (int(tok) for tok in lines[0].split())
+        nrows, ncols, nnz = (int(tok) for tok in lines[0][1].split())
     except ValueError as exc:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
+        raise ValueError(f"{path}: malformed header {lines[0][1]!r}") from exc
     if len(lines) - 1 != nnz:
         raise ValueError(f"{path}: header promises {nnz} entries, found {len(lines) - 1}")
-    entries = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 3:
-            raise ValueError(f"{path}: malformed entry line {ln!r}")
-        r, c = int(toks[0]), int(toks[1])
-        entries.append((r, c, _norm(Fraction(toks[2]))))
+    entries: list[tuple[int, int, object]] = []
+    for k, ln in lines[1:]:
+        try:
+            r, c, v = ln.split()
+            r, c, v = int(r), int(c), _norm(Fraction(v))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{path} line {k}: malformed entry line {ln!r}") from None
+        if not v or not (0 <= r < nrows and 0 <= c < ncols) or entries and (r, c) <= entries[-1][:2]:
+            raise ValueError(
+                f"{path} line {k}: entry {ln!r} must be nonzero, inside a {nrows} x {ncols} matrix "
+                f"and after the previous entry in (row, col) order"
+            )
+        entries.append((r, c, v))
     return SparseExactMatrix.from_entries(nrows, ncols, entries)

@@ -21,11 +21,13 @@ The stabilizer fixes every label and acts transitively on each sphere
 carries every orbit whose pairs start in that sphere.  OrbitCoordinates is
 the package's one orbit index, built once per m by _orbit_coordinates: it
 labels those 2m+2 rows, numbers the orbits by first pair and sizes each
-orbit as |sphere| times its count in its row, certified by "labels met =
-closed-form labels".  The orbit of any other pair is read off its popcount
-label key through the index's label map (OrbitCoordinates.orbit_of), and
-nothing else in the package decides which orbit a pair is in.  Only the
-union-find of the stabilizer generators on vertex pairs
+orbit as |sphere| times its count in its row.  It is certified as it is
+built: the labels met are the closed-form labels, and union-finds over the
+n vertices show that the orbits are those of a permutation group on vertex
+pairs (_certify_stabilizer_orbits).  The orbit of any other pair is read
+off its label key (OrbitCoordinates.orbit_of); that, each orbit's id,
+distance and spheres and each sphere's distance are decided nowhere else.
+Only the union-find of the stabilizer generators on vertex pairs
 (orbits_by_group_action, for orbits-oracle), its comparison with the index
 (_check_group_orbits) and the matrix export, which reads all n rows once,
 touch all n^2 pairs.
@@ -40,9 +42,7 @@ centralizer algebra; build_centralizer returns the shared instance.  T's
 generators act on it by push tables (PushTable): E*_s keeps the orbits
 that start or end in sphere s, and A_1 moves one Venn atom of a pair
 (OrbitCoordinates.adjacency).  The moves are read on one pair per orbit,
-which the orbit certificate makes sound: union-finds over the n vertices
-show that the orbits are those of a permutation group on vertex pairs
-(_certify_stabilizer_orbits).  No n x n product is formed.
+which the orbit certificate makes sound.  No n x n product is formed.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def _label_keys(m: int, yi: int, zs) -> list[int]:
     rows, cols = _key_parts(m)
     base = m + 2
     y = verts[yi]
-    x0y = GroundSet(m).base_vertex & y
+    x0y = verts[0] & y  # x0 = {1, ..., m} is the least vertex mask
     y_key = rows[yi]
     return [y_key + cols[z] + (y & verts[z]).bit_count() * base + (x0y & verts[z]).bit_count() for z in zs]
 
@@ -279,13 +279,17 @@ class OrbitCoordinates:
 
     A sphere is a set {y : |y|, |x0 n y| fixed}.  spheres[s] lists the
     vertices of sphere s ascending, the spheres in the order of their first
-    vertices, and sphere_of[y] is the sphere of vertex y.  rows[s][z] is the
-    orbit of the pair (spheres[s][0], z), and orbit_of maps the key of a
-    label (_label_keys) to its orbit, which decides the orbit of every pair
-    (row).  Orbit a has label labels[a] and sizes[a] pairs; its first pair
-    is (spheres[row_of[a]][0], members[a][0]), where members[a] lists
-    ascending the z with (spheres[row_of[a]][0], z) in a, and end_of[a] is
-    the sphere of members[a][0].
+    vertices (spheres[0] is (x0,)), sphere_of[y] is the sphere of vertex y,
+    radius[s] the distance of sphere s from x0 and sphere_at[i] the sphere
+    at distance i.  rows[s][z] is the orbit of (spheres[s][0], z), and
+    orbit_of maps the key of a label (_label_keys) to its orbit, which
+    decides the orbit of every pair (row).  Orbit a has label labels[a]
+    (id_of[labels[a]] = a), sizes[a] pairs at distance distance_of[a], and
+    first pair (spheres[row_of[a]][0], members[a][0]), where members[a]
+    lists ascending the z with (spheres[row_of[a]][0], z) in a.  The orbit
+    certificate proves that every pair of a starts in sphere row_of[a] and
+    ends in sphere end_of[a], so O_a O_b != 0 exactly when end_of[a] ==
+    row_of[b].
 
     Orbits are numbered by the row-major position of their first vertex
     pair, so an RREF basis in Q^d lifts entry for entry to the RREF basis of
@@ -300,8 +304,9 @@ class OrbitCoordinates:
         orbit_of number as first met along the rows, in sphere order: that
         is by first pair.  Each orbit is labelled by its first pair and
         sized as |sphere| times its count in its row.  Certified: the labels
-        met are the closed-form labels (_check_labels_met), and the identity
-        is a sum of orbit matrices (NotClosedError otherwise)."""
+        met are the closed-form labels (_check_labels_met), the identity is
+        a sum of orbit matrices (NotClosedError otherwise), and the orbits
+        are a permutation group's (_certify_stabilizer_orbits)."""
         verts = _vertices(m)
         x0 = GroundSet(m).base_vertex
         self.m, self.n, self.spheres, self.orbit_of = m, len(verts), spheres, orbit_of
@@ -335,14 +340,15 @@ class OrbitCoordinates:
         if sum(sizes[a] for a in diagonal) != self.n:
             raise NotClosedError("the identity is not a sum of orbit matrices")
         self._identity = {a: 1 for a in sorted(diagonal)}
+        _certify_stabilizer_orbits(self)
+        self.id_of = {lab: a for a, lab in enumerate(self.labels)}
+        self.distance_of = tuple(_orbit_distance(m, lab) for lab in self.labels)
+        # sphere s is at the distance of the pairs (x0, y), y in s
+        self.radius = tuple(self.distance_of[self.rows[0][sphere[0]]] for sphere in spheres)
+        self.sphere_at = tuple(sorted(range(len(spheres)), key=self.radius.__getitem__))
 
     def first_pair(self, a: int) -> tuple[int, int]:
         return self.spheres[self.row_of[a]][0], self.members[a][0]
-
-    def ends(self, a: int) -> list[int]:
-        """The vertices, ascending, of the spheres the pairs of orbit a end in."""
-        spheres = {self.sphere_of[z] for z in self.members[a]}
-        return sorted(z for t in spheres for z in self.spheres[t])
 
     def row(self, y: int) -> list[int]:
         """The orbits of the pairs (y, w), w over all vertices, read off
@@ -362,20 +368,18 @@ class OrbitCoordinates:
         in A_1 O_b is the number of neighbours w of y with (w, z) in b, for
         a pair (y, z) of c, which the Venn-atom moves give
         (_neighbour_labels), and O_b A_1 is the transpose of A_1 O_{b^T}.
-        The orbits are first certified to be those of a permutation group
-        (_certify_stabilizer_orbits), so every pair of c counts alike; then
-        the orbits of (w, z), read off label keys for the neighbours w of y
-        and the first pair (y, z) of each orbit c, must be the moves'
-        (NotClosedError naming c otherwise)."""
-        _certify_stabilizer_orbits(self)
+        The orbits are those of a permutation group, certified when the
+        index is built, so every pair of c counts alike; the orbits of
+        (w, z), read off label keys for the neighbours w of y and the first
+        pair (y, z) of each orbit c, must be the moves' (NotClosedError
+        naming c otherwise)."""
         m, verts, index = self.m, _vertices(self.m), _vertex_index(self.m)
-        ids = {lab: a for a, lab in enumerate(self.labels)}
         # the neighbours of the first vertex y of each sphere: y with one point more or less
         ys = [verts[sphere[0]] for sphere in self.spheres]
         neighbours = [[index[y ^ 1 << k] for k in range(2 * m + 1) if y ^ 1 << k in index] for y in ys]
         left: list[list[tuple[int, int]]] = [[] for _ in self.labels]
         for c, label in enumerate(self.labels):
-            moves = [(ids.get(lab), size) for lab, size in _neighbour_labels(m, label)]
+            moves = [(self.id_of.get(lab), size) for lab, size in _neighbour_labels(m, label)]
             z = self.members[c][0]
             met = Counter(self.orbit_of.get(_label_keys(m, w, (z,))[0]) for w in neighbours[self.row_of[c]])
             if met != dict(moves):
@@ -384,7 +388,7 @@ class OrbitCoordinates:
                 left[b].append((c, size))
         # the orbit of the pairs (z, y) for the pairs (y, z) of each orbit
         swap = {BlockTag.II: BlockTag.III, BlockTag.III: BlockTag.II}
-        transposed = [ids[OrbitLabel(swap.get(b, b), (j, i, t, p))] for b, (i, j, t, p) in self.labels]
+        transposed = [self.id_of[OrbitLabel(swap.get(b, b), (j, i, t, p))] for b, (i, j, t, p) in self.labels]
         right = (sorted((transposed[c], k) for c, k in left[b_t]) for b_t in transposed)
         return PushTable(tuple(map(tuple, left)), tuple(map(tuple, right)))
 
@@ -423,35 +427,30 @@ def constant_on_orbits(m: int, pairs) -> list[bool]:
     """For each pair (a, b) of orbits, whether O_a O_b is constant on every
     orbit, i.e. lies in the span of the orbit matrices.
 
-    O_a O_b is nonzero only in the rows of a's row sphere, and the
-    stabilizer moves the first vertex y of that sphere onto each of them,
-    keeping every orbit; so it is constant on every orbit exactly when its
-    row y is constant on every orbit met along that row.  Entry (y, z) of
-    the row counts the w among a's members of row y with (w, z) in b,
-    decided from popcounts through the index's label map, for z over the
-    spheres b's pairs end in.  No structure constant is read.
+    O_a O_b is 0 unless end_of[a] == row_of[b] (the sphere rule of
+    OrbitCoordinates), and else nonzero only in the rows of a's row sphere;
+    the stabilizer moves the first vertex y of that sphere onto each of
+    them, keeping every orbit, so it is constant on every orbit exactly when
+    its row y is constant on every orbit met along that row (_product_row).
+    No structure constant is read.
     """
     index = _orbit_coordinates(m)
-    carried = [set(row) for row in index.rows]
+    met = [len(set(row)) for row in index.rows]  # the orbits along each sphere row
     verdicts = []
     for a, b in pairs:
-        ws = [w for w in index.members[a] if b in carried[index.sphere_of[w]]]
-        if not ws:  # O_a O_b = 0
-            verdicts.append(True)
-            continue
-        s = index.row_of[a]
+        s, ws = index.row_of[a], index.members[a]
         # each orbit met along the row has one value exactly when the
         # distinct (orbit, value) pairs are as many as the distinct orbits
-        verdicts.append(len(set(zip(index.rows[s], _product_row(index, ws, b)))) == len(carried[s]))
+        verdicts.append(index.end_of[a] != index.row_of[b] or len(set(zip(index.rows[s], _product_row(index, ws, b)))) == met[s])
     return verdicts
 
 
 def _product_row(index: OrbitCoordinates, ws, b: int) -> list[int]:
     """Entry z counts the w in ws with (w, z) in orbit b, read off label
-    keys, for z over the spheres b's pairs end in: for ws the members of
+    keys, for z over the sphere b's pairs end in: for ws the members of
     orbit a in row y, it is row y of O_a O_b."""
     orbit_of = index.orbit_of.get
-    zs = index.ends(b)
+    zs = index.spheres[index.end_of[b]]
     entries = [0] * index.n
     for w in ws:
         for z, key in zip(zs, _label_keys(index.m, w, zs)):
@@ -591,7 +590,8 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
     every orbit is a union of orbits of the group K that G and the H_s
     generate.  Two pairs of one orbit start in its row's sphere s by (b), G
     moves each into row y_s by (a), and H_s moves the one onto the other by
-    (b).  Raises NotClosedError naming the first generator that is no
+    (b); K keeps every sphere, so all pairs of orbit a end in end_of[a].
+    Raises NotClosedError naming the first generator that is no
     permutation or moves x0 or y_s, the first sphere that is not one class
     of G, or the first orbit, in orbit numbering, met in two sphere rows or
     not one class of H_s.
@@ -668,20 +668,18 @@ def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureRe
 
     The orbit matrices have disjoint supports, so O_a O_b lies in span(sub)
     exactly when its support does.  O_a O_b != 0 exactly when a's pairs end
-    in the sphere b's start in, as the stabilizer is transitive on each
-    sphere (the orbit certificate, reached through adjacency), and then its
+    in the sphere b's start in (the sphere rule of OrbitCoordinates, which
+    the orbit certificate proves when the index is built), and then its
     support lies in the cell of orbits that start where a's start and end
     where b's end.  A sub that holds all or none of the cell decides the
     product, so the block families need no more; otherwise the support is
     read off one row of the product (_product_row).
     """
     coords = _orbit_coordinates(g.m)
-    ids = {lab: c for c, lab in enumerate(coords.labels)}
     try:
-        sub_ids = [ids[lab] for lab in sub]
+        sub_ids = [coords.id_of[lab] for lab in sub]
     except KeyError as exc:
         raise ValueError(f"unknown orbit label {exc.args[0]}") from None
-    coords.adjacency  # the orbit certificate the argument rests on
     inside = set(sub_ids)
     cells: dict[tuple[int, int], set[int]] = {}
     for c, ends in enumerate(zip(coords.row_of, coords.end_of)):

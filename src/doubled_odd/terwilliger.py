@@ -12,10 +12,10 @@ centralizer algebra, and only the matrix export writes T out as n x n
 matrices.
 
 Each A_i is the indicator in Q^d of the orbits at distance i
-(orbits._orbit_distance).  The closure acts on the orbit matrices with the
-generators' push tables: E*_i keeps the orbits of its sphere, and A_1 moves
-one Venn atom (orbits.OrbitCoordinates.adjacency); the centre solve acts
-with A_1 alone on T's diagonal blocks (center_basis).  T needs no n x n
+(orbits.OrbitCoordinates.distance_of).  The closure acts on the orbit
+matrices with the generators' push tables: E*_i keeps the orbits of its
+sphere, and A_1 moves one Venn atom (orbits.OrbitCoordinates.adjacency);
+the centre solve acts with A_1 alone on T's diagonal blocks (center_basis).  T needs no n x n
 matrix and no pass over all n^2 vertex pairs.  T is closed and Z(T) solved on every run; nothing is read
 back from disk.  Everything T is generated by lies inside the centralizer
 algebra of the stabilizer of x0: each E*_i is a single diagonal orbit
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .combinatorics import GroundSet, _vertices, adjacency_matrix, distance
+from .combinatorics import GroundSet, adjacency_matrix
 from .linalg import (
     ClosureResult,
     NotClosedError,
@@ -51,7 +51,7 @@ from .linalg import (
     centralizer_within,
 )
 from .orbits import BlockTag, OrbitCoordinates, OrbitLabel, PushTable
-from .orbits import _label_keys, _orbit_coordinates, _orbit_distance
+from .orbits import _label_keys, _orbit_coordinates
 
 
 class IdentityCheck(NamedTuple):
@@ -62,15 +62,13 @@ class IdentityCheck(NamedTuple):
 def dual_idempotent(g: GroundSet, i: int) -> SparseExactMatrix:
     """Diagonal projection onto the sphere of radius i around the base vertex.
 
-    Its vertices are one sphere of the orbit index, {y : |y|, |x0 n y|
-    fixed}, at distance |y| + m - 2|x0 n y| = 2m + [|y| = m + 1] - 2|x0 n y|.
+    Its vertices are the sphere of the orbit index at distance i
+    (OrbitCoordinates.sphere_at).
     """
     if not 0 <= i <= g.diameter:
         raise ValueError(f"sphere index {i} outside [0, {g.diameter}]")
     index = _orbit_coordinates(g.m)
-    verts = _vertices(g.m)
-    sphere = next(s for s in index.spheres if distance(g.base_vertex, verts[s[0]]) == i)
-    return SparseExactMatrix(index.n, index.n, {y: {y: 1} for y in sphere})
+    return SparseExactMatrix(index.n, index.n, {y: {y: 1} for y in index.spheres[index.sphere_at[i]]})
 
 
 class TerwilligerAlgebra(NamedTuple):
@@ -91,18 +89,14 @@ class TerwilligerAlgebra(NamedTuple):
 
 def _distance_vector(m: int, i: int) -> dict[int, object]:
     """A_i in orbit coordinates: the indicator of the orbits at distance i."""
-    labels = _orbit_coordinates(m).labels
-    return {a: 1 for a, lab in enumerate(labels) if _orbit_distance(m, lab) == i}
+    return {a: 1 for a, h in enumerate(_orbit_coordinates(m).distance_of) if h == i}
 
 
 def _generators(m: int) -> list[PushTable]:
     """The generators T is closed under, as push tables: E*_0..E*_{2m+1},
-    each the projection onto the sphere of its diagonal orbit, and then
-    A_1."""
+    each the projection onto the sphere at its distance, and then A_1."""
     index = _orbit_coordinates(m)
-    gens = [index.projection(index.row_of[index.labels.index(_diagonal_label(m, i))]) for i in range(2 * m + 2)]
-    gens.append(index.adjacency)
-    return gens
+    return [*map(index.projection, index.sphere_at), index.adjacency]
 
 
 def build_terwilliger(g: GroundSet) -> TerwilligerAlgebra:
@@ -163,8 +157,9 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     of radius i and j around x0, so E*_i A_1 E*_j is the restriction of A_1
     from sphere i to sphere j.  A_1's n (m + 1) entries are read once: the
     orbit of each, through its label key and the index's label map
-    (OrbitCoordinates.orbit_of), is tallied under the radii of its two
-    ends; an entry other than 1, or a key of no orbit, counts as no orbit.  A 0/1
+    (OrbitCoordinates.orbit_of), is tallied under the radii of the spheres
+    of its two ends (OrbitCoordinates.radius); an entry other than 1, or a
+    key of no orbit, counts as no orbit.  A 0/1
     matrix equals the orbit matrix O_a exactly when all its entries lie in
     orbit a and there are sizes[a] of them, which decides each identity:
     E*_i = O_a when every (y, y), y in sphere i, is in orbit a and
@@ -172,13 +167,13 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     when every entry lies in one of them and the entries number the sum of
     their sizes.  sizes[a] = |sphere| times a's count in its row rests on the
     stabilizer being transitive on each sphere, part (a) of the orbit
-    certificate (orbits._certify_stabilizer_orbits).
+    certificate the index runs when it is built
+    (orbits._certify_stabilizer_orbits).
     """
     m, diam = g.m, g.diameter
     index = _orbit_coordinates(m)
-    orbit_of, sizes = index.orbit_of.get, index.sizes
-    ids = {lab: a for a, lab in enumerate(index.labels)}
-    radius = [distance(g.base_vertex, v) for v in _vertices(m)]
+    orbit_of, sizes, ids = index.orbit_of.get, index.sizes, index.id_of
+    radius = [index.radius[s] for s in index.sphere_of]
     tally: dict[tuple[int, int], dict[int | None, int]] = {}
     for y, row in adjacency_matrix(g)._rows.items():
         for (z, v), key in zip(row.items(), _label_keys(m, y, row)):
@@ -193,7 +188,7 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     results: list[IdentityCheck] = []
     for i in range(diam + 1):
         a = ids[_diagonal_label(m, i)]
-        sphere = [y for y, r in enumerate(radius) if r == i]
+        sphere = index.spheres[index.sphere_at[i]]
         ok = len(sphere) == sizes[a] and all(orbit_of(_label_keys(m, y, (y,))[0]) == a for y in sphere)
         results.append(IdentityCheck(f"dual-idempotent-orbit-form[i={i}]", ok))
 

@@ -27,7 +27,6 @@ from doubled_odd.combinatorics import (
     _vertex_index,
     _vertices,
     adjacency_matrix,
-    distance,
 )
 from doubled_odd.linalg import (
     NotClosedError,
@@ -42,7 +41,6 @@ from doubled_odd.orbits import (
     OrbitCoordinates,
     OrbitLabel,
     SubalgebraClosureReport,
-    _certify_stabilizer_orbits,
     _check_labels_met,
     _key_parts,
     _label_keys,
@@ -67,6 +65,11 @@ def mask_of(elements) -> int:
             raise ValueError(f"elements are 1-based, got {e}")
         mask |= 1 << (e - 1)
     return mask
+
+
+def distance(y: int, z: int) -> int:
+    """Graph distance |y| + |z| - 2|y n z| between two vertex bitmasks."""
+    return y.bit_count() + z.bit_count() - 2 * (y & z).bit_count()
 
 
 def vertex_index(g: GroundSet, v: int) -> int:
@@ -201,17 +204,16 @@ def dual_idempotents(g: GroundSet) -> list[SparseExactMatrix]:
 @lru_cache(maxsize=8)
 def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
     # every orbit matrix in one pass over the pairs of each block of row
-    # sphere x column spheres: as in orbit_matrix, a pair's |y n z| and
+    # sphere x column sphere: as in orbit_matrix, a pair's |y n z| and
     # |x0 n y n z| decide which orbit of its block it is in
     g, index, verts = GroundSet(m), _orbit_coordinates(m), _vertices(m)
-    blocks: dict[tuple[int, frozenset[int]], dict[tuple[int, int], int]] = {}
-    for a, zs in enumerate(index.members):
-        ends = frozenset(index.sphere_of[z] for z in zs)
-        blocks.setdefault((index.row_of[a], ends), {})[index.labels[a].tup[2:]] = a
+    blocks: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for a, ends in enumerate(zip(index.row_of, index.end_of)):
+        blocks.setdefault(ends, {})[index.labels[a].tup[2:]] = a
     rows: list[dict[int, dict[int, object]]] = [{} for _ in index.labels]
     for orbit_of_tp in blocks.values():
         first = next(iter(orbit_of_tp.values()))
-        zs = index.ends(first)
+        zs = index.spheres[index.end_of[first]]
         z_masks = [verts[z] for z in zs]
         for y in index.spheres[index.row_of[first]]:
             y_mask = verts[y]
@@ -231,7 +233,7 @@ def orbit_matrices(g: GroundSet) -> dict[OrbitLabel, SparseExactMatrix]:
 
 def orbit_matrix(g: GroundSet, label: OrbitLabel) -> SparseExactMatrix:
     """Oracle: the n x n indicator matrix of one orbit, from the pairs of its
-    row sphere and column spheres: those spheres fix the block and
+    row sphere and column sphere: those spheres fix the block and
     |x0 n y|, |x0 n z| of a pair's label, so the pair is in the orbit when
     its |y n z| and |x0 n y n z| are the label's."""
     index = _orbit_coordinates(g.m)
@@ -240,7 +242,7 @@ def orbit_matrix(g: GroundSet, label: OrbitLabel) -> SparseExactMatrix:
     except ValueError:
         raise ValueError(f"{label.text()} is not an orbit label for m={g.m}") from None
     verts = _vertices(g.m)
-    zs = index.ends(a)
+    zs = index.spheres[index.end_of[a]]
     z_masks = [verts[z] for z in zs]
     _, _, t, p = label.tup
     rows = {}
@@ -549,12 +551,14 @@ def merged_pair_index(m: int, keep: int, drop: int) -> PairIndex:
     return PairIndex(index.n, tuple(labels), orbit_of, tuple(positions))
 
 
-def merged_orbit_coordinates(m: int, a: int, b: int) -> OrbitCoordinates:
+def merged_orbit_coordinates(m: int, a: int, b: int, certified: bool = True) -> OrbitCoordinates:
     """The orbit index at m with orbits a and b merged into one, built and
     certified as the real index is: the merged orbit is numbered by its
     first pair and labelled by it, so it takes the label of the lesser of a
     and b, and the closed form the labels met are certified against lacks
-    the label of the greater."""
+    the label of the greater.  With certified false the stabilizer orbit
+    certificate is skipped while it is built, so that a test can see what
+    another check makes of orbits that are not a group's."""
     index = _orbit_coordinates(m)
     lost = index.labels[max(a, b)]
     ids: dict[int, int] = {}
@@ -566,7 +570,11 @@ def merged_orbit_coordinates(m: int, a: int, b: int) -> OrbitCoordinates:
     rows = [list(map(merge, row)) for row in index.rows]
     orbit_of = {key: merge(c) for key, c in index.orbit_of.items()}
     closed = tuple(lab for lab in orbits_module._orbit_labels(m) if lab != lost)
-    with patch.object(orbits_module, "_orbit_labels", lambda _m: closed):
+    certify = orbits_module._certify_stabilizer_orbits if certified else lambda _index: None
+    with (
+        patch.object(orbits_module, "_orbit_labels", lambda _m: closed),
+        patch.object(orbits_module, "_certify_stabilizer_orbits", certify),
+    ):
         return OrbitCoordinates(m, index.spheres, rows, orbit_of)
 
 
@@ -638,14 +646,12 @@ def product_index(coords: OrbitCoordinates) -> tuple[dict[int, list[tuple[int, i
 
     p^c_{ab} is the (y, z) entry of O_a O_b for any pair (y, z) of orbit c:
     the number of vertices w with (y, w) in orbit a and (w, z) in orbit b.
-    The orbits are first certified to be the orbits of a permutation group
-    on vertex pairs (orbits._certify_stabilizer_orbits, NotClosedError
-    otherwise), and such orbits form a coherent configuration (Higman 1975),
-    so every pair of c has the counts of its first pair.  The row of a first
-    pair is its sphere row, and each column met is built once; one Counter
-    of the keys a * d + b over the middle vertices gives the p^c_{ab} of
-    orbit c."""
-    _certify_stabilizer_orbits(coords)
+    The index certifies when it is built that its orbits are the orbits of
+    a permutation group on vertex pairs (orbits._certify_stabilizer_orbits),
+    and such orbits form a coherent configuration (Higman 1975), so every
+    pair of c has the counts of its first pair.  The row of a first pair is
+    its sphere row, and each column met is built once; one Counter of the
+    keys a * d + b over the middle vertices gives the p^c_{ab} of orbit c."""
     d = coords.ambient_dim
     # a * d for the orbit a of each pair (y, w) along each sphere row
     scaled = [list(map(d.__mul__, row)) for row in coords.rows]

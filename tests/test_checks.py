@@ -340,6 +340,16 @@ def test_cli_rejects_an_empty_out_before_any_check(tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_makes_no_export_dir_when_out_cannot_be_written(tmp_path, capsys, monkeypatch):
+    # the report's temporary file is opened before --export-dir is made, so
+    # a report path under a missing directory leaves no empty export behind
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--m", "1", "--checks", "vertex-count", "--export-dir", "exp", "--out", "missing/r.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write --out missing/r.json")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["dims", "export"])
 @pytest.mark.parametrize("under", [False, True])
 def test_cli_dims_and_export_reject_cache_dir(tmp_path, capsys, command, under):
@@ -587,20 +597,20 @@ def test_the_package_keeps_no_n_by_n_orbit_distance_or_sandwich_builder():
     assert not hasattr(OrbitCoordinates, "action_tables")
 
 
-def test_the_a1_push_tables_and_the_orbit_certificate_are_built_on_first_read(monkeypatch, fresh_memos):
-    # the benchmark's m = 4 orbit checks act with A_1 on nothing in Q^d and
-    # need no certificate; distance-regular pushes A_i through A_1's tables,
-    # and subalgebra-closure reaches the certificate through them
+@pytest.mark.parametrize("check", ["lemma41", "centralizer-dim"])
+def test_the_checks_that_rest_on_sphere_transitivity_run_the_orbit_certificate(monkeypatch, fresh_memos, check):
+    # lemma41 sizes each orbit as |sphere| times its count in its row, and
+    # centralizer-dim tests each product on one row of its sphere: both rest
+    # on the stabilizer being transitive on each sphere, which the orbit
+    # certificate proves as the index is built, once per index, while A_1's
+    # push tables, which neither check acts with, stay unbuilt
     certified = []
     certify = orbits_module._certify_stabilizer_orbits
     monkeypatch.setattr(orbits_module, "_certify_stabilizer_orbits", lambda index: certified.append(index.m) or certify(index))
-    reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
-    run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
-    assert "adjacency" not in vars(orbits_module._orbit_coordinates(4)) and certified == []
-    run(RunConfig(m=4, checks=("distance-regular",)))
-    assert "adjacency" in vars(orbits_module._orbit_coordinates(4)) and certified == [4]
-    run(RunConfig(m=3, checks=("subalgebra-closure",)))
-    assert "adjacency" in vars(orbits_module._orbit_coordinates(3)) and certified == [4, 3]
+    (report,) = run(RunConfig(m=4, checks=(check,)))
+    assert report.status == "pass"
+    assert certified == [4]
+    assert "adjacency" not in vars(orbits_module._orbit_coordinates(4))
 
 
 def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
@@ -669,20 +679,22 @@ def test_the_m4_checks_that_act_with_a1_read_one_pair_per_orbit(monkeypatch, fre
     assert 0 < sum(evaluated) <= 10 * 252 + 280 * 5
 
 
-def _use_merged_m1_rows(monkeypatch) -> None:
+def _use_merged_m1_rows(monkeypatch, certified: bool = True) -> None:
     # merge ({2}, {3}) and ({3}, {2}) with ({2}, {1}) and ({3}, {1}) in the
     # orbit index at m = 1, on every binding of its memo: the square of the
-    # merged orbit matrix is not constant on it
+    # merged orbit matrix is not constant on it.  The orbit certificate
+    # rejects the merged rows as the index is built, unless it is skipped
     labels = orbits_module._orbit_coordinates(1).labels
     a = labels.index(OrbitLabel(BlockTag.I, (0, 0, 0, 0)))
     b = labels.index(OrbitLabel(BlockTag.I, (0, 1, 0, 0)))
-    doctored = merged_orbit_coordinates(1, a, b)
+    doctored = merged_orbit_coordinates(1, a, b, certified)
     for module in (orbits_module, terwilliger_module, checks_module):
         monkeypatch.setattr(module, "_orbit_coordinates", lambda _m: doctored)
 
 
 def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):
-    _use_merged_m1_rows(monkeypatch)
+    # the check's own row test, on rows built without the orbit certificate
+    _use_merged_m1_rows(monkeypatch, certified=False)
     (report,) = run(RunConfig(m=1, checks=("centralizer-dim",)))
     # dim is that of the algebra built on the doctored rows: its 19 orbits
     assert report.actual == {"dim": 19, "closure_ok": False, "pairs_checked": 19 ** 2}
@@ -690,16 +702,19 @@ def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fres
 
 
 def test_t_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):
-    # the closure acts with A_1's push tables, which are built after the
-    # orbit certificate, so on the merged rows it meets the certificate
-    _use_merged_m1_rows(monkeypatch)
+    # no index, and so no T, is built on the merged rows: the orbit
+    # certificate rejects them as the index is built
     with pytest.raises(NotClosedError, match="is not a single orbit"):
+        _use_merged_m1_rows(monkeypatch)
+    # built without it, the closure meets the cross-check of A_1's atom moves
+    _use_merged_m1_rows(monkeypatch, certified=False)
+    with pytest.raises(NotClosedError, match="do not move it by its Venn atoms"):
         CheckContext(1).terwilliger
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, pytest.param(4, marks=pytest.mark.slow)])
 def test_reports_match_the_pinned_reports(m):
-    # verify --m 1 and --m 2 as the pinned files record them
+    # verify --m 1, 2 and 4 as the pinned files record them
     assert _normalized_reports(run(RunConfig(m=m))) == _pinned_reports(m)
 
 

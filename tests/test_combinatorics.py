@@ -6,6 +6,7 @@ from collections import deque
 import pytest
 from helpers import (
     class_profiles,
+    distance,
     distance_matrices,
     distance_matrix,
     intersection_table,
@@ -21,7 +22,6 @@ from doubled_odd.combinatorics import (
     GroundSet,
     _recurrence_table,
     adjacency_matrix,
-    distance,
     elements_of,
     enumerate_vertices,
     intersection_numbers,

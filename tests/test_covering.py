@@ -4,14 +4,13 @@ import json
 from math import comb
 
 import pytest
-from helpers import distance_matrices, odd_adjacency_by_scan, vertex_index
+from helpers import distance, distance_matrices, odd_adjacency_by_scan, vertex_index
 
 from doubled_odd import covering as covering_module
 from doubled_odd.cli import main
 from doubled_odd.combinatorics import (
     GroundSet,
     adjacency_matrix,
-    distance,
     enumerate_vertices,
 )
 from doubled_odd.covering import (

@@ -1,6 +1,7 @@
 """Exact sparse matrices, row-reduced spans and algebra closure."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -262,7 +263,18 @@ def test_coord_text_round_trip(tmp_path):
 
 
 def test_coord_text_rejects_damage(tmp_path):
+    # each holds a line write_coord_text never writes: an entry outside the
+    # matrix, a repeated entry, a zero value, a zero denominator, an entry
+    # before its predecessor, and a line of two tokens
     path = tmp_path / "bad.mtx"
-    path.write_text("2 2 1\n5 0 1\n")
-    with pytest.raises(ValueError):
-        read_coord_text(path)
+    for text, line in [
+        ("2 2 1\n5 0 1\n", 2),
+        ("2 2 2\n0 0 1\n0 0 5\n", 3),
+        ("2 2 1\n0 1 0\n", 2),
+        ("2 2 1\n0 1 1/0\n", 2),
+        ("2 2 2\n1 0 1\n0 1 1\n", 3),
+        ("2 2 1\n\n0 1\n", 3),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line {line}: "):
+            read_coord_text(path)

@@ -504,10 +504,11 @@ def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
 _INCOHERENT = (OrbitLabel(BlockTag.I, (0, 0, 0, 0)), OrbitLabel(BlockTag.I, (0, 1, 0, 0)))
 
 
-def _merge_incoherent_orbits(monkeypatch) -> OrbitCoordinates:
+def _merge_incoherent_orbits(monkeypatch, certified: bool = True) -> OrbitCoordinates:
     """The orbit index at m = 1 with two orbits merged into one whose matrix
     has a square that is not a combination of the coarser orbit matrices,
-    made the memo's index at m = 1."""
+    made the memo's index at m = 1; built without the stabilizer orbit
+    certificate, which rejects it, unless certified."""
     g = GroundSet(1)
     mats = orbit_matrices(g)
     # the square of the merged matrix is 1 at ({2}, {1}) and 0 at ({2}, {3})
@@ -517,17 +518,17 @@ def _merge_incoherent_orbits(monkeypatch) -> OrbitCoordinates:
     assert {square.get(r, c) for r, c, _ in merged.entries()} == {0, 1}
     ids = orbits_module._orbit_coordinates(1).labels
     # the identity is still a sum of orbits
-    coords = merged_orbit_coordinates(1, ids.index(a), ids.index(b))
+    coords = merged_orbit_coordinates(1, ids.index(a), ids.index(b), certified)
     monkeypatch.setattr(orbits_module, "_orbit_coordinates", lambda _m: coords)
     return coords
 
 
 def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
     # the merged orbit is two orbits of the stabilizer generators; its first
-    # pair ({2}, {1}) gives it the label I:0,1,0,0
-    coords = _merge_incoherent_orbits(monkeypatch)
+    # pair ({2}, {1}) gives it the label I:0,1,0,0, and the index on it
+    # fails the orbit certificate as it is built
     with pytest.raises(NotClosedError, match="orbit I:0,1,0,0 is not a single orbit"):
-        coords.adjacency
+        _merge_incoherent_orbits(monkeypatch)
 
 
 def _first_orbit_not_a_class(index, roots) -> OrbitLabel | None:
@@ -540,12 +541,11 @@ def _first_orbit_not_a_class(index, roots) -> OrbitLabel | None:
     return None
 
 
-def _first_sphere_not_an_orbit(m: int, perms) -> int | None:
-    # oracle: the least sphere that is not the orbit of its first vertex
-    # under the point permutations, closed over as sets of points
-    index = orbits_module._orbit_coordinates(m)
+def _first_sphere_not_an_orbit(m: int, spheres, perms) -> int | None:
+    # oracle: the least of the spheres that is not the orbit of its first
+    # vertex under the point permutations, closed over as sets of points
     verts = enumerate_vertices(GroundSet(m))
-    for s, sphere in enumerate(index.spheres):
+    for s, sphere in enumerate(spheres):
         orbit, todo = {verts[sphere[0]]}, [verts[sphere[0]]]
         while todo:
             y = todo.pop()
@@ -563,14 +563,15 @@ def test_the_group_orbit_certificate_rejects_a_missing_generator(monkeypatch, fr
     # without the cycle on S - x0 the generators' orbits on the vertices are
     # finer than the spheres, and their orbits on vertex pairs finer than
     # the labels' orbits: the certificate and orbits-oracle see it
+    spheres = orbits_module._orbit_coordinates(2).spheres
     generators = orbits_module.stabilizer_generators
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
     g = GroundSet(2)
     assert _first_orbit_not_a_class(pair_index(2), orbits_by_group_action(g)) is not None
-    s = _first_sphere_not_an_orbit(2, orbits_module.stabilizer_generators(g))
+    s = _first_sphere_not_an_orbit(2, spheres, orbits_module.stabilizer_generators(g))
     assert s is not None
     with pytest.raises(NotClosedError, match=rf"sphere {s} \(.*\) is not a single orbit"):
-        orbits_module._orbit_coordinates(2).adjacency
+        orbits_module._orbit_coordinates.__wrapped__(2)
     (report,) = run(RunConfig(m=2, checks=("orbits-oracle",)))
     assert report.actual["partitions_match"] is False
     assert report.status == "fail"
@@ -582,7 +583,7 @@ def test_the_group_orbit_certificate_rejects_a_generator_that_is_no_permutation(
     generators = orbits_module.stabilizer_generators
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: [(0, 0, 2)] + generators(g))
     with pytest.raises(NotClosedError, match="stabilizer generator 0 does not permute the vertices"):
-        orbits_module._orbit_coordinates(1).adjacency
+        orbits_module._orbit_coordinates.__wrapped__(1)
     (report,) = run(RunConfig(m=1, checks=("orbits-oracle",)))
     assert report.actual["partitions_match"] is False
 
@@ -633,7 +634,7 @@ def test_the_stabilizer_orbit_certificate_rejects_a_row_generator_that_moves_y_s
     monkeypatch.setattr(orbits_module, "_young_generators", with_swap)
     assert stabilizer_generators(GroundSet(2)) == young(5, [[0, 1], [2, 3, 4]])
     with pytest.raises(NotClosedError, match=r"row generator \d+ of sphere \d+ does not fix y_s"):
-        orbits_module._certify_stabilizer_orbits(orbits_module._orbit_coordinates(2))
+        orbits_module._orbit_coordinates.__wrapped__(2)
 
 
 def test_the_stabilizer_orbit_certificate_rejects_an_orbit_met_in_two_sphere_rows():
@@ -643,9 +644,8 @@ def test_the_stabilizer_orbit_certificate_rejects_an_orbit_met_in_two_sphere_row
     index = orbits_module._orbit_coordinates(1)
     keep, drop = index.rows[0][index.spheres[1][0]], index.rows[1][0]
     assert (index.row_of[keep], index.row_of[drop]) == (0, 1)
-    merged = merged_orbit_coordinates(1, keep, drop)
     with pytest.raises(NotClosedError, match=f"orbit {index.labels[keep].text()} is met in two sphere rows"):
-        merged.adjacency
+        merged_orbit_coordinates(1, keep, drop)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
@@ -658,7 +658,7 @@ def test_structure_constants_satisfy_higmans_identity(m):
 
 def test_higmans_identity_rejects_orbits_that_are_not_coherent(monkeypatch):
     # the table read off the first pairs of the merged orbits, uncertified
-    coords = _merge_incoherent_orbits(monkeypatch)
+    coords = _merge_incoherent_orbits(monkeypatch, certified=False)
     assert higman_violation(coords, _first_pair_counts(coords)) is not None
 
 
@@ -772,13 +772,20 @@ def test_row_products_match_the_n2_product_verdicts(m):
 
 
 def test_row_products_reject_orbits_that_are_not_coherent(monkeypatch):
-    # on the merged orbits the row test and the n x n test fail the same pairs
+    # the merged orbit's pairs end in two spheres, which the orbit
+    # certificate would refuse and the row test's sphere rule takes as
+    # given; built without the certificate, the row test still fails its
+    # product with the diagonal orbit of the sphere its first pair ends in,
+    # and agrees with the n x n test on every pair of the other orbits
     labels = pair_index(1).labels
     keep, drop = map(labels.index, _INCOHERENT)
-    _merge_incoherent_orbits(monkeypatch)
+    coords = _merge_incoherent_orbits(monkeypatch, certified=False)
     index = merged_pair_index(1, keep, drop)
     pairs = _centralizer_dim_pairs(1, len(index.labels))
     verdicts = constant_on_orbits(1, pairs)
-    assert verdicts == n2_product_verdicts(index, pairs)
+    oracle = n2_product_verdicts(index, pairs)
     merged = index.labels.index(_INCOHERENT[0])
-    assert not verdicts[pairs.index((merged, merged))]
+    diagonal = coords.rows[coords.end_of[merged]][coords.spheres[coords.end_of[merged]][0]]
+    assert not verdicts[pairs.index((merged, diagonal))] and not oracle[pairs.index((merged, diagonal))]
+    others = [k for k, pair in enumerate(pairs) if merged not in pair]
+    assert [verdicts[k] for k in others] == [oracle[k] for k in others]

@@ -9,6 +9,7 @@ from helpers import (
     center_dimension,
     closure_generators,
     contains,
+    distance,
     dual_idempotents,
     lift,
     matrix_from_vector,
@@ -27,7 +28,6 @@ from helpers import (
 from doubled_odd.combinatorics import (
     GroundSet,
     adjacency_matrix,
-    distance,
     enumerate_vertices,
     vertex_count,
 )
