@@ -52,7 +52,6 @@ from .orbits import (
     build_centralizer,
     check_subalgebra,
     index_set,
-    orbit_labels,
     orbits_by_group_action,
     constant_on_orbits,
     tuple_bijection,
@@ -289,11 +288,11 @@ def _check_bijections(ctx: CheckContext):
 def _check_orbits_oracle(ctx: CheckContext):
     g = ctx.g
     # the union-find of the stabilizer generators on all n^2 vertex pairs
-    # against the orbit index: a route to the orbits independent of the
-    # certificate A_1's push tables rest on
+    # against the pairs' label keys, with no orbit index: a route to the
+    # orbits independent of the certificate the index runs as it is built
     roots = orbits_by_group_action(g)
     try:
-        _check_group_orbits(_orbit_coordinates(g.m), roots)
+        _check_group_orbits(g.m, roots)
         matches = True
     except NotClosedError:
         matches = False
@@ -322,13 +321,7 @@ def _check_centralizer_dim(ctx: CheckContext):
 
 @_runner("subalgebra-closure")
 def _check_subalgebra_closure(ctx: CheckContext):
-    g = ctx.g
-    labels = orbit_labels(g)
-    family = {
-        name: [lab for lab in labels if lab.block in blocks]
-        for name, blocks in BLOCK_FAMILIES.items()
-    }
-    reports = {name: check_subalgebra(subset, g) for name, subset in family.items()}
+    reports = {name: check_subalgebra(blocks, ctx.g) for name, blocks in BLOCK_FAMILIES.items()}
     mixed = reports["II+III"]
     actual = {
         "I_closed": reports["I"].closed,

@@ -6,6 +6,9 @@ strictly contains the other.  Subsets are stored as integer bitmasks (bit e-1
 set <=> element e present), so sizes and intersections are popcounts.  The
 canonical vertex order -- all m-subsets before all (m+1)-subsets, each group
 by ascending mask value -- fixes every matrix row/column index in the package.
+The adjacency A_1 is held as one neighbour table (_neighbours), which
+lemma41, psi-intertwining and the cross-check of A_1's atom moves read; no
+adjacency matrix is built.
 
 The graph is bipartite with diameter 2m+1, and the distance between vertices
 y and z is |y| + |z| - 2|y n z|, which the orbit index reads off each
@@ -23,8 +26,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
-
-from .linalg import SparseExactMatrix
 
 
 class GroundSet:
@@ -120,24 +121,15 @@ def enumerate_vertices(g: GroundSet) -> list[int]:
     return list(_vertices(g.m))
 
 
-def adjacency_matrix(g: GroundSet) -> SparseExactMatrix:
-    """0/1 adjacency matrix in the canonical vertex order."""
-    verts = _vertices(g.m)
-    index = _vertex_index(g.m)
-    half = comb(g.n_points, g.m)
-    n = len(verts)
-    rows: dict[int, dict[int, object]] = {}
-    full = g.full_mask
-    for yi in range(half):
-        y = verts[yi]
-        rest = full & ~y
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            zi = index[y | bit]
-            rows.setdefault(yi, {})[zi] = 1
-            rows.setdefault(zi, {})[yi] = 1
-    return SparseExactMatrix(n, n, rows)
+@lru_cache(maxsize=32)
+def _neighbours(m: int) -> tuple[tuple[int, ...], ...]:
+    """The graph as one neighbour table: entry y lists, ascending, the
+    indices of the m + 1 neighbours of vertex y, the vertices with one point
+    more or one point less.  The only place the package lists them."""
+    verts, index = _vertices(m), _vertex_index(m)
+    return tuple(
+        tuple(sorted(index[y ^ 1 << k] for k in range(2 * m + 1) if y ^ 1 << k in index)) for y in verts
+    )
 
 
 class IntersectionNumbers(NamedTuple):

@@ -8,24 +8,25 @@ graph.  The covering matrix psi has one row per Odd-graph vertex and one
 column per doubled-graph vertex, with a 1 exactly where pi(column) = row:
 every column holds a single 1, every row exactly two, and psi psi^T = 2I.
 
-verify_intertwining checks the two transport identities of the fold:
-adjacency satisfies psi A_1 = A_1(Odd) psi, and the spheres around the base
-vertex satisfy E*_i(Odd) psi = psi (E*_i + E*_{2m+1-i}) for 0 <= i <= m.
-The adjacency matrix is built from neighbours: the m-subsets disjoint from y
-are the m + 1 sets (S - y) - {k}, k in S - y, with no scan over pairs.
-Odd-graph distances come from breadth-first search over its rows; nothing
-here assumes a closed distance formula.
+verify_intertwining checks those facts and the transport identities
+psi A_1 = A_1(Odd) psi and E*_i(Odd) psi = psi (E*_i + E*_{2m+1-i}),
+0 <= i <= m, on the fold map, with no matrix product; build_psi makes psi
+for the export alone.  Both graphs are neighbour tables: the doubled
+graph's is combinatorics._neighbours, and the m-subsets disjoint from y
+are the m + 1 sets (S - y) - {k}, k in S - y.  Odd-graph distances come
+from breadth-first search over that table, not from a closed formula.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from math import comb
 
-from .combinatorics import GroundSet, _vertex_index, _vertices, adjacency_matrix
+from .combinatorics import GroundSet, _neighbours, _vertex_index, _vertices
 from .linalg import SparseExactMatrix
-from .terwilliger import IdentityCheck, dual_idempotent
+from .orbits import _orbit_coordinates
+from .terwilliger import IdentityCheck
 
 
 def odd_vertices(g: GroundSet) -> list[int]:
@@ -34,30 +35,25 @@ def odd_vertices(g: GroundSet) -> list[int]:
     return list(_vertices(g.m)[:half])
 
 
-def odd_adjacency(g: GroundSet) -> SparseExactMatrix:
-    """Disjointness adjacency matrix of the Odd graph (shared, do not mutate)."""
-    return _odd_adjacency(g.m)
-
-
 @lru_cache(maxsize=8)
-def _odd_adjacency(m: int) -> SparseExactMatrix:
-    # the m-subsets disjoint from y are the m + 1 sets (S - y) - {k}, k in S - y
+def _odd_neighbours(m: int) -> tuple[tuple[int, ...], ...]:
+    """The Odd graph as a neighbour table: entry a lists, ascending, the
+    indices of the m-subsets disjoint from the a-th, (S - y) - {k} for each
+    k in S - y."""
     g = GroundSet(m)
-    verts = odd_vertices(g)
     pos = _vertex_index(m)  # the m-subsets come first in the vertex order
-    rows: dict[int, dict[int, object]] = {}
-    for a, y in enumerate(verts):
+    table = []
+    for y in odd_vertices(g):
         rest = g.full_mask & ~y
-        neighbours = (pos[rest & ~(1 << k)] for k in range(g.n_points) if rest >> k & 1)
-        rows[a] = dict.fromkeys(sorted(neighbours), 1)
-    return SparseExactMatrix(len(verts), len(verts), rows)
+        table.append(tuple(sorted(pos[rest & ~(1 << k)] for k in range(g.n_points) if rest >> k & 1)))
+    return tuple(table)
 
 
 @lru_cache(maxsize=8)
 def _odd_distances_from_base(m: int) -> tuple[int, ...]:
-    # breadth-first search from x0 over the rows of the adjacency matrix
+    # breadth-first search from x0 over the neighbour table
     g = GroundSet(m)
-    neighbours = _odd_adjacency(m)._rows
+    neighbours = _odd_neighbours(m)
     dist = [-1] * len(neighbours)
     start = _vertex_index(m)[g.base_vertex]
     dist[start] = 0
@@ -73,16 +69,6 @@ def _odd_distances_from_base(m: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def odd_sphere_diagonal(g: GroundSet, i: int) -> SparseExactMatrix:
-    """Diagonal projection onto Odd-graph vertices at BFS distance i from x0."""
-    dist = _odd_distances_from_base(g.m)
-    if not 0 <= i <= max(dist):
-        raise ValueError(f"sphere index {i} outside [0, {max(dist)}]")
-    n = len(dist)
-    rows = {a: {a: 1} for a, d in enumerate(dist) if d == i}
-    return SparseExactMatrix(n, n, rows)
-
-
 def fold(g: GroundSet, z: int) -> int:
     """pi(z): the m-subset a doubled-graph vertex folds onto."""
     if z.bit_count() == g.m:
@@ -93,48 +79,48 @@ def fold(g: GroundSet, z: int) -> int:
 def build_psi(g: GroundSet) -> SparseExactMatrix:
     """The 0/1 covering matrix, rows 1..C(2m+1, m), columns the doubled graph."""
     doubled = _vertices(g.m)
-    half = comb(g.n_points, g.m)
-    odd_pos = {v: i for i, v in enumerate(doubled[:half])}
+    pos = _vertex_index(g.m)  # the m-subsets come first in the vertex order
     rows: dict[int, dict[int, object]] = {}
     for zi, z in enumerate(doubled):
-        rows.setdefault(odd_pos[fold(g, z)], {})[zi] = 1
-    return SparseExactMatrix(half, len(doubled), rows)
+        rows.setdefault(pos[fold(g, z)], {})[zi] = 1
+    return SparseExactMatrix(comb(g.n_points, g.m), len(doubled), rows)
 
 
 def verify_intertwining(g: GroundSet) -> list[IdentityCheck]:
-    """Structural checks of psi plus both transport identities."""
-    psi = build_psi(g)
-    half, n = psi.nrows, psi.ncols
-    results: list[IdentityCheck] = []
+    """The identities of psi, each read off the fold map: image[z] is the
+    index of pi(z), and psi[u, z] = [image[z] = u].
 
-    col_counts: dict[int, int] = {}
-    row_ok = True
-    for r, row in psi._rows.items():
-        if sum(row.values()) != 2:
-            row_ok = False
-        for c in row:
-            col_counts[c] = col_counts.get(c, 0) + 1
-    results.append(IdentityCheck("psi-row-sums-two", row_ok and len(psi._rows) == half))
-    results.append(
-        IdentityCheck(
-            "psi-column-sums-one",
-            len(col_counts) == n and all(v == 1 for v in col_counts.values()),
-        )
+    * psi psi^T is diagonal with the fibre sizes, which are also psi's row
+      sums: psi-row-sums-two and psi-psiT-twice-identity both say that
+      every fibre has two vertices.
+    * psi-column-sums-one: every image[z] is below C(2m+1, m).
+    * adjacency-transport: column z of psi A_1 counts the images of z's
+      neighbours (both graphs are undirected), and that of A_1(Odd) psi is
+      the Odd-graph neighbours of image[z], each once.
+    * sphere-transport: for r the radius of z, column z of both sides is
+      row image[z] or 0 for every i <= m exactly when
+      odd_dist[image[z]] = min(r, 2m+1-r).
+    """
+    m, half, diam = g.m, comb(g.n_points, g.m), g.diameter
+    pos = _vertex_index(m)
+    image = [pos[fold(g, z)] for z in _vertices(m)]
+    fibres = Counter(image)
+    fibres_two = all(fibres[u] == 2 for u in range(half))
+    in_odd = all(u < half for u in image)
+    odd = _odd_neighbours(m)
+    transported = in_odd and all(
+        Counter(image[w] for w in row) == dict.fromkeys(odd[image[z]], 1)
+        for z, row in enumerate(_neighbours(m))
     )
-    two_identity = SparseExactMatrix.identity(half).scale(2)
-    results.append(IdentityCheck("psi-psiT-twice-identity", psi @ psi.transpose() == two_identity))
-
-    a1_doubled = adjacency_matrix(g)
-    a1_odd = odd_adjacency(g)
-    results.append(
-        IdentityCheck("adjacency-transport", psi @ a1_doubled == a1_odd @ psi)
+    index = _orbit_coordinates(m)
+    odd_dist = _odd_distances_from_base(m)
+    spheres_fold = in_odd and all(
+        odd_dist[u] == min(r, diam - r) for u, r in zip(image, (index.radius[s] for s in index.sphere_of))
     )
-
-    sphere_ok = True
-    for i in range(g.m + 1):
-        lhs = odd_sphere_diagonal(g, i) @ psi
-        rhs = psi @ (dual_idempotent(g, i) + dual_idempotent(g, g.diameter - i))
-        if lhs != rhs:
-            sphere_ok = False
-    results.append(IdentityCheck("sphere-transport", sphere_ok))
-    return results
+    return [
+        IdentityCheck("psi-row-sums-two", fibres_two),
+        IdentityCheck("psi-column-sums-one", in_odd),
+        IdentityCheck("psi-psiT-twice-identity", fibres_two),
+        IdentityCheck("adjacency-transport", transported),
+        IdentityCheck("sphere-transport", spheres_fold),
+    ]

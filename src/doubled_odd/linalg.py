@@ -478,8 +478,9 @@ def write_coord_entries(nrows: int, ncols: int, entries: Iterable[tuple[int, int
 
 
 def read_coord_text(path) -> SparseExactMatrix:
-    """Read a matrix written by write_coord_text.  An entry line the writer
-    never writes raises ValueError naming the file and line."""
+    """Read a matrix written by write_coord_text.  A negative size or an
+    entry line the writer never writes raises ValueError naming the file
+    and line."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -492,6 +493,8 @@ def read_coord_text(path) -> SparseExactMatrix:
         nrows, ncols, nnz = (int(tok) for tok in lines[0][1].split())
     except ValueError as exc:
         raise ValueError(f"{path}: malformed header {lines[0][1]!r}") from exc
+    if nrows < 0 or ncols < 0:
+        raise ValueError(f"{path} line {lines[0][0]}: header {lines[0][1]!r} gives a negative size")
     if len(lines) - 1 != nnz:
         raise ValueError(f"{path}: header promises {nnz} entries, found {len(lines) - 1}")
     entries: list[tuple[int, int, object]] = []

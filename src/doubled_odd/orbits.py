@@ -28,9 +28,9 @@ pairs (_certify_stabilizer_orbits).  The orbit of any other pair is read
 off its label key (OrbitCoordinates.orbit_of); that, each orbit's id,
 distance and spheres and each sphere's distance are decided nowhere else.
 Only the union-find of the stabilizer generators on vertex pairs
-(orbits_by_group_action, for orbits-oracle), its comparison with the index
-(_check_group_orbits) and the matrix export, which reads all n rows once,
-touch all n^2 pairs.
+(orbits_by_group_action, for orbits-oracle), its comparison with the pairs'
+label keys (_check_group_orbits), which builds no index, and the matrix
+export, which reads all n rows once, touch all n^2 pairs.
 
 The closed forms are production code; the union-find grinds out the orbits
 from explicit group generators, with no reference to the labels, and is
@@ -54,7 +54,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from .combinatorics import GroundSet, _vertices, _vertex_index
+from .combinatorics import GroundSet, _neighbours, _vertices, _vertex_index
 from .linalg import NotClosedError, _norm
 
 
@@ -185,11 +185,6 @@ def _orbit_labels(m: int) -> tuple[OrbitLabel, ...]:
         for tup in sorted(_index_set(block, m)):
             labels.append(OrbitLabel(block, tup))
     return tuple(labels)
-
-
-def orbit_labels(g: GroundSet) -> list[OrbitLabel]:
-    """All orbit labels: blocks I, II, III, IV, tuples lexicographic."""
-    return list(_orbit_labels(g.m))
 
 
 @lru_cache(maxsize=8)
@@ -370,18 +365,15 @@ class OrbitCoordinates:
         (_neighbour_labels), and O_b A_1 is the transpose of A_1 O_{b^T}.
         The orbits are those of a permutation group, certified when the
         index is built, so every pair of c counts alike; the orbits of
-        (w, z), read off label keys for the neighbours w of y and the first
-        pair (y, z) of each orbit c, must be the moves' (NotClosedError
-        naming c otherwise)."""
-        m, verts, index = self.m, _vertices(self.m), _vertex_index(self.m)
-        # the neighbours of the first vertex y of each sphere: y with one point more or less
-        ys = [verts[sphere[0]] for sphere in self.spheres]
-        neighbours = [[index[y ^ 1 << k] for k in range(2 * m + 1) if y ^ 1 << k in index] for y in ys]
+        (w, z), read off label keys for the neighbours w of y
+        (combinatorics._neighbours) and the first pair (y, z) of each orbit
+        c, must be the moves' (NotClosedError naming c otherwise)."""
+        m, neighbours = self.m, _neighbours(self.m)
         left: list[list[tuple[int, int]]] = [[] for _ in self.labels]
         for c, label in enumerate(self.labels):
             moves = [(self.id_of.get(lab), size) for lab, size in _neighbour_labels(m, label)]
-            z = self.members[c][0]
-            met = Counter(self.orbit_of.get(_label_keys(m, w, (z,))[0]) for w in neighbours[self.row_of[c]])
+            y, z = self.first_pair(c)
+            met = Counter(self.orbit_of.get(_label_keys(m, w, (z,))[0]) for w in neighbours[y])
             if met != dict(moves):
                 raise NotClosedError(f"the neighbours of the first pair of orbit {label.text()} do not move it by its Venn atoms")
             for b, size in moves:
@@ -431,32 +423,30 @@ def constant_on_orbits(m: int, pairs) -> list[bool]:
     OrbitCoordinates), and else nonzero only in the rows of a's row sphere;
     the stabilizer moves the first vertex y of that sphere onto each of
     them, keeping every orbit, so it is constant on every orbit exactly when
-    its row y is constant on every orbit met along that row (_product_row).
-    No structure constant is read.
+    its row y is constant on every orbit met along that row.  Entry z of
+    that row counts the members w of a in row y with (w, z) in b, read off
+    label keys for z over the sphere b's pairs end in.  No structure
+    constant is read.
     """
     index = _orbit_coordinates(m)
+    orbit_of = index.orbit_of.get
     met = [len(set(row)) for row in index.rows]  # the orbits along each sphere row
     verdicts = []
     for a, b in pairs:
-        s, ws = index.row_of[a], index.members[a]
+        if index.end_of[a] != index.row_of[b]:
+            verdicts.append(True)
+            continue
+        zs = index.spheres[index.end_of[b]]
+        entries = [0] * index.n
+        for w in index.members[a]:
+            for z, key in zip(zs, _label_keys(m, w, zs)):
+                if orbit_of(key) == b:
+                    entries[z] += 1
         # each orbit met along the row has one value exactly when the
         # distinct (orbit, value) pairs are as many as the distinct orbits
-        verdicts.append(index.end_of[a] != index.row_of[b] or len(set(zip(index.rows[s], _product_row(index, ws, b)))) == met[s])
+        s = index.row_of[a]
+        verdicts.append(len(set(zip(index.rows[s], entries))) == met[s])
     return verdicts
-
-
-def _product_row(index: OrbitCoordinates, ws, b: int) -> list[int]:
-    """Entry z counts the w in ws with (w, z) in orbit b, read off label
-    keys, for z over the sphere b's pairs end in: for ws the members of
-    orbit a in row y, it is row y of O_a O_b."""
-    orbit_of = index.orbit_of.get
-    zs = index.spheres[index.end_of[b]]
-    entries = [0] * index.n
-    for w in ws:
-        for z, key in zip(zs, _label_keys(index.m, w, zs)):
-            if orbit_of(key) == b:
-                entries[z] += 1
-    return entries
 
 
 def _young_generators(n: int, parts) -> list[tuple[int, ...]]:
@@ -623,22 +613,31 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
         _check_classes(_union_find(n, maps), row, lambda a: f"orbit {index.labels[a].text()}")
 
 
-def _check_group_orbits(index: OrbitCoordinates, roots) -> None:
-    """The comparison of the orbits of the index with roots, the union-find
-    of the stabilizer generators on vertex pairs (orbits_by_group_action).
+def _check_group_orbits(m: int, roots) -> None:
+    """The comparison of the labels' orbits with roots, the union-find of
+    the stabilizer generators on vertex pairs (orbits_by_group_action),
+    with no orbit index, so that its certificate is not assumed.
 
     Every generator must permute the vertices (n lookups each), so that the
     union-find classes of roots are the orbits of a permutation group.  The
-    two partitions of the pairs are then compared by _check_classes, the
-    orbit ids read off label keys one row at a time (OrbitCoordinates.row).
-    Raises NotClosedError naming the first generator that is no
-    permutation, or the first orbit, in orbit numbering, that is not a
-    single group orbit.
+    two partitions of the pairs are then compared by _check_classes, each
+    pair's label key (_label_keys) read one row at a time.  Raises
+    NotClosedError naming the first generator that is no permutation, or
+    the first label, in closed-form order, whose pairs are not a single
+    group orbit.
     """
-    g = GroundSet(index.m)
-    _check_permutations(_vertex_maps(index.m, stabilizer_generators(g)), {}, "stabilizer generator {}")
-    ids = chain.from_iterable(map(index.row, range(index.n)))
-    _check_classes(roots, ids, lambda a: f"orbit {index.labels[a].text()}")
+    g = GroundSet(m)
+    _check_permutations(_vertex_maps(m, stabilizer_generators(g)), {}, "stabilizer generator {}")
+    everyone = range(len(_vertices(m)))
+    keys = chain.from_iterable(_label_keys(m, y, everyone) for y in everyone)
+    _check_classes(roots, keys, lambda key: f"label {_key_label(m, key).text()}")
+
+
+def _key_label(m: int, key: int) -> OrbitLabel:
+    """The label whose key (_label_keys) is key: its base-(m + 2) digits are
+    the block and the four-tuple, so keys order as closed-form labels."""
+    base = m + 2
+    return OrbitLabel(_BLOCKS[key // base ** 4], tuple(key // base ** k % base for k in (3, 2, 1, 0)))
 
 
 def build_centralizer(g: GroundSet) -> OrbitCoordinates:
@@ -660,51 +659,36 @@ class SubalgebraClosureReport(NamedTuple):
     violation_block: BlockTag | None
 
 
-def check_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureReport:
-    """Test whether the span of the given orbit matrices is closed under
-    multiplication; on failure report the first offending product (a, b)
-    in sub's order and the block of its pairs (y, z), by |y| from a's label
-    and |z| from b's.
+def check_subalgebra(blocks: tuple[BlockTag, ...], g: GroundSet) -> SubalgebraClosureReport:
+    """Test whether the span of the orbit matrices of the given blocks is
+    closed under multiplication; on failure report the first offending
+    product (a, b), in closed-form label order, and the block of its pairs
+    (y, z), by |y| from a's label and |z| from b's.
 
-    The orbit matrices have disjoint supports, so O_a O_b lies in span(sub)
-    exactly when its support does.  O_a O_b != 0 exactly when a's pairs end
-    in the sphere b's start in (the sphere rule of OrbitCoordinates, which
-    the orbit certificate proves when the index is built), and then its
-    support lies in the cell of orbits that start where a's start and end
-    where b's end.  A sub that holds all or none of the cell decides the
-    product, so the block families need no more; otherwise the support is
-    read off one row of the product (_product_row).
+    O_a O_b != 0 exactly when a's pairs end in the sphere b's start in (the
+    sphere rule of OrbitCoordinates, which the orbit certificate proves when
+    the index is built), and then its pairs lie in that block.  The span
+    holds every orbit matrix of its blocks, so the product escapes it
+    exactly when it is nonzero and its block is not one of them.  No row of
+    a product is read.
     """
     coords = _orbit_coordinates(g.m)
-    try:
-        sub_ids = [coords.id_of[lab] for lab in sub]
-    except KeyError as exc:
-        raise ValueError(f"unknown orbit label {exc.args[0]}") from None
-    inside = set(sub_ids)
-    cells: dict[tuple[int, int], set[int]] = {}
-    for c, ends in enumerate(zip(coords.row_of, coords.end_of)):
-        cells.setdefault(ends, set()).add(c)
+    sub = [lab for lab in _orbit_labels(g.m) if lab.block in blocks]
+    ends = [(coords.row_of[a], coords.end_of[a]) for a in map(coords.id_of.__getitem__, sub)]
 
-    def escapes(a: int, b: int) -> bool:
-        if coords.end_of[a] != coords.row_of[b]:  # O_a O_b = 0
-            return False
-        cell = cells[coords.row_of[a], coords.end_of[b]]
-        if inside.isdisjoint(cell):
-            return True
-        if inside.issuperset(cell):
-            return False
-        entries = _product_row(coords, coords.members[a], b)
-        return not inside.issuperset(c for c, k in zip(coords.rows[coords.row_of[a]], entries) if k)
+    def block(la: OrbitLabel, lb: OrbitLabel) -> BlockTag:
+        return _BLOCKS[2 * (la.block in (BlockTag.III, BlockTag.IV)) + (lb.block in (BlockTag.II, BlockTag.IV))]
 
-    pairs = ((la, lb) for la, a in zip(sub, sub_ids) for lb, b in zip(sub, sub_ids) if escapes(a, b))
-    first_violation = next(pairs, None)
-    violation_block = None
-    if first_violation is not None:
-        la, lb = first_violation
-        violation_block = _BLOCKS[2 * (la.block in (BlockTag.III, BlockTag.IV)) + (lb.block in (BlockTag.II, BlockTag.IV))]
+    escapes = (
+        (la, lb)
+        for la, (_, end) in zip(sub, ends)
+        for lb, (start, _) in zip(sub, ends)
+        if end == start and block(la, lb) not in blocks
+    )
+    first_violation = next(escapes, None)
     return SubalgebraClosureReport(
         closed=first_violation is None,
         pairs_checked=len(sub) ** 2,
         first_violation=first_violation,
-        violation_block=violation_block,
+        violation_block=None if first_violation is None else block(*first_violation),
     )

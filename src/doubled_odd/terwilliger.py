@@ -1,7 +1,9 @@
 """The Terwilliger algebra of a doubled Odd graph at the base vertex.
 
 The dual idempotent E*_i is the diagonal 0/1 projection onto the sphere of
-radius i around x0 = {1, ..., m}.  The Terwilliger algebra T is the matrix
+radius i around x0 = {1, ..., m}, which acts on Q^d by keeping the orbits
+of that sphere (orbits.OrbitCoordinates.projection); no n x n E*_i is
+built.  The Terwilliger algebra T is the matrix
 algebra generated by the distance matrices A_0, ..., A_{2m+1} together with
 E*_0, ..., E*_{2m+1}.  build_terwilliger closes under A_1 and the E*_i only
 and then certifies exactly that every other A_i lies in the result, so the
@@ -21,11 +23,11 @@ back from disk.  Everything T is generated by lies inside the centralizer
 algebra of the stabilizer of x0: each E*_i is a single diagonal orbit
 matrix and each sandwich E*_i A_1 E*_{i+1} is a single off-diagonal orbit
 matrix, with explicit four-tuple labels.  verify_sandwich_identities
-checks those identifications by orbit label and count: each entry of the
-adjacency matrix A_1 is sorted into its orbit through the orbit index and
-tallied by the spheres it joins, since each sandwich E*_i A_1 E*_j is the
-restriction of A_1 from sphere i to sphere j, and no n x n orbit matrix is
-built.
+checks those identifications by orbit label and count: each edge of the
+neighbour table (combinatorics._neighbours) is sorted into its orbit
+through the orbit index and tallied by the spheres it joins, since each
+sandwich E*_i A_1 E*_j is the restriction of A_1 from sphere i to sphere
+j, and no n x n matrix is built.
 
 For m >= 3 the two algebras are expected to coincide, with
 
@@ -41,11 +43,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .combinatorics import GroundSet, adjacency_matrix
+from .combinatorics import GroundSet, _neighbours
 from .linalg import (
     ClosureResult,
     NotClosedError,
-    SparseExactMatrix,
     SpanBasis,
     algebra_closure,
     centralizer_within,
@@ -57,18 +58,6 @@ from .orbits import _label_keys, _orbit_coordinates
 class IdentityCheck(NamedTuple):
     name: str
     ok: bool
-
-
-def dual_idempotent(g: GroundSet, i: int) -> SparseExactMatrix:
-    """Diagonal projection onto the sphere of radius i around the base vertex.
-
-    Its vertices are the sphere of the orbit index at distance i
-    (OrbitCoordinates.sphere_at).
-    """
-    if not 0 <= i <= g.diameter:
-        raise ValueError(f"sphere index {i} outside [0, {g.diameter}]")
-    index = _orbit_coordinates(g.m)
-    return SparseExactMatrix(index.n, index.n, {y: {y: 1} for y in index.spheres[index.sphere_at[i]]})
 
 
 class TerwilligerAlgebra(NamedTuple):
@@ -155,11 +144,12 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     Each identity is checked by orbit label and count, with no n x n orbit
     matrix.  E*_i and E*_j are the 0/1 diagonal projections onto the spheres
     of radius i and j around x0, so E*_i A_1 E*_j is the restriction of A_1
-    from sphere i to sphere j.  A_1's n (m + 1) entries are read once: the
-    orbit of each, through its label key and the index's label map
+    from sphere i to sphere j.  A_1's n (m + 1) entries, the edges of the
+    neighbour table (combinatorics._neighbours), are read once: the orbit
+    of each, through its label key and the index's label map
     (OrbitCoordinates.orbit_of), is tallied under the radii of the spheres
-    of its two ends (OrbitCoordinates.radius); an entry other than 1, or a
-    key of no orbit, counts as no orbit.  A 0/1
+    of its two ends (OrbitCoordinates.radius); a key of no orbit counts as
+    no orbit.  A 0/1
     matrix equals the orbit matrix O_a exactly when all its entries lie in
     orbit a and there are sizes[a] of them, which decides each identity:
     E*_i = O_a when every (y, y), y in sphere i, is in orbit a and
@@ -175,10 +165,10 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     orbit_of, sizes, ids = index.orbit_of.get, index.sizes, index.id_of
     radius = [index.radius[s] for s in index.sphere_of]
     tally: dict[tuple[int, int], dict[int | None, int]] = {}
-    for y, row in adjacency_matrix(g)._rows.items():
-        for (z, v), key in zip(row.items(), _label_keys(m, y, row)):
-            a = orbit_of(key) if v == 1 else None
+    for y, row in enumerate(_neighbours(m)):
+        for z, key in zip(row, _label_keys(m, y, row)):
             count = tally.setdefault((radius[y], radius[z]), {})
+            a = orbit_of(key)
             count[a] = count.get(a, 0) + 1
 
     def is_orbit(i: int, j: int, label: OrbitLabel) -> bool:

@@ -1,12 +1,19 @@
 import pytest
 
+from doubled_odd import combinatorics as combinatorics_module
+from doubled_odd import covering as covering_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd.checks import CheckContext
 
 _contexts: dict[int, CheckContext] = {}
 
-# the per-m memos: the one orbit index, which holds A_1's push tables
-_PER_M_MEMOS = (orbits_module._orbit_coordinates,)
+# the per-m memos: the one orbit index, which holds A_1's push tables, and
+# the neighbour tables of the doubled Odd graph and of the Odd graph
+_PER_M_MEMOS = (
+    orbits_module._orbit_coordinates,
+    combinatorics_module._neighbours,
+    covering_module._odd_neighbours,
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,16 @@
 """Helpers shared by the tests: the n^2-ambient matrix action and spans, the
 oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
 the push tables of T's generators, the sandwich identities of lemma41, the
-export, the orbit index and the row test of centralizer-dim are compared
-with (among them the pair index, the orbit of every vertex pair in one
-labelled pass, the n x n orbit, distance and dual idempotent matrices, and
-the lift of a basis in Q^d to n x n matrices), the full generator lists of
-T, the first-pair product index of the structure constants with the
-products, intersection numbers and subalgebra test read off it, Higman's
-identity on it and its counts by orbit, the Odd graph's adjacency by a
-disjointness scan, vertex maps moved a point at a time, and a doctored
-orbit index for its certificates."""
+identities of psi-intertwining, the export, the orbit index and the row
+test of centralizer-dim are compared with (among them the pair index, the
+orbit of every vertex pair in one labelled pass, the n x n adjacency,
+orbit, distance and dual idempotent matrices, the matrix of a neighbour
+table, and the lift of a basis in Q^d to n x n matrices), the full
+generator lists of T, the first-pair product index of the structure
+constants with the products, intersection numbers and subalgebra test read
+off it, Higman's identity on it and its counts by orbit, the Odd graph's
+adjacency by a disjointness scan, vertex maps moved a point at a time, and
+a doctored orbit index for its certificates."""
 
 from array import array
 from collections import Counter
@@ -26,7 +27,6 @@ from doubled_odd.combinatorics import (
     GroundSet,
     _vertex_index,
     _vertices,
-    adjacency_matrix,
 )
 from doubled_odd.linalg import (
     NotClosedError,
@@ -35,6 +35,7 @@ from doubled_odd.linalg import (
     SpanBasis,
     _norm,
 )
+from doubled_odd import covering as covering_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd.orbits import (
     BlockTag,
@@ -54,7 +55,6 @@ from doubled_odd.terwilliger import (
     _diagonal_label,
     _sandwich_label,
     center_basis,
-    dual_idempotent,
 )
 
 
@@ -195,6 +195,44 @@ def _distance_matrices(m: int) -> tuple[SparseExactMatrix, ...]:
 def distance_matrices(g: GroundSet) -> list[SparseExactMatrix]:
     """Oracle: A_0..A_{2m+1}, each by the distance formula over all n^2 pairs."""
     return list(_distance_matrices(g.m))
+
+
+def adjacency_matrix(g: GroundSet) -> SparseExactMatrix:
+    """Oracle: the 0/1 adjacency matrix A_1 in the canonical vertex order,
+    each m-subset y joined to the (m+1)-subsets y + {k}, k outside y."""
+    verts = _vertices(g.m)
+    index = _vertex_index(g.m)
+    half = comb(g.n_points, g.m)
+    n = len(verts)
+    rows: dict[int, dict[int, object]] = {}
+    full = g.full_mask
+    for yi in range(half):
+        y = verts[yi]
+        rest = full & ~y
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            zi = index[y | bit]
+            rows.setdefault(yi, {})[zi] = 1
+            rows.setdefault(zi, {})[yi] = 1
+    return SparseExactMatrix(n, n, rows)
+
+
+def neighbour_matrix(table) -> SparseExactMatrix:
+    """The 0/1 matrix of a neighbour table: entry (y, z) is 1 exactly when z
+    is listed in table[y]."""
+    n = len(table)
+    return SparseExactMatrix(n, n, {y: dict.fromkeys(row, 1) for y, row in enumerate(table) if row})
+
+
+def dual_idempotent(g: GroundSet, i: int) -> SparseExactMatrix:
+    """Oracle: E*_i, the diagonal projection onto the sphere of radius i
+    around the base vertex, the sphere of the orbit index at distance i
+    (OrbitCoordinates.sphere_at)."""
+    if not 0 <= i <= g.diameter:
+        raise ValueError(f"sphere index {i} outside [0, {g.diameter}]")
+    index = _orbit_coordinates(g.m)
+    return SparseExactMatrix(index.n, index.n, {y: {y: 1} for y in index.spheres[index.sphere_at[i]]})
 
 
 def dual_idempotents(g: GroundSet) -> list[SparseExactMatrix]:
@@ -763,6 +801,41 @@ def higman_violation(coords: OrbitCoordinates, counts) -> tuple[int, int, int] |
             if sizes[c] * p != sizes[a] * counts[a].get(c * d + transpose[b], 0):
                 return c, a, b
     return None
+
+
+def odd_sphere_diagonal(g: GroundSet, i: int) -> SparseExactMatrix:
+    """The diagonal projection onto the Odd-graph vertices at distance i
+    from x0, by the breadth-first search of the covering module."""
+    dist = covering_module._odd_distances_from_base(g.m)
+    n = len(dist)
+    return SparseExactMatrix(n, n, {a: {a: 1} for a, d in enumerate(dist) if d == i})
+
+
+def n2_intertwining(g: GroundSet, a1: SparseExactMatrix) -> list[IdentityCheck]:
+    """Oracle of psi-intertwining (covering.verify_intertwining) for the
+    adjacency matrix a1: the same identities, in the same order, each
+    checked on psi (covering.build_psi) by n x n matrix products, against
+    the Odd graph's adjacency by a disjointness scan."""
+    psi = covering_module.build_psi(g)
+    half, n = psi.nrows, psi.ncols
+    col_counts: dict[int, int] = {}
+    row_ok = True
+    for row in psi._rows.values():
+        if sum(row.values()) != 2:
+            row_ok = False
+        for c in row:
+            col_counts[c] = col_counts.get(c, 0) + 1
+    spheres = [
+        odd_sphere_diagonal(g, i) @ psi == psi @ (dual_idempotent(g, i) + dual_idempotent(g, g.diameter - i))
+        for i in range(g.m + 1)
+    ]
+    return [
+        IdentityCheck("psi-row-sums-two", row_ok and len(psi._rows) == half),
+        IdentityCheck("psi-column-sums-one", len(col_counts) == n and all(v == 1 for v in col_counts.values())),
+        IdentityCheck("psi-psiT-twice-identity", psi @ psi.transpose() == SparseExactMatrix.identity(half).scale(2)),
+        IdentityCheck("adjacency-transport", psi @ a1 == odd_adjacency_by_scan(g) @ psi),
+        IdentityCheck("sphere-transport", all(spheres)),
+    ]
 
 
 def odd_adjacency_by_scan(g: GroundSet) -> SparseExactMatrix:

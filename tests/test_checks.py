@@ -6,10 +6,11 @@ from pathlib import Path
 
 import conftest
 import pytest
-from helpers import distance_matrices, merged_orbit_coordinates, orbit_matrix
+from helpers import adjacency_matrix, merged_orbit_coordinates, orbit_matrix
 
 from doubled_odd import checks as checks_module
 from doubled_odd import combinatorics as combinatorics_module
+from doubled_odd import covering as covering_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import (
@@ -505,10 +506,15 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
     # OrbitCoordinates per m per process, for runs with and without the
     # export and a second centre solve: the export writes its bases from
     # pair positions.  OrbitCoordinates is the one orbit index, with one
-    # per-m memo: no second index class or memo sits beside it
+    # per-m memo: no second index class or memo sits beside it, only the
+    # neighbour tables of the two graphs
     for name in ("SphereRows", "_sphere_rows", "_number_sphere_rows"):
         assert not hasattr(orbits_module, name)
-    assert conftest._PER_M_MEMOS == (orbits_module._orbit_coordinates,)
+    assert conftest._PER_M_MEMOS == (
+        orbits_module._orbit_coordinates,
+        combinatorics_module._neighbours,
+        covering_module._odd_neighbours,
+    )
     n2 = 70 ** 2
     n2_bases: list[int] = []  # the ambient dimension of each n^2-ambient SpanBasis
     coords_built: list[int] = []
@@ -557,23 +563,25 @@ def _trace_vertex_square_matrices(monkeypatch) -> list[SparseExactMatrix]:
 
 
 def test_the_verify_path_builds_no_distance_matrix_and_no_n2_action_table(monkeypatch, fresh_memos):
-    # T's generators act through their push tables and each
-    # A_i is the indicator of the orbits at distance i, so neither a cold
+    # T's generators act through their push tables, each A_i is the
+    # indicator of the orbits at distance i, A_1 is read off the neighbour
+    # table and psi's identities off the fold map, so neither a cold
     # verify --m 3 without export nor the benchmark's m = 4 orbit checks
-    # build a distance matrix A_i with i >= 2: the n x n matrices they make
-    # are A_1, the dual idempotents and the covering's matrices
+    # build an n x n matrix at all (no distance matrix, no A_1 and no E*_i)
+    # or multiply two matrices: the n x n products are the tests' oracles
+    # (helpers.n2_intertwining, helpers.n2_sandwich_identities)
     assert not hasattr(combinatorics_module, "_distance_matrices")
     made = _trace_vertex_square_matrices(monkeypatch)
+    products = []
+    matmul = SparseExactMatrix.__matmul__
+    monkeypatch.setattr(SparseExactMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
     assert len(run(RunConfig(m=3))) == 16
     reference = json.loads((_BENCHMARK_REFERENCE / "orbits-m4.json").read_text())["reports"]
     run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
-    monkeypatch.undo()
-    assert made
-    for m in (3, 4):
-        g = GroundSet(m)
-        built = [a for a in made if a.nrows == combinatorics_module.vertex_count(g)]
-        higher = distance_matrices(g)[2:]
-        assert [a for a in built if any(a == ai for ai in higher)] == []
+    assert (made, products) == ([], [])
+    # the trace sees an n x n matrix where one is made
+    adjacency_matrix(GroundSet(4))
+    assert [(a.nrows, a.ncols) for a in made] == [(252, 252)]
     # the pass over all vertex pairs that read off action tables is the
     # tests' oracle (helpers.action_tables), not a method of the package
     assert not hasattr(OrbitCoordinates, "action_tables")
@@ -587,9 +595,10 @@ def test_the_package_keeps_no_n_by_n_orbit_distance_or_sandwich_builder():
     # and the action tables read off every vertex pair are the tests'
     # oracles (helpers)
     deleted = {
-        orbits_module: ("_orbit_matrices", "orbit_matrices", "orbit_matrix", "_apply_perm"),
-        combinatorics_module: ("_distance_matrices", "distance_matrices"),
-        terwilliger_module: ("_sandwiches", "dual_idempotents"),
+        orbits_module: ("_orbit_matrices", "orbit_matrices", "orbit_matrix", "_apply_perm", "_product_row", "orbit_labels"),
+        combinatorics_module: ("_distance_matrices", "distance_matrices", "adjacency_matrix"),
+        terwilliger_module: ("_sandwiches", "dual_idempotents", "dual_idempotent"),
+        covering_module: ("odd_adjacency", "_odd_adjacency", "odd_sphere_diagonal"),
     }
     for module, names in deleted.items():
         assert [name for name in names if hasattr(module, name)] == []
@@ -625,7 +634,7 @@ def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
     run(RunConfig(m=3, checks=("centralizer-dim",)))
     assert made == []
     # the trace sees an n x n matrix where one is made
-    combinatorics_module.adjacency_matrix(GroundSet(3))
+    adjacency_matrix(GroundSet(3))
     assert [(a.nrows, a.ncols) for a in made] == [(70, 70)]
 
 
@@ -725,7 +734,8 @@ def _trace_pair_union_find(monkeypatch) -> list:
 
     def traced(name, fn):
         def wrapper(*args):
-            calls.append((name, args[0].m))
+            # orbits_by_group_action takes a GroundSet, _check_group_orbits m
+            calls.append((name, getattr(args[0], "m", args[0])))
             return fn(*args)
         return wrapper
 
@@ -756,3 +766,19 @@ def test_a_cold_m3_run_without_orbits_oracle_makes_no_pass_over_all_vertex_pairs
     reports = run(RunConfig(m=3, checks=checks))
     assert len(reports) == 15 and "fail" not in {r.status for r in reports}
     assert calls == []
+
+
+def test_orbits_oracle_fails_a_missing_generator_without_an_orbit_index(monkeypatch, capsys, fresh_memos):
+    # the union-find of the generators less the cycle on S - x0 is finer
+    # than the labels' orbits: the check compares it with the pairs' label
+    # keys, so it fails without building the index, whose certificate
+    # would reject the same generators
+    generators = orbits_module.stabilizer_generators
+    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
+    built = []
+    init = OrbitCoordinates.__init__
+    monkeypatch.setattr(OrbitCoordinates, "__init__", lambda self, m, *scan: built.append(m) or init(self, m, *scan))
+    assert main(["verify", "--m", "2", "--checks", "orbits-oracle"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["actual"]["partitions_match"] is False and report["status"] == "fail"
+    assert built == []

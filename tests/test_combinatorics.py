@@ -5,12 +5,14 @@ from collections import deque
 
 import pytest
 from helpers import (
+    adjacency_matrix,
     class_profiles,
     distance,
     distance_matrices,
     distance_matrix,
     intersection_table,
     mask_of,
+    neighbour_matrix,
     pair_index,
     product_intersection_table,
     vertex_index,
@@ -20,8 +22,8 @@ from doubled_odd import orbits as orbits_module
 from doubled_odd.combinatorics import (
     DistanceRegularityError,
     GroundSet,
+    _neighbours,
     _recurrence_table,
-    adjacency_matrix,
     elements_of,
     enumerate_vertices,
     intersection_numbers,
@@ -87,11 +89,9 @@ def test_ground_set_is_an_immutable_value():
 
 
 def _bfs_distances(g: GroundSet) -> dict[tuple[int, int], int]:
+    # breadth-first search from every vertex over the neighbour table
     verts = enumerate_vertices(g)
-    adj = adjacency_matrix(g)
-    neigh: dict[int, list[int]] = {i: [] for i in range(len(verts))}
-    for r, c, _ in adj.entries():
-        neigh[r].append(c)
+    neigh = _neighbours(g.m)
     dist = {}
     for s in range(len(verts)):
         seen = {s: 0}
@@ -124,19 +124,26 @@ def test_adjacency_is_bipartite_containment():
     for m in (1, 2, 3):
         g = GroundSet(m)
         verts = enumerate_vertices(g)
-        a1 = adjacency_matrix(g)
-        assert a1 == a1.transpose()
+        table = _neighbours(m)
+        assert len(table) == len(verts)
         half = len(verts) // 2
-        for r, c, v in a1.entries():
-            assert v == 1
-            y, z = verts[r], verts[c]
-            # every edge joins an m-subset to an (m+1)-superset
-            assert (r < half) != (c < half)
-            small, big = (y, z) if r < half else (z, y)
-            assert small & big == small
-        # valency m+1 on every row
-        for r in range(len(verts)):
-            assert sum(1 for _ in a1._rows.get(r, {})) == m + 1
+        for r, row in enumerate(table):
+            # valency m+1 on every row, ascending, each edge listed at both ends
+            assert len(row) == m + 1 and list(row) == sorted(set(row))
+            for c in row:
+                assert r in table[c]
+                y, z = verts[r], verts[c]
+                # every edge joins an m-subset to an (m+1)-superset
+                assert (r < half) != (c < half)
+                small, big = (y, z) if r < half else (z, y)
+                assert small & big == small
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_the_neighbour_table_is_the_adjacency_matrix(m):
+    # the one neighbour table of the package against the containment scan
+    assert _neighbours(m) is _neighbours(m)
+    assert neighbour_matrix(_neighbours(m)) == adjacency_matrix(GroundSet(m))
 
 
 def test_distance_matrices_partition_all_pairs():

@@ -4,20 +4,28 @@ import json
 from math import comb
 
 import pytest
-from helpers import distance, distance_matrices, odd_adjacency_by_scan, vertex_index
+from helpers import (
+    adjacency_matrix,
+    distance,
+    distance_matrices,
+    n2_intertwining,
+    neighbour_matrix,
+    odd_adjacency_by_scan,
+    vertex_index,
+)
 
 from doubled_odd import covering as covering_module
 from doubled_odd.cli import main
 from doubled_odd.combinatorics import (
     GroundSet,
-    adjacency_matrix,
+    _neighbours,
     enumerate_vertices,
 )
 from doubled_odd.covering import (
+    _odd_distances_from_base,
+    _odd_neighbours,
     build_psi,
     fold,
-    odd_adjacency,
-    odd_sphere_diagonal,
     odd_vertices,
     verify_intertwining,
 )
@@ -36,30 +44,28 @@ def test_odd_adjacency_is_disjointness():
     for m in (1, 2, 3):
         g = GroundSet(m)
         verts = odd_vertices(g)
-        adj = odd_adjacency(g)
-        assert adj == adj.transpose()
-        for r, c, v in adj.entries():
-            assert v == 1
-            assert verts[r] & verts[c] == 0
-        for r in range(len(verts)):
-            assert len(adj._rows.get(r, {})) == m + 1
+        table = _odd_neighbours(m)
+        assert len(table) == len(verts)
+        for a, row in enumerate(table):
+            assert len(row) == m + 1 and list(row) == sorted(set(row))
+            for b in row:
+                assert verts[a] & verts[b] == 0
+                assert a in table[b]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_odd_adjacency_from_neighbours_matches_the_disjointness_scan(m):
     # built once per m from the m + 1 neighbours of each vertex, and shared
     # with the breadth-first search of the spheres
-    g = GroundSet(m)
-    assert odd_adjacency(g) is odd_adjacency(GroundSet(m))
-    assert odd_adjacency(g) == odd_adjacency_by_scan(g)
+    assert _odd_neighbours(m) is _odd_neighbours(m)
+    assert neighbour_matrix(_odd_neighbours(m)) == odd_adjacency_by_scan(GroundSet(m))
 
 
 def test_petersen_spheres():
     # at m = 2 the folded graph is the Petersen graph: diameter 2,
     # sphere sizes 1, 3, 6 around any base vertex
-    g = GroundSet(2)
-    sizes = [odd_sphere_diagonal(g, i).nnz for i in range(3)]
-    assert sizes == [1, 3, 6]
+    dist = _odd_distances_from_base(2)
+    assert [dist.count(i) for i in range(3)] == [1, 3, 6]
 
 
 def test_fold_identity_and_complement():
@@ -147,19 +153,31 @@ def test_intertwining_identities():
         assert len(results) == 3 + 1 + 1  # invariants + two transport families
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_intertwining_on_the_fold_map_matches_the_n2_products(m):
+    # each identity read off the fold map against psi multiplied out as
+    # n x n matrices
+    g = GroundSet(m)
+    assert verify_intertwining(g) == n2_intertwining(g, adjacency_matrix(g))
+
+
 def _failed_psi_identities(capsys) -> list[str]:
-    # verify --checks psi-intertwining at m = 2 (the Petersen graph) fails
+    # verify --checks psi-intertwining at m = 2 (the Petersen graph) fails,
+    # as the n x n products of the oracle do
     assert main(["verify", "--m", "2", "--checks", "psi-intertwining"]) == 1
     (report,) = json.loads(capsys.readouterr().out)
     assert report["status"] == "fail" and report["actual"]["checked"] == 5
+    g = GroundSet(2)
+    oracle = n2_intertwining(g, neighbour_matrix(covering_module._neighbours(2)))
+    assert report["actual"]["failed"] == [r.name for r in oracle if not r.ok]
     return report["actual"]["failed"]
 
 
 def test_an_extra_adjacency_entry_fails_the_adjacency_transport(monkeypatch, capsys):
     # A_1 plus a loop at vertex 0: psi A_1 gains an entry A_1(Odd) psi lacks
-    a1 = adjacency_matrix(GroundSet(2))
-    doctored = a1 + SparseExactMatrix(a1.nrows, a1.ncols, {0: {0: 1}})
-    monkeypatch.setattr(covering_module, "adjacency_matrix", lambda _g: doctored)
+    table = list(_neighbours(2))
+    table[0] = (0, *table[0])
+    monkeypatch.setattr(covering_module, "_neighbours", lambda _m: tuple(table))
     assert _failed_psi_identities(capsys) == ["adjacency-transport"]
 
 

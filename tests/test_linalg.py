@@ -263,11 +263,14 @@ def test_coord_text_round_trip(tmp_path):
 
 
 def test_coord_text_rejects_damage(tmp_path):
-    # each holds a line write_coord_text never writes: an entry outside the
-    # matrix, a repeated entry, a zero value, a zero denominator, an entry
-    # before its predecessor, and a line of two tokens
+    # each holds a line write_coord_text never writes: a header with a
+    # negative size, an entry outside the matrix, a repeated entry, a zero
+    # value, a zero denominator, an entry before its predecessor, and a
+    # line of two tokens
     path = tmp_path / "bad.mtx"
     for text, line in [
+        ("2 -1 0\n", 1),
+        ("-1 -1 0\n", 1),
         ("2 2 1\n5 0 1\n", 2),
         ("2 2 2\n0 0 1\n0 0 5\n", 3),
         ("2 2 1\n0 1 0\n", 2),

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 from helpers import (
     MatrixAction,
+    adjacency_matrix,
     class_profiles,
     column,
     contains,
@@ -39,7 +40,6 @@ from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import RunConfig, run
 from doubled_odd.combinatorics import (
     GroundSet,
-    adjacency_matrix,
     enumerate_vertices,
     vertex_count,
 )
@@ -59,7 +59,6 @@ from doubled_odd.orbits import (
     block_of_pair,
     check_subalgebra,
     index_set,
-    orbit_labels,
     orbits_by_group_action,
     constant_on_orbits,
     rho,
@@ -287,7 +286,7 @@ def test_centralizer_contains_invariant_matrices():
     assert contains(cent_span, SparseExactMatrix.identity(n))
     # the adjacency matrix lives in the mixed blocks, not in block I's span
     block_I = span(
-        [orbit_matrix(g, lab) for lab in orbit_labels(g) if lab.block is BlockTag.I]
+        [orbit_matrix(g, lab) for lab in orbits_module._orbit_labels(g.m) if lab.block is BlockTag.I]
     )
     assert not contains(block_I, adjacency_matrix(g))
 
@@ -319,7 +318,7 @@ def test_orbit_coordinate_membership_agrees_with_the_n2_span(m):
     # single-entry perturbations of them (mostly outside)
     g = GroundSet(m)
     cent = build_centralizer(g)
-    mats = [orbit_matrices(g)[lab] for lab in orbit_labels(g)]
+    mats = [orbit_matrices(g)[lab] for lab in orbits_module._orbit_labels(m)]
     cent_span = span(mats)
     n, d = vertex_count(g), cent.ambient_dim
     rng = random.Random(7100 + m)
@@ -357,7 +356,7 @@ def test_pair_index_labels_every_pair_by_block_and_rho(m):
         for zi, z in enumerate(verts):
             label = OrbitLabel(block_of_pair(m, y, z), rho(g.base_vertex, y, z))
             assert index.labels[index.orbit_of[yi * n + zi]] == label
-    assert len(index.labels) == len(set(index.labels)) and set(index.labels) == set(orbit_labels(g))
+    assert len(index.labels) == len(set(index.labels)) and set(index.labels) == set(orbits_module._orbit_labels(m))
     # numbered by first pair, positions ascending
     assert [pos[0] for pos in index.positions] == sorted(pos[0] for pos in index.positions)
     assert all(list(pos) == sorted(pos) for pos in index.positions)
@@ -368,13 +367,9 @@ def test_pair_index_labels_every_pair_by_block_and_rho(m):
 def test_diagonal_subalgebras_closed_mixed_fails():
     for m in (1, 2):
         g = GroundSet(m)
-        labels = orbit_labels(g)
-        block_I = [lab for lab in labels if lab.block is BlockTag.I]
-        block_IV = [lab for lab in labels if lab.block is BlockTag.IV]
-        mixed = [lab for lab in labels if lab.block in (BlockTag.II, BlockTag.III)]
-        assert check_subalgebra(block_I, g).closed
-        assert check_subalgebra(block_IV, g).closed
-        report = check_subalgebra(mixed, g)
+        assert check_subalgebra((BlockTag.I,), g).closed
+        assert check_subalgebra((BlockTag.IV,), g).closed
+        report = check_subalgebra((BlockTag.II, BlockTag.III), g)
         assert not report.closed
         assert report.first_violation is not None
         assert report.violation_block in (BlockTag.I, BlockTag.IV)
@@ -409,52 +404,28 @@ def _pairwise_product_scan(sub, g):
     )
 
 
+def _family(m: int, blocks) -> list[OrbitLabel]:
+    # the labels of a block family, in closed-form order
+    return [lab for lab in orbits_module._orbit_labels(m) if lab.block in blocks]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_subalgebra_scan_matches_the_pairwise_product_oracle(m):
+    # the block rule on each block family against the n x n products
     g = GroundSet(m)
-    labels = orbit_labels(g)
-    mats = orbit_matrices(g)
-    families = [
-        [lab for lab in labels if lab.block in blocks]
-        for blocks in ({BlockTag.I}, {BlockTag.II, BlockTag.III}, {BlockTag.IV})
-    ]
-    # sets of diagonal orbit matrices are closed: their products are 0 or a square
-    diagonal = [lab for lab in labels if all(r == c for r, c, _ in mats[lab].entries())]
-    rng = random.Random(2026 + m)
-    subsets = list(families)
-    for _ in range(20):
-        pool = rng.choice(families + [diagonal, labels])
-        sub = rng.sample(pool, rng.randint(1, min(len(pool), 16)))
-        if rng.random() < 0.3:
-            sub.append(rng.choice(labels))
-        subsets.append(sub)
-    reports = [check_subalgebra(sub, g) for sub in subsets]
-    assert reports == [_pairwise_product_scan(sub, g) for sub in subsets]
-    assert {r.closed for r in reports} == {True, False}
+    reports = [check_subalgebra(blocks, g) for blocks in BLOCK_FAMILIES.values()]
+    assert reports == [_pairwise_product_scan(_family(m, blocks), g) for blocks in BLOCK_FAMILIES.values()]
+    assert [r.closed for r in reports] == [True, False, True]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_subalgebra_scan_matches_the_product_index_supports(m):
-    # the sphere rule against the supports read off the first-pair product
-    # index, on the three block families and on seeded subsets, some of
-    # which need a row of a product
+    # the block rule on each block family against the supports read off
+    # the first-pair product index
     g = GroundSet(m)
-    labels = orbit_labels(g)
-    subsets = [[lab for lab in labels if lab.block in blocks] for blocks in BLOCK_FAMILIES.values()]
-    rng = random.Random(3100 + m)
-    subsets += [rng.sample(labels, rng.randint(1, 12)) for _ in range(10)]
-    # the largest cell of orbits that start and end in one sphere, closed
-    # since it holds every product of two of its orbits, and that cell
-    # without its first orbit
-    coords = orbits_module._orbit_coordinates(m)
-    cells: dict[tuple[int, int], list[OrbitLabel]] = {}
-    for a, lab in enumerate(labels):
-        cells.setdefault((coords.row_of[a], coords.end_of[a]), []).append(lab)
-    cell = max((c for (s, e), c in cells.items() if s == e), key=len)
-    subsets += [cell, cell[1:]]
-    reports = [check_subalgebra(sub, g) for sub in subsets]
-    assert reports == [product_subalgebra(sub, g) for sub in subsets]
-    assert {r.closed for r in reports} == {True, False}
+    reports = [check_subalgebra(blocks, g) for blocks in BLOCK_FAMILIES.values()]
+    assert reports == [product_subalgebra(_family(m, blocks), g) for blocks in BLOCK_FAMILIES.values()]
+    assert [r.closed for r in reports] == [True, False, True]
 
 
 def test_structure_constants_match_the_products_of_orbit_matrices():
@@ -577,6 +548,33 @@ def test_the_group_orbit_certificate_rejects_a_missing_generator(monkeypatch, fr
     assert report.status == "fail"
 
 
+def test_the_group_orbit_comparison_names_the_first_label_that_is_no_group_orbit(monkeypatch):
+    # without the cycle on S - x0 some labels' pairs split into several
+    # union-find classes; the comparison reads label keys, with no orbit
+    # index, and names the first such label in closed-form order
+    generators = orbits_module.stabilizer_generators
+    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
+    roots = orbits_by_group_action(GroundSet(2))
+    index, classes = pair_index(2), orbit_partition(roots, vertex_count(GroundSet(2)))
+    split = {
+        label for label, positions in zip(index.labels, index.positions)
+        if frozenset(divmod(pos, index.n) for pos in positions) not in classes
+    }
+    first = min(split, key=orbits_module._orbit_labels(2).index)
+    with pytest.raises(NotClosedError, match=rf"^label {first.text()} is not a single orbit"):
+        orbits_module._check_group_orbits(2, roots)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_label_key_decodes_to_its_label(m):
+    # the key of a pair's label (_label_keys) read back by _key_label, and
+    # keys ordered as the closed-form labels
+    index = pair_index(m)
+    keys = [orbits_module._label_keys(m, pos[0] // index.n, (pos[0] % index.n,))[0] for pos in index.positions]
+    assert [orbits_module._key_label(m, key) for key in keys] == list(index.labels)
+    assert [index.labels[a] for a in sorted(range(len(keys)), key=keys.__getitem__)] == list(orbits_module._orbit_labels(m))
+
+
 def test_the_group_orbit_certificate_rejects_a_generator_that_is_no_permutation(monkeypatch, fresh_memos):
     # the point map 1, 2, 3 -> 1, 1, 3 sends {1} and {2} to {1}: its
     # union-find classes need not be the orbits of a group
@@ -664,7 +662,7 @@ def test_higmans_identity_rejects_orbits_that_are_not_coherent(monkeypatch):
 
 def test_orbit_labels_cover_both_directions():
     g = GroundSet(1)
-    labels = orbit_labels(g)
+    labels = orbits_module._orbit_labels(1)
     assert len(labels) == 20
     assert [lab.block for lab in labels[:5]] == [BlockTag.I] * 5
     verts = enumerate_vertices(g)

@@ -6,15 +6,18 @@ import pytest
 from helpers import (
     MatrixAction,
     action_tables,
+    adjacency_matrix,
     center_dimension,
     closure_generators,
     contains,
     distance,
+    dual_idempotent,
     dual_idempotents,
     lift,
     matrix_from_vector,
     merged_orbit_coordinates,
     n2_sandwich_identities,
+    neighbour_matrix,
     orbit_matrices,
     orbit_values,
     pair_index,
@@ -27,7 +30,7 @@ from helpers import (
 
 from doubled_odd.combinatorics import (
     GroundSet,
-    adjacency_matrix,
+    _neighbours,
     enumerate_vertices,
     vertex_count,
 )
@@ -47,7 +50,6 @@ from doubled_odd.terwilliger import (
     block_profile,
     build_terwilliger,
     center_basis,
-    dual_idempotent,
     upsilon,
     upsilon_size_formula,
     verify_equality,
@@ -119,10 +121,8 @@ def test_sandwich_identities_catch_an_edge_inside_a_sphere(monkeypatch):
     # an extra edge joining two vertices of one sphere is a nonzero
     # E*_i A_1 E*_i, and A_1 is then no longer the sum of the sandwiches
     g = GroundSet(2)
-    index = orbits_module._orbit_coordinates(2)
-    y, z = next(s for s in index.spheres if len(s) > 1)[:2]
-    doctored = adjacency_matrix(g) + SparseExactMatrix(index.n, index.n, {y: {z: 1}})
-    monkeypatch.setattr(terwilliger_module, "adjacency_matrix", lambda _: doctored)
+    doctored = _with_an_edge_inside_a_sphere(g)
+    monkeypatch.setattr(terwilliger_module, "_neighbours", lambda _m: doctored)
     failed = [r.name for r in verify_sandwich_identities(g) if not r.ok]
     assert failed == ["bipartite-sandwich-vanishing", "adjacency-sandwich-decomposition"]
 
@@ -141,19 +141,22 @@ def test_sandwich_identities_by_label_and_count_match_the_n2_oracle(m):
     assert len(results) == 3 * g.diameter + 3 and _failed(results) == []
 
 
-def _without_one_sandwich_edge(g: GroundSet) -> SparseExactMatrix:
-    # A_1 less the entry (x0, z), z the first neighbour of x0: E*_0 A_1 E*_1
-    # loses a pair of its orbit
-    a1 = adjacency_matrix(g)
-    rows = {y: dict(row) for y, row in a1._rows.items()}
-    del rows[0][min(rows[0])]
-    return SparseExactMatrix(a1.nrows, a1.ncols, rows)
+def _without_one_sandwich_edge(g: GroundSet) -> tuple[tuple[int, ...], ...]:
+    # the neighbour table less the entry (x0, z), z the first neighbour of
+    # x0: E*_0 A_1 E*_1 loses a pair of its orbit
+    table = list(_neighbours(g.m))
+    table[0] = table[0][1:]
+    return tuple(table)
 
 
-def _with_an_edge_inside_a_sphere(g: GroundSet) -> SparseExactMatrix:
+def _with_an_edge_inside_a_sphere(g: GroundSet) -> tuple[tuple[int, ...], ...]:
+    # the neighbour table with the entry (y, z), y and z the first two
+    # vertices of the first sphere with two
     index = orbits_module._orbit_coordinates(g.m)
     y, z = next(s for s in index.spheres if len(s) > 1)[:2]
-    return adjacency_matrix(g) + SparseExactMatrix(index.n, index.n, {y: {z: 1}})
+    table = list(_neighbours(g.m))
+    table[y] = tuple(sorted((*table[y], z)))
+    return tuple(table)
 
 
 @pytest.mark.parametrize("doctor, failed", [
@@ -164,9 +167,9 @@ def _with_an_edge_inside_a_sphere(g: GroundSet) -> SparseExactMatrix:
 def test_sandwich_identities_on_a_doctored_adjacency_fail_as_the_n2_oracle(monkeypatch, m, doctor, failed):
     g = GroundSet(m)
     doctored = doctor(g)
-    monkeypatch.setattr(terwilliger_module, "adjacency_matrix", lambda _: doctored)
+    monkeypatch.setattr(terwilliger_module, "_neighbours", lambda _m: doctored)
     results = verify_sandwich_identities(g)
-    assert results == n2_sandwich_identities(g, doctored)
+    assert results == n2_sandwich_identities(g, neighbour_matrix(doctored))
     assert _failed(results) == failed
 
 
