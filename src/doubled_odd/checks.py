@@ -46,9 +46,11 @@ from .linalg import NotClosedError, SpanBasis, write_coord_entries, write_coord_
 from .orbits import (
     BLOCK_FAMILIES,
     BlockTag,
-    IndependenceError,
     _check_group_orbits,
+    _key_label,
     _orbit_coordinates,
+    _orbit_labels,
+    _sphere_row_keys,
     build_centralizer,
     check_subalgebra,
     index_set,
@@ -256,13 +258,10 @@ def _check_index_sets(ctx: CheckContext):
     card = comb(m + 4, 4)
     blocks = (BlockTag.I, BlockTag.II, BlockTag.III, BlockTag.IV)
     cards = [len(index_set(b, m)) for b in blocks]
-    # the labels met on the 2m+2 sphere rows of the orbit index, which
-    # raises when they are not the closed-form labels
-    try:
-        met = _orbit_coordinates(m).labels
-    except (NotClosedError, IndependenceError):
-        met = ()
-    matches = all(index_set(b, m) == {lab.tup for lab in met if lab.block is b} for b in blocks)
+    # the labels met on the 2m+2 sphere rows, read off their keys with no
+    # orbit index, against the closed-form labels
+    met = {_key_label(m, key) for key in set(chain.from_iterable(_sphere_row_keys(m)))}
+    matches = met == set(_orbit_labels(m))
     expected = {"cardinalities": [card] * 4, "matches_enumeration": True}
     actual = {"cardinalities": cards, "matches_enumeration": matches}
     return expected, "paper-formula", actual, _verdict(expected == actual)
@@ -530,11 +529,12 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     (OrbitCoordinates.row) gives each orbit its pair positions y n + z,
     ascending, and every file but psi and the E*_i, each the diagonal of
     its sphere, is a 0/1 or rational combination of those positions: A_i is
-    the union of the orbits at distance i, row a of the centralizer's basis
-    orbit a, and each row of T's basis its row in Q^d spread over its
-    orbits' positions.  Orbits are numbered by their first pair, so both
-    bases are written in reduced row echelon form.  This is
-    the only place the n x n form of the two algebras is made.
+    the union of the orbits at distance i, and the rows of both bases, in
+    Q^d with the orbits ordered by first pair, are spread over their
+    orbits' positions.  In that order a reduced row spreads to a reduced n
+    x n row, so both bases, T's reduced anew, are written in reduced row
+    echelon form.  This is the only place the n x n form of the two
+    algebras is made.
     """
     if ctx is None:
         ctx = CheckContext(m)
@@ -566,8 +566,8 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
 
     for i in range(g.diameter + 1):
         emit(f"A{i}", n, n, pairs(sorted(chain.from_iterable(p for p, h in zip(positions, index.distance_of) if h == i))))
-    for i, s in enumerate(index.sphere_at):
-        emit(f"Estar{i}", n, n, ((y, y, 1) for y in index.spheres[s]))
+    for i, sphere in enumerate(index.spheres):
+        emit(f"Estar{i}", n, n, ((y, y, 1) for y in sphere))
     for a in sorted(range(len(labels)), key=lambda a: labels[a].text()):
         i, j, t, p = labels[a].tup
         emit(f"orbit_{labels[a].block.value}_{i},{j},{t},{p}", n, n, pairs(positions[a]))
@@ -575,12 +575,17 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     write_coord_text(build_psi(g), psi_path)
     written.append(psi_path)
 
-    emit("basis_centralizer", len(labels), n * n, ((a, idx, 1) for a, p in enumerate(positions) for idx in p))
-    t_basis = ctx.terwilliger.basis
+    # the orbits by first pair position, and T's rows reduced in that order
+    by_first_pair = sorted(range(len(labels)), key=lambda a: positions[a][0])
+    emit("basis_centralizer", len(labels), n * n, ((r, idx, 1) for r, a in enumerate(by_first_pair) for idx in positions[a]))
+    rank = {a: r for r, a in enumerate(by_first_pair)}
+    t_basis = SpanBasis(len(labels))
+    for row in ctx.terwilliger.basis.rows:
+        t_basis.insert({rank[a]: v for a, v in row.items()})
     spread = (
         (r, idx, v)
         for r, row in enumerate(t_basis.rows)
-        for idx, v in sorted((idx, v) for a, v in row.items() for idx in positions[a])
+        for idx, v in sorted((idx, v) for c, v in row.items() for idx in positions[by_first_pair[c]])
     )
     emit("basis_terwilliger", t_basis.dimension, n * n, spread)
     return written

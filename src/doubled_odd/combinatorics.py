@@ -12,8 +12,8 @@ adjacency matrix is built.
 
 The graph is bipartite with diameter 2m+1, and the distance between vertices
 y and z is |y| + |z| - 2|y n z|, which the orbit index reads off each
-orbit's label; the formula and a breadth-first search oracle for it live in
-the test suite, not here.  The intersection numbers are
+orbit's label; lemma41 checks its spheres around x0 by breadth-first
+search (_radii), and the formula's oracles live in the tests.  The intersection numbers are
 read off A_1 A_i in the orbit coordinates of the base-vertex stabilizer
 (orbits), which is built on this module and so imported where it is used,
 and the rest follow from the three-term recurrence of a distance-regular
@@ -132,6 +132,26 @@ def _neighbours(m: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _distances_from(neighbours, start: int) -> list[int]:
+    """Breadth-first search over a neighbour table, of either graph: the
+    distance of every vertex from start, -1 for a vertex it does not reach."""
+    dist = [-1] * len(neighbours)
+    dist[start] = 0
+    reached = [start]
+    for a in reached:
+        for b in neighbours[a]:
+            if dist[b] < 0:
+                dist[b] = dist[a] + 1
+                reached.append(b)
+    return dist
+
+
+def _radii(m: int) -> list[int]:
+    """The distance of every vertex from x0, the first vertex, by
+    breadth-first search over the neighbour table."""
+    return _distances_from(_neighbours(m), 0)
+
+
 class IntersectionNumbers(NamedTuple):
     """The table p^h_{ij} = #{z : d(x,z) = i, d(z,y) = j} for d(x,y) = h."""
 
@@ -165,9 +185,10 @@ def _recurrence_table(coords, dist) -> dict[tuple[int, int, int], int]:
     The coefficient of O_c in A_1 A_i, A_i the indicator of the orbits at
     distance i, counts for a pair (x, y) of c the neighbours z of x with
     d(z, y) = i.  The graph is distance-regular exactly when that count
-    depends on h = d(x, y) alone and vanishes unless |h - i| <= 1; else the
-    witness is the first pair of the least orbit that breaks it, the first
-    such pair in row-major order, with (1, i) for the least such i.  Then
+    depends on h = d(x, y) alone and vanishes unless |h - i| <= 1.  The
+    orbits are walked in the order of their first pairs, so the witness,
+    the first pair of the first orbit that breaks it, is the first such
+    pair in row-major order, with (1, i) for the least such i.  Then
     every p^h_{ij} follows from A_0 = I and the recurrence
     c_{i+1} A_{i+1} A_j = A_1 A_i A_j - a_i A_i A_j - b_{i-1} A_{i-1} A_j,
     where A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}, c_{i+1} >= 1.
@@ -176,8 +197,8 @@ def _recurrence_table(coords, dist) -> dict[tuple[int, int, int], int]:
     pushed = [coords.left(coords.adjacency, {c: 1 for c, h in enumerate(dist) if h == i}) for i in range(width)]
     # one[h][i] = p^h_{1i}, read off the first orbit at distance h
     one: dict[int, list[int]] = {}
-    for c, h in enumerate(dist):
-        here = [v.get(c, 0) for v in pushed]
+    for c in sorted(range(len(dist)), key=coords.first_pair):
+        h, here = dist[c], [v.get(c, 0) for v in pushed]
         known = one.setdefault(h, here)
         bad = [i for i, k in enumerate(here) if k != known[i] or (k and abs(h - i) > 1)]
         if bad:

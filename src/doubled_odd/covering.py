@@ -19,11 +19,11 @@ from breadth-first search over that table, not from a closed formula.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from .combinatorics import GroundSet, _neighbours, _vertex_index, _vertices
+from .combinatorics import GroundSet, _distances_from, _neighbours, _vertex_index, _vertices
 from .linalg import SparseExactMatrix
 from .orbits import _orbit_coordinates
 from .terwilliger import IdentityCheck
@@ -51,22 +51,8 @@ def _odd_neighbours(m: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=8)
 def _odd_distances_from_base(m: int) -> tuple[int, ...]:
-    # breadth-first search from x0 over the neighbour table
-    g = GroundSet(m)
-    neighbours = _odd_neighbours(m)
-    dist = [-1] * len(neighbours)
-    start = _vertex_index(m)[g.base_vertex]
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        a = queue.popleft()
-        for b in neighbours[a]:
-            if dist[b] < 0:
-                dist[b] = dist[a] + 1
-                queue.append(b)
-    if min(dist) < 0:
-        raise RuntimeError("Odd graph is disconnected; this cannot happen")
-    return tuple(dist)
+    # breadth-first search from x0, the first m-subset, over the neighbour table
+    return tuple(_distances_from(_odd_neighbours(m), 0))
 
 
 def fold(g: GroundSet, z: int) -> int:
@@ -114,9 +100,7 @@ def verify_intertwining(g: GroundSet) -> list[IdentityCheck]:
     )
     index = _orbit_coordinates(m)
     odd_dist = _odd_distances_from_base(m)
-    spheres_fold = in_odd and all(
-        odd_dist[u] == min(r, diam - r) for u, r in zip(image, (index.radius[s] for s in index.sphere_of))
-    )
+    spheres_fold = in_odd and all(odd_dist[u] == min(r, diam - r) for u, r in zip(image, index.sphere_of))
     return [
         IdentityCheck("psi-row-sums-two", fibres_two),
         IdentityCheck("psi-column-sums-one", in_odd),

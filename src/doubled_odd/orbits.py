@@ -16,17 +16,19 @@ with disjoint supports, hence independent, and form a basis of the
 centralizer algebra of the stabilizer action; that algebra therefore has
 dimension 4 C(m+4, 4).
 
-The stabilizer fixes every label and acts transitively on each sphere
-{y : |y|, |x0 n y| fixed} around x0, so the row of a sphere's first vertex
-carries every orbit whose pairs start in that sphere.  OrbitCoordinates is
-the package's one orbit index, built once per m by _orbit_coordinates: it
-labels those 2m+2 rows, numbers the orbits by first pair and sizes each
-orbit as |sphere| times its count in its row.  It is certified as it is
-built: the labels met are the closed-form labels, and union-finds over the
-n vertices show that the orbits are those of a permutation group on vertex
-pairs (_certify_stabilizer_orbits).  The orbit of any other pair is read
-off its label key (OrbitCoordinates.orbit_of); that, each orbit's id,
-distance and spheres and each sphere's distance are decided nowhere else.
+Sphere i around x0 is {y : m + |y| - 2|x0 n y| = i}, the vertices at
+distance i from x0, so a label names the spheres its pairs start and end
+in and their distance.  The stabilizer fixes every label and acts
+transitively on each sphere, so the row of a sphere's first vertex carries
+every orbit whose pairs start in that sphere.  OrbitCoordinates is the
+package's one orbit index, built once per m by _orbit_coordinates: orbit a
+is the a-th closed-form label, and the index reads those 2m+2 rows to find
+each orbit's first pair and to size it as |sphere| times its count in its
+row.  It is certified as it is built: the label keys met are the
+closed-form labels' keys, and union-finds over the n vertices show that the
+orbits are those of a permutation group on vertex pairs
+(_certify_stabilizer_orbits).  The orbit of any other pair is read off its
+label key (OrbitCoordinates.orbit_of).
 Only the union-find of the stabilizer generators on vertex pairs
 (orbits_by_group_action, for orbits-oracle), its comparison with the pairs'
 label keys (_check_group_orbits), which builds no index, and the matrix
@@ -91,27 +93,27 @@ class IndependenceError(RuntimeError):
     """The orbit indicator matrices failed to be linearly independent."""
 
 
-def rho(x0: int, y: int, z: int) -> tuple[int, int, int, int]:
-    """The orbit invariant (|x0 n y|, |x0 n z|, |y n z|, |x0 n y n z|)."""
-    return (
-        (x0 & y).bit_count(),
-        (x0 & z).bit_count(),
-        (y & z).bit_count(),
-        (x0 & y & z).bit_count(),
-    )
-
-
-def block_of_pair(m: int, y: int, z: int) -> BlockTag:
-    return _BLOCKS[2 * (y.bit_count() > m) + (z.bit_count() > m)]
+def _sides(label: OrbitLabel) -> tuple[bool, bool]:
+    """Whether |y| = m + 1 and whether |z| = m + 1 for the pairs (y, z) of
+    the orbit with this label."""
+    return label.block in (BlockTag.III, BlockTag.IV), label.block in (BlockTag.II, BlockTag.IV)
 
 
 def _orbit_distance(m: int, label: OrbitLabel) -> int:
     """The distance |y| + |z| - 2|y n z| of every pair (y, z) of the orbit
     with this label: the block gives |y| and |z|, the label's third entry
     |y n z|."""
-    big_y = label.block in (BlockTag.III, BlockTag.IV)
-    big_z = label.block in (BlockTag.II, BlockTag.IV)
+    big_y, big_z = _sides(label)
     return 2 * m + big_y + big_z - 2 * label.tup[2]
+
+
+def _orbit_spheres(m: int, label: OrbitLabel) -> tuple[int, int]:
+    """The spheres the pairs (y, z) of the orbit with this label start and
+    end in, m + |y| - 2|x0 n y| and m + |z| - 2|x0 n z|: the block gives |y|
+    and |z|, the label's first two entries |x0 n y| and |x0 n z|."""
+    big_y, big_z = _sides(label)
+    i, j, _, _ = label.tup
+    return 2 * m + big_y - 2 * i, 2 * m + big_z - 2 * j
 
 
 @lru_cache(maxsize=64)
@@ -213,14 +215,39 @@ def _label_keys(m: int, yi: int, zs) -> list[int]:
     return [y_key + cols[z] + (y & verts[z]).bit_count() * base + (x0y & verts[z]).bit_count() for z in zs]
 
 
+def _label_key(m: int, label: OrbitLabel) -> int:
+    """The key _label_keys gives the pairs with this label, which
+    _key_label reads back."""
+    key = _BLOCKS.index(label.block)
+    for entry in label.tup:
+        key = key * (m + 2) + entry
+    return key
+
+
+def _spheres(m: int) -> tuple[tuple[int, ...], ...]:
+    """Sphere i around x0, 0 <= i <= 2m+1: the indices, ascending, of the
+    vertices y with m + |y| - 2|x0 n y| = i."""
+    x0 = GroundSet(m).base_vertex
+    spheres: list[list[int]] = [[] for _ in range(2 * m + 2)]
+    for yi, y in enumerate(_vertices(m)):
+        spheres[m + y.bit_count() - 2 * (x0 & y).bit_count()].append(yi)
+    return tuple(map(tuple, spheres))
+
+
+def _sphere_row_keys(m: int) -> list[list[int]]:
+    """The label keys of the sphere rows: row i holds those of the pairs
+    (y, z), y the first vertex of sphere i and z over all vertices."""
+    everyone = range(len(_vertices(m)))
+    return [_label_keys(m, sphere[0], everyone) for sphere in _spheres(m)]
+
+
 def _neighbour_labels(m: int, label: OrbitLabel) -> list[tuple[OrbitLabel, int]]:
     """The Venn-atom moves of A_1 on a pair (y, z) with this label: the
     labels of the pairs (w, z), w over the neighbours of y, each with the
     size of the atom of x0, y and z that moves to it.  w adds to y a point
     q outside y when |y| = m and removes a point q of y when |y| = m+1, and
     |x0 n w|, |w n z|, |x0 n w n z| move by [q in x0], [q in z], [q in both]."""
-    big_y = label.block in (BlockTag.III, BlockTag.IV)
-    big_z = label.block in (BlockTag.II, BlockTag.IV)
+    big_y, big_z = _sides(label)
     i, j, t, p = label.tup
     # the atoms q is taken from, keyed by ([q in x0], [q in z])
     if big_y:
@@ -232,20 +259,20 @@ def _neighbour_labels(m: int, label: OrbitLabel) -> list[tuple[OrbitLabel, int]]
     return [(OrbitLabel(block, (i + step * x, j, t + step * z, p + step * x * z)), k) for (x, z), k in atoms.items() if k]
 
 
-def _check_labels_met(m: int, labels) -> None:
-    """The certificate of an orbit numbering: the labels met are the
-    closed-form labels.  A label outside the closed form raises
-    NotClosedError (the closed-form orbits would not partition the pairs),
-    and a closed-form label that no pair carries raises IndependenceError."""
-    met, closed = set(labels), set(_orbit_labels(m))
-    for lab in labels:
-        if lab not in closed:
-            raise NotClosedError(
-                f"a vertex pair has label {lab.text()}, which is not closed-form: "
-                f"the closed-form orbits do not partition the vertex pairs"
-            )
-    for lab in _orbit_labels(m):
-        if lab not in met:
+def _check_labels_met(m: int, keys) -> None:
+    """The certificate that the label keys met are the closed-form labels'
+    keys.  The least key of no closed-form label raises NotClosedError (the
+    closed-form orbits would not partition the pairs), and the first
+    closed-form label whose key is not met raises IndependenceError."""
+    met, closed = set(keys), {_label_key(m, lab): lab for lab in _orbit_labels(m)}
+    stray = min(met.difference(closed), default=None)
+    if stray is not None:
+        raise NotClosedError(
+            f"a vertex pair has label {_key_label(m, stray).text()}, which is not closed-form: "
+            f"the closed-form orbits do not partition the vertex pairs"
+        )
+    for key, lab in closed.items():
+        if key not in met:
             raise IndependenceError(f"closed-form label {lab.text()} has an empty orbit")
 
 
@@ -268,79 +295,55 @@ def _push(table, vec: dict[int, object]) -> dict[int, object]:
 
 
 class OrbitCoordinates:
-    """The orbit index of the vertex pairs, read off one row per sphere
-    around x0, and the orbit coordinates Q^d on it, on which T's generators
+    """The orbit index of the vertex pairs, orbit a the closed-form label
+    labels[a], and the orbit coordinates Q^d on it, on which T's generators
     act by their push tables.
 
-    A sphere is a set {y : |y|, |x0 n y| fixed}.  spheres[s] lists the
-    vertices of sphere s ascending, the spheres in the order of their first
-    vertices (spheres[0] is (x0,)), sphere_of[y] is the sphere of vertex y,
-    radius[s] the distance of sphere s from x0 and sphere_at[i] the sphere
-    at distance i.  rows[s][z] is the orbit of (spheres[s][0], z), and
-    orbit_of maps the key of a label (_label_keys) to its orbit, which
-    decides the orbit of every pair (row).  Orbit a has label labels[a]
-    (id_of[labels[a]] = a), sizes[a] pairs at distance distance_of[a], and
-    first pair (spheres[row_of[a]][0], members[a][0]), where members[a]
-    lists ascending the z with (spheres[row_of[a]][0], z) in a.  The orbit
-    certificate proves that every pair of a starts in sphere row_of[a] and
-    ends in sphere end_of[a], so O_a O_b != 0 exactly when end_of[a] ==
-    row_of[b].
+    Every orbit fact but its size and first pair is a function of its
+    label: id_of[labels[a]] = a, orbit_of maps the label's key (_label_key)
+    to a, and its pairs start in sphere row_of[a], end in sphere end_of[a]
+    and lie at distance distance_of[a]; the identity is the sum of the
+    orbits at distance 0.  spheres[i] lists the vertices of sphere i, those
+    at distance i from x0, ascending, and sphere_of[y] is the sphere of
+    vertex y.  rows[i][z] is the orbit of (spheres[i][0], z), read off label
+    keys, which decides the orbit of every pair (row).  Orbit a has sizes[a]
+    pairs and first pair (spheres[row_of[a]][0], members[a][0]), where
+    members[a] lists ascending the z with (spheres[row_of[a]][0], z) in a.
+    O_a O_b != 0 exactly when end_of[a] == row_of[b].
 
-    Orbits are numbered by the row-major position of their first vertex
-    pair, so an RREF basis in Q^d lifts entry for entry to the RREF basis of
-    the same span of n x n matrices; in particular the identity RREF of Q^d
-    lifts to the RREF of the span of all orbit matrices.  An instance is the
-    action algebra_closure and centralizer_within need, with push tables as
-    its generators: left(g, v) and right(g, v) are the products g v and v g.
+    An instance is the action algebra_closure and centralizer_within need,
+    with push tables as its generators: left(g, v) and right(g, v) are the
+    products g v and v g.
     """
 
-    def __init__(self, m: int, spheres, rows, orbit_of: dict[int, int]):
-        """The index of the orbits met on the sphere rows, which rows and
-        orbit_of number as first met along the rows, in sphere order: that
-        is by first pair.  Each orbit is labelled by its first pair and
-        sized as |sphere| times its count in its row.  Certified: the labels
-        met are the closed-form labels (_check_labels_met), the identity is
-        a sum of orbit matrices (NotClosedError otherwise), and the orbits
+    def __init__(self, m: int):
+        """The index at m, read off the 2m+2 sphere rows, each orbit sized
+        as |sphere| times its count in its row.  Certified: the label keys
+        met are the closed-form labels' (_check_labels_met), and the orbits
         are a permutation group's (_certify_stabilizer_orbits)."""
-        verts = _vertices(m)
-        x0 = GroundSet(m).base_vertex
-        self.m, self.n, self.spheres, self.orbit_of = m, len(verts), spheres, orbit_of
-        self.rows = tuple(array("H", row) for row in rows)
-        self.sphere_of = array("H", [0]) * len(verts)
-        row_of: list[int] = []
-        members: list[list[int]] = []
-        sizes: list[int] = []
-        for s, (sphere, row) in enumerate(zip(spheres, self.rows)):
+        self.m, self.n, self.labels = m, len(_vertices(m)), _orbit_labels(m)
+        self.ambient_dim = len(self.labels)
+        self.id_of = {lab: a for a, lab in enumerate(self.labels)}
+        self.orbit_of = {_label_key(m, lab): a for a, lab in enumerate(self.labels)}
+        self.row_of, self.end_of = map(tuple, zip(*(_orbit_spheres(m, lab) for lab in self.labels)))
+        self.distance_of = tuple(_orbit_distance(m, lab) for lab in self.labels)
+        self.spheres = _spheres(m)
+        self.sphere_of = array("H", [0]) * self.n
+        keys = _sphere_row_keys(m)
+        _check_labels_met(m, chain.from_iterable(keys))
+        self.rows = tuple(array("H", map(self.orbit_of.__getitem__, row)) for row in keys)
+        members: list[list[int]] = [[] for _ in self.labels]
+        sizes = [0] * self.ambient_dim
+        for s, (sphere, row) in enumerate(zip(self.spheres, self.rows)):
             for y in sphere:
                 self.sphere_of[y] = s
             for z, a in enumerate(row):
-                if a == len(row_of):  # first met
-                    row_of.append(s)
-                    members.append([])
-                    sizes.append(0)
-                if row_of[a] == s:
+                if self.row_of[a] == s:
                     members[a].append(z)
                 # the stabilizer moves this row onto every row of its sphere
                 sizes[a] += len(sphere)
-        self.row_of, self.members, self.sizes = tuple(row_of), tuple(map(tuple, members)), tuple(sizes)
-        self.end_of = tuple(self.sphere_of[zs[0]] for zs in self.members)
-        self.labels = tuple(
-            OrbitLabel(block_of_pair(m, y, verts[zs[0]]), rho(x0, y, verts[zs[0]]))
-            for y, zs in zip((verts[spheres[s][0]] for s in row_of), members)
-        )
-        self.ambient_dim = len(self.labels)
-        _check_labels_met(m, self.labels)
-        # the orbit of (y, y) for the first vertex y of each sphere
-        diagonal = {row[sphere[0]] for sphere, row in zip(spheres, self.rows)}
-        if sum(sizes[a] for a in diagonal) != self.n:
-            raise NotClosedError("the identity is not a sum of orbit matrices")
-        self._identity = {a: 1 for a in sorted(diagonal)}
+        self.members, self.sizes = tuple(map(tuple, members)), tuple(sizes)
         _certify_stabilizer_orbits(self)
-        self.id_of = {lab: a for a, lab in enumerate(self.labels)}
-        self.distance_of = tuple(_orbit_distance(m, lab) for lab in self.labels)
-        # sphere s is at the distance of the pairs (x0, y), y in s
-        self.radius = tuple(self.distance_of[self.rows[0][sphere[0]]] for sphere in spheres)
-        self.sphere_at = tuple(sorted(range(len(spheres)), key=self.radius.__getitem__))
 
     def first_pair(self, a: int) -> tuple[int, int]:
         return self.spheres[self.row_of[a]][0], self.members[a][0]
@@ -385,7 +388,7 @@ class OrbitCoordinates:
         return PushTable(tuple(map(tuple, left)), tuple(map(tuple, right)))
 
     def identity(self) -> dict[int, object]:
-        return dict(self._identity)
+        return {a: 1 for a, h in enumerate(self.distance_of) if h == 0}
 
     def left(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
         return _push(g.left, vec)
@@ -396,23 +399,8 @@ class OrbitCoordinates:
 
 @lru_cache(maxsize=8)
 def _orbit_coordinates(m: int) -> OrbitCoordinates:
-    """The orbit index at m, one instance per m: the rows of the spheres'
-    first vertices, the spheres in the order of their first vertices, each
-    pair's orbit numbered as first met, which is by first pair."""
-    verts = _vertices(m)
-    x0 = GroundSet(m).base_vertex
-    by_sphere: dict[tuple[int, int], list[int]] = {}
-    for yi, y in enumerate(verts):
-        by_sphere.setdefault((y.bit_count(), (x0 & y).bit_count()), []).append(yi)
-    spheres = tuple(map(tuple, by_sphere.values()))
-    orbit_of: dict[int, int] = {}
-    first_seen = orbit_of.setdefault
-    everyone = range(len(verts))
-    rows = [
-        [first_seen(key, len(orbit_of)) for key in _label_keys(m, sphere[0], everyone)]
-        for sphere in spheres
-    ]
-    return OrbitCoordinates(m, spheres, rows, orbit_of)
+    """The orbit index at m, one instance per m."""
+    return OrbitCoordinates(m)
 
 
 def constant_on_orbits(m: int, pairs) -> list[bool]:
@@ -569,22 +557,20 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
     permutation group on vertex pairs, by union-finds over the n vertices.
 
     (a) The stabilizer generators must permute the vertices and fix x0, and
-    the classes of the group G they generate must be the spheres.  (b) Each
-    orbit must be met in one sphere row.  For each sphere s, with first
-    vertex y_s, the Young generators of the four atoms of x0 and y_s
-    (x0 n y_s, x0 - y_s, y_s - x0 and the rest) must fix x0 and y_s, and
-    the classes of the group H_s they generate must be those of the orbit
-    ids along row y_s.
+    the classes of the group G they generate must be the spheres.  (b) For
+    each sphere s, with first vertex y_s, the Young generators of the four
+    atoms of x0 and y_s (x0 n y_s, x0 - y_s, y_s - x0 and the rest) must
+    fix x0 and y_s, and the classes of the group H_s they generate must be
+    those of the orbit ids along row y_s.
 
     Proof: a permutation of S that fixes x0 keeps labels, and so orbits, so
     every orbit is a union of orbits of the group K that G and the H_s
-    generate.  Two pairs of one orbit start in its row's sphere s by (b), G
-    moves each into row y_s by (a), and H_s moves the one onto the other by
-    (b); K keeps every sphere, so all pairs of orbit a end in end_of[a].
-    Raises NotClosedError naming the first generator that is no
-    permutation or moves x0 or y_s, the first sphere that is not one class
-    of G, or the first orbit, in orbit numbering, met in two sphere rows or
-    not one class of H_s.
+    generate.  Two pairs of one orbit start in the sphere s its label
+    names, G moves each into row y_s by (a), and H_s moves the one onto the
+    other by (b).  Raises NotClosedError naming the first generator that is
+    no permutation or moves x0 or y_s, the first sphere that is not one
+    class of G, or the first orbit, in label order, that is not one class
+    of H_s.
     """
     m, n = index.m, index.n
     g = GroundSet(m)
@@ -598,11 +584,7 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
         return f"sphere {s} (|y| = {y.bit_count()}, |x0 n y| = {(base & y).bit_count()})"
 
     _check_classes(_union_find(n, maps), index.sphere_of, sphere_name)
-    starts: dict[int, int] = {}
     for s, (sphere, row) in enumerate(zip(index.spheres, index.rows)):
-        for a in set(row):
-            if starts.setdefault(a, s) != s:
-                raise NotClosedError(f"orbit {index.labels[a].text()} is met in two sphere rows")
         y = verts[sphere[0]]
         atoms = [
             [k for k in range(g.n_points) if mask >> k & 1]
@@ -666,18 +648,19 @@ def check_subalgebra(blocks: tuple[BlockTag, ...], g: GroundSet) -> SubalgebraCl
     (y, z), by |y| from a's label and |z| from b's.
 
     O_a O_b != 0 exactly when a's pairs end in the sphere b's start in (the
-    sphere rule of OrbitCoordinates, which the orbit certificate proves when
-    the index is built), and then its pairs lie in that block.  The span
+    sphere rule of OrbitCoordinates, which rests on the stabilizer being
+    transitive on each sphere, proved when the index is built), and then
+    its pairs lie in that block.  The span
     holds every orbit matrix of its blocks, so the product escapes it
     exactly when it is nonzero and its block is not one of them.  No row of
     a product is read.
     """
     coords = _orbit_coordinates(g.m)
-    sub = [lab for lab in _orbit_labels(g.m) if lab.block in blocks]
+    sub = [lab for lab in coords.labels if lab.block in blocks]
     ends = [(coords.row_of[a], coords.end_of[a]) for a in map(coords.id_of.__getitem__, sub)]
 
     def block(la: OrbitLabel, lb: OrbitLabel) -> BlockTag:
-        return _BLOCKS[2 * (la.block in (BlockTag.III, BlockTag.IV)) + (lb.block in (BlockTag.II, BlockTag.IV))]
+        return _BLOCKS[2 * _sides(la)[0] + _sides(lb)[1]]
 
     escapes = (
         (la, lb)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .combinatorics import GroundSet, _neighbours
+from .combinatorics import GroundSet, _neighbours, _radii
 from .linalg import (
     ClosureResult,
     NotClosedError,
@@ -83,9 +83,9 @@ def _distance_vector(m: int, i: int) -> dict[int, object]:
 
 def _generators(m: int) -> list[PushTable]:
     """The generators T is closed under, as push tables: E*_0..E*_{2m+1},
-    each the projection onto the sphere at its distance, and then A_1."""
+    each the projection onto its sphere, and then A_1."""
     index = _orbit_coordinates(m)
-    return [*map(index.projection, index.sphere_at), index.adjacency]
+    return [*map(index.projection, range(len(index.spheres))), index.adjacency]
 
 
 def build_terwilliger(g: GroundSet) -> TerwilligerAlgebra:
@@ -147,13 +147,15 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     from sphere i to sphere j.  A_1's n (m + 1) entries, the edges of the
     neighbour table (combinatorics._neighbours), are read once: the orbit
     of each, through its label key and the index's label map
-    (OrbitCoordinates.orbit_of), is tallied under the radii of the spheres
-    of its two ends (OrbitCoordinates.radius); a key of no orbit counts as
-    no orbit.  A 0/1
+    (OrbitCoordinates.orbit_of), is tallied under the spheres of its two
+    ends (OrbitCoordinates.sphere_of); a key of no orbit counts as no
+    orbit.  A 0/1
     matrix equals the orbit matrix O_a exactly when all its entries lie in
     orbit a and there are sizes[a] of them, which decides each identity:
-    E*_i = O_a when every (y, y), y in sphere i, is in orbit a and
-    |sphere i| = sizes[a], and A_1 is the sum of the sandwich orbit matrices
+    E*_i = O_a when every (y, y), y in sphere i, is in orbit a,
+    |sphere i| = sizes[a] and sphere i is the set of vertices a
+    breadth-first search over the neighbour table puts at distance i from
+    x0 (combinatorics._radii), and A_1 is the sum of the sandwich orbit matrices
     when every entry lies in one of them and the entries number the sum of
     their sizes.  sizes[a] = |sphere| times a's count in its row rests on the
     stabilizer being transitive on each sphere, part (a) of the orbit
@@ -162,12 +164,11 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     """
     m, diam = g.m, g.diameter
     index = _orbit_coordinates(m)
-    orbit_of, sizes, ids = index.orbit_of.get, index.sizes, index.id_of
-    radius = [index.radius[s] for s in index.sphere_of]
+    orbit_of, sizes, ids, sphere_of = index.orbit_of.get, index.sizes, index.id_of, index.sphere_of
     tally: dict[tuple[int, int], dict[int | None, int]] = {}
     for y, row in enumerate(_neighbours(m)):
         for z, key in zip(row, _label_keys(m, y, row)):
-            count = tally.setdefault((radius[y], radius[z]), {})
+            count = tally.setdefault((sphere_of[y], sphere_of[z]), {})
             a = orbit_of(key)
             count[a] = count.get(a, 0) + 1
 
@@ -175,11 +176,12 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
         a = ids[label]
         return tally.get((i, j)) == {a: sizes[a]}
 
+    radii = _radii(m)
     results: list[IdentityCheck] = []
-    for i in range(diam + 1):
+    for i, sphere in enumerate(index.spheres):
         a = ids[_diagonal_label(m, i)]
-        sphere = index.spheres[index.sphere_at[i]]
-        ok = len(sphere) == sizes[a] and all(orbit_of(_label_keys(m, y, (y,))[0]) == a for y in sphere)
+        searched = [y for y, r in enumerate(radii) if r == i]
+        ok = list(sphere) == searched and len(sphere) == sizes[a] and all(orbit_of(_label_keys(m, y, (y,))[0]) == a for y in sphere)
         results.append(IdentityCheck(f"dual-idempotent-orbit-form[i={i}]", ok))
 
     sandwich_orbits = set()
@@ -232,12 +234,11 @@ class EqualityResult(NamedTuple):
 def verify_equality(t: TerwilligerAlgebra, cent: OrbitCoordinates) -> EqualityResult:
     """Two-sided comparison of T with the centralizer algebra, in Q^d.
 
-    The orbit matrices have disjoint supports and orbits are numbered by
-    their first vertex pair, so the centralizer's n x n RREF is the lift of
-    the unit vectors e_a, and lifting maps T's RREF entry for entry to its
-    n x n RREF.  Hence each orbit matrix lies in T exactly when e_a does, and
-    T's n x n RREF equals the centralizer's exactly when T's RREF in Q^d is
-    the identity RREF.
+    The orbit matrices have disjoint supports, so spreading each orbit over
+    its pairs maps Q^d one to one onto the span of the orbit matrices, e_a
+    onto O_a.  Hence each orbit matrix lies in T exactly when e_a does, and
+    T is the centralizer algebra, so that their n x n RREFs, each unique,
+    are identical, exactly when T is all of Q^d, whose RREF is the identity.
     """
     d = cent.ambient_dim
     units = [{a: 1} for a in range(d)]

@@ -3,7 +3,9 @@ oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
 the push tables of T's generators, the sandwich identities of lemma41, the
 identities of psi-intertwining, the export, the orbit index and the row
 test of centralizer-dim are compared with (among them the pair index, the
-orbit of every vertex pair in one labelled pass, the n x n adjacency,
+orbit of every vertex pair in one labelled pass by each pair's invariant
+rho and block, numbered by first pair and renumbered by label to meet the
+orbit index, the n x n adjacency,
 orbit, distance and dual idempotent matrices, the matrix of a neighbour
 table, and the lift of a basis in Q^d to n x n matrices), the full
 generator lists of T, the first-pair product index of the structure
@@ -42,12 +44,12 @@ from doubled_odd.orbits import (
     OrbitCoordinates,
     OrbitLabel,
     SubalgebraClosureReport,
+    _BLOCKS,
     _check_labels_met,
     _key_parts,
+    _label_key,
     _label_keys,
     _orbit_coordinates,
-    block_of_pair,
-    rho,
 )
 from doubled_odd.terwilliger import (
     IdentityCheck,
@@ -65,6 +67,21 @@ def mask_of(elements) -> int:
             raise ValueError(f"elements are 1-based, got {e}")
         mask |= 1 << (e - 1)
     return mask
+
+
+def rho(x0: int, y: int, z: int) -> tuple[int, int, int, int]:
+    """Oracle: the orbit invariant (|x0 n y|, |x0 n z|, |y n z|, |x0 n y n z|)."""
+    return (
+        (x0 & y).bit_count(),
+        (x0 & z).bit_count(),
+        (y & z).bit_count(),
+        (x0 & y & z).bit_count(),
+    )
+
+
+def block_of_pair(m: int, y: int, z: int) -> BlockTag:
+    """Oracle: the block of a pair (y, z), by |y| and |z|."""
+    return _BLOCKS[2 * (y.bit_count() > m) + (z.bit_count() > m)]
 
 
 def distance(y: int, z: int) -> int:
@@ -227,12 +244,12 @@ def neighbour_matrix(table) -> SparseExactMatrix:
 
 def dual_idempotent(g: GroundSet, i: int) -> SparseExactMatrix:
     """Oracle: E*_i, the diagonal projection onto the sphere of radius i
-    around the base vertex, the sphere of the orbit index at distance i
-    (OrbitCoordinates.sphere_at)."""
+    around the base vertex, by the distance formula."""
     if not 0 <= i <= g.diameter:
         raise ValueError(f"sphere index {i} outside [0, {g.diameter}]")
-    index = _orbit_coordinates(g.m)
-    return SparseExactMatrix(index.n, index.n, {y: {y: 1} for y in index.spheres[index.sphere_at[i]]})
+    verts = _vertices(g.m)
+    sphere = [y for y, v in enumerate(verts) if distance(g.base_vertex, v) == i]
+    return SparseExactMatrix(len(verts), len(verts), {y: {y: 1} for y in sphere})
 
 
 def dual_idempotents(g: GroundSet) -> list[SparseExactMatrix]:
@@ -298,13 +315,15 @@ def orbit_matrix(g: GroundSet, label: OrbitLabel) -> SparseExactMatrix:
 
 def lift(coords: OrbitCoordinates, basis: SpanBasis) -> SpanBasis:
     """Oracle: the n^2-ambient RREF basis of the matrices a Q^d basis stands
-    for, each orbit's pairs read off its orbit matrix."""
+    for, each orbit's pairs read off its orbit matrix, reduced anew."""
     if basis.ambient_dim != coords.ambient_dim:
         raise ShapeMismatchError(f"basis of ambient {basis.ambient_dim} is not in orbit coordinates")
     n, mats = coords.n, _orbit_matrices(coords.m)
     positions = [[y * n + z for y, row in mats[lab]._rows.items() for z in row] for lab in coords.labels]
-    rows = [{idx: v for a, v in row.items() for idx in positions[a]} for row in basis.rows]
-    return SpanBasis.from_reduced_rows(n * n, rows)
+    lifted = SpanBasis(n * n)
+    for row in basis.rows:
+        lifted.insert({idx: v for a, v in row.items() for idx in positions[a]})
+    return lifted
 
 
 def sandwiches(g: GroundSet, a1: SparseExactMatrix) -> dict[tuple[int, int], SparseExactMatrix]:
@@ -487,6 +506,16 @@ class PairIndex(NamedTuple):
         n = self.n
         return [self.orbit_of[k * n:(k + 1) * n] for k in range(n)], [self.orbit_of[k::n] for k in range(n)]
 
+    def renumbered(self, labels) -> "PairIndex":
+        """The same orbits numbered as labels lists their labels, so that
+        the pair index and an orbit index compare through labels."""
+        ids = {lab: a for a, lab in enumerate(labels)}
+        new_id = [ids[lab] for lab in self.labels]
+        positions: list = [None] * len(labels)
+        for a, pos in enumerate(self.positions):
+            positions[new_id[a]] = pos
+        return PairIndex(self.n, tuple(labels), array("H", map(new_id.__getitem__, self.orbit_of)), tuple(positions))
+
 
 @lru_cache(maxsize=8)
 def pair_index(m: int) -> PairIndex:
@@ -494,8 +523,10 @@ def pair_index(m: int) -> PairIndex:
     labelled row-major pass.
 
     Each pair's label is encoded as one int (orbits._label_keys), and the
-    labels are numbered as they are first met; the labels met are certified
-    to be the closed-form labels (orbits._check_labels_met).
+    labels are numbered as they are first met, which is by first pair; the
+    label keys met are certified to be the closed-form labels'
+    (orbits._check_labels_met).  The orbit index numbers the same orbits by
+    label, so the two are compared through labels.
     """
     verts = _vertices(m)
     n = len(verts)
@@ -513,7 +544,7 @@ def pair_index(m: int) -> PairIndex:
     # all pairs of an orbit share its key, so its first pair gives its label
     firsts = [(verts[pos[0] // n], verts[pos[0] % n]) for pos in positions]
     labels = tuple(OrbitLabel(block_of_pair(m, y, z), rho(x0, y, z)) for y, z in firsts)
-    _check_labels_met(m, labels)
+    _check_labels_met(m, ids)
     return PairIndex(n, labels, orbit_of, positions)
 
 
@@ -528,9 +559,10 @@ class ActionTable(NamedTuple):
 def action_tables(coords: OrbitCoordinates, generators: list[SparseExactMatrix]) -> list[ActionTable]:
     """Oracle: the action of each 0/1 generator on the orbit matrices, every
     entry read off all vertex pairs of its orbit in the pair index
-    (NotClosedError when it differs between two of them)."""
+    (NotClosedError when it differs between two of them), the pair index
+    numbered as coords by label."""
     n = coords.n
-    label_rows, label_cols = pair_index(coords.m).label_lines()
+    label_rows, label_cols = pair_index(coords.m).renumbered(coords.labels).label_lines()
     tables = []
     for mat in generators:
         if mat.nrows != n or mat.ncols != n:
@@ -575,10 +607,11 @@ def _action_table(d: int, lines: dict[int, list[int]], label_lines: list) -> tup
     return table
 
 
-def merged_pair_index(m: int, keep: int, drop: int) -> PairIndex:
-    """The pair index at m with orbit drop merged into orbit keep, renumbered
-    by first pair as the real index is."""
+def merged_pair_index(m: int, keep: OrbitLabel, drop: OrbitLabel) -> PairIndex:
+    """The pair index at m with the orbit labelled drop merged into that
+    labelled keep, renumbered by first pair as the pair index is."""
     index = pair_index(m)
+    keep, drop = index.labels.index(keep), index.labels.index(drop)
     merged = [keep if a == drop else a for a in index.orbit_of]
     ids: dict[int, int] = {}
     orbit_of = array("H", (ids.setdefault(a, len(ids)) for a in merged))
@@ -589,31 +622,30 @@ def merged_pair_index(m: int, keep: int, drop: int) -> PairIndex:
     return PairIndex(index.n, tuple(labels), orbit_of, tuple(positions))
 
 
-def merged_orbit_coordinates(m: int, a: int, b: int, certified: bool = True) -> OrbitCoordinates:
-    """The orbit index at m with orbits a and b merged into one, built and
-    certified as the real index is: the merged orbit is numbered by its
-    first pair and labelled by it, so it takes the label of the lesser of a
-    and b, and the closed form the labels met are certified against lacks
-    the label of the greater.  With certified false the stabilizer orbit
+def merged_orbit_coordinates(m: int, keep: OrbitLabel, drop: OrbitLabel, certified: bool = True) -> OrbitCoordinates:
+    """The orbit index at m with the orbit labelled drop merged into that
+    labelled keep, built and certified as the real index is, from a closed
+    form without drop and label keys that give drop's pairs keep's key; its
+    label map then sends drop's key to the merged orbit too, so that every
+    later lookup sees the merge.  With certified false the stabilizer orbit
     certificate is skipped while it is built, so that a test can see what
     another check makes of orbits that are not a group's."""
-    index = _orbit_coordinates(m)
-    lost = index.labels[max(a, b)]
-    ids: dict[int, int] = {}
+    keep_key, drop_key = _label_key(m, keep), _label_key(m, drop)
+    label_keys = orbits_module._label_keys
 
-    def merge(c):
-        # renumbered as first met along the rows, as the scan numbers them
-        return ids.setdefault(min(a, b) if c == max(a, b) else c, len(ids))
+    def merged_keys(m, yi, zs):
+        return [keep_key if key == drop_key else key for key in label_keys(m, yi, zs)]
 
-    rows = [list(map(merge, row)) for row in index.rows]
-    orbit_of = {key: merge(c) for key, c in index.orbit_of.items()}
-    closed = tuple(lab for lab in orbits_module._orbit_labels(m) if lab != lost)
+    closed = tuple(lab for lab in orbits_module._orbit_labels(m) if lab != drop)
     certify = orbits_module._certify_stabilizer_orbits if certified else lambda _index: None
     with (
         patch.object(orbits_module, "_orbit_labels", lambda _m: closed),
+        patch.object(orbits_module, "_label_keys", merged_keys),
         patch.object(orbits_module, "_certify_stabilizer_orbits", certify),
     ):
-        return OrbitCoordinates(m, index.spheres, rows, orbit_of)
+        index = OrbitCoordinates(m)
+    index.orbit_of[drop_key] = index.orbit_of[keep_key]
+    return index
 
 
 def orbit_values(index: PairIndex, vec: dict[int, object]) -> dict[int, object] | None:
@@ -726,8 +758,8 @@ def product_intersection_table(coords: OrbitCoordinates, dist: list[int]) -> dic
     Every entry (c, p^c_{ab}) of the index adds p^c_{ab} to the count of
     orbit c at dist[a] * width + dist[b].  The table and the witness are
     those an exhaustive pass over all vertex triples of the n x n distance
-    table would give: orbits are numbered by their first pair, so the first
-    pair of the least orbit whose counts differ from those of the least
+    table would give: the orbits are walked by first pair, so the first
+    pair of the first orbit whose counts differ from those of the first
     orbit at the same distance is the first offending pair in row-major
     order.
     """
@@ -742,7 +774,8 @@ def product_intersection_table(coords: OrbitCoordinates, dist: list[int]) -> dic
                 count = counts[c]
                 count[key] = count.get(key, 0) + p
     profiles: dict[int, dict[int, int]] = {}
-    for c, (h, count) in enumerate(zip(dist, counts)):
+    for c in sorted(range(len(dist)), key=coords.first_pair):
+        h, count = dist[c], counts[c]
         known = profiles.setdefault(h, count)
         if known is not count and known != count:
             x, y = coords.first_pair(c)

@@ -158,13 +158,51 @@ def test_report_schema_and_statuses():
 
 
 def test_index_sets_fails_when_the_pair_pass_misses_a_closed_form_label(monkeypatch, fresh_memos):
-    # the check compares the closed forms with the labels met on the 2m+2
-    # sphere rows; drop one closed-form label and the index raises
+    # the check compares the closed-form labels with the labels met on the
+    # 2m+2 sphere rows; drop one closed-form label and they differ
     labels = orbits_module._orbit_labels(1)
-    monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: labels[:-1])
+    for module in (orbits_module, checks_module):
+        monkeypatch.setattr(module, "_orbit_labels", lambda _m: labels[:-1])
     (report,) = run(RunConfig(m=1, checks=("index-sets",)))
     assert report.actual == {"cardinalities": [5] * 4, "matches_enumeration": False}
     assert report.status == "fail"
+
+
+def _trace_index_builds(monkeypatch) -> list[int]:
+    # the m of every OrbitCoordinates built
+    built: list[int] = []
+    init = OrbitCoordinates.__init__
+    monkeypatch.setattr(OrbitCoordinates, "__init__", lambda self, m: built.append(m) or init(self, m))
+    return built
+
+
+def test_index_sets_passes_on_a_stabilizer_generator_fault_without_an_orbit_index(monkeypatch, fresh_memos):
+    # without the cycle on S - x0 the orbit certificate rejects the index,
+    # but the labels met on the sphere rows are still the closed-form
+    # labels: index-sets reads their keys and builds no index
+    generators = orbits_module.stabilizer_generators
+    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
+    built = _trace_index_builds(monkeypatch)
+    with pytest.raises(NotClosedError, match="is not a single orbit"):
+        orbits_module._orbit_coordinates(2)
+    built.clear()
+    (report,) = run(RunConfig(m=2, checks=("index-sets",)))
+    assert report.actual == {"cardinalities": [15] * 4, "matches_enumeration": True}
+    assert report.status == "pass" and built == []
+
+
+def test_index_sets_fails_on_a_label_key_outside_the_closed_form(monkeypatch, fresh_memos):
+    # the pair (x0, x0) keyed as I:1,1,1,0, which no pair carries at m = 1:
+    # the labels met lack I:1,1,1,1 and hold a label outside the closed form
+    real, bogus = (orbits_module._label_key(1, OrbitLabel(BlockTag.I, tup)) for tup in ((1, 1, 1, 1), (1, 1, 1, 0)))
+    label_keys = orbits_module._label_keys
+    monkeypatch.setattr(
+        orbits_module, "_label_keys", lambda m, yi, zs: [bogus if k == real else k for k in label_keys(m, yi, zs)]
+    )
+    built = _trace_index_builds(monkeypatch)
+    (report,) = run(RunConfig(m=1, checks=("index-sets",)))
+    assert report.actual == {"cardinalities": [5] * 4, "matches_enumeration": False}
+    assert report.status == "fail" and built == []
 
 
 def test_small_m_findings_record_expected_values():
@@ -481,14 +519,17 @@ def test_warm_export_matches_the_benchmark_reference(tmp_path):
     assert _tree_digest(tmp_path / "export") == reference["export_sha256"]
 
 
+# the export tree digests at m = 1, 2 and 4, first made when the export
+# built its files as n x n matrices (m = 3 is the benchmark's warm-m3
+# reference); they pin the first-pair row order of both basis files
+_EXPORT_DIGESTS = json.loads((_PINNED / "export_digests.json").read_text())
+
+
 @pytest.mark.parametrize("m, digest", [
-    (1, "a57601be2aa770b78bba8556a49c319b20666834523e92fd0f414de1ed897635"),
-    (2, "bf54161fef270e50a5b1d5f40a32c778046d79e9a2408e633ee5d8100c089014"),
-    pytest.param(4, "e1ea7366d73c747c58352d792e2008fe41306265b6f6dfd2fcea1f3d1927f373", marks=pytest.mark.slow),
+    pytest.param(int(m), digest, marks=[pytest.mark.slow] if int(m) >= 4 else [])
+    for m, digest in _EXPORT_DIGESTS.items()
 ])
 def test_export_matches_the_pinned_digest(tmp_path, m, digest):
-    # the digests of the export that built its files as n x n matrices: the
-    # orbit, distance and dual idempotent matrices and the lifted bases
     export_matrices(m, tmp_path)
     assert _tree_digest(tmp_path) == digest
 
@@ -525,9 +566,9 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
             n2_bases.append(ambient_dim)
         span_init(self, ambient_dim)
 
-    def traced_coords_init(self, m, *scan):
+    def traced_coords_init(self, m):
         coords_built.append(m)
-        coords_init(self, m, *scan)
+        coords_init(self, m)
 
     monkeypatch.setattr(SpanBasis, "__init__", traced_span_init)
     monkeypatch.setattr(OrbitCoordinates, "__init__", traced_coords_init)
@@ -693,10 +734,8 @@ def _use_merged_m1_rows(monkeypatch, certified: bool = True) -> None:
     # orbit index at m = 1, on every binding of its memo: the square of the
     # merged orbit matrix is not constant on it.  The orbit certificate
     # rejects the merged rows as the index is built, unless it is skipped
-    labels = orbits_module._orbit_coordinates(1).labels
-    a = labels.index(OrbitLabel(BlockTag.I, (0, 0, 0, 0)))
-    b = labels.index(OrbitLabel(BlockTag.I, (0, 1, 0, 0)))
-    doctored = merged_orbit_coordinates(1, a, b, certified)
+    keep, drop = OrbitLabel(BlockTag.I, (0, 1, 0, 0)), OrbitLabel(BlockTag.I, (0, 0, 0, 0))
+    doctored = merged_orbit_coordinates(1, keep, drop, certified)
     for module in (orbits_module, terwilliger_module, checks_module):
         monkeypatch.setattr(module, "_orbit_coordinates", lambda _m: doctored)
 
@@ -775,9 +814,7 @@ def test_orbits_oracle_fails_a_missing_generator_without_an_orbit_index(monkeypa
     # would reject the same generators
     generators = orbits_module.stabilizer_generators
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
-    built = []
-    init = OrbitCoordinates.__init__
-    monkeypatch.setattr(OrbitCoordinates, "__init__", lambda self, m, *scan: built.append(m) or init(self, m, *scan))
+    built = _trace_index_builds(monkeypatch)
     assert main(["verify", "--m", "2", "--checks", "orbits-oracle"]) == 1
     (report,) = json.loads(capsys.readouterr().out)
     assert report["actual"]["partitions_match"] is False and report["status"] == "fail"

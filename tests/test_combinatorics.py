@@ -301,9 +301,10 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
     # move an orbit and its transpose to another distance: A_1 A_i in orbit
     # coordinates and the pass over all vertex pairs of the matching n x n
     # table raise the same witness, the first pair of the first offending
-    # orbit
+    # orbit; the pair index's distances reach the orbit index through labels
     index = pair_index(m)
     coords = orbits_module._orbit_coordinates(m)
+    by_label = [index.labels.index(lab) for lab in coords.labels]
     n, verts = index.n, enumerate_vertices(GroundSet(m))
     firsts = [divmod(pos[0], n) for pos in index.positions]
     true_dist = [distance(verts[y], verts[z]) for y, z in firsts]
@@ -313,12 +314,12 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
         dist = list(true_dist)
         dist[c] = dist[transpose] = (dist[c] + 2) % (2 * m + 2)
         table = [[dist[index.orbit_of[y * n + z]] for z in range(n)] for y in range(n)]
-        witness = _outcome(_recurrence_table, coords, dist)
+        witness = _outcome(_recurrence_table, coords, [dist[c] for c in by_label])
         assert isinstance(witness, tuple)
         assert witness == _a1_profile_pass(verts, table)
         assert witness[:2] in {(verts[y], verts[z]) for y, z in firsts}
     assert _a1_profile_pass(verts, [[distance(y, z) for z in verts] for y in verts]) is None
-    table = _outcome(_recurrence_table, coords, true_dist)
+    table = _outcome(_recurrence_table, coords, [true_dist[c] for c in by_label])
     assert table == intersection_numbers(GroundSet(m)).table
 
 

@@ -9,9 +9,11 @@ import pytest
 from helpers import (
     MatrixAction,
     adjacency_matrix,
+    block_of_pair,
     class_profiles,
     column,
     contains,
+    distance,
     enumerate_index_set,
     higman_violation,
     lift,
@@ -30,11 +32,13 @@ from helpers import (
     parse_label,
     product_index,
     product_subalgebra,
+    rho,
     span,
     vectorize,
     vertex_maps_by_points,
 )
 
+from doubled_odd import combinatorics as combinatorics_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import RunConfig, run
@@ -56,12 +60,10 @@ from doubled_odd.orbits import (
     OrbitLabel,
     SubalgebraClosureReport,
     build_centralizer,
-    block_of_pair,
     check_subalgebra,
     index_set,
     orbits_by_group_action,
     constant_on_orbits,
-    rho,
     stabilizer_generators,
     tuple_bijection,
 )
@@ -451,9 +453,8 @@ def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
     # product(x, y) is the n x n product of the lifts of x and y
     coords = orbits_module._orbit_coordinates(m)
     d = coords.ambient_dim
-    # orbits are numbered by first pair, so the identity RREF of Q^d lifts to
-    # the orbit matrices in orbit order
-    orbit_vectors = lift(coords, SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))).rows
+    mats = orbit_matrices(GroundSet(m))
+    orbit_vectors = [vectorize(mats[lab]) for lab in coords.labels]
 
     def lifted(x):
         return {idx: v for a, v in x.items() for idx in orbit_vectors[a]}
@@ -487,9 +488,9 @@ def _merge_incoherent_orbits(monkeypatch, certified: bool = True) -> OrbitCoordi
     merged = mats[a] + mats[b]
     square = merged @ merged
     assert {square.get(r, c) for r, c, _ in merged.entries()} == {0, 1}
-    ids = orbits_module._orbit_coordinates(1).labels
-    # the identity is still a sum of orbits
-    coords = merged_orbit_coordinates(1, ids.index(a), ids.index(b), certified)
+    # the identity is still a sum of orbits; the merged orbit keeps the
+    # label of its first pair ({2}, {1})
+    coords = merged_orbit_coordinates(1, b, a, certified)
     monkeypatch.setattr(orbits_module, "_orbit_coordinates", lambda _m: coords)
     return coords
 
@@ -567,11 +568,13 @@ def test_the_group_orbit_comparison_names_the_first_label_that_is_no_group_orbit
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_label_key_decodes_to_its_label(m):
-    # the key of a pair's label (_label_keys) read back by _key_label, and
-    # keys ordered as the closed-form labels
+    # the key of a pair's label (_label_keys) read back by _key_label and
+    # built from the label by _label_key, and keys ordered as the
+    # closed-form labels
     index = pair_index(m)
     keys = [orbits_module._label_keys(m, pos[0] // index.n, (pos[0] % index.n,))[0] for pos in index.positions]
     assert [orbits_module._key_label(m, key) for key in keys] == list(index.labels)
+    assert [orbits_module._label_key(m, lab) for lab in index.labels] == keys
     assert [index.labels[a] for a in sorted(range(len(keys)), key=keys.__getitem__)] == list(orbits_module._orbit_labels(m))
 
 
@@ -602,7 +605,7 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
     # the table read off one pair per orbit, certified by the stabilizer
     # orbit certificate, against the pass over all n^3 vertex triples
     coords = orbits_module._orbit_coordinates(m)
-    rows, cols = pair_index(m).label_lines()
+    rows, cols = pair_index(m).renumbered(coords.labels).label_lines()
     profiles, offending = class_profiles(rows, cols, rows, coords.ambient_dim)
     assert offending is None
     counts = orbit_counts(product_index(coords))
@@ -635,15 +638,21 @@ def test_the_stabilizer_orbit_certificate_rejects_a_row_generator_that_moves_y_s
         orbits_module._orbit_coordinates.__wrapped__(2)
 
 
-def test_the_stabilizer_orbit_certificate_rejects_an_orbit_met_in_two_sphere_rows():
+def test_an_orbit_met_in_two_sphere_rows_fails_the_atom_move_cross_check():
     # the orbit of (x0, y_1) merged with that of (y_1, x0), y_1 the first
-    # vertex of sphere 1: each row keeps its partition, but the merged
-    # orbit is no orbit of a group that fixes x0
+    # vertex of sphere 1: each row keeps its partition, so the orbit
+    # certificate passes, and the label, which names sphere 0 as the one
+    # the merged orbit starts in, is belied by (y_1, x0).  y_1 = {1, 2} is a
+    # neighbour of {2}, and the cross-check of A_1's atom moves finds
+    # (y_1, x0) in the merged orbit at the first pair ({2}, x0) of
+    # I:0,1,0,0, where the moves name the lost label
     index = orbits_module._orbit_coordinates(1)
-    keep, drop = index.rows[0][index.spheres[1][0]], index.rows[1][0]
-    assert (index.row_of[keep], index.row_of[drop]) == (0, 1)
-    with pytest.raises(NotClosedError, match=f"orbit {index.labels[keep].text()} is met in two sphere rows"):
-        merged_orbit_coordinates(1, keep, drop)
+    keep, drop = (index.labels[a] for a in (index.rows[0][index.spheres[1][0]], index.rows[1][0]))
+    assert (index.row_of[index.id_of[keep]], index.row_of[index.id_of[drop]]) == (0, 1)
+    merged = merged_orbit_coordinates(1, keep, drop)
+    assert merged.rows[1][0] == merged.id_of[keep] and merged.row_of[merged.id_of[keep]] == 0
+    with pytest.raises(NotClosedError, match="first pair of orbit I:0,1,0,0 do not move it by its Venn atoms"):
+        merged.adjacency
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
@@ -719,35 +728,76 @@ def test_diagonal_orbit_matrix_is_base_vertex_unit():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_sphere_rows_number_and_size_the_orbits_as_the_pair_index(m):
-    # the 2m+2 sphere rows against the oracle's pass over all n^2 pairs: the
-    # same labels in the same first-pair numbering, |orbit| = |sphere| times
-    # the orbit's count in its row, and the orbits of every row and column
-    # read off label keys through the index's label map
+    # the 2m+2 sphere rows against the oracle's pass over all n^2 pairs,
+    # compared through labels: the closed-form labels, in closed-form
+    # order, the first pairs the oracle meets first, |orbit| = |sphere|
+    # times the orbit's count in its row, sphere i the vertices at distance
+    # i from x0, and the orbits of every row and column read off label keys
+    # through the index's label map
     rows = orbits_module._orbit_coordinates(m)
-    index = pair_index(m)
-    assert rows.labels == index.labels
+    assert rows.labels == orbits_module._orbit_labels(m) == OrbitCoordinates(m).labels
+    index = pair_index(m).renumbered(rows.labels)
     assert [rows.first_pair(a) for a in range(len(rows.labels))] == [
         divmod(pos[0], index.n) for pos in index.positions
     ]
     assert list(rows.sizes) == [len(pos) for pos in index.positions]
     assert len(rows.spheres) == 2 * m + 2
     assert sorted(y for sphere in rows.spheres for y in sphere) == list(range(index.n))
+    verts, x0 = enumerate_vertices(GroundSet(m)), GroundSet(m).base_vertex
     for s, (sphere, row) in enumerate(zip(rows.spheres, rows.rows)):
         y = sphere[0]
         assert list(row) == list(index.orbit_of[y * index.n:(y + 1) * index.n])
         assert all(rows.sphere_of[v] == s for v in sphere)
+        assert list(sphere) == [v for v, mask in enumerate(verts) if distance(x0, mask) == s]
     label_rows, label_cols = index.label_lines()
     assert [rows.row(y) for y in range(index.n)] == list(map(list, label_rows))
     assert [column(rows, z) for z in range(index.n)] == list(map(list, label_cols))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_the_index_reads_spheres_distances_and_the_identity_off_labels(monkeypatch, m):
+    # each label's start and end sphere, distance and identity membership,
+    # worked out here from the label with no vertex listed, against the
+    # index: a pair (y, z) of block I..IV has |y|, |z| in {m, m + 1}, and
+    # the label (i, j, t, p) gives |x0 n y|, |x0 n z| and |y n z|
+    index = orbits_module._orbit_coordinates(m)
+
+    def no_vertices(_m):
+        raise AssertionError("the vertices were listed")
+
+    for module in (combinatorics_module, orbits_module):
+        monkeypatch.setattr(module, "_vertices", no_vertices)
+    starts, ends, distances, identity = [], [], [], {}
+    for a, label in enumerate(orbits_module._orbit_labels(m)):
+        size_y = m + (label.block in (BlockTag.III, BlockTag.IV))
+        size_z = m + (label.block in (BlockTag.II, BlockTag.IV))
+        i, j, t, p = label.tup
+        starts.append(m + size_y - 2 * i)
+        ends.append(m + size_z - 2 * j)
+        distances.append(size_y + size_z - 2 * t)
+        if size_y == size_z == t and i == j == p:  # y = z
+            identity[a] = 1
+    assert (starts, ends, distances) == (list(index.row_of), list(index.end_of), list(index.distance_of))
+    assert index.identity() == identity
+
+
+def test_the_orbit_index_keeps_no_second_numbering():
+    # orbits are numbered by label and spheres by distance: no map between
+    # two orders is kept, and the first-pair labels are the tests' oracles
+    for name in ("radius", "sphere_at", "_identity"):
+        assert not hasattr(orbits_module._orbit_coordinates(2), name)
+    for name in ("rho", "block_of_pair"):
+        assert not hasattr(orbits_module, name)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_single_orbit_matrices_from_the_sphere_rows_match_the_pair_index_view(m):
     # every orbit matrix is built alone from its row and column spheres
+    # compared through labels
     mats = orbit_matrices(GroundSet(m))
     index = pair_index(m)
-    assert list(mats) == list(index.labels)
-    assert list(mats.values()) == pair_orbit_matrices(index)
+    assert list(mats) == list(orbits_module._orbit_labels(m))
+    assert mats == dict(zip(index.labels, pair_orbit_matrices(index)))
 
 
 def _centralizer_dim_pairs(m: int, d: int) -> list[tuple[int, int]]:
@@ -775,14 +825,14 @@ def test_row_products_reject_orbits_that_are_not_coherent(monkeypatch):
     # given; built without the certificate, the row test still fails its
     # product with the diagonal orbit of the sphere its first pair ends in,
     # and agrees with the n x n test on every pair of the other orbits
-    labels = pair_index(1).labels
-    keep, drop = map(labels.index, _INCOHERENT)
+    drop, keep = _INCOHERENT
     coords = _merge_incoherent_orbits(monkeypatch, certified=False)
-    index = merged_pair_index(1, keep, drop)
+    # the merged pair index, numbered as the merged orbit index by label
+    index = merged_pair_index(1, keep, drop).renumbered(coords.labels)
     pairs = _centralizer_dim_pairs(1, len(index.labels))
     verdicts = constant_on_orbits(1, pairs)
     oracle = n2_product_verdicts(index, pairs)
-    merged = index.labels.index(_INCOHERENT[0])
+    merged = coords.id_of[keep]
     diagonal = coords.rows[coords.end_of[merged]][coords.spheres[coords.end_of[merged]][0]]
     assert not verdicts[pairs.index((merged, diagonal))] and not oracle[pairs.index((merged, diagonal))]
     others = [k for k, pair in enumerate(pairs) if merged not in pair]

@@ -1,5 +1,6 @@
 """Dual idempotents, the generated algebra, its center and summand profile."""
 
+from collections import deque
 from math import comb
 
 import pytest
@@ -41,10 +42,11 @@ from doubled_odd.linalg import (
     algebra_closure,
     centralizer_within,
 )
+from doubled_odd import combinatorics as combinatorics_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import _family_ids
-from doubled_odd.orbits import BlockTag
+from doubled_odd.orbits import BlockTag, PushTable, _push
 from doubled_odd.terwilliger import (
     TerwilligerAlgebra,
     block_profile,
@@ -171,6 +173,31 @@ def test_sandwich_identities_on_a_doctored_adjacency_fail_as_the_n2_oracle(monke
     results = verify_sandwich_identities(g)
     assert results == n2_sandwich_identities(g, neighbour_matrix(doctored))
     assert _failed(results) == failed
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_the_spheres_of_lemma41_fail_on_a_doctored_breadth_first_search(monkeypatch, m):
+    # the search from x0 over the neighbour table less the entry (x0, z), z
+    # the first neighbour of x0, does not reach z at distance 1: E*_i fails
+    # for every sphere a vertex leaves or enters against the distance
+    # formula, by a search of the test's own, while A_1's entries, read
+    # through the untouched table, still tally
+    g = GroundSet(m)
+    doctored = _without_one_sandwich_edge(g)
+    monkeypatch.setattr(combinatorics_module, "_neighbours", lambda _m: doctored)
+    searched, queue = {0: 0}, deque([0])
+    while queue:
+        y = queue.popleft()
+        for z in doctored[y]:
+            if z not in searched:
+                searched[z] = searched[y] + 1
+                queue.append(z)
+    moved = set()
+    for y, v in enumerate(enumerate_vertices(g)):
+        if searched.get(y) != distance(g.base_vertex, v):
+            moved.update({distance(g.base_vertex, v), searched.get(y)} - {None})
+    assert 1 in moved
+    assert _failed(verify_sandwich_identities(g)) == [f"dual-idempotent-orbit-form[i={i}]" for i in sorted(moved)]
 
 
 def test_sandwich_identities_hold():
@@ -397,11 +424,13 @@ def test_orbit_coordinates_require_a_partition_of_the_pairs(monkeypatch):
 def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits():
     index = orbits_module._orbit_coordinates(1)
     # merge the orbit of (x0, x0) with an off-diagonal orbit of the row of x0:
-    # the merged index passes the label certificate against a closed form
-    # without the off-diagonal label, and then fails the identity's
-    diagonal, other = index.rows[0][0], index.rows[0][1]
-    assert index.spheres[0] == (0,) and index.labels[other].tup[2] == 0
-    with pytest.raises(NotClosedError, match="identity"):
+    # the identity is the sum of the orbits at distance 0, which a label
+    # decides, so the merged index passes the label certificate against a
+    # closed form without the off-diagonal label, and then fails the orbit
+    # certificate, which sees two classes of the row's generators in one orbit
+    diagonal, other = (index.labels[a] for a in index.rows[0][:2])
+    assert index.spheres[0] == (0,) and diagonal.tup[2] == 1 and other.tup[2] == 0
+    with pytest.raises(NotClosedError, match=f"orbit {diagonal.text()} is not a single orbit"):
         merged_orbit_coordinates(1, diagonal, other)
 
 
@@ -410,7 +439,9 @@ def test_orbit_coordinates_reject_a_matrix_not_constant_on_orbits():
     coords = orbits_module._orbit_coordinates(1)
     index = pair_index(1)
     n = vertex_count(g)
-    assert orbit_values(index, vectorize(SparseExactMatrix.identity(n))) == coords.identity()
+    # the identity's orbit values, compared through labels
+    values = orbit_values(index, vectorize(SparseExactMatrix.identity(n)))
+    assert {index.labels[a]: v for a, v in values.items()} == {coords.labels[a]: v for a, v in coords.identity().items()}
     # ({2}, {3}) shares its orbit with ({3}, {2})
     bogus = SparseExactMatrix.from_entries(n, n, [(1, 2, 1)])
     assert orbit_values(index, vectorize(bogus)) is None
@@ -533,3 +564,58 @@ def test_center_of_diagonal_subalgebra_is_everything():
         diag = span(idems)
         assert diag.dimension == 2 * m + 2
         assert centralizer_within(diag, idems, MatrixAction.on(diag)).dimension == 2 * m + 2
+
+
+class _HypercubeLabels:
+    """Positive control: the hypercube Q_D at the base vertex {} in orbit
+    coordinates.  Sym(D) fixes {} and has one orbit on vertex pairs (y, z)
+    per label (|y n z|, |y - z|, |z - y|, rest); A_1 flips one point of one
+    atom, and E*_i keeps the labels with |y| = i on the left and |z| = i on
+    the right.  Go (European J. Combin. 23, 2002) gives dim T = C(D+3, 3)
+    and dim Z(T) = floor(D/2) + 1."""
+
+    def __init__(self, dim: int):
+        self.labels = [(a, b, c, dim - a - b - c) for a in range(dim + 1) for b in range(dim + 1 - a) for c in range(dim + 1 - a - b)]
+        self.ambient_dim = len(self.labels)
+        ids = {lab: k for k, lab in enumerate(self.labels)}
+        left: list[list[tuple[int, int]]] = [[] for _ in self.labels]
+        for k, (a, b, c, r) in enumerate(self.labels):
+            # y loses a point of y n z or y - z, or gains one of z - y or the rest
+            for lab, size in (((a - 1, b, c + 1, r), a), ((a, b - 1, c, r + 1), b), ((a + 1, b, c - 1, r), c), ((a, b + 1, c, r - 1), r)):
+                if size:
+                    left[ids[lab]].append((k, size))
+        transpose = [ids[(a, c, b, r)] for a, b, c, r in self.labels]
+        right = [sorted((transpose[k], size) for k, size in left[t]) for t in transpose]
+        self.adjacency = PushTable(tuple(map(tuple, left)), tuple(map(tuple, right)))
+        ys, zs = [a + b for a, b, _, _ in self.labels], [a + c for a, _, c, _ in self.labels]
+
+        def keep(sides, i):
+            return tuple(((k, 1),) if side == i else () for k, side in enumerate(sides))
+
+        self.generators = [*(PushTable(keep(ys, i), keep(zs, i)) for i in range(dim + 1)), self.adjacency]
+
+    def identity(self) -> dict[int, object]:
+        return {k: 1 for k, (_, b, c, _) in enumerate(self.labels) if b == c == 0}
+
+    def left(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
+        return _push(g.left, vec)
+
+    def right(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
+        return _push(g.right, vec)
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_the_hypercube_terwilliger_algebra_has_its_published_dimensions(dim):
+    # the closure and the centre solve of the package on Q_D's label action,
+    # and at D <= 3 the same routines on its n x n generator matrices
+    action = _HypercubeLabels(dim)
+    t = algebra_closure(action.generators, action).basis
+    z = centralizer_within(t, action.generators, action)
+    assert (t.dimension, z.dimension) == (comb(dim + 3, 3), dim // 2 + 1)
+    if dim <= 3:
+        n = 2 ** dim
+        estars = [SparseExactMatrix.from_entries(n, n, ((y, y, 1) for y in range(n) if y.bit_count() == i)) for i in range(dim + 1)]
+        gens = [*estars, SparseExactMatrix.from_entries(n, n, ((y, y ^ 1 << k, 1) for y in range(n) for k in range(dim)))]
+        ambient = algebra_closure(gens, MatrixAction.of(gens)).basis
+        centre = centralizer_within(ambient, gens, MatrixAction.on(ambient))
+        assert (ambient.dimension, centre.dimension) == (t.dimension, z.dimension)
