@@ -41,8 +41,8 @@ from .combinatorics import (
     intersection_numbers,
     vertex_count,
 )
-from .covering import build_psi, verify_intertwining
-from .linalg import NotClosedError, SpanBasis, write_coord_entries, write_coord_text
+from .covering import _fold_image, verify_intertwining
+from .linalg import NotClosedError, SpanBasis, write_coord_entries
 from .orbits import (
     BLOCK_FAMILIES,
     BlockTag,
@@ -90,8 +90,8 @@ class RunConfig:
     """Configuration of one verification run.
 
     checks=None means every check applicable at m; an explicit check that
-    is unknown or not applicable at m, or an empty selection, raises
-    ConfigError, and an explicit selection is held as a tuple.  m is limited
+    is unknown or not applicable at m, an empty selection or export_dir ""
+    raises ConfigError, and an explicit selection is held as a tuple.  m is limited
     to SUPPORTED_M, [1, 5]; every applicable check also passes at m = 6, 7
     and 8 (n = 3,432 to 48,620), so that range is the only limit there.
     What still grows with the n^2 vertex pairs is the union-find of the
@@ -119,6 +119,8 @@ class RunConfig:
             raise ConfigError(
                 f"m={m} outside the supported range [{SUPPORTED_M[0]}, {SUPPORTED_M[-1]}]"
             )
+        if export_dir == "":
+            raise ConfigError("empty --export-dir path")  # Path("") is the working directory
         if checks is not None:
             checks = tuple(checks)
             if not checks:
@@ -192,7 +194,7 @@ class CheckContext:
 
     @cached_property
     def terwilliger(self) -> TerwilligerAlgebra:
-        return build_terwilliger(self.g)
+        return build_terwilliger(self.centralizer)
 
     @cached_property
     def center(self) -> SpanBasis:
@@ -525,11 +527,12 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     Emits the distance matrices, the dual idempotents, all orbit matrices,
     the covering matrix psi, and the reduced bases of the centralizer and
     Terwilliger algebras (one file each, basis rows as vectorized n x n
-    matrices).  One pass over the n rows of vertex pairs
-    (OrbitCoordinates.row) gives each orbit its pair positions y n + z,
-    ascending, and every file but psi and the E*_i, each the diagonal of
-    its sphere, is a 0/1 or rational combination of those positions: A_i is
-    the union of the orbits at distance i, and the rows of both bases, in
+    matrices), each through write_coord_entries.  One pass over the n rows
+    of vertex pairs (OrbitCoordinates.row) gives each orbit its pair
+    positions y n + z, ascending, and every file but psi, read off the fold
+    map, and the E*_i, each the diagonal of its sphere, is a 0/1 or
+    rational combination of those positions: A_i is the union of the
+    orbits at distance i, and the rows of both bases, in
     Q^d with the orbits ordered by first pair, are spread over their
     orbits' positions.  In that order a reduced row spreads to a reduced n
     x n row, so both bases, T's reduced anew, are written in reduced row
@@ -571,9 +574,7 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     for a in sorted(range(len(labels)), key=lambda a: labels[a].text()):
         i, j, t, p = labels[a].tup
         emit(f"orbit_{labels[a].block.value}_{i},{j},{t},{p}", n, n, pairs(positions[a]))
-    psi_path = out_dir / f"m{m}_psi.mtx"
-    write_coord_text(build_psi(g), psi_path)
-    written.append(psi_path)
+    emit("psi", comb(g.n_points, m), n, sorted((u, z, 1) for z, u in enumerate(_fold_image(g))))
 
     # the orbits by first pair position, and T's rows reduced in that order
     by_first_pair = sorted(range(len(labels)), key=lambda a: positions[a][0])

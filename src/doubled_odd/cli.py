@@ -72,12 +72,9 @@ def _parse_checks(raw: str) -> tuple[str, ...] | None:
 
 
 def _make_export_dir(path: str | None) -> None:
-    """Create --export-dir before any check runs, so that an empty path or a
-    path under or at a regular file fails at once, not after the checks that
-    come before the export."""
-    if path == "":
-        # Path("") is the working directory
-        raise ConfigError("empty --export-dir path")
+    """Create --export-dir before any check runs, so that a path under or at
+    a regular file fails at once, not after the checks that come before the
+    export (RunConfig rejects an empty path)."""
     if path is not None:
         try:
             Path(path).mkdir(parents=True, exist_ok=True)
@@ -141,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "export":
-            RunConfig(m=args.m)
+            RunConfig(m=args.m, export_dir=args.export_dir)
             _make_export_dir(args.export_dir)
             written = export_matrices(args.m, args.export_dir)
             print(f"wrote {len(written)} files to {args.export_dir}", file=sys.stderr)

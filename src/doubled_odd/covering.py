@@ -10,11 +10,12 @@ every column holds a single 1, every row exactly two, and psi psi^T = 2I.
 
 verify_intertwining checks those facts and the transport identities
 psi A_1 = A_1(Odd) psi and E*_i(Odd) psi = psi (E*_i + E*_{2m+1-i}),
-0 <= i <= m, on the fold map, with no matrix product; build_psi makes psi
-for the export alone.  Both graphs are neighbour tables: the doubled
-graph's is combinatorics._neighbours, and the m-subsets disjoint from y
-are the m + 1 sets (S - y) - {k}, k in S - y.  Odd-graph distances come
-from breadth-first search over that table, not from a closed formula.
+0 <= i <= m, on the fold map (_fold_image), with no matrix product; the
+export writes psi from the same map.  Both graphs are neighbour tables:
+the doubled graph's is combinatorics._neighbours, and the m-subsets
+disjoint from y are the m + 1 sets (S - y) - {k}, k in S - y.  Odd-graph
+distances come from breadth-first search over that table, not from a
+closed formula.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from functools import lru_cache
 from math import comb
 
 from .combinatorics import GroundSet, _distances_from, _neighbours, _vertex_index, _vertices
-from .linalg import SparseExactMatrix
 from .orbits import _orbit_coordinates
 from .terwilliger import IdentityCheck
 
@@ -62,14 +62,11 @@ def fold(g: GroundSet, z: int) -> int:
     return g.full_mask & ~z
 
 
-def build_psi(g: GroundSet) -> SparseExactMatrix:
-    """The 0/1 covering matrix, rows 1..C(2m+1, m), columns the doubled graph."""
-    doubled = _vertices(g.m)
+def _fold_image(g: GroundSet) -> list[int]:
+    """image[z] is the index of pi(z) for each doubled-graph vertex z, the
+    row of the one 1 of column z of psi."""
     pos = _vertex_index(g.m)  # the m-subsets come first in the vertex order
-    rows: dict[int, dict[int, object]] = {}
-    for zi, z in enumerate(doubled):
-        rows.setdefault(pos[fold(g, z)], {})[zi] = 1
-    return SparseExactMatrix(comb(g.n_points, g.m), len(doubled), rows)
+    return [pos[fold(g, z)] for z in _vertices(g.m)]
 
 
 def verify_intertwining(g: GroundSet) -> list[IdentityCheck]:
@@ -88,8 +85,7 @@ def verify_intertwining(g: GroundSet) -> list[IdentityCheck]:
       odd_dist[image[z]] = min(r, 2m+1-r).
     """
     m, half, diam = g.m, comb(g.n_points, g.m), g.diameter
-    pos = _vertex_index(m)
-    image = [pos[fold(g, z)] for z in _vertices(m)]
+    image = _fold_image(g)
     fibres = Counter(image)
     fibres_two = all(fibres[u] == 2 for u in range(half))
     in_odd = all(u < half for u in image)

@@ -9,7 +9,7 @@ one representation and basis comparisons are plain equality.
 
 algebra_closure and centralizer_within work on stored vectors of any ambient
 space Q^D through a generator action, which the caller passes: the package
-passes orbits.OrbitCoordinates, which acts on the d-dimensional coordinates
+passes a label scheme (orbits.LabelScheme), which acts on the coordinates
 of the orbit matrices with each generator's push tables, the lists of
 g O_a and O_a g as combinations of orbit matrices, and the tests pass an
 action that multiplies vectorized n x n matrices, as an oracle.  SpanBasis

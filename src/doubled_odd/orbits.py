@@ -18,17 +18,23 @@ dimension 4 C(m+4, 4).
 
 Sphere i around x0 is {y : m + |y| - 2|x0 n y| = i}, the vertices at
 distance i from x0, so a label names the spheres its pairs start and end
-in and their distance.  The stabilizer fixes every label and acts
-transitively on each sphere, so the row of a sphere's first vertex carries
-every orbit whose pairs start in that sphere.  OrbitCoordinates is the
-package's one orbit index, built once per m by _orbit_coordinates: orbit a
-is the a-th closed-form label, and the index reads those 2m+2 rows to find
-each orbit's first pair and to size it as |sphere| times its count in its
-row.  It is certified as it is built: the label keys met are the
-closed-form labels' keys, and union-finds over the n vertices show that the
-orbits are those of a permutation group on vertex pairs
-(_certify_stabilizer_orbits).  The orbit of any other pair is read off its
-label key (OrbitCoordinates.orbit_of).
+in and their distance.  LabelScheme holds the orbit coordinates Q^d built
+from closed forms alone, orbit a the a-th label, and T's generators act on
+it by push tables (PushTable): E*_s keeps the orbits that start or end in
+sphere s, and A_1 moves one Venn atom of a pair.  It lists no vertex.
+
+OrbitCoordinates, the package's one orbit index, built once per m by
+_orbit_coordinates, is the doubled Odd graph's scheme with its vertex
+side.  The stabilizer fixes every label and is transitive on each sphere,
+so the index reads the 2m+2 sphere rows to find each orbit's first pair
+and to size it as |sphere| times its count in its row.  It certifies the
+scheme as it is built: the label keys met are the closed-form labels'
+keys, and union-finds over the n vertices show that the orbits are a
+permutation group's (_certify_stabilizer_orbits), so A_1's moves,
+cross-checked on first pairs, hold on every pair.  The orbit of any pair
+is read off its label key (OrbitCoordinates.orbit_of).  The index is also
+the centralizer algebra (build_centralizer), a matrix constant on every
+orbit being its vector of orbit values.
 Only the union-find of the stabilizer generators on vertex pairs
 (orbits_by_group_action, for orbits-oracle), its comparison with the pairs'
 label keys (_check_group_orbits), which builds no index, and the matrix
@@ -37,14 +43,6 @@ export, which reads all n rows once, touch all n^2 pairs.
 The closed forms are production code; the union-find grinds out the orbits
 from explicit group generators, with no reference to the labels, and is
 compared with them.
-
-The same object identifies a matrix that is constant on every orbit with
-its vector of orbit values in Q^d, d = 4 C(m+4, 4), which makes Q^d the
-centralizer algebra; build_centralizer returns the shared instance.  T's
-generators act on it by push tables (PushTable): E*_s keeps the orbits
-that start or end in sphere s, and A_1 moves one Venn atom of a pair
-(OrbitCoordinates.adjacency).  The moves are read on one pair per orbit,
-which the orbit certificate makes sound.  No n x n product is formed.
 """
 
 from __future__ import annotations
@@ -294,39 +292,92 @@ def _push(table, vec: dict[int, object]) -> dict[int, object]:
     return {c: _norm(w) for c, w in out.items() if w}
 
 
-class OrbitCoordinates:
-    """The orbit index of the vertex pairs, orbit a the closed-form label
-    labels[a], and the orbit coordinates Q^d on it, on which T's generators
-    act by their push tables.
+def _transposed(label: OrbitLabel) -> OrbitLabel:
+    # the label of the pairs (z, y): blocks II and III swap, and so do i and j
+    i, j, t, p = label.tup
+    return OrbitLabel(_BLOCKS[(0, 2, 1, 3)[_BLOCKS.index(label.block)]], (j, i, t, p))
 
-    Every orbit fact but its size and first pair is a function of its
-    label: id_of[labels[a]] = a, orbit_of maps the label's key (_label_key)
-    to a, and its pairs start in sphere row_of[a], end in sphere end_of[a]
-    and lie at distance distance_of[a]; the identity is the sum of the
-    orbits at distance 0.  spheres[i] lists the vertices of sphere i, those
-    at distance i from x0, ascending, and sphere_of[y] is the sphere of
-    vertex y.  rows[i][z] is the orbit of (spheres[i][0], z), read off label
-    keys, which decides the orbit of every pair (row).  Orbit a has sizes[a]
-    pairs and first pair (spheres[row_of[a]][0], members[a][0]), where
-    members[a] lists ascending the z with (spheres[row_of[a]][0], z) in a.
-    O_a O_b != 0 exactly when end_of[a] == row_of[b].
 
-    An instance is the action algebra_closure and centralizer_within need,
-    with push tables as its generators: left(g, v) and right(g, v) are the
-    products g v and v g.
+class LabelScheme:
+    """The orbit coordinates Q^d of a scheme given by closed forms alone.
+
+    For a pair (y, z) with a label, ends(label) gives the spheres of y and
+    z, distance(label) their distance, moves(label) the (label of (w, z),
+    number of such w) over the neighbours w of y, and transpose(label) the
+    label of (z, y).  Orbit a = id_of[labels[a]] starts in sphere row_of[a],
+    ends in end_of[a] and lies at distance distance_of[a]; the identity is
+    the sum of the orbits at distance 0.  That one pair's moves hold for its
+    whole orbit is the caller's to certify.  An instance is the action
+    algebra_closure and centralizer_within need, with push tables as its
+    generators: left(g, v) and right(g, v) are g v and v g.
+    """
+
+    def __init__(self, labels, ends, distance, moves, transpose):
+        self.labels = tuple(labels)
+        self.ambient_dim = len(self.labels)
+        self.id_of = {lab: a for a, lab in enumerate(self.labels)}
+        self.row_of, self.end_of = map(tuple, zip(*map(ends, self.labels)))
+        self.distance_of = tuple(map(distance, self.labels))
+        self._moves, self._transpose = moves, transpose
+
+    def projection(self, s: int) -> PushTable:
+        """E* of sphere s: E* O_a is O_a when a's pairs start in sphere s,
+        O_a E* is O_a when they end in it, and each is 0 otherwise."""
+        def keep(spheres):
+            return tuple(((a, 1),) if t == s else () for a, t in enumerate(spheres))
+        return PushTable(keep(self.row_of), keep(self.end_of))
+
+    @cached_property
+    def adjacency(self) -> PushTable:
+        """A_1 as push tables, built on first read: the coefficient of O_c
+        in A_1 O_b is the number of neighbours w of y with (w, z) in b, for
+        a pair (y, z) of c, which c's moves give, and O_b A_1 is the
+        transpose of A_1 O_{b^T}, b^T the orbit of the transposed pairs."""
+        left: list[list[tuple[int, int]]] = [[] for _ in self.labels]
+        for c, label in enumerate(self.labels):
+            for lab, size in self._moves(label):
+                left[self.id_of[lab]].append((c, size))
+        transposed = [self.id_of[self._transpose(lab)] for lab in self.labels]
+        right = (sorted((transposed[c], k) for c, k in left[b_t]) for b_t in transposed)
+        return PushTable(tuple(map(tuple, left)), tuple(map(tuple, right)))
+
+    def generators(self) -> list[PushTable]:
+        """The generators T is closed under: E*_0, E*_1, ... for every
+        sphere an orbit starts in, and then A_1."""
+        return [*map(self.projection, range(max(self.row_of) + 1)), self.adjacency]
+
+    def identity(self) -> dict[int, object]:
+        return {a: 1 for a, h in enumerate(self.distance_of) if h == 0}
+
+    def left(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
+        return _push(g.left, vec)
+
+    def right(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
+        return _push(g.right, vec)
+
+
+class OrbitCoordinates(LabelScheme):
+    """The doubled Odd graph's label scheme at m with its vertex side: the
+    orbit index of the vertex pairs.  orbit_of maps each label's key (_label_key) to its orbit.  spheres[i]
+    lists the vertices of sphere i, those at distance i from x0, ascending,
+    and sphere_of[y] is the sphere of vertex y.  rows[i][z] is the orbit of
+    (spheres[i][0], z), read off label keys, which decides the orbit of
+    every pair (row).  Orbit a has sizes[a] pairs and first pair
+    (spheres[row_of[a]][0], members[a][0]), where members[a] lists
+    ascending the z with (spheres[row_of[a]][0], z) in a.  O_a O_b != 0
+    exactly when end_of[a] == row_of[b].
     """
 
     def __init__(self, m: int):
         """The index at m, read off the 2m+2 sphere rows, each orbit sized
-        as |sphere| times its count in its row.  Certified: the label keys
-        met are the closed-form labels' (_check_labels_met), and the orbits
-        are a permutation group's (_certify_stabilizer_orbits)."""
-        self.m, self.n, self.labels = m, len(_vertices(m)), _orbit_labels(m)
-        self.ambient_dim = len(self.labels)
-        self.id_of = {lab: a for a, lab in enumerate(self.labels)}
+        as |sphere| times its count in its row, on closed forms looked up
+        when called.  Certified: the label keys met are the closed-form
+        labels' (_check_labels_met), and the orbits are a permutation
+        group's (_certify_stabilizer_orbits)."""
+        super().__init__(_orbit_labels(m), lambda lab: _orbit_spheres(m, lab), lambda lab: _orbit_distance(m, lab),
+                         lambda lab: _neighbour_labels(m, lab), _transposed)
+        self.m, self.n = m, len(_vertices(m))
         self.orbit_of = {_label_key(m, lab): a for a, lab in enumerate(self.labels)}
-        self.row_of, self.end_of = map(tuple, zip(*(_orbit_spheres(m, lab) for lab in self.labels)))
-        self.distance_of = tuple(_orbit_distance(m, lab) for lab in self.labels)
         self.spheres = _spheres(m)
         self.sphere_of = array("H", [0]) * self.n
         keys = _sphere_row_keys(m)
@@ -353,48 +404,20 @@ class OrbitCoordinates:
         their label keys."""
         return list(map(self.orbit_of.__getitem__, _label_keys(self.m, y, range(self.n))))
 
-    def projection(self, s: int) -> PushTable:
-        """E* of sphere s: E* O_a is O_a when a's pairs start in sphere s,
-        O_a E* is O_a when they end in it, and each is 0 otherwise."""
-        def keep(spheres):
-            return tuple(((a, 1),) if t == s else () for a, t in enumerate(spheres))
-        return PushTable(keep(self.row_of), keep(self.end_of))
-
     @cached_property
     def adjacency(self) -> PushTable:
-        """A_1 as push tables, built on first read: the coefficient of O_c
-        in A_1 O_b is the number of neighbours w of y with (w, z) in b, for
-        a pair (y, z) of c, which the Venn-atom moves give
-        (_neighbour_labels), and O_b A_1 is the transpose of A_1 O_{b^T}.
-        The orbits are those of a permutation group, certified when the
-        index is built, so every pair of c counts alike; the orbits of
-        (w, z), read off label keys for the neighbours w of y
-        (combinatorics._neighbours) and the first pair (y, z) of each orbit
-        c, must be the moves' (NotClosedError naming c otherwise)."""
+        """A_1's push tables, once the moves are cross-checked on the first
+        pair (y, z) of every orbit c: the orbits of (w, z), read off label
+        keys for the neighbours w of y (combinatorics._neighbours), must be
+        c's moves (NotClosedError naming c otherwise).  The certified orbits
+        are a permutation group's, so every pair of c moves alike."""
         m, neighbours = self.m, _neighbours(self.m)
-        left: list[list[tuple[int, int]]] = [[] for _ in self.labels]
         for c, label in enumerate(self.labels):
-            moves = [(self.id_of.get(lab), size) for lab, size in _neighbour_labels(m, label)]
             y, z = self.first_pair(c)
             met = Counter(self.orbit_of.get(_label_keys(m, w, (z,))[0]) for w in neighbours[y])
-            if met != dict(moves):
+            if met != {self.id_of.get(lab): size for lab, size in self._moves(label)}:
                 raise NotClosedError(f"the neighbours of the first pair of orbit {label.text()} do not move it by its Venn atoms")
-            for b, size in moves:
-                left[b].append((c, size))
-        # the orbit of the pairs (z, y) for the pairs (y, z) of each orbit
-        swap = {BlockTag.II: BlockTag.III, BlockTag.III: BlockTag.II}
-        transposed = [self.id_of[OrbitLabel(swap.get(b, b), (j, i, t, p))] for b, (i, j, t, p) in self.labels]
-        right = (sorted((transposed[c], k) for c, k in left[b_t]) for b_t in transposed)
-        return PushTable(tuple(map(tuple, left)), tuple(map(tuple, right)))
-
-    def identity(self) -> dict[int, object]:
-        return {a: 1 for a, h in enumerate(self.distance_of) if h == 0}
-
-    def left(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
-        return _push(g.left, vec)
-
-    def right(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
-        return _push(g.right, vec)
+        return super().adjacency
 
 
 @lru_cache(maxsize=8)

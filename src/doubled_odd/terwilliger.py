@@ -1,25 +1,19 @@
 """The Terwilliger algebra of a doubled Odd graph at the base vertex.
 
 The dual idempotent E*_i is the diagonal 0/1 projection onto the sphere of
-radius i around x0 = {1, ..., m}, which acts on Q^d by keeping the orbits
-of that sphere (orbits.OrbitCoordinates.projection); no n x n E*_i is
-built.  The Terwilliger algebra T is the matrix
+radius i around x0 = {1, ..., m}.  The Terwilliger algebra T is the matrix
 algebra generated by the distance matrices A_0, ..., A_{2m+1} together with
 E*_0, ..., E*_{2m+1}.  build_terwilliger closes under A_1 and the E*_i only
-and then certifies exactly that every other A_i lies in the result, so the
-smaller generating set is checked rather than assumed.  T and its centre
-Z(T) live in orbit coordinates Q^d, d = 4 C(m+4, 4), end to end, on the
-one orbit index per m, orbits.OrbitCoordinates, which is also the
-centralizer algebra, and only the matrix export writes T out as n x n
-matrices.
-
-Each A_i is the indicator in Q^d of the orbits at distance i
-(orbits.OrbitCoordinates.distance_of).  The closure acts on the orbit
-matrices with the generators' push tables: E*_i keeps the orbits of its
-sphere, and A_1 moves one Venn atom (orbits.OrbitCoordinates.adjacency);
-the centre solve acts with A_1 alone on T's diagonal blocks (center_basis).  T needs no n x n
-matrix and no pass over all n^2 vertex pairs.  T is closed and Z(T) solved on every run; nothing is read
-back from disk.  Everything T is generated by lies inside the centralizer
+and then certifies exactly that every other A_i, the indicator of the
+orbits at distance i, lies in the result, so the smaller generating set is
+checked rather than assumed.  T and its centre Z(T) live in the orbit
+coordinates Q^d of a label scheme (orbits.LabelScheme), which lists no
+vertex: E*_i keeps the orbits of its sphere and A_1 moves one Venn atom,
+and the centre solve acts with A_1 alone on T's diagonal blocks
+(center_basis).  The checks pass the doubled Odd graph's certified orbit
+index (orbits.OrbitCoordinates, d = 4 C(m+4, 4)); T is closed and Z(T)
+solved on every run, and only the matrix export writes T out as n x n
+matrices.  Everything T is generated by lies inside the centralizer
 algebra of the stabilizer of x0: each E*_i is a single diagonal orbit
 matrix and each sandwich E*_i A_1 E*_{i+1} is a single off-diagonal orbit
 matrix, with explicit four-tuple labels.  verify_sandwich_identities
@@ -51,7 +45,7 @@ from .linalg import (
     algebra_closure,
     centralizer_within,
 )
-from .orbits import BlockTag, OrbitCoordinates, OrbitLabel, PushTable
+from .orbits import BlockTag, LabelScheme, OrbitCoordinates, OrbitLabel
 from .orbits import _label_keys, _orbit_coordinates
 
 
@@ -63,11 +57,11 @@ class IdentityCheck(NamedTuple):
 class TerwilligerAlgebra(NamedTuple):
     """The Terwilliger algebra as a closed span in orbit coordinates.
 
-    basis is the RREF basis of T in Q^d, one coordinate per orbit matrix.
+    basis is the RREF basis of T in the orbit coordinates Q^d of scheme.
     closure is the run that produced it, None for a span built otherwise.
     """
 
-    m: int
+    scheme: LabelScheme
     basis: SpanBasis
     closure: ClosureResult | None
 
@@ -76,36 +70,23 @@ class TerwilligerAlgebra(NamedTuple):
         return self.basis.dimension
 
 
-def _distance_vector(m: int, i: int) -> dict[int, object]:
-    """A_i in orbit coordinates: the indicator of the orbits at distance i."""
-    return {a: 1 for a, h in enumerate(_orbit_coordinates(m).distance_of) if h == i}
-
-
-def _generators(m: int) -> list[PushTable]:
-    """The generators T is closed under, as push tables: E*_0..E*_{2m+1},
-    each the projection onto its sphere, and then A_1."""
-    index = _orbit_coordinates(m)
-    return [*map(index.projection, range(len(index.spheres))), index.adjacency]
-
-
-def build_terwilliger(g: GroundSet) -> TerwilligerAlgebra:
-    """T as the closure under E*_0..E*_{2m+1} and A_1, computed in orbit
-    coordinates.
+def build_terwilliger(scheme: LabelScheme) -> TerwilligerAlgebra:
+    """T as the closure under the scheme's E*_i and A_1, computed in its
+    orbit coordinates.
 
     T is generated by A_1 and the E*_i (Terwilliger 1992).  Rather than rely
-    on distance-regularity for the remaining distance matrices, each of A_0
-    and A_2..A_{2m+1}, the indicator of the orbits at its distance, is tested
-    for exact membership in the closure; a missing one raises
-    NotClosedError, since the closure would then not be all of T.  The basis
-    is returned in Q^d, as the closure left it.
+    on distance-regularity for the remaining distance matrices, each A_i,
+    i != 1, the indicator of the orbits at distance i, is tested for exact
+    membership in the closure; a missing one raises NotClosedError, since
+    the closure would then not be all of T.  The basis is returned in Q^d,
+    as the closure left it.
     """
-    closure = algebra_closure(_generators(g.m), _orbit_coordinates(g.m))
-    for i in range(g.diameter + 1):
-        if i != 1 and not closure.basis.contains_vector(_distance_vector(g.m, i)):
-            raise NotClosedError(
-                f"A_{i} is not in the algebra generated by A_1 and the E*_i at m={g.m}"
-            )
-    return TerwilligerAlgebra(m=g.m, basis=closure.basis, closure=closure)
+    closure = algebra_closure(scheme.generators(), scheme)
+    for i in range(max(scheme.distance_of) + 1):
+        a_i = {a: 1 for a, h in enumerate(scheme.distance_of) if h == i}
+        if i != 1 and not closure.basis.contains_vector(a_i):
+            raise NotClosedError(f"A_{i} is not in the algebra generated by A_1 and the E*_i")
+    return TerwilligerAlgebra(scheme=scheme, basis=closure.basis, closure=closure)
 
 
 def _sandwich_label(m: int, i: int, transposed: bool) -> OrbitLabel:
@@ -252,7 +233,8 @@ def verify_equality(t: TerwilligerAlgebra, cent: OrbitCoordinates) -> EqualityRe
 
 def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     """Basis of the center Z(T) in Q^d: the commutant of A_1 within T's
-    diagonal blocks E*_i T E*_i, solved in orbit coordinates.
+    diagonal blocks E*_i T E*_i, solved in the orbit coordinates of T's
+    scheme.
 
     T contains every E*_i, so it is the direct sum of its blocks
     E*_i T E*_j, and an element of T commutes with every E*_i exactly when
@@ -263,8 +245,8 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     block; a row that joins two raises NotClosedError, since this accepts
     any span a caller builds, not only a closure.
     """
-    index = _orbit_coordinates(t.m)
-    block = list(zip(index.row_of, index.end_of))
+    scheme = t.scheme
+    block = list(zip(scheme.row_of, scheme.end_of))
     diagonal = []
     for row in t.basis.rows:
         (i, j), *others = {block[a] for a in row}
@@ -273,7 +255,7 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
         if i == j:
             diagonal.append(row)
     within = SpanBasis.from_reduced_rows(t.basis.ambient_dim, diagonal)
-    return centralizer_within(within, [index.adjacency], action=index)
+    return centralizer_within(within, [scheme.adjacency], action=scheme)
 
 
 def upsilon(m: int) -> frozenset[tuple[int, int]]:

@@ -844,12 +844,24 @@ def odd_sphere_diagonal(g: GroundSet, i: int) -> SparseExactMatrix:
     return SparseExactMatrix(n, n, {a: {a: 1} for a, d in enumerate(dist) if d == i})
 
 
+def build_psi(g: GroundSet) -> SparseExactMatrix:
+    """Oracle: the 0/1 covering matrix, rows the C(2m+1, m) Odd-graph
+    vertices, columns the doubled graph, built entry by entry from the fold
+    map (covering.fold)."""
+    doubled = _vertices(g.m)
+    pos = _vertex_index(g.m)  # the m-subsets come first in the vertex order
+    rows: dict[int, dict[int, object]] = {}
+    for zi, z in enumerate(doubled):
+        rows.setdefault(pos[covering_module.fold(g, z)], {})[zi] = 1
+    return SparseExactMatrix(comb(g.n_points, g.m), len(doubled), rows)
+
+
 def n2_intertwining(g: GroundSet, a1: SparseExactMatrix) -> list[IdentityCheck]:
     """Oracle of psi-intertwining (covering.verify_intertwining) for the
     adjacency matrix a1: the same identities, in the same order, each
-    checked on psi (covering.build_psi) by n x n matrix products, against
-    the Odd graph's adjacency by a disjointness scan."""
-    psi = covering_module.build_psi(g)
+    checked on psi (build_psi) by n x n matrix products, against the Odd
+    graph's adjacency by a disjointness scan."""
+    psi = build_psi(g)
     half, n = psi.nrows, psi.ncols
     col_counts: dict[int, int] = {}
     row_ok = True

@@ -33,9 +33,9 @@ from doubled_odd.linalg import (
     read_coord_text,
     write_coord_text,
 )
-from doubled_odd.orbits import BlockTag, OrbitCoordinates, OrbitLabel
+from doubled_odd.orbits import BlockTag, LabelScheme, OrbitCoordinates, OrbitLabel, PushTable
 from doubled_odd.combinatorics import GroundSet
-from doubled_odd.terwilliger import center_basis
+from doubled_odd.terwilliger import build_terwilliger, center_basis
 
 _ALLOWED_PROVENANCE = {"paper-formula", "derived-oracle", "finding-only"}
 
@@ -370,6 +370,15 @@ def test_cli_rejects_an_empty_export_dir_before_any_check(tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_config_rejects_an_empty_export_dir(tmp_path, monkeypatch):
+    # a run with export_dir="" would write its files into the working
+    # directory: the configuration is refused before any check runs
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="^empty --export-dir path$"):
+        run(RunConfig(1, checks=("vertex-count",), export_dir=""))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_rejects_an_empty_out_before_any_check(tmp_path, capsys, monkeypatch):
     # the temporary report would go to the working directory, and the
     # rename onto "" would fail only after every check
@@ -584,7 +593,9 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
     assert not hasattr(ctx.centralizer, "span")
     assert not hasattr(ctx.centralizer, "matrices")
     assert not hasattr(ctx.terwilliger, "coordinates")
-    assert not hasattr(ctx.centralizer, "generators")
+    # T's generators are push tables made on request, not stored matrices
+    assert "generators" not in vars(ctx.centralizer)
+    assert all(isinstance(gen, PushTable) for gen in ctx.centralizer.generators())
 
 
 def _trace_vertex_square_matrices(monkeypatch) -> list[SparseExactMatrix]:
@@ -677,6 +688,36 @@ def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
     # the trace sees an n x n matrix where one is made
     adjacency_matrix(GroundSet(3))
     assert [(a.nrows, a.ncols) for a in made] == [(70, 70)]
+
+
+def test_t_and_z_list_no_vertex(monkeypatch, fresh_memos):
+    # T is closed and Z(T) solved on the doubled Odd graph's label scheme,
+    # built from closed forms alone, with every listing of vertices, the
+    # neighbour table and the orbit index made to raise: the same RREF of
+    # T and the same Z(T) as the checks get on the certified index
+    ctx = CheckContext(3)
+    expected_rows, expected_center = ctx.terwilliger.basis.rows, ctx.center
+
+    def listed(*_args):
+        raise AssertionError("a vertex was listed")
+
+    for module in (combinatorics_module, orbits_module, terwilliger_module, covering_module, checks_module):
+        for name in ("_vertices", "_vertex_index", "_neighbours", "_orbit_coordinates"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, listed)
+    scheme = LabelScheme(
+        orbits_module._orbit_labels(3),
+        lambda label: orbits_module._orbit_spheres(3, label),
+        lambda label: orbits_module._orbit_distance(3, label),
+        lambda label: orbits_module._neighbour_labels(3, label),
+        orbits_module._transposed,
+    )
+    t = build_terwilliger(scheme)
+    assert t.basis.rows == expected_rows
+    assert center_basis(t) == expected_center
+    # the patches bite where the index is built
+    with pytest.raises(AssertionError, match="a vertex was listed"):
+        CheckContext(3).terwilliger
 
 
 def _count_label_keys(monkeypatch) -> list[int]:

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from helpers import (
     adjacency_matrix,
+    build_psi,
     distance,
     distance_matrices,
     n2_intertwining,
@@ -24,7 +25,6 @@ from doubled_odd.combinatorics import (
 from doubled_odd.covering import (
     _odd_distances_from_base,
     _odd_neighbours,
-    build_psi,
     fold,
     odd_vertices,
     verify_intertwining,

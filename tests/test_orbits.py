@@ -233,7 +233,7 @@ def test_the_a1_push_tables_match_the_first_pair_product_index(m):
     # read off the first pairs of every orbit, for every b; m = 6 lies
     # outside SUPPORTED_M, but the index and its certificate need only m
     coords = orbits_module._orbit_coordinates(m)
-    a1 = terwilliger_module._distance_vector(m, 1)
+    a1 = {a: 1 for a, h in enumerate(coords.distance_of) if h == 1}
     for b in range(coords.ambient_dim):
         assert coords.left(coords.adjacency, {b: 1}) == orbit_product(coords, a1, {b: 1})
         assert coords.right(coords.adjacency, {b: 1}) == orbit_product(coords, {b: 1}, a1)

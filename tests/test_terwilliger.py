@@ -46,7 +46,7 @@ from doubled_odd import combinatorics as combinatorics_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import _family_ids
-from doubled_odd.orbits import BlockTag, PushTable, _push
+from doubled_odd.orbits import BlockTag, LabelScheme
 from doubled_odd.terwilliger import (
     TerwilligerAlgebra,
     block_profile,
@@ -260,7 +260,7 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
         # T without one of its rows is a proper subspace of the centralizer
         rows = t.basis.rows
         del rows[len(rows) // 2]
-        smaller = TerwilligerAlgebra(m, SpanBasis.from_reduced_rows(t.basis.ambient_dim, rows), None)
+        smaller = TerwilligerAlgebra(cent, SpanBasis.from_reduced_rows(t.basis.ambient_dim, rows), None)
         assert verify_inclusion(smaller, cent).ok == _n2_inclusion(_lifted(ctx.g, smaller.basis), cent_span)
         assert tuple(verify_equality(smaller, cent)) == _n2_equality(_lifted(ctx.g, smaller.basis), cent, cent_span)
         assert tuple(verify_equality(smaller, cent)) == (False,) * 3
@@ -269,7 +269,7 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
 def test_checks_in_orbit_coordinates_reject_a_basis_of_another_ambient(ctx_for):
     ctx = ctx_for(1)
     t, cent = ctx.terwilliger, ctx.centralizer
-    lifted = TerwilligerAlgebra(1, lift(cent, t.basis), None)
+    lifted = TerwilligerAlgebra(cent, lift(cent, t.basis), None)
     assert verify_inclusion(lifted, cent) == (False, 0)
     res = verify_equality(lifted, cent)
     assert not res.orbit_matrices_in_t and not res.identical_rref
@@ -362,7 +362,8 @@ def test_center_matches_the_all_generator_oracle(ctx_for, m):
     # the solve over all of T against every generator T is closed under
     # gives the RREF of the solve on the diagonal blocks against A_1
     t = ctx_for(m).terwilliger
-    oracle = centralizer_within(t.basis, terwilliger_module._generators(m), orbits_module._orbit_coordinates(m))
+    index = orbits_module._orbit_coordinates(m)
+    oracle = centralizer_within(t.basis, index.generators(), index)
     assert oracle.dimension == upsilon_size_formula(m)
     assert center_basis(t) == oracle
 
@@ -375,7 +376,7 @@ def test_center_rejects_a_row_joining_two_blocks():
     d = len(index.labels)
     b = next(b for b, zs in enumerate(index.members) if index.sphere_of[zs[0]] != index.row_of[b])
     rows = [{0: 1, b: 1}] + [{a: 1} for a in range(1, d) if a != b]
-    t = TerwilligerAlgebra(m=3, basis=SpanBasis.from_reduced_rows(d, rows), closure=None)
+    t = TerwilligerAlgebra(scheme=index, basis=SpanBasis.from_reduced_rows(d, rows), closure=None)
     with pytest.raises(NotClosedError, match="joins two blocks"):
         center_basis(t)
 
@@ -402,9 +403,9 @@ def test_product_built_closure_tables_match_the_action_tables_oracle(m):
     # oracle reads the action off every vertex pair of its orbit
     g = GroundSet(m)
     coords = orbits_module._orbit_coordinates(m)
-    # closure_generators lists E*_0..E*_{2m+1}, then A_1, as _generators does
+    # closure_generators lists E*_0..E*_{2m+1}, then A_1, as generators() does
     oracle = action_tables(coords, closure_generators(g))
-    generators = terwilliger_module._generators(m)
+    generators = coords.generators()
     assert len(generators) == len(oracle)
     for x, table in zip(generators, oracle):
         for a in range(coords.ambient_dim):
@@ -537,16 +538,16 @@ def test_generator_closure_matches_pairwise_product_oracle():
     for m in (1, 2):
         g = GroundSet(m)
         oracle = _pairwise_product_closure(terwilliger_generators(g))
-        assert _lifted(g, build_terwilliger(g).basis) == oracle
+        assert _lifted(g, build_terwilliger(orbits_module._orbit_coordinates(m)).basis) == oracle
 
 
 def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeypatch, fresh_memos):
     # without A_1 the closure is the span of the E*_i: it holds A_0, the sum
     # of the E*_i, but not A_2
-    generators = terwilliger_module._generators
-    monkeypatch.setattr(terwilliger_module, "_generators", lambda m: generators(m)[:-1])
+    generators = LabelScheme.generators
+    monkeypatch.setattr(LabelScheme, "generators", lambda scheme: generators(scheme)[:-1])
     with pytest.raises(NotClosedError, match="A_2 is not in the algebra"):
-        build_terwilliger(GroundSet(1))
+        build_terwilliger(orbits_module._orbit_coordinates(1))
 
 
 def test_second_sphere_idempotent_support_at_m3():
@@ -566,51 +567,36 @@ def test_center_of_diagonal_subalgebra_is_everything():
         assert centralizer_within(diag, idems, MatrixAction.on(diag)).dimension == 2 * m + 2
 
 
-class _HypercubeLabels:
-    """Positive control: the hypercube Q_D at the base vertex {} in orbit
-    coordinates.  Sym(D) fixes {} and has one orbit on vertex pairs (y, z)
-    per label (|y n z|, |y - z|, |z - y|, rest); A_1 flips one point of one
-    atom, and E*_i keeps the labels with |y| = i on the left and |z| = i on
-    the right.  Go (European J. Combin. 23, 2002) gives dim T = C(D+3, 3)
-    and dim Z(T) = floor(D/2) + 1."""
+def _hypercube(dim: int) -> LabelScheme:
+    """Positive control: the hypercube Q_D at the base vertex {} as a label
+    scheme.  Sym(D) fixes {} and has one orbit on vertex pairs (y, z) per
+    label (|y n z|, |y - z|, |z - y|, rest), whose pairs start in sphere
+    |y| and end in sphere |z|.  A_1 flips one point of one atom: y loses a
+    point of y n z or y - z, or gains one of z - y or the rest.  Go
+    (European J. Combin. 23, 2002) gives dim T = C(D+3, 3) and
+    dim Z(T) = floor(D/2) + 1."""
+    def moves(label):
+        a, b, c, r = label
+        flips = (((a - 1, b, c + 1, r), a), ((a, b - 1, c, r + 1), b), ((a + 1, b, c - 1, r), c), ((a, b + 1, c, r - 1), r))
+        return [(lab, size) for lab, size in flips if size]
 
-    def __init__(self, dim: int):
-        self.labels = [(a, b, c, dim - a - b - c) for a in range(dim + 1) for b in range(dim + 1 - a) for c in range(dim + 1 - a - b)]
-        self.ambient_dim = len(self.labels)
-        ids = {lab: k for k, lab in enumerate(self.labels)}
-        left: list[list[tuple[int, int]]] = [[] for _ in self.labels]
-        for k, (a, b, c, r) in enumerate(self.labels):
-            # y loses a point of y n z or y - z, or gains one of z - y or the rest
-            for lab, size in (((a - 1, b, c + 1, r), a), ((a, b - 1, c, r + 1), b), ((a + 1, b, c - 1, r), c), ((a, b + 1, c, r - 1), r)):
-                if size:
-                    left[ids[lab]].append((k, size))
-        transpose = [ids[(a, c, b, r)] for a, b, c, r in self.labels]
-        right = [sorted((transpose[k], size) for k, size in left[t]) for t in transpose]
-        self.adjacency = PushTable(tuple(map(tuple, left)), tuple(map(tuple, right)))
-        ys, zs = [a + b for a, b, _, _ in self.labels], [a + c for a, _, c, _ in self.labels]
-
-        def keep(sides, i):
-            return tuple(((k, 1),) if side == i else () for k, side in enumerate(sides))
-
-        self.generators = [*(PushTable(keep(ys, i), keep(zs, i)) for i in range(dim + 1)), self.adjacency]
-
-    def identity(self) -> dict[int, object]:
-        return {k: 1 for k, (_, b, c, _) in enumerate(self.labels) if b == c == 0}
-
-    def left(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
-        return _push(g.left, vec)
-
-    def right(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
-        return _push(g.right, vec)
+    return LabelScheme(
+        [(a, b, c, dim - a - b - c) for a in range(dim + 1) for b in range(dim + 1 - a) for c in range(dim + 1 - a - b)],
+        ends=lambda label: (label[0] + label[1], label[0] + label[2]),
+        distance=lambda label: label[1] + label[2],
+        moves=moves,
+        transpose=lambda label: (label[0], label[2], label[1], label[3]),
+    )
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_the_hypercube_terwilliger_algebra_has_its_published_dimensions(dim):
-    # the closure and the centre solve of the package on Q_D's label action,
-    # and at D <= 3 the same routines on its n x n generator matrices
-    action = _HypercubeLabels(dim)
-    t = algebra_closure(action.generators, action).basis
-    z = centralizer_within(t, action.generators, action)
+    # the package's own T and Z(T) routes on Q_D's label scheme: the
+    # closure with its A_i-membership check over Q_D's distances, and the
+    # centre solve on the diagonal blocks against A_1; at D <= 3 the
+    # closure and the centre solve on its n x n generator matrices
+    t = build_terwilliger(_hypercube(dim))
+    z = center_basis(t)
     assert (t.dimension, z.dimension) == (comb(dim + 3, 3), dim // 2 + 1)
     if dim <= 3:
         n = 2 ** dim
