@@ -539,6 +539,8 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     echelon form.  This is the only place the n x n form of the two
     algebras is made.
     """
+    if export_dir == "":
+        raise ConfigError("empty --export-dir path")  # Path("") is the working directory
     if ctx is None:
         ctx = CheckContext(m)
     g = ctx.g

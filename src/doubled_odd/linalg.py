@@ -12,15 +12,17 @@ space Q^D through a generator action, which the caller passes: the package
 passes a label scheme (orbits.LabelScheme), which acts on the coordinates
 of the orbit matrices with each generator's push tables, the lists of
 g O_a and O_a g as combinations of orbit matrices, and the tests pass an
-action that multiplies vectorized n x n matrices, as an oracle.  SpanBasis
-is the one exact elimination routine: the closure grows a SpanBasis, and
-centralizer_within inserts its commutator equations into one and reads the
-commutant off SpanBasis.null_space.
+action that multiplies vectorized n x n matrices, as an oracle.  The closure
+splits each product by the action's row blocks, the spheres for a scheme,
+so T closes under A_1 alone.  SpanBasis is the one exact elimination
+routine: the closure grows a SpanBasis, and centralizer_within inserts its
+commutator equations into one and reads the commutant off
+SpanBasis.null_space.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Protocol
@@ -330,10 +332,12 @@ class GeneratorAction(Protocol):
 
     identity() is the vector of the identity element; left(g, vec) and
     right(g, vec) are the vectors of g x and x g for the element x stored as
-    vec.
+    vec.  row_of[c] is the row block of coordinate c, and E*_s x keeps the
+    coordinates of block s: a label scheme's spheres, or one block, E*_0 = I.
     """
 
     ambient_dim: int
+    row_of: Sequence[int]
 
     def identity(self) -> dict[int, object]: ...
 
@@ -356,22 +360,24 @@ class ClosureResult(NamedTuple):
 
 
 def algebra_closure(generators: Iterable, action: GeneratorAction) -> ClosureResult:
-    """The algebra generated by the identity and the generators.
+    """The algebra generated by the generators and the block projections E*_s.
 
-    action says how a generator acts on a stored vector.  Starts from
-    span{I} and keeps a worklist of basis representatives: each
-    representative r that enters the span is queued once, and g r is adjoined
-    for every generator g.  Each adjoined vector is stored in its reduced,
-    frozen form and never revised, which keeps later products sparse.
+    Starts from the parts E*_s I of the identity and keeps a worklist of
+    basis representatives: each representative r that enters the span is
+    queued once, and each block's part E*_s g r is adjoined for every
+    generator g.  Each part is stored in its reduced, frozen form and never
+    revised, which keeps later products sparse.  Reduction and pivot
+    clearing only combine rows whose pivots share a block, so every stored
+    row lies in one block, and E*_s acts on it as 1 or 0.
 
-    Word argument: an exhausted worklist leaves a span W that contains I and,
-    by linearity, is closed under left multiplication by every generator.  So
-    W contains every word g_1 g_2 ... g_k = g_1 (g_2 (... (g_k I))) in the
-    generators, and these words span the generated algebra.  Conversely every
-    adjoined product is a combination of such words.  Hence W is exactly the
-    generated algebra, and the exhausted worklist certifies closure after
-    d |gens| generator actions.  The argument needs only that the action is
-    linear and represents left multiplication, so it holds verbatim in any
+    Word argument: an exhausted worklist leaves a span W that holds
+    I = sum_s E*_s and, by linearity, is closed under left multiplication
+    by every E*_s and every generator.  So W contains every word
+    h_1 (h_2 (... (h_k I))) in them, and these words span the generated
+    algebra; conversely every adjoined part is a combination of such words.
+    Hence W is exactly the generated algebra, certified after d |gens|
+    generator actions.  The argument needs only that the action is linear
+    and represents left multiplication, so it holds verbatim in any
     faithful coordinates.
 
     The closure needs no dimension cap: its basis is a SpanBasis of the
@@ -379,16 +385,15 @@ def algebra_closure(generators: Iterable, action: GeneratorAction) -> ClosureRes
     the d |gens| actions, is bounded by action.ambient_dim by construction.
     """
     gens = list(generators)
-    if not gens:
-        raise ValueError("algebra_closure needs at least one generator")
-
+    row_of = action.row_of
     basis = SpanBasis(action.ambient_dim)
     reps: list[dict[int, object]] = []
 
     def adjoin(vec: dict[int, object]) -> None:
-        stored = basis.inserted_row(vec)
-        if stored is not None:
-            reps.append(stored)
+        parts: dict[int, dict[int, object]] = {}
+        for c, v in vec.items():
+            parts.setdefault(row_of[c], {})[c] = v
+        reps.extend(filter(None, map(basis.inserted_row, parts.values())))
 
     adjoin(action.identity())
 

@@ -19,9 +19,9 @@ dimension 4 C(m+4, 4).
 Sphere i around x0 is {y : m + |y| - 2|x0 n y| = i}, the vertices at
 distance i from x0, so a label names the spheres its pairs start and end
 in and their distance.  LabelScheme holds the orbit coordinates Q^d built
-from closed forms alone, orbit a the a-th label, and T's generators act on
-it by push tables (PushTable): E*_s keeps the orbits that start or end in
-sphere s, and A_1 moves one Venn atom of a pair.  It lists no vertex.
+from closed forms alone, orbit a the a-th label.  A_1 acts on it by push
+tables (PushTable), moving one Venn atom of a pair, and E*_s keeps the
+orbits that start in sphere s, its row block.  It lists no vertex.
 
 OrbitCoordinates, the package's one orbit index, built once per m by
 _orbit_coordinates, is the doubled Odd graph's scheme with its vertex
@@ -309,7 +309,8 @@ class LabelScheme:
     the sum of the orbits at distance 0.  That one pair's moves hold for its
     whole orbit is the caller's to certify.  An instance is the action
     algebra_closure and centralizer_within need, with push tables as its
-    generators: left(g, v) and right(g, v) are g v and v g.
+    generators: left(g, v) and right(g, v) are g v and v g.  Its row blocks
+    are the spheres of row_of, so T is its closure under adjacency alone.
     """
 
     def __init__(self, labels, ends, distance, moves, transpose):
@@ -319,13 +320,6 @@ class LabelScheme:
         self.row_of, self.end_of = map(tuple, zip(*map(ends, self.labels)))
         self.distance_of = tuple(map(distance, self.labels))
         self._moves, self._transpose = moves, transpose
-
-    def projection(self, s: int) -> PushTable:
-        """E* of sphere s: E* O_a is O_a when a's pairs start in sphere s,
-        O_a E* is O_a when they end in it, and each is 0 otherwise."""
-        def keep(spheres):
-            return tuple(((a, 1),) if t == s else () for a, t in enumerate(spheres))
-        return PushTable(keep(self.row_of), keep(self.end_of))
 
     @cached_property
     def adjacency(self) -> PushTable:
@@ -340,11 +334,6 @@ class LabelScheme:
         transposed = [self.id_of[self._transpose(lab)] for lab in self.labels]
         right = (sorted((transposed[c], k) for c, k in left[b_t]) for b_t in transposed)
         return PushTable(tuple(map(tuple, left)), tuple(map(tuple, right)))
-
-    def generators(self) -> list[PushTable]:
-        """The generators T is closed under: E*_0, E*_1, ... for every
-        sphere an orbit starts in, and then A_1."""
-        return [*map(self.projection, range(max(self.row_of) + 1)), self.adjacency]
 
     def identity(self) -> dict[int, object]:
         return {a: 1 for a, h in enumerate(self.distance_of) if h == 0}

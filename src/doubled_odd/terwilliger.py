@@ -8,15 +8,15 @@ and then certifies exactly that every other A_i, the indicator of the
 orbits at distance i, lies in the result, so the smaller generating set is
 checked rather than assumed.  T and its centre Z(T) live in the orbit
 coordinates Q^d of a label scheme (orbits.LabelScheme), which lists no
-vertex: E*_i keeps the orbits of its sphere and A_1 moves one Venn atom,
-and the centre solve acts with A_1 alone on T's diagonal blocks
-(center_basis).  The checks pass the doubled Odd graph's certified orbit
-index (orbits.OrbitCoordinates, d = 4 C(m+4, 4)); T is closed and Z(T)
-solved on every run, and only the matrix export writes T out as n x n
-matrices.  Everything T is generated by lies inside the centralizer
-algebra of the stabilizer of x0: each E*_i is a single diagonal orbit
-matrix and each sandwich E*_i A_1 E*_{i+1} is a single off-diagonal orbit
-matrix, with explicit four-tuple labels.  verify_sandwich_identities
+vertex: E*_i keeps the orbits that start in its sphere, a row block of the
+closure, so T is closed, and Z(T) solved on T's diagonal blocks
+(center_basis), under A_1 alone, which moves one Venn atom.  The checks
+pass the doubled Odd graph's certified orbit index (orbits.OrbitCoordinates,
+d = 4 C(m+4, 4)); T is closed and Z(T) solved on every run, and only the
+matrix export writes T out as n x n matrices.  Everything T is generated
+by lies inside the centralizer algebra of the stabilizer of x0: each E*_i
+is a single diagonal orbit matrix and each sandwich E*_i A_1 E*_{i+1} is a
+single off-diagonal orbit matrix, with explicit four-tuple labels.  verify_sandwich_identities
 checks those identifications by orbit label and count: each edge of the
 neighbour table (combinatorics._neighbours) is sorted into its orbit
 through the orbit index and tallied by the spheres it joins, since each
@@ -74,14 +74,16 @@ def build_terwilliger(scheme: LabelScheme) -> TerwilligerAlgebra:
     """T as the closure under the scheme's E*_i and A_1, computed in its
     orbit coordinates.
 
-    T is generated by A_1 and the E*_i (Terwilliger 1992).  Rather than rely
-    on distance-regularity for the remaining distance matrices, each A_i,
-    i != 1, the indicator of the orbits at distance i, is tested for exact
-    membership in the closure; a missing one raises NotClosedError, since
-    the closure would then not be all of T.  The basis is returned in Q^d,
-    as the closure left it.
+    T is generated by A_1 and the E*_i (Terwilliger 1992).  The scheme's row
+    blocks are its spheres, so algebra_closure splits each product by
+    sphere and closes under A_1 alone, one product per basis row, each row
+    in one sphere.  Rather than rely on distance-regularity for the
+    remaining distance matrices, each A_i, i != 1, the indicator of the
+    orbits at distance i, is tested for exact membership in the closure; a
+    missing one raises NotClosedError, since the closure would then not be
+    all of T.  The basis is returned in Q^d, as the closure left it.
     """
-    closure = algebra_closure(scheme.generators(), scheme)
+    closure = algebra_closure([scheme.adjacency], scheme)
     for i in range(max(scheme.distance_of) + 1):
         a_i = {a: 1 for a, h in enumerate(scheme.distance_of) if h == i}
         if i != 1 and not closure.basis.contains_vector(a_i):
@@ -191,9 +193,9 @@ def verify_inclusion(t: TerwilligerAlgebra, cent: OrbitCoordinates) -> Inclusion
     the centralizer's d orbit coordinates.
 
     What certifies T inside the span of the orbit matrices is the closure:
-    T is closed from the identity, a sum of orbit matrices, under the push
-    tables of its generators, which map each orbit matrix to a combination
-    of orbit matrices.  This check confirms that T's rows are
+    T is closed from the sphere parts of the identity, orbit matrices, under
+    A_1's push tables, which map each orbit matrix to a combination of
+    orbit matrices.  This check confirms that T's rows are
     expressed in those d coordinates; a basis of any other ambient dimension
     fails at row 0.
     """

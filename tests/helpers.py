@@ -2,11 +2,12 @@
 oracles the orbit-coordinate runs of algebra_closure and centralizer_within,
 the push tables of T's generators, the sandwich identities of lemma41, the
 identities of psi-intertwining, the export, the orbit index and the row
-test of centralizer-dim are compared with (among them the pair index, the
-orbit of every vertex pair in one labelled pass by each pair's invariant
-rho and block, numbered by first pair and renumbered by label to meet the
-orbit index, the n x n adjacency,
-orbit, distance and dual idempotent matrices, the matrix of a neighbour
+test of centralizer-dim are compared with (among them the E*_i push
+tables, the closure of a scheme in one row block under all of T's
+generators, the pair index, the orbit of every vertex pair in one
+labelled pass by each pair's invariant rho and block, numbered by first
+pair and renumbered by label to meet the orbit index, the n x n
+adjacency, orbit, distance and dual idempotent matrices, the matrix of a neighbour
 table, and the lift of a basis in Q^d to n x n matrices), the full
 generator lists of T, the first-pair product index of the structure
 constants with the products, intersection numbers and subalgebra test read
@@ -31,18 +32,22 @@ from doubled_odd.combinatorics import (
     _vertices,
 )
 from doubled_odd.linalg import (
+    ClosureResult,
     NotClosedError,
     ShapeMismatchError,
     SparseExactMatrix,
     SpanBasis,
     _norm,
+    algebra_closure,
 )
 from doubled_odd import covering as covering_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd.orbits import (
     BlockTag,
+    LabelScheme,
     OrbitCoordinates,
     OrbitLabel,
+    PushTable,
     SubalgebraClosureReport,
     _BLOCKS,
     _check_labels_met,
@@ -388,6 +393,32 @@ def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
     return dual_idempotents(g) + [adjacency_matrix(g)]
 
 
+def dual_idempotent_tables(scheme: LabelScheme) -> list[PushTable]:
+    """Oracle: E*_0, E*_1, ... as push tables on a label scheme, one per
+    sphere an orbit starts in, read off row_of and end_of: E*_s O_a is O_a
+    when a's pairs start in sphere s, O_a E*_s is O_a when they end in it,
+    and each is 0 otherwise."""
+    def keep(s, spheres):
+        return tuple(((a, 1),) if t == s else () for a, t in enumerate(spheres))
+    return [PushTable(keep(s, scheme.row_of), keep(s, scheme.end_of)) for s in range(max(scheme.row_of) + 1)]
+
+
+class OneBlock:
+    """A label scheme's action with every coordinate in one row block, so
+    that algebra_closure adjoins each product whole and brings in the E*_i
+    only as listed generators."""
+
+    def __init__(self, scheme: LabelScheme):
+        self.ambient_dim, self.row_of = scheme.ambient_dim, (0,) * scheme.ambient_dim
+        self.identity, self.left, self.right = scheme.identity, scheme.left, scheme.right
+
+
+def all_generator_closure(scheme: LabelScheme) -> ClosureResult:
+    """Oracle: the scheme closed in one block under E*_0, E*_1, ... and A_1,
+    a product per basis row and generator."""
+    return algebra_closure([*dual_idempotent_tables(scheme), scheme.adjacency], OneBlock(scheme))
+
+
 def sandwich_products(g: GroundSet) -> dict[tuple[int, int], SparseExactMatrix]:
     """Every E*_i A_1 E*_j, keyed by (i, j), as two sparse matrix products:
     the oracle of the restrictions sandwiches reads off A_1."""
@@ -450,6 +481,7 @@ class MatrixAction:
     def __init__(self, n: int):
         self.n = n
         self.ambient_dim = n * n
+        self.row_of = (0,) * self.ambient_dim  # one row block: E*_0 = I
 
     @classmethod
     def of(cls, matrices: list[SparseExactMatrix]) -> "MatrixAction":

@@ -370,6 +370,15 @@ def test_cli_rejects_an_empty_export_dir_before_any_check(tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
+def test_export_matrices_rejects_an_empty_export_dir(tmp_path, monkeypatch):
+    # Path("") is the working directory: export_matrices refuses "" before
+    # it builds or writes anything
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="^empty --export-dir path$"):
+        export_matrices(1, "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_config_rejects_an_empty_export_dir(tmp_path, monkeypatch):
     # a run with export_dir="" would write its files into the working
     # directory: the configuration is refused before any check runs
@@ -433,7 +442,7 @@ def test_cli_verify_ignores_a_cache_dir_at_or_under_a_regular_file(tmp_path, cap
 def test_verify_closes_t_and_leaves_the_cache_dir_empty(tmp_path, capsys):
     # --cache-dir is accepted and ignored: the reports are the benchmark's
     # m = 3 reference, and T comes from its closure, one product per basis
-    # row and generator (E*_0..E*_7 and A_1)
+    # row by its one generator, A_1
     cache = tmp_path / "cache"
     cache.mkdir()
     assert main(["verify", "--m", "3", "--cache-dir", str(cache)]) == 0
@@ -442,7 +451,7 @@ def test_verify_closes_t_and_leaves_the_cache_dir_empty(tmp_path, capsys):
         del entry["elapsed_ms"]
     assert reports == json.loads((_BENCHMARK_REFERENCE / "m3.json").read_text())["reports"]
     assert list(cache.iterdir()) == []
-    assert CheckContext(3).terwilliger.closure.iterations == 140 * 9
+    assert CheckContext(3).terwilliger.closure.iterations == 140
 
 
 def test_the_package_keeps_no_basis_cache():
@@ -593,9 +602,24 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
     assert not hasattr(ctx.centralizer, "span")
     assert not hasattr(ctx.centralizer, "matrices")
     assert not hasattr(ctx.terwilliger, "coordinates")
-    # T's generators are push tables made on request, not stored matrices
-    assert "generators" not in vars(ctx.centralizer)
-    assert all(isinstance(gen, PushTable) for gen in ctx.centralizer.generators())
+    # T closes under A_1's push tables alone: the scheme keeps no E*_i table
+    # and no generator list
+    assert [name for name in ("generators", "projection") if hasattr(LabelScheme, name)] == []
+    assert isinstance(ctx.centralizer.adjacency, PushTable)
+
+
+def test_verify_makes_no_push_table_but_a1s(monkeypatch, fresh_memos):
+    # the closure brings in the E*_i by splitting each product by sphere,
+    # and the centre solves against A_1 alone, so a full verify --m 3 makes
+    # one push table, A_1's, and no E*_i table
+    made: list[PushTable] = []
+    new = PushTable.__new__
+    monkeypatch.setattr(PushTable, "__new__", lambda cls, *args: made.append(new(cls, *args)) or made[-1])
+    assert len(run(RunConfig(m=3))) == 16
+    assert len(made) == 1 and made[0] is orbits_module._orbit_coordinates(3).adjacency
+    # the trace sees a push table where one is made
+    PushTable((), ())
+    assert len(made) == 2
 
 
 def _trace_vertex_square_matrices(monkeypatch) -> list[SparseExactMatrix]:

@@ -229,6 +229,23 @@ def test_closure_generates_full_matrix_algebra():
     assert result.basis.dimension == 4
 
 
+def test_a_two_block_closure_matches_one_block_with_the_block_projections():
+    # rows {0} and {1, 2} of 3 x 3 matrices as two row blocks: the closure
+    # under a cycle splits each product by block, and so gets the RREF of
+    # one block closed under the cycle and the two block projections, at one
+    # product per basis row; under no generator it is their span
+    cycle = SparseExactMatrix.from_entries(3, 3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    projections = [_unit(3, 0, 0), _unit(3, 1, 1) + _unit(3, 2, 2)]
+    two_blocks = MatrixAction(3)
+    two_blocks.row_of = tuple(min(c // 3, 1) for c in range(9))
+    split = algebra_closure([cycle], two_blocks)
+    whole = algebra_closure([cycle, *projections], MatrixAction(3))
+    assert split.basis == whole.basis
+    assert whole.basis != algebra_closure([cycle], MatrixAction(3)).basis
+    assert (split.iterations, whole.iterations) == (split.basis.dimension, 3 * split.basis.dimension)
+    assert algebra_closure([], two_blocks).basis == span(projections)
+
+
 def test_centralizer_of_full_matrix_algebra_is_scalars():
     gens = [_unit(2, 0, 1), _unit(2, 1, 0)]
     full = algebra_closure(gens, MatrixAction.of(gens)).basis

@@ -8,11 +8,13 @@ from helpers import (
     MatrixAction,
     action_tables,
     adjacency_matrix,
+    all_generator_closure,
     center_dimension,
     closure_generators,
     contains,
     distance,
     dual_idempotent,
+    dual_idempotent_tables,
     dual_idempotents,
     lift,
     matrix_from_vector,
@@ -219,11 +221,19 @@ def test_algebra_dimensions(ctx_for):
     assert ctx_for(1).terwilliger.dimension == 20
     assert ctx_for(2).terwilliger.dimension == 60
     assert ctx_for(3).terwilliger.dimension == 140
-    for m in (1, 2, 3):
-        t = ctx_for(m).terwilliger
-        assert t.closure is not None
-        # one product per basis representative and generator (A_1, E*_0..E*_{2m+1})
-        assert t.closure.iterations == t.dimension * (2 * m + 3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow), pytest.param(5, marks=pytest.mark.slow)])
+def test_t_closes_under_a1_alone_to_the_all_generator_oracle(ctx_for, m):
+    # the closure splits each product by the sphere its orbits start in:
+    # one product per basis row, every row in one sphere, and the RREF of
+    # the scheme closed in one block under E*_0..E*_{2m+1} and A_1
+    t = ctx_for(m).terwilliger
+    assert t.closure.iterations == t.dimension == (20, 60, 140, 280, 504)[m - 1]
+    assert all(len({t.scheme.row_of[a] for a in row}) == 1 for row in t.basis.rows)
+    oracle = all_generator_closure(t.scheme)
+    assert oracle.basis == t.basis
+    assert oracle.iterations == t.dimension * (2 * m + 3)
 
 
 def test_inclusion_and_equality(ctx_for):
@@ -350,7 +360,9 @@ def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
         t = ctx.terwilliger
         gens = closure_generators(ctx.g)
         ambient = algebra_closure(gens, MatrixAction.of(gens))
-        assert ambient.iterations == t.closure.iterations == t.dimension * len(gens)
+        # one block: a product per basis row and generator, against A_1's one
+        assert ambient.iterations == t.dimension * len(gens)
+        assert t.closure.iterations == t.dimension
         coords = ctx.centralizer
         assert ambient.basis == lift(coords, t.basis)
         center = centralizer_within(ambient.basis, gens, MatrixAction.on(ambient.basis))
@@ -363,7 +375,7 @@ def test_center_matches_the_all_generator_oracle(ctx_for, m):
     # gives the RREF of the solve on the diagonal blocks against A_1
     t = ctx_for(m).terwilliger
     index = orbits_module._orbit_coordinates(m)
-    oracle = centralizer_within(t.basis, index.generators(), index)
+    oracle = centralizer_within(t.basis, [*dual_idempotent_tables(index), index.adjacency], index)
     assert oracle.dimension == upsilon_size_formula(m)
     assert center_basis(t) == oracle
 
@@ -403,9 +415,9 @@ def test_product_built_closure_tables_match_the_action_tables_oracle(m):
     # oracle reads the action off every vertex pair of its orbit
     g = GroundSet(m)
     coords = orbits_module._orbit_coordinates(m)
-    # closure_generators lists E*_0..E*_{2m+1}, then A_1, as generators() does
+    # closure_generators lists E*_0..E*_{2m+1}, then A_1, as these tables do
     oracle = action_tables(coords, closure_generators(g))
-    generators = coords.generators()
+    generators = [*dual_idempotent_tables(coords), coords.adjacency]
     assert len(generators) == len(oracle)
     for x, table in zip(generators, oracle):
         for a in range(coords.ambient_dim):
@@ -541,11 +553,10 @@ def test_generator_closure_matches_pairwise_product_oracle():
         assert _lifted(g, build_terwilliger(orbits_module._orbit_coordinates(m)).basis) == oracle
 
 
-def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeypatch, fresh_memos):
-    # without A_1 the closure is the span of the E*_i: it holds A_0, the sum
-    # of the E*_i, but not A_2
-    generators = LabelScheme.generators
-    monkeypatch.setattr(LabelScheme, "generators", lambda scheme: generators(scheme)[:-1])
+def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeypatch):
+    # closed under no generator, the closure is the span of the sphere parts
+    # E*_i of the identity: it holds A_0, their sum, but not A_2
+    monkeypatch.setattr(terwilliger_module, "algebra_closure", lambda _generators, action: algebra_closure([], action))
     with pytest.raises(NotClosedError, match="A_2 is not in the algebra"):
         build_terwilliger(orbits_module._orbit_coordinates(1))
 
@@ -592,12 +603,15 @@ def _hypercube(dim: int) -> LabelScheme:
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_the_hypercube_terwilliger_algebra_has_its_published_dimensions(dim):
     # the package's own T and Z(T) routes on Q_D's label scheme: the
-    # closure with its A_i-membership check over Q_D's distances, and the
-    # centre solve on the diagonal blocks against A_1; at D <= 3 the
-    # closure and the centre solve on its n x n generator matrices
+    # closure under A_1 alone, one product per basis row and each row in
+    # one sphere |y|, with its A_i-membership check over Q_D's distances,
+    # and the centre solve on the diagonal blocks against A_1; at D <= 3
+    # the closure and the centre solve on its n x n generator matrices
     t = build_terwilliger(_hypercube(dim))
     z = center_basis(t)
     assert (t.dimension, z.dimension) == (comb(dim + 3, 3), dim // 2 + 1)
+    assert t.closure.iterations == t.dimension
+    assert all(len({t.scheme.row_of[a] for a in row}) == 1 for row in t.basis.rows)
     if dim <= 3:
         n = 2 ** dim
         estars = [SparseExactMatrix.from_entries(n, n, ((y, y, 1) for y in range(n) if y.bit_count() == i)) for i in range(dim + 1)]
