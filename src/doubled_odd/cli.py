@@ -102,6 +102,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.out is not None:
                 if args.out == "":
                     raise ConfigError("empty --out path")
+                # the report is renamed into place after the export, so it
+                # would replace an exported file or the export directory
+                if args.export_dir is not None and Path(args.out).resolve().is_relative_to(
+                    Path(args.export_dir).resolve()
+                ):
+                    raise ConfigError(f"--out {args.out} lies in --export-dir {args.export_dir}")
                 if os.path.isdir(args.out):
                     raise IsADirectoryError(f"cannot write --out {args.out}: it is a directory")
                 tmp = Path(f"{args.out}.{os.getpid()}.tmp")

@@ -199,10 +199,12 @@ class SpanBasis:
 
         Each row's first nonzero coordinate must be 1, every other row must
         be zero there, and no entry may be stored as an explicit zero;
-        ValueError otherwise.  Checking this costs one pass over the rows and
-        one lookup per pair of rows, with no elimination.
+        ValueError otherwise.  Checking this costs two passes over the
+        entries, with no elimination: the first finds the pivots, the
+        second asks that each row meet the pivot set at its own pivot only.
         """
         basis = cls(ambient_dim)
+        stored = basis._rows
         for row in rows:
             if not row:
                 raise ValueError("a reduced row cannot be zero")
@@ -211,23 +213,18 @@ class SpanBasis:
             piv = min(row)
             if piv < 0 or max(row) >= ambient_dim:
                 raise ValueError(f"row outside ambient dimension {ambient_dim}")
-            if row[piv] != 1 or piv in basis._rows:
+            if row[piv] != 1 or piv in stored:
                 raise ValueError(f"row with pivot {piv} is not in reduced form")
-            basis._rows[piv] = dict(row)
-        for piv in basis._rows:
-            for other, row in basis._rows.items():
-                if other != piv and piv in row:
-                    raise ValueError(f"pivot column {piv} is not cleared in row {other}")
+            stored[piv] = dict(row)
+        for piv, row in stored.items():
+            met = row.keys() & stored.keys()
+            if len(met) > 1:
+                raise ValueError(f"pivot column {min(met - {piv})} is not cleared in row {piv}")
         return basis
 
     @property
     def dimension(self) -> int:
         return len(self._rows)
-
-    @property
-    def pivots(self) -> dict[int, int]:
-        """Map pivot column -> row index (rows ordered by pivot column)."""
-        return {p: i for i, p in enumerate(sorted(self._rows))}
 
     @property
     def rows(self) -> list[dict[int, object]]:
@@ -264,14 +261,6 @@ class SpanBasis:
                 else:
                     out.pop(c, None)
         return out, coeffs
-
-    def coordinates(self, vec: dict[int, object]) -> list | None:
-        """Coefficients of vec over the basis rows (pivot order), or None."""
-        residue, coeffs = self.reduce_with_coefficients(vec)
-        if residue:
-            return None
-        order = sorted(self._rows)
-        return [coeffs.get(p, 0) for p in order]
 
     def contains_vector(self, vec: dict[int, object]) -> bool:
         return not self.reduce(vec)
@@ -461,18 +450,11 @@ def centralizer_within(
     return result
 
 
-def write_coord_text(m: SparseExactMatrix, path) -> None:
-    """Write a matrix in the coordinate text format.
-
-    Header line "nrows ncols nnz", then one "row col value" line per nonzero
-    entry sorted by (row, col); values are exact integers or p/q rationals.
-    """
-    write_coord_entries(m.nrows, m.ncols, m.entries(), path)
-
-
 def write_coord_entries(nrows: int, ncols: int, entries: Iterable[tuple[int, int, object]], path) -> None:
     """Write an nrows x ncols matrix given by its entries (row, col, value),
-    nonzero and sorted by (row, col), in the format of write_coord_text."""
+    nonzero and sorted by (row, col), as coordinate text: a header line
+    "nrows ncols nnz", then one "row col value" line per entry, each value
+    an exact integer or p/q rational."""
     lines = [f"{r} {c} {v}" for r, c, v in entries]
     text = "\n".join([f"{nrows} {ncols} {len(lines)}", *lines, ""])
     path = Path(path)
@@ -480,39 +462,3 @@ def write_coord_entries(nrows: int, ncols: int, entries: Iterable[tuple[int, int
         path.write_text(text)
     except OSError as exc:
         raise OSError(f"cannot write matrix to {path}: {exc}") from exc
-
-
-def read_coord_text(path) -> SparseExactMatrix:
-    """Read a matrix written by write_coord_text.  A negative size or an
-    entry line the writer never writes raises ValueError naming the file
-    and line."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise OSError(f"cannot read matrix from {path}: {exc}") from exc
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty matrix file")
-    try:
-        nrows, ncols, nnz = (int(tok) for tok in lines[0][1].split())
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed header {lines[0][1]!r}") from exc
-    if nrows < 0 or ncols < 0:
-        raise ValueError(f"{path} line {lines[0][0]}: header {lines[0][1]!r} gives a negative size")
-    if len(lines) - 1 != nnz:
-        raise ValueError(f"{path}: header promises {nnz} entries, found {len(lines) - 1}")
-    entries: list[tuple[int, int, object]] = []
-    for k, ln in lines[1:]:
-        try:
-            r, c, v = ln.split()
-            r, c, v = int(r), int(c), _norm(Fraction(v))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{path} line {k}: malformed entry line {ln!r}") from None
-        if not v or not (0 <= r < nrows and 0 <= c < ncols) or entries and (r, c) <= entries[-1][:2]:
-            raise ValueError(
-                f"{path} line {k}: entry {ln!r} must be nonzero, inside a {nrows} x {ncols} matrix "
-                f"and after the previous entry in (row, col) order"
-            )
-        entries.append((r, c, v))
-    return SparseExactMatrix.from_entries(nrows, ncols, entries)

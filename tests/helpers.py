@@ -12,16 +12,20 @@ table, and the lift of a basis in Q^d to n x n matrices), the full
 generator lists of T, the first-pair product index of the structure
 constants with the products, intersection numbers and subalgebra test read
 off it, Higman's identity on it and its counts by orbit, the Odd graph's
-adjacency by a disjointness scan, vertex maps moved a point at a time, and
-a doctored orbit index for its certificates."""
+adjacency by a disjointness scan, vertex maps moved a point at a time,
+the coefficients of a vector over a span's rows, the reader of the
+export's coordinate text files, and a doctored orbit index for its
+certificates."""
 
 from array import array
 from collections import Counter
 from collections.abc import Iterable
+from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb, isqrt
 from operator import add
+from pathlib import Path
 from typing import NamedTuple
 from unittest.mock import patch
 
@@ -475,6 +479,16 @@ def contains(basis: SpanBasis, m: SparseExactMatrix) -> bool:
     return basis.contains_vector(vectorize(m))
 
 
+def coordinates(basis: SpanBasis, vec: dict[int, object]) -> list | None:
+    """Coefficients of vec over the basis rows, in pivot order, or None
+    when vec is outside the span."""
+    residue, coeffs = basis.reduce_with_coefficients(vec)
+    if residue:
+        return None
+    # the stored rows are keyed by pivot; basis.rows would copy each row
+    return [coeffs.get(p, 0) for p in sorted(basis._rows)]
+
+
 class MatrixAction:
     """n x n matrices acting on row-major vectorized n x n matrices by products."""
 
@@ -926,3 +940,39 @@ def odd_adjacency_by_scan(g: GroundSet) -> SparseExactMatrix:
             if a != b and not (y & z):
                 rows.setdefault(a, {})[b] = 1
     return SparseExactMatrix(n, n, rows)
+
+
+def read_coord_text(path) -> SparseExactMatrix:
+    """Oracle reader of the export: the matrix of a coordinate text file
+    (linalg.write_coord_entries).  A negative size or an entry line the
+    writer never writes raises ValueError naming the file and line."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise OSError(f"cannot read matrix from {path}: {exc}") from exc
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty matrix file")
+    try:
+        nrows, ncols, nnz = (int(tok) for tok in lines[0][1].split())
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed header {lines[0][1]!r}") from exc
+    if nrows < 0 or ncols < 0:
+        raise ValueError(f"{path} line {lines[0][0]}: header {lines[0][1]!r} gives a negative size")
+    if len(lines) - 1 != nnz:
+        raise ValueError(f"{path}: header promises {nnz} entries, found {len(lines) - 1}")
+    entries: list[tuple[int, int, object]] = []
+    for k, ln in lines[1:]:
+        try:
+            r, c, v = ln.split()
+            r, c, v = int(r), int(c), _norm(Fraction(v))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{path} line {k}: malformed entry line {ln!r}") from None
+        if not v or not (0 <= r < nrows and 0 <= c < ncols) or entries and (r, c) <= entries[-1][:2]:
+            raise ValueError(
+                f"{path} line {k}: entry {ln!r} must be nonzero, inside a {nrows} x {ncols} matrix "
+                f"and after the previous entry in (row, col) order"
+            )
+        entries.append((r, c, v))
+    return SparseExactMatrix.from_entries(nrows, ncols, entries)

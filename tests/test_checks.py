@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import conftest
 import pytest
-from helpers import adjacency_matrix, merged_orbit_coordinates, orbit_matrix
+from helpers import adjacency_matrix, merged_orbit_coordinates, orbit_matrix, read_coord_text
 
 from doubled_odd import checks as checks_module
 from doubled_odd import combinatorics as combinatorics_module
@@ -26,13 +27,7 @@ from doubled_odd.checks import (
     run,
 )
 from doubled_odd.cli import main
-from doubled_odd.linalg import (
-    NotClosedError,
-    SpanBasis,
-    SparseExactMatrix,
-    read_coord_text,
-    write_coord_text,
-)
+from doubled_odd.linalg import NotClosedError, SpanBasis, SparseExactMatrix, write_coord_entries
 from doubled_odd.orbits import BlockTag, LabelScheme, OrbitCoordinates, OrbitLabel, PushTable
 from doubled_odd.combinatorics import GroundSet
 from doubled_odd.terwilliger import build_terwilliger, center_basis
@@ -250,8 +245,30 @@ def test_export_matrices_m1(tmp_path):
     rewritten.mkdir()
     for path in written:
         copy = rewritten / path.name
-        write_coord_text(read_coord_text(path), copy)
+        matrix = read_coord_text(path)
+        write_coord_entries(matrix.nrows, matrix.ncols, matrix.entries(), copy)
         assert copy.read_text() == path.read_text()
+
+
+def test_coord_text_rejects_damage(tmp_path):
+    # each holds a line write_coord_entries never writes: a header with a
+    # negative size, an entry outside the matrix, a repeated entry, a zero
+    # value, a zero denominator, an entry before its predecessor, and a
+    # line of two tokens
+    path = tmp_path / "bad.mtx"
+    for text, line in [
+        ("2 -1 0\n", 1),
+        ("-1 -1 0\n", 1),
+        ("2 2 1\n5 0 1\n", 2),
+        ("2 2 2\n0 0 1\n0 0 5\n", 3),
+        ("2 2 1\n0 1 0\n", 2),
+        ("2 2 1\n0 1 1/0\n", 2),
+        ("2 2 2\n1 0 1\n0 1 1\n", 3),
+        ("2 2 1\n\n0 1\n", 3),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line {line}: "):
+            read_coord_text(path)
 
 
 def test_headline_dimensions():
@@ -405,6 +422,26 @@ def test_cli_makes_no_export_dir_when_out_cannot_be_written(tmp_path, capsys, mo
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: cannot write --out missing/r.json")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-export", "existing-export"])
+@pytest.mark.parametrize("name", ["m1_A0.mtx", None], ids=["file-in-it", "the-dir"])
+def test_cli_rejects_an_out_in_the_export_dir_before_any_check(tmp_path, capsys, monkeypatch, existing, name):
+    # the report is renamed into place after the export, so inside the
+    # export it would replace an exported file, and at the export it would
+    # fail only after every check; --export-dir is given relative and --out
+    # absolute, so the two are compared as resolved paths
+    monkeypatch.chdir(tmp_path)
+    export = tmp_path / "exp"
+    if existing:
+        export.mkdir()
+        (export / "m1_A0.mtx").write_text("kept\n")
+    out = export / name if name else export
+    assert main(["verify", "--m", "1", "--export-dir", "exp", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: --out {out} lies in --export-dir exp\n")
+    assert sorted(tmp_path.rglob("*")) == ([export, export / "m1_A0.mtx"] if existing else [])
+    if existing:
+        assert (export / "m1_A0.mtx").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["dims", "export"])

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,58 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
         assert method in vars(getattr(linalg, cls_name)), (cls_name, method)
     for name in tracer.TRACED_MODULES:
         importlib.import_module(f"doubled_odd.{name}")
+
+
+def _reference_counts(node: ast.AST) -> Counter:
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def _uncalled_linalg_definitions(linalg: ast.Module, others: list[ast.Module], wrapped: set[str]) -> list[str]:
+    """The module-level functions of linalg, and the public SpanBasis methods
+    not in wrapped, that nothing outside their own definition refers to."""
+    (span_basis,) = [node for node in linalg.body if isinstance(node, ast.ClassDef) and node.name == "SpanBasis"]
+    definitions = [(node.name, node) for node in linalg.body if isinstance(node, ast.FunctionDef)]
+    definitions += [
+        (f"SpanBasis.{node.name}", node)
+        for node in span_basis.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in wrapped
+    ]
+    everywhere = sum(map(_reference_counts, [linalg, *others]), Counter())
+    return [
+        qualified
+        for qualified, node in definitions
+        if everywhere[node.name] == _reference_counts(node)[node.name]
+    ]
+
+
+def test_linalg_holds_only_what_the_package_runs_or_the_benchmark_tracer_wraps():
+    # code only the tests call belongs in tests/helpers.py: every function
+    # of linalg and every public SpanBasis method has a caller in the
+    # package, or is a method the benchmark tracer wraps (METHOD_SPANS).  A
+    # caller is a reference by name, outside the definition itself.
+    # SparseExactMatrix is exempt until ROADMAP item 1 takes its __matmul__
+    # out of METHOD_SPANS, so that the class can move into the tests.
+    wrapped = {method for cls_name, method in _benchmark_tracer().METHOD_SPANS if cls_name == "SpanBasis"}
+    trees = {path.stem: ast.parse(path.read_text()) for path in _PACKAGE}
+    linalg = trees.pop("linalg")
+    assert _uncalled_linalg_definitions(linalg, list(trees.values()), wrapped) == []
+
+
+def test_the_linalg_guard_finds_definitions_only_their_own_bodies_call():
+    linalg = ast.parse(
+        "def used():\n    pass\n"
+        "def alone(k):\n    return alone(k - 1)\n"
+        "class SpanBasis:\n"
+        "    def wrapped(self): ...\n"
+        "    def spare(self):\n        return self.spare()\n"
+        "    def _private(self): ...\n"
+    )
+    caller = ast.parse("used()\n")
+    assert _uncalled_linalg_definitions(linalg, [caller], {"wrapped"}) == ["alone", "SpanBasis.spare"]
 
 
 def test_the_benchmark_names_every_check_in_registry_order():

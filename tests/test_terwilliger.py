@@ -12,6 +12,7 @@ from helpers import (
     center_dimension,
     closure_generators,
     contains,
+    coordinates,
     distance,
     dual_idempotent,
     dual_idempotent_tables,
@@ -321,18 +322,17 @@ def _all_basis_commutant(basis, n):
     d = len(mats)
     system = SpanBasis(d)
     for mk in mats:
-        for eq in zip(*(basis.coordinates(vectorize(a @ mk - mk @ a)) for a in mats)):
+        for eq in zip(*(coordinates(basis, vectorize(a @ mk - mk @ a)) for a in mats)):
             system.insert({a: v for a, v in enumerate(eq) if v})
     # the solutions are the kernel: one per free (non-pivot) coordinate
-    pivots = system.pivots
-    rows = system.rows
+    rows = {min(row): row for row in system.rows}
     result = SpanBasis(n * n)
     for free in range(d):
-        if free in pivots:
+        if free in rows:
             continue
         coeffs = {free: 1}
-        for p, i in pivots.items():
-            v = rows[i].get(free)
+        for p, row in rows.items():
+            v = row.get(free)
             if v:
                 coeffs[p] = -v
         combo = SparseExactMatrix.zero(n, n)
