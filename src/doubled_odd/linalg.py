@@ -43,10 +43,6 @@ def _norm(v):
     return v
 
 
-def _div(a, b):
-    return _norm(Fraction(a) / Fraction(b))
-
-
 class SparseExactMatrix:
     """Immutable-by-convention sparse matrix with exact rational entries."""
 
@@ -281,7 +277,7 @@ class SpanBasis:
         piv = min(red)
         lead = red[piv]
         if lead != 1:
-            red = {c: _div(v, lead) for c, v in red.items()}
+            red = {c: _norm(Fraction(v) / lead) for c, v in red.items()}
         # clear the new pivot column from existing rows to stay fully reduced
         for row in self._rows.values():
             cv = row.get(piv)
@@ -298,19 +294,14 @@ class SpanBasis:
     def null_space(self) -> list[dict[int, object]]:
         """A basis of {x : row . x = 0 for every row}, one vector per free
         (non-pivot) column f in increasing order: x_f = 1 and x_p = -row_p[f]
-        at each pivot column p, zero elsewhere."""
+        at each pivot column p, zero elsewhere, in one pass over the rows."""
         rows = self._rows
-        out = []
-        for free in range(self.ambient_dim):
-            if free in rows:
-                continue
-            vec: dict[int, object] = {free: 1}
-            for p, row in rows.items():
-                v = row.get(free)
-                if v:
-                    vec[p] = -v
-            out.append(vec)
-        return out
+        out = {f: {f: 1} for f in range(self.ambient_dim) if f not in rows}
+        for p, row in rows.items():
+            for c, v in row.items():
+                if c != p:
+                    out[c][p] = -v
+        return list(out.values())
 
     def __repr__(self):
         return f"SpanBasis(dim={self.dimension}, ambient={self.ambient_dim})"

@@ -115,7 +115,10 @@ def _orbit_spheres(m: int, label: OrbitLabel) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=64)
-def _index_set(block: BlockTag, m: int) -> frozenset[tuple[int, int, int, int]]:
+def index_set(block: BlockTag, m: int) -> frozenset[tuple[int, int, int, int]]:
+    """Admissible four-tuples of a block, by the closed-form inequalities."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
     out = set()
     for i in range(m + 1):
         for j in range(m + 1):
@@ -149,13 +152,6 @@ def _index_set(block: BlockTag, m: int) -> frozenset[tuple[int, int, int, int]]:
     return frozenset(out)
 
 
-def index_set(block: BlockTag, m: int) -> frozenset[tuple[int, int, int, int]]:
-    """Admissible four-tuples of a block, by the closed-form inequalities."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return _index_set(block, m)
-
-
 def tuple_bijection(
     block: BlockTag, tup: tuple[int, int, int, int], m: int
 ) -> tuple[int, int, int, int]:
@@ -182,7 +178,7 @@ def tuple_bijection(
 def _orbit_labels(m: int) -> tuple[OrbitLabel, ...]:
     labels = []
     for block in _BLOCKS:
-        for tup in sorted(_index_set(block, m)):
+        for tup in sorted(index_set(block, m)):
             labels.append(OrbitLabel(block, tup))
     return tuple(labels)
 
@@ -345,6 +341,14 @@ class LabelScheme:
         return _push(g.right, vec)
 
 
+def _closed_forms(m: int) -> tuple:
+    """The doubled Odd graph's scheme at m in LabelScheme's argument order:
+    labels, ends, distance, moves and transpose, each closed form looked up
+    when called."""
+    return (_orbit_labels(m), lambda lab: _orbit_spheres(m, lab), lambda lab: _orbit_distance(m, lab),
+            lambda lab: _neighbour_labels(m, lab), _transposed)
+
+
 class OrbitCoordinates(LabelScheme):
     """The doubled Odd graph's label scheme at m with its vertex side: the
     orbit index of the vertex pairs.  orbit_of maps each label's key (_label_key) to its orbit.  spheres[i]
@@ -363,8 +367,7 @@ class OrbitCoordinates(LabelScheme):
         when called.  Certified: the label keys met are the closed-form
         labels' (_check_labels_met), and the orbits are a permutation
         group's (_certify_stabilizer_orbits)."""
-        super().__init__(_orbit_labels(m), lambda lab: _orbit_spheres(m, lab), lambda lab: _orbit_distance(m, lab),
-                         lambda lab: _neighbour_labels(m, lab), _transposed)
+        super().__init__(*_closed_forms(m))
         self.m, self.n = m, len(_vertices(m))
         self.orbit_of = {_label_key(m, lab): a for a, lab in enumerate(self.labels)}
         self.spheres = _spheres(m)

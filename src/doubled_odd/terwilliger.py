@@ -183,27 +183,6 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     return results
 
 
-class InclusionResult(NamedTuple):
-    ok: bool
-    failed_row: int | None
-
-
-def verify_inclusion(t: TerwilligerAlgebra, cent: OrbitCoordinates) -> InclusionResult:
-    """T lies in the centralizer algebra: every T-basis row is a vector of
-    the centralizer's d orbit coordinates.
-
-    What certifies T inside the span of the orbit matrices is the closure:
-    T is closed from the sphere parts of the identity, orbit matrices, under
-    A_1's push tables, which map each orbit matrix to a combination of
-    orbit matrices.  This check confirms that T's rows are
-    expressed in those d coordinates; a basis of any other ambient dimension
-    fails at row 0.
-    """
-    if t.basis.ambient_dim != cent.ambient_dim:
-        return InclusionResult(ok=False, failed_row=0)
-    return InclusionResult(ok=True, failed_row=None)
-
-
 class EqualityResult(NamedTuple):
     dims_equal: bool
     orbit_matrices_in_t: bool

@@ -13,7 +13,8 @@ generator lists of T, the first-pair product index of the structure
 constants with the products, intersection numbers and subalgebra test read
 off it, Higman's identity on it and its counts by orbit, the Odd graph's
 adjacency by a disjointness scan, vertex maps moved a point at a time,
-the coefficients of a vector over a span's rows, the reader of the
+the coefficients of a vector over a span's rows, the null space by one
+scan of the rows per free column, the reader of the
 export's coordinate text files, and a doctored orbit index for its
 certificates."""
 
@@ -487,6 +488,23 @@ def coordinates(basis: SpanBasis, vec: dict[int, object]) -> list | None:
         return None
     # the stored rows are keyed by pivot; basis.rows would copy each row
     return [coeffs.get(p, 0) for p in sorted(basis._rows)]
+
+
+def null_space_per_column(basis: SpanBasis) -> list[dict[int, object]]:
+    """SpanBasis.null_space by one scan of every stored row per free
+    column: x_f = 1, then x_p = -row_p[f] for the pivots p in the rows'
+    stored order."""
+    out = []
+    for free in range(basis.ambient_dim):
+        if free in basis._rows:
+            continue
+        vec: dict[int, object] = {free: 1}
+        for p, row in basis._rows.items():
+            v = row.get(free)
+            if v:
+                vec[p] = -v
+        out.append(vec)
+    return out
 
 
 class MatrixAction:

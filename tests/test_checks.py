@@ -766,13 +766,7 @@ def test_t_and_z_list_no_vertex(monkeypatch, fresh_memos):
         for name in ("_vertices", "_vertex_index", "_neighbours", "_orbit_coordinates"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, listed)
-    scheme = LabelScheme(
-        orbits_module._orbit_labels(3),
-        lambda label: orbits_module._orbit_spheres(3, label),
-        lambda label: orbits_module._orbit_distance(3, label),
-        lambda label: orbits_module._neighbour_labels(3, label),
-        orbits_module._transposed,
-    )
+    scheme = LabelScheme(*orbits_module._closed_forms(3))
     t = build_terwilliger(scheme)
     assert t.basis.rows == expected_rows
     assert center_basis(t) == expected_center

@@ -10,6 +10,7 @@ from helpers import (
     coordinates,
     dual_idempotents,
     matrix_from_vector,
+    null_space_per_column,
     read_coord_text,
     span,
     vectorize,
@@ -25,6 +26,7 @@ from doubled_odd.linalg import (
     centralizer_within,
     write_coord_entries,
 )
+from doubled_odd.terwilliger import center_basis
 
 
 def _unit(n, r, c):
@@ -177,6 +179,35 @@ def test_span_basis_null_space_is_a_basis_of_the_annihilator(seed):
             assert sum(v * x.get(c, 0) for c, v in vec.items()) == 0
     independent = SpanBasis(ambient)
     assert all(independent.insert(x) for x in kernel)
+    # the one pass over the entries gives the per-column route's vectors, in
+    # its order and with its key order
+    assert _items(kernel) == _items(null_space_per_column(basis))
+
+
+def _items(vectors):
+    return [list(vec.items()) for vec in vectors]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow), pytest.param(5, marks=pytest.mark.slow)])
+def test_null_space_of_the_centre_equations_matches_the_per_column_oracle(ctx_for, monkeypatch, m):
+    # the centre solve's equation system, caught where centralizer_within
+    # reads its null space: the same vectors, order and key order as the
+    # per-column route
+    ctx = ctx_for(m)
+    expected = ctx.center
+    solved = []
+    one_pass = SpanBasis.null_space
+
+    def recorded(system):
+        kernel = one_pass(system)
+        solved.append((system, kernel))
+        return kernel
+
+    monkeypatch.setattr(SpanBasis, "null_space", recorded)
+    assert center_basis(ctx.terwilliger) == expected
+    [(system, kernel)] = solved
+    assert len(kernel) == expected.dimension == (m + 2) ** 2 // 4
+    assert _items(kernel) == _items(null_space_per_column(system))
 
 
 def test_from_reduced_rows_rejects_rows_not_in_reduced_form():

@@ -48,7 +48,7 @@ from doubled_odd.linalg import (
 from doubled_odd import combinatorics as combinatorics_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
-from doubled_odd.checks import _family_ids
+from doubled_odd.checks import _RUNNERS, CheckContext, _family_ids
 from doubled_odd.orbits import BlockTag, LabelScheme
 from doubled_odd.terwilliger import (
     TerwilligerAlgebra,
@@ -58,7 +58,6 @@ from doubled_odd.terwilliger import (
     upsilon,
     upsilon_size_formula,
     verify_equality,
-    verify_inclusion,
     verify_sandwich_identities,
 )
 
@@ -237,10 +236,19 @@ def test_t_closes_under_a1_alone_to_the_all_generator_oracle(ctx_for, m):
     assert oracle.iterations == t.dimension * (2 * m + 3)
 
 
+def _inclusion(ctx, t):
+    # (actual, status) of the inclusion check itself, run on a context whose
+    # T is t and whose centralizer is ctx's
+    doctored = CheckContext(ctx.g.m)
+    doctored.centralizer, doctored.terwilliger = ctx.centralizer, t
+    _, _, actual, status = _RUNNERS["inclusion"](doctored)
+    return actual, status
+
+
 def test_inclusion_and_equality(ctx_for):
     for m in (1, 2, 3):
         ctx = ctx_for(m)
-        assert verify_inclusion(ctx.terwilliger, ctx.centralizer).ok
+        assert _inclusion(ctx, ctx.terwilliger) == ({"all_rows_in_centralizer": True}, "pass")
         res = verify_equality(ctx.terwilliger, ctx.centralizer)
         assert res.dims_equal and res.orbit_matrices_in_t and res.identical_rref
 
@@ -266,13 +274,16 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
         cent_span = span(orbit_matrices(ctx.g).values())  # the n^2-ambient oracle
         t_basis = lift(cent, t.basis)
         assert t_basis == cent_span
-        assert verify_inclusion(t, cent).ok == _n2_inclusion(t_basis, cent_span) is True
+        assert _n2_inclusion(t_basis, cent_span) is True
+        assert _inclusion(ctx, t) == ({"all_rows_in_centralizer": _n2_inclusion(t_basis, cent_span)}, "pass")
         assert tuple(verify_equality(t, cent)) == _n2_equality(t_basis, cent, cent_span) == (True,) * 3
         # T without one of its rows is a proper subspace of the centralizer
         rows = t.basis.rows
         del rows[len(rows) // 2]
         smaller = TerwilligerAlgebra(cent, SpanBasis.from_reduced_rows(t.basis.ambient_dim, rows), None)
-        assert verify_inclusion(smaller, cent).ok == _n2_inclusion(_lifted(ctx.g, smaller.basis), cent_span)
+        assert _inclusion(ctx, smaller)[0] == {
+            "all_rows_in_centralizer": _n2_inclusion(_lifted(ctx.g, smaller.basis), cent_span)
+        }
         assert tuple(verify_equality(smaller, cent)) == _n2_equality(_lifted(ctx.g, smaller.basis), cent, cent_span)
         assert tuple(verify_equality(smaller, cent)) == (False,) * 3
 
@@ -281,7 +292,7 @@ def test_checks_in_orbit_coordinates_reject_a_basis_of_another_ambient(ctx_for):
     ctx = ctx_for(1)
     t, cent = ctx.terwilliger, ctx.centralizer
     lifted = TerwilligerAlgebra(cent, lift(cent, t.basis), None)
-    assert verify_inclusion(lifted, cent) == (False, 0)
+    assert _inclusion(ctx, lifted) == ({"all_rows_in_centralizer": False, "first_failed_row": 0}, "fail")
     res = verify_equality(lifted, cent)
     assert not res.orbit_matrices_in_t and not res.identical_rref
 
