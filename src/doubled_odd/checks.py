@@ -25,6 +25,7 @@ vertex pair, read once through the orbit index (orbits.OrbitCoordinates).
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from functools import cached_property
@@ -36,6 +37,7 @@ from typing import Callable, NamedTuple
 from .combinatorics import (
     DistanceRegularityError,
     GroundSet,
+    _Frozen,
     elements_of,
     enumerate_vertices,
     intersection_numbers,
@@ -85,14 +87,15 @@ class ConfigError(ValueError):
 SUPPORTED_M = range(1, 6)
 
 
-class RunConfig:
+class RunConfig(_Frozen):
     """Configuration of one verification run.
 
-    checks=None means every check applicable at m; an explicit check that
-    is unknown or not applicable at m, an empty selection or export_dir ""
-    raises ConfigError, and an explicit selection is held as a tuple.  m is limited
-    to SUPPORTED_M, [1, 5]; every applicable check also passes at m = 6, 7
-    and 8 (n = 3,432 to 48,620), so that range is the only limit there.
+    checks=None means every check applicable at m; an explicit check that is
+    unknown or not applicable at m, an empty selection or a str, and an
+    export_dir "" or of neither str nor os.PathLike raise ConfigError; an
+    explicit selection is held as a tuple.  m is limited to SUPPORTED_M,
+    [1, 5]; every applicable check also passes at m = 6, 7 and 8 (n = 3,432
+    to 48,620), so that range is the only limit there.
     What still grows with the n^2 vertex pairs is the union-find of the
     stabilizer generators of orbits-oracle (capped at m <= 4) and the
     export, which reads the orbit of every pair once, row by row, for its
@@ -100,7 +103,7 @@ class RunConfig:
     orbit index, single rows of pairs, or the m+1 neighbours of one pair
     per orbit.
 
-    Immutable, with value equality and hashing over its three fields.
+    A _Frozen value: immutable, equal and hashed over its three fields.
     """
 
     __slots__ = ("m", "checks", "export_dir")
@@ -118,8 +121,12 @@ class RunConfig:
             raise ConfigError(
                 f"m={m} outside the supported range [{SUPPORTED_M[0]}, {SUPPORTED_M[-1]}]"
             )
+        if export_dir is not None and not isinstance(export_dir, (str, os.PathLike)):
+            raise ConfigError(f"export_dir must be a path, got {export_dir!r}")
         if export_dir == "":
             raise ConfigError("empty --export-dir path")  # Path("") is the working directory
+        if isinstance(checks, str):
+            raise ConfigError(f"checks must be a collection of check names, not the string {checks!r}")
         if checks is not None:
             checks = tuple(checks)
             if not checks:
@@ -130,27 +137,6 @@ class RunConfig:
                 raise ConfigError(f"check {name!r} is not applicable at m={m}")
         for name, value in zip(self.__slots__, (m, checks, export_dir)):
             object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return self.m, self.checks, self.export_dir
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
-        return f"RunConfig({args})"
 
 
 class VerificationReport(NamedTuple):

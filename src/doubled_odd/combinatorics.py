@@ -28,7 +28,35 @@ from math import comb
 from typing import NamedTuple
 
 
-class GroundSet:
+class _Frozen:
+    """A value over the fields its subclass lists in __slots__, which its
+    __init__ sets with object.__setattr__: immutable after that, equal to
+    an instance of the same class with equal fields, hashed like the tuple
+    of its fields and shown as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class GroundSet(_Frozen):
     """The point set S = {1, ..., 2m+1} of one doubled Odd graph.
 
     Immutable, and equal to (and hashed like) every GroundSet of the same m.
@@ -41,23 +69,6 @@ class GroundSet:
         if type(m) is bool or not isinstance(m, int) or m < 1:
             raise ValueError(f"m must be a positive integer, got {m!r}")
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.m == other.m
-
-    def __hash__(self):
-        return hash((self.m,))
-
-    def __repr__(self):
-        return f"GroundSet(m={self.m!r})"
 
     @property
     def n_points(self) -> int:

@@ -17,7 +17,9 @@ splits each product by the action's row blocks, the spheres for a scheme,
 so T closes under A_1 alone.  SpanBasis is the one exact elimination
 routine: the closure grows a SpanBasis, and centralizer_within inserts its
 commutator equations into one and reads the commutant off
-SpanBasis.null_space.
+SpanBasis.null_space.  _add_scaled is the one sparse row update: adding
+a multiple of one row to another, in a sum of matrices, an elimination
+step or a combination of null vectors.
 """
 
 from __future__ import annotations
@@ -41,6 +43,17 @@ def _norm(v):
     if type(v) is Fraction and v.denominator == 1:
         return v.numerator
     return v
+
+
+def _add_scaled(out: dict[int, object], k, row: dict[int, object]) -> None:
+    """out += k row, in place: each new value normalized (_norm) and each
+    entry that cancels dropped, so out stores no explicit zero."""
+    for c, v in row.items():
+        nv = _norm(out.get(c, 0) + k * v)
+        if nv:
+            out[c] = nv
+        else:
+            out.pop(c, None)
 
 
 class SparseExactMatrix:
@@ -118,12 +131,7 @@ class SparseExactMatrix:
         out = {r: dict(row) for r, row in self._rows.items()}
         for r, row in other._rows.items():
             dst = out.setdefault(r, {})
-            for c, v in row.items():
-                nv = _norm(dst.get(c, 0) + v)
-                if nv:
-                    dst[c] = nv
-                else:
-                    dst.pop(c, None)
+            _add_scaled(dst, 1, row)
             if not dst:
                 del out[r]
         return SparseExactMatrix(self.nrows, self.ncols, out)
@@ -250,12 +258,7 @@ class SpanBasis:
             if not coeff:
                 continue
             coeffs[col] = coeff
-            for c, v in rows[col].items():
-                nv = _norm(out.get(c, 0) - coeff * v)
-                if nv:
-                    out[c] = nv
-                else:
-                    out.pop(c, None)
+            _add_scaled(out, -coeff, rows[col])
         return out, coeffs
 
     def contains_vector(self, vec: dict[int, object]) -> bool:
@@ -282,12 +285,7 @@ class SpanBasis:
         for row in self._rows.values():
             cv = row.get(piv)
             if cv:
-                for c, v in red.items():
-                    nv = _norm(row.get(c, 0) - cv * v)
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
+                _add_scaled(row, -cv, red)
         self._rows[piv] = red
         return dict(red)
 
@@ -431,12 +429,7 @@ def centralizer_within(
     for nv in system.null_space():
         combo: dict[int, object] = {}
         for a, coef in nv.items():
-            for idx, v in rows[a].items():
-                nv2 = _norm(combo.get(idx, 0) + coef * v)
-                if nv2:
-                    combo[idx] = nv2
-                else:
-                    combo.pop(idx, None)
+            _add_scaled(combo, coef, rows[a])
         result.insert(combo)
     return result
 

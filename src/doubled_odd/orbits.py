@@ -32,7 +32,7 @@ scheme as it is built: the label keys met are the closed-form labels'
 keys, and union-finds over the n vertices show that the orbits are a
 permutation group's (_certify_stabilizer_orbits), so A_1's moves,
 cross-checked on first pairs, hold on every pair.  The orbit of any pair
-is read off its label key (OrbitCoordinates.orbit_of).  The index is also
+is read off its label key (OrbitCoordinates.orbits).  The index is also
 the centralizer algebra (build_centralizer), a matrix constant on every
 orbit being its vector of orbit values.
 Only the union-find of the stabilizer generators on vertex pairs
@@ -351,14 +351,14 @@ def _closed_forms(m: int) -> tuple:
 
 class OrbitCoordinates(LabelScheme):
     """The doubled Odd graph's label scheme at m with its vertex side: the
-    orbit index of the vertex pairs.  orbit_of maps each label's key (_label_key) to its orbit.  spheres[i]
-    lists the vertices of sphere i, those at distance i from x0, ascending,
-    and sphere_of[y] is the sphere of vertex y.  rows[i][z] is the orbit of
-    (spheres[i][0], z), read off label keys, which decides the orbit of
-    every pair (row).  Orbit a has sizes[a] pairs and first pair
-    (spheres[row_of[a]][0], members[a][0]), where members[a] lists
-    ascending the z with (spheres[row_of[a]][0], z) in a.  O_a O_b != 0
-    exactly when end_of[a] == row_of[b].
+    orbit index of the vertex pairs.  orbit_of maps each label's key
+    (_label_key) to its orbit.  spheres[i] lists the vertices of sphere i,
+    those at distance i from x0, ascending, and sphere_of[y] is the sphere
+    of vertex y.  rows[i][z] is the orbit of (spheres[i][0], z), read off
+    label keys, as is the orbit of every pair (orbits).  Orbit a has
+    sizes[a] pairs and first pair (spheres[row_of[a]][0], members[a][0]),
+    where members[a] lists ascending the z with (spheres[row_of[a]][0], z)
+    in a.  O_a O_b != 0 exactly when end_of[a] == row_of[b].
     """
 
     def __init__(self, m: int):
@@ -391,22 +391,26 @@ class OrbitCoordinates(LabelScheme):
     def first_pair(self, a: int) -> tuple[int, int]:
         return self.spheres[self.row_of[a]][0], self.members[a][0]
 
-    def row(self, y: int) -> list[int]:
-        """The orbits of the pairs (y, w), w over all vertices, read off
-        their label keys."""
-        return list(map(self.orbit_of.__getitem__, _label_keys(self.m, y, range(self.n))))
+    def orbits(self, y: int, zs) -> list[int | None]:
+        """The orbits of the pairs (y, z), z over the vertex indices zs, read
+        off their label keys (None for a key of no orbit): the one lookup."""
+        return list(map(self.orbit_of.get, _label_keys(self.m, y, zs)))
+
+    def row(self, y: int) -> list[int | None]:
+        """The orbits of the pairs (y, w), w over all vertices."""
+        return self.orbits(y, range(self.n))
 
     @cached_property
     def adjacency(self) -> PushTable:
         """A_1's push tables, once the moves are cross-checked on the first
-        pair (y, z) of every orbit c: the orbits of (w, z), read off label
-        keys for the neighbours w of y (combinatorics._neighbours), must be
-        c's moves (NotClosedError naming c otherwise).  The certified orbits
-        are a permutation group's, so every pair of c moves alike."""
-        m, neighbours = self.m, _neighbours(self.m)
+        pair (y, z) of every orbit c: the orbits of (w, z) (orbits), for the
+        neighbours w of y (combinatorics._neighbours), must be c's moves
+        (NotClosedError naming c otherwise).  The certified orbits are a
+        permutation group's, so every pair of c moves alike."""
+        neighbours = _neighbours(self.m)
         for c, label in enumerate(self.labels):
             y, z = self.first_pair(c)
-            met = Counter(self.orbit_of.get(_label_keys(m, w, (z,))[0]) for w in neighbours[y])
+            met = Counter(self.orbits(w, (z,))[0] for w in neighbours[y])
             if met != {self.id_of.get(lab): size for lab, size in self._moves(label)}:
                 raise NotClosedError(f"the neighbours of the first pair of orbit {label.text()} do not move it by its Venn atoms")
         return super().adjacency
@@ -427,12 +431,11 @@ def constant_on_orbits(m: int, pairs) -> list[bool]:
     the stabilizer moves the first vertex y of that sphere onto each of
     them, keeping every orbit, so it is constant on every orbit exactly when
     its row y is constant on every orbit met along that row.  Entry z of
-    that row counts the members w of a in row y with (w, z) in b, read off
-    label keys for z over the sphere b's pairs end in.  No structure
-    constant is read.
+    that row counts the members w of a in row y with (w, z) in b
+    (OrbitCoordinates.orbits), for z over the sphere b's pairs end in.  No
+    structure constant is read.
     """
     index = _orbit_coordinates(m)
-    orbit_of = index.orbit_of.get
     met = [len(set(row)) for row in index.rows]  # the orbits along each sphere row
     verdicts = []
     for a, b in pairs:
@@ -442,8 +445,8 @@ def constant_on_orbits(m: int, pairs) -> list[bool]:
         zs = index.spheres[index.end_of[b]]
         entries = [0] * index.n
         for w in index.members[a]:
-            for z, key in zip(zs, _label_keys(m, w, zs)):
-                if orbit_of(key) == b:
+            for z, c in zip(zs, index.orbits(w, zs)):
+                if c == b:
                     entries[z] += 1
         # each orbit met along the row has one value exactly when the
         # distinct (orbit, value) pairs are as many as the distinct orbits

@@ -45,8 +45,7 @@ from .linalg import (
     algebra_closure,
     centralizer_within,
 )
-from .orbits import BlockTag, LabelScheme, OrbitCoordinates, OrbitLabel
-from .orbits import _label_keys, _orbit_coordinates
+from .orbits import BlockTag, LabelScheme, OrbitCoordinates, OrbitLabel, _orbit_coordinates
 
 
 class IdentityCheck(NamedTuple):
@@ -129,30 +128,27 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     of radius i and j around x0, so E*_i A_1 E*_j is the restriction of A_1
     from sphere i to sphere j.  A_1's n (m + 1) entries, the edges of the
     neighbour table (combinatorics._neighbours), are read once: the orbit
-    of each, through its label key and the index's label map
-    (OrbitCoordinates.orbit_of), is tallied under the spheres of its two
-    ends (OrbitCoordinates.sphere_of); a key of no orbit counts as no
-    orbit.  A 0/1
-    matrix equals the orbit matrix O_a exactly when all its entries lie in
-    orbit a and there are sizes[a] of them, which decides each identity:
-    E*_i = O_a when every (y, y), y in sphere i, is in orbit a,
-    |sphere i| = sizes[a] and sphere i is the set of vertices a
-    breadth-first search over the neighbour table puts at distance i from
-    x0 (combinatorics._radii), and A_1 is the sum of the sandwich orbit matrices
-    when every entry lies in one of them and the entries number the sum of
-    their sizes.  sizes[a] = |sphere| times a's count in its row rests on the
-    stabilizer being transitive on each sphere, part (a) of the orbit
-    certificate the index runs when it is built
-    (orbits._certify_stabilizer_orbits).
+    of each, through the index's one lookup (OrbitCoordinates.orbits), is
+    tallied under the spheres of its two ends (OrbitCoordinates.sphere_of);
+    a key of no orbit counts as no orbit.  A 0/1 matrix equals the orbit
+    matrix O_a exactly when all its entries lie in orbit a and there are
+    sizes[a] of them, which decides each identity: E*_i = O_a when every
+    (y, y), y in sphere i, is in orbit a, |sphere i| = sizes[a] and sphere i
+    is the set of vertices a breadth-first search over the neighbour table
+    puts at distance i from x0 (combinatorics._radii), and A_1 is the sum
+    of the sandwich orbit matrices when every entry lies in one of them and
+    the entries number the sum of their sizes.  sizes[a] = |sphere| times
+    a's count in its row rests on the stabilizer being transitive on each
+    sphere, part (a) of the orbit certificate the index runs when it is
+    built (orbits._certify_stabilizer_orbits).
     """
     m, diam = g.m, g.diameter
     index = _orbit_coordinates(m)
-    orbit_of, sizes, ids, sphere_of = index.orbit_of.get, index.sizes, index.id_of, index.sphere_of
+    sizes, ids, sphere_of = index.sizes, index.id_of, index.sphere_of
     tally: dict[tuple[int, int], dict[int | None, int]] = {}
     for y, row in enumerate(_neighbours(m)):
-        for z, key in zip(row, _label_keys(m, y, row)):
+        for z, a in zip(row, index.orbits(y, row)):
             count = tally.setdefault((sphere_of[y], sphere_of[z]), {})
-            a = orbit_of(key)
             count[a] = count.get(a, 0) + 1
 
     def is_orbit(i: int, j: int, label: OrbitLabel) -> bool:
@@ -164,7 +160,7 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     for i, sphere in enumerate(index.spheres):
         a = ids[_diagonal_label(m, i)]
         searched = [y for y, r in enumerate(radii) if r == i]
-        ok = list(sphere) == searched and len(sphere) == sizes[a] and all(orbit_of(_label_keys(m, y, (y,))[0]) == a for y in sphere)
+        ok = list(sphere) == searched and len(sphere) == sizes[a] and all(index.orbits(y, (y,)) == [a] for y in sphere)
         results.append(IdentityCheck(f"dual-idempotent-orbit-form[i={i}]", ok))
 
     sandwich_orbits = set()

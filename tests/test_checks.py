@@ -72,6 +72,14 @@ def test_run_config_validation():
     for bad in ("2", 2.0, True, False):
         with pytest.raises(ConfigError, match=f"m must be an integer, got {bad!r}"):
             RunConfig(m=bad)
+    # one string is one name, not a selection of one-letter checks
+    with pytest.raises(ConfigError, match="not the string 'lemma41'"):
+        RunConfig(3, checks="lemma41")
+    # an export_dir that is no path fails here, not after every check ran
+    for bad in (5, b"e", ["e"]):
+        with pytest.raises(ConfigError, match=f"export_dir must be a path, got {re.escape(repr(bad))}"):
+            RunConfig(3, export_dir=bad)
+    assert RunConfig(3, export_dir=Path("e")).export_dir == Path("e")
 
 
 def test_run_config_is_an_immutable_value():
@@ -83,6 +91,9 @@ def test_run_config_is_an_immutable_value():
     assert cfg == RunConfig(4, ("lemma41",), "e")
     assert cfg != RunConfig(4, ("lemma41",)) and cfg != RunConfig(3)
     assert hash(cfg) == hash(RunConfig(4, ("lemma41",), "e"))
+    # a value of its own class only, hashed like the tuple of its fields
+    assert RunConfig(3) != GroundSet(3) and GroundSet(3) != RunConfig(3)
+    assert RunConfig(3) != (3, None, None) and hash(RunConfig(3)) == hash((3, None, None))
     with pytest.raises(AttributeError):
         cfg.m = 3
     with pytest.raises(AttributeError):
@@ -776,21 +787,17 @@ def test_t_and_z_list_no_vertex(monkeypatch, fresh_memos):
 
 
 def _count_label_keys(monkeypatch) -> list[int]:
-    """Record the number of label keys of every call of a function of
-    orbits that evaluates them, on each binding a caller may use."""
+    """Record the number of label keys of every call of orbits._label_keys,
+    the one binding every reader of label keys goes through."""
     evaluated: list[int] = []
+    label_keys = orbits_module._label_keys
 
-    def counted(label_keys):
-        def wrapper(*args):
-            keys = label_keys(*args)
-            evaluated.append(len(keys))
-            return keys
-        return wrapper
+    def counted(*args):
+        keys = label_keys(*args)
+        evaluated.append(len(keys))
+        return keys
 
-    for name in [name for name in vars(orbits_module) if name.endswith("label_keys")]:
-        traced = counted(getattr(orbits_module, name))
-        for module in (orbits_module, terwilliger_module):
-            monkeypatch.setattr(module, name, traced, raising=False)
+    monkeypatch.setattr(orbits_module, "_label_keys", counted)
     return evaluated
 
 

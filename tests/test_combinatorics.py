@@ -76,7 +76,7 @@ def test_ground_set_is_an_immutable_value():
     g = GroundSet(3)
     assert g == GroundSet(m=3) and g != GroundSet(2)
     assert g != (3,) and g != 3
-    assert hash(g) == hash(GroundSet(3))
+    assert hash(g) == hash(GroundSet(3)) == hash((3,))
     assert len({g, GroundSet(3), GroundSet(2)}) == 2
     assert repr(g) == "GroundSet(m=3)"
     with pytest.raises(AttributeError):

@@ -22,6 +22,7 @@ from doubled_odd.linalg import (
     ShapeMismatchError,
     SpanBasis,
     SparseExactMatrix,
+    _add_scaled,
     algebra_closure,
     centralizer_within,
     write_coord_entries,
@@ -49,6 +50,16 @@ def test_matrix_arithmetic_against_dense():
     assert dense(prod) == expected
     assert prod.get(0, 1) == 2  # Fraction(1,2) * 4 collapses to the integer 2
     assert isinstance(prod.get(0, 1), int)
+
+
+def test_add_scaled_updates_in_place_and_drops_what_cancels():
+    out = {0: 1, 1: Fraction(1, 2), 3: 2}
+    row = {1: Fraction(1, 4), 2: Fraction(3, 4), 3: -1}
+    assert _add_scaled(out, 2, row) is None
+    # 1/2 + 1/2 is held as the int 1, and 2 - 2 is dropped, not stored
+    assert out == {0: 1, 1: 1, 2: Fraction(3, 2)} and list(out) == [0, 1, 2]
+    assert type(out[1]) is int
+    assert row == {1: Fraction(1, 4), 2: Fraction(3, 4), 3: -1}
 
 
 def test_add_sub_scale_transpose():

@@ -117,6 +117,37 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert added.isdisjoint({"dataclasses", "inspect"})
 
 
+def _lines_naming(tree: ast.Module, name: str) -> list[int]:
+    # the lines that use name as a variable, an attribute or an imported name
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names))
+    })
+
+
+@pytest.mark.parametrize("path", [p for p in _PACKAGE if p.name != "orbits.py"], ids=lambda p: p.name)
+def test_only_orbits_names_the_label_keys(path):
+    # the orbit index is read through one lookup, OrbitCoordinates.orbits,
+    # so a patch of orbits._label_keys reaches every reader of label keys;
+    # a module holding its own binding would not see it
+    assert _lines_naming(ast.parse(path.read_text()), "_label_keys") == []
+
+
+def test_the_label_keys_lint_finds_every_form():
+    tree = ast.parse(
+        "from .orbits import _label_keys\n"
+        "from .orbits import _label_keys as keys\n"
+        "orbits._label_keys(m, y, zs)\n"
+        "_label_keys(m, y, zs)\n"
+        "_label_key(m, lab)\n"
+        "index.orbits(y, zs)\n"
+    )
+    assert _lines_naming(tree, "_label_keys") == [1, 2, 3, 4]
+
+
 def _benchmark_tracer():
     # perfbench/tracer.py, loaded from its file: it imports only the stdlib
     spec = importlib.util.spec_from_file_location("perfbench_tracer", _ROOT / "perfbench" / "tracer.py")
