@@ -50,7 +50,6 @@ from .orbits import (
     BlockTag,
     _check_group_orbits,
     _key_label,
-    _orbit_coordinates,
     _orbit_labels,
     _sphere_row_keys,
     build_centralizer,
@@ -168,7 +167,8 @@ def render_reports(reports: list[VerificationReport]) -> str:
 
 
 class CheckContext:
-    """Lazily builds and memoizes the per-m objects the checks share."""
+    """Lazily builds and memoizes the objects one run's checks share: the
+    orbit index (centralizer), passed to every reader, T and Z(T)."""
 
     def __init__(self, m: int):
         self.g = GroundSet(m)
@@ -224,7 +224,7 @@ def _check_distance_regular(ctx: CheckContext):
     g = ctx.g
     expected = {"consistent": True, "valency": g.m + 1}
     try:
-        table = intersection_numbers(g)
+        table = intersection_numbers(ctx.centralizer)
         actual = {"consistent": True, "valency": table.valency}
     except DistanceRegularityError as exc:
         actual = {
@@ -298,7 +298,7 @@ def _check_centralizer_dim(ctx: CheckContext):
         rng = random.Random(20260 + g.m)
         pairs = [(rng.randrange(d), rng.randrange(d)) for _ in range(500)]
     # each product O_a O_b, tested on one row of its row sphere
-    closure_ok = all(constant_on_orbits(g.m, pairs))
+    closure_ok = all(constant_on_orbits(ctx.centralizer, pairs))
     expected = {"dim": 4 * comb(g.m + 4, 4), "closure_ok": True}
     actual = {"dim": d, "closure_ok": closure_ok, "pairs_checked": len(pairs)}
     ok = actual["dim"] == expected["dim"] and closure_ok
@@ -307,7 +307,7 @@ def _check_centralizer_dim(ctx: CheckContext):
 
 @_runner("subalgebra-closure")
 def _check_subalgebra_closure(ctx: CheckContext):
-    reports = {name: check_subalgebra(blocks, ctx.g) for name, blocks in BLOCK_FAMILIES.items()}
+    reports = {name: check_subalgebra(blocks, ctx.centralizer) for name, blocks in BLOCK_FAMILIES.items()}
     mixed = reports["II+III"]
     actual = {
         "I_closed": reports["I"].closed,
@@ -373,7 +373,7 @@ def _all_hold(results, provenance: str):
 
 @_runner("lemma41")
 def _check_lemma41(ctx: CheckContext):
-    return _all_hold(verify_sandwich_identities(ctx.g), "paper-formula")
+    return _all_hold(verify_sandwich_identities(ctx.centralizer), "paper-formula")
 
 
 @_runner("terwilliger-dim", finding_below_3=True)
@@ -514,8 +514,9 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     Emits the distance matrices, the dual idempotents, all orbit matrices,
     the covering matrix psi, and the reduced bases of the centralizer and
     Terwilliger algebras (one file each, basis rows as vectorized n x n
-    matrices), each through write_coord_entries.  One pass over the n rows
-    of vertex pairs (OrbitCoordinates.row) gives each orbit its pair
+    matrices), each through write_coord_entries, from the orbit index and
+    T of ctx (a new CheckContext when none is given).  One pass over the n
+    rows of vertex pairs (OrbitCoordinates.row) gives each orbit its pair
     positions y n + z, ascending, and every file but psi, read off the fold
     map, and the E*_i, each the diagonal of its sphere, is a 0/1 or
     rational combination of those positions: A_i is the union of the
@@ -537,7 +538,7 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     except OSError as exc:
         raise OSError(f"cannot create export directory {out_dir}: {exc}") from exc
 
-    index = _orbit_coordinates(m)
+    index = ctx.centralizer
     n, labels = index.n, index.labels
     positions: list[list[int]] = [[] for _ in labels]
     append = [pos.append for pos in positions]

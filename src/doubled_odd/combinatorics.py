@@ -11,13 +11,13 @@ lemma41, psi-intertwining and the cross-check of A_1's atom moves read; no
 adjacency matrix is built.
 
 The graph is bipartite with diameter 2m+1, and the distance between vertices
-y and z is |y| + |z| - 2|y n z|, which the orbit index reads off each
-orbit's label; lemma41 checks its spheres around x0 by breadth-first
-search (_radii), and the formula's oracles live in the tests.  The intersection numbers are
-read off A_1 A_i in the orbit coordinates of the base-vertex stabilizer
-(orbits), which is built on this module and so imported where it is used,
-and the rest follow from the three-term recurrence of a distance-regular
-graph (Brouwer, Cohen and Neumaier, Distance-Regular Graphs, 1989).
+y and z is |y| + |z| - 2|y n z|, which the orbit index reads off each orbit's
+label; lemma41 and psi-intertwining take its spheres around x0 from
+breadth-first search (_radii), and the formula's oracles live in the tests.
+The intersection numbers are read off A_1 A_i in the orbit coordinates of the
+base-vertex stabilizer (orbits.OrbitCoordinates, passed in), and the rest
+follow from the three-term recurrence of a distance-regular graph (Brouwer,
+Cohen and Neumaier, Distance-Regular Graphs, 1989).
 """
 
 from __future__ import annotations
@@ -177,16 +177,12 @@ class IntersectionNumbers(NamedTuple):
         return self.p(0, 1, 1)
 
 
-def intersection_numbers(g: GroundSet) -> IntersectionNumbers:
-    """Every p^h_{ij}, from A_1 A_i in the orbit coordinates (orbits), each
-    orbit at the distance its label gives.  Raises DistanceRegularityError
-    with the first offending witness if any count depends on the chosen
-    pair (it never should)."""
-    # orbits is built on this module, so it is imported here, not at the top
-    from .orbits import _orbit_coordinates
-
-    coords = _orbit_coordinates(g.m)
-    return IntersectionNumbers(m=g.m, table=_recurrence_table(coords, coords.distance_of))
+def intersection_numbers(coords) -> IntersectionNumbers:
+    """Every p^h_{ij}, from A_1 A_i in the orbit coordinates coords (an
+    orbits.OrbitCoordinates), each orbit at the distance its label gives.
+    Raises DistanceRegularityError with the first offending witness if any
+    count depends on the chosen pair (it never should)."""
+    return IntersectionNumbers(m=coords.m, table=_recurrence_table(coords, coords.distance_of))
 
 
 def _recurrence_table(coords, dist) -> dict[tuple[int, int, int], int]:

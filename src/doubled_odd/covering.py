@@ -13,9 +13,9 @@ psi A_1 = A_1(Odd) psi and E*_i(Odd) psi = psi (E*_i + E*_{2m+1-i}),
 0 <= i <= m, on the fold map (_fold_image), with no matrix product; the
 export writes psi from the same map.  Both graphs are neighbour tables:
 the doubled graph's is combinatorics._neighbours, and the m-subsets
-disjoint from y are the m + 1 sets (S - y) - {k}, k in S - y.  Odd-graph
-distances come from breadth-first search over that table, not from a
-closed formula.
+disjoint from y are the m + 1 sets (S - y) - {k}, k in S - y.  Distances
+from x0 in both graphs come from breadth-first search over those tables
+(combinatorics._distances_from), not from a formula or the orbit index.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from .combinatorics import GroundSet, _distances_from, _neighbours, _vertex_index, _vertices
-from .orbits import _orbit_coordinates
+from .combinatorics import GroundSet, _distances_from, _neighbours, _radii, _vertex_index, _vertices
 from .terwilliger import IdentityCheck
 
 
@@ -80,9 +79,9 @@ def verify_intertwining(g: GroundSet) -> list[IdentityCheck]:
     * adjacency-transport: column z of psi A_1 counts the images of z's
       neighbours (both graphs are undirected), and that of A_1(Odd) psi is
       the Odd-graph neighbours of image[z], each once.
-    * sphere-transport: for r the radius of z, column z of both sides is
-      row image[z] or 0 for every i <= m exactly when
-      odd_dist[image[z]] = min(r, 2m+1-r).
+    * sphere-transport: for r the radius of z (combinatorics._radii),
+      column z of both sides is row image[z] or 0 for every i <= m
+      exactly when odd_dist[image[z]] = min(r, 2m+1-r).
     """
     m, half, diam = g.m, comb(g.n_points, g.m), g.diameter
     image = _fold_image(g)
@@ -94,9 +93,8 @@ def verify_intertwining(g: GroundSet) -> list[IdentityCheck]:
         Counter(image[w] for w in row) == dict.fromkeys(odd[image[z]], 1)
         for z, row in enumerate(_neighbours(m))
     )
-    index = _orbit_coordinates(m)
     odd_dist = _odd_distances_from_base(m)
-    spheres_fold = in_odd and all(odd_dist[u] == min(r, diam - r) for u, r in zip(image, index.sphere_of))
+    spheres_fold = in_odd and all(odd_dist[u] == min(r, diam - r) for u, r in zip(image, _radii(m)))
     return [
         IdentityCheck("psi-row-sums-two", fibres_two),
         IdentityCheck("psi-column-sums-one", in_odd),

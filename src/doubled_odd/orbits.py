@@ -23,8 +23,8 @@ from closed forms alone, orbit a the a-th label.  A_1 acts on it by push
 tables (PushTable), moving one Venn atom of a pair, and E*_s keeps the
 orbits that start in sphere s, its row block.  It lists no vertex.
 
-OrbitCoordinates, the package's one orbit index, built once per m by
-_orbit_coordinates, is the doubled Odd graph's scheme with its vertex
+OrbitCoordinates, the package's one orbit index, built once per run and
+passed to each reader, is the doubled Odd graph's scheme with its vertex
 side.  The stabilizer fixes every label and is transitive on each sphere,
 so the index reads the 2m+2 sphere rows to find each orbit's first pair
 and to size it as |sphere| times its count in its row.  It certifies the
@@ -416,15 +416,9 @@ class OrbitCoordinates(LabelScheme):
         return super().adjacency
 
 
-@lru_cache(maxsize=8)
-def _orbit_coordinates(m: int) -> OrbitCoordinates:
-    """The orbit index at m, one instance per m."""
-    return OrbitCoordinates(m)
-
-
-def constant_on_orbits(m: int, pairs) -> list[bool]:
-    """For each pair (a, b) of orbits, whether O_a O_b is constant on every
-    orbit, i.e. lies in the span of the orbit matrices.
+def constant_on_orbits(index: OrbitCoordinates, pairs) -> list[bool]:
+    """For each pair (a, b) of orbits of the index, whether O_a O_b is
+    constant on every orbit, i.e. lies in the span of the orbit matrices.
 
     O_a O_b is 0 unless end_of[a] == row_of[b] (the sphere rule of
     OrbitCoordinates), and else nonzero only in the rows of a's row sphere;
@@ -435,7 +429,6 @@ def constant_on_orbits(m: int, pairs) -> list[bool]:
     (OrbitCoordinates.orbits), for z over the sphere b's pairs end in.  No
     structure constant is read.
     """
-    index = _orbit_coordinates(m)
     met = [len(set(row)) for row in index.rows]  # the orbits along each sphere row
     verdicts = []
     for a, b in pairs:
@@ -641,13 +634,13 @@ def _key_label(m: int, key: int) -> OrbitLabel:
 
 
 def build_centralizer(g: GroundSet) -> OrbitCoordinates:
-    """The centralizer algebra, Q^d on the shared orbit index, with one
-    basis element per orbit matrix in orbit order, certified by the index's
+    """The centralizer algebra, Q^d on a new orbit index, with one basis
+    element per orbit matrix in orbit order, certified by the index's
     construction: every pair lies in exactly one orbit, the labels met are
     the closed-form labels (else NotClosedError or IndependenceError), and
     nonzero matrices with disjoint supports are independent.  No orbit
-    matrix is built."""
-    return _orbit_coordinates(g.m)
+    matrix is built.  Its one caller, CheckContext, holds it for a run."""
+    return OrbitCoordinates(g.m)
 
 
 class SubalgebraClosureReport(NamedTuple):
@@ -659,9 +652,9 @@ class SubalgebraClosureReport(NamedTuple):
     violation_block: BlockTag | None
 
 
-def check_subalgebra(blocks: tuple[BlockTag, ...], g: GroundSet) -> SubalgebraClosureReport:
-    """Test whether the span of the orbit matrices of the given blocks is
-    closed under multiplication; on failure report the first offending
+def check_subalgebra(blocks: tuple[BlockTag, ...], coords: OrbitCoordinates) -> SubalgebraClosureReport:
+    """Test whether the span of the orbit matrices of coords in the given
+    blocks is closed under multiplication; on failure report the first offending
     product (a, b), in closed-form label order, and the block of its pairs
     (y, z), by |y| from a's label and |z| from b's.
 
@@ -673,7 +666,6 @@ def check_subalgebra(blocks: tuple[BlockTag, ...], g: GroundSet) -> SubalgebraCl
     exactly when it is nonzero and its block is not one of them.  No row of
     a product is read.
     """
-    coords = _orbit_coordinates(g.m)
     sub = [lab for lab in coords.labels if lab.block in blocks]
     ends = [(coords.row_of[a], coords.end_of[a]) for a in map(coords.id_of.__getitem__, sub)]
 

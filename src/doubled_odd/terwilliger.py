@@ -37,15 +37,16 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .combinatorics import GroundSet, _neighbours, _radii
+from .combinatorics import _neighbours, _radii
 from .linalg import (
     ClosureResult,
     NotClosedError,
+    ShapeMismatchError,
     SpanBasis,
     algebra_closure,
     centralizer_within,
 )
-from .orbits import BlockTag, LabelScheme, OrbitCoordinates, OrbitLabel, _orbit_coordinates
+from .orbits import BlockTag, LabelScheme, OrbitCoordinates, OrbitLabel
 
 
 class IdentityCheck(NamedTuple):
@@ -112,7 +113,7 @@ def _diagonal_label(m: int, i: int) -> OrbitLabel:
     return OrbitLabel(BlockTag.IV, (c, c, m + 1, c))
 
 
-def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
+def verify_sandwich_identities(index: OrbitCoordinates) -> list[IdentityCheck]:
     """Exact matrix identities tying T's generators to single orbit matrices.
 
     Checks, for every admissible i:
@@ -142,8 +143,7 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
     sphere, part (a) of the orbit certificate the index runs when it is
     built (orbits._certify_stabilizer_orbits).
     """
-    m, diam = g.m, g.diameter
-    index = _orbit_coordinates(m)
+    m = index.m
     sizes, ids, sphere_of = index.sizes, index.id_of, index.sphere_of
     tally: dict[tuple[int, int], dict[int | None, int]] = {}
     for y, row in enumerate(_neighbours(m)):
@@ -164,7 +164,7 @@ def verify_sandwich_identities(g: GroundSet) -> list[IdentityCheck]:
         results.append(IdentityCheck(f"dual-idempotent-orbit-form[i={i}]", ok))
 
     sandwich_orbits = set()
-    for i in range(diam):
+    for i in range(2 * m + 1):
         forward, backward = _sandwich_label(m, i, transposed=False), _sandwich_label(m, i, transposed=True)
         results.append(IdentityCheck(f"sandwich-orbit-form[i={i}]", is_orbit(i, i + 1, forward)))
         results.append(IdentityCheck(f"sandwich-transpose-orbit-form[i={i}]", is_orbit(i + 1, i, backward)))
@@ -220,9 +220,12 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     lies in the block of the spheres its pairs start and end in.  The blocks have disjoint coordinates, and the union of RREFs on
     disjoint coordinates is an RREF, so every row of T's RREF lies in one
     block; a row that joins two raises NotClosedError, since this accepts
-    any span a caller builds, not only a closure.
+    any span a caller builds, not only a closure.  A basis in an ambient
+    other than Q^d of the scheme raises ShapeMismatchError.
     """
     scheme = t.scheme
+    if t.basis.ambient_dim != scheme.ambient_dim:
+        raise ShapeMismatchError(f"basis in dimension {t.basis.ambient_dim} against scheme dimension {scheme.ambient_dim}")
     block = list(zip(scheme.row_of, scheme.end_of))
     diagonal = []
     for row in t.basis.rows:

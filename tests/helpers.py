@@ -15,8 +15,9 @@ off it, Higman's identity on it and its counts by orbit, the Odd graph's
 adjacency by a disjointness scan, vertex maps moved a point at a time,
 the coefficients of a vector over a span's rows, the null space by one
 scan of the rows per free column, the reader of the
-export's coordinate text files, and a doctored orbit index for its
-certificates."""
+export's coordinate text files, a doctored orbit index for its
+certificates, and the per-m contexts the tests share, which hold the
+tests' one memo of the orbit index."""
 
 from array import array
 from collections import Counter
@@ -45,6 +46,7 @@ from doubled_odd.linalg import (
     _norm,
     algebra_closure,
 )
+from doubled_odd.checks import CheckContext
 from doubled_odd import covering as covering_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd.orbits import (
@@ -59,7 +61,6 @@ from doubled_odd.orbits import (
     _key_parts,
     _label_key,
     _label_keys,
-    _orbit_coordinates,
 )
 from doubled_odd.terwilliger import (
     IdentityCheck,
@@ -68,6 +69,20 @@ from doubled_odd.terwilliger import (
     _sandwich_label,
     center_basis,
 )
+
+
+@lru_cache(maxsize=None)
+def shared_context(m: int) -> CheckContext:
+    """The one CheckContext per m the tests share, so that the orbit index,
+    T and Z(T) are built once per session; a test that doctors an index
+    builds its own context or index."""
+    return CheckContext(m)
+
+
+def orbit_index(m: int) -> OrbitCoordinates:
+    """The orbit index at m of the shared context: the tests' one memo of
+    it, as the package keeps none."""
+    return shared_context(m).centralizer
 
 
 def mask_of(elements) -> int:
@@ -271,7 +286,7 @@ def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
     # every orbit matrix in one pass over the pairs of each block of row
     # sphere x column sphere: as in orbit_matrix, a pair's |y n z| and
     # |x0 n y n z| decide which orbit of its block it is in
-    g, index, verts = GroundSet(m), _orbit_coordinates(m), _vertices(m)
+    g, index, verts = GroundSet(m), orbit_index(m), _vertices(m)
     blocks: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for a, ends in enumerate(zip(index.row_of, index.end_of)):
         blocks.setdefault(ends, {})[index.labels[a].tup[2:]] = a
@@ -301,7 +316,7 @@ def orbit_matrix(g: GroundSet, label: OrbitLabel) -> SparseExactMatrix:
     row sphere and column sphere: those spheres fix the block and
     |x0 n y|, |x0 n z| of a pair's label, so the pair is in the orbit when
     its |y n z| and |x0 n y n z| are the label's."""
-    index = _orbit_coordinates(g.m)
+    index = orbit_index(g.m)
     try:
         a = index.labels.index(label)
     except ValueError:
@@ -852,7 +867,7 @@ def product_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosure
     in order, against the support {c : p^c_{ab} > 0} of its product in the
     product index; the block of an offending product is that of the least
     orbit of its support."""
-    coords = _orbit_coordinates(g.m)
+    coords = orbit_index(g.m)
     ids = {lab: c for c, lab in enumerate(coords.labels)}
     inside = {ids[lab] for lab in sub}
     for la in sub:

@@ -12,9 +12,9 @@ import time
 from math import comb
 
 import pytest
-from helpers import enumerate_index_set, orbit_matrices, orbit_partition
+from helpers import enumerate_index_set, orbit_matrices, orbit_partition, shared_context
 
-from doubled_odd.checks import CheckContext, RunConfig, run
+from doubled_odd.checks import RunConfig, run
 from doubled_odd.checks import _RUNNERS
 from doubled_odd.combinatorics import GroundSet, enumerate_vertices, intersection_numbers
 from doubled_odd.covering import verify_intertwining
@@ -32,14 +32,7 @@ from doubled_odd.terwilliger import (
     verify_sandwich_identities,
 )
 
-_contexts: dict[int, CheckContext] = {}
 _timings: dict[str, float] = {}
-
-
-def _actx(m: int) -> CheckContext:
-    if m not in _contexts:
-        _contexts[m] = CheckContext(m)
-    return _contexts[m]
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -61,7 +54,7 @@ def test_criterion_02_distance_regularity():
     ok = True
     for m in (1, 2, 3):
         start = time.perf_counter()
-        table = intersection_numbers(GroundSet(m))
+        table = intersection_numbers(build_centralizer(GroundSet(m)))
         if m == 3:
             elapsed3 = time.perf_counter() - start
         ok = ok and table.valency == m + 1
@@ -114,7 +107,7 @@ def test_criterion_06_centralizer_dimension():
     for m in (1, 2, 3):
         dims.append(build_centralizer(GroundSet(m)).ambient_dim)
     start = time.perf_counter()
-    cent4 = _actx(4).centralizer
+    cent4 = shared_context(4).centralizer
     elapsed = time.perf_counter() - start
     dims.append(cent4.ambient_dim)
     ok = dims == [20, 60, 140, 280] and elapsed < 60.0
@@ -126,7 +119,7 @@ def test_criterion_07_centralizer_closure():
     ok = True
     detail = []
     for m in (1, 2, 3, 4):
-        _, _, actual, status = _RUNNERS["centralizer-dim"](_actx(m))
+        _, _, actual, status = _RUNNERS["centralizer-dim"](shared_context(m))
         ok = ok and actual["closure_ok"] and status == "pass"
         if m <= 2:
             d = 4 * comb(m + 4, 4)
@@ -141,7 +134,7 @@ def test_criterion_08_subalgebra_checks():
     ok = True
     detail = []
     for m in (1, 2, 3):
-        _, _, actual, status = _RUNNERS["subalgebra-closure"](_actx(m))
+        _, _, actual, status = _RUNNERS["subalgebra-closure"](shared_context(m))
         ok = ok and actual["I_closed"] and actual["IV_closed"]
         ok = ok and status == "finding"
         recorded = actual["mixed_closed"] or actual["mixed_first_violation"] is not None
@@ -157,7 +150,7 @@ def test_criterion_08_subalgebra_checks():
 def test_criterion_09_direct_sum():
     ok = True
     for m in (1, 2, 3, 4):
-        _, _, actual, status = _RUNNERS["direct-sum"](_actx(m))
+        _, _, actual, status = _RUNNERS["direct-sum"](shared_context(m))
         ok = ok and status == "pass" and actual["total"] == actual["centralizer_dim"]
     _report(9, "direct sum of block spans", ok)
 
@@ -166,16 +159,16 @@ def test_criterion_09_direct_sum():
 def test_criterion_10_sandwich_identities():
     ok = True
     for m in (1, 2, 3, 4):
-        results = verify_sandwich_identities(_actx(m).g)
+        results = verify_sandwich_identities(shared_context(m).centralizer)
         ok = ok and all(r.ok for r in results)
     _report(10, "dual idempotent sandwich identities", ok)
 
 
 @pytest.mark.slow
 def test_criterion_11_terwilliger_dimension():
-    t3 = _actx(3).terwilliger
+    t3 = shared_context(3).terwilliger
     start = time.perf_counter()
-    t4 = _actx(4).terwilliger
+    t4 = shared_context(4).terwilliger
     elapsed = time.perf_counter() - start
     ok = (
         t3.dimension == 140
@@ -196,7 +189,7 @@ def test_criterion_11_terwilliger_dimension():
 def test_criterion_12_inclusion_and_equality():
     ok = True
     for m in (3, 4):
-        ctx = _actx(m)
+        ctx = shared_context(m)
         _, _, _, inc = _RUNNERS["inclusion"](ctx)
         eq = verify_equality(ctx.terwilliger, ctx.centralizer)
         ok = ok and inc == "pass" and eq.ok
@@ -210,8 +203,8 @@ def test_criterion_12_inclusion_and_equality():
 
 @pytest.mark.slow
 def test_criterion_13_center_dimension():
-    z3 = _actx(3).center.dimension
-    z4 = _actx(4).center.dimension
+    z3 = shared_context(3).center.dimension
+    z4 = shared_context(4).center.dimension
     ok = z3 == 6 == len(upsilon(3)) and z4 == 9 == len(upsilon(4))
     _report(13, "center dimension", ok, f"dims=({z3}, {z4})")
 
@@ -221,10 +214,10 @@ def test_criterion_14_block_profile():
     p3, p4 = block_profile(3), block_profile(4)
     ok = (
         2 * 4 + 2 * 16 + 36 + 64 == 140
-        and p3.dimension_total == 140 == _actx(3).terwilliger.dimension
-        and p3.summand_count == 6 == _actx(3).center.dimension
-        and p4.dimension_total == 280 == _actx(4).terwilliger.dimension
-        and p4.summand_count == 9 == _actx(4).center.dimension
+        and p3.dimension_total == 140 == shared_context(3).terwilliger.dimension
+        and p3.summand_count == 6 == shared_context(3).center.dimension
+        and p4.dimension_total == 280 == shared_context(4).terwilliger.dimension
+        and p4.summand_count == 9 == shared_context(4).center.dimension
     )
     _report(14, "block profile", ok, f"counts m=3 {p3.counts}, m=4 {p4.counts}")
 
@@ -232,7 +225,7 @@ def test_criterion_14_block_profile():
 def test_criterion_15_covering_map():
     ok = True
     for m in (1, 2, 3):
-        results = verify_intertwining(_actx(m).g)
+        results = verify_intertwining(shared_context(m).g)
         ok = ok and all(r.ok for r in results)
     _report(15, "covering map invariants and intertwining", ok)
 

@@ -1,8 +1,10 @@
 """Report registry, run configuration, export and the CLI."""
 
+import gc
 import hashlib
 import json
 import re
+import weakref
 from pathlib import Path
 
 import conftest
@@ -15,6 +17,7 @@ from doubled_odd import covering as covering_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import (
+    _RUNNERS,
     CHECK_IDS,
     CheckContext,
     ConfigError,
@@ -174,11 +177,11 @@ def test_index_sets_fails_when_the_pair_pass_misses_a_closed_form_label(monkeypa
     assert report.status == "fail"
 
 
-def _trace_index_builds(monkeypatch) -> list[int]:
-    # the m of every OrbitCoordinates built
-    built: list[int] = []
+def _trace_index_builds(monkeypatch) -> list[OrbitCoordinates]:
+    # every OrbitCoordinates built, in the order its construction began
+    built: list[OrbitCoordinates] = []
     init = OrbitCoordinates.__init__
-    monkeypatch.setattr(OrbitCoordinates, "__init__", lambda self, m: built.append(m) or init(self, m))
+    monkeypatch.setattr(OrbitCoordinates, "__init__", lambda self, m: built.append(self) or init(self, m))
     return built
 
 
@@ -190,7 +193,7 @@ def test_index_sets_passes_on_a_stabilizer_generator_fault_without_an_orbit_inde
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
     built = _trace_index_builds(monkeypatch)
     with pytest.raises(NotClosedError, match="is not a single orbit"):
-        orbits_module._orbit_coordinates(2)
+        OrbitCoordinates(2)
     built.clear()
     (report,) = run(RunConfig(m=2, checks=("index-sets",)))
     assert report.actual == {"cardinalities": [15] * 4, "matches_enumeration": True}
@@ -610,21 +613,18 @@ def test_reports_match_the_benchmark_reference(reference, m, every_check):
 
 def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monkeypatch, fresh_memos):
     # no n^2-ambient span at all, the export's included, and one
-    # OrbitCoordinates per m per process, for runs with and without the
-    # export and a second centre solve: the export writes its bases from
-    # pair positions.  OrbitCoordinates is the one orbit index, with one
-    # per-m memo: no second index class or memo sits beside it, only the
-    # neighbour tables of the two graphs
-    for name in ("SphereRows", "_sphere_rows", "_number_sphere_rows"):
+    # OrbitCoordinates per run, for runs with and without the export and a
+    # second centre solve: the export writes its bases from pair positions
+    # of the run's index.  OrbitCoordinates is the one orbit index and a
+    # run's CheckContext its one owner: no second index class or index memo
+    # sits beside it, and the package's per-m memos are the neighbour tables
+    # of the two graphs
+    for name in ("SphereRows", "_sphere_rows", "_number_sphere_rows", "_orbit_coordinates"):
         assert not hasattr(orbits_module, name)
-    assert conftest._PER_M_MEMOS == (
-        orbits_module._orbit_coordinates,
-        combinatorics_module._neighbours,
-        covering_module._odd_neighbours,
-    )
+    assert conftest._PER_M_MEMOS == (combinatorics_module._neighbours, covering_module._odd_neighbours)
     n2 = 70 ** 2
     n2_bases: list[int] = []  # the ambient dimension of each n^2-ambient SpanBasis
-    coords_built: list[int] = []
+    coords_built: list[weakref.ref] = []
     span_init, coords_init = SpanBasis.__init__, OrbitCoordinates.__init__
 
     def traced_span_init(self, ambient_dim):
@@ -633,7 +633,7 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
         span_init(self, ambient_dim)
 
     def traced_coords_init(self, m):
-        coords_built.append(m)
+        coords_built.append(weakref.ref(self))
         coords_init(self, m)
 
     monkeypatch.setattr(SpanBasis, "__init__", traced_span_init)
@@ -643,10 +643,13 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
     assert (n2_bases, len(coords_built)) == ([], 1)
     run(RunConfig(m=3, export_dir=str(tmp_path / "export")))
     assert (tmp_path / "export" / "m3_basis_terwilliger.mtx").exists()
-    assert (n2_bases, len(coords_built)) == ([], 1)
+    assert (n2_bases, len(coords_built)) == ([], 2)
     ctx = CheckContext(3)
     assert center_basis(ctx.terwilliger).dimension == 6
-    assert (n2_bases, len(coords_built)) == ([], 1)
+    assert (n2_bases, len(coords_built)) == ([], 3)
+    # nothing outlives a finished run's context that holds its index
+    gc.collect()
+    assert [ref() for ref in coords_built[:2]] == [None, None] and coords_built[2]() is ctx.centralizer
     assert not hasattr(ctx.centralizer, "span")
     assert not hasattr(ctx.centralizer, "matrices")
     assert not hasattr(ctx.terwilliger, "coordinates")
@@ -656,6 +659,22 @@ def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monke
     assert isinstance(ctx.centralizer.adjacency, PushTable)
 
 
+@pytest.mark.parametrize("options, builds", [
+    (["--checks", "psi-intertwining"], 0),
+    ([], 1),
+    (["--export-dir", None], 1),
+])
+def test_a_verify_run_builds_at_most_one_orbit_index(tmp_path, capsys, monkeypatch, options, builds):
+    # a full verify --m 3 builds the index once, for every check that reads
+    # it and for the export, and psi-intertwining, which takes its spheres
+    # from a breadth-first search, builds none
+    built = _trace_index_builds(monkeypatch)
+    options = [str(tmp_path / "export") if option is None else option for option in options]
+    assert main(["verify", "--m", "3", *options]) == 0
+    capsys.readouterr()
+    assert [index.m for index in built] == [3] * builds
+
+
 def test_verify_makes_no_push_table_but_a1s(monkeypatch, fresh_memos):
     # the closure brings in the E*_i by splitting each product by sphere,
     # and the centre solves against A_1 alone, so a full verify --m 3 makes
@@ -663,8 +682,9 @@ def test_verify_makes_no_push_table_but_a1s(monkeypatch, fresh_memos):
     made: list[PushTable] = []
     new = PushTable.__new__
     monkeypatch.setattr(PushTable, "__new__", lambda cls, *args: made.append(new(cls, *args)) or made[-1])
+    built = _trace_index_builds(monkeypatch)
     assert len(run(RunConfig(m=3))) == 16
-    assert len(made) == 1 and made[0] is orbits_module._orbit_coordinates(3).adjacency
+    assert len(built) == len(made) == 1 and made[0] is built[0].adjacency
     # the trace sees a push table where one is made
     PushTable((), ())
     assert len(made) == 2
@@ -740,10 +760,11 @@ def test_the_checks_that_rest_on_sphere_transitivity_run_the_orbit_certificate(m
     certified = []
     certify = orbits_module._certify_stabilizer_orbits
     monkeypatch.setattr(orbits_module, "_certify_stabilizer_orbits", lambda index: certified.append(index.m) or certify(index))
+    built = _trace_index_builds(monkeypatch)
     (report,) = run(RunConfig(m=4, checks=(check,)))
     assert report.status == "pass"
     assert certified == [4]
-    assert "adjacency" not in vars(orbits_module._orbit_coordinates(4))
+    assert len(built) == 1 and "adjacency" not in vars(built[0])
 
 
 def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
@@ -774,7 +795,7 @@ def test_t_and_z_list_no_vertex(monkeypatch, fresh_memos):
         raise AssertionError("a vertex was listed")
 
     for module in (combinatorics_module, orbits_module, terwilliger_module, covering_module, checks_module):
-        for name in ("_vertices", "_vertex_index", "_neighbours", "_orbit_coordinates"):
+        for name in ("_vertices", "_vertex_index", "_neighbours"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, listed)
     scheme = LabelScheme(*orbits_module._closed_forms(3))
@@ -813,7 +834,6 @@ def test_the_orbits_m4_checks_make_no_pass_over_all_vertex_pairs(monkeypatch, fr
     assert 0 < sum(evaluated) < 252 ** 2
     # the trace sees a pass over all pairs where there is one: orbits-oracle
     # reads the orbit ids of all n^2 pairs, row by row
-    orbits_module._orbit_coordinates(1)
     evaluated.clear()
     run(RunConfig(m=1, checks=("orbits-oracle",)))
     assert sum(evaluated) == 6 ** 2
@@ -832,35 +852,38 @@ def test_the_m4_checks_that_act_with_a1_read_one_pair_per_orbit(monkeypatch, fre
     assert 0 < sum(evaluated) <= 10 * 252 + 280 * 5
 
 
-def _use_merged_m1_rows(monkeypatch, certified: bool = True) -> None:
-    # merge ({2}, {3}) and ({3}, {2}) with ({2}, {1}) and ({3}, {1}) in the
-    # orbit index at m = 1, on every binding of its memo: the square of the
-    # merged orbit matrix is not constant on it.  The orbit certificate
-    # rejects the merged rows as the index is built, unless it is skipped
+def _merged_m1_context(certified: bool = True) -> CheckContext:
+    # a context at m = 1 whose orbit index merges ({2}, {3}) and ({3}, {2})
+    # with ({2}, {1}) and ({3}, {1}): the square of the merged orbit matrix
+    # is not constant on it.  The orbit certificate rejects the merged rows
+    # as the index is built, unless it is skipped
     keep, drop = OrbitLabel(BlockTag.I, (0, 1, 0, 0)), OrbitLabel(BlockTag.I, (0, 0, 0, 0))
-    doctored = merged_orbit_coordinates(1, keep, drop, certified)
-    for module in (orbits_module, terwilliger_module, checks_module):
-        monkeypatch.setattr(module, "_orbit_coordinates", lambda _m: doctored)
+    ctx = CheckContext(1)
+    ctx.centralizer = merged_orbit_coordinates(1, keep, drop, certified)
+    return ctx
 
 
-def test_centralizer_dim_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):
+def test_centralizer_dim_fails_on_orbits_that_are_not_coherent():
     # the check's own row test, on rows built without the orbit certificate
-    _use_merged_m1_rows(monkeypatch, certified=False)
-    (report,) = run(RunConfig(m=1, checks=("centralizer-dim",)))
+    ctx = _merged_m1_context(certified=False)
+    _, _, actual, status = _RUNNERS["centralizer-dim"](ctx)
     # dim is that of the algebra built on the doctored rows: its 19 orbits
-    assert report.actual == {"dim": 19, "closure_ok": False, "pairs_checked": 19 ** 2}
-    assert report.status == "fail"
+    assert actual == {"dim": 19, "closure_ok": False, "pairs_checked": 19 ** 2}
+    assert status == "fail"
+    # every other check of the run that reads the index reads the same one,
+    # and psi-intertwining, which reads none, still passes
+    assert _RUNNERS["direct-sum"](ctx)[2]["centralizer_dim"] == 19
+    assert _RUNNERS["psi-intertwining"](ctx)[3] == "pass"
 
 
-def test_t_fails_on_orbits_that_are_not_coherent(monkeypatch, fresh_memos):
+def test_t_fails_on_orbits_that_are_not_coherent():
     # no index, and so no T, is built on the merged rows: the orbit
     # certificate rejects them as the index is built
     with pytest.raises(NotClosedError, match="is not a single orbit"):
-        _use_merged_m1_rows(monkeypatch)
+        _merged_m1_context()
     # built without it, the closure meets the cross-check of A_1's atom moves
-    _use_merged_m1_rows(monkeypatch, certified=False)
     with pytest.raises(NotClosedError, match="do not move it by its Venn atoms"):
-        CheckContext(1).terwilliger
+        _merged_m1_context(certified=False).terwilliger
 
 
 @pytest.mark.parametrize("m", [1, 2, pytest.param(4, marks=pytest.mark.slow)])

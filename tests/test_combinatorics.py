@@ -13,6 +13,7 @@ from helpers import (
     intersection_table,
     mask_of,
     neighbour_matrix,
+    orbit_index,
     pair_index,
     product_intersection_table,
     vertex_index,
@@ -174,7 +175,7 @@ def test_distance_matrix_rejects_bad_index():
 
 def test_intersection_numbers_m2_table():
     g = GroundSet(2)
-    table = intersection_numbers(g)
+    table = intersection_numbers(orbit_index(g.m))
     assert table.valency == 3
     assert table.p(0, 1, 1) == 3
     # symmetry in the lower indices
@@ -193,7 +194,7 @@ def test_intersection_numbers_m2_table():
 
 def test_intersection_numbers_match_direct_count_m1():
     g = GroundSet(1)
-    table = intersection_numbers(g)
+    table = intersection_numbers(orbit_index(g.m))
     verts = enumerate_vertices(g)
     for x in verts:
         for y in verts:
@@ -245,7 +246,7 @@ def test_intersection_numbers_match_the_dict_counting_oracle():
         verts = enumerate_vertices(g)
         dist = [[distance(y, z) for z in verts] for y in verts]
         table, _, _ = _dict_counting_scan(verts, dist)
-        assert list(intersection_numbers(g).table.items()) == list(table.items())
+        assert list(intersection_numbers(orbit_index(m)).table.items()) == list(table.items())
         assert list(intersection_table(verts, dist).items()) == list(table.items())
 
 
@@ -303,7 +304,7 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
     # table raise the same witness, the first pair of the first offending
     # orbit; the pair index's distances reach the orbit index through labels
     index = pair_index(m)
-    coords = orbits_module._orbit_coordinates(m)
+    coords = orbit_index(m)
     by_label = [index.labels.index(lab) for lab in coords.labels]
     n, verts = index.n, enumerate_vertices(GroundSet(m))
     firsts = [divmod(pos[0], n) for pos in index.positions]
@@ -320,7 +321,7 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
         assert witness[:2] in {(verts[y], verts[z]) for y, z in firsts}
     assert _a1_profile_pass(verts, [[distance(y, z) for z in verts] for y in verts]) is None
     table = _outcome(_recurrence_table, coords, [true_dist[c] for c in by_label])
-    assert table == intersection_numbers(GroundSet(m)).table
+    assert table == intersection_numbers(coords).table
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
@@ -328,8 +329,8 @@ def test_the_recurrence_matches_the_first_pair_product_index(m):
     # the table from A_1 A_i and the three-term recurrence against the one
     # read off every structure constant of the first-pair product index, in
     # the same key order
-    coords = orbits_module._orbit_coordinates(m)
+    coords = orbit_index(m)
     dist = [orbits_module._orbit_distance(m, lab) for lab in coords.labels]
-    table = intersection_numbers(GroundSet(m)).table
+    table = intersection_numbers(coords).table
     assert list(table.items()) == list(product_intersection_table(coords, dist).items())
     assert table[(0, 1, 1)] == m + 1

@@ -22,6 +22,7 @@ from helpers import (
     merged_pair_index,
     n2_product_verdicts,
     orbit_counts,
+    orbit_index,
     orbit_matrices,
     orbit_matrix,
     orbit_partition,
@@ -41,7 +42,7 @@ from helpers import (
 from doubled_odd import combinatorics as combinatorics_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
-from doubled_odd.checks import RunConfig, run
+from doubled_odd.checks import CheckContext, RunConfig, run
 from doubled_odd.combinatorics import (
     GroundSet,
     enumerate_vertices,
@@ -162,7 +163,7 @@ def test_vertex_maps_by_byte_tables_match_the_maps_moved_a_point_at_a_time(m):
     verts = enumerate_vertices(g)
     x0 = g.base_vertex
     perm_sets = [stabilizer_generators(g)]
-    for sphere in orbits_module._orbit_coordinates(m).spheres:
+    for sphere in orbit_index(m).spheres:
         y = verts[sphere[0]]
         atoms = [
             [k for k in range(g.n_points) if mask >> k & 1]
@@ -206,9 +207,13 @@ def test_centralizer_dimensions():
 
 
 def test_the_centralizer_is_the_shared_orbit_coordinates():
-    # the algebra is held once: build_centralizer wraps nothing
+    # build_centralizer builds a new orbit index on every call, kept by no
+    # memo, and a run's context holds the one it builds for all its checks
     for m in (1, 2, 3):
-        assert build_centralizer(GroundSet(m)) is orbits_module._orbit_coordinates(m)
+        first, second = build_centralizer(GroundSet(m)), build_centralizer(GroundSet(m))
+        assert first is not second and first.labels == second.labels and first.rows == second.rows
+        ctx = CheckContext(m)
+        assert ctx.terwilliger.scheme is ctx.centralizer
 
 
 def test_one_object_multiplies_in_orbit_coordinates():
@@ -224,7 +229,7 @@ def test_one_object_multiplies_in_orbit_coordinates():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_the_a1_push_tables_are_built_once_per_m(m):
-    assert orbits_module._orbit_coordinates(m).adjacency is orbits_module._orbit_coordinates(m).adjacency
+    assert orbit_index(m).adjacency is orbit_index(m).adjacency
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
@@ -232,7 +237,7 @@ def test_the_a1_push_tables_match_the_first_pair_product_index(m):
     # A_1 O_b and O_b A_1 from the Venn-atom moves against the products
     # read off the first pairs of every orbit, for every b; m = 6 lies
     # outside SUPPORTED_M, but the index and its certificate need only m
-    coords = orbits_module._orbit_coordinates(m)
+    coords = orbit_index(m)
     a1 = {a: 1 for a, h in enumerate(coords.distance_of) if h == 1}
     for b in range(coords.ambient_dim):
         assert coords.left(coords.adjacency, {b: 1}) == orbit_product(coords, a1, {b: 1})
@@ -273,7 +278,7 @@ def test_a_corrupted_atom_move_fails_the_cross_check(monkeypatch, fresh_memos):
 
     monkeypatch.setattr(orbits_module, "_neighbour_labels", corrupted)
     with pytest.raises(NotClosedError, match="first pair of orbit I:0,0,0,0 do not move it by its Venn atoms"):
-        orbits_module._orbit_coordinates(1).adjacency
+        OrbitCoordinates(1).adjacency
 
 
 def test_centralizer_contains_invariant_matrices():
@@ -369,9 +374,9 @@ def test_pair_index_labels_every_pair_by_block_and_rho(m):
 def test_diagonal_subalgebras_closed_mixed_fails():
     for m in (1, 2):
         g = GroundSet(m)
-        assert check_subalgebra((BlockTag.I,), g).closed
-        assert check_subalgebra((BlockTag.IV,), g).closed
-        report = check_subalgebra((BlockTag.II, BlockTag.III), g)
+        assert check_subalgebra((BlockTag.I,), orbit_index(m)).closed
+        assert check_subalgebra((BlockTag.IV,), orbit_index(m)).closed
+        report = check_subalgebra((BlockTag.II, BlockTag.III), orbit_index(m))
         assert not report.closed
         assert report.first_violation is not None
         assert report.violation_block in (BlockTag.I, BlockTag.IV)
@@ -415,7 +420,7 @@ def _family(m: int, blocks) -> list[OrbitLabel]:
 def test_subalgebra_scan_matches_the_pairwise_product_oracle(m):
     # the block rule on each block family against the n x n products
     g = GroundSet(m)
-    reports = [check_subalgebra(blocks, g) for blocks in BLOCK_FAMILIES.values()]
+    reports = [check_subalgebra(blocks, orbit_index(m)) for blocks in BLOCK_FAMILIES.values()]
     assert reports == [_pairwise_product_scan(_family(m, blocks), g) for blocks in BLOCK_FAMILIES.values()]
     assert [r.closed for r in reports] == [True, False, True]
 
@@ -425,7 +430,7 @@ def test_subalgebra_scan_matches_the_product_index_supports(m):
     # the block rule on each block family against the supports read off
     # the first-pair product index
     g = GroundSet(m)
-    reports = [check_subalgebra(blocks, g) for blocks in BLOCK_FAMILIES.values()]
+    reports = [check_subalgebra(blocks, orbit_index(m)) for blocks in BLOCK_FAMILIES.values()]
     assert reports == [product_subalgebra(_family(m, blocks), g) for blocks in BLOCK_FAMILIES.values()]
     assert [r.closed for r in reports] == [True, False, True]
 
@@ -434,7 +439,7 @@ def test_structure_constants_match_the_products_of_orbit_matrices():
     for m in (1, 2):
         g = GroundSet(m)
         n = vertex_count(g)
-        coords = orbits_module._orbit_coordinates(m)
+        coords = orbit_index(m)
         mats = [orbit_matrix(g, lab) for lab in coords.labels]
         d = len(mats)
         counts = orbit_counts(product_index(coords))
@@ -451,7 +456,7 @@ def test_structure_constants_match_the_products_of_orbit_matrices():
 def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
     # on seeded rational combinations x, y of orbit matrices, the lift of
     # product(x, y) is the n x n product of the lifts of x and y
-    coords = orbits_module._orbit_coordinates(m)
+    coords = orbit_index(m)
     d = coords.ambient_dim
     mats = orbit_matrices(GroundSet(m))
     orbit_vectors = [vectorize(mats[lab]) for lab in coords.labels]
@@ -476,11 +481,11 @@ def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
 _INCOHERENT = (OrbitLabel(BlockTag.I, (0, 0, 0, 0)), OrbitLabel(BlockTag.I, (0, 1, 0, 0)))
 
 
-def _merge_incoherent_orbits(monkeypatch, certified: bool = True) -> OrbitCoordinates:
+def _merge_incoherent_orbits(certified: bool = True) -> OrbitCoordinates:
     """The orbit index at m = 1 with two orbits merged into one whose matrix
-    has a square that is not a combination of the coarser orbit matrices,
-    made the memo's index at m = 1; built without the stabilizer orbit
-    certificate, which rejects it, unless certified."""
+    has a square that is not a combination of the coarser orbit matrices;
+    built without the stabilizer orbit certificate, which rejects it,
+    unless certified."""
     g = GroundSet(1)
     mats = orbit_matrices(g)
     # the square of the merged matrix is 1 at ({2}, {1}) and 0 at ({2}, {3})
@@ -490,17 +495,15 @@ def _merge_incoherent_orbits(monkeypatch, certified: bool = True) -> OrbitCoordi
     assert {square.get(r, c) for r, c, _ in merged.entries()} == {0, 1}
     # the identity is still a sum of orbits; the merged orbit keeps the
     # label of its first pair ({2}, {1})
-    coords = merged_orbit_coordinates(1, b, a, certified)
-    monkeypatch.setattr(orbits_module, "_orbit_coordinates", lambda _m: coords)
-    return coords
+    return merged_orbit_coordinates(1, b, a, certified)
 
 
-def test_structure_constants_reject_orbits_that_are_not_coherent(monkeypatch):
+def test_structure_constants_reject_orbits_that_are_not_coherent():
     # the merged orbit is two orbits of the stabilizer generators; its first
     # pair ({2}, {1}) gives it the label I:0,1,0,0, and the index on it
     # fails the orbit certificate as it is built
     with pytest.raises(NotClosedError, match="orbit I:0,1,0,0 is not a single orbit"):
-        _merge_incoherent_orbits(monkeypatch)
+        _merge_incoherent_orbits()
 
 
 def _first_orbit_not_a_class(index, roots) -> OrbitLabel | None:
@@ -535,7 +538,7 @@ def test_the_group_orbit_certificate_rejects_a_missing_generator(monkeypatch, fr
     # without the cycle on S - x0 the generators' orbits on the vertices are
     # finer than the spheres, and their orbits on vertex pairs finer than
     # the labels' orbits: the certificate and orbits-oracle see it
-    spheres = orbits_module._orbit_coordinates(2).spheres
+    spheres = orbit_index(2).spheres
     generators = orbits_module.stabilizer_generators
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
     g = GroundSet(2)
@@ -543,7 +546,7 @@ def test_the_group_orbit_certificate_rejects_a_missing_generator(monkeypatch, fr
     s = _first_sphere_not_an_orbit(2, spheres, orbits_module.stabilizer_generators(g))
     assert s is not None
     with pytest.raises(NotClosedError, match=rf"sphere {s} \(.*\) is not a single orbit"):
-        orbits_module._orbit_coordinates.__wrapped__(2)
+        OrbitCoordinates(2)
     (report,) = run(RunConfig(m=2, checks=("orbits-oracle",)))
     assert report.actual["partitions_match"] is False
     assert report.status == "fail"
@@ -584,7 +587,7 @@ def test_the_group_orbit_certificate_rejects_a_generator_that_is_no_permutation(
     generators = orbits_module.stabilizer_generators
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: [(0, 0, 2)] + generators(g))
     with pytest.raises(NotClosedError, match="stabilizer generator 0 does not permute the vertices"):
-        orbits_module._orbit_coordinates.__wrapped__(1)
+        OrbitCoordinates(1)
     (report,) = run(RunConfig(m=1, checks=("orbits-oracle",)))
     assert report.actual["partitions_match"] is False
 
@@ -604,7 +607,7 @@ def _first_pair_counts(coords: OrbitCoordinates) -> list[Counter]:
 def test_representative_structure_constants_match_the_exhaustive_pass(m):
     # the table read off one pair per orbit, certified by the stabilizer
     # orbit certificate, against the pass over all n^3 vertex triples
-    coords = orbits_module._orbit_coordinates(m)
+    coords = orbit_index(m)
     rows, cols = pair_index(m).renumbered(coords.labels).label_lines()
     profiles, offending = class_profiles(rows, cols, rows, coords.ambient_dim)
     assert offending is None
@@ -615,7 +618,7 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, *(pytest.param(m, marks=pytest.mark.slow) for m in (5, 6))])
 def test_the_stabilizer_orbit_certificate_accepts_the_true_orbits(m):
     # it needs only the orbit index, which m = 6, outside SUPPORTED_M, has too
-    orbits_module._certify_stabilizer_orbits(orbits_module._orbit_coordinates(m))
+    orbits_module._certify_stabilizer_orbits(orbit_index(m))
 
 
 def test_the_stabilizer_orbit_certificate_rejects_a_row_generator_that_moves_y_s(monkeypatch):
@@ -635,7 +638,7 @@ def test_the_stabilizer_orbit_certificate_rejects_a_row_generator_that_moves_y_s
     monkeypatch.setattr(orbits_module, "_young_generators", with_swap)
     assert stabilizer_generators(GroundSet(2)) == young(5, [[0, 1], [2, 3, 4]])
     with pytest.raises(NotClosedError, match=r"row generator \d+ of sphere \d+ does not fix y_s"):
-        orbits_module._orbit_coordinates.__wrapped__(2)
+        OrbitCoordinates(2)
 
 
 def test_an_orbit_met_in_two_sphere_rows_fails_the_atom_move_cross_check():
@@ -646,7 +649,7 @@ def test_an_orbit_met_in_two_sphere_rows_fails_the_atom_move_cross_check():
     # neighbour of {2}, and the cross-check of A_1's atom moves finds
     # (y_1, x0) in the merged orbit at the first pair ({2}, x0) of
     # I:0,1,0,0, where the moves name the lost label
-    index = orbits_module._orbit_coordinates(1)
+    index = orbit_index(1)
     keep, drop = (index.labels[a] for a in (index.rows[0][index.spheres[1][0]], index.rows[1][0]))
     assert (index.row_of[index.id_of[keep]], index.row_of[index.id_of[drop]]) == (0, 1)
     merged = merged_orbit_coordinates(1, keep, drop)
@@ -659,13 +662,13 @@ def test_an_orbit_met_in_two_sphere_rows_fails_the_atom_move_cross_check():
 def test_structure_constants_satisfy_higmans_identity(m):
     # at m = 5, where the pass over all n^3 vertex triples is too slow, the
     # one cross-check of the certified table
-    coords = orbits_module._orbit_coordinates(m)
+    coords = orbit_index(m)
     assert higman_violation(coords, orbit_counts(product_index(coords))) is None
 
 
-def test_higmans_identity_rejects_orbits_that_are_not_coherent(monkeypatch):
+def test_higmans_identity_rejects_orbits_that_are_not_coherent():
     # the table read off the first pairs of the merged orbits, uncertified
-    coords = _merge_incoherent_orbits(monkeypatch, certified=False)
+    coords = _merge_incoherent_orbits(certified=False)
     assert higman_violation(coords, _first_pair_counts(coords)) is not None
 
 
@@ -734,7 +737,7 @@ def test_sphere_rows_number_and_size_the_orbits_as_the_pair_index(m):
     # times the orbit's count in its row, sphere i the vertices at distance
     # i from x0, and the orbits of every row and column read off label keys
     # through the index's label map
-    rows = orbits_module._orbit_coordinates(m)
+    rows = orbit_index(m)
     assert rows.labels == orbits_module._orbit_labels(m) == OrbitCoordinates(m).labels
     index = pair_index(m).renumbered(rows.labels)
     assert [rows.first_pair(a) for a in range(len(rows.labels))] == [
@@ -760,7 +763,7 @@ def test_the_index_reads_spheres_distances_and_the_identity_off_labels(monkeypat
     # worked out here from the label with no vertex listed, against the
     # index: a pair (y, z) of block I..IV has |y|, |z| in {m, m + 1}, and
     # the label (i, j, t, p) gives |x0 n y|, |x0 n z| and |y n z|
-    index = orbits_module._orbit_coordinates(m)
+    index = orbit_index(m)
 
     def no_vertices(_m):
         raise AssertionError("the vertices were listed")
@@ -785,7 +788,7 @@ def test_the_orbit_index_keeps_no_second_numbering():
     # orbits are numbered by label and spheres by distance: no map between
     # two orders is kept, and the first-pair labels are the tests' oracles
     for name in ("radius", "sphere_at", "_identity"):
-        assert not hasattr(orbits_module._orbit_coordinates(2), name)
+        assert not hasattr(orbit_index(2), name)
     for name in ("rho", "block_of_pair"):
         assert not hasattr(orbits_module, name)
 
@@ -814,23 +817,23 @@ def test_row_products_match_the_n2_product_verdicts(m):
     # products, on all d^2 pairs at m <= 2 and on its 500 seeded pairs at m = 3
     index = pair_index(m)
     pairs = _centralizer_dim_pairs(m, len(index.labels))
-    verdicts = constant_on_orbits(m, pairs)
+    verdicts = constant_on_orbits(orbit_index(m), pairs)
     assert verdicts == n2_product_verdicts(index, pairs)
     assert all(verdicts)
 
 
-def test_row_products_reject_orbits_that_are_not_coherent(monkeypatch):
+def test_row_products_reject_orbits_that_are_not_coherent():
     # the merged orbit's pairs end in two spheres, which the orbit
     # certificate would refuse and the row test's sphere rule takes as
     # given; built without the certificate, the row test still fails its
     # product with the diagonal orbit of the sphere its first pair ends in,
     # and agrees with the n x n test on every pair of the other orbits
     drop, keep = _INCOHERENT
-    coords = _merge_incoherent_orbits(monkeypatch, certified=False)
+    coords = _merge_incoherent_orbits(certified=False)
     # the merged pair index, numbered as the merged orbit index by label
     index = merged_pair_index(1, keep, drop).renumbered(coords.labels)
     pairs = _centralizer_dim_pairs(1, len(index.labels))
-    verdicts = constant_on_orbits(1, pairs)
+    verdicts = constant_on_orbits(coords, pairs)
     oracle = n2_product_verdicts(index, pairs)
     merged = coords.id_of[keep]
     diagonal = coords.rows[coords.end_of[merged]][coords.spheres[coords.end_of[merged]][0]]

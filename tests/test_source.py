@@ -148,6 +148,75 @@ def test_the_label_keys_lint_finds_every_form():
     assert _lines_naming(tree, "_label_keys") == [1, 2, 3, 4]
 
 
+def _calls_of(tree: ast.Module, name: str) -> list[tuple[str, int]]:
+    # the (innermost enclosing function, line) of every call of name, as a
+    # bare name or an attribute; "" for a call outside every function
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                calls.append((scope, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, "")
+    return calls
+
+
+def _imports_of(tree: ast.Module, module: str) -> list[int]:
+    # the lines that import the package module, or a name from it, relatively or not
+    full = f"doubled_odd.{module}"
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(alias.name == full for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and (
+            node.module in (module, full)
+            or (node.module in (None, "doubled_odd") and any(alias.name == module for alias in node.names))
+        ))
+    })
+
+
+def test_a_run_owns_the_one_orbit_index():
+    # the package keeps no memo of the orbit index: build_centralizer alone
+    # builds it, a run's CheckContext alone calls that and passes the index
+    # to every reader, and the modules orbits is built on or that read no
+    # index import nothing from orbits
+    trees = {path.name: ast.parse(path.read_text()) for path in _PACKAGE}
+    found = {
+        "memo": [(name, line) for name, tree in trees.items() for line in _lines_naming(tree, "_orbit_coordinates")],
+        "build_centralizer": [(name, fn) for name, tree in trees.items() for fn, _ in _calls_of(tree, "build_centralizer")],
+        "OrbitCoordinates": [(name, fn) for name, tree in trees.items() for fn, _ in _calls_of(tree, "OrbitCoordinates")],
+        "imports": [(name, line) for name in ("combinatorics.py", "covering.py") for line in _imports_of(trees[name], "orbits")],
+    }
+    assert found == {
+        "memo": [],
+        "build_centralizer": [("checks.py", "centralizer")],
+        "OrbitCoordinates": [("orbits.py", "build_centralizer")],
+        "imports": [],
+    }
+
+
+def test_the_orbit_index_lints_find_every_form():
+    tree = ast.parse(
+        "from .orbits import build_centralizer\n"
+        "from . import orbits\n"
+        "import doubled_odd.orbits\n"
+        "from doubled_odd.orbits import OrbitCoordinates\n"
+        "from .orbitsx import other\n"
+        "def build(m):\n"
+        "    return OrbitCoordinates(m)\n"
+        "orbits.build_centralizer(g)\n"
+        "class Context:\n"
+        "    def centralizer(self):\n"
+        "        return [build_centralizer(self.g) for _ in ()]\n"
+    )
+    assert _imports_of(tree, "orbits") == [1, 2, 3, 4]
+    assert _calls_of(tree, "OrbitCoordinates") == [("build", 7)]
+    assert _calls_of(tree, "build_centralizer") == [("", 8), ("centralizer", 11)]
+
+
 def _benchmark_tracer():
     # perfbench/tracer.py, loaded from its file: it imports only the stdlib
     spec = importlib.util.spec_from_file_location("perfbench_tracer", _ROOT / "perfbench" / "tracer.py")

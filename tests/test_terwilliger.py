@@ -22,6 +22,7 @@ from helpers import (
     merged_orbit_coordinates,
     n2_sandwich_identities,
     neighbour_matrix,
+    orbit_index,
     orbit_matrices,
     orbit_values,
     pair_index,
@@ -40,6 +41,7 @@ from doubled_odd.combinatorics import (
 )
 from doubled_odd.linalg import (
     NotClosedError,
+    ShapeMismatchError,
     SpanBasis,
     SparseExactMatrix,
     algebra_closure,
@@ -49,7 +51,7 @@ from doubled_odd import combinatorics as combinatorics_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import _RUNNERS, CheckContext, _family_ids
-from doubled_odd.orbits import BlockTag, LabelScheme
+from doubled_odd.orbits import BlockTag, LabelScheme, OrbitCoordinates
 from doubled_odd.terwilliger import (
     TerwilligerAlgebra,
     block_profile,
@@ -64,7 +66,7 @@ from doubled_odd.terwilliger import (
 
 def _lifted(g, basis):
     # the n^2-ambient RREF of a basis kept in orbit coordinates
-    return lift(orbits_module._orbit_coordinates(g.m), basis)
+    return lift(orbit_index(g.m), basis)
 
 
 def test_dual_idempotents_are_sphere_indicators():
@@ -117,7 +119,7 @@ def test_sandwich_identities_form_no_matrix_product(monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(SparseExactMatrix, "__matmul__", counted)
-    assert all(r.ok for r in verify_sandwich_identities(GroundSet(3)))
+    assert all(r.ok for r in verify_sandwich_identities(orbit_index(3)))
     assert calls == []
 
 
@@ -127,7 +129,7 @@ def test_sandwich_identities_catch_an_edge_inside_a_sphere(monkeypatch):
     g = GroundSet(2)
     doctored = _with_an_edge_inside_a_sphere(g)
     monkeypatch.setattr(terwilliger_module, "_neighbours", lambda _m: doctored)
-    failed = [r.name for r in verify_sandwich_identities(g) if not r.ok]
+    failed = [r.name for r in verify_sandwich_identities(orbit_index(g.m)) if not r.ok]
     assert failed == ["bipartite-sandwich-vanishing", "adjacency-sandwich-decomposition"]
 
 
@@ -140,7 +142,7 @@ def test_sandwich_identities_by_label_and_count_match_the_n2_oracle(m):
     # lemma41 by the orbits of A_1's entries, counted, against the n x n
     # route: sandwiches restricted from A_1 and orbit matrices built alone
     g = GroundSet(m)
-    results = verify_sandwich_identities(g)
+    results = verify_sandwich_identities(orbit_index(g.m))
     assert results == n2_sandwich_identities(g, adjacency_matrix(g))
     assert len(results) == 3 * g.diameter + 3 and _failed(results) == []
 
@@ -156,7 +158,7 @@ def _without_one_sandwich_edge(g: GroundSet) -> tuple[tuple[int, ...], ...]:
 def _with_an_edge_inside_a_sphere(g: GroundSet) -> tuple[tuple[int, ...], ...]:
     # the neighbour table with the entry (y, z), y and z the first two
     # vertices of the first sphere with two
-    index = orbits_module._orbit_coordinates(g.m)
+    index = orbit_index(g.m)
     y, z = next(s for s in index.spheres if len(s) > 1)[:2]
     table = list(_neighbours(g.m))
     table[y] = tuple(sorted((*table[y], z)))
@@ -172,7 +174,7 @@ def test_sandwich_identities_on_a_doctored_adjacency_fail_as_the_n2_oracle(monke
     g = GroundSet(m)
     doctored = doctor(g)
     monkeypatch.setattr(terwilliger_module, "_neighbours", lambda _m: doctored)
-    results = verify_sandwich_identities(g)
+    results = verify_sandwich_identities(orbit_index(g.m))
     assert results == n2_sandwich_identities(g, neighbour_matrix(doctored))
     assert _failed(results) == failed
 
@@ -199,12 +201,12 @@ def test_the_spheres_of_lemma41_fail_on_a_doctored_breadth_first_search(monkeypa
         if searched.get(y) != distance(g.base_vertex, v):
             moved.update({distance(g.base_vertex, v), searched.get(y)} - {None})
     assert 1 in moved
-    assert _failed(verify_sandwich_identities(g)) == [f"dual-idempotent-orbit-form[i={i}]" for i in sorted(moved)]
+    assert _failed(verify_sandwich_identities(orbit_index(g.m))) == [f"dual-idempotent-orbit-form[i={i}]" for i in sorted(moved)]
 
 
 def test_sandwich_identities_hold():
     for m in (1, 2, 3):
-        results = verify_sandwich_identities(GroundSet(m))
+        results = verify_sandwich_identities(orbit_index(m))
         failed = [r.name for r in results if not r.ok]
         assert failed == []
 
@@ -297,6 +299,16 @@ def test_checks_in_orbit_coordinates_reject_a_basis_of_another_ambient(ctx_for):
     assert not res.orbit_matrices_in_t and not res.identical_rref
 
 
+@pytest.mark.parametrize("dim", [19, 25])
+def test_center_basis_rejects_a_basis_of_another_ambient(ctx_for, dim):
+    # the scheme at m = 1 has d = 20: a T basis with fewer coordinates, or
+    # with more, which no block lookup can place, is refused before the solve
+    scheme = ctx_for(1).centralizer
+    basis = SpanBasis.from_reduced_rows(dim, [{a: 1} for a in range(dim)])
+    with pytest.raises(ShapeMismatchError, match=f"basis in dimension {dim} against scheme dimension 20"):
+        center_basis(TerwilligerAlgebra(scheme, basis, None))
+
+
 def test_terwilliger_and_center_live_in_orbit_coordinates(ctx_for):
     for m in (1, 2, 3):
         ctx = ctx_for(m)
@@ -385,7 +397,7 @@ def test_center_matches_the_all_generator_oracle(ctx_for, m):
     # the solve over all of T against every generator T is closed under
     # gives the RREF of the solve on the diagonal blocks against A_1
     t = ctx_for(m).terwilliger
-    index = orbits_module._orbit_coordinates(m)
+    index = orbit_index(m)
     oracle = centralizer_within(t.basis, [*dual_idempotent_tables(index), index.adjacency], index)
     assert oracle.dimension == upsilon_size_formula(m)
     assert center_basis(t) == oracle
@@ -395,7 +407,7 @@ def test_center_rejects_a_row_joining_two_blocks():
     # T is all of Q^d at m = 3; joining the unit of orbit 0, whose matrix is
     # E*_0, to that of an orbit between two spheres leaves an RREF whose row
     # lies in no one block E*_i T E*_j
-    index = orbits_module._orbit_coordinates(3)
+    index = orbit_index(3)
     d = len(index.labels)
     b = next(b for b, zs in enumerate(index.members) if index.sphere_of[zs[0]] != index.row_of[b])
     rows = [{0: 1, b: 1}] + [{a: 1} for a in range(1, d) if a != b]
@@ -412,7 +424,7 @@ def test_action_tables_reject_a_generator_not_constant_on_orbits():
     # one diagonal unit of the sphere: the other two sphere vertices lie in
     # the same orbits but see a zero row
     unit = SparseExactMatrix.from_entries(n, n, [(sphere1[0], sphere1[0], 1)])
-    coords = orbits_module._orbit_coordinates(2)
+    coords = orbit_index(2)
     with pytest.raises(NotClosedError):
         action_tables(coords, [unit])
     # the whole sphere indicator is constant on orbits
@@ -425,7 +437,7 @@ def test_product_built_closure_tables_match_the_action_tables_oracle(m):
     # E*_i's keep the orbits of a sphere, A_1's move one Venn atom; the
     # oracle reads the action off every vertex pair of its orbit
     g = GroundSet(m)
-    coords = orbits_module._orbit_coordinates(m)
+    coords = orbit_index(m)
     # closure_generators lists E*_0..E*_{2m+1}, then A_1, as these tables do
     oracle = action_tables(coords, closure_generators(g))
     generators = [*dual_idempotent_tables(coords), coords.adjacency]
@@ -442,11 +454,11 @@ def test_orbit_coordinates_require_a_partition_of_the_pairs(monkeypatch):
     *labels, dropped = orbits_module._orbit_labels(1)
     monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: tuple(labels))
     with pytest.raises(NotClosedError, match=f"{dropped.text()}, which is not closed-form.*partition"):
-        orbits_module._orbit_coordinates.__wrapped__(1)
+        OrbitCoordinates(1)
 
 
 def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits():
-    index = orbits_module._orbit_coordinates(1)
+    index = orbit_index(1)
     # merge the orbit of (x0, x0) with an off-diagonal orbit of the row of x0:
     # the identity is the sum of the orbits at distance 0, which a label
     # decides, so the merged index passes the label certificate against a
@@ -460,7 +472,7 @@ def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits():
 
 def test_orbit_coordinates_reject_a_matrix_not_constant_on_orbits():
     g = GroundSet(1)
-    coords = orbits_module._orbit_coordinates(1)
+    coords = orbit_index(1)
     index = pair_index(1)
     n = vertex_count(g)
     # the identity's orbit values, compared through labels
@@ -561,7 +573,7 @@ def test_generator_closure_matches_pairwise_product_oracle():
     for m in (1, 2):
         g = GroundSet(m)
         oracle = _pairwise_product_closure(terwilliger_generators(g))
-        assert _lifted(g, build_terwilliger(orbits_module._orbit_coordinates(m)).basis) == oracle
+        assert _lifted(g, build_terwilliger(orbit_index(m)).basis) == oracle
 
 
 def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeypatch):
@@ -569,7 +581,7 @@ def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeyp
     # E*_i of the identity: it holds A_0, their sum, but not A_2
     monkeypatch.setattr(terwilliger_module, "algebra_closure", lambda _generators, action: algebra_closure([], action))
     with pytest.raises(NotClosedError, match="A_2 is not in the algebra"):
-        build_terwilliger(orbits_module._orbit_coordinates(1))
+        build_terwilliger(orbit_index(1))
 
 
 def test_second_sphere_idempotent_support_at_m3():
