@@ -28,6 +28,7 @@ import json
 import os
 import random
 import time
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import chain
 from math import comb
@@ -44,7 +45,7 @@ from .combinatorics import (
     vertex_count,
 )
 from .covering import _fold_image, verify_intertwining
-from .linalg import NotClosedError, SpanBasis, write_coord_entries
+from .linalg import NotClosedError, SpanBasis
 from .orbits import (
     BLOCK_FAMILIES,
     BlockTag,
@@ -472,8 +473,11 @@ def run(cfg: RunConfig, progress: Callable[[str], None] | None = None) -> list[V
     """Execute the configured checks in registry order and return reports.
 
     Checks not applicable at cfg.m are skipped under the default selection;
-    RunConfig rejects them when they are requested explicitly.
+    RunConfig rejects them when they are requested explicitly.  An unusable
+    export directory fails at once: it is made before the first check.
     """
+    if cfg.export_dir is not None:
+        _make_export_dir(cfg.export_dir)
     if cfg.checks is not None:
         selected = set(cfg.checks)
     else:
@@ -504,18 +508,47 @@ def run(cfg: RunConfig, progress: Callable[[str], None] | None = None) -> list[V
             progress(f"{name} (m={cfg.m}): {status} [{elapsed_ms} ms]")
 
     if cfg.export_dir is not None:
-        export_matrices(cfg.m, cfg.export_dir, ctx=ctx)
+        export_matrices(ctx, cfg.export_dir)
     return reports
 
 
-def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list[Path]:
+def _make_export_dir(export_dir) -> Path:
+    """Create the export directory, or fail with the one message of an
+    unusable --export-dir: "" (Path("") is the working directory), a path
+    at or under a regular file, or one that cannot be made."""
+    if export_dir == "":
+        raise ConfigError("empty --export-dir path")
+    out_dir = Path(export_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise OSError(f"cannot use --export-dir {export_dir}: it is not a directory") from None
+    except OSError as exc:
+        raise OSError(f"cannot use --export-dir {export_dir}: {exc.strerror}") from exc
+    return out_dir
+
+
+def write_coord_entries(nrows: int, ncols: int, entries: Iterable[tuple[int, int, object]], path: Path) -> None:
+    """Write an nrows x ncols matrix given by its entries (row, col, value),
+    nonzero and sorted by (row, col), as coordinate text: a header line
+    "nrows ncols nnz", then one "row col value" line per entry, each value
+    an exact integer or p/q rational."""
+    lines = [f"{r} {c} {v}" for r, c, v in entries]
+    text = "\n".join([f"{nrows} {ncols} {len(lines)}", *lines, ""])
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise OSError(f"cannot write matrix to {path}: {exc}") from exc
+
+
+def export_matrices(ctx: CheckContext, export_dir) -> list[Path]:
     """Write every named matrix of the construction to coordinate text files.
 
     Emits the distance matrices, the dual idempotents, all orbit matrices,
     the covering matrix psi, and the reduced bases of the centralizer and
     Terwilliger algebras (one file each, basis rows as vectorized n x n
     matrices), each through write_coord_entries, from the orbit index and
-    T of ctx (a new CheckContext when none is given).  One pass over the n
+    T of ctx at its m, into export_dir, made first.  One pass over the n
     rows of vertex pairs (OrbitCoordinates.row) gives each orbit its pair
     positions y n + z, ascending, and every file but psi, read off the fold
     map, and the E*_i, each the diagonal of its sphere, is a 0/1 or
@@ -527,16 +560,8 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     echelon form.  This is the only place the n x n form of the two
     algebras is made.
     """
-    if export_dir == "":
-        raise ConfigError("empty --export-dir path")  # Path("") is the working directory
-    if ctx is None:
-        ctx = CheckContext(m)
+    out_dir = _make_export_dir(export_dir)
     g = ctx.g
-    out_dir = Path(export_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create export directory {out_dir}: {exc}") from exc
 
     index = ctx.centralizer
     n, labels = index.n, index.labels
@@ -549,7 +574,7 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     written: list[Path] = []
 
     def emit(name: str, nrows: int, ncols: int, entries) -> None:
-        path = out_dir / f"m{m}_{name}.mtx"
+        path = out_dir / f"m{g.m}_{name}.mtx"
         write_coord_entries(nrows, ncols, entries, path)
         written.append(path)
 
@@ -564,7 +589,7 @@ def export_matrices(m: int, export_dir, ctx: CheckContext | None = None) -> list
     for a in sorted(range(len(labels)), key=lambda a: labels[a].text()):
         i, j, t, p = labels[a].tup
         emit(f"orbit_{labels[a].block.value}_{i},{j},{t},{p}", n, n, pairs(positions[a]))
-    emit("psi", comb(g.n_points, m), n, sorted((u, z, 1) for z, u in enumerate(_fold_image(g))))
+    emit("psi", comb(g.n_points, g.m), n, sorted((u, z, 1) for z, u in enumerate(_fold_image(g))))
 
     # the orbits by first pair position, and T's rows reduced in that order
     by_first_pair = sorted(range(len(labels)), key=lambda a: positions[a][0])

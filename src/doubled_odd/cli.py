@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .checks import (
     CHECK_IDS,
+    CheckContext,
     ConfigError,
     SUPPORTED_M,
     RunConfig,
@@ -71,19 +72,6 @@ def _parse_checks(raw: str) -> tuple[str, ...] | None:
     return None if names == ("all",) else names
 
 
-def _make_export_dir(path: str | None) -> None:
-    """Create --export-dir before any check runs, so that a path under or at
-    a regular file fails at once, not after the checks that come before the
-    export (RunConfig rejects an empty path)."""
-    if path is not None:
-        try:
-            Path(path).mkdir(parents=True, exist_ok=True)
-        except FileExistsError:
-            raise OSError(f"cannot use --export-dir {path}: it is not a directory") from None
-        except OSError as exc:
-            raise OSError(f"cannot use --export-dir {path}: {exc.strerror}") from exc
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -93,11 +81,11 @@ def main(argv: list[str] | None = None) -> int:
                 checks=_parse_checks(args.checks),
                 export_dir=args.export_dir,
             )
-            # write the report to a sibling temporary file, opened before any
-            # check runs or --export-dir is made, so that an unwritable path
-            # fails at once and leaves nothing behind, and rename it over
-            # --out only when complete: a run that stops on an error leaves
-            # an existing report as it was
+            # write the report to a sibling temporary file, opened before run()
+            # makes --export-dir and runs the first check, so that an
+            # unwritable path fails at once and leaves nothing behind, and
+            # rename it over --out only when complete: a run that stops on an
+            # error leaves an existing report as it was
             out = tmp = None
             if args.out is not None:
                 if args.out == "":
@@ -116,7 +104,6 @@ def main(argv: list[str] | None = None) -> int:
                 except OSError as exc:
                     raise OSError(f"cannot write --out {args.out}: {exc.strerror}") from exc
             try:
-                _make_export_dir(args.export_dir)
                 reports = run(cfg, progress=lambda line: print(line, file=sys.stderr))
                 text = render_reports(reports)
                 if out is not None:
@@ -134,9 +121,9 @@ def main(argv: list[str] | None = None) -> int:
             return 1 if any(r.status == "fail" for r in reports) else 0
 
         if args.command == "dims":
-            RunConfig(m=args.m)
-            dims = headline_dimensions(args.m)
-            print(f"m = {args.m}")
+            cfg = RunConfig(m=args.m)
+            dims = headline_dimensions(cfg.m)
+            print(f"m = {cfg.m}")
             print(f"vertices          = {dims['vertices']}")
             print(f"centralizer dim   = {dims['centralizer_dim']}")
             print(f"Terwilliger dim   = {dims['terwilliger_dim']}")
@@ -144,10 +131,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "export":
-            RunConfig(m=args.m, export_dir=args.export_dir)
-            _make_export_dir(args.export_dir)
-            written = export_matrices(args.m, args.export_dir)
-            print(f"wrote {len(written)} files to {args.export_dir}", file=sys.stderr)
+            cfg = RunConfig(m=args.m, export_dir=args.export_dir)
+            written = export_matrices(CheckContext(cfg.m), cfg.export_dir)
+            print(f"wrote {len(written)} files to {cfg.export_dir}", file=sys.stderr)
             return 0
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple, Protocol
 
 
@@ -433,16 +432,3 @@ def centralizer_within(
         result.insert(combo)
     return result
 
-
-def write_coord_entries(nrows: int, ncols: int, entries: Iterable[tuple[int, int, object]], path) -> None:
-    """Write an nrows x ncols matrix given by its entries (row, col, value),
-    nonzero and sorted by (row, col), as coordinate text: a header line
-    "nrows ncols nnz", then one "row col value" line per entry, each value
-    an exact integer or p/q rational."""
-    lines = [f"{r} {c} {v}" for r, c, v in entries]
-    text = "\n".join([f"{nrows} {ncols} {len(lines)}", *lines, ""])
-    path = Path(path)
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise OSError(f"cannot write matrix to {path}: {exc}") from exc

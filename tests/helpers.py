@@ -977,7 +977,7 @@ def odd_adjacency_by_scan(g: GroundSet) -> SparseExactMatrix:
 
 def read_coord_text(path) -> SparseExactMatrix:
     """Oracle reader of the export: the matrix of a coordinate text file
-    (linalg.write_coord_entries).  A negative size or an entry line the
+    (checks.write_coord_entries).  A negative size or an entry line the
     writer never writes raises ValueError naming the file and line."""
     path = Path(path)
     try:

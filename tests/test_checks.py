@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import inspect
 import json
 import re
 import weakref
@@ -28,9 +29,10 @@ from doubled_odd.checks import (
     headline_dimensions,
     render_reports,
     run,
+    write_coord_entries,
 )
 from doubled_odd.cli import main
-from doubled_odd.linalg import NotClosedError, SpanBasis, SparseExactMatrix, write_coord_entries
+from doubled_odd.linalg import NotClosedError, SpanBasis, SparseExactMatrix
 from doubled_odd.orbits import BlockTag, LabelScheme, OrbitCoordinates, OrbitLabel, PushTable
 from doubled_odd.combinatorics import GroundSet
 from doubled_odd.terwilliger import build_terwilliger, center_basis
@@ -240,7 +242,7 @@ def test_progress_callback_sees_every_check():
 
 
 def test_export_matrices_m1(tmp_path):
-    written = export_matrices(1, tmp_path)
+    written = export_matrices(CheckContext(1), tmp_path)
     names = sorted(p.name for p in written)
     assert len(names) == 31  # 4 + 4 distance/idempotent, 20 orbits, psi, 2 bases
     assert "m1_A0.mtx" in names
@@ -406,8 +408,31 @@ def test_export_matrices_rejects_an_empty_export_dir(tmp_path, monkeypatch):
     # it builds or writes anything
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ConfigError, match="^empty --export-dir path$"):
-        export_matrices(1, "")
+        export_matrices(CheckContext(1), "")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_fails_on_an_unusable_export_dir_before_any_check(tmp_path):
+    # run() makes the export directory before its first check, so a caller
+    # of the API sees the command line's message as early as the CLI does
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    export = blocker / "sub"
+    seen = []
+    with pytest.raises(OSError, match=f"^cannot use --export-dir {re.escape(str(export))}: "):
+        run(RunConfig(3, export_dir=str(export)), progress=seen.append)
+    assert seen == []
+
+
+def test_export_reads_m_off_its_context(tmp_path):
+    # export_matrices takes no m beside its context, so the file names and
+    # the matrices in them are of one m
+    assert list(inspect.signature(export_matrices).parameters) == ["ctx", "export_dir"]
+    written = export_matrices(CheckContext(2), tmp_path)
+    assert len(written) == 75
+    assert all(path.name.startswith("m2_") for path in written)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
+    assert (tmp_path / "m2_A0.mtx").read_text().startswith("20 20 20\n")
 
 
 def test_run_config_rejects_an_empty_export_dir(tmp_path, monkeypatch):
@@ -599,7 +624,7 @@ _EXPORT_DIGESTS = json.loads((_PINNED / "export_digests.json").read_text())
     for m, digest in _EXPORT_DIGESTS.items()
 ])
 def test_export_matches_the_pinned_digest(tmp_path, m, digest):
-    export_matrices(m, tmp_path)
+    export_matrices(CheckContext(m), tmp_path)
     assert _tree_digest(tmp_path) == digest
 
 

@@ -16,6 +16,7 @@ from helpers import (
     vectorize,
 )
 
+from doubled_odd.checks import write_coord_entries
 from doubled_odd.combinatorics import GroundSet
 from doubled_odd.linalg import (
     NotClosedError,
@@ -25,7 +26,6 @@ from doubled_odd.linalg import (
     _add_scaled,
     algebra_closure,
     centralizer_within,
-    write_coord_entries,
 )
 from doubled_odd.terwilliger import center_basis
 

@@ -78,12 +78,12 @@ def test_every_package_definition_is_used_or_documented():
     assert _unreferenced_definitions() == []
 
 
-def _dataclasses_imports(tree: ast.Module) -> list[int]:
+def _stdlib_imports(tree: ast.Module, module: str) -> list[int]:
     return [
         node.lineno
         for node in ast.walk(tree)
-        if (isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        if (isinstance(node, ast.Import) and any(alias.name == module for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == module)
     ]
 
 
@@ -93,12 +93,12 @@ def test_the_package_does_not_import_dataclasses(path):
     # decoration execs generated methods: together about 17 ms of each
     # command's start-up on a 2-vCPU machine, for records that a NamedTuple
     # or a __slots__ class keeps as well
-    assert _dataclasses_imports(ast.parse(path.read_text())) == []
+    assert _stdlib_imports(ast.parse(path.read_text()), "dataclasses") == []
 
 
 def test_the_lint_finds_both_import_forms():
     tree = ast.parse("import os, dataclasses\nfrom dataclasses import dataclass\nimport dataclasses_json\n")
-    assert _dataclasses_imports(tree) == [1, 2]
+    assert _stdlib_imports(tree, "dataclasses") == [1, 2]
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -215,6 +215,63 @@ def test_the_orbit_index_lints_find_every_form():
     assert _imports_of(tree, "orbits") == [1, 2, 3, 4]
     assert _calls_of(tree, "OrbitCoordinates") == [("build", 7)]
     assert _calls_of(tree, "build_centralizer") == [("", 8), ("centralizer", 11)]
+
+
+def test_checks_alone_writes_files():
+    # the export is the package's one writer: one helper of checks makes
+    # the export directory, which run() calls before its first check and
+    # export_matrices before its first file, and one writes each matrix
+    # file; the CLI only parses arguments and places the report, and
+    # linalg is algebra, with no paths
+    trees = {path.name: ast.parse(path.read_text()) for path in _PACKAGE}
+    found = {
+        call: [(name, fn) for name, tree in trees.items() for fn, _ in _calls_of(tree, call)]
+        for call in ("mkdir", "write_text", "_make_export_dir")
+    }
+    assert found == {
+        "mkdir": [("checks.py", "_make_export_dir")],
+        "write_text": [("checks.py", "write_coord_entries")],
+        "_make_export_dir": [("checks.py", "run"), ("checks.py", "export_matrices")],
+    }
+    assert _stdlib_imports(trees["linalg.py"], "pathlib") == []
+    # run() makes the directory before the loop that runs the checks
+    (run_def,) = [node for node in trees["checks.py"].body if getattr(node, "name", None) == "run"]
+    (make_line,) = [line for _, line in _calls_of(run_def, "_make_export_dir")]
+    assert make_line < min(node.lineno for node in ast.walk(run_def) if isinstance(node, ast.For))
+
+
+def test_the_file_writer_lint_finds_every_form():
+    tree = ast.parse(
+        "from pathlib import Path\n"
+        "import pathlib\n"
+        "def make(path):\n"
+        "    Path(path).mkdir(parents=True)\n"
+        "    os.mkdir(path)\n"
+        "def write(path, text):\n"
+        "    path.write_text(text)\n"
+        "path.write_bytes(b'')\n"
+    )
+    assert _calls_of(tree, "mkdir") == [("make", 4), ("make", 5)]
+    assert _calls_of(tree, "write_text") == [("write", 7)]
+    assert _stdlib_imports(tree, "pathlib") == [1, 2]
+
+
+def _discarded_calls(tree: ast.Module, name: str) -> list[int]:
+    # the lines of the statements that call name and keep nothing of it
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == name
+    ]
+
+
+def test_the_cli_reads_every_run_config_it_builds():
+    # each command validates its arguments once, into the RunConfig it reads
+    cli = ast.parse((_ROOT / "src" / "doubled_odd" / "cli.py").read_text())
+    assert [fn for fn, _ in _calls_of(cli, "RunConfig")] == ["main"] * 3
+    assert _discarded_calls(cli, "RunConfig") == []
+    control = ast.parse("RunConfig(m=1)\ncfg = RunConfig(m=1)\ncfg.RunConfig(m=1)\n")
+    assert _discarded_calls(control, "RunConfig") == [1]
 
 
 def _benchmark_tracer():
