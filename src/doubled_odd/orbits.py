@@ -301,8 +301,9 @@ class LabelScheme:
     z, distance(label) their distance, moves(label) the (label of (w, z),
     number of such w) over the neighbours w of y, and transpose(label) the
     label of (z, y).  Orbit a = id_of[labels[a]] starts in sphere row_of[a],
-    ends in end_of[a] and lies at distance distance_of[a]; the identity is
-    the sum of the orbits at distance 0.  That one pair's moves hold for its
+    ends in end_of[a] and lies at distance distance_of[a].  The distance
+    matrix A_i is the sum of the orbits distance_classes[i], those at
+    distance i, and the identity is A_0.  That one pair's moves hold for its
     whole orbit is the caller's to certify.  An instance is the action
     algebra_closure and centralizer_within need, with push tables as its
     generators: left(g, v) and right(g, v) are g v and v g.  Its row blocks
@@ -331,8 +332,15 @@ class LabelScheme:
         right = (sorted((transposed[c], k) for c, k in left[b_t]) for b_t in transposed)
         return PushTable(tuple(map(tuple, left)), tuple(map(tuple, right)))
 
+    @cached_property
+    def distance_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits of each A_i, ascending, i from 0 to the largest
+        distance, built on first read."""
+        dist = self.distance_of
+        return tuple(tuple(a for a, h in enumerate(dist) if h == i) for i in range(max(dist) + 1))
+
     def identity(self) -> dict[int, object]:
-        return {a: 1 for a, h in enumerate(self.distance_of) if h == 0}
+        return dict.fromkeys(self.distance_classes[0], 1)
 
     def left(self, g: PushTable, vec: dict[int, object]) -> dict[int, object]:
         return _push(g.left, vec)
@@ -643,45 +651,27 @@ def build_centralizer(g: GroundSet) -> OrbitCoordinates:
     return OrbitCoordinates(g.m)
 
 
-class SubalgebraClosureReport(NamedTuple):
-    """Outcome of a pairwise multiplicative closure scan of a sub-span."""
-
-    closed: bool
-    pairs_checked: int
-    first_violation: tuple[OrbitLabel, OrbitLabel] | None
-    violation_block: BlockTag | None
-
-
-def check_subalgebra(blocks: tuple[BlockTag, ...], coords: OrbitCoordinates) -> SubalgebraClosureReport:
-    """Test whether the span of the orbit matrices of coords in the given
-    blocks is closed under multiplication; on failure report the first offending
-    product (a, b), in closed-form label order, and the block of its pairs
-    (y, z), by |y| from a's label and |z| from b's.
+def check_subalgebra(blocks: tuple[BlockTag, ...], scheme: LabelScheme) -> tuple[OrbitLabel, OrbitLabel, BlockTag] | None:
+    """The first product O_a O_b, in the scheme's label order, of orbit
+    matrices of the scheme in the given blocks that escapes their span, as
+    (la, lb, block): the labels of a and b and the block of the product's
+    pairs (y, z), by |y| from la and |z| from lb.  None when the span is
+    closed under multiplication.
 
     O_a O_b != 0 exactly when a's pairs end in the sphere b's start in (the
     sphere rule of OrbitCoordinates, which rests on the stabilizer being
     transitive on each sphere, proved when the index is built), and then
-    its pairs lie in that block.  The span
-    holds every orbit matrix of its blocks, so the product escapes it
-    exactly when it is nonzero and its block is not one of them.  No row of
-    a product is read.
+    its pairs lie in that block.  The span holds every orbit matrix of its
+    blocks, so the product escapes it exactly when it is nonzero and its
+    block is not one of them.  Only labels, id_of, row_of and end_of are
+    read: no vertex is listed and no row of a product is read.
     """
-    sub = [lab for lab in coords.labels if lab.block in blocks]
-    ends = [(coords.row_of[a], coords.end_of[a]) for a in map(coords.id_of.__getitem__, sub)]
-
-    def block(la: OrbitLabel, lb: OrbitLabel) -> BlockTag:
-        return _BLOCKS[2 * _sides(la)[0] + _sides(lb)[1]]
-
-    escapes = (
-        (la, lb)
-        for la, (_, end) in zip(sub, ends)
-        for lb, (start, _) in zip(sub, ends)
-        if end == start and block(la, lb) not in blocks
-    )
-    first_violation = next(escapes, None)
-    return SubalgebraClosureReport(
-        closed=first_violation is None,
-        pairs_checked=len(sub) ** 2,
-        first_violation=first_violation,
-        violation_block=None if first_violation is None else block(*first_violation),
-    )
+    sub = [lab for lab in scheme.labels if lab.block in blocks]
+    ends = [(scheme.row_of[a], scheme.end_of[a]) for a in map(scheme.id_of.__getitem__, sub)]
+    for la, (_, end) in zip(sub, ends):
+        for lb, (start, _) in zip(sub, ends):
+            if end == start:
+                block = _BLOCKS[2 * _sides(la)[0] + _sides(lb)[1]]
+                if block not in blocks:
+                    return la, lb, block
+    return None

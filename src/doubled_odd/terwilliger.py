@@ -79,14 +79,14 @@ def build_terwilliger(scheme: LabelScheme) -> TerwilligerAlgebra:
     sphere and closes under A_1 alone, one product per basis row, each row
     in one sphere.  Rather than rely on distance-regularity for the
     remaining distance matrices, each A_i, i != 1, the indicator of the
-    orbits at distance i, is tested for exact membership in the closure; a
-    missing one raises NotClosedError, since the closure would then not be
-    all of T.  The basis is returned in Q^d, as the closure left it.
+    orbits at distance i (LabelScheme.distance_classes), is tested for
+    exact membership in the closure; a missing one raises NotClosedError,
+    since the closure would then not be all of T.  The basis is returned in
+    Q^d, as the closure left it.
     """
     closure = algebra_closure([scheme.adjacency], scheme)
-    for i in range(max(scheme.distance_of) + 1):
-        a_i = {a: 1 for a, h in enumerate(scheme.distance_of) if h == i}
-        if i != 1 and not closure.basis.contains_vector(a_i):
+    for i, orbits in enumerate(scheme.distance_classes):
+        if i != 1 and not closure.basis.contains_vector(dict.fromkeys(orbits, 1)):
             raise NotClosedError(f"A_{i} is not in the algebra generated by A_1 and the E*_i")
     return TerwilligerAlgebra(scheme=scheme, basis=closure.basis, closure=closure)
 
@@ -189,16 +189,18 @@ class EqualityResult(NamedTuple):
         return self.dims_equal and self.orbit_matrices_in_t and self.identical_rref
 
 
-def verify_equality(t: TerwilligerAlgebra, cent: OrbitCoordinates) -> EqualityResult:
-    """Two-sided comparison of T with the centralizer algebra, in Q^d.
+def verify_equality(t: TerwilligerAlgebra) -> EqualityResult:
+    """Two-sided comparison of T with the centralizer algebra, in the
+    orbit coordinates Q^d of T's scheme, d its ambient_dim.
 
     The orbit matrices have disjoint supports, so spreading each orbit over
     its pairs maps Q^d one to one onto the span of the orbit matrices, e_a
     onto O_a.  Hence each orbit matrix lies in T exactly when e_a does, and
     T is the centralizer algebra, so that their n x n RREFs, each unique,
     are identical, exactly when T is all of Q^d, whose RREF is the identity.
+    Only T is read; a basis in an ambient other than Q^d holds no e_a.
     """
-    d = cent.ambient_dim
+    d = t.scheme.ambient_dim
     units = [{a: 1} for a in range(d)]
     in_coordinates = t.basis.ambient_dim == d
     return EqualityResult(

@@ -16,9 +16,10 @@ adjacency by a disjointness scan, vertex maps moved a point at a time,
 the coefficients of a vector over a span's rows, the null space by one
 scan of the rows per free column, the reader of the
 export's coordinate text files, a doctored orbit index for its
-certificates, and the per-m contexts the tests share, which hold the
-tests' one memo of the orbit index."""
+certificates, the reports without elapsed_ms, and the per-m contexts the
+tests share, which hold the tests' one memo of the orbit index."""
 
+import json
 from array import array
 from collections import Counter
 from collections.abc import Iterable
@@ -46,7 +47,7 @@ from doubled_odd.linalg import (
     _norm,
     algebra_closure,
 )
-from doubled_odd.checks import CheckContext
+from doubled_odd.checks import CheckContext, render_reports
 from doubled_odd import covering as covering_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd.orbits import (
@@ -55,7 +56,6 @@ from doubled_odd.orbits import (
     OrbitCoordinates,
     OrbitLabel,
     PushTable,
-    SubalgebraClosureReport,
     _BLOCKS,
     _check_labels_met,
     _key_parts,
@@ -77,6 +77,16 @@ def shared_context(m: int) -> CheckContext:
     T and Z(T) are built once per session; a test that doctors an index
     builds its own context or index."""
     return CheckContext(m)
+
+
+def reports_without_elapsed(reports) -> list:
+    """The reports as JSON without their elapsed_ms fields, the one part of
+    a report that differs between runs: two runs' reports are byte-identical
+    when these are equal."""
+    payload = json.loads(render_reports(reports))
+    for entry in payload:
+        del entry["elapsed_ms"]
+    return payload
 
 
 def orbit_index(m: int) -> OrbitCoordinates:
@@ -862,11 +872,12 @@ def product_intersection_table(coords: OrbitCoordinates, dist: list[int]) -> dic
     return _table(profiles, width)
 
 
-def product_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosureReport:
+def product_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> tuple[OrbitLabel, OrbitLabel, BlockTag] | None:
     """Oracle of orbits.check_subalgebra: every ordered pair (a, b) of sub,
     in order, against the support {c : p^c_{ab} > 0} of its product in the
-    product index; the block of an offending product is that of the least
-    orbit of its support."""
+    product index; the first offending product is returned as (la, lb,
+    block), block that of the least orbit of its support, and None when
+    there is none."""
     coords = orbit_index(g.m)
     ids = {lab: c for c, lab in enumerate(coords.labels)}
     inside = {ids[lab] for lab in sub}
@@ -875,8 +886,8 @@ def product_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> SubalgebraClosure
         for lb in sub:
             support = [c for c, _ in products.get(ids[lb], ())]
             if not inside.issuperset(support):
-                return SubalgebraClosureReport(False, len(sub) ** 2, (la, lb), coords.labels[support[0]].block)
-    return SubalgebraClosureReport(True, len(sub) ** 2, None, None)
+                return la, lb, coords.labels[support[0]].block
+    return None
 
 
 def orbit_counts(index) -> list[dict[int, int]]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import conftest
 import pytest
-from helpers import adjacency_matrix, merged_orbit_coordinates, orbit_matrix, read_coord_text
+from helpers import adjacency_matrix, merged_orbit_coordinates, orbit_matrix, read_coord_text, reports_without_elapsed
 
 from doubled_odd import checks as checks_module
 from doubled_odd import combinatorics as combinatorics_module
@@ -33,9 +33,17 @@ from doubled_odd.checks import (
 )
 from doubled_odd.cli import main
 from doubled_odd.linalg import NotClosedError, SpanBasis, SparseExactMatrix
-from doubled_odd.orbits import BlockTag, LabelScheme, OrbitCoordinates, OrbitLabel, PushTable
+from doubled_odd.orbits import (
+    BLOCK_FAMILIES,
+    BlockTag,
+    LabelScheme,
+    OrbitCoordinates,
+    OrbitLabel,
+    PushTable,
+    check_subalgebra,
+)
 from doubled_odd.combinatorics import GroundSet
-from doubled_odd.terwilliger import build_terwilliger, center_basis
+from doubled_odd.terwilliger import build_terwilliger, center_basis, verify_equality
 
 _ALLOWED_PROVENANCE = {"paper-formula", "derived-oracle", "finding-only"}
 
@@ -222,16 +230,9 @@ def test_small_m_findings_record_expected_values():
     assert reports["center-dim"].actual == {"dim": 4, "upsilon_size": 4}
 
 
-def _normalized(reports) -> str:
-    payload = [r.to_dict() for r in reports]
-    for entry in payload:
-        entry["elapsed_ms"] = 0
-    return json.dumps(payload)
-
-
 def test_runs_are_deterministic():
     cfg = RunConfig(m=1)
-    assert _normalized(run(cfg)) == _normalized(run(cfg))
+    assert reports_without_elapsed(run(cfg)) == reports_without_elapsed(run(cfg))
 
 
 def test_progress_callback_sees_every_check():
@@ -304,7 +305,7 @@ def test_m5_runs_every_applicable_check_by_default():
     statuses = {r.check: r.status for r in reports}
     assert statuses.pop("subalgebra-closure") == "finding"
     assert set(statuses.values()) == {"pass"}
-    assert _normalized_reports(reports) == _pinned_reports(5)
+    assert reports_without_elapsed(reports) == _pinned_reports(5)
     assert headline_dimensions(5) == {
         "vertices": 924,
         "centralizer_dim": 504,
@@ -583,14 +584,6 @@ _BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "refe
 _PINNED = Path(__file__).resolve().parent / "data"
 
 
-def _normalized_reports(reports) -> list:
-    # the reports as JSON, without elapsed_ms
-    payload = json.loads(render_reports(reports))
-    for entry in payload:
-        del entry["elapsed_ms"]
-    return payload
-
-
 def _pinned_reports(m: int) -> list:
     return json.loads((_PINNED / f"verify_m{m}.json").read_text())
 
@@ -633,7 +626,7 @@ def test_reports_match_the_benchmark_reference(reference, m, every_check):
     # the benchmark's stored reports of `verify --m 3` and of its m = 4 orbit checks
     expected = json.loads((_BENCHMARK_REFERENCE / f"{reference}.json").read_text())["reports"]
     checks = None if every_check else tuple(r["check"] for r in expected)
-    assert _normalized_reports(run(RunConfig(m=m, checks=checks))) == expected
+    assert reports_without_elapsed(run(RunConfig(m=m, checks=checks))) == expected
 
 
 def test_verify_path_builds_no_n2_span_and_one_orbit_coordinates(tmp_path, monkeypatch, fresh_memos):
@@ -812,9 +805,13 @@ def test_t_and_z_list_no_vertex(monkeypatch, fresh_memos):
     # T is closed and Z(T) solved on the doubled Odd graph's label scheme,
     # built from closed forms alone, with every listing of vertices, the
     # neighbour table and the orbit index made to raise: the same RREF of
-    # T and the same Z(T) as the checks get on the certified index
+    # T, the same Z(T), the same comparison of T with the centralizer and
+    # the same first escaping product of each block family as the checks
+    # get on the certified index
     ctx = CheckContext(3)
     expected_rows, expected_center = ctx.terwilliger.basis.rows, ctx.center
+    expected_equality = verify_equality(ctx.terwilliger)
+    expected_escapes = [check_subalgebra(blocks, ctx.centralizer) for blocks in BLOCK_FAMILIES.values()]
 
     def listed(*_args):
         raise AssertionError("a vertex was listed")
@@ -827,6 +824,8 @@ def test_t_and_z_list_no_vertex(monkeypatch, fresh_memos):
     t = build_terwilliger(scheme)
     assert t.basis.rows == expected_rows
     assert center_basis(t) == expected_center
+    assert verify_equality(t) == expected_equality
+    assert [check_subalgebra(blocks, scheme) for blocks in BLOCK_FAMILIES.values()] == expected_escapes
     # the patches bite where the index is built
     with pytest.raises(AssertionError, match="a vertex was listed"):
         CheckContext(3).terwilliger
@@ -914,7 +913,7 @@ def test_t_fails_on_orbits_that_are_not_coherent():
 @pytest.mark.parametrize("m", [1, 2, pytest.param(4, marks=pytest.mark.slow)])
 def test_reports_match_the_pinned_reports(m):
     # verify --m 1, 2 and 4 as the pinned files record them
-    assert _normalized_reports(run(RunConfig(m=m))) == _pinned_reports(m)
+    assert reports_without_elapsed(run(RunConfig(m=m))) == _pinned_reports(m)
 
 
 def _trace_pair_union_find(monkeypatch) -> list:

@@ -59,7 +59,6 @@ from doubled_odd.orbits import (
     IndependenceError,
     OrbitCoordinates,
     OrbitLabel,
-    SubalgebraClosureReport,
     build_centralizer,
     check_subalgebra,
     index_set,
@@ -374,41 +373,32 @@ def test_pair_index_labels_every_pair_by_block_and_rho(m):
 def test_diagonal_subalgebras_closed_mixed_fails():
     for m in (1, 2):
         g = GroundSet(m)
-        assert check_subalgebra((BlockTag.I,), orbit_index(m)).closed
-        assert check_subalgebra((BlockTag.IV,), orbit_index(m)).closed
-        report = check_subalgebra((BlockTag.II, BlockTag.III), orbit_index(m))
-        assert not report.closed
-        assert report.first_violation is not None
-        assert report.violation_block in (BlockTag.I, BlockTag.IV)
-        la, lb = report.first_violation
+        assert check_subalgebra((BlockTag.I,), orbit_index(m)) is None
+        assert check_subalgebra((BlockTag.IV,), orbit_index(m)) is None
+        escape = check_subalgebra((BlockTag.II, BlockTag.III), orbit_index(m))
+        assert escape is not None
+        la, lb, block = escape
+        assert block in (BlockTag.I, BlockTag.IV)
         # a mixed product escapes into a diagonal block
         assert {la.block, lb.block} <= {BlockTag.II, BlockTag.III}
 
 
 def _pairwise_product_scan(sub, g):
-    """Oracle: multiply every ordered pair of orbit matrices of sub as n x n
-    matrices and test each product for membership in their span."""
+    """Oracle: multiply the ordered pairs of orbit matrices of sub as n x n
+    matrices, in order, and test each product for membership in their span;
+    the first product outside it is returned as (la, lb, block), block that
+    of its first entry, and None when there is none."""
     mats = orbit_matrices(g)
     sub_mats = [mats[lab] for lab in sub]
     sub_span = span(sub_mats)
     verts = enumerate_vertices(g)
-    checked = 0
-    first_violation = None
-    violation_block = None
     for la, ma in zip(sub, sub_mats):
         for lb, mb in zip(sub, sub_mats):
             product = ma @ mb
-            checked += 1
-            if first_violation is None and not contains(sub_span, product):
-                first_violation = (la, lb)
+            if not contains(sub_span, product):
                 r, c, _ = next(product.entries())
-                violation_block = block_of_pair(g.m, verts[r], verts[c])
-    return SubalgebraClosureReport(
-        closed=first_violation is None,
-        pairs_checked=checked,
-        first_violation=first_violation,
-        violation_block=violation_block,
-    )
+                return la, lb, block_of_pair(g.m, verts[r], verts[c])
+    return None
 
 
 def _family(m: int, blocks) -> list[OrbitLabel]:
@@ -420,9 +410,9 @@ def _family(m: int, blocks) -> list[OrbitLabel]:
 def test_subalgebra_scan_matches_the_pairwise_product_oracle(m):
     # the block rule on each block family against the n x n products
     g = GroundSet(m)
-    reports = [check_subalgebra(blocks, orbit_index(m)) for blocks in BLOCK_FAMILIES.values()]
-    assert reports == [_pairwise_product_scan(_family(m, blocks), g) for blocks in BLOCK_FAMILIES.values()]
-    assert [r.closed for r in reports] == [True, False, True]
+    escapes = [check_subalgebra(blocks, orbit_index(m)) for blocks in BLOCK_FAMILIES.values()]
+    assert escapes == [_pairwise_product_scan(_family(m, blocks), g) for blocks in BLOCK_FAMILIES.values()]
+    assert [e is None for e in escapes] == [True, False, True]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
@@ -430,9 +420,9 @@ def test_subalgebra_scan_matches_the_product_index_supports(m):
     # the block rule on each block family against the supports read off
     # the first-pair product index
     g = GroundSet(m)
-    reports = [check_subalgebra(blocks, orbit_index(m)) for blocks in BLOCK_FAMILIES.values()]
-    assert reports == [product_subalgebra(_family(m, blocks), g) for blocks in BLOCK_FAMILIES.values()]
-    assert [r.closed for r in reports] == [True, False, True]
+    escapes = [check_subalgebra(blocks, orbit_index(m)) for blocks in BLOCK_FAMILIES.values()]
+    assert escapes == [product_subalgebra(_family(m, blocks), g) for blocks in BLOCK_FAMILIES.values()]
+    assert [e is None for e in escapes] == [True, False, True]
 
 
 def test_structure_constants_match_the_products_of_orbit_matrices():

@@ -274,6 +274,16 @@ def test_the_cli_reads_every_run_config_it_builds():
     assert _discarded_calls(control, "RunConfig") == [1]
 
 
+def test_the_inclusion_and_equality_runners_read_t_alone():
+    # inclusion and equality compare T with the orbit coordinates of its
+    # own scheme, so neither runner reads the run's orbit index
+    checks = ast.parse((_ROOT / "src" / "doubled_odd" / "checks.py").read_text())
+    runners = [node for node in checks.body if getattr(node, "name", None) in ("_check_inclusion", "_check_equality")]
+    assert [_lines_naming(fn, "centralizer") for fn in runners] == [[], []]
+    control = ast.parse("def _check_equality(ctx):\n    centralizer = ctx.centralizer\n    return t(ctx.terwilliger)\n")
+    assert _lines_naming(control, "centralizer") == [2]
+
+
 def _benchmark_tracer():
     # perfbench/tracer.py, loaded from its file: it imports only the stdlib
     spec = importlib.util.spec_from_file_location("perfbench_tracer", _ROOT / "perfbench" / "tracer.py")

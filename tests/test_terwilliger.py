@@ -240,9 +240,9 @@ def test_t_closes_under_a1_alone_to_the_all_generator_oracle(ctx_for, m):
 
 def _inclusion(ctx, t):
     # (actual, status) of the inclusion check itself, run on a context whose
-    # T is t and whose centralizer is ctx's
+    # T is t: the check reads T and its scheme alone
     doctored = CheckContext(ctx.g.m)
-    doctored.centralizer, doctored.terwilliger = ctx.centralizer, t
+    doctored.terwilliger = t
     _, _, actual, status = _RUNNERS["inclusion"](doctored)
     return actual, status
 
@@ -251,7 +251,7 @@ def test_inclusion_and_equality(ctx_for):
     for m in (1, 2, 3):
         ctx = ctx_for(m)
         assert _inclusion(ctx, ctx.terwilliger) == ({"all_rows_in_centralizer": True}, "pass")
-        res = verify_equality(ctx.terwilliger, ctx.centralizer)
+        res = verify_equality(ctx.terwilliger)
         assert res.dims_equal and res.orbit_matrices_in_t and res.identical_rref
 
 
@@ -278,7 +278,7 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
         assert t_basis == cent_span
         assert _n2_inclusion(t_basis, cent_span) is True
         assert _inclusion(ctx, t) == ({"all_rows_in_centralizer": _n2_inclusion(t_basis, cent_span)}, "pass")
-        assert tuple(verify_equality(t, cent)) == _n2_equality(t_basis, cent, cent_span) == (True,) * 3
+        assert tuple(verify_equality(t)) == _n2_equality(t_basis, cent, cent_span) == (True,) * 3
         # T without one of its rows is a proper subspace of the centralizer
         rows = t.basis.rows
         del rows[len(rows) // 2]
@@ -286,8 +286,8 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
         assert _inclusion(ctx, smaller)[0] == {
             "all_rows_in_centralizer": _n2_inclusion(_lifted(ctx.g, smaller.basis), cent_span)
         }
-        assert tuple(verify_equality(smaller, cent)) == _n2_equality(_lifted(ctx.g, smaller.basis), cent, cent_span)
-        assert tuple(verify_equality(smaller, cent)) == (False,) * 3
+        assert tuple(verify_equality(smaller)) == _n2_equality(_lifted(ctx.g, smaller.basis), cent, cent_span)
+        assert tuple(verify_equality(smaller)) == (False,) * 3
 
 
 def test_checks_in_orbit_coordinates_reject_a_basis_of_another_ambient(ctx_for):
@@ -295,7 +295,7 @@ def test_checks_in_orbit_coordinates_reject_a_basis_of_another_ambient(ctx_for):
     t, cent = ctx.terwilliger, ctx.centralizer
     lifted = TerwilligerAlgebra(cent, lift(cent, t.basis), None)
     assert _inclusion(ctx, lifted) == ({"all_rows_in_centralizer": False, "first_failed_row": 0}, "fail")
-    res = verify_equality(lifted, cent)
+    res = verify_equality(lifted)
     assert not res.orbit_matrices_in_t and not res.identical_rref
 
 
