@@ -366,9 +366,9 @@ def _check_direct_sum(ctx: CheckContext):
     return expected, "paper-formula", actual, _verdict(ok)
 
 
-def _all_hold(results, provenance: str):
-    """The report of a list of named identity checks (IdentityCheck)."""
-    failed = [r.name for r in results if not r.ok]
+def _all_hold(results: dict[str, bool], provenance: str):
+    """The report of named identity verdicts, name -> bool, failures in order."""
+    failed = [name for name, ok in results.items() if not ok]
     expected = {"all_hold": True}
     actual = {"checked": len(results), "all_hold": not failed, "failed": failed}
     return expected, provenance, actual, _verdict(not failed)
@@ -552,7 +552,7 @@ def export_matrices(ctx: CheckContext, export_dir) -> list[Path]:
     Terwilliger algebras (one file each, basis rows as vectorized n x n
     matrices), each through write_coord_entries, from the orbit index and
     T of ctx at its m, into export_dir, made first.  One pass over the n
-    rows of vertex pairs (OrbitCoordinates.row) gives each orbit its pair
+    rows of vertex pairs (OrbitCoordinates.orbits) gives each orbit its pair
     positions y n + z, ascending, and every file but psi, read off the fold
     map, and the E*_i, each the diagonal of its sphere, is a 0/1 or
     rational combination of those positions: A_i is the union of the
@@ -571,7 +571,7 @@ def export_matrices(ctx: CheckContext, export_dir) -> list[Path]:
     positions: list[list[int]] = [[] for _ in labels]
     append = [pos.append for pos in positions]
     for y in range(n):
-        for idx, a in enumerate(index.row(y), y * n):
+        for idx, a in enumerate(index.orbits(y, range(n)), y * n):
             append[a](idx)
 
     written: list[Path] = []
@@ -594,8 +594,8 @@ def export_matrices(ctx: CheckContext, export_dir) -> list[Path]:
         emit(f"orbit_{labels[a].block.value}_{i},{j},{t},{p}", n, n, pairs(positions[a]))
     emit("psi", comb(g.n_points, g.m), n, sorted((u, z, 1) for z, u in enumerate(_fold_image(g))))
 
-    # the orbits by first pair position, and T's rows reduced in that order
-    by_first_pair = sorted(range(len(labels)), key=lambda a: positions[a][0])
+    # the orbits by first pair, each its least position, and T's rows reduced in that order
+    by_first_pair = sorted(range(len(labels)), key=index.first_pair)
     emit("basis_centralizer", len(labels), n * n, ((r, idx, 1) for r, a in enumerate(by_first_pair) for idx in positions[a]))
     rank = {a: r for r, a in enumerate(by_first_pair)}
     t_basis = SpanBasis(len(labels))

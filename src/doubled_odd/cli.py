@@ -81,26 +81,27 @@ def main(argv: list[str] | None = None) -> int:
                 checks=_parse_checks(args.checks),
                 export_dir=args.export_dir,
             )
-            # write the report to a sibling temporary file, opened before run()
-            # makes --export-dir and runs the first check, so that an
-            # unwritable path fails at once and leaves nothing behind, and
-            # rename it over --out only when complete: a run that stops on an
-            # error leaves an existing report as it was
+            # --out is followed through its links.  The report goes to a
+            # temporary file beside the target, opened before run() makes
+            # --export-dir and runs the first check, so that an unwritable path
+            # fails at once and leaves nothing behind, and renamed over the
+            # target only when complete, which keeps an existing report on an
+            # error; a pipe or a device holds no report to keep: written directly
             out = tmp = None
             if args.out is not None:
                 if args.out == "":
                     raise ConfigError("empty --out path")
+                target = os.path.realpath(args.out)
                 # the report is renamed into place after the export, so it
                 # would replace an exported file or the export directory
-                if args.export_dir is not None and Path(args.out).resolve().is_relative_to(
-                    Path(args.export_dir).resolve()
-                ):
+                if args.export_dir is not None and Path(target).is_relative_to(Path(args.export_dir).resolve()):
                     raise ConfigError(f"--out {args.out} lies in --export-dir {args.export_dir}")
-                if os.path.isdir(args.out):
+                if os.path.isdir(target):
                     raise IsADirectoryError(f"cannot write --out {args.out}: it is a directory")
-                tmp = Path(f"{args.out}.{os.getpid()}.tmp")
+                if not os.path.exists(target) or os.path.isfile(target):
+                    tmp = Path(f"{target}.{os.getpid()}.tmp")
                 try:
-                    out = open(tmp, "w")
+                    out = open(tmp or target, "w")
                 except OSError as exc:
                     raise OSError(f"cannot write --out {args.out}: {exc.strerror}") from exc
             try:
@@ -109,10 +110,12 @@ def main(argv: list[str] | None = None) -> int:
                 if out is not None:
                     out.write(text)
                     out.close()
-                    os.replace(tmp, args.out)
+                    if tmp is not None:
+                        os.replace(tmp, target)
             finally:
                 if out is not None:
                     out.close()
+                if tmp is not None:
                     tmp.unlink(missing_ok=True)
             if out is None:
                 sys.stdout.write(text)

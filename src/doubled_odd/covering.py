@@ -25,7 +25,6 @@ from functools import lru_cache
 from math import comb
 
 from .combinatorics import GroundSet, _distances_from, _neighbours, _radii, _vertex_index, _vertices
-from .terwilliger import IdentityCheck
 
 
 def odd_vertices(g: GroundSet) -> list[int]:
@@ -68,9 +67,9 @@ def _fold_image(g: GroundSet) -> list[int]:
     return [pos[fold(g, z)] for z in _vertices(g.m)]
 
 
-def verify_intertwining(g: GroundSet) -> list[IdentityCheck]:
-    """The identities of psi, each read off the fold map: image[z] is the
-    index of pi(z), and psi[u, z] = [image[z] = u].
+def verify_intertwining(g: GroundSet) -> dict[str, bool]:
+    """The identities of psi, name -> verdict, each read off the fold map:
+    image[z] is the index of pi(z), and psi[u, z] = [image[z] = u].
 
     * psi psi^T is diagonal with the fibre sizes, which are also psi's row
       sums: psi-row-sums-two and psi-psiT-twice-identity both say that
@@ -95,10 +94,10 @@ def verify_intertwining(g: GroundSet) -> list[IdentityCheck]:
     )
     odd_dist = _odd_distances_from_base(m)
     spheres_fold = in_odd and all(odd_dist[u] == min(r, diam - r) for u, r in zip(image, _radii(m)))
-    return [
-        IdentityCheck("psi-row-sums-two", fibres_two),
-        IdentityCheck("psi-column-sums-one", in_odd),
-        IdentityCheck("psi-psiT-twice-identity", fibres_two),
-        IdentityCheck("adjacency-transport", transported),
-        IdentityCheck("sphere-transport", spheres_fold),
-    ]
+    return {
+        "psi-row-sums-two": fibres_two,
+        "psi-column-sums-one": in_odd,
+        "psi-psiT-twice-identity": fibres_two,
+        "adjacency-transport": transported,
+        "sphere-transport": spheres_fold,
+    }

@@ -64,9 +64,6 @@ class BlockTag(enum.Enum):
     III = "III"
     IV = "IV"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class OrbitLabel(NamedTuple):
     block: BlockTag
@@ -165,7 +162,7 @@ def tuple_bijection(
     if block is BlockTag.I:
         raise ValueError("block I is the common target; it has no bijection map")
     if tup not in index_set(block, m):
-        raise ValueError(f"{tup} is not an admissible four-tuple of block {block}")
+        raise ValueError(f"{tup} is not an admissible four-tuple of block {block.value}")
     i, j, t, p = tup
     if block is BlockTag.II:
         return (i, m - j, m - t, i - p)
@@ -403,10 +400,6 @@ class OrbitCoordinates(LabelScheme):
         """The orbits of the pairs (y, z), z over the vertex indices zs, read
         off their label keys (None for a key of no orbit): the one lookup."""
         return list(map(self.orbit_of.get, _label_keys(self.m, y, zs)))
-
-    def row(self, y: int) -> list[int | None]:
-        """The orbits of the pairs (y, w), w over all vertices."""
-        return self.orbits(y, range(self.n))
 
     @cached_property
     def adjacency(self) -> PushTable:

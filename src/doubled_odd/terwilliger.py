@@ -49,11 +49,6 @@ from .linalg import (
 from .orbits import BlockTag, LabelScheme, OrbitCoordinates, OrbitLabel
 
 
-class IdentityCheck(NamedTuple):
-    name: str
-    ok: bool
-
-
 class TerwilligerAlgebra(NamedTuple):
     """The Terwilliger algebra as a closed span in orbit coordinates.
 
@@ -113,10 +108,10 @@ def _diagonal_label(m: int, i: int) -> OrbitLabel:
     return OrbitLabel(BlockTag.IV, (c, c, m + 1, c))
 
 
-def verify_sandwich_identities(index: OrbitCoordinates) -> list[IdentityCheck]:
+def verify_sandwich_identities(index: OrbitCoordinates) -> dict[str, bool]:
     """Exact matrix identities tying T's generators to single orbit matrices.
 
-    Checks, for every admissible i:
+    Checks, name -> verdict in this order, for every admissible i:
       * E*_i equals one diagonal orbit matrix,
       * E*_i A_1 E*_{i+1} equals one orbit matrix of block II (i even) or
         III (i odd),
@@ -156,26 +151,26 @@ def verify_sandwich_identities(index: OrbitCoordinates) -> list[IdentityCheck]:
         return tally.get((i, j)) == {a: sizes[a]}
 
     radii = _radii(m)
-    results: list[IdentityCheck] = []
+    results: dict[str, bool] = {}
     for i, sphere in enumerate(index.spheres):
         a = ids[_diagonal_label(m, i)]
         searched = [y for y, r in enumerate(radii) if r == i]
         ok = list(sphere) == searched and len(sphere) == sizes[a] and all(index.orbits(y, (y,)) == [a] for y in sphere)
-        results.append(IdentityCheck(f"dual-idempotent-orbit-form[i={i}]", ok))
+        results[f"dual-idempotent-orbit-form[i={i}]"] = ok
 
     sandwich_orbits = set()
     for i in range(2 * m + 1):
         forward, backward = _sandwich_label(m, i, transposed=False), _sandwich_label(m, i, transposed=True)
-        results.append(IdentityCheck(f"sandwich-orbit-form[i={i}]", is_orbit(i, i + 1, forward)))
-        results.append(IdentityCheck(f"sandwich-transpose-orbit-form[i={i}]", is_orbit(i + 1, i, backward)))
+        results[f"sandwich-orbit-form[i={i}]"] = is_orbit(i, i + 1, forward)
+        results[f"sandwich-transpose-orbit-form[i={i}]"] = is_orbit(i + 1, i, backward)
         sandwich_orbits.update((ids[forward], ids[backward]))
 
-    results.append(IdentityCheck("bipartite-sandwich-vanishing", all(abs(i - j) == 1 for i, j in tally)))
+    results["bipartite-sandwich-vanishing"] = all(abs(i - j) == 1 for i, j in tally)
     entries = sum(sum(count.values()) for count in tally.values())
     decomposed = entries == sum(sizes[a] for a in sandwich_orbits) and all(
         sandwich_orbits.issuperset(count) for count in tally.values()
     )
-    results.append(IdentityCheck("adjacency-sandwich-decomposition", decomposed))
+    results["adjacency-sandwich-decomposition"] = decomposed
     return results
 
 

@@ -63,7 +63,6 @@ from doubled_odd.orbits import (
     _label_keys,
 )
 from doubled_odd.terwilliger import (
-    IdentityCheck,
     TerwilligerAlgebra,
     _diagonal_label,
     _sandwich_label,
@@ -371,7 +370,7 @@ def sandwiches(g: GroundSet, a1: SparseExactMatrix) -> dict[tuple[int, int], Spa
     return {key: SparseExactMatrix(a1.nrows, a1.ncols, rows) for key, rows in blocks.items()}
 
 
-def n2_sandwich_identities(g: GroundSet, a1: SparseExactMatrix) -> list[IdentityCheck]:
+def n2_sandwich_identities(g: GroundSet, a1: SparseExactMatrix) -> dict[str, bool]:
     """Oracle of lemma41 (terwilliger.verify_sandwich_identities) for the
     adjacency matrix a1: the same identities, in the same order, each
     compared entry for entry as n x n matrices, with every orbit matrix
@@ -380,19 +379,19 @@ def n2_sandwich_identities(g: GroundSet, a1: SparseExactMatrix) -> list[Identity
     estars = dual_idempotents(g)
     restricted = sandwiches(g, a1)
     zero = SparseExactMatrix.zero(a1.nrows, a1.ncols)
-    results = [
-        IdentityCheck(f"dual-idempotent-orbit-form[i={i}]", estars[i] == orbit_matrix(g, _diagonal_label(m, i)))
+    results = {
+        f"dual-idempotent-orbit-form[i={i}]": estars[i] == orbit_matrix(g, _diagonal_label(m, i))
         for i in range(diam + 1)
-    ]
+    }
     running_sum = zero
     for i in range(diam):
         forward = orbit_matrix(g, _sandwich_label(m, i, transposed=False))
         backward = orbit_matrix(g, _sandwich_label(m, i, transposed=True))
-        results.append(IdentityCheck(f"sandwich-orbit-form[i={i}]", restricted.get((i, i + 1), zero) == forward))
-        results.append(IdentityCheck(f"sandwich-transpose-orbit-form[i={i}]", restricted.get((i + 1, i), zero) == backward))
+        results[f"sandwich-orbit-form[i={i}]"] = restricted.get((i, i + 1), zero) == forward
+        results[f"sandwich-transpose-orbit-form[i={i}]"] = restricted.get((i + 1, i), zero) == backward
         running_sum = running_sum + forward + backward
-    results.append(IdentityCheck("bipartite-sandwich-vanishing", all(abs(i - j) == 1 for i, j in restricted)))
-    results.append(IdentityCheck("adjacency-sandwich-decomposition", running_sum == a1))
+    results["bipartite-sandwich-vanishing"] = all(abs(i - j) == 1 for i, j in restricted)
+    results["adjacency-sandwich-decomposition"] = running_sum == a1
     return results
 
 
@@ -946,7 +945,7 @@ def build_psi(g: GroundSet) -> SparseExactMatrix:
     return SparseExactMatrix(comb(g.n_points, g.m), len(doubled), rows)
 
 
-def n2_intertwining(g: GroundSet, a1: SparseExactMatrix) -> list[IdentityCheck]:
+def n2_intertwining(g: GroundSet, a1: SparseExactMatrix) -> dict[str, bool]:
     """Oracle of psi-intertwining (covering.verify_intertwining) for the
     adjacency matrix a1: the same identities, in the same order, each
     checked on psi (build_psi) by n x n matrix products, against the Odd
@@ -964,13 +963,13 @@ def n2_intertwining(g: GroundSet, a1: SparseExactMatrix) -> list[IdentityCheck]:
         odd_sphere_diagonal(g, i) @ psi == psi @ (dual_idempotent(g, i) + dual_idempotent(g, g.diameter - i))
         for i in range(g.m + 1)
     ]
-    return [
-        IdentityCheck("psi-row-sums-two", row_ok and len(psi._rows) == half),
-        IdentityCheck("psi-column-sums-one", len(col_counts) == n and all(v == 1 for v in col_counts.values())),
-        IdentityCheck("psi-psiT-twice-identity", psi @ psi.transpose() == SparseExactMatrix.identity(half).scale(2)),
-        IdentityCheck("adjacency-transport", psi @ a1 == odd_adjacency_by_scan(g) @ psi),
-        IdentityCheck("sphere-transport", all(spheres)),
-    ]
+    return {
+        "psi-row-sums-two": row_ok and len(psi._rows) == half,
+        "psi-column-sums-one": len(col_counts) == n and all(v == 1 for v in col_counts.values()),
+        "psi-psiT-twice-identity": psi @ psi.transpose() == SparseExactMatrix.identity(half).scale(2),
+        "adjacency-transport": psi @ a1 == odd_adjacency_by_scan(g) @ psi,
+        "sphere-transport": all(spheres),
+    }
 
 
 def odd_adjacency_by_scan(g: GroundSet) -> SparseExactMatrix:

@@ -159,7 +159,7 @@ def test_criterion_10_sandwich_identities():
     ok = True
     for m in (1, 2, 3, 4):
         results = verify_sandwich_identities(shared_context(m).centralizer)
-        ok = ok and all(r.ok for r in results)
+        ok = ok and all(results.values())
     _report(10, "dual idempotent sandwich identities", ok)
 
 
@@ -225,7 +225,7 @@ def test_criterion_15_covering_map():
     ok = True
     for m in (1, 2, 3):
         results = verify_intertwining(shared_context(m).g)
-        ok = ok and all(r.ok for r in results)
+        ok = ok and all(results.values())
     _report(15, "covering map invariants and intertwining", ok)
 
 

@@ -4,7 +4,10 @@ import gc
 import hashlib
 import inspect
 import json
+import os
 import re
+import stat
+import threading
 import weakref
 from pathlib import Path
 
@@ -565,6 +568,43 @@ def test_cli_error_run_keeps_an_existing_report(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--m", "1", "--checks", "vertex-count", "--out", str(report)]) == 0
     assert json.loads(report.read_text())[0]["check"] == "vertex-count"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["export", "keep.json"]
+
+
+def test_cli_out_writes_a_fifo_directly(tmp_path, capsys):
+    # a pipe holds no report to keep: the report goes down it, and the
+    # path stays a FIFO rather than being replaced by a regular file
+    fifo = tmp_path / "ff"
+    os.mkfifo(fifo)
+    received = []
+
+    def read_fifo():
+        with open(fifo) as pipe:
+            received.append(pipe.read())
+
+    reader = threading.Thread(target=read_fifo, daemon=True)
+    reader.start()
+    assert main(["verify", "--m", "1", "--checks", "vertex-count", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert not reader.is_alive() and json.loads(received[0])[0]["check"] == "vertex-count"
+    assert [p.name for p in tmp_path.iterdir()] == ["ff"]
+    assert capsys.readouterr().err.endswith(f"report written to {fifo}\n")
+
+
+def test_cli_out_through_a_symlink_replaces_its_target(tmp_path):
+    # the report is renamed over the link's target, so the link still
+    # points at it, and the temporary file is made beside the target
+    reports, links = tmp_path / "reports", tmp_path / "links"
+    reports.mkdir()
+    links.mkdir()
+    target, link = reports / "target.json", links / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert main(["verify", "--m", "1", "--checks", "vertex-count", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert json.loads(target.read_text())[0]["check"] == "vertex-count"
+    assert [p.name for p in reports.iterdir()] == ["target.json"]
+    assert [p.name for p in links.iterdir()] == ["link.json"]
 
 
 def test_cli_dims(capsys):

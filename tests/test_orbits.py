@@ -743,7 +743,7 @@ def test_sphere_rows_number_and_size_the_orbits_as_the_pair_index(m):
         assert all(rows.sphere_of[v] == s for v in sphere)
         assert list(sphere) == [v for v, mask in enumerate(verts) if distance(x0, mask) == s]
     label_rows, label_cols = index.label_lines()
-    assert [rows.row(y) for y in range(index.n)] == list(map(list, label_rows))
+    assert [rows.orbits(y, range(index.n)) for y in range(index.n)] == list(map(list, label_rows))
     assert [column(rows, z) for z in range(index.n)] == list(map(list, label_cols))
 
 

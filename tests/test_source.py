@@ -101,20 +101,36 @@ def test_the_lint_finds_both_import_forms():
     assert _stdlib_imports(tree, "dataclasses") == [1, 2]
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def _modules_added_by_importing(module: str) -> set[str]:
+    # the modules a fresh interpreter loads to import module
     script = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
-        "import doubled_odd.cli\n"
+        f"import {module}\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
-    added = set(json.loads(out))
+    return set(json.loads(out))
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    added = _modules_added_by_importing("doubled_odd.cli")
     assert "doubled_odd.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect"})
+
+
+@pytest.mark.parametrize("module", ["doubled_odd.combinatorics", "doubled_odd.covering"])
+def test_covering_and_combinatorics_are_leaves(module):
+    # psi-intertwining needs the graph and its fold map only: importing
+    # either loads no other package module, nor the rationals
+    added = _modules_added_by_importing(module)
+    assert {name for name in added if name.partition(".")[0] == "doubled_odd"} <= {
+        "doubled_odd", "doubled_odd.combinatorics", module
+    }
+    assert module in added and "fractions" not in added
 
 
 def _lines_naming(tree: ast.Module, name: str) -> list[int]:
