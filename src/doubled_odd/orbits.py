@@ -426,9 +426,9 @@ def constant_on_orbits(index: OrbitCoordinates, pairs) -> list[bool]:
     the stabilizer moves the first vertex y of that sphere onto each of
     them, keeping every orbit, so it is constant on every orbit exactly when
     its row y is constant on every orbit met along that row.  Entry z of
-    that row counts the members w of a in row y with (w, z) in b
-    (OrbitCoordinates.orbits), for z over the sphere b's pairs end in.  No
-    structure constant is read.
+    that row counts the members w of a in row y with (w, z) in b, that is
+    whose label key (_label_keys) is b's (_label_key), for z over the sphere
+    b's pairs end in.  No structure constant is read.
     """
     met = [len(set(row)) for row in index.rows]  # the orbits along each sphere row
     verdicts = []
@@ -436,11 +436,12 @@ def constant_on_orbits(index: OrbitCoordinates, pairs) -> list[bool]:
         if index.end_of[a] != index.row_of[b]:
             verdicts.append(True)
             continue
+        key = _label_key(index.m, index.labels[b])
         zs = index.spheres[index.end_of[b]]
         entries = [0] * index.n
         for w in index.members[a]:
-            for z, c in zip(zs, index.orbits(w, zs)):
-                if c == b:
+            for z, k in zip(zs, _label_keys(index.m, w, zs)):
+                if k == key:
                     entries[z] += 1
         # each orbit met along the row has one value exactly when the
         # distinct (orbit, value) pairs are as many as the distinct orbits

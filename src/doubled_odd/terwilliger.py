@@ -39,7 +39,6 @@ from typing import NamedTuple
 
 from .combinatorics import _neighbours, _radii
 from .linalg import (
-    ClosureResult,
     NotClosedError,
     ShapeMismatchError,
     SpanBasis,
@@ -53,12 +52,13 @@ class TerwilligerAlgebra(NamedTuple):
     """The Terwilliger algebra as a closed span in orbit coordinates.
 
     basis is the RREF basis of T in the orbit coordinates Q^d of scheme.
-    closure is the run that produced it, None for a span built otherwise.
+    iterations is the generator actions the closure that produced it
+    evaluated (ClosureResult.iterations), None for a span built otherwise.
     """
 
     scheme: LabelScheme
     basis: SpanBasis
-    closure: ClosureResult | None
+    iterations: int | None
 
     @property
     def dimension(self) -> int:
@@ -83,7 +83,7 @@ def build_terwilliger(scheme: LabelScheme) -> TerwilligerAlgebra:
     for i, orbits in enumerate(scheme.distance_classes):
         if i != 1 and not closure.basis.contains_vector(dict.fromkeys(orbits, 1)):
             raise NotClosedError(f"A_{i} is not in the algebra generated by A_1 and the E*_i")
-    return TerwilligerAlgebra(scheme=scheme, basis=closure.basis, closure=closure)
+    return TerwilligerAlgebra(scheme=scheme, basis=closure.basis, iterations=closure.iterations)
 
 
 def _sandwich_label(m: int, i: int, transposed: bool) -> OrbitLabel:
@@ -174,35 +174,28 @@ def verify_sandwich_identities(index: OrbitCoordinates) -> dict[str, bool]:
     return results
 
 
-class EqualityResult(NamedTuple):
-    dims_equal: bool
-    orbit_matrices_in_t: bool
-    identical_rref: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.dims_equal and self.orbit_matrices_in_t and self.identical_rref
-
-
-def verify_equality(t: TerwilligerAlgebra) -> EqualityResult:
+def verify_equality(t: TerwilligerAlgebra) -> dict[str, bool]:
     """Two-sided comparison of T with the centralizer algebra, in the
     orbit coordinates Q^d of T's scheme, d its ambient_dim.
 
-    The orbit matrices have disjoint supports, so spreading each orbit over
-    its pairs maps Q^d one to one onto the span of the orbit matrices, e_a
-    onto O_a.  Hence each orbit matrix lies in T exactly when e_a does, and
-    T is the centralizer algebra, so that their n x n RREFs, each unique,
-    are identical, exactly when T is all of Q^d, whose RREF is the identity.
+    Returns, name -> verdict in the equality report's order: dims_equal
+    (dim T = d), orbit_matrices_in_T (every unit vector e_a lies in T) and
+    identical_rref (T's RREF rows are the d unit rows).  The orbit matrices
+    have disjoint supports, so spreading each orbit over its pairs maps Q^d
+    one to one onto the span of the orbit matrices, e_a onto O_a.  Hence
+    each orbit matrix lies in T exactly when e_a does, and T is the
+    centralizer algebra, so that their n x n RREFs, each unique, are
+    identical, exactly when T is all of Q^d, whose RREF is the identity.
     Only T is read; a basis in an ambient other than Q^d holds no e_a.
     """
     d = t.scheme.ambient_dim
     units = [{a: 1} for a in range(d)]
     in_coordinates = t.basis.ambient_dim == d
-    return EqualityResult(
-        dims_equal=t.dimension == d,
-        orbit_matrices_in_t=in_coordinates and all(map(t.basis.contains_vector, units)),
-        identical_rref=t.basis == SpanBasis.from_reduced_rows(d, units),
-    )
+    return {
+        "dims_equal": t.dimension == d,
+        "orbit_matrices_in_T": in_coordinates and all(map(t.basis.contains_vector, units)),
+        "identical_rref": in_coordinates and t.basis.rows == units,
+    }
 
 
 def center_basis(t: TerwilligerAlgebra) -> SpanBasis:

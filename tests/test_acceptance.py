@@ -172,8 +172,8 @@ def test_criterion_11_terwilliger_dimension():
     ok = (
         t3.dimension == 140
         and t4.dimension == 280
-        and t3.closure is not None
-        and t4.closure is not None
+        and t3.iterations is not None
+        and t4.iterations is not None
         and elapsed < 300.0
     )
     _report(
@@ -191,7 +191,7 @@ def test_criterion_12_inclusion_and_equality():
         ctx = shared_context(m)
         _, _, _, inc = _RUNNERS["inclusion"](ctx)
         eq = verify_equality(ctx.terwilliger)
-        ok = ok and inc == "pass" and eq.ok
+        ok = ok and inc == "pass" and all(eq.values())
     finding_status = []
     for m in (1, 2):
         reports = run(RunConfig(m=m, checks=("inclusion", "equality")))

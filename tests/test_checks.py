@@ -531,7 +531,7 @@ def test_verify_closes_t_and_leaves_the_cache_dir_empty(tmp_path, capsys):
         del entry["elapsed_ms"]
     assert reports == json.loads((_BENCHMARK_REFERENCE / "m3.json").read_text())["reports"]
     assert list(cache.iterdir()) == []
-    assert CheckContext(3).terwilliger.closure.iterations == 140
+    assert CheckContext(3).terwilliger.iterations == 140
 
 
 def test_the_package_keeps_no_basis_cache():

@@ -1,5 +1,6 @@
 """Dual idempotents, the generated algebra, its center and summand profile."""
 
+import json
 from collections import deque
 from math import comb
 
@@ -51,6 +52,7 @@ from doubled_odd import combinatorics as combinatorics_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
 from doubled_odd.checks import _RUNNERS, CheckContext, _family_ids
+from doubled_odd.cli import main
 from doubled_odd.orbits import BlockTag, LabelScheme, OrbitCoordinates
 from doubled_odd.terwilliger import (
     TerwilligerAlgebra,
@@ -228,7 +230,7 @@ def test_t_closes_under_a1_alone_to_the_all_generator_oracle(ctx_for, m):
     # one product per basis row, every row in one sphere, and the RREF of
     # the scheme closed in one block under E*_0..E*_{2m+1} and A_1
     t = ctx_for(m).terwilliger
-    assert t.closure.iterations == t.dimension == (20, 60, 140, 280, 504)[m - 1]
+    assert t.iterations == t.dimension == (20, 60, 140, 280, 504)[m - 1]
     assert all(len({t.scheme.row_of[a] for a in row}) == 1 for row in t.basis.rows)
     oracle = all_generator_closure(t.scheme)
     assert oracle.basis == t.basis
@@ -244,12 +246,23 @@ def _inclusion(ctx, t):
     return actual, status
 
 
+# the equality report's verdicts, in its order
+_EQUALITY_KEYS = ("dims_equal", "orbit_matrices_in_T", "identical_rref")
+
+
 def test_inclusion_and_equality(ctx_for):
     for m in (1, 2, 3):
         ctx = ctx_for(m)
         assert _inclusion(ctx, ctx.terwilliger) == ({"all_rows_in_centralizer": True}, "pass")
-        res = verify_equality(ctx.terwilliger)
-        assert res.dims_equal and res.orbit_matrices_in_t and res.identical_rref
+        assert verify_equality(ctx.terwilliger) == dict.fromkeys(_EQUALITY_KEYS, True)
+
+
+def test_equality_verdicts_are_the_equality_report_keys_in_order(ctx_for, capsys):
+    # the equality runner reports verify_equality's dict as its actual, so
+    # the verdicts are named, and ordered, as the report prints them
+    assert main(["verify", "--m", "1", "--checks", "equality"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert list(verify_equality(ctx_for(1).terwilliger)) == list(report["actual"]) == list(_EQUALITY_KEYS)
 
 
 def _n2_inclusion(t_basis, cent_span):
@@ -258,12 +271,13 @@ def _n2_inclusion(t_basis, cent_span):
 
 
 def _n2_equality(t_basis, cent, cent_span):
-    # the n^2-ambient comparisons: (dims_equal, orbit_matrices_in_T, identical_rref)
-    return (
+    # the n^2-ambient comparisons, name -> verdict as verify_equality names them
+    verdicts = (
         t_basis.dimension == cent_span.dimension,
         all(contains(t_basis, mat) for mat in orbit_matrices(GroundSet(cent.m)).values()),
         t_basis == cent_span,
     )
+    return dict(zip(_EQUALITY_KEYS, verdicts))
 
 
 def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
@@ -275,7 +289,7 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
         assert t_basis == cent_span
         assert _n2_inclusion(t_basis, cent_span) is True
         assert _inclusion(ctx, t) == ({"all_rows_in_centralizer": _n2_inclusion(t_basis, cent_span)}, "pass")
-        assert tuple(verify_equality(t)) == _n2_equality(t_basis, cent, cent_span) == (True,) * 3
+        assert verify_equality(t) == _n2_equality(t_basis, cent, cent_span) == dict.fromkeys(_EQUALITY_KEYS, True)
         # T without one of its rows is a proper subspace of the centralizer
         rows = t.basis.rows
         del rows[len(rows) // 2]
@@ -283,8 +297,8 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
         assert _inclusion(ctx, smaller)[0] == {
             "all_rows_in_centralizer": _n2_inclusion(_lifted(ctx.g, smaller.basis), cent_span)
         }
-        assert tuple(verify_equality(smaller)) == _n2_equality(_lifted(ctx.g, smaller.basis), cent, cent_span)
-        assert tuple(verify_equality(smaller)) == (False,) * 3
+        assert verify_equality(smaller) == _n2_equality(_lifted(ctx.g, smaller.basis), cent, cent_span)
+        assert verify_equality(smaller) == dict.fromkeys(_EQUALITY_KEYS, False)
 
 
 def test_checks_in_orbit_coordinates_reject_a_basis_of_another_ambient(ctx_for):
@@ -293,7 +307,7 @@ def test_checks_in_orbit_coordinates_reject_a_basis_of_another_ambient(ctx_for):
     lifted = TerwilligerAlgebra(cent, lift(cent, t.basis), None)
     assert _inclusion(ctx, lifted) == ({"all_rows_in_centralizer": False, "first_failed_row": 0}, "fail")
     res = verify_equality(lifted)
-    assert not res.orbit_matrices_in_t and not res.identical_rref
+    assert not res["orbit_matrices_in_T"] and not res["identical_rref"]
 
 
 @pytest.mark.parametrize("dim", [19, 25])
@@ -382,7 +396,7 @@ def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
         ambient = algebra_closure(gens, MatrixAction.of(gens))
         # one block: a product per basis row and generator, against A_1's one
         assert ambient.iterations == t.dimension * len(gens)
-        assert t.closure.iterations == t.dimension
+        assert t.iterations == t.dimension
         coords = ctx.centralizer
         assert ambient.basis == lift(coords, t.basis)
         center = centralizer_within(ambient.basis, gens, MatrixAction.on(ambient.basis))
@@ -408,7 +422,7 @@ def test_center_rejects_a_row_joining_two_blocks():
     d = len(index.labels)
     b = next(b for b, zs in enumerate(index.members) if index.sphere_of[zs[0]] != index.row_of[b])
     rows = [{0: 1, b: 1}] + [{a: 1} for a in range(1, d) if a != b]
-    t = TerwilligerAlgebra(scheme=index, basis=SpanBasis.from_reduced_rows(d, rows), closure=None)
+    t = TerwilligerAlgebra(scheme=index, basis=SpanBasis.from_reduced_rows(d, rows), iterations=None)
     with pytest.raises(NotClosedError, match="joins two blocks"):
         center_basis(t)
 
@@ -630,7 +644,7 @@ def test_the_hypercube_terwilliger_algebra_has_its_published_dimensions(dim):
     t = build_terwilliger(_hypercube(dim))
     z = center_basis(t)
     assert (t.dimension, z.dimension) == (comb(dim + 3, 3), dim // 2 + 1)
-    assert t.closure.iterations == t.dimension
+    assert t.iterations == t.dimension
     assert all(len({t.scheme.row_of[a] for a in row}) == 1 for row in t.basis.rows)
     if dim <= 3:
         n = 2 ** dim
