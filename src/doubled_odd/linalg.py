@@ -15,9 +15,11 @@ g O_a and O_a g as combinations of orbit matrices, and the tests pass an
 action that multiplies vectorized n x n matrices, as an oracle.  The closure
 splits each product by the action's row blocks, the spheres for a scheme,
 so T closes under A_1 alone.  SpanBasis is the one exact elimination
-routine: the closure grows a SpanBasis, and centralizer_within inserts its
-commutator equations into one and reads the commutant off
-SpanBasis.null_space.  _add_scaled is the one sparse row update: adding
+routine, and every stored row enters through SpanBasis.inserted_row: the
+closure grows a SpanBasis, and centralizer_within, given any spanning rows,
+inserts its commutator equations into one, reads the commutant off
+SpanBasis.null_space and inserts each combination of the rows into the
+result.  _add_scaled is the one sparse row update: adding
 a multiple of one row to another, in a sum of matrices, an elimination
 step or a combination of null vectors.
 """
@@ -196,35 +198,6 @@ class SpanBasis:
         self.ambient_dim = ambient_dim
         self._rows: dict[int, dict[int, object]] = {}
 
-    @classmethod
-    def from_reduced_rows(cls, ambient_dim: int, rows: Iterable[dict[int, object]]) -> "SpanBasis":
-        """The span of rows that are already in reduced row echelon form.
-
-        Each row's first nonzero coordinate must be 1, every other row must
-        be zero there, and no entry may be stored as an explicit zero;
-        ValueError otherwise.  Checking this costs two passes over the
-        entries, with no elimination: the first finds the pivots, the
-        second asks that each row meet the pivot set at its own pivot only.
-        """
-        basis = cls(ambient_dim)
-        stored = basis._rows
-        for row in rows:
-            if not row:
-                raise ValueError("a reduced row cannot be zero")
-            if not all(row.values()):
-                raise ValueError("a reduced row stores an explicit zero")
-            piv = min(row)
-            if piv < 0 or max(row) >= ambient_dim:
-                raise ValueError(f"row outside ambient dimension {ambient_dim}")
-            if row[piv] != 1 or piv in stored:
-                raise ValueError(f"row with pivot {piv} is not in reduced form")
-            stored[piv] = dict(row)
-        for piv, row in stored.items():
-            met = row.keys() & stored.keys()
-            if len(met) > 1:
-                raise ValueError(f"pivot column {min(met - {piv})} is not cleared in row {piv}")
-        return basis
-
     @property
     def dimension(self) -> int:
         return len(self._rows)
@@ -387,32 +360,27 @@ def algebra_closure(generators: Iterable, action: GeneratorAction) -> ClosureRes
 
 
 def centralizer_within(
-    basis: SpanBasis,
+    rows: Sequence[dict[int, object]],
     generators: Iterable,
     action: GeneratorAction,
 ) -> SpanBasis:
-    """The elements of span(basis) commuting with every generator.
+    """The elements of span(rows) commuting with every generator.
 
-    action says how a generator acts on a stored vector.  An element
-    x = sum_a c_a r_a over the basis rows r_a commutes with g exactly when
-    every ambient coordinate of sum_a c_a (r_a g - g r_a) is zero.  Those
-    equations in the c_a, for every generator g, are inserted into one
-    SpanBasis; its null_space is the solution set, returned as a span in the
-    ambient space of basis.  Nothing is asked of the span: that the solution
-    is a centre is the caller's argument (terwilliger.center_basis).
+    rows may be any spanning set of vectors of the action's ambient space
+    Q^D, neither reduced nor independent.  An element x = sum_a c_a r_a
+    commutes with g exactly when every ambient coordinate of
+    sum_a c_a (r_a g - g r_a) is zero.  Those equations in the c_a, for
+    every generator g, are inserted into one SpanBasis, and each vector of
+    its null_space gives a combination of the rows that is inserted into
+    the result, a SpanBasis of Q^D: a combination that is zero, from rows
+    that are dependent, adds nothing.  Nothing is asked of the span: that
+    the solution is a centre is the caller's argument
+    (terwilliger.center_basis).
     """
-    gens = list(generators)
-    ambient = basis.ambient_dim
-    if action.ambient_dim != ambient:
-        raise ShapeMismatchError(
-            f"action on dimension {action.ambient_dim} against ambient {ambient}"
-        )
-    rows = basis.rows
-
-    # one linear equation in the basis coordinates per (generator, ambient
+    # one linear equation in the row coefficients per (generator, ambient
     # coordinate) pair; the commutant coefficients are the null space
-    system = SpanBasis(basis.dimension)
-    for gm in gens:
+    system = SpanBasis(len(rows))
+    for gm in generators:
         equations: dict[int, dict[int, object]] = {}
         for a, row in enumerate(rows):
             xg = action.right(gm, row)
@@ -424,11 +392,10 @@ def centralizer_within(
         for e in sorted(equations):
             system.insert(equations[e])
 
-    result = SpanBasis(ambient)
+    result = SpanBasis(action.ambient_dim)
     for nv in system.null_space():
         combo: dict[int, object] = {}
         for a, coef in nv.items():
             _add_scaled(combo, coef, rows[a])
         result.insert(combo)
     return result
-

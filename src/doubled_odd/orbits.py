@@ -589,7 +589,16 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
     g = GroundSet(m)
     base, verts = g.base_vertex, _vertices(m)
     x0 = _vertex_index(m)[base]
-    maps = _vertex_maps(m, stabilizer_generators(g))
+    # the vertex map of each distinct permutation is built once per call:
+    # the row generators of the spheres repeat
+    known: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def vertex_maps(perms) -> list[tuple[int, ...]]:
+        new = [p for p in dict.fromkeys(perms) if p not in known]
+        known.update(zip(new, _vertex_maps(m, new)))
+        return [known[p] for p in perms]
+
+    maps = vertex_maps(stabilizer_generators(g))
     _check_permutations(maps, {"x0": x0}, "stabilizer generator {}")
 
     def sphere_name(s: int) -> str:
@@ -603,7 +612,7 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
             [k for k in range(g.n_points) if mask >> k & 1]
             for mask in (base & y, base & ~y, y & ~base, g.full_mask & ~(base | y))
         ]
-        maps = _vertex_maps(m, _young_generators(g.n_points, atoms))
+        maps = vertex_maps(_young_generators(g.n_points, atoms))
         _check_permutations(maps, {"x0": x0, "y_s": sphere[0]}, f"row generator {{}} of sphere {s}")
         _check_classes(_union_find(n, maps), row, lambda a: f"orbit {index.labels[a].text()}")
 

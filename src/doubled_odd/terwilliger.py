@@ -207,11 +207,14 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
     E*_i T E*_j, and an element of T commutes with every E*_i exactly when
     it lies in the diagonal blocks.  Since T is generated by A_1 and the
     E*_i, Z(T) is the part of those blocks that commutes with A_1.  Orbit a
-    lies in the block of the spheres its pairs start and end in.  The blocks have disjoint coordinates, and the union of RREFs on
-    disjoint coordinates is an RREF, so every row of T's RREF lies in one
-    block; a row that joins two raises NotClosedError, since this accepts
-    any span a caller builds, not only a closure.  A basis in an ambient
-    other than Q^d of the scheme raises ShapeMismatchError.
+    lies in the block of the spheres its pairs start and end in.  The
+    blocks have disjoint coordinates, and the union of RREFs on disjoint
+    coordinates is an RREF, so every row of T's RREF lies in one block, and
+    the rows in diagonal blocks span their sum; those rows go to
+    centralizer_within as they are.  A row that joins two blocks raises
+    NotClosedError, since this accepts any span a caller builds, not only a
+    closure.  A basis in an ambient other than Q^d of the scheme raises
+    ShapeMismatchError.
     """
     scheme = t.scheme
     if t.basis.ambient_dim != scheme.ambient_dim:
@@ -224,8 +227,7 @@ def center_basis(t: TerwilligerAlgebra) -> SpanBasis:
             raise NotClosedError("a row of the span joins two blocks E*_i T E*_j")
         if i == j:
             diagonal.append(row)
-    within = SpanBasis.from_reduced_rows(t.basis.ambient_dim, diagonal)
-    return centralizer_within(within, [scheme.adjacency], action=scheme)
+    return centralizer_within(diagonal, [scheme.adjacency], action=scheme)
 
 
 def upsilon(m: int) -> frozenset[tuple[int, int]]:

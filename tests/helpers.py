@@ -13,8 +13,9 @@ generator lists of T, the first-pair product index of the structure
 constants with the products, intersection numbers and subalgebra test read
 off it, Higman's identity on it and its counts by orbit, the Odd graph's
 adjacency by a disjointness scan, vertex maps moved a point at a time,
-the coefficients of a vector over a span's rows, the null space by one
-scan of the rows per free column, the reader of the
+the span of rows by insertion, the test that rows are in reduced row
+echelon form, the coefficients of a vector over a span's rows, the null
+space by one scan of the rows per free column, the reader of the
 export's coordinate text files, a doctored orbit index for its
 certificates, the reports without elapsed_ms, and the per-m contexts the
 tests share, which hold the tests' one memo of the orbit index."""
@@ -493,6 +494,30 @@ def span(matrices: Iterable[SparseExactMatrix]) -> SpanBasis:
             )
         basis.insert(vectorize(m))
     return basis
+
+
+def span_of_rows(ambient_dim: int, rows: Iterable[dict[int, object]]) -> SpanBasis:
+    """RREF basis of the span of sparse rows of Q^ambient_dim, each
+    inserted in turn."""
+    basis = SpanBasis(ambient_dim)
+    for row in rows:
+        basis.insert(row)
+    return basis
+
+
+def in_reduced_form(rows: Iterable[dict[int, object]]) -> bool:
+    """Whether sparse rows, in any order, are the rows of a reduced row
+    echelon form: each row is nonzero with 1 at its first coordinate, its
+    pivot, the pivots are distinct, no row is nonzero at another row's
+    pivot, and no entry is an explicit zero."""
+    rows = list(rows)
+    if not all(rows) or not all(all(row.values()) for row in rows):
+        return False
+    pivots = [min(row) for row in rows]
+    met = set(pivots)
+    return len(met) == len(rows) and all(
+        row[p] == 1 and row.keys() & met == {p} for row, p in zip(rows, pivots)
+    )
 
 
 def contains(basis: SpanBasis, m: SparseExactMatrix) -> bool:

@@ -9,10 +9,12 @@ from helpers import (
     contains,
     coordinates,
     dual_idempotents,
+    in_reduced_form,
     matrix_from_vector,
     null_space_per_column,
     read_coord_text,
     span,
+    span_of_rows,
     vectorize,
 )
 
@@ -146,7 +148,7 @@ def test_span_basis_rref_is_independent_of_insertion_order(seed):
         for vec in order:
             again.insert(vec)
         assert again == first
-    assert SpanBasis.from_reduced_rows(ambient, first.rows) == first
+    assert in_reduced_form(first.rows)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -221,37 +223,35 @@ def test_null_space_of_the_centre_equations_matches_the_per_column_oracle(ctx_fo
     assert _items(kernel) == _items(null_space_per_column(system))
 
 
-def test_from_reduced_rows_rejects_rows_not_in_reduced_form():
+def test_the_reduced_form_test_rejects_rows_not_in_reduced_form():
     # a pivot left in another row: the first row, the last row (after the
     # pivot's own row), and a middle row before the pivot's own row
     for rows in (
         [{0: 1, 1: 2}, {1: 1}],
         [{1: 1}, {2: 1}, {0: 1, 1: 3}],
         [{0: 1}, {1: 1, 3: 2}, {2: 1}, {3: 1}],
+        [{0: 2}],  # pivot entry not 1
+        [{0: 1}, {0: 1, 2: 1}],  # repeated pivot
+        [{0: 1, 2: 0}],  # an explicit zero
+        [{0: 1}, {}],  # a zero row
     ):
-        with pytest.raises(ValueError, match="is not cleared in row"):
-            SpanBasis.from_reduced_rows(4, rows)
-    with pytest.raises(ValueError):
-        SpanBasis.from_reduced_rows(3, [{0: 2}])  # pivot entry not 1
-    with pytest.raises(ValueError):
-        SpanBasis.from_reduced_rows(3, [{0: 1}, {0: 1, 2: 1}])  # repeated pivot
-    with pytest.raises(ValueError):
-        SpanBasis.from_reduced_rows(3, [{3: 1}])  # outside the ambient space
-    with pytest.raises(ValueError):
-        SpanBasis.from_reduced_rows(3, [{0: 1, 2: 0}])  # an explicit zero
+        assert not in_reduced_form(rows)
+    assert in_reduced_form([{1: 1, 2: Fraction(-1, 2)}, {0: 1, 2: 3}])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_from_reduced_rows_rebuilds_t_and_the_identity(ctx_for, m):
+    # T's rows and the unit rows are in reduced form, and inserting them
+    # again, the unit rows in either order, rebuilds each span
     t = ctx_for(m).terwilliger.basis
     d = t.ambient_dim
-    assert SpanBasis.from_reduced_rows(d, t.rows) == t
-    identity = SpanBasis(d)
-    for a in range(d):
-        identity.insert({a: 1})
+    assert in_reduced_form(t.rows)
+    assert span_of_rows(d, t.rows) == t
     units = [{a: 1} for a in range(d)]
-    assert SpanBasis.from_reduced_rows(d, units) == identity
-    assert SpanBasis.from_reduced_rows(d, reversed(units)) == identity
+    assert in_reduced_form(units) and in_reduced_form(reversed(units))
+    identity = span_of_rows(d, units)
+    assert identity.rows == units
+    assert span_of_rows(d, reversed(units)) == identity
 
 
 def test_span_of_matrices_is_idempotent():
@@ -318,7 +318,7 @@ def test_a_two_block_closure_matches_one_block_with_the_block_projections():
 def test_centralizer_of_full_matrix_algebra_is_scalars():
     gens = [_unit(2, 0, 1), _unit(2, 1, 0)]
     full = algebra_closure(gens, MatrixAction.of(gens)).basis
-    center = centralizer_within(full, gens, MatrixAction.on(full))
+    center = centralizer_within(full.rows, gens, MatrixAction.on(full))
     assert center.dimension == 1
     assert center.contains_vector(vectorize(SparseExactMatrix.identity(2)))
 
@@ -326,7 +326,7 @@ def test_centralizer_of_full_matrix_algebra_is_scalars():
 def test_centralizer_of_diagonal_algebra_is_itself():
     gens = [_unit(2, 0, 0), _unit(2, 1, 1)]
     diag = span(gens)
-    center = centralizer_within(diag, gens, MatrixAction.on(diag))
+    center = centralizer_within(diag.rows, gens, MatrixAction.on(diag))
     assert center.dimension == 2
 
 

@@ -35,6 +35,7 @@ from helpers import (
     product_subalgebra,
     rho,
     span,
+    span_of_rows,
     vectorize,
     vertex_maps_by_points,
 )
@@ -50,7 +51,6 @@ from doubled_odd.combinatorics import (
 )
 from doubled_odd.linalg import (
     NotClosedError,
-    SpanBasis,
     SparseExactMatrix,
 )
 from doubled_odd.orbits import (
@@ -313,7 +313,7 @@ def test_centralizer_in_orbit_coordinates_lifts_to_the_n2_span(m):
     d = cent.ambient_dim
     cent_span = span(orbit_matrices(g).values())
     assert cent_span.dimension == d == 4 * comb(m + 4, 4)
-    identity = SpanBasis.from_reduced_rows(d, ({a: 1} for a in range(d)))
+    identity = span_of_rows(d, ({a: 1} for a in range(d)))
     assert lift(cent, identity) == cent_span
 
 
@@ -609,6 +609,31 @@ def test_representative_structure_constants_match_the_exhaustive_pass(m):
 def test_the_stabilizer_orbit_certificate_accepts_the_true_orbits(m):
     # it needs only the orbit index, which m = 6, outside SUPPORTED_M, has too
     orbits_module._certify_stabilizer_orbits(orbit_index(m))
+
+
+def test_the_stabilizer_orbit_certificate_builds_each_vertex_map_once(monkeypatch):
+    # at m = 3 the stabilizer and the spheres' row generators number 32, of
+    # which 9 are distinct, and each distinct one is moved to a vertex map
+    # once in a call
+    generated, moved = [], []
+    young, vertex_maps = orbits_module._young_generators, orbits_module._vertex_maps
+
+    def recorded_young(n, parts):
+        gens = young(n, parts)
+        generated.extend(gens)
+        return gens
+
+    def recorded_maps(m, perms):
+        moved.extend(perms)
+        return vertex_maps(m, perms)
+
+    index = orbit_index(3)
+    monkeypatch.setattr(orbits_module, "_young_generators", recorded_young)
+    monkeypatch.setattr(orbits_module, "_vertex_maps", recorded_maps)
+    orbits_module._certify_stabilizer_orbits(index)
+    assert len(generated) == 32
+    assert len(moved) == len(set(moved)) == 9
+    assert set(moved) == set(generated)
 
 
 def test_the_stabilizer_orbit_certificate_rejects_a_row_generator_that_moves_y_s(monkeypatch):

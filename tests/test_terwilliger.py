@@ -1,6 +1,7 @@
 """Dual idempotents, the generated algebra, its center and summand profile."""
 
 import json
+import random
 from collections import deque
 from math import comb
 
@@ -18,6 +19,7 @@ from helpers import (
     dual_idempotent,
     dual_idempotent_tables,
     dual_idempotents,
+    in_reduced_form,
     lift,
     matrix_from_vector,
     merged_orbit_coordinates,
@@ -30,6 +32,7 @@ from helpers import (
     sandwich_products,
     sandwiches,
     span,
+    span_of_rows,
     terwilliger_generators,
     vectorize,
 )
@@ -293,7 +296,7 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
         # T without one of its rows is a proper subspace of the centralizer
         rows = t.basis.rows
         del rows[len(rows) // 2]
-        smaller = TerwilligerAlgebra(cent, SpanBasis.from_reduced_rows(t.basis.ambient_dim, rows), None)
+        smaller = TerwilligerAlgebra(cent, span_of_rows(t.basis.ambient_dim, rows), None)
         assert _inclusion(ctx, smaller)[0] == {
             "all_rows_in_centralizer": _n2_inclusion(_lifted(ctx.g, smaller.basis), cent_span)
         }
@@ -315,7 +318,7 @@ def test_center_basis_rejects_a_basis_of_another_ambient(ctx_for, dim):
     # the scheme at m = 1 has d = 20: a T basis with fewer coordinates, or
     # with more, which no block lookup can place, is refused before the solve
     scheme = ctx_for(1).centralizer
-    basis = SpanBasis.from_reduced_rows(dim, [{a: 1} for a in range(dim)])
+    basis = span_of_rows(dim, ({a: 1} for a in range(dim)))
     with pytest.raises(ShapeMismatchError, match=f"basis in dimension {dim} against scheme dimension 20"):
         center_basis(TerwilligerAlgebra(scheme, basis, None))
 
@@ -399,7 +402,7 @@ def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
         assert t.iterations == t.dimension
         coords = ctx.centralizer
         assert ambient.basis == lift(coords, t.basis)
-        center = centralizer_within(ambient.basis, gens, MatrixAction.on(ambient.basis))
+        center = centralizer_within(ambient.basis.rows, gens, MatrixAction.on(ambient.basis))
         assert center == lift(coords, ctx.center)
 
 
@@ -409,9 +412,26 @@ def test_center_matches_the_all_generator_oracle(ctx_for, m):
     # gives the RREF of the solve on the diagonal blocks against A_1
     t = ctx_for(m).terwilliger
     index = orbit_index(m)
-    oracle = centralizer_within(t.basis, [*dual_idempotent_tables(index), index.adjacency], index)
+    oracle = centralizer_within(t.basis.rows, [*dual_idempotent_tables(index), index.adjacency], index)
     assert oracle.dimension == upsilon_size_formula(m)
     assert center_basis(t) == oracle
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_centralizer_within_takes_any_spanning_rows(ctx_for, m):
+    # T's diagonal-block rows with one of them repeated and the sum of two
+    # added, in shuffled order: rows neither reduced nor independent that
+    # span the same blocks give the centre center_basis solves
+    t = ctx_for(m).terwilliger
+    scheme = t.scheme
+    diagonal = [row for row in t.basis.rows if all(scheme.row_of[a] == scheme.end_of[a] for a in row)]
+    rng = random.Random(m)
+    first, second = rng.sample(diagonal, 2)
+    summed = {c: v for c in first.keys() | second.keys() if (v := first.get(c, 0) + second.get(c, 0))}
+    rows = [*diagonal, dict(rng.choice(diagonal)), summed]
+    rng.shuffle(rows)
+    assert not in_reduced_form(rows)
+    assert centralizer_within(rows, [scheme.adjacency], scheme) == center_basis(t)
 
 
 def test_center_rejects_a_row_joining_two_blocks():
@@ -422,7 +442,8 @@ def test_center_rejects_a_row_joining_two_blocks():
     d = len(index.labels)
     b = next(b for b, zs in enumerate(index.members) if index.sphere_of[zs[0]] != index.row_of[b])
     rows = [{0: 1, b: 1}] + [{a: 1} for a in range(1, d) if a != b]
-    t = TerwilligerAlgebra(scheme=index, basis=SpanBasis.from_reduced_rows(d, rows), iterations=None)
+    t = TerwilligerAlgebra(scheme=index, basis=span_of_rows(d, rows), iterations=None)
+    assert t.basis.rows[0] == rows[0]
     with pytest.raises(NotClosedError, match="joins two blocks"):
         center_basis(t)
 
@@ -544,7 +565,7 @@ def test_subalgebra_spans_lift_to_the_n2_family_spans(ctx_for):
         mats = orbit_matrices(ctx_for(m).g)
         for name, blocks in families.items():
             oracle = span(mat for lab, mat in mats.items() if lab.block in blocks)
-            units = SpanBasis.from_reduced_rows(cent.ambient_dim, ({a: 1} for a in sorted(ids[name])))
+            units = span_of_rows(cent.ambient_dim, ({a: 1} for a in sorted(ids[name])))
             assert lift(cent, units) == oracle
             assert len(ids[name]) == oracle.dimension
         for a, b in (("I", "II+III"), ("I", "IV"), ("II+III", "IV")):
@@ -609,7 +630,7 @@ def test_center_of_diagonal_subalgebra_is_everything():
         idems = dual_idempotents(g)
         diag = span(idems)
         assert diag.dimension == 2 * m + 2
-        assert centralizer_within(diag, idems, MatrixAction.on(diag)).dimension == 2 * m + 2
+        assert centralizer_within(diag.rows, idems, MatrixAction.on(diag)).dimension == 2 * m + 2
 
 
 def _hypercube(dim: int) -> LabelScheme:
@@ -651,5 +672,5 @@ def test_the_hypercube_terwilliger_algebra_has_its_published_dimensions(dim):
         estars = [SparseExactMatrix.from_entries(n, n, ((y, y, 1) for y in range(n) if y.bit_count() == i)) for i in range(dim + 1)]
         gens = [*estars, SparseExactMatrix.from_entries(n, n, ((y, y ^ 1 << k, 1) for y in range(n) for k in range(dim)))]
         ambient = algebra_closure(gens, MatrixAction.of(gens)).basis
-        centre = centralizer_within(ambient, gens, MatrixAction.on(ambient))
+        centre = centralizer_within(ambient.rows, gens, MatrixAction.on(ambient))
         assert (ambient.dimension, centre.dimension) == (t.dimension, z.dimension)
