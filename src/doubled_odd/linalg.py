@@ -36,7 +36,9 @@ class ShapeMismatchError(ValueError):
 
 
 class NotClosedError(RuntimeError):
-    """A span that was assumed multiplicatively closed is not."""
+    """A certificate failed: a fact the package rests on, such as a span's
+    closure under multiplication or the closed-form labels' partition of
+    the vertex pairs, does not hold."""
 
 
 def _norm(v):

@@ -84,9 +84,6 @@ BLOCK_FAMILIES: dict[str, tuple[BlockTag, ...]] = {
     "IV": (BlockTag.IV,),
 }
 
-class IndependenceError(RuntimeError):
-    """The orbit indicator matrices failed to be linearly independent."""
-
 
 def _sides(label: OrbitLabel) -> tuple[bool, bool]:
     """Whether |y| = m + 1 and whether |z| = m + 1 for the pairs (y, z) of
@@ -250,21 +247,24 @@ def _neighbour_labels(m: int, label: OrbitLabel) -> list[tuple[OrbitLabel, int]]
     return [(OrbitLabel(block, (i + step * x, j, t + step * z, p + step * x * z)), k) for (x, z), k in atoms.items() if k]
 
 
-def _check_labels_met(m: int, keys) -> None:
+def _check_labels_met(m: int, keys) -> dict[int, int]:
     """The certificate that the label keys met are the closed-form labels'
-    keys.  The least key of no closed-form label raises NotClosedError (the
-    closed-form orbits would not partition the pairs), and the first
-    closed-form label whose key is not met raises IndependenceError."""
-    met, closed = set(keys), {_label_key(m, lab): lab for lab in _orbit_labels(m)}
-    stray = min(met.difference(closed), default=None)
+    keys, which returns the map of each closed-form label's key (_label_key)
+    to its orbit, orbit a the a-th label.  NotClosedError names the least key
+    of no closed-form label (the closed-form orbits would not partition the
+    pairs), or else the first closed-form label whose key is not met (its
+    orbit matrix would be 0)."""
+    met, orbit_of = set(keys), {_label_key(m, lab): a for a, lab in enumerate(_orbit_labels(m))}
+    stray = min(met.difference(orbit_of), default=None)
     if stray is not None:
         raise NotClosedError(
             f"a vertex pair has label {_key_label(m, stray).text()}, which is not closed-form: "
             f"the closed-form orbits do not partition the vertex pairs"
         )
-    for key, lab in closed.items():
+    for key in orbit_of:
         if key not in met:
-            raise IndependenceError(f"closed-form label {lab.text()} has an empty orbit")
+            raise NotClosedError(f"closed-form label {_key_label(m, key).text()} has an empty orbit")
+    return orbit_of
 
 
 class PushTable(NamedTuple):
@@ -357,9 +357,10 @@ def _closed_forms(m: int) -> tuple:
 class OrbitCoordinates(LabelScheme):
     """The doubled Odd graph's label scheme at m with its vertex side: the
     orbit index of the vertex pairs.  orbit_of maps each label's key
-    (_label_key) to its orbit.  spheres[i] lists the vertices of sphere i,
-    those at distance i from x0, ascending, and sphere_of[y] is the sphere
-    of vertex y.  rows[i][z] is the orbit of (spheres[i][0], z), read off
+    (_label_key) to its orbit, as the label certificate (_check_labels_met)
+    returns it.  spheres[i] lists the vertices of sphere i, those at
+    distance i from x0, ascending, and sphere_of[y] is the sphere of vertex
+    y.  rows[i][z] is the orbit of (spheres[i][0], z), read off
     label keys, as is the orbit of every pair (orbits).  Orbit a has
     sizes[a] pairs and first pair (spheres[row_of[a]][0], members[a][0]),
     where members[a] lists ascending the z with (spheres[row_of[a]][0], z)
@@ -374,11 +375,10 @@ class OrbitCoordinates(LabelScheme):
         group's (_certify_stabilizer_orbits)."""
         super().__init__(*_closed_forms(m))
         self.m, self.n = m, len(_vertices(m))
-        self.orbit_of = {_label_key(m, lab): a for a, lab in enumerate(self.labels)}
         self.spheres = _spheres(m)
         self.sphere_of = array("H", [0]) * self.n
         keys = _sphere_row_keys(m)
-        _check_labels_met(m, chain.from_iterable(keys))
+        self.orbit_of = _check_labels_met(m, chain.from_iterable(keys))
         self.rows = tuple(array("H", map(self.orbit_of.__getitem__, row)) for row in keys)
         members: list[list[int]] = [[] for _ in self.labels]
         sizes = [0] * self.ambient_dim
@@ -648,9 +648,10 @@ def build_centralizer(g: GroundSet) -> OrbitCoordinates:
     """The centralizer algebra, Q^d on a new orbit index, with one basis
     element per orbit matrix in orbit order, certified by the index's
     construction: every pair lies in exactly one orbit, the labels met are
-    the closed-form labels (else NotClosedError or IndependenceError), and
-    nonzero matrices with disjoint supports are independent.  No orbit
-    matrix is built.  Its one caller, CheckContext, holds it for a run."""
+    the closed-form labels, so every orbit matrix is nonzero (else
+    NotClosedError), and nonzero matrices with disjoint supports are
+    independent.  No orbit matrix is built.  Its one caller, CheckContext,
+    holds it for a run."""
     return OrbitCoordinates(g.m)
 
 

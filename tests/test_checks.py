@@ -181,10 +181,10 @@ def test_report_schema_and_statuses():
 
 def test_index_sets_fails_when_the_pair_pass_misses_a_closed_form_label(monkeypatch, fresh_memos):
     # the check compares the closed-form labels with the labels met on the
-    # 2m+2 sphere rows; drop one closed-form label and they differ
+    # 2m+2 sphere rows; drop one closed-form label and they differ.  The
+    # closed forms are read in orbits alone, so one patch reaches the check
     labels = orbits_module._orbit_labels(1)
-    for module in (orbits_module, checks_module):
-        monkeypatch.setattr(module, "_orbit_labels", lambda _m: labels[:-1])
+    monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: labels[:-1])
     (report,) = run(RunConfig(m=1, checks=("index-sets",)))
     assert report.actual == {"cardinalities": [5] * 4, "matches_enumeration": False}
     assert report.status == "fail"
@@ -213,18 +213,74 @@ def test_index_sets_passes_on_a_stabilizer_generator_fault_without_an_orbit_inde
     assert report.status == "pass" and built == []
 
 
+def _recode_label_key(monkeypatch, old: tuple, new: tuple) -> None:
+    # orbits._label_keys, patched to give the pairs labelled I:old at m = 1
+    # the key of I:new
+    real, recoded = (orbits_module._label_key(1, OrbitLabel(BlockTag.I, tup)) for tup in (old, new))
+    label_keys = orbits_module._label_keys
+    monkeypatch.setattr(
+        orbits_module, "_label_keys", lambda m, yi, zs: [recoded if k == real else k for k in label_keys(m, yi, zs)]
+    )
+
+
 def test_index_sets_fails_on_a_label_key_outside_the_closed_form(monkeypatch, fresh_memos):
     # the pair (x0, x0) keyed as I:1,1,1,0, which no pair carries at m = 1:
     # the labels met lack I:1,1,1,1 and hold a label outside the closed form
-    real, bogus = (orbits_module._label_key(1, OrbitLabel(BlockTag.I, tup)) for tup in ((1, 1, 1, 1), (1, 1, 1, 0)))
-    label_keys = orbits_module._label_keys
-    monkeypatch.setattr(
-        orbits_module, "_label_keys", lambda m, yi, zs: [bogus if k == real else k for k in label_keys(m, yi, zs)]
-    )
+    _recode_label_key(monkeypatch, (1, 1, 1, 1), (1, 1, 1, 0))
     built = _trace_index_builds(monkeypatch)
     (report,) = run(RunConfig(m=1, checks=("index-sets",)))
     assert report.actual == {"cardinalities": [5] * 4, "matches_enumeration": False}
     assert report.status == "fail" and built == []
+
+
+@pytest.mark.parametrize(
+    "new, message",
+    [
+        # a stray key: I:1,1,1,0 is no closed-form label at m = 1
+        (
+            (1, 1, 1, 0),
+            "a vertex pair has label I:1,1,1,0, which is not closed-form: "
+            "the closed-form orbits do not partition the vertex pairs",
+        ),
+        # a dropped label: the pair (x0, x0) keyed as a closed-form label of
+        # its row, so that no pair carries I:1,1,1,1
+        ((1, 0, 0, 0), "closed-form label I:1,1,1,1 has an empty orbit"),
+    ],
+    ids=["stray-key", "dropped-label"],
+)
+def test_the_orbit_index_and_index_sets_read_one_label_certificate(monkeypatch, fresh_memos, new, message):
+    # the index and index-sets both decide "keys met = closed form" by
+    # orbits._check_labels_met, so one fault patched in orbits alone stops
+    # the index with the certificate's message and fails the check, which
+    # builds no index
+    _recode_label_key(monkeypatch, (1, 1, 1, 1), new)
+    built = _trace_index_builds(monkeypatch)
+    with pytest.raises(NotClosedError, match=f"^{re.escape(message)}$"):
+        OrbitCoordinates(1)
+    built.clear()
+    (report,) = run(RunConfig(m=1, checks=("index-sets",)))
+    assert report.actual == {"cardinalities": [5] * 4, "matches_enumeration": False}
+    assert report.status == "fail" and built == []
+
+
+def test_holds_hides_only_certificate_faults():
+    # a certificate that passes holds and one that raises NotClosedError does
+    # not; any other exception is a bug, not a failed check, and is raised
+    def fault():
+        raise NotClosedError("fault")
+
+    def broken(key):
+        return {}[key]
+
+    assert checks_module._holds(lambda *args: None, 1, 2) is True
+    assert checks_module._holds(fault) is False
+    with pytest.raises(KeyError):
+        checks_module._holds(broken, "label")
+    # the label certificate itself: the keys of the sphere rows pass, and
+    # no key at all leaves every closed-form label's orbit empty
+    rows = orbits_module._sphere_row_keys(1)
+    assert checks_module._holds(orbits_module._check_labels_met, 1, [k for row in rows for k in row]) is True
+    assert checks_module._holds(orbits_module._check_labels_met, 1, []) is False
 
 
 def test_small_m_findings_record_expected_values():

@@ -56,7 +56,6 @@ from doubled_odd.linalg import (
 from doubled_odd.orbits import (
     BLOCK_FAMILIES,
     BlockTag,
-    IndependenceError,
     OrbitCoordinates,
     OrbitLabel,
     build_centralizer,
@@ -345,7 +344,7 @@ def test_a_closed_form_label_without_a_pair_is_rejected(monkeypatch, fresh_memos
     # is no orbit at m = 1 (x0 = {1} lies in y and z, so |x0 n y n z| = 1)
     labels = orbits_module._orbit_labels(1) + (OrbitLabel(BlockTag.I, (1, 1, 1, 0)),)
     monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: labels)
-    with pytest.raises(IndependenceError, match="I:1,1,1,0 has an empty orbit"):
+    with pytest.raises(NotClosedError, match="I:1,1,1,0 has an empty orbit"):
         build_centralizer(GroundSet(1))
 
 

@@ -144,24 +144,33 @@ def _lines_naming(tree: ast.Module, name: str) -> list[int]:
     })
 
 
+# the closed-form labels, the label keys and the decoding of a key
+_LABEL_HELPERS = ("_orbit_labels", "_label_keys", "_key_label")
+
+
 @pytest.mark.parametrize("path", [p for p in _PACKAGE if p.name != "orbits.py"], ids=lambda p: p.name)
 def test_only_orbits_names_the_label_keys(path):
     # the orbit index is read through one lookup, OrbitCoordinates.orbits,
-    # so a patch of orbits._label_keys reaches every reader of label keys;
-    # a module holding its own binding would not see it
-    assert _lines_naming(ast.parse(path.read_text()), "_label_keys") == []
+    # and the closed-form labels are compared with the keys met by one
+    # certificate, orbits._check_labels_met, so a patch of these helpers in
+    # orbits reaches every reader; a module holding its own binding would
+    # not see it
+    tree = ast.parse(path.read_text())
+    assert {name: _lines_naming(tree, name) for name in _LABEL_HELPERS} == dict.fromkeys(_LABEL_HELPERS, [])
 
 
 def test_the_label_keys_lint_finds_every_form():
-    tree = ast.parse(
-        "from .orbits import _label_keys\n"
-        "from .orbits import _label_keys as keys\n"
-        "orbits._label_keys(m, y, zs)\n"
-        "_label_keys(m, y, zs)\n"
-        "_label_key(m, lab)\n"
-        "index.orbits(y, zs)\n"
-    )
-    assert _lines_naming(tree, "_label_keys") == [1, 2, 3, 4]
+    for name in _LABEL_HELPERS:
+        tree = ast.parse(
+            f"from .orbits import {name}\n"
+            f"from .orbits import {name} as helper\n"
+            f"orbits.{name}(m)\n"
+            f"{name}(m)\n"
+            "_label_key(m, lab)\n"
+            "index.orbits(y, zs)\n"
+            "_check_labels_met(m, keys)\n"
+        )
+        assert _lines_naming(tree, name) == [1, 2, 3, 4]
 
 
 def _calls_of(tree: ast.Module, name: str) -> list[tuple[str, int]]:
