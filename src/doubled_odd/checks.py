@@ -37,8 +37,6 @@ from typing import Callable, NamedTuple
 
 from .combinatorics import (
     DistanceRegularityError,
-    GroundSet,
-    _Frozen,
     elements_of,
     enumerate_vertices,
     intersection_numbers,
@@ -86,7 +84,7 @@ class ConfigError(ValueError):
 SUPPORTED_M = range(1, 6)
 
 
-class RunConfig(_Frozen):
+class RunConfig:
     """Configuration of one verification run.
 
     checks=None means every check applicable at m; an explicit check that is
@@ -102,7 +100,9 @@ class RunConfig(_Frozen):
     orbit index, single rows of pairs, or the m+1 neighbours of one pair
     per orbit.
 
-    A _Frozen value: immutable, equal and hashed over its three fields.
+    An immutable value: equal only to a RunConfig with equal fields,
+    hashed like the tuple of its fields and shown as
+    RunConfig(m=..., checks=..., export_dir=...).
     """
 
     __slots__ = ("m", "checks", "export_dir")
@@ -137,6 +137,24 @@ class RunConfig(_Frozen):
         for name, value in zip(self.__slots__, (m, checks, export_dir)):
             object.__setattr__(self, name, value)
 
+    def _values(self) -> tuple:
+        return self.m, self.checks, self.export_dir
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"RunConfig(m={self.m!r}, checks={self.checks!r}, export_dir={self.export_dir!r})"
+
 
 class VerificationReport(NamedTuple):
     check: str
@@ -167,15 +185,15 @@ def render_reports(reports: list[VerificationReport]) -> str:
 
 
 class CheckContext:
-    """Lazily builds and memoizes the objects one run's checks share: the
-    orbit index (centralizer), passed to every reader, T and Z(T)."""
+    """Lazily builds and memoizes the objects one run's checks share at its
+    m: the orbit index (centralizer), passed to every reader, T and Z(T)."""
 
     def __init__(self, m: int):
-        self.g = GroundSet(m)
+        self.m = m
 
     @cached_property
     def centralizer(self):
-        return build_centralizer(self.g)
+        return build_centralizer(self.m)
 
     @cached_property
     def terwilliger(self) -> TerwilligerAlgebra:
@@ -230,16 +248,14 @@ def _paper_dim(m: int) -> int:
 
 @_runner("vertex-count")
 def _check_vertex_count(ctx: CheckContext):
-    g = ctx.g
-    expected = {"count": vertex_count(g)}
-    actual = {"count": len(enumerate_vertices(g))}
+    expected = {"count": vertex_count(ctx.m)}
+    actual = {"count": len(enumerate_vertices(ctx.m))}
     return expected, "paper-formula", actual, _verdict(expected == actual)
 
 
 @_runner("distance-regular")
 def _check_distance_regular(ctx: CheckContext):
-    g = ctx.g
-    expected = {"consistent": True, "valency": g.m + 1}
+    expected = {"consistent": True, "valency": ctx.m + 1}
     try:
         table = intersection_numbers(ctx.centralizer)
         actual = {"consistent": True, "valency": table.valency}
@@ -258,7 +274,7 @@ def _check_distance_regular(ctx: CheckContext):
 
 @_runner("index-sets")
 def _check_index_sets(ctx: CheckContext):
-    m = ctx.g.m
+    m = ctx.m
     card = _paper_dim(m) // 4
     blocks = (BlockTag.I, BlockTag.II, BlockTag.III, BlockTag.IV)
     cards = [len(index_set(b, m)) for b in blocks]
@@ -272,7 +288,7 @@ def _check_index_sets(ctx: CheckContext):
 
 @_runner("bijections")
 def _check_bijections(ctx: CheckContext):
-    m = ctx.g.m
+    m = ctx.m
     target = index_set(BlockTag.I, m)
     good = []
     for block in (BlockTag.II, BlockTag.III, BlockTag.IV):
@@ -288,30 +304,29 @@ def _check_bijections(ctx: CheckContext):
 # capped because its union-find runs over all n^2 vertex pairs
 @_runner("orbits-oracle", max_m=4)
 def _check_orbits_oracle(ctx: CheckContext):
-    g = ctx.g
     # the union-find of the stabilizer generators on all n^2 vertex pairs
     # against the pairs' label keys, with no orbit index: a route to the
     # orbits independent of the certificate the index runs as it is built
-    roots = orbits_by_group_action(g)
-    matches = _holds(_check_group_orbits, g.m, roots)
+    roots = orbits_by_group_action(ctx.m)
+    matches = _holds(_check_group_orbits, ctx.m, roots)
     count = len(set(roots))
-    expected = {"orbit_count": _paper_dim(g.m), "partitions_match": True}
+    expected = {"orbit_count": _paper_dim(ctx.m), "partitions_match": True}
     actual = {"orbit_count": count, "partitions_match": matches}
     return expected, "paper-formula", actual, _verdict(expected == actual)
 
 
 @_runner("centralizer-dim")
 def _check_centralizer_dim(ctx: CheckContext):
-    g = ctx.g
+    m = ctx.m
     d = ctx.centralizer.ambient_dim
-    if g.m <= 2:
+    if m <= 2:
         pairs = [(a, b) for a in range(d) for b in range(d)]
     else:
-        rng = random.Random(20260 + g.m)
+        rng = random.Random(20260 + m)
         pairs = [(rng.randrange(d), rng.randrange(d)) for _ in range(500)]
     # each product O_a O_b, tested on one row of its row sphere
     closure_ok = all(constant_on_orbits(ctx.centralizer, pairs))
-    expected = {"dim": _paper_dim(g.m), "closure_ok": True}
+    expected = {"dim": _paper_dim(m), "closure_ok": True}
     actual = {"dim": d, "closure_ok": closure_ok, "pairs_checked": len(pairs)}
     ok = actual["dim"] == expected["dim"] and closure_ok
     return expected, "paper-formula", actual, _verdict(ok)
@@ -356,7 +371,7 @@ def _check_direct_sum(ctx: CheckContext):
     names = list(BLOCK_FAMILIES)
     dims = [len(ids[n]) for n in names]
     inter = [len(ids[names[a]] & ids[names[b]]) for a in range(3) for b in range(a + 1, 3)]
-    expected = {"total": _paper_dim(ctx.g.m), "pairwise_intersections": [0, 0, 0]}
+    expected = {"total": _paper_dim(ctx.m), "pairwise_intersections": [0, 0, 0]}
     actual = {
         "dims": dims,
         "total": sum(dims),
@@ -387,7 +402,7 @@ def _check_lemma41(ctx: CheckContext):
 @_runner("terwilliger-dim", finding_below_3=True)
 def _check_terwilliger_dim(ctx: CheckContext):
     t = ctx.terwilliger
-    expected = {"dim": _paper_dim(ctx.g.m)}
+    expected = {"dim": _paper_dim(ctx.m)}
     actual = {"dim": t.dimension}
     return expected, "paper-formula", actual, _verdict(expected == actual)
 
@@ -413,7 +428,7 @@ def _check_equality(ctx: CheckContext):
 
 @_runner("center-dim", finding_below_3=True)
 def _check_center_dim(ctx: CheckContext):
-    m = ctx.g.m
+    m = ctx.m
     z = ctx.center.dimension
     u = len(upsilon(m))
     expected = {"dim": upsilon_size_formula(m), "upsilon_size": upsilon_size_formula(m)}
@@ -423,7 +438,7 @@ def _check_center_dim(ctx: CheckContext):
 
 @_runner("upsilon")
 def _check_upsilon(ctx: CheckContext):
-    m = ctx.g.m
+    m = ctx.m
     members = upsilon(m)
     in_range = all(0 <= d <= m and 0 <= mu <= m - d for mu, d in members)
     expected = {"size": upsilon_size_formula(m), "members_in_range": True}
@@ -434,7 +449,7 @@ def _check_upsilon(ctx: CheckContext):
 # the summand profile is only claimed for m >= 3
 @_runner("block-profile", min_m=3)
 def _check_block_profile(ctx: CheckContext):
-    m = ctx.g.m
+    m = ctx.m
     profile = block_profile(m)
     t_dim = ctx.terwilliger.dimension
     z_dim = ctx.center.dimension
@@ -461,7 +476,7 @@ def _check_block_profile(ctx: CheckContext):
 
 @_runner("psi-intertwining")
 def _check_psi(ctx: CheckContext):
-    return _all_hold(verify_intertwining(ctx.g), "derived-oracle")
+    return _all_hold(verify_intertwining(ctx.m), "derived-oracle")
 
 
 CHECK_IDS: tuple[str, ...] = tuple(_RUNNERS)
@@ -563,7 +578,7 @@ def export_matrices(ctx: CheckContext, export_dir) -> list[Path]:
     algebras is made.
     """
     out_dir = _make_export_dir(export_dir)
-    g = ctx.g
+    m = ctx.m
 
     index = ctx.centralizer
     n, labels = index.n, index.labels
@@ -576,7 +591,7 @@ def export_matrices(ctx: CheckContext, export_dir) -> list[Path]:
     written: list[Path] = []
 
     def emit(name: str, nrows: int, ncols: int, entries) -> None:
-        path = out_dir / f"m{g.m}_{name}.mtx"
+        path = out_dir / f"m{m}_{name}.mtx"
         write_coord_entries(nrows, ncols, entries, path)
         written.append(path)
 
@@ -591,7 +606,7 @@ def export_matrices(ctx: CheckContext, export_dir) -> list[Path]:
     for a in sorted(range(len(labels)), key=lambda a: labels[a].text()):
         i, j, t, p = labels[a].tup
         emit(f"orbit_{labels[a].block.value}_{i},{j},{t},{p}", n, n, pairs(positions[a]))
-    emit("psi", comb(g.n_points, g.m), n, sorted((u, z, 1) for z, u in enumerate(_fold_image(g))))
+    emit("psi", comb(2 * m + 1, m), n, sorted((u, z, 1) for z, u in enumerate(_fold_image(m))))
 
     # the orbits by first pair, each its least position, and T's rows reduced in that order
     by_first_pair = sorted(range(len(labels)), key=index.first_pair)
@@ -613,7 +628,7 @@ def headline_dimensions(m: int) -> dict[str, int]:
     """|X|, dim of the centralizer algebra, dim T and dim Z(T) at one m."""
     ctx = CheckContext(m)
     return {
-        "vertices": vertex_count(ctx.g),
+        "vertices": vertex_count(m),
         "centralizer_dim": ctx.centralizer.ambient_dim,
         "terwilliger_dim": ctx.terwilliger.dimension,
         "center_dim": ctx.center.dimension,

@@ -6,6 +6,8 @@ strictly contains the other.  Subsets are stored as integer bitmasks (bit e-1
 set <=> element e present), so sizes and intersections are popcounts.  The
 canonical vertex order -- all m-subsets before all (m+1)-subsets, each group
 by ascending mask value -- fixes every matrix row/column index in the package.
+The package names a graph by m alone: every function takes m: int, and the
+base vertex x0 = {1, ..., m} is the mask (1 << m) - 1, the first vertex.
 The adjacency A_1 is held as one neighbour table (_neighbours), which
 lemma41, psi-intertwining and the cross-check of A_1's atom moves read; no
 adjacency matrix is built.
@@ -26,66 +28,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
-
-
-class _Frozen:
-    """A value over the fields its subclass lists in __slots__, which its
-    __init__ sets with object.__setattr__: immutable after that, equal to
-    an instance of the same class with equal fields, hashed like the tuple
-    of its fields and shown as Name(field=value, ...)."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-
-class GroundSet(_Frozen):
-    """The point set S = {1, ..., 2m+1} of one doubled Odd graph.
-
-    Immutable, and equal to (and hashed like) every GroundSet of the same m.
-    """
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: int):
-        # bool is an int subclass, but True is not a size
-        if type(m) is bool or not isinstance(m, int) or m < 1:
-            raise ValueError(f"m must be a positive integer, got {m!r}")
-        object.__setattr__(self, "m", m)
-
-    @property
-    def n_points(self) -> int:
-        return 2 * self.m + 1
-
-    @property
-    def diameter(self) -> int:
-        return 2 * self.m + 1
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n_points) - 1
-
-    @property
-    def base_vertex(self) -> int:
-        """The distinguished base vertex {1, ..., m} as a bitmask."""
-        return (1 << self.m) - 1
 
 
 class DistanceRegularityError(Exception):
@@ -110,8 +52,8 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def vertex_count(g: GroundSet) -> int:
-    return 2 * comb(g.n_points, g.m)
+def vertex_count(m: int) -> int:
+    return 2 * comb(2 * m + 1, m)
 
 
 @lru_cache(maxsize=32)
@@ -127,9 +69,9 @@ def _vertex_index(m: int) -> dict[int, int]:
     return {v: i for i, v in enumerate(_vertices(m))}
 
 
-def enumerate_vertices(g: GroundSet) -> list[int]:
+def enumerate_vertices(m: int) -> list[int]:
     """All vertices as bitmasks in the canonical order."""
-    return list(_vertices(g.m))
+    return list(_vertices(m))
 
 
 @lru_cache(maxsize=32)

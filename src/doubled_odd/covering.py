@@ -16,6 +16,8 @@ the doubled graph's is combinatorics._neighbours, and the m-subsets
 disjoint from y are the m + 1 sets (S - y) - {k}, k in S - y.  Distances
 from x0 in both graphs come from breadth-first search over those tables
 (combinatorics._distances_from), not from a formula or the orbit index.
+Every function takes the graph's one parameter, m, and reads S as the
+mask (1 << 2m+1) - 1 of its 2m+1 points.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from .combinatorics import GroundSet, _distances_from, _neighbours, _radii, _vertex_index, _vertices
+from .combinatorics import _distances_from, _neighbours, _radii, _vertex_index, _vertices
 
 
-def odd_vertices(g: GroundSet) -> list[int]:
+def odd_vertices(m: int) -> list[int]:
     """The m-subsets of S in canonical (ascending bitmask) order."""
-    half = comb(g.n_points, g.m)
-    return list(_vertices(g.m)[:half])
+    return list(_vertices(m)[: comb(2 * m + 1, m)])
 
 
 @lru_cache(maxsize=8)
@@ -38,12 +39,11 @@ def _odd_neighbours(m: int) -> tuple[tuple[int, ...], ...]:
     """The Odd graph as a neighbour table: entry a lists, ascending, the
     indices of the m-subsets disjoint from the a-th, (S - y) - {k} for each
     k in S - y."""
-    g = GroundSet(m)
     pos = _vertex_index(m)  # the m-subsets come first in the vertex order
     table = []
-    for y in odd_vertices(g):
-        rest = g.full_mask & ~y
-        table.append(tuple(sorted(pos[rest & ~(1 << k)] for k in range(g.n_points) if rest >> k & 1)))
+    for y in odd_vertices(m):
+        rest = (1 << 2 * m + 1) - 1 & ~y
+        table.append(tuple(sorted(pos[rest & ~(1 << k)] for k in range(2 * m + 1) if rest >> k & 1)))
     return tuple(table)
 
 
@@ -53,21 +53,21 @@ def _odd_distances_from_base(m: int) -> tuple[int, ...]:
     return tuple(_distances_from(_odd_neighbours(m), 0))
 
 
-def fold(g: GroundSet, z: int) -> int:
+def fold(m: int, z: int) -> int:
     """pi(z): the m-subset a doubled-graph vertex folds onto."""
-    if z.bit_count() == g.m:
+    if z.bit_count() == m:
         return z
-    return g.full_mask & ~z
+    return (1 << 2 * m + 1) - 1 & ~z
 
 
-def _fold_image(g: GroundSet) -> list[int]:
+def _fold_image(m: int) -> list[int]:
     """image[z] is the index of pi(z) for each doubled-graph vertex z, the
     row of the one 1 of column z of psi."""
-    pos = _vertex_index(g.m)  # the m-subsets come first in the vertex order
-    return [pos[fold(g, z)] for z in _vertices(g.m)]
+    pos = _vertex_index(m)  # the m-subsets come first in the vertex order
+    return [pos[fold(m, z)] for z in _vertices(m)]
 
 
-def verify_intertwining(g: GroundSet) -> dict[str, bool]:
+def verify_intertwining(m: int) -> dict[str, bool]:
     """The identities of psi, name -> verdict, each read off the fold map:
     image[z] is the index of pi(z), and psi[u, z] = [image[z] = u].
 
@@ -82,8 +82,8 @@ def verify_intertwining(g: GroundSet) -> dict[str, bool]:
       column z of both sides is row image[z] or 0 for every i <= m
       exactly when odd_dist[image[z]] = min(r, 2m+1-r).
     """
-    m, half, diam = g.m, comb(g.n_points, g.m), g.diameter
-    image = _fold_image(g)
+    half, diam = comb(2 * m + 1, m), 2 * m + 1
+    image = _fold_image(m)
     fibres = Counter(image)
     fibres_two = all(fibres[u] == 2 for u in range(half))
     in_odd = all(u < half for u in image)

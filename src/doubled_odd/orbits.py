@@ -54,7 +54,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from .combinatorics import GroundSet, _neighbours, _vertices, _vertex_index
+from .combinatorics import _neighbours, _vertices, _vertex_index
 from .linalg import NotClosedError, _norm
 
 
@@ -182,7 +182,7 @@ def _key_parts(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # the parts of a pair's label key that depend on y alone and on z alone,
     # per vertex
     base = m + 2
-    x0 = GroundSet(m).base_vertex
+    x0 = (1 << m) - 1
     verts = _vertices(m)
     rows = tuple((2 * (y.bit_count() > m) * base + (x0 & y).bit_count()) * base ** 3 for y in verts)
     cols = tuple(((z.bit_count() > m) * base ** 2 + (x0 & z).bit_count()) * base ** 2 for z in verts)
@@ -215,7 +215,7 @@ def _label_key(m: int, label: OrbitLabel) -> int:
 def _spheres(m: int) -> tuple[tuple[int, ...], ...]:
     """Sphere i around x0, 0 <= i <= 2m+1: the indices, ascending, of the
     vertices y with m + |y| - 2|x0 n y| = i."""
-    x0 = GroundSet(m).base_vertex
+    x0 = (1 << m) - 1
     spheres: list[list[int]] = [[] for _ in range(2 * m + 2)]
     for yi, y in enumerate(_vertices(m)):
         spheres[m + y.bit_count() - 2 * (x0 & y).bit_count()].append(yi)
@@ -469,13 +469,13 @@ def _young_generators(n: int, parts) -> list[tuple[int, ...]]:
     return gens
 
 
-def stabilizer_generators(g: GroundSet) -> list[tuple[int, ...]]:
+def stabilizer_generators(m: int) -> list[tuple[int, ...]]:
     """Generators of sym(x0) x sym(S - x0) as 0-based point permutations.
 
     A transposition and a full cycle on each factor; degenerate factors of
     size < 2 contribute nothing (at m = 1 the x0 factor is trivial).
     """
-    return _young_generators(g.n_points, [list(range(g.m)), list(range(g.m, g.n_points))])
+    return _young_generators(2 * m + 1, [list(range(m)), list(range(m, 2 * m + 1))])
 
 
 def _vertex_maps(m: int, perms) -> list[tuple[int, ...]]:
@@ -519,7 +519,7 @@ def _union_find(size: int, images) -> list[int]:
     return roots
 
 
-def orbits_by_group_action(g: GroundSet) -> array:
+def orbits_by_group_action(m: int) -> array:
     """Orbits of the stabilizer on ordered vertex pairs via union-find.
 
     Works straight from explicit group generators, with no reference to the
@@ -527,11 +527,11 @@ def orbits_by_group_action(g: GroundSet) -> array:
     roots[y * n + z] is the union-find root of the vertex pair (y, z); two
     pairs lie in one orbit exactly when their roots are equal.
     """
-    n = len(_vertices(g.m))
+    n = len(_vertices(m))
     # the image of pair (y, z) = y * n + z under a vertex map vp
     images = (
         (py + vp[z] for py in [vp[y] * n for y in range(n)] for z in range(n))
-        for vp in _vertex_maps(g.m, stabilizer_generators(g))
+        for vp in _vertex_maps(m, stabilizer_generators(m))
     )
     return array("I", _union_find(n * n, images))
 
@@ -541,10 +541,11 @@ def _check_classes(roots, ids, name) -> None:
     classes of roots, which they do exactly when the distinct roots, the
     distinct ids and the distinct (root, id) pairs are equally many.
     Raises NotClosedError naming, by name(a), the least id a whose elements
-    are not exactly one class of roots."""
+    are not exactly one class of roots, and ValueError, a caller's bug, when
+    roots and ids differ in length."""
     roots_of: dict[int, set[int]] = {}
     ids_of: dict[int, set[int]] = {}
-    met = set(zip(roots, ids))
+    met = set(zip(roots, ids, strict=True))
     for root, a in met:
         roots_of.setdefault(a, set()).add(root)
         ids_of.setdefault(root, set()).add(a)
@@ -586,8 +587,7 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
     of H_s.
     """
     m, n = index.m, index.n
-    g = GroundSet(m)
-    base, verts = g.base_vertex, _vertices(m)
+    base, verts = (1 << m) - 1, _vertices(m)
     x0 = _vertex_index(m)[base]
     # the vertex map of each distinct permutation is built once per call:
     # the row generators of the spheres repeat
@@ -598,7 +598,7 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
         known.update(zip(new, _vertex_maps(m, new)))
         return [known[p] for p in perms]
 
-    maps = vertex_maps(stabilizer_generators(g))
+    maps = vertex_maps(stabilizer_generators(m))
     _check_permutations(maps, {"x0": x0}, "stabilizer generator {}")
 
     def sphere_name(s: int) -> str:
@@ -609,10 +609,10 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
     for s, (sphere, row) in enumerate(zip(index.spheres, index.rows)):
         y = verts[sphere[0]]
         atoms = [
-            [k for k in range(g.n_points) if mask >> k & 1]
-            for mask in (base & y, base & ~y, y & ~base, g.full_mask & ~(base | y))
+            [k for k in range(2 * m + 1) if mask >> k & 1]
+            for mask in (base & y, base & ~y, y & ~base, (1 << 2 * m + 1) - 1 & ~(base | y))
         ]
-        maps = vertex_maps(_young_generators(g.n_points, atoms))
+        maps = vertex_maps(_young_generators(2 * m + 1, atoms))
         _check_permutations(maps, {"x0": x0, "y_s": sphere[0]}, f"row generator {{}} of sphere {s}")
         _check_classes(_union_find(n, maps), row, lambda a: f"orbit {index.labels[a].text()}")
 
@@ -628,10 +628,9 @@ def _check_group_orbits(m: int, roots) -> None:
     pair's label key (_label_keys) read one row at a time.  Raises
     NotClosedError naming the first generator that is no permutation, or
     the first label, in closed-form order, whose pairs are not a single
-    group orbit.
+    group orbit, and ValueError when roots does not hold n^2 entries.
     """
-    g = GroundSet(m)
-    _check_permutations(_vertex_maps(m, stabilizer_generators(g)), {}, "stabilizer generator {}")
+    _check_permutations(_vertex_maps(m, stabilizer_generators(m)), {}, "stabilizer generator {}")
     everyone = range(len(_vertices(m)))
     keys = chain.from_iterable(_label_keys(m, y, everyone) for y in everyone)
     _check_classes(roots, keys, lambda key: f"label {_key_label(m, key).text()}")
@@ -644,15 +643,15 @@ def _key_label(m: int, key: int) -> OrbitLabel:
     return OrbitLabel(_BLOCKS[key // base ** 4], tuple(key // base ** k % base for k in (3, 2, 1, 0)))
 
 
-def build_centralizer(g: GroundSet) -> OrbitCoordinates:
-    """The centralizer algebra, Q^d on a new orbit index, with one basis
+def build_centralizer(m: int) -> OrbitCoordinates:
+    """The centralizer algebra at m, Q^d on a new orbit index, with one basis
     element per orbit matrix in orbit order, certified by the index's
     construction: every pair lies in exactly one orbit, the labels met are
     the closed-form labels, so every orbit matrix is nonzero (else
     NotClosedError), and nonzero matrices with disjoint supports are
     independent.  No orbit matrix is built.  Its one caller, CheckContext,
     holds it for a run."""
-    return OrbitCoordinates(g.m)
+    return OrbitCoordinates(m)
 
 
 def check_subalgebra(blocks: tuple[BlockTag, ...], scheme: LabelScheme) -> tuple[OrbitLabel, OrbitLabel, BlockTag] | None:

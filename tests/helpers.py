@@ -35,7 +35,6 @@ from unittest.mock import patch
 
 from doubled_odd.combinatorics import (
     DistanceRegularityError,
-    GroundSet,
     _vertex_index,
     _vertices,
 )
@@ -124,19 +123,19 @@ def distance(y: int, z: int) -> int:
     return y.bit_count() + z.bit_count() - 2 * (y & z).bit_count()
 
 
-def vertex_index(g: GroundSet, v: int) -> int:
+def vertex_index(m: int, v: int) -> int:
     """Ordinal of a vertex in the canonical order."""
     try:
-        return _vertex_index(g.m)[v]
+        return _vertex_index(m)[v]
     except KeyError:
-        raise ValueError(f"{v:#b} is not a vertex for m={g.m}") from None
+        raise ValueError(f"{v:#b} is not a vertex for m={m}") from None
 
 
-def distance_matrix(g: GroundSet, i: int) -> SparseExactMatrix:
+def distance_matrix(m: int, i: int) -> SparseExactMatrix:
     """0/1 matrix of pairs at distance exactly i; rejects i outside [0, 2m+1]."""
-    if not 0 <= i <= g.diameter:
-        raise ValueError(f"distance index {i} outside [0, {g.diameter}]")
-    return _distance_matrices(g.m)[i]
+    if not 0 <= i <= 2 * m + 1:
+        raise ValueError(f"distance index {i} outside [0, {2 * m + 1}]")
+    return _distance_matrices(m)[i]
 
 
 def class_profiles(rows, cols, classes, width: int):
@@ -205,11 +204,10 @@ def parse_label(text: str) -> OrbitLabel:
     return OrbitLabel(block, parts)
 
 
-def enumerate_index_set(g: GroundSet, block: BlockTag) -> frozenset[tuple[int, int, int, int]]:
+def enumerate_index_set(m: int, block: BlockTag) -> frozenset[tuple[int, int, int, int]]:
     """Oracle: the set {rho(y, z)} scanned over all pairs of the block."""
-    m = g.m
     verts = _vertices(m)
-    half = comb(g.n_points, m)
+    half = comb(2 * m + 1, m)
     if block in (BlockTag.I, BlockTag.II):
         ys = verts[:half]
     else:
@@ -218,7 +216,7 @@ def enumerate_index_set(g: GroundSet, block: BlockTag) -> frozenset[tuple[int, i
         zs = verts[:half]
     else:
         zs = verts[half:]
-    x0 = g.base_vertex
+    x0 = (1 << m) - 1
     return frozenset(rho(x0, y, z) for y in ys for z in zs)
 
 
@@ -244,20 +242,20 @@ def _distance_matrices(m: int) -> tuple[SparseExactMatrix, ...]:
     return tuple(SparseExactMatrix(n, n, rows) for rows in rows_by_i)
 
 
-def distance_matrices(g: GroundSet) -> list[SparseExactMatrix]:
+def distance_matrices(m: int) -> list[SparseExactMatrix]:
     """Oracle: A_0..A_{2m+1}, each by the distance formula over all n^2 pairs."""
-    return list(_distance_matrices(g.m))
+    return list(_distance_matrices(m))
 
 
-def adjacency_matrix(g: GroundSet) -> SparseExactMatrix:
+def adjacency_matrix(m: int) -> SparseExactMatrix:
     """Oracle: the 0/1 adjacency matrix A_1 in the canonical vertex order,
     each m-subset y joined to the (m+1)-subsets y + {k}, k outside y."""
-    verts = _vertices(g.m)
-    index = _vertex_index(g.m)
-    half = comb(g.n_points, g.m)
+    verts = _vertices(m)
+    index = _vertex_index(m)
+    half = comb(2 * m + 1, m)
     n = len(verts)
     rows: dict[int, dict[int, object]] = {}
-    full = g.full_mask
+    full = (1 << 2 * m + 1) - 1
     for yi in range(half):
         y = verts[yi]
         rest = full & ~y
@@ -277,18 +275,18 @@ def neighbour_matrix(table) -> SparseExactMatrix:
     return SparseExactMatrix(n, n, {y: dict.fromkeys(row, 1) for y, row in enumerate(table) if row})
 
 
-def dual_idempotent(g: GroundSet, i: int) -> SparseExactMatrix:
+def dual_idempotent(m: int, i: int) -> SparseExactMatrix:
     """Oracle: E*_i, the diagonal projection onto the sphere of radius i
     around the base vertex, by the distance formula."""
-    if not 0 <= i <= g.diameter:
-        raise ValueError(f"sphere index {i} outside [0, {g.diameter}]")
-    verts = _vertices(g.m)
-    sphere = [y for y, v in enumerate(verts) if distance(g.base_vertex, v) == i]
+    if not 0 <= i <= 2 * m + 1:
+        raise ValueError(f"sphere index {i} outside [0, {2 * m + 1}]")
+    verts = _vertices(m)
+    sphere = [y for y, v in enumerate(verts) if distance((1 << m) - 1, v) == i]
     return SparseExactMatrix(len(verts), len(verts), {y: {y: 1} for y in sphere})
 
 
-def dual_idempotents(g: GroundSet) -> list[SparseExactMatrix]:
-    return [dual_idempotent(g, i) for i in range(g.diameter + 1)]
+def dual_idempotents(m: int) -> list[SparseExactMatrix]:
+    return [dual_idempotent(m, i) for i in range(2 * m + 2)]
 
 
 @lru_cache(maxsize=8)
@@ -296,7 +294,7 @@ def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
     # every orbit matrix in one pass over the pairs of each block of row
     # sphere x column sphere: as in orbit_matrix, a pair's |y n z| and
     # |x0 n y n z| decide which orbit of its block it is in
-    g, index, verts = GroundSet(m), orbit_index(m), _vertices(m)
+    index, verts, x0 = orbit_index(m), _vertices(m), (1 << m) - 1
     blocks: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for a, ends in enumerate(zip(index.row_of, index.end_of)):
         blocks.setdefault(ends, {})[index.labels[a].tup[2:]] = a
@@ -307,7 +305,7 @@ def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
         z_masks = [verts[z] for z in zs]
         for y in index.spheres[index.row_of[first]]:
             y_mask = verts[y]
-            x0y = g.base_vertex & y_mask
+            x0y = x0 & y_mask
             for z, z_mask in zip(zs, z_masks):
                 a = orbit_of_tp.get(((y_mask & z_mask).bit_count(), (x0y & z_mask).bit_count()))
                 if a is not None:
@@ -315,30 +313,30 @@ def _orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
     return {lab: SparseExactMatrix(index.n, index.n, r) for lab, r in zip(index.labels, rows)}
 
 
-def orbit_matrices(g: GroundSet) -> dict[OrbitLabel, SparseExactMatrix]:
+def orbit_matrices(m: int) -> dict[OrbitLabel, SparseExactMatrix]:
     """Oracle: the n x n indicator matrix of every orbit, keyed by label in
     orbit order (shared, do not mutate)."""
-    return dict(_orbit_matrices(g.m))
+    return dict(_orbit_matrices(m))
 
 
-def orbit_matrix(g: GroundSet, label: OrbitLabel) -> SparseExactMatrix:
+def orbit_matrix(m: int, label: OrbitLabel) -> SparseExactMatrix:
     """Oracle: the n x n indicator matrix of one orbit, from the pairs of its
     row sphere and column sphere: those spheres fix the block and
     |x0 n y|, |x0 n z| of a pair's label, so the pair is in the orbit when
     its |y n z| and |x0 n y n z| are the label's."""
-    index = orbit_index(g.m)
+    index = orbit_index(m)
     try:
         a = index.labels.index(label)
     except ValueError:
-        raise ValueError(f"{label.text()} is not an orbit label for m={g.m}") from None
-    verts = _vertices(g.m)
+        raise ValueError(f"{label.text()} is not an orbit label for m={m}") from None
+    verts = _vertices(m)
     zs = index.spheres[index.end_of[a]]
     z_masks = [verts[z] for z in zs]
     _, _, t, p = label.tup
     rows = {}
     for y in index.spheres[index.row_of[a]]:
         y_mask = verts[y]
-        x0y = g.base_vertex & y_mask
+        x0y = (1 << m) - 1 & y_mask
         row = {
             z: 1 for z, z_mask in zip(zs, z_masks)
             if (y_mask & z_mask).bit_count() == t and (x0y & z_mask).bit_count() == p
@@ -361,33 +359,33 @@ def lift(coords: OrbitCoordinates, basis: SpanBasis) -> SpanBasis:
     return lifted
 
 
-def sandwiches(g: GroundSet, a1: SparseExactMatrix) -> dict[tuple[int, int], SparseExactMatrix]:
+def sandwiches(m: int, a1: SparseExactMatrix) -> dict[tuple[int, int], SparseExactMatrix]:
     """Every nonzero E*_i A_1 E*_j, keyed by (i, j), read off a1 as its
     restriction from sphere i to sphere j, in one pass over its entries."""
-    sphere = [distance(g.base_vertex, v) for v in _vertices(g.m)]
+    sphere = [distance((1 << m) - 1, v) for v in _vertices(m)]
     blocks: dict[tuple[int, int], dict[int, dict[int, object]]] = {}
     for y, z, v in a1.entries():
         blocks.setdefault((sphere[y], sphere[z]), {}).setdefault(y, {})[z] = v
     return {key: SparseExactMatrix(a1.nrows, a1.ncols, rows) for key, rows in blocks.items()}
 
 
-def n2_sandwich_identities(g: GroundSet, a1: SparseExactMatrix) -> dict[str, bool]:
+def n2_sandwich_identities(m: int, a1: SparseExactMatrix) -> dict[str, bool]:
     """Oracle of lemma41 (terwilliger.verify_sandwich_identities) for the
     adjacency matrix a1: the same identities, in the same order, each
     compared entry for entry as n x n matrices, with every orbit matrix
     built alone (orbit_matrix)."""
-    m, diam = g.m, g.diameter
-    estars = dual_idempotents(g)
-    restricted = sandwiches(g, a1)
+    diam = 2 * m + 1
+    estars = dual_idempotents(m)
+    restricted = sandwiches(m, a1)
     zero = SparseExactMatrix.zero(a1.nrows, a1.ncols)
     results = {
-        f"dual-idempotent-orbit-form[i={i}]": estars[i] == orbit_matrix(g, _diagonal_label(m, i))
+        f"dual-idempotent-orbit-form[i={i}]": estars[i] == orbit_matrix(m, _diagonal_label(m, i))
         for i in range(diam + 1)
     }
     running_sum = zero
     for i in range(diam):
-        forward = orbit_matrix(g, _sandwich_label(m, i, transposed=False))
-        backward = orbit_matrix(g, _sandwich_label(m, i, transposed=True))
+        forward = orbit_matrix(m, _sandwich_label(m, i, transposed=False))
+        backward = orbit_matrix(m, _sandwich_label(m, i, transposed=True))
         results[f"sandwich-orbit-form[i={i}]"] = restricted.get((i, i + 1), zero) == forward
         results[f"sandwich-transpose-orbit-form[i={i}]"] = restricted.get((i + 1, i), zero) == backward
         running_sum = running_sum + forward + backward
@@ -413,14 +411,14 @@ def vertex_maps_by_points(m: int, perms) -> list[tuple[int, ...]]:
     return [tuple(index[apply_perm(perm, v)] for v in verts) for perm in perms]
 
 
-def terwilliger_generators(g: GroundSet) -> list[SparseExactMatrix]:
+def terwilliger_generators(m: int) -> list[SparseExactMatrix]:
     """All distance matrices followed by all dual idempotents."""
-    return list(distance_matrices(g)) + dual_idempotents(g)
+    return list(distance_matrices(m)) + dual_idempotents(m)
 
 
-def closure_generators(g: GroundSet) -> list[SparseExactMatrix]:
+def closure_generators(m: int) -> list[SparseExactMatrix]:
     """The generating set T is closed under: E*_0..E*_{2m+1}, then A_1."""
-    return dual_idempotents(g) + [adjacency_matrix(g)]
+    return dual_idempotents(m) + [adjacency_matrix(m)]
 
 
 def dual_idempotent_tables(scheme: LabelScheme) -> list[PushTable]:
@@ -449,11 +447,11 @@ def all_generator_closure(scheme: LabelScheme) -> ClosureResult:
     return algebra_closure([*dual_idempotent_tables(scheme), scheme.adjacency], OneBlock(scheme))
 
 
-def sandwich_products(g: GroundSet) -> dict[tuple[int, int], SparseExactMatrix]:
+def sandwich_products(m: int) -> dict[tuple[int, int], SparseExactMatrix]:
     """Every E*_i A_1 E*_j, keyed by (i, j), as two sparse matrix products:
     the oracle of the restrictions sandwiches reads off A_1."""
-    a1 = adjacency_matrix(g)
-    estars = dual_idempotents(g)
+    a1 = adjacency_matrix(m)
+    estars = dual_idempotents(m)
     return {(i, j): ei @ a1 @ ej for i, ei in enumerate(estars) for j, ej in enumerate(estars)}
 
 
@@ -643,7 +641,7 @@ def pair_index(m: int) -> PairIndex:
     """
     verts = _vertices(m)
     n = len(verts)
-    x0 = GroundSet(m).base_vertex
+    x0 = (1 << m) - 1
     ids: dict[int, int] = {}
     first_seen = ids.setdefault
     orbit_of = array("H")
@@ -808,7 +806,7 @@ def _column_label_keys(m: int, zi: int) -> list[int]:
     base = m + 2
     verts = _vertices(m)
     z = verts[zi]
-    x0z = GroundSet(m).base_vertex & z
+    x0z = (1 << m) - 1 & z
     rows, cols = _key_parts(m)
     z_key = cols[zi]
     return [w_key + z_key + (w & z).bit_count() * base + (x0z & w).bit_count() for w_key, w in zip(rows, verts)]
@@ -896,13 +894,13 @@ def product_intersection_table(coords: OrbitCoordinates, dist: list[int]) -> dic
     return _table(profiles, width)
 
 
-def product_subalgebra(sub: list[OrbitLabel], g: GroundSet) -> tuple[OrbitLabel, OrbitLabel, BlockTag] | None:
+def product_subalgebra(sub: list[OrbitLabel], m: int) -> tuple[OrbitLabel, OrbitLabel, BlockTag] | None:
     """Oracle of orbits.check_subalgebra: every ordered pair (a, b) of sub,
     in order, against the support {c : p^c_{ab} > 0} of its product in the
     product index; the first offending product is returned as (la, lb,
     block), block that of the least orbit of its support, and None when
     there is none."""
-    coords = orbit_index(g.m)
+    coords = orbit_index(m)
     ids = {lab: c for c, lab in enumerate(coords.labels)}
     inside = {ids[lab] for lab in sub}
     for la in sub:
@@ -950,32 +948,32 @@ def higman_violation(coords: OrbitCoordinates, counts) -> tuple[int, int, int] |
     return None
 
 
-def odd_sphere_diagonal(g: GroundSet, i: int) -> SparseExactMatrix:
+def odd_sphere_diagonal(m: int, i: int) -> SparseExactMatrix:
     """The diagonal projection onto the Odd-graph vertices at distance i
     from x0, by the breadth-first search of the covering module."""
-    dist = covering_module._odd_distances_from_base(g.m)
+    dist = covering_module._odd_distances_from_base(m)
     n = len(dist)
     return SparseExactMatrix(n, n, {a: {a: 1} for a, d in enumerate(dist) if d == i})
 
 
-def build_psi(g: GroundSet) -> SparseExactMatrix:
+def build_psi(m: int) -> SparseExactMatrix:
     """Oracle: the 0/1 covering matrix, rows the C(2m+1, m) Odd-graph
     vertices, columns the doubled graph, built entry by entry from the fold
     map (covering.fold)."""
-    doubled = _vertices(g.m)
-    pos = _vertex_index(g.m)  # the m-subsets come first in the vertex order
+    doubled = _vertices(m)
+    pos = _vertex_index(m)  # the m-subsets come first in the vertex order
     rows: dict[int, dict[int, object]] = {}
     for zi, z in enumerate(doubled):
-        rows.setdefault(pos[covering_module.fold(g, z)], {})[zi] = 1
-    return SparseExactMatrix(comb(g.n_points, g.m), len(doubled), rows)
+        rows.setdefault(pos[covering_module.fold(m, z)], {})[zi] = 1
+    return SparseExactMatrix(comb(2 * m + 1, m), len(doubled), rows)
 
 
-def n2_intertwining(g: GroundSet, a1: SparseExactMatrix) -> dict[str, bool]:
+def n2_intertwining(m: int, a1: SparseExactMatrix) -> dict[str, bool]:
     """Oracle of psi-intertwining (covering.verify_intertwining) for the
     adjacency matrix a1: the same identities, in the same order, each
     checked on psi (build_psi) by n x n matrix products, against the Odd
     graph's adjacency by a disjointness scan."""
-    psi = build_psi(g)
+    psi = build_psi(m)
     half, n = psi.nrows, psi.ncols
     col_counts: dict[int, int] = {}
     row_ok = True
@@ -985,22 +983,22 @@ def n2_intertwining(g: GroundSet, a1: SparseExactMatrix) -> dict[str, bool]:
         for c in row:
             col_counts[c] = col_counts.get(c, 0) + 1
     spheres = [
-        odd_sphere_diagonal(g, i) @ psi == psi @ (dual_idempotent(g, i) + dual_idempotent(g, g.diameter - i))
-        for i in range(g.m + 1)
+        odd_sphere_diagonal(m, i) @ psi == psi @ (dual_idempotent(m, i) + dual_idempotent(m, 2 * m + 1 - i))
+        for i in range(m + 1)
     ]
     return {
         "psi-row-sums-two": row_ok and len(psi._rows) == half,
         "psi-column-sums-one": len(col_counts) == n and all(v == 1 for v in col_counts.values()),
         "psi-psiT-twice-identity": psi @ psi.transpose() == SparseExactMatrix.identity(half).scale(2),
-        "adjacency-transport": psi @ a1 == odd_adjacency_by_scan(g) @ psi,
+        "adjacency-transport": psi @ a1 == odd_adjacency_by_scan(m) @ psi,
         "sphere-transport": all(spheres),
     }
 
 
-def odd_adjacency_by_scan(g: GroundSet) -> SparseExactMatrix:
+def odd_adjacency_by_scan(m: int) -> SparseExactMatrix:
     """Oracle: the Odd graph's adjacency matrix by a scan of all pairs of
     m-subsets for disjointness."""
-    verts = _vertices(g.m)[: comb(g.n_points, g.m)]
+    verts = _vertices(m)[: comb(2 * m + 1, m)]
     n = len(verts)
     rows: dict[int, dict[int, object]] = {}
     for a, y in enumerate(verts):

@@ -15,7 +15,7 @@ from helpers import enumerate_index_set, orbit_matrices, orbit_partition, report
 
 from doubled_odd.checks import RunConfig, run
 from doubled_odd.checks import _RUNNERS
-from doubled_odd.combinatorics import GroundSet, enumerate_vertices, intersection_numbers
+from doubled_odd.combinatorics import enumerate_vertices, intersection_numbers
 from doubled_odd.covering import verify_intertwining
 from doubled_odd.orbits import (
     BlockTag,
@@ -42,7 +42,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_vertex_counts():
     start = time.perf_counter()
-    counts = [len(enumerate_vertices(GroundSet(m))) for m in (1, 2, 3, 4)]
+    counts = [len(enumerate_vertices(m)) for m in (1, 2, 3, 4)]
     elapsed = time.perf_counter() - start
     ok = counts == [6, 20, 70, 252] and elapsed < 1.0
     _report(1, "vertex counts", ok, f"counts={counts} elapsed={elapsed:.3f}s")
@@ -53,7 +53,7 @@ def test_criterion_02_distance_regularity():
     ok = True
     for m in (1, 2, 3):
         start = time.perf_counter()
-        table = intersection_numbers(build_centralizer(GroundSet(m)))
+        table = intersection_numbers(build_centralizer(m))
         if m == 3:
             elapsed3 = time.perf_counter() - start
         ok = ok and table.valency == m + 1
@@ -64,10 +64,9 @@ def test_criterion_02_distance_regularity():
 def test_criterion_03_index_sets():
     ok = True
     for m in (1, 2, 3, 4):
-        g = GroundSet(m)
         for block in BlockTag:
             closed = index_set(block, m)
-            ok = ok and closed == enumerate_index_set(g, block)
+            ok = ok and closed == enumerate_index_set(m, block)
             ok = ok and len(closed) == comb(m + 4, 4)
     frozen = {(1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)}
     ok = ok and index_set(BlockTag.I, 1) == frozen
@@ -89,11 +88,10 @@ def test_criterion_05_orbit_oracle():
     ok = True
     detail = []
     for m in (1, 2):
-        g = GroundSet(m)
-        oracle = orbit_partition(orbits_by_group_action(g), len(enumerate_vertices(g)))
+        oracle = orbit_partition(orbits_by_group_action(m), len(enumerate_vertices(m)))
         closed = {
             frozenset((r, c) for r, c, _ in mat.entries())
-            for mat in orbit_matrices(g).values()
+            for mat in orbit_matrices(m).values()
         }
         detail.append(f"m={m}: {len(oracle)} orbits")
         ok = ok and len(oracle) == 4 * comb(m + 4, 4) and oracle == closed
@@ -104,7 +102,7 @@ def test_criterion_05_orbit_oracle():
 def test_criterion_06_centralizer_dimension():
     dims = []
     for m in (1, 2, 3):
-        dims.append(build_centralizer(GroundSet(m)).ambient_dim)
+        dims.append(build_centralizer(m).ambient_dim)
     start = time.perf_counter()
     cent4 = shared_context(4).centralizer
     elapsed = time.perf_counter() - start
@@ -224,7 +222,7 @@ def test_criterion_14_block_profile():
 def test_criterion_15_covering_map():
     ok = True
     for m in (1, 2, 3):
-        results = verify_intertwining(shared_context(m).g)
+        results = verify_intertwining(m)
         ok = ok and all(results.values())
     _report(15, "covering map invariants and intertwining", ok)
 

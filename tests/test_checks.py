@@ -10,6 +10,7 @@ import stat
 import threading
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import conftest
 import pytest
@@ -45,7 +46,6 @@ from doubled_odd.orbits import (
     PushTable,
     check_subalgebra,
 )
-from doubled_odd.combinatorics import GroundSet
 from doubled_odd.terwilliger import build_terwilliger, center_basis, verify_equality
 
 _ALLOWED_PROVENANCE = {"paper-formula", "derived-oracle", "finding-only"}
@@ -108,7 +108,8 @@ def test_run_config_is_an_immutable_value():
     assert cfg != RunConfig(4, ("lemma41",)) and cfg != RunConfig(3)
     assert hash(cfg) == hash(RunConfig(4, ("lemma41",), "e"))
     # a value of its own class only, hashed like the tuple of its fields
-    assert RunConfig(3) != GroundSet(3) and GroundSet(3) != RunConfig(3)
+    fields = SimpleNamespace(m=3, checks=None, export_dir=None)
+    assert RunConfig(3) != fields and fields != RunConfig(3)
     assert RunConfig(3) != (3, None, None) and hash(RunConfig(3)) == hash((3, None, None))
     with pytest.raises(AttributeError):
         cfg.m = 3
@@ -203,7 +204,7 @@ def test_index_sets_passes_on_a_stabilizer_generator_fault_without_an_orbit_inde
     # but the labels met on the sphere rows are still the closed-form
     # labels: index-sets reads their keys and builds no index
     generators = orbits_module.stabilizer_generators
-    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
+    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda m: generators(m)[:-1])
     built = _trace_index_builds(monkeypatch)
     with pytest.raises(NotClosedError, match="is not a single orbit"):
         OrbitCoordinates(2)
@@ -313,9 +314,8 @@ def test_export_matrices_m1(tmp_path):
     orbit_names = [n for n in names if n.startswith("m1_orbit_")]
     assert len(orbit_names) == 20
     assert "m1_orbit_II_0,1,1,0.mtx" in names
-    g = GroundSet(1)
     label = OrbitLabel(BlockTag.II, (0, 1, 1, 0))
-    assert read_coord_text(tmp_path / "m1_orbit_II_0,1,1,0.mtx") == orbit_matrix(g, label)
+    assert read_coord_text(tmp_path / "m1_orbit_II_0,1,1,0.mtx") == orbit_matrix(1, label)
     # every exported file re-imports bit-exactly
     rewritten = tmp_path / "again"
     rewritten.mkdir()
@@ -838,7 +838,7 @@ def test_the_verify_path_builds_no_distance_matrix_and_no_n2_action_table(monkey
     run(RunConfig(m=4, checks=tuple(r["check"] for r in reference)))
     assert (made, products) == ([], [])
     # the trace sees an n x n matrix where one is made
-    adjacency_matrix(GroundSet(4))
+    adjacency_matrix(4)
     assert [(a.nrows, a.ncols) for a in made] == [(252, 252)]
     # the pass over all vertex pairs that read off action tables is the
     # tests' oracle (helpers.action_tables), not a method of the package
@@ -893,7 +893,7 @@ def test_t_and_z_runs_build_no_orbit_matrix(monkeypatch, fresh_memos):
     run(RunConfig(m=3, checks=("centralizer-dim",)))
     assert made == []
     # the trace sees an n x n matrix where one is made
-    adjacency_matrix(GroundSet(3))
+    adjacency_matrix(3)
     assert [(a.nrows, a.ncols) for a in made] == [(70, 70)]
 
 
@@ -1019,8 +1019,7 @@ def _trace_pair_union_find(monkeypatch) -> list:
 
     def traced(name, fn):
         def wrapper(*args):
-            # orbits_by_group_action takes a GroundSet, _check_group_orbits m
-            calls.append((name, getattr(args[0], "m", args[0])))
+            calls.append((name, args[0]))
             return fn(*args)
         return wrapper
 
@@ -1059,7 +1058,7 @@ def test_orbits_oracle_fails_a_missing_generator_without_an_orbit_index(monkeypa
     # keys, so it fails without building the index, whose certificate
     # would reject the same generators
     generators = orbits_module.stabilizer_generators
-    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
+    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda m: generators(m)[:-1])
     built = _trace_index_builds(monkeypatch)
     assert main(["verify", "--m", "2", "--checks", "orbits-oracle"]) == 1
     (report,) = json.loads(capsys.readouterr().out)

@@ -22,7 +22,6 @@ from helpers import (
 from doubled_odd import orbits as orbits_module
 from doubled_odd.combinatorics import (
     DistanceRegularityError,
-    GroundSet,
     _neighbours,
     _recurrence_table,
     elements_of,
@@ -40,9 +39,8 @@ def test_mask_round_trip():
 
 def test_vertex_counts_and_order():
     for m, expected in [(1, 6), (2, 20), (3, 70), (4, 252)]:
-        g = GroundSet(m)
-        verts = enumerate_vertices(g)
-        assert vertex_count(g) == expected
+        verts = enumerate_vertices(m)
+        assert vertex_count(m) == expected
         assert len(verts) == expected
         half = expected // 2
         assert all(bin(v).count("1") == m for v in verts[:half])
@@ -50,49 +48,24 @@ def test_vertex_counts_and_order():
         # ascending masks inside each half, so the order is reproducible
         assert verts[:half] == sorted(verts[:half])
         assert verts[half:] == sorted(verts[half:])
-        assert all(v & ~g.full_mask == 0 for v in verts)
+        assert all(v >> 2 * m + 1 == 0 for v in verts)
 
 
 def test_vertex_index_round_trip():
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        for idx, v in enumerate(enumerate_vertices(g)):
-            assert vertex_index(g, v) == idx
+        for idx, v in enumerate(enumerate_vertices(m)):
+            assert vertex_index(m, v) == idx
         with pytest.raises(ValueError):
-            vertex_index(g, 0)
+            vertex_index(m, 0)
         if m >= 2:
             with pytest.raises(ValueError):
-                vertex_index(g, g.full_mask)
+                vertex_index(m, (1 << 2 * m + 1) - 1)
 
 
-def test_ground_set_validation():
-    with pytest.raises(ValueError):
-        GroundSet(0)
-    for bad in (True, False, "2", 2.0):
-        with pytest.raises(ValueError, match=f"m must be a positive integer, got {bad!r}"):
-            GroundSet(bad)
-
-
-def test_ground_set_is_an_immutable_value():
-    g = GroundSet(3)
-    assert g == GroundSet(m=3) and g != GroundSet(2)
-    assert g != (3,) and g != 3
-    assert hash(g) == hash(GroundSet(3)) == hash((3,))
-    assert len({g, GroundSet(3), GroundSet(2)}) == 2
-    assert repr(g) == "GroundSet(m=3)"
-    with pytest.raises(AttributeError):
-        g.m = 4
-    with pytest.raises(AttributeError):
-        del g.m
-    with pytest.raises(AttributeError):
-        g.other = 1
-    assert g.m == 3
-
-
-def _bfs_distances(g: GroundSet) -> dict[tuple[int, int], int]:
+def _bfs_distances(m: int) -> dict[tuple[int, int], int]:
     # breadth-first search from every vertex over the neighbour table
-    verts = enumerate_vertices(g)
-    neigh = _neighbours(g.m)
+    verts = enumerate_vertices(m)
+    neigh = _neighbours(m)
     dist = {}
     for s in range(len(verts)):
         seen = {s: 0}
@@ -110,21 +83,19 @@ def _bfs_distances(g: GroundSet) -> dict[tuple[int, int], int]:
 
 def test_distance_formula_matches_bfs():
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        verts = enumerate_vertices(g)
-        oracle = _bfs_distances(g)
+        verts = enumerate_vertices(m)
+        oracle = _bfs_distances(m)
         n = len(verts)
         assert len(oracle) == n * n, "graph must be connected"
         for a in range(n):
             for b in range(n):
                 assert distance(verts[a], verts[b]) == oracle[(a, b)]
-        assert max(oracle.values()) == g.diameter == 2 * m + 1
+        assert max(oracle.values()) == 2 * m + 1
 
 
 def test_adjacency_is_bipartite_containment():
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        verts = enumerate_vertices(g)
+        verts = enumerate_vertices(m)
         table = _neighbours(m)
         assert len(table) == len(verts)
         half = len(verts) // 2
@@ -144,17 +115,16 @@ def test_adjacency_is_bipartite_containment():
 def test_the_neighbour_table_is_the_adjacency_matrix(m):
     # the one neighbour table of the package against the containment scan
     assert _neighbours(m) is _neighbours(m)
-    assert neighbour_matrix(_neighbours(m)) == adjacency_matrix(GroundSet(m))
+    assert neighbour_matrix(_neighbours(m)) == adjacency_matrix(m)
 
 
 def test_distance_matrices_partition_all_pairs():
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        mats = distance_matrices(g)
+        mats = distance_matrices(m)
         assert len(mats) == 2 * m + 2
-        n = vertex_count(g)
+        n = vertex_count(m)
         assert mats[0] == SparseExactMatrix.identity(n)
-        assert mats[1] == adjacency_matrix(g)
+        assert mats[1] == adjacency_matrix(m)
         total = SparseExactMatrix.zero(n, n)
         for mat in mats:
             total = total + mat
@@ -166,36 +136,34 @@ def test_distance_matrices_partition_all_pairs():
 
 
 def test_distance_matrix_rejects_bad_index():
-    g = GroundSet(2)
     with pytest.raises(ValueError):
-        distance_matrix(g, -1)
+        distance_matrix(2, -1)
     with pytest.raises(ValueError):
-        distance_matrix(g, 6)
+        distance_matrix(2, 6)
 
 
 def test_intersection_numbers_m2_table():
-    g = GroundSet(2)
-    table = intersection_numbers(orbit_index(g.m))
+    m = 2
+    table = intersection_numbers(orbit_index(m))
     assert table.valency == 3
     assert table.p(0, 1, 1) == 3
     # symmetry in the lower indices
     for (h, i, j), value in table.table.items():
         assert table.p(h, j, i) == value
     # row sums recover the sphere sizes around any vertex
-    verts = enumerate_vertices(g)
+    verts = enumerate_vertices(m)
     x0 = verts[0]
     sphere = {}
     for v in verts:
         sphere[distance(x0, v)] = sphere.get(distance(x0, v), 0) + 1
-    for h in range(2 * g.m + 2):
-        for i in range(2 * g.m + 2):
-            assert sum(table.p(h, i, j) for j in range(2 * g.m + 2)) == sphere[i]
+    for h in range(2 * m + 2):
+        for i in range(2 * m + 2):
+            assert sum(table.p(h, i, j) for j in range(2 * m + 2)) == sphere[i]
 
 
 def test_intersection_numbers_match_direct_count_m1():
-    g = GroundSet(1)
-    table = intersection_numbers(orbit_index(g.m))
-    verts = enumerate_vertices(g)
+    table = intersection_numbers(orbit_index(1))
+    verts = enumerate_vertices(1)
     for x in verts:
         for y in verts:
             h = distance(x, y)
@@ -242,8 +210,7 @@ def test_intersection_numbers_match_the_dict_counting_oracle():
     # from A_1 A_i and the three-term recurrence, against the dict-counting
     # loop and the exhaustive pass over all n^3 triples
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        verts = enumerate_vertices(g)
+        verts = enumerate_vertices(m)
         dist = [[distance(y, z) for z in verts] for y in verts]
         table, _, _ = _dict_counting_scan(verts, dist)
         assert list(intersection_numbers(orbit_index(m)).table.items()) == list(table.items())
@@ -306,7 +273,7 @@ def test_a_doctored_orbit_distance_gives_the_witness_of_the_exhaustive_pass(m):
     index = pair_index(m)
     coords = orbit_index(m)
     by_label = [index.labels.index(lab) for lab in coords.labels]
-    n, verts = index.n, enumerate_vertices(GroundSet(m))
+    n, verts = index.n, enumerate_vertices(m)
     firsts = [divmod(pos[0], n) for pos in index.positions]
     true_dist = [distance(verts[y], verts[z]) for y, z in firsts]
     rng = random.Random(2026 + m)

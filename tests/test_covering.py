@@ -17,11 +17,7 @@ from helpers import (
 
 from doubled_odd import covering as covering_module
 from doubled_odd.cli import main
-from doubled_odd.combinatorics import (
-    GroundSet,
-    _neighbours,
-    enumerate_vertices,
-)
+from doubled_odd.combinatorics import _neighbours, enumerate_vertices
 from doubled_odd.covering import (
     _odd_distances_from_base,
     _odd_neighbours,
@@ -34,16 +30,14 @@ from doubled_odd.linalg import SparseExactMatrix
 
 def test_odd_vertices_are_m_subsets():
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        verts = odd_vertices(g)
+        verts = odd_vertices(m)
         assert len(verts) == comb(2 * m + 1, m)
         assert all(v.bit_count() == m for v in verts)
 
 
 def test_odd_adjacency_is_disjointness():
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        verts = odd_vertices(g)
+        verts = odd_vertices(m)
         table = _odd_neighbours(m)
         assert len(table) == len(verts)
         for a, row in enumerate(table):
@@ -58,7 +52,7 @@ def test_odd_adjacency_from_neighbours_matches_the_disjointness_scan(m):
     # built once per m from the m + 1 neighbours of each vertex, and shared
     # with the breadth-first search of the spheres
     assert _odd_neighbours(m) is _odd_neighbours(m)
-    assert neighbour_matrix(_odd_neighbours(m)) == odd_adjacency_by_scan(GroundSet(m))
+    assert neighbour_matrix(_odd_neighbours(m)) == odd_adjacency_by_scan(m)
 
 
 def test_petersen_spheres():
@@ -70,33 +64,32 @@ def test_petersen_spheres():
 
 def test_fold_identity_and_complement():
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        for z in enumerate_vertices(g):
-            folded = fold(g, z)
+        full = (1 << 2 * m + 1) - 1
+        for z in enumerate_vertices(m):
+            folded = fold(m, z)
             if z.bit_count() == m:
                 assert folded == z
             else:
-                assert folded == g.full_mask ^ z
+                assert folded == full ^ z
                 assert folded.bit_count() == m
             # folding a vertex and its complement agree
-            assert fold(g, g.full_mask ^ z) == folded
+            assert fold(m, full ^ z) == folded
 
 
 def test_antipodal_fibers():
     # the two preimages of a folded vertex sit at distance-sum 2m+1 from
     # every base point, so fibers are antipodal pairs
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        for z in enumerate_vertices(g):
-            zbar = g.full_mask ^ z
-            assert distance(g.base_vertex, z) + distance(g.base_vertex, zbar) == 2 * m + 1
+        x0, full = (1 << m) - 1, (1 << 2 * m + 1) - 1
+        for z in enumerate_vertices(m):
+            zbar = full ^ z
+            assert distance(x0, z) + distance(x0, zbar) == 2 * m + 1
             assert distance(z, zbar) == 2 * m + 1
 
 
 def test_psi_shape_and_sums():
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        psi = build_psi(g)
+        psi = build_psi(m)
         half = comb(2 * m + 1, m)
         assert (psi.nrows, psi.ncols) == (half, 2 * half)
         col_sums = {}
@@ -111,35 +104,34 @@ def test_psi_shape_and_sums():
 
 
 def test_psi_m1_first_row():
-    g = GroundSet(1)
-    psi = build_psi(g)
+    psi = build_psi(1)
     # the fiber over {1} is {1} itself (column 0) and its complement {2,3}
     assert psi.get(0, 0) == 1
-    assert psi.get(0, vertex_index(g, 0b110)) == 1
+    assert psi.get(0, vertex_index(1, 0b110)) == 1
 
 
 def test_fiber_sums_constant_for_complement_invariant_matrices():
     for m in (1, 2):
-        g = GroundSet(m)
-        verts = enumerate_vertices(g)
+        full = (1 << 2 * m + 1) - 1
+        verts = enumerate_vertices(m)
         n = len(verts)
         idx = {v: k for k, v in enumerate(verts)}
         conj = SparseExactMatrix.from_entries(
-            n, n, ((idx[g.full_mask ^ v], idx[v], 1) for v in verts)
+            n, n, ((idx[full ^ v], idx[v], 1) for v in verts)
         )
-        psi = build_psi(g)
-        a1 = distance_matrices(g)[1]
-        reps = odd_vertices(g)
+        psi = build_psi(m)
+        a1 = distance_matrices(m)[1]
+        reps = odd_vertices(m)
         for mat in (a1, a1 @ a1):
             # invariant under relabeling every vertex by its complement
             assert conj @ mat @ conj == mat
             collapsed = psi @ mat @ psi.transpose()
             for u, yu in enumerate(reps):
                 for v, yv in enumerate(reps):
-                    fiber_v = (yv, g.full_mask ^ yv)
+                    fiber_v = (yv, full ^ yv)
                     row_sum = sum(mat.get(idx[yu], idx[z]) for z in fiber_v)
                     bar_sum = sum(
-                        mat.get(idx[g.full_mask ^ yu], idx[z]) for z in fiber_v
+                        mat.get(idx[full ^ yu], idx[z]) for z in fiber_v
                     )
                     assert row_sum == bar_sum
                     assert collapsed.get(u, v) == 2 * row_sum
@@ -147,7 +139,7 @@ def test_fiber_sums_constant_for_complement_invariant_matrices():
 
 def test_intertwining_identities():
     for m in (1, 2, 3):
-        results = verify_intertwining(GroundSet(m))
+        results = verify_intertwining(m)
         assert [name for name, ok in results.items() if not ok] == []
         assert len(results) == 3 + 1 + 1  # invariants + two transport families
 
@@ -156,8 +148,7 @@ def test_intertwining_identities():
 def test_intertwining_on_the_fold_map_matches_the_n2_products(m):
     # each identity read off the fold map against psi multiplied out as
     # n x n matrices
-    g = GroundSet(m)
-    assert list(verify_intertwining(g).items()) == list(n2_intertwining(g, adjacency_matrix(g)).items())
+    assert list(verify_intertwining(m).items()) == list(n2_intertwining(m, adjacency_matrix(m)).items())
 
 
 def _failed_psi_identities(capsys) -> list[str]:
@@ -166,8 +157,7 @@ def _failed_psi_identities(capsys) -> list[str]:
     assert main(["verify", "--m", "2", "--checks", "psi-intertwining"]) == 1
     (report,) = json.loads(capsys.readouterr().out)
     assert report["status"] == "fail" and report["actual"]["checked"] == 5
-    g = GroundSet(2)
-    oracle = n2_intertwining(g, neighbour_matrix(covering_module._neighbours(2)))
+    oracle = n2_intertwining(2, neighbour_matrix(covering_module._neighbours(2)))
     assert report["actual"]["failed"] == [name for name, ok in oracle.items() if not ok]
     return report["actual"]["failed"]
 
@@ -183,11 +173,10 @@ def test_an_extra_adjacency_entry_fails_the_adjacency_transport(monkeypatch, cap
 def test_a_wrong_fold_fails_the_row_sums(monkeypatch, capsys):
     # the antipode of x0 folds onto the second m-subset instead of x0: the
     # row of x0 holds one 1 and that of the second m-subset three
-    g = GroundSet(2)
     fold_of = covering_module.fold
-    antipode, other = g.full_mask & ~g.base_vertex, odd_vertices(g)[1]
+    antipode, other = 0b11100, odd_vertices(2)[1]  # S - x0, x0 = {1, 2}
     monkeypatch.setattr(
-        covering_module, "fold", lambda g, z: other if z == antipode else fold_of(g, z)
+        covering_module, "fold", lambda m, z: other if z == antipode else fold_of(m, z)
     )
     # every column still holds one 1; all that rests on the fibers fails
     assert _failed_psi_identities(capsys) == [

@@ -19,7 +19,6 @@ from helpers import (
 )
 
 from doubled_odd.checks import write_coord_entries
-from doubled_odd.combinatorics import GroundSet
 from doubled_odd.linalg import (
     NotClosedError,
     ShapeMismatchError,
@@ -277,7 +276,7 @@ def test_closure_of_identity_alone():
 
 def test_closure_of_orthogonal_idempotents():
     for m in (1, 2):
-        idems = dual_idempotents(GroundSet(m))
+        idems = dual_idempotents(m)
         result = algebra_closure(idems, MatrixAction.of(idems))
         assert result.basis.dimension == 2 * m + 2
 

@@ -43,12 +43,8 @@ from helpers import (
 from doubled_odd import combinatorics as combinatorics_module
 from doubled_odd import orbits as orbits_module
 from doubled_odd import terwilliger as terwilliger_module
-from doubled_odd.checks import CheckContext, RunConfig, run
-from doubled_odd.combinatorics import (
-    GroundSet,
-    enumerate_vertices,
-    vertex_count,
-)
+from doubled_odd.checks import CheckContext, RunConfig, _holds, run
+from doubled_odd.combinatorics import enumerate_vertices, vertex_count
 from doubled_odd.linalg import (
     NotClosedError,
     SparseExactMatrix,
@@ -90,10 +86,9 @@ def test_index_set_m1_block_I_frozen():
 
 def test_index_sets_match_enumeration():
     for m in (1, 2, 3):
-        g = GroundSet(m)
         for block in BlockTag:
             closed = index_set(block, m)
-            assert closed == enumerate_index_set(g, block)
+            assert closed == enumerate_index_set(m, block)
             assert len(closed) == comb(m + 4, 4)
 
 
@@ -123,9 +118,8 @@ def test_label_text_round_trip():
 
 def test_orbit_matrices_partition_pairs():
     for m in (1, 2):
-        g = GroundSet(m)
-        mats = orbit_matrices(g)
-        n = vertex_count(g)
+        mats = orbit_matrices(m)
+        n = vertex_count(m)
         assert len(mats) == 4 * comb(m + 4, 4)
         total = SparseExactMatrix.zero(n, n)
         for mat in mats.values():
@@ -135,21 +129,21 @@ def test_orbit_matrices_partition_pairs():
 
 
 def test_orbit_matrix_transpose_swaps_mixed_blocks():
-    g = GroundSet(2)
-    for lab, mat in orbit_matrices(g).items():
+    m = 2
+    for lab, mat in orbit_matrices(m).items():
         i, j, t, p = lab.tup
         if lab.block is BlockTag.II:
             partner = OrbitLabel(BlockTag.III, (j, i, t, p))
-            assert mat.transpose() == orbit_matrix(g, partner)
+            assert mat.transpose() == orbit_matrix(m, partner)
         elif lab.block in (BlockTag.I, BlockTag.IV):
             partner = OrbitLabel(lab.block, (j, i, t, p))
-            assert mat.transpose() == orbit_matrix(g, partner)
+            assert mat.transpose() == orbit_matrix(m, partner)
 
 
 def test_orbit_matrix_rejects_unknown_label():
-    g = GroundSet(1)
+    m = 1
     with pytest.raises(ValueError):
-        orbit_matrix(g, OrbitLabel(BlockTag.I, (1, 1, 1, 0)))
+        orbit_matrix(m, OrbitLabel(BlockTag.I, (1, 1, 1, 0)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -157,58 +151,56 @@ def test_vertex_maps_by_byte_tables_match_the_maps_moved_a_point_at_a_time(m):
     # the stabilizer's generators, the Young generators of every sphere's
     # four atoms (as the orbit certificate builds them) and seeded random
     # permutations of the points; from m = 4 on the 2m+1 points span two bytes
-    g = GroundSet(m)
-    verts = enumerate_vertices(g)
-    x0 = g.base_vertex
-    perm_sets = [stabilizer_generators(g)]
+    verts = enumerate_vertices(m)
+    x0, full = (1 << m) - 1, (1 << 2 * m + 1) - 1
+    perm_sets = [stabilizer_generators(m)]
     for sphere in orbit_index(m).spheres:
         y = verts[sphere[0]]
         atoms = [
-            [k for k in range(g.n_points) if mask >> k & 1]
-            for mask in (x0 & y, x0 & ~y, y & ~x0, g.full_mask & ~(x0 | y))
+            [k for k in range(2 * m + 1) if mask >> k & 1]
+            for mask in (x0 & y, x0 & ~y, y & ~x0, full & ~(x0 | y))
         ]
-        perm_sets.append(orbits_module._young_generators(g.n_points, atoms))
+        perm_sets.append(orbits_module._young_generators(2 * m + 1, atoms))
     rng = random.Random(5100 + m)
-    perm_sets.append([tuple(rng.sample(range(g.n_points), g.n_points)) for _ in range(3)])
+    perm_sets.append([tuple(rng.sample(range(2 * m + 1), 2 * m + 1)) for _ in range(3)])
     for perms in perm_sets:
         assert orbits_module._vertex_maps(m, perms) == vertex_maps_by_points(m, perms)
 
 
 def test_stabilizer_generators_fix_base_vertex():
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        for perm in stabilizer_generators(g):
-            assert sorted(perm) == list(range(g.n_points))
+        x0 = (1 << m) - 1
+        for perm in stabilizer_generators(m):
+            assert sorted(perm) == list(range(2 * m + 1))
             image = 0
-            for pt in range(g.n_points):
-                if g.base_vertex >> pt & 1:
+            for pt in range(2 * m + 1):
+                if x0 >> pt & 1:
                     image |= 1 << perm[pt]
-            assert image == g.base_vertex
+            assert image == x0
 
 
 def test_group_orbits_match_level_sets():
     for m in (1, 2):
-        g = GroundSet(m)
-        oracle = orbit_partition(orbits_by_group_action(g), vertex_count(g))
+        oracle = orbit_partition(orbits_by_group_action(m), vertex_count(m))
         closed = {
             frozenset((r, c) for r, c, _ in mat.entries())
-            for mat in orbit_matrices(g).values()
+            for mat in orbit_matrices(m).values()
         }
         assert oracle == closed
 
 
 def test_centralizer_dimensions():
     for m, dim in [(1, 20), (2, 60)]:
-        cent = build_centralizer(GroundSet(m))
+        cent = build_centralizer(m)
         assert cent.ambient_dim == dim
-        assert len(orbit_matrices(GroundSet(m))) == dim
+        assert len(orbit_matrices(m)) == dim
 
 
 def test_the_centralizer_is_the_shared_orbit_coordinates():
     # build_centralizer builds a new orbit index on every call, kept by no
     # memo, and a run's context holds the one it builds for all its checks
     for m in (1, 2, 3):
-        first, second = build_centralizer(GroundSet(m)), build_centralizer(GroundSet(m))
+        first, second = build_centralizer(m), build_centralizer(m)
         assert first is not second and first.labels == second.labels and first.rows == second.rows
         ctx = CheckContext(m)
         assert ctx.terwilliger.scheme is ctx.centralizer
@@ -248,9 +240,8 @@ def test_the_a1_push_tables_match_the_first_pair_product_index(m):
 def test_the_venn_atom_moves_match_the_neighbours_of_every_pair(m):
     # the moves of a pair's label against the labels of (w, z) for every
     # neighbour w of y, over all n^2 pairs (y, z)
-    g = GroundSet(m)
-    verts = enumerate_vertices(g)
-    x0 = g.base_vertex
+    verts = enumerate_vertices(m)
+    x0 = (1 << m) - 1
     for y in verts:
         neighbours = [w for w in verts if (w & y) in (w, y) and abs(w.bit_count() - y.bit_count()) == 1]
         for z in verts:
@@ -280,37 +271,36 @@ def test_a_corrupted_atom_move_fails_the_cross_check(monkeypatch, fresh_memos):
 
 
 def test_centralizer_contains_invariant_matrices():
-    g = GroundSet(2)
-    cent_span = span(orbit_matrices(g).values())  # the n^2-ambient oracle
-    n = vertex_count(g)
+    m = 2
+    cent_span = span(orbit_matrices(m).values())  # the n^2-ambient oracle
+    n = vertex_count(m)
     ones = SparseExactMatrix.from_entries(
         n, n, ((r, c, 1) for r in range(n) for c in range(n))
     )
     assert contains(cent_span, ones)
-    assert contains(cent_span, adjacency_matrix(g))
+    assert contains(cent_span, adjacency_matrix(m))
     assert contains(cent_span, SparseExactMatrix.identity(n))
     # the adjacency matrix lives in the mixed blocks, not in block I's span
     block_I = span(
-        [orbit_matrix(g, lab) for lab in orbits_module._orbit_labels(g.m) if lab.block is BlockTag.I]
+        [orbit_matrix(m, lab) for lab in orbits_module._orbit_labels(m) if lab.block is BlockTag.I]
     )
-    assert not contains(block_I, adjacency_matrix(g))
+    assert not contains(block_I, adjacency_matrix(m))
 
 
 def test_centralizer_excludes_non_invariant_matrix():
-    g = GroundSet(1)
-    n = vertex_count(g)
+    m = 1
+    n = vertex_count(m)
     single = SparseExactMatrix.from_entries(n, n, [(0, 1, 1)])
-    assert not contains(span(orbit_matrices(g).values()), single)
+    assert not contains(span(orbit_matrices(m).values()), single)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_centralizer_in_orbit_coordinates_lifts_to_the_n2_span(m):
     # the identity RREF of Q^d lifts to the RREF of the n^2-ambient span of
     # the orbit matrices, and an elimination finds that span d-dimensional
-    g = GroundSet(m)
-    cent = build_centralizer(g)
+    cent = build_centralizer(m)
     d = cent.ambient_dim
-    cent_span = span(orbit_matrices(g).values())
+    cent_span = span(orbit_matrices(m).values())
     assert cent_span.dimension == d == 4 * comb(m + 4, 4)
     identity = span_of_rows(d, ({a: 1} for a in range(d)))
     assert lift(cent, identity) == cent_span
@@ -321,11 +311,10 @@ def test_orbit_coordinate_membership_agrees_with_the_n2_span(m):
     # centralizer-dim's test, "constant on every orbit", against membership in
     # the n^2-ambient span, on products of orbit matrices (inside) and on
     # single-entry perturbations of them (mostly outside)
-    g = GroundSet(m)
-    cent = build_centralizer(g)
-    mats = [orbit_matrices(g)[lab] for lab in orbits_module._orbit_labels(m)]
+    cent = build_centralizer(m)
+    mats = [orbit_matrices(m)[lab] for lab in orbits_module._orbit_labels(m)]
     cent_span = span(mats)
-    n, d = vertex_count(g), cent.ambient_dim
+    n, d = vertex_count(m), cent.ambient_dim
     rng = random.Random(7100 + m)
     verdicts = []
     for _ in range(30):
@@ -345,33 +334,31 @@ def test_a_closed_form_label_without_a_pair_is_rejected(monkeypatch, fresh_memos
     labels = orbits_module._orbit_labels(1) + (OrbitLabel(BlockTag.I, (1, 1, 1, 0)),)
     monkeypatch.setattr(orbits_module, "_orbit_labels", lambda _m: labels)
     with pytest.raises(NotClosedError, match="I:1,1,1,0 has an empty orbit"):
-        build_centralizer(GroundSet(1))
+        build_centralizer(1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_pair_index_labels_every_pair_by_block_and_rho(m):
     # the oracle's one labelled pass against the definition of a pair's
     # label, and its partition against the orbits of the stabilizer's generators
-    g = GroundSet(m)
     index = pair_index(m)
-    verts = enumerate_vertices(g)
+    verts, x0 = enumerate_vertices(m), (1 << m) - 1
     n = len(verts)
     assert index.n == n and len(index.orbit_of) == n * n
     for yi, y in enumerate(verts):
         for zi, z in enumerate(verts):
-            label = OrbitLabel(block_of_pair(m, y, z), rho(g.base_vertex, y, z))
+            label = OrbitLabel(block_of_pair(m, y, z), rho(x0, y, z))
             assert index.labels[index.orbit_of[yi * n + zi]] == label
     assert len(index.labels) == len(set(index.labels)) and set(index.labels) == set(orbits_module._orbit_labels(m))
     # numbered by first pair, positions ascending
     assert [pos[0] for pos in index.positions] == sorted(pos[0] for pos in index.positions)
     assert all(list(pos) == sorted(pos) for pos in index.positions)
     partition = {frozenset(divmod(idx, n) for idx in pos) for pos in index.positions}
-    assert partition == orbit_partition(orbits_by_group_action(g), n)
+    assert partition == orbit_partition(orbits_by_group_action(m), n)
 
 
 def test_diagonal_subalgebras_closed_mixed_fails():
     for m in (1, 2):
-        g = GroundSet(m)
         assert check_subalgebra((BlockTag.I,), orbit_index(m)) is None
         assert check_subalgebra((BlockTag.IV,), orbit_index(m)) is None
         escape = check_subalgebra((BlockTag.II, BlockTag.III), orbit_index(m))
@@ -382,21 +369,21 @@ def test_diagonal_subalgebras_closed_mixed_fails():
         assert {la.block, lb.block} <= {BlockTag.II, BlockTag.III}
 
 
-def _pairwise_product_scan(sub, g):
+def _pairwise_product_scan(sub, m):
     """Oracle: multiply the ordered pairs of orbit matrices of sub as n x n
     matrices, in order, and test each product for membership in their span;
     the first product outside it is returned as (la, lb, block), block that
     of its first entry, and None when there is none."""
-    mats = orbit_matrices(g)
+    mats = orbit_matrices(m)
     sub_mats = [mats[lab] for lab in sub]
     sub_span = span(sub_mats)
-    verts = enumerate_vertices(g)
+    verts = enumerate_vertices(m)
     for la, ma in zip(sub, sub_mats):
         for lb, mb in zip(sub, sub_mats):
             product = ma @ mb
             if not contains(sub_span, product):
                 r, c, _ = next(product.entries())
-                return la, lb, block_of_pair(g.m, verts[r], verts[c])
+                return la, lb, block_of_pair(m, verts[r], verts[c])
     return None
 
 
@@ -408,9 +395,8 @@ def _family(m: int, blocks) -> list[OrbitLabel]:
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_subalgebra_scan_matches_the_pairwise_product_oracle(m):
     # the block rule on each block family against the n x n products
-    g = GroundSet(m)
     escapes = [check_subalgebra(blocks, orbit_index(m)) for blocks in BLOCK_FAMILIES.values()]
-    assert escapes == [_pairwise_product_scan(_family(m, blocks), g) for blocks in BLOCK_FAMILIES.values()]
+    assert escapes == [_pairwise_product_scan(_family(m, blocks), m) for blocks in BLOCK_FAMILIES.values()]
     assert [e is None for e in escapes] == [True, False, True]
 
 
@@ -418,18 +404,16 @@ def test_subalgebra_scan_matches_the_pairwise_product_oracle(m):
 def test_subalgebra_scan_matches_the_product_index_supports(m):
     # the block rule on each block family against the supports read off
     # the first-pair product index
-    g = GroundSet(m)
     escapes = [check_subalgebra(blocks, orbit_index(m)) for blocks in BLOCK_FAMILIES.values()]
-    assert escapes == [product_subalgebra(_family(m, blocks), g) for blocks in BLOCK_FAMILIES.values()]
+    assert escapes == [product_subalgebra(_family(m, blocks), m) for blocks in BLOCK_FAMILIES.values()]
     assert [e is None for e in escapes] == [True, False, True]
 
 
 def test_structure_constants_match_the_products_of_orbit_matrices():
     for m in (1, 2):
-        g = GroundSet(m)
-        n = vertex_count(g)
+        n = vertex_count(m)
         coords = orbit_index(m)
-        mats = [orbit_matrix(g, lab) for lab in coords.labels]
+        mats = [orbit_matrix(m, lab) for lab in coords.labels]
         d = len(mats)
         counts = orbit_counts(product_index(coords))
         for a in range(d):
@@ -447,7 +431,7 @@ def test_product_in_orbit_coordinates_lifts_to_the_matrix_product(m):
     # product(x, y) is the n x n product of the lifts of x and y
     coords = orbit_index(m)
     d = coords.ambient_dim
-    mats = orbit_matrices(GroundSet(m))
+    mats = orbit_matrices(m)
     orbit_vectors = [vectorize(mats[lab]) for lab in coords.labels]
 
     def lifted(x):
@@ -475,8 +459,8 @@ def _merge_incoherent_orbits(certified: bool = True) -> OrbitCoordinates:
     has a square that is not a combination of the coarser orbit matrices;
     built without the stabilizer orbit certificate, which rejects it,
     unless certified."""
-    g = GroundSet(1)
-    mats = orbit_matrices(g)
+    m = 1
+    mats = orbit_matrices(m)
     # the square of the merged matrix is 1 at ({2}, {1}) and 0 at ({2}, {3})
     a, b = _INCOHERENT
     merged = mats[a] + mats[b]
@@ -508,7 +492,7 @@ def _first_orbit_not_a_class(index, roots) -> OrbitLabel | None:
 def _first_sphere_not_an_orbit(m: int, spheres, perms) -> int | None:
     # oracle: the least of the spheres that is not the orbit of its first
     # vertex under the point permutations, closed over as sets of points
-    verts = enumerate_vertices(GroundSet(m))
+    verts = enumerate_vertices(m)
     for s, sphere in enumerate(spheres):
         orbit, todo = {verts[sphere[0]]}, [verts[sphere[0]]]
         while todo:
@@ -529,10 +513,9 @@ def test_the_group_orbit_certificate_rejects_a_missing_generator(monkeypatch, fr
     # the labels' orbits: the certificate and orbits-oracle see it
     spheres = orbit_index(2).spheres
     generators = orbits_module.stabilizer_generators
-    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
-    g = GroundSet(2)
-    assert _first_orbit_not_a_class(pair_index(2), orbits_by_group_action(g)) is not None
-    s = _first_sphere_not_an_orbit(2, spheres, orbits_module.stabilizer_generators(g))
+    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda m: generators(m)[:-1])
+    assert _first_orbit_not_a_class(pair_index(2), orbits_by_group_action(2)) is not None
+    s = _first_sphere_not_an_orbit(2, spheres, orbits_module.stabilizer_generators(2))
     assert s is not None
     with pytest.raises(NotClosedError, match=rf"sphere {s} \(.*\) is not a single orbit"):
         OrbitCoordinates(2)
@@ -546,9 +529,9 @@ def test_the_group_orbit_comparison_names_the_first_label_that_is_no_group_orbit
     # union-find classes; the comparison reads label keys, with no orbit
     # index, and names the first such label in closed-form order
     generators = orbits_module.stabilizer_generators
-    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: generators(g)[:-1])
-    roots = orbits_by_group_action(GroundSet(2))
-    index, classes = pair_index(2), orbit_partition(roots, vertex_count(GroundSet(2)))
+    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda m: generators(m)[:-1])
+    roots = orbits_by_group_action(2)
+    index, classes = pair_index(2), orbit_partition(roots, vertex_count(2))
     split = {
         label for label, positions in zip(index.labels, index.positions)
         if frozenset(divmod(pos, index.n) for pos in positions) not in classes
@@ -556,6 +539,23 @@ def test_the_group_orbit_comparison_names_the_first_label_that_is_no_group_orbit
     first = min(split, key=orbits_module._orbit_labels(2).index)
     with pytest.raises(NotClosedError, match=rf"^label {first.text()} is not a single orbit"):
         orbits_module._check_group_orbits(2, roots)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_group_orbit_comparison_rejects_roots_of_another_length(m):
+    # roots hold one entry per vertex pair, read in step with the pairs'
+    # label keys: an empty, a one-short and a one-long roots array is a
+    # caller's bug, not a failed certificate, so orbits-oracle's _holds
+    # lets its ValueError through; the full roots and the index still pass
+    roots = orbits_by_group_action(m)
+    assert len(roots) == vertex_count(m) ** 2
+    for wrong in (roots[:0], roots[:-1], roots + roots[:1]):
+        with pytest.raises(ValueError):
+            orbits_module._check_group_orbits(m, wrong)
+        with pytest.raises(ValueError):
+            _holds(orbits_module._check_group_orbits, m, wrong)
+    assert _holds(orbits_module._check_group_orbits, m, roots) is True
+    assert OrbitCoordinates(m).ambient_dim == 4 * comb(m + 4, 4)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -574,7 +574,7 @@ def test_the_group_orbit_certificate_rejects_a_generator_that_is_no_permutation(
     # the point map 1, 2, 3 -> 1, 1, 3 sends {1} and {2} to {1}: its
     # union-find classes need not be the orbits of a group
     generators = orbits_module.stabilizer_generators
-    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda g: [(0, 0, 2)] + generators(g))
+    monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda m: [(0, 0, 2)] + generators(m))
     with pytest.raises(NotClosedError, match="stabilizer generator 0 does not permute the vertices"):
         OrbitCoordinates(1)
     (report,) = run(RunConfig(m=1, checks=("orbits-oracle",)))
@@ -650,7 +650,7 @@ def test_the_stabilizer_orbit_certificate_rejects_a_row_generator_that_moves_y_s
         return gens
 
     monkeypatch.setattr(orbits_module, "_young_generators", with_swap)
-    assert stabilizer_generators(GroundSet(2)) == young(5, [[0, 1], [2, 3, 4]])
+    assert stabilizer_generators(2) == young(5, [[0, 1], [2, 3, 4]])
     with pytest.raises(NotClosedError, match=r"row generator \d+ of sphere \d+ does not fix y_s"):
         OrbitCoordinates(2)
 
@@ -687,16 +687,16 @@ def test_higmans_identity_rejects_orbits_that_are_not_coherent():
 
 
 def test_orbit_labels_cover_both_directions():
-    g = GroundSet(1)
-    labels = orbits_module._orbit_labels(1)
+    m, x0 = 1, 0b1  # x0 = {1}
+    labels = orbits_module._orbit_labels(m)
     assert len(labels) == 20
     assert [lab.block for lab in labels[:5]] == [BlockTag.I] * 5
-    verts = enumerate_vertices(g)
+    verts = enumerate_vertices(m)
     # every ordered pair is classified by exactly one label
     seen = {}
     for y in verts:
         for z in verts:
-            lab = OrbitLabel(block_of_pair(g.m, y, z), rho(g.base_vertex, y, z))
+            lab = OrbitLabel(block_of_pair(m, y, z), rho(x0, y, z))
             assert lab in set(labels)
             seen[lab] = seen.get(lab, 0) + 1
     assert sum(seen.values()) == len(verts) ** 2
@@ -705,13 +705,14 @@ def test_orbit_labels_cover_both_directions():
 
 def test_rho_reference_points():
     for m in (1, 2, 3):
-        x0 = GroundSet(m).base_vertex
+        x0 = (1 << m) - 1
         assert rho(x0, x0, x0) == (m, m, m, m)
     # S = {1..7}: y = {1,2,4}, z = {1,4,5,6}
-    g = GroundSet(3)
+    m = 3
+    x0 = (1 << m) - 1
     y, z = mask_of({1, 2, 4}), mask_of({1, 4, 5, 6})
-    assert rho(g.base_vertex, y, z) == (2, 1, 2, 1)
-    assert block_of_pair(g.m, y, z) == BlockTag.II
+    assert rho(x0, y, z) == (2, 1, 2, 1)
+    assert block_of_pair(m, y, z) == BlockTag.II
 
 
 def test_tuple_bijection_smallest_block_ii_value():
@@ -721,24 +722,23 @@ def test_tuple_bijection_smallest_block_ii_value():
 def test_block_iv_complementation_is_involution():
     # Complementing both coordinates of a block-IV pair realizes the
     # tuple map onto block I, and complementing again restores the pair.
-    g = GroundSet(2)
-    x0, full = g.base_vertex, g.full_mask
-    big = [v for v in enumerate_vertices(g) if v.bit_count() == g.m + 1]
+    m = 2
+    x0, full = (1 << m) - 1, (1 << 2 * m + 1) - 1
+    big = [v for v in enumerate_vertices(m) if v.bit_count() == m + 1]
     seen = set()
     for y in big:
         for z in big:
             tup = rho(x0, y, z)
             yc, zc = full ^ y, full ^ z
-            assert rho(x0, yc, zc) == tuple_bijection(BlockTag.IV, tup, g.m)
+            assert rho(x0, yc, zc) == tuple_bijection(BlockTag.IV, tup, m)
             assert (full ^ yc, full ^ zc) == (y, z)
             seen.add(tup)
-    assert seen == index_set(BlockTag.IV, g.m)
+    assert seen == index_set(BlockTag.IV, m)
 
 
 def test_diagonal_orbit_matrix_is_base_vertex_unit():
     for m in (1, 2):
-        g = GroundSet(m)
-        mat = orbit_matrix(g, OrbitLabel(BlockTag.I, (m, m, m, m)))
+        mat = orbit_matrix(m, OrbitLabel(BlockTag.I, (m, m, m, m)))
         assert mat.nnz == 1
         assert mat.get(0, 0) == 1
 
@@ -760,7 +760,7 @@ def test_sphere_rows_number_and_size_the_orbits_as_the_pair_index(m):
     assert list(rows.sizes) == [len(pos) for pos in index.positions]
     assert len(rows.spheres) == 2 * m + 2
     assert sorted(y for sphere in rows.spheres for y in sphere) == list(range(index.n))
-    verts, x0 = enumerate_vertices(GroundSet(m)), GroundSet(m).base_vertex
+    verts, x0 = enumerate_vertices(m), (1 << m) - 1
     for s, (sphere, row) in enumerate(zip(rows.spheres, rows.rows)):
         y = sphere[0]
         assert list(row) == list(index.orbit_of[y * index.n:(y + 1) * index.n])
@@ -811,7 +811,7 @@ def test_the_orbit_index_keeps_no_second_numbering():
 def test_single_orbit_matrices_from_the_sphere_rows_match_the_pair_index_view(m):
     # every orbit matrix is built alone from its row and column spheres
     # compared through labels
-    mats = orbit_matrices(GroundSet(m))
+    mats = orbit_matrices(m)
     index = pair_index(m)
     assert list(mats) == list(orbits_module._orbit_labels(m))
     assert mats == dict(zip(index.labels, pair_orbit_matrices(index)))

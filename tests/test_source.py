@@ -235,7 +235,7 @@ def test_the_orbit_index_lints_find_every_form():
         "orbits.build_centralizer(g)\n"
         "class Context:\n"
         "    def centralizer(self):\n"
-        "        return [build_centralizer(self.g) for _ in ()]\n"
+        "        return [build_centralizer(self.m) for _ in ()]\n"
     )
     assert _imports_of(tree, "orbits") == [1, 2, 3, 4]
     assert _calls_of(tree, "OrbitCoordinates") == [("build", 7)]

@@ -38,7 +38,6 @@ from helpers import (
 )
 
 from doubled_odd.combinatorics import (
-    GroundSet,
     _neighbours,
     enumerate_vertices,
     vertex_count,
@@ -69,23 +68,22 @@ from doubled_odd.terwilliger import (
 )
 
 
-def _lifted(g, basis):
+def _lifted(m, basis):
     # the n^2-ambient RREF of a basis kept in orbit coordinates
-    return lift(orbit_index(g.m), basis)
+    return lift(orbit_index(m), basis)
 
 
 def test_dual_idempotents_are_sphere_indicators():
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        verts = enumerate_vertices(g)
+        verts = enumerate_vertices(m)
         n = len(verts)
-        idems = dual_idempotents(g)
+        idems = dual_idempotents(m)
         assert len(idems) == 2 * m + 2
         total = SparseExactMatrix.zero(n, n)
         for i, e in enumerate(idems):
             for r, c, v in e.entries():
                 assert r == c and v == 1
-                assert distance(g.base_vertex, verts[r]) == i
+                assert distance((1 << m) - 1, verts[r]) == i
             assert e @ e == e
             total = total + e
         assert total == SparseExactMatrix.identity(n)
@@ -95,20 +93,19 @@ def test_dual_idempotents_are_sphere_indicators():
 
 
 def test_dual_idempotent_rejects_bad_index():
-    g = GroundSet(1)
+    m = 1
     with pytest.raises(ValueError):
-        dual_idempotent(g, 4)
+        dual_idempotent(m, 4)
     with pytest.raises(ValueError):
-        dual_idempotent(g, -1)
+        dual_idempotent(m, -1)
 
 
 def test_tridiagonal_sandwich_structure():
     # the sandwiches read off A_1 as restrictions between spheres are the
     # matrix products E*_i A_1 E*_j, and only |i - j| = 1 gives a nonzero one
     for m in (1, 2, 3):
-        g = GroundSet(m)
-        products = sandwich_products(g)
-        restricted = sandwiches(g, adjacency_matrix(g))
+        products = sandwich_products(m)
+        restricted = sandwiches(m, adjacency_matrix(m))
         assert set(restricted) == {key for key, prod in products.items() if not prod.is_zero()}
         for (i, j), sandwich in products.items():
             assert restricted.get((i, j), SparseExactMatrix.zero(sandwich.nrows, sandwich.ncols)) == sandwich
@@ -131,10 +128,10 @@ def test_sandwich_identities_form_no_matrix_product(monkeypatch):
 def test_sandwich_identities_catch_an_edge_inside_a_sphere(monkeypatch):
     # an extra edge joining two vertices of one sphere is a nonzero
     # E*_i A_1 E*_i, and A_1 is then no longer the sum of the sandwiches
-    g = GroundSet(2)
-    doctored = _with_an_edge_inside_a_sphere(g)
+    m = 2
+    doctored = _with_an_edge_inside_a_sphere(m)
     monkeypatch.setattr(terwilliger_module, "_neighbours", lambda _m: doctored)
-    assert _failed(verify_sandwich_identities(orbit_index(g.m))) == ["bipartite-sandwich-vanishing", "adjacency-sandwich-decomposition"]
+    assert _failed(verify_sandwich_identities(orbit_index(m))) == ["bipartite-sandwich-vanishing", "adjacency-sandwich-decomposition"]
 
 
 def _failed(results: dict[str, bool]) -> list[str]:
@@ -145,26 +142,25 @@ def _failed(results: dict[str, bool]) -> list[str]:
 def test_sandwich_identities_by_label_and_count_match_the_n2_oracle(m):
     # lemma41 by the orbits of A_1's entries, counted, against the n x n
     # route: sandwiches restricted from A_1 and orbit matrices built alone
-    g = GroundSet(m)
-    results = verify_sandwich_identities(orbit_index(g.m))
-    assert list(results.items()) == list(n2_sandwich_identities(g, adjacency_matrix(g)).items())
-    assert len(results) == 3 * g.diameter + 3 and _failed(results) == []
+    results = verify_sandwich_identities(orbit_index(m))
+    assert list(results.items()) == list(n2_sandwich_identities(m, adjacency_matrix(m)).items())
+    assert len(results) == 3 * (2 * m + 1) + 3 and _failed(results) == []
 
 
-def _without_one_sandwich_edge(g: GroundSet) -> tuple[tuple[int, ...], ...]:
+def _without_one_sandwich_edge(m: int) -> tuple[tuple[int, ...], ...]:
     # the neighbour table less the entry (x0, z), z the first neighbour of
     # x0: E*_0 A_1 E*_1 loses a pair of its orbit
-    table = list(_neighbours(g.m))
+    table = list(_neighbours(m))
     table[0] = table[0][1:]
     return tuple(table)
 
 
-def _with_an_edge_inside_a_sphere(g: GroundSet) -> tuple[tuple[int, ...], ...]:
+def _with_an_edge_inside_a_sphere(m: int) -> tuple[tuple[int, ...], ...]:
     # the neighbour table with the entry (y, z), y and z the first two
     # vertices of the first sphere with two
-    index = orbit_index(g.m)
+    index = orbit_index(m)
     y, z = next(s for s in index.spheres if len(s) > 1)[:2]
-    table = list(_neighbours(g.m))
+    table = list(_neighbours(m))
     table[y] = tuple(sorted((*table[y], z)))
     return tuple(table)
 
@@ -175,11 +171,10 @@ def _with_an_edge_inside_a_sphere(g: GroundSet) -> tuple[tuple[int, ...], ...]:
 ])
 @pytest.mark.parametrize("m", [2, 3])
 def test_sandwich_identities_on_a_doctored_adjacency_fail_as_the_n2_oracle(monkeypatch, m, doctor, failed):
-    g = GroundSet(m)
-    doctored = doctor(g)
+    doctored = doctor(m)
     monkeypatch.setattr(terwilliger_module, "_neighbours", lambda _m: doctored)
-    results = verify_sandwich_identities(orbit_index(g.m))
-    assert list(results.items()) == list(n2_sandwich_identities(g, neighbour_matrix(doctored)).items())
+    results = verify_sandwich_identities(orbit_index(m))
+    assert list(results.items()) == list(n2_sandwich_identities(m, neighbour_matrix(doctored)).items())
     assert _failed(results) == failed
 
 
@@ -190,8 +185,7 @@ def test_the_spheres_of_lemma41_fail_on_a_doctored_breadth_first_search(monkeypa
     # for every sphere a vertex leaves or enters against the distance
     # formula, by a search of the test's own, while A_1's entries, read
     # through the untouched table, still tally
-    g = GroundSet(m)
-    doctored = _without_one_sandwich_edge(g)
+    doctored = _without_one_sandwich_edge(m)
     monkeypatch.setattr(combinatorics_module, "_neighbours", lambda _m: doctored)
     searched, queue = {0: 0}, deque([0])
     while queue:
@@ -200,12 +194,12 @@ def test_the_spheres_of_lemma41_fail_on_a_doctored_breadth_first_search(monkeypa
             if z not in searched:
                 searched[z] = searched[y] + 1
                 queue.append(z)
-    moved = set()
-    for y, v in enumerate(enumerate_vertices(g)):
-        if searched.get(y) != distance(g.base_vertex, v):
-            moved.update({distance(g.base_vertex, v), searched.get(y)} - {None})
+    moved, x0 = set(), (1 << m) - 1
+    for y, v in enumerate(enumerate_vertices(m)):
+        if searched.get(y) != distance(x0, v):
+            moved.update({distance(x0, v), searched.get(y)} - {None})
     assert 1 in moved
-    assert _failed(verify_sandwich_identities(orbit_index(g.m))) == [f"dual-idempotent-orbit-form[i={i}]" for i in sorted(moved)]
+    assert _failed(verify_sandwich_identities(orbit_index(m))) == [f"dual-idempotent-orbit-form[i={i}]" for i in sorted(moved)]
 
 
 def test_sandwich_identities_hold():
@@ -214,10 +208,10 @@ def test_sandwich_identities_hold():
 
 
 def test_generator_list():
-    g = GroundSet(2)
-    gens = terwilliger_generators(g)
-    assert len(gens) == 2 * (2 * g.m + 2)
-    assert gens[0] == SparseExactMatrix.identity(vertex_count(g))
+    m = 2
+    gens = terwilliger_generators(m)
+    assert len(gens) == 2 * (2 * m + 2)
+    assert gens[0] == SparseExactMatrix.identity(vertex_count(m))
 
 
 def test_algebra_dimensions(ctx_for):
@@ -243,7 +237,7 @@ def test_t_closes_under_a1_alone_to_the_all_generator_oracle(ctx_for, m):
 def _inclusion(ctx, t):
     # (actual, status) of the inclusion check itself, run on a context whose
     # T is t: the check reads T and its scheme alone
-    doctored = CheckContext(ctx.g.m)
+    doctored = CheckContext(ctx.m)
     doctored.terwilliger = t
     _, _, actual, status = _RUNNERS["inclusion"](doctored)
     return actual, status
@@ -277,7 +271,7 @@ def _n2_equality(t_basis, cent, cent_span):
     # the n^2-ambient comparisons, name -> verdict as verify_equality names them
     verdicts = (
         t_basis.dimension == cent_span.dimension,
-        all(contains(t_basis, mat) for mat in orbit_matrices(GroundSet(cent.m)).values()),
+        all(contains(t_basis, mat) for mat in orbit_matrices(cent.m).values()),
         t_basis == cent_span,
     )
     return dict(zip(_EQUALITY_KEYS, verdicts))
@@ -287,7 +281,7 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
     for m in (1, 2, 3):
         ctx = ctx_for(m)
         t, cent = ctx.terwilliger, ctx.centralizer
-        cent_span = span(orbit_matrices(ctx.g).values())  # the n^2-ambient oracle
+        cent_span = span(orbit_matrices(ctx.m).values())  # the n^2-ambient oracle
         t_basis = lift(cent, t.basis)
         assert t_basis == cent_span
         assert _n2_inclusion(t_basis, cent_span) is True
@@ -298,9 +292,9 @@ def test_checks_in_orbit_coordinates_match_the_n2_comparisons(ctx_for):
         del rows[len(rows) // 2]
         smaller = TerwilligerAlgebra(cent, span_of_rows(t.basis.ambient_dim, rows), None)
         assert _inclusion(ctx, smaller)[0] == {
-            "all_rows_in_centralizer": _n2_inclusion(_lifted(ctx.g, smaller.basis), cent_span)
+            "all_rows_in_centralizer": _n2_inclusion(_lifted(ctx.m, smaller.basis), cent_span)
         }
-        assert verify_equality(smaller) == _n2_equality(_lifted(ctx.g, smaller.basis), cent, cent_span)
+        assert verify_equality(smaller) == _n2_equality(_lifted(ctx.m, smaller.basis), cent, cent_span)
         assert verify_equality(smaller) == dict.fromkeys(_EQUALITY_KEYS, False)
 
 
@@ -339,12 +333,12 @@ def test_center_dimension(ctx_for):
 
 def test_center_elements_commute(ctx_for):
     ctx = ctx_for(2)
-    n = vertex_count(ctx.g)
-    t_basis = _lifted(ctx.g, ctx.terwilliger.basis)
-    center = _lifted(ctx.g, ctx.center)
+    n = vertex_count(ctx.m)
+    t_basis = _lifted(ctx.m, ctx.terwilliger.basis)
+    center = _lifted(ctx.m, ctx.center)
     ident_vec = vectorize(SparseExactMatrix.identity(n))
     assert center.contains_vector(ident_vec)
-    gens = terwilliger_generators(ctx.g)
+    gens = terwilliger_generators(ctx.m)
     for row in center.rows:
         z = matrix_from_vector(dict(row), n, n)
         for gen in gens:
@@ -384,9 +378,9 @@ def test_center_matches_all_basis_commutant_oracle(ctx_for):
     # with every basis element of T
     for m in (1, 2, 3):
         ctx = ctx_for(m)
-        oracle = _all_basis_commutant(_lifted(ctx.g, ctx.terwilliger.basis), vertex_count(ctx.g))
+        oracle = _all_basis_commutant(_lifted(ctx.m, ctx.terwilliger.basis), vertex_count(ctx.m))
         assert oracle.dimension == upsilon_size_formula(m)
-        assert _lifted(ctx.g, center_basis(ctx.terwilliger)) == oracle
+        assert _lifted(ctx.m, center_basis(ctx.terwilliger)) == oracle
 
 
 def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
@@ -395,7 +389,7 @@ def test_orbit_coordinates_match_the_ambient_oracle(ctx_for):
     for m in (1, 2, 3):
         ctx = ctx_for(m)
         t = ctx.terwilliger
-        gens = closure_generators(ctx.g)
+        gens = closure_generators(ctx.m)
         ambient = algebra_closure(gens, MatrixAction.of(gens))
         # one block: a product per basis row and generator, against A_1's one
         assert ambient.iterations == t.dimension * len(gens)
@@ -449,9 +443,9 @@ def test_center_rejects_a_row_joining_two_blocks():
 
 
 def test_action_tables_reject_a_generator_not_constant_on_orbits():
-    g = GroundSet(2)
-    n = vertex_count(g)
-    sphere1 = [r for r, _, _ in dual_idempotent(g, 1).entries()]
+    m = 2
+    n = vertex_count(m)
+    sphere1 = [r for r, _, _ in dual_idempotent(m, 1).entries()]
     assert len(sphere1) == 3
     # one diagonal unit of the sphere: the other two sphere vertices lie in
     # the same orbits but see a zero row
@@ -460,7 +454,7 @@ def test_action_tables_reject_a_generator_not_constant_on_orbits():
     with pytest.raises(NotClosedError):
         action_tables(coords, [unit])
     # the whole sphere indicator is constant on orbits
-    assert len(action_tables(coords, [dual_idempotent(g, 1)])) == 1
+    assert len(action_tables(coords, [dual_idempotent(m, 1)])) == 1
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
@@ -468,10 +462,9 @@ def test_product_built_closure_tables_match_the_action_tables_oracle(m):
     # each generator acts on each orbit matrix through its push tables:
     # E*_i's keep the orbits of a sphere, A_1's move one Venn atom; the
     # oracle reads the action off every vertex pair of its orbit
-    g = GroundSet(m)
     coords = orbit_index(m)
     # closure_generators lists E*_0..E*_{2m+1}, then A_1, as these tables do
-    oracle = action_tables(coords, closure_generators(g))
+    oracle = action_tables(coords, closure_generators(m))
     generators = [*dual_idempotent_tables(coords), coords.adjacency]
     assert len(generators) == len(oracle)
     for x, table in zip(generators, oracle):
@@ -503,10 +496,9 @@ def test_orbit_coordinates_require_the_identity_to_be_a_sum_of_orbits():
 
 
 def test_orbit_coordinates_reject_a_matrix_not_constant_on_orbits():
-    g = GroundSet(1)
     coords = orbit_index(1)
     index = pair_index(1)
-    n = vertex_count(g)
+    n = vertex_count(1)
     # the identity's orbit values, compared through labels
     values = orbit_values(index, vectorize(SparseExactMatrix.identity(n)))
     assert {index.labels[a]: v for a, v in values.items()} == {coords.labels[a]: v for a, v in coords.identity().items()}
@@ -562,7 +554,7 @@ def test_subalgebra_spans_lift_to_the_n2_family_spans(ctx_for):
         cent = ctx_for(m).centralizer
         ids = _family_ids(cent.labels)
         assert set(ids) == set(families)
-        mats = orbit_matrices(ctx_for(m).g)
+        mats = orbit_matrices(ctx_for(m).m)
         for name, blocks in families.items():
             oracle = span(mat for lab, mat in mats.items() if lab.block in blocks)
             units = span_of_rows(cent.ambient_dim, ({a: 1} for a in sorted(ids[name])))
@@ -576,8 +568,8 @@ def test_subalgebra_spans_lift_to_the_n2_family_spans(ctx_for):
 def test_algebra_closure_idempotent(ctx_for):
     # regrowing the algebra from its own reduced basis does not enlarge it
     ctx = ctx_for(1)
-    t_basis = _lifted(ctx.g, ctx.terwilliger.basis)
-    n = vertex_count(ctx.g)
+    t_basis = _lifted(ctx.m, ctx.terwilliger.basis)
+    n = vertex_count(ctx.m)
     mats = [matrix_from_vector(dict(row), n, n) for row in t_basis.rows]
     regrown = algebra_closure(mats, MatrixAction.of(mats))
     assert regrown.basis == t_basis
@@ -603,9 +595,8 @@ def test_generator_closure_matches_pairwise_product_oracle():
     # closing under A_1 and the E*_i gives the same RREF as closing all listed
     # generators under every pairwise product
     for m in (1, 2):
-        g = GroundSet(m)
-        oracle = _pairwise_product_closure(terwilliger_generators(g))
-        assert _lifted(g, build_terwilliger(orbit_index(m)).basis) == oracle
+        oracle = _pairwise_product_closure(terwilliger_generators(m))
+        assert _lifted(m, build_terwilliger(orbit_index(m)).basis) == oracle
 
 
 def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeypatch):
@@ -618,16 +609,15 @@ def test_build_terwilliger_rejects_a_distance_matrix_outside_the_closure(monkeyp
 
 def test_second_sphere_idempotent_support_at_m3():
     # the m+1 supersets of the base vertex form the distance-1 sphere
-    g = GroundSet(3)
-    e1 = dual_idempotent(g, 1)
-    assert e1.nnz == g.m + 1
+    m = 3
+    e1 = dual_idempotent(m, 1)
+    assert e1.nnz == m + 1
 
 
 def test_center_of_diagonal_subalgebra_is_everything():
     # span{E*_i} is commutative, so it equals its own center
     for m in (1, 2):
-        g = GroundSet(m)
-        idems = dual_idempotents(g)
+        idems = dual_idempotents(m)
         diag = span(idems)
         assert diag.dimension == 2 * m + 2
         assert centralizer_within(diag.rows, idems, MatrixAction.on(diag)).dimension == 2 * m + 2
