@@ -93,7 +93,7 @@ class RunConfig:
     explicit selection is held as a tuple.  m is limited to SUPPORTED_M,
     [1, 5]; every applicable check also passes at m = 6, 7 and 8 (n = 3,432
     to 48,620), so that range is the only limit there.
-    What still grows with the n^2 vertex pairs is the union-find of the
+    What still grows with the n^2 vertex pairs is the orbit sweep of the
     stabilizer generators of orbits-oracle (capped at m <= 4) and the
     export, which reads the orbit of every pair once, row by row, for its
     n x n files; every other orbit lookup reads the 2m+2 sphere rows of the
@@ -301,15 +301,15 @@ def _check_bijections(ctx: CheckContext):
     return expected, "paper-formula", actual, _verdict(expected == actual)
 
 
-# capped because its union-find runs over all n^2 vertex pairs
+# capped because its orbit sweep runs over all n^2 vertex pairs
 @_runner("orbits-oracle", max_m=4)
 def _check_orbits_oracle(ctx: CheckContext):
-    # the union-find of the stabilizer generators on all n^2 vertex pairs
+    # the orbit sweep of the stabilizer generators on all n^2 vertex pairs
     # against the pairs' label keys, with no orbit index: a route to the
     # orbits independent of the certificate the index runs as it is built
-    roots = orbits_by_group_action(ctx.m)
-    matches = _holds(_check_group_orbits, ctx.m, roots)
-    count = len(set(roots))
+    least = orbits_by_group_action(ctx.m)
+    matches = _holds(_check_group_orbits, ctx.m, least)
+    count = len(set(least))
     expected = {"orbit_count": _paper_dim(ctx.m), "partitions_match": True}
     actual = {"orbit_count": count, "partitions_match": matches}
     return expected, "paper-formula", actual, _verdict(expected == actual)

@@ -29,20 +29,21 @@ side.  The stabilizer fixes every label and is transitive on each sphere,
 so the index reads the 2m+2 sphere rows to find each orbit's first pair
 and to size it as |sphere| times its count in its row.  It certifies the
 scheme as it is built: the label keys met are the closed-form labels'
-keys, and union-finds over the n vertices show that the orbits are a
+keys, and orbit sweeps over the n vertices show that the orbits are a
 permutation group's (_certify_stabilizer_orbits), so A_1's moves,
 cross-checked on first pairs, hold on every pair.  The orbit of any pair
 is read off its label key (OrbitCoordinates.orbits).  The index is also
 the centralizer algebra (build_centralizer), a matrix constant on every
 orbit being its vector of orbit values.
-Only the union-find of the stabilizer generators on vertex pairs
+Only the orbit sweep of the stabilizer generators on vertex pairs
 (orbits_by_group_action, for orbits-oracle), its comparison with the pairs'
 label keys (_check_group_orbits), which builds no index, and the matrix
 export, which reads all n rows once, touch all n^2 pairs.
 
-The closed forms are production code; the union-find grinds out the orbits
-from explicit group generators, with no reference to the labels, and is
-compared with them.
+The closed forms are production code; the orbit sweep (_orbit_sweep)
+grinds out the orbits from explicit group generators, with no reference to
+the labels, naming each orbit by its least point, and _check_classes
+compares them with the labels' classes, each named by its first point.
 """
 
 from __future__ import annotations
@@ -178,15 +179,16 @@ def _orbit_labels(m: int) -> tuple[OrbitLabel, ...]:
 
 
 @lru_cache(maxsize=8)
-def _key_parts(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _key_parts(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     # the parts of a pair's label key that depend on y alone and on z alone,
-    # per vertex
+    # per vertex, and on y n z alone, per mask of the 2m+1 points
     base = m + 2
     x0 = (1 << m) - 1
     verts = _vertices(m)
     rows = tuple((2 * (y.bit_count() > m) * base + (x0 & y).bit_count()) * base ** 3 for y in verts)
     cols = tuple(((z.bit_count() > m) * base ** 2 + (x0 & z).bit_count()) * base ** 2 for z in verts)
-    return rows, cols
+    meets = tuple(v.bit_count() * base + (x0 & v).bit_count() for v in range(1 << 2 * m + 1))
+    return rows, cols, meets
 
 
 def _label_keys(m: int, yi: int, zs) -> list[int]:
@@ -195,12 +197,9 @@ def _label_keys(m: int, yi: int, zs) -> list[int]:
     (((block * base + i) * base + j) * base + t) * base + p, base = m + 2,
     where block = 2 [|y| = m + 1] + [|z| = m + 1]."""
     verts = _vertices(m)
-    rows, cols = _key_parts(m)
-    base = m + 2
-    y = verts[yi]
-    x0y = verts[0] & y  # x0 = {1, ..., m} is the least vertex mask
-    y_key = rows[yi]
-    return [y_key + cols[z] + (y & verts[z]).bit_count() * base + (x0y & verts[z]).bit_count() for z in zs]
+    rows, cols, meets = _key_parts(m)
+    y, y_key = verts[yi], rows[yi]
+    return [y_key + cols[z] + meets[y & verts[z]] for z in zs]
 
 
 def _label_key(m: int, label: OrbitLabel) -> int:
@@ -496,63 +495,59 @@ def _vertex_maps(m: int, perms) -> list[tuple[int, ...]]:
     return maps
 
 
-def _union_find(size: int, images) -> list[int]:
-    """The union-find root of each point 0..size-1 when every point k is
-    joined with image[k], for each image in images: two points share a root
-    exactly when a chain of the maps joins them, so for permutations the
-    classes are the orbits of the group they generate.  Roots are found by
-    path halving, inlined: a and b walk up to their roots."""
-    parent = list(range(size))
-    for image in images:
-        for a, b in enumerate(image):
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[b] = a
-    roots = []
-    for a in range(size):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        roots.append(a)
-    return roots
+def _orbit_sweep(size: int, perms) -> list[int]:
+    """The least point of the orbit of each point 0..size-1 under the group
+    the permutations perms generate.  Each point not yet reached, in
+    ascending order, starts an orbit and is its least point; the orbit is
+    everything repeated images reach from it, since a permutation of a
+    finite set has its inverse among its powers."""
+    least = [-1] * size
+    for start in range(size):
+        if least[start] < 0:
+            least[start] = start
+            reached = [start]
+            for a in reached:  # grows as it is read
+                for perm in perms:
+                    b = perm[a]
+                    if least[b] < 0:
+                        least[b] = start
+                        reached.append(b)
+    return least
 
 
 def orbits_by_group_action(m: int) -> array:
-    """Orbits of the stabilizer on ordered vertex pairs via union-find.
+    """Orbits of the stabilizer on ordered vertex pairs by an orbit sweep.
 
     Works straight from explicit group generators, with no reference to the
     four-tuple invariant, so it independently cross-checks the closed forms.
-    roots[y * n + z] is the union-find root of the vertex pair (y, z); two
-    pairs lie in one orbit exactly when their roots are equal.
+    least[y * n + z] is the least pair index of the orbit of the vertex pair
+    (y, z); two pairs lie in one orbit exactly when these are equal.
     """
     n = len(_vertices(m))
     # the image of pair (y, z) = y * n + z under a vertex map vp
-    images = (
-        (py + vp[z] for py in [vp[y] * n for y in range(n)] for z in range(n))
+    pair_maps = [
+        array("I", (py + vp[z] for py in [vp[y] * n for y in range(n)] for z in range(n)))
         for vp in _vertex_maps(m, stabilizer_generators(m))
-    )
-    return array("I", _union_find(n * n, images))
+    ]
+    return array("I", _orbit_sweep(n * n, pair_maps))
 
 
-def _check_classes(roots, ids, name) -> None:
-    """The ids, read in step with roots, must partition like the union-find
-    classes of roots, which they do exactly when the distinct roots, the
-    distinct ids and the distinct (root, id) pairs are equally many.
-    Raises NotClosedError naming, by name(a), the least id a whose elements
-    are not exactly one class of roots, and ValueError, a caller's bug, when
-    roots and ids differ in length."""
-    roots_of: dict[int, set[int]] = {}
-    ids_of: dict[int, set[int]] = {}
-    met = set(zip(roots, ids, strict=True))
-    for root, a in met:
-        roots_of.setdefault(a, set()).add(root)
-        ids_of.setdefault(root, set()).add(a)
-    if len(met) == len(roots_of) == len(ids_of):
-        return
-    a = min(a for a, rs in roots_of.items() if len(rs) > 1 or any(ids_of[r] != {a} for r in rs))
-    raise NotClosedError(f"{name(a)} is not a single orbit of the stabilizer generators")
+def _check_classes(least, ids, name) -> None:
+    """The ids, read in step with least, must partition the points as the
+    orbits do that least names by their least points (_orbit_sweep).  With
+    each class of ids named by its first point, the partitions are equal
+    exactly when the two names agree at every point.  Raises NotClosedError
+    naming, by name(a), the least id a whose elements are not exactly one
+    orbit: the least id of a point k whose names disagree or of least[k].
+    Raises ValueError, a caller's bug, when least and ids differ in length."""
+    ids = list(ids)
+    first: dict[int, int] = {}
+    for k, a in enumerate(ids):
+        first.setdefault(a, k)
+    wrong = [k for k, (low, a) in enumerate(zip(least, ids, strict=True)) if low != first[a]]
+    if wrong:
+        a = min(min(ids[k], ids[least[k]]) for k in wrong)
+        raise NotClosedError(f"{name(a)} is not a single orbit of the stabilizer generators")
 
 
 def _check_permutations(vertex_maps, fixed: dict[str, int], what: str) -> None:
@@ -568,14 +563,14 @@ def _check_permutations(vertex_maps, fixed: dict[str, int], what: str) -> None:
 
 def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
     """The certificate that the orbits of the index are the orbits of a
-    permutation group on vertex pairs, by union-finds over the n vertices.
+    permutation group on vertex pairs, by orbit sweeps over the n vertices.
 
     (a) The stabilizer generators must permute the vertices and fix x0, and
-    the classes of the group G they generate must be the spheres.  (b) For
+    the orbits of the group G they generate must be the spheres.  (b) For
     each sphere s, with first vertex y_s, the Young generators of the four
     atoms of x0 and y_s (x0 n y_s, x0 - y_s, y_s - x0 and the rest) must
-    fix x0 and y_s, and the classes of the group H_s they generate must be
-    those of the orbit ids along row y_s.
+    fix x0 and y_s, and the orbits of the group H_s they generate on the
+    vertices must be the classes of the orbit ids along row y_s.
 
     Proof: a permutation of S that fixes x0 keeps labels, and so orbits, so
     every orbit is a union of orbits of the group K that G and the H_s
@@ -583,7 +578,7 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
     names, G moves each into row y_s by (a), and H_s moves the one onto the
     other by (b).  Raises NotClosedError naming the first generator that is
     no permutation or moves x0 or y_s, the first sphere that is not one
-    class of G, or the first orbit, in label order, that is not one class
+    orbit of G, or the first orbit, in label order, that is not one orbit
     of H_s.
     """
     m, n = index.m, index.n
@@ -605,7 +600,7 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
         y = verts[index.spheres[s][0]]
         return f"sphere {s} (|y| = {y.bit_count()}, |x0 n y| = {(base & y).bit_count()})"
 
-    _check_classes(_union_find(n, maps), index.sphere_of, sphere_name)
+    _check_classes(_orbit_sweep(n, maps), index.sphere_of, sphere_name)
     for s, (sphere, row) in enumerate(zip(index.spheres, index.rows)):
         y = verts[sphere[0]]
         atoms = [
@@ -614,26 +609,26 @@ def _certify_stabilizer_orbits(index: OrbitCoordinates) -> None:
         ]
         maps = vertex_maps(_young_generators(2 * m + 1, atoms))
         _check_permutations(maps, {"x0": x0, "y_s": sphere[0]}, f"row generator {{}} of sphere {s}")
-        _check_classes(_union_find(n, maps), row, lambda a: f"orbit {index.labels[a].text()}")
+        _check_classes(_orbit_sweep(n, maps), row, lambda a: f"orbit {index.labels[a].text()}")
 
 
-def _check_group_orbits(m: int, roots) -> None:
-    """The comparison of the labels' orbits with roots, the union-find of
+def _check_group_orbits(m: int, least) -> None:
+    """The comparison of the labels' orbits with least, the orbit sweep of
     the stabilizer generators on vertex pairs (orbits_by_group_action),
     with no orbit index, so that its certificate is not assumed.
 
-    Every generator must permute the vertices (n lookups each), so that the
-    union-find classes of roots are the orbits of a permutation group.  The
-    two partitions of the pairs are then compared by _check_classes, each
-    pair's label key (_label_keys) read one row at a time.  Raises
+    Every generator must permute the vertices (n lookups each), so that
+    least names the orbits of a permutation group by their least pairs.
+    The two partitions of the pairs are then compared by _check_classes,
+    each pair's label key (_label_keys) read one row at a time.  Raises
     NotClosedError naming the first generator that is no permutation, or
     the first label, in closed-form order, whose pairs are not a single
-    group orbit, and ValueError when roots does not hold n^2 entries.
+    group orbit, and ValueError when least does not hold n^2 entries.
     """
     _check_permutations(_vertex_maps(m, stabilizer_generators(m)), {}, "stabilizer generator {}")
     everyone = range(len(_vertices(m)))
     keys = chain.from_iterable(_label_keys(m, y, everyone) for y in everyone)
-    _check_classes(roots, keys, lambda key: f"label {_key_label(m, key).text()}")
+    _check_classes(least, keys, lambda key: f"label {_key_label(m, key).text()}")
 
 
 def _key_label(m: int, key: int) -> OrbitLabel:

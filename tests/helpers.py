@@ -17,8 +17,10 @@ the span of rows by insertion, the test that rows are in reduced row
 echelon form, the coefficients of a vector over a span's rows, the null
 space by one scan of the rows per free column, the reader of the
 export's coordinate text files, a doctored orbit index for its
-certificates, the reports without elapsed_ms, and the per-m contexts the
-tests share, which hold the tests' one memo of the orbit index."""
+certificates, the union-find and the counting comparison of partitions
+that the orbit sweep and its least-point comparison are checked against,
+the reports without elapsed_ms, and the per-m contexts the tests share,
+which hold the tests' one memo of the orbit index."""
 
 import json
 from array import array
@@ -220,12 +222,58 @@ def enumerate_index_set(m: int, block: BlockTag) -> frozenset[tuple[int, int, in
     return frozenset(rho(x0, y, z) for y in ys for z in zs)
 
 
-def orbit_partition(roots, n: int) -> set[frozenset[tuple[int, int]]]:
-    """The orbits of orbits_by_group_action as sets of vertex pairs."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for code, root in enumerate(roots):
-        groups.setdefault(root, []).append(divmod(code, n))
-    return {frozenset(members) for members in groups.values()}
+def point_classes(names) -> set[frozenset[int]]:
+    """The classes of points 0, 1, ... that share a name, as sets of points."""
+    groups: dict[int, set[int]] = {}
+    for k, name in enumerate(names):
+        groups.setdefault(name, set()).add(k)
+    return set(map(frozenset, groups.values()))
+
+
+def orbit_partition(names, n: int) -> set[frozenset[tuple[int, int]]]:
+    """The orbits of orbits_by_group_action, or of any naming of the vertex
+    pairs' classes, as sets of vertex pairs."""
+    return {frozenset(divmod(code, n) for code in members) for members in point_classes(names)}
+
+
+def union_find(size: int, images) -> list[int]:
+    """Oracle of orbits._orbit_sweep: the union-find root of each point
+    0..size-1 when every point k is joined with image[k], for each image in
+    images.  Two points share a root exactly when a chain of the maps joins
+    them, so for permutations the classes are the orbits of the group they
+    generate.  Roots are found by path halving."""
+    parent = list(range(size))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for image in images:
+        for a, b in enumerate(image):
+            a, b = root(a), root(b)
+            if a != b:
+                parent[b] = a
+    return [root(a) for a in range(size)]
+
+
+def check_classes_by_counting(roots, ids, name) -> None:
+    """Oracle of orbits._check_classes: the ids, read in step with roots,
+    partition like the classes of roots exactly when the distinct roots,
+    the distinct ids and the distinct (root, id) pairs are equally many.
+    Raises NotClosedError naming, by name(a), the least id a whose elements
+    are not exactly one class of roots, and ValueError when roots and ids
+    differ in length."""
+    roots_of: dict[int, set[int]] = {}
+    ids_of: dict[int, set[int]] = {}
+    met = set(zip(roots, ids, strict=True))
+    for root, a in met:
+        roots_of.setdefault(a, set()).add(root)
+        ids_of.setdefault(root, set()).add(a)
+    if len(met) == len(roots_of) == len(ids_of):
+        return
+    a = min(a for a, rs in roots_of.items() if len(rs) > 1 or any(ids_of[r] != {a} for r in rs))
+    raise NotClosedError(f"{name(a)} is not a single orbit of the stabilizer generators")
 
 
 @lru_cache(maxsize=8)
@@ -807,7 +855,7 @@ def _column_label_keys(m: int, zi: int) -> list[int]:
     verts = _vertices(m)
     z = verts[zi]
     x0z = (1 << m) - 1 & z
-    rows, cols = _key_parts(m)
+    rows, cols, _ = _key_parts(m)
     z_key = cols[zi]
     return [w_key + z_key + (w & z).bit_count() * base + (x0z & w).bit_count() for w_key, w in zip(rows, verts)]
 

@@ -7,6 +7,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import threading
 import weakref
 from pathlib import Path
@@ -717,6 +719,29 @@ def test_export_matches_the_pinned_digest(tmp_path, m, digest):
     assert _tree_digest(tmp_path) == digest
 
 
+def _cli(seed: str, *args: str) -> str:
+    # the stdout of the command line in a fresh process under this hash seed
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(_PINNED.parents[1] / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "doubled_odd.cli", *args], env=env, capture_output=True, text=True, check=True, timeout=120
+    ).stdout
+
+
+def test_reports_and_export_do_not_depend_on_the_hash_seed(tmp_path):
+    # the benchmark passes its --seed to its runs as PYTHONHASHSEED and
+    # compares every run with one reference: verify --m 2, each elapsed_ms
+    # dropped, and the export --m 2 tree must not move with the seed
+    reports = []
+    for seed in ("0", "12345"):
+        payload = json.loads(_cli(seed, "verify", "--m", "2"))
+        for entry in payload:
+            del entry["elapsed_ms"]
+        reports.append(payload)
+        _cli(seed, "export", "--m", "2", "--export-dir", str(tmp_path / seed))
+        assert _tree_digest(tmp_path / seed) == _EXPORT_DIGESTS["2"]
+    assert reports[0] == reports[1] == _pinned_reports(2)
+
+
 @pytest.mark.parametrize("reference, m, every_check", [("m3", 3, True), ("orbits-m4", 4, False)])
 def test_reports_match_the_benchmark_reference(reference, m, every_check):
     # the benchmark's stored reports of `verify --m 3` and of its m = 4 orbit checks
@@ -1012,9 +1037,9 @@ def test_reports_match_the_pinned_reports(m):
     assert reports_without_elapsed(run(RunConfig(m=m))) == _pinned_reports(m)
 
 
-def _trace_pair_union_find(monkeypatch) -> list:
-    """Record every call of the union-find over all vertex pairs and of its
-    comparison with the sphere rows, on each binding a caller may use."""
+def _trace_pair_sweep(monkeypatch) -> list:
+    """Record every call of the orbit sweep over all vertex pairs and of its
+    comparison with the pairs' label keys, on each binding a caller may use."""
     calls = []
 
     def traced(name, fn):
@@ -1032,10 +1057,10 @@ def _trace_pair_union_find(monkeypatch) -> list:
 
 def test_a_cold_m3_run_makes_no_pass_over_all_vertex_triples(monkeypatch, fresh_memos):
     # distance-regular and subalgebra-closure rest on A_1's push tables,
-    # certified on the n vertices: the one union-find over all
+    # certified on the n vertices: the one orbit sweep over all
     # vertex pairs is orbits-oracle's, and no exhaustive pass is made, whose
     # kernel lives with the tests' oracles
-    calls = _trace_pair_union_find(monkeypatch)
+    calls = _trace_pair_sweep(monkeypatch)
     reports = run(RunConfig(m=3))
     assert len(reports) == 16
     assert calls == [("orbits_by_group_action", 3), ("_check_group_orbits", 3)]
@@ -1044,8 +1069,8 @@ def test_a_cold_m3_run_makes_no_pass_over_all_vertex_triples(monkeypatch, fresh_
 
 def test_a_cold_m3_run_without_orbits_oracle_makes_no_pass_over_all_vertex_pairs(monkeypatch, fresh_memos):
     # the orbit certificate that distance-regular, subalgebra-closure and T
-    # rest on needs no union-find over the pairs
-    calls = _trace_pair_union_find(monkeypatch)
+    # rest on needs no orbit sweep over the pairs
+    calls = _trace_pair_sweep(monkeypatch)
     checks = tuple(c for c in CHECK_IDS if c != "orbits-oracle")
     reports = run(RunConfig(m=3, checks=checks))
     assert len(reports) == 15 and "fail" not in {r.status for r in reports}
@@ -1053,7 +1078,7 @@ def test_a_cold_m3_run_without_orbits_oracle_makes_no_pass_over_all_vertex_pairs
 
 
 def test_orbits_oracle_fails_a_missing_generator_without_an_orbit_index(monkeypatch, capsys, fresh_memos):
-    # the union-find of the generators less the cycle on S - x0 is finer
+    # the orbit sweep of the generators less the cycle on S - x0 is finer
     # than the labels' orbits: the check compares it with the pairs' label
     # keys, so it fails without building the index, whose certificate
     # would reject the same generators

@@ -10,6 +10,7 @@ from helpers import (
     MatrixAction,
     adjacency_matrix,
     block_of_pair,
+    check_classes_by_counting,
     class_profiles,
     column,
     contains,
@@ -31,11 +32,13 @@ from helpers import (
     pair_index,
     pair_orbit_matrices,
     parse_label,
+    point_classes,
     product_index,
     product_subalgebra,
     rho,
     span,
     span_of_rows,
+    union_find,
     vectorize,
     vertex_maps_by_points,
 )
@@ -479,10 +482,10 @@ def test_structure_constants_reject_orbits_that_are_not_coherent():
         _merge_incoherent_orbits()
 
 
-def _first_orbit_not_a_class(index, roots) -> OrbitLabel | None:
+def _first_orbit_not_a_class(index, least) -> OrbitLabel | None:
     # oracle: the least orbit of a pair index whose pairs are not one
-    # union-find class of roots
-    classes = orbit_partition(roots, index.n)
+    # class of least, the orbit sweep's (orbits_by_group_action)
+    classes = orbit_partition(least, index.n)
     for label, positions in zip(index.labels, index.positions):
         if frozenset(divmod(pos, index.n) for pos in positions) not in classes:
             return label
@@ -526,35 +529,35 @@ def test_the_group_orbit_certificate_rejects_a_missing_generator(monkeypatch, fr
 
 def test_the_group_orbit_comparison_names_the_first_label_that_is_no_group_orbit(monkeypatch):
     # without the cycle on S - x0 some labels' pairs split into several
-    # union-find classes; the comparison reads label keys, with no orbit
-    # index, and names the first such label in closed-form order
+    # group orbits; the comparison reads label keys, with no orbit index,
+    # and names the first such label in closed-form order
     generators = orbits_module.stabilizer_generators
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda m: generators(m)[:-1])
-    roots = orbits_by_group_action(2)
-    index, classes = pair_index(2), orbit_partition(roots, vertex_count(2))
+    least = orbits_by_group_action(2)
+    index, classes = pair_index(2), orbit_partition(least, vertex_count(2))
     split = {
         label for label, positions in zip(index.labels, index.positions)
         if frozenset(divmod(pos, index.n) for pos in positions) not in classes
     }
     first = min(split, key=orbits_module._orbit_labels(2).index)
     with pytest.raises(NotClosedError, match=rf"^label {first.text()} is not a single orbit"):
-        orbits_module._check_group_orbits(2, roots)
+        orbits_module._check_group_orbits(2, least)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_the_group_orbit_comparison_rejects_roots_of_another_length(m):
-    # roots hold one entry per vertex pair, read in step with the pairs'
-    # label keys: an empty, a one-short and a one-long roots array is a
-    # caller's bug, not a failed certificate, so orbits-oracle's _holds
-    # lets its ValueError through; the full roots and the index still pass
-    roots = orbits_by_group_action(m)
-    assert len(roots) == vertex_count(m) ** 2
-    for wrong in (roots[:0], roots[:-1], roots + roots[:1]):
+    # the sweep's least pairs, one entry per vertex pair, are read in step
+    # with the pairs' label keys: an empty, a one-short and a one-long array
+    # is a caller's bug, not a failed certificate, so orbits-oracle's _holds
+    # lets its ValueError through; the full array and the index still pass
+    least = orbits_by_group_action(m)
+    assert len(least) == vertex_count(m) ** 2
+    for wrong in (least[:0], least[:-1], least + least[:1]):
         with pytest.raises(ValueError):
             orbits_module._check_group_orbits(m, wrong)
         with pytest.raises(ValueError):
             _holds(orbits_module._check_group_orbits, m, wrong)
-    assert _holds(orbits_module._check_group_orbits, m, roots) is True
+    assert _holds(orbits_module._check_group_orbits, m, least) is True
     assert OrbitCoordinates(m).ambient_dim == 4 * comb(m + 4, 4)
 
 
@@ -571,8 +574,8 @@ def test_a_label_key_decodes_to_its_label(m):
 
 
 def test_the_group_orbit_certificate_rejects_a_generator_that_is_no_permutation(monkeypatch, fresh_memos):
-    # the point map 1, 2, 3 -> 1, 1, 3 sends {1} and {2} to {1}: its
-    # union-find classes need not be the orbits of a group
+    # the point map 1, 2, 3 -> 1, 1, 3 sends {1} and {2} to {1}: what its
+    # repeated images reach need not be the orbits of a group
     generators = orbits_module.stabilizer_generators
     monkeypatch.setattr(orbits_module, "stabilizer_generators", lambda m: [(0, 0, 2)] + generators(m))
     with pytest.raises(NotClosedError, match="stabilizer generator 0 does not permute the vertices"):
@@ -633,6 +636,134 @@ def test_the_stabilizer_orbit_certificate_builds_each_vertex_map_once(monkeypatc
     assert len(generated) == 32
     assert len(moved) == len(set(moved)) == 9
     assert set(moved) == set(generated)
+
+
+def _recorded_sweeps(monkeypatch, m: int) -> list:
+    # the (size, maps, least) of every orbit sweep the certificate runs: the
+    # stabilizer's on the vertices, then each sphere's row generators'
+    calls = []
+    sweep = orbits_module._orbit_sweep
+
+    def recorded(size, perms):
+        least = sweep(size, perms)
+        calls.append((size, perms, least))
+        return least
+
+    monkeypatch.setattr(orbits_module, "_orbit_sweep", recorded)
+    orbits_module._certify_stabilizer_orbits(orbit_index(m))
+    return calls
+
+
+def _least_points(classes, size: int) -> list[int]:
+    # each point named by the least point of its class
+    least = [-1] * size
+    for members in classes:
+        for k in members:
+            least[k] = min(members)
+    return least
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_orbit_sweep_finds_the_union_find_classes_on_the_vertices(monkeypatch, m):
+    # under G and under each H_s, with the maps the certificate builds: the
+    # union-find oracle's classes, each named by its least vertex
+    index = orbit_index(m)
+    calls = _recorded_sweeps(monkeypatch, m)
+    assert len(calls) == 1 + len(index.spheres)
+    assert calls[0][1] == orbits_module._vertex_maps(m, stabilizer_generators(m))
+    for size, maps, least in calls:
+        assert size == index.n
+        assert least == _least_points(point_classes(union_find(size, maps)), size)
+    # G's orbits are the spheres
+    assert point_classes(calls[0][2]) == point_classes(index.sphere_of)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_orbit_sweep_finds_the_union_find_classes_on_the_vertex_pairs(m):
+    # orbits_by_group_action names each orbit on the n^2 pairs by its least
+    # pair index, the union-find oracle's classes of the same generators
+    # moved a point at a time
+    n = vertex_count(m)
+    pair_maps = [
+        [vp[y] * n + vp[z] for y in range(n) for z in range(n)]
+        for vp in vertex_maps_by_points(m, stabilizer_generators(m))
+    ]
+    least = orbits_by_group_action(m)
+    assert list(least) == _least_points(point_classes(union_find(n * n, pair_maps)), n * n)
+    assert len(set(least)) == 4 * comb(m + 4, 4)
+
+
+def _class_verdict(check, names, ids) -> str | None:
+    # None when check accepts ids against the classes names gives, else the
+    # message of its NotClosedError
+    try:
+        check(names, ids, lambda a: f"id {a}")
+    except NotClosedError as exc:
+        return str(exc)
+    return None
+
+
+def _doctored_ids(ids: list[int]):
+    # every partition one edit away: two ids merged, in both orders of
+    # their least points; one id split, the point split off given an id
+    # above or below all others; one point moved to another id
+    distinct = sorted(set(ids))
+    for a in distinct:
+        for b in distinct:
+            if a != b:
+                yield [b if x == a else x for x in ids]
+    for k, a in enumerate(ids):
+        if ids.count(a) > 1:
+            for fresh in (min(distinct) - 1, max(distinct) + 1):
+                yield ids[:k] + [fresh] + ids[k + 1:]
+        for b in distinct:
+            if b != a:
+                yield ids[:k] + [b] + ids[k + 1:]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_the_least_point_comparison_agrees_with_the_counting_oracle(monkeypatch, m):
+    # the partitions of the certificate, the spheres under G and the orbit
+    # ids along each sphere row under H_s: each holds, and every doctored
+    # partition fails both comparisons, which name the same id; a length
+    # mismatch raises ValueError in both
+    index = orbit_index(m)
+    calls = _recorded_sweeps(monkeypatch, m)
+    check = orbits_module._check_classes
+    for (size, maps, least), ids in zip(calls, [list(index.sphere_of), *map(list, index.rows)], strict=True):
+        roots = union_find(size, maps)
+        assert _class_verdict(check, least, ids) is None
+        assert _class_verdict(check_classes_by_counting, roots, ids) is None
+        for doctored in _doctored_ids(ids):
+            verdict = _class_verdict(check_classes_by_counting, roots, doctored)
+            assert verdict is not None
+            assert _class_verdict(check, least, doctored) == verdict
+        for wrong in (ids[:-1], ids + ids[:1]):
+            for compare, names in ((check, least), (check_classes_by_counting, roots)):
+                with pytest.raises(ValueError):
+                    compare(names, wrong, str)
+
+
+def test_the_least_point_comparison_agrees_with_the_counting_oracle_on_random_partitions():
+    # seeded random permutations and ids: some ids are the orbits relabelled,
+    # some are those with one point given a random id, the rest random
+    rng = random.Random(4800)
+    check = orbits_module._check_classes
+    verdicts = Counter()
+    for trial in range(600):
+        size = rng.randint(1, 12)
+        perms = [rng.sample(range(size), size) for _ in range(rng.randint(0, 2))]
+        least, roots = orbits_module._orbit_sweep(size, perms), union_find(size, perms)
+        relabel = rng.sample(range(size), size)
+        ids = [relabel[low] for low in least]
+        if trial % 3 == 1:
+            ids[rng.randrange(size)] = rng.randrange(size)
+        elif trial % 3 == 2:
+            ids = [rng.randrange(4) for _ in range(size)]
+        verdict = _class_verdict(check_classes_by_counting, roots, ids)
+        assert _class_verdict(check, least, ids) == verdict
+        verdicts[verdict is None] += 1
+    assert min(verdicts[True], verdicts[False]) > 100
 
 
 def test_the_stabilizer_orbit_certificate_rejects_a_row_generator_that_moves_y_s(monkeypatch):
